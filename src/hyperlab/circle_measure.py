@@ -11,6 +11,10 @@ Conventions fixed here and relied on everywhere else:
   e^{i n theta} d mu(theta).  The density part uses the midpoint rule,
   trustworthy only for |n| <= bins/8; larger |n| raises OutOfBandError
   whenever a density part is present (atoms are exact at every n).
+  A whole band n = -n_max..n_max costs one FFT of the bin array (the
+  midpoint sum at order n is width * e^{i n width/2} times the n-th
+  inverse DFT term, scaled by bins) plus one matrix-vector product over
+  the atoms; fourier_coefficient reads a single entry of that band.
 * Convolution pushes forward addition of angles mod 2pi.  The
   density x density branch is the circular convolution of the bin
   arrays scaled by the bin width, aligned symmetrically over the two
@@ -212,20 +216,44 @@ def scale(mu: CircleMeasure, factor: float) -> CircleMeasure:
     )
 
 
-def fourier_coefficient(mu: CircleMeasure, n: int) -> complex:
-    """Moment of z^n.  Atoms are exact; the density part is midpoint-rule
-    and only trusted for |n| <= bins/8."""
-    n = int(n)
-    if mu.has_density and abs(n) > mu.bins // 8:
+def fourier_band(mu: CircleMeasure, n_max: int) -> np.ndarray:
+    """Moments of z^n for n = -n_max..n_max, in that order.  Atoms are
+    exact; the density part is midpoint-rule and only trusted for
+    n_max <= bins/8."""
+    return _family_bands([mu], n_max)[0]
+
+
+def _family_bands(family, n_max: int) -> np.ndarray:
+    """fourier_band of every measure of a same-bins family as the rows of
+    one (family, 2*n_max+1) array: the densities share one FFT."""
+    n_max = int(n_max)
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    bins = family[0].bins
+    if any(mu.has_density for mu in family) and n_max > bins // 8:
         raise OutOfBandError(
-            f"|n|={abs(n)} exceeds the density trust band bins/8={mu.bins // 8}"
+            f"|n|={n_max} exceeds the density trust band bins/8={bins // 8}"
         )
-    out = 0.0 + 0.0j
-    if mu.atom_count:
-        out += np.sum(mu.atom_masses * np.exp(1j * n * mu.atom_angles))
-    if mu.has_density:
-        out += mu.bin_width * np.sum(mu.density * np.exp(1j * n * mu.bin_centers))
-    return complex(out)
+    orders = np.arange(-n_max, n_max + 1)
+    out = np.zeros((len(family), orders.size), dtype=complex)
+    dense = [i for i, mu in enumerate(family) if mu.has_density]
+    if dense:
+        width = TWO_PI / bins
+        # for real densities, bins * ifft(density)[k] is conj(rfft(density)[k])
+        spectrum = np.fft.rfft(np.stack([family[i].density for i in dense]))
+        k = np.arange(n_max + 1)
+        upper = width * np.exp(1j * k * (width / 2.0)) * spectrum[:, :n_max + 1].conj()
+        out[dense] = np.concatenate([upper[:, :0:-1].conj(), upper], axis=1)
+    for row, mu in zip(out, family):
+        if mu.atom_count:
+            row += np.exp(1j * np.outer(orders, mu.atom_angles)) @ mu.atom_masses
+    return out
+
+
+def fourier_coefficient(mu: CircleMeasure, n: int) -> complex:
+    """Moment of z^n: one entry of fourier_band(mu, |n|)."""
+    n = int(n)
+    return complex(fourier_band(mu, abs(n))[abs(n) + n])
 
 
 def _rotated_density(density: np.ndarray, angles: np.ndarray, masses: np.ndarray,
@@ -363,9 +391,10 @@ def symmetrize(sigma: CircleMeasure) -> CircleMeasure:
 def symmetry_defect(sigma: CircleMeasure, n_max: int = 8) -> float:
     """Largest |imaginary part| of the Fourier coefficients up to n_max;
     zero exactly for reflection-symmetric measures."""
-    band = sigma.bins // 8 if sigma.has_density else n_max
-    top = min(n_max, band)
-    return max(abs(fourier_coefficient(sigma, n).imag) for n in range(1, top + 1))
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    top = min(n_max, sigma.bins // 8) if sigma.has_density else n_max
+    return float(np.max(np.abs(fourier_band(sigma, top)[top + 1:].imag)))
 
 
 def split_upper_lower(sigma: CircleMeasure, sym_tol: float = 1e-9):
@@ -474,6 +503,13 @@ def _coefficient_window(rho: CircleMeasure, n_max: int):
     return lo, n_max
 
 
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| rounded as Python's abs(complex) rounds it; np.abs on complex
+    arrays can be one ulp off, which would reorder exact ties such as the
+    unit moduli of point masses."""
+    return np.hypot(z.real, z.imag)
+
+
 def rajchman_probe(rho: CircleMeasure, n_max: int = 64,
                    epsilon: float = 0.1) -> RajchmanReport:
     """Coefficient-decay proxy: sup of |rho_hat(n)| over the upper half
@@ -481,7 +517,7 @@ def rajchman_probe(rho: CircleMeasure, n_max: int = 64,
     epsilon.  A one-sided finite-window stand-in for rho_hat(n) -> 0."""
     _require_probability(rho)
     lo, hi = _coefficient_window(rho, n_max)
-    tail_sup = max(abs(fourier_coefficient(rho, n)) for n in range(lo, hi + 1))
+    tail_sup = np.max(_modulus(fourier_band(rho, hi)[hi + lo:]))
     return RajchmanReport(tail_sup=float(tail_sup), passed=bool(tail_sup < epsilon),
                           window_lo=lo, window_hi=hi, epsilon=epsilon)
 
@@ -494,9 +530,9 @@ def dirichlet_probe(rho: CircleMeasure, n_max: int = 64,
     coefficients return to modulus one along a subsequence."""
     _require_probability(rho)
     lo, hi = _coefficient_window(rho, n_max)
-    values = {n: abs(fourier_coefficient(rho, n)) for n in range(lo, hi + 1)}
-    best_value = max(values.values())
-    best_n = max(n for n, v in values.items() if v >= best_value - 1e-12)
+    values = _modulus(fourier_band(rho, hi)[hi + lo:])
+    best_value = np.max(values)
+    best_n = lo + np.flatnonzero(values >= best_value - 1e-12)[-1]
     return DirichletReport(best_n=int(best_n), best_value=float(best_value),
                            passed=bool(best_value > 1.0 - epsilon),
                            window_lo=lo, window_hi=hi, epsilon=epsilon)
@@ -539,12 +575,10 @@ def mild_mixing_probe(rho: CircleMeasure, family_size: int = 16, n_max: int = 64
             family.append((f"union#{i}", theta))
     if not family:
         raise ValueError("empty probe family: measure has no atoms and no density")
-    worst = -1.0
-    witness = ""
-    for label, theta in family:
-        sup = max(abs(fourier_coefficient(theta, n)) for n in range(lo, hi + 1))
-        if sup > worst:
-            worst, witness = sup, label
+    bands = _family_bands([theta for _, theta in family], hi)
+    sups = np.max(_modulus(bands[:, hi + lo:]), axis=1)
+    best = int(np.argmax(sups))
+    worst, witness = sups[best], family[best][0]
     return MildMixingReport(worst_limsup=float(worst),
                             passed=bool(worst < 1.0 - delta),
                             witness=witness, family_size=len(family),

@@ -34,7 +34,7 @@ from . import kalish as ka
 from .config import parse_config
 from .corpora import probability_measure, random_functional
 from .jsonio import read_json, stable_dumps
-from .runner import run as run_experiment
+from .runner import fourier_rows, run as run_experiment
 from .seeding import derive_seed
 
 __all__ = ["main"]
@@ -170,11 +170,8 @@ def _cmd_measure_exp(args) -> int:
 
 
 def _cmd_measure_fourier(args) -> int:
-    rho = _load_measure(args.measure, args.bins, args.seed)
-    rows = []
-    for n in range(-args.band, args.band + 1):
-        c = cm.fourier_coefficient(rho, n)
-        rows.append((n, c.real, c.imag, abs(c)))
+    rows = fourier_rows(_load_measure(args.measure, args.bins, args.seed),
+                        args.band)
     doc = {"schema": "fourier-table/1", "band": args.band,
            "coefficients": [[n, re, im] for n, re, im, _ in rows]}
     _emit(args, doc, _csv_text(["n", "re", "im", "abs"], rows))
@@ -307,12 +304,12 @@ def _cmd_gauss_coeff(args) -> int:
     model = _gauss_model(args)
     xstar = random_functional(derive_seed(args.seed, "functional"), args.grid)
     smeas = gm.spectral_measure_of_functional(model, xstar)
+    transform = cm.fourier_band(smeas, args.power).tolist()[args.power:]
     rows = []
-    for n in range(args.power + 1):
+    for n, sf in enumerate(transform):
         a = gm.matrix_coefficient_analytic(model, xstar, n)
         mc = gm.matrix_coefficient_mc(model, xstar, n, count=args.samples,
                                       seed=derive_seed(args.seed, f"mc:{n}"))
-        sf = cm.fourier_coefficient(smeas, n)
         rows.append((n, a.real, a.imag, mc.value.real, mc.value.imag,
                      mc.standard_error, sf.real, sf.imag))
     doc = {"schema": "coefficient-table/1", "samples": args.samples,

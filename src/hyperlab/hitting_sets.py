@@ -132,18 +132,32 @@ def lower_density(L: WindowedSet) -> float:
 
 def upper_banach_density(L: WindowedSet, min_len: int) -> float:
     """Exact maximum of |L intersect I|/|I| over subintervals I of the
-    window with |I| >= min_len.  Only lengths in [min_len, 2*min_len)
-    are scanned: an interval of length >= 2*min_len splits into two
-    halves of admissible length, one of which is at least as dense, so
-    the maximum is already attained below 2*min_len."""
+    window with |I| >= min_len, by Dinkelbach's parametric search.
+
+    The current density is an integer pair num/den, starting at 0/1.
+    Each round finds the admissible interval maximizing the integer gain
+    den*count - num*length (one prefix-minimum pass over the prefix
+    counts) and moves num/den to that interval's count/length; a best
+    gain <= 0 certifies num/den as the maximum.  All comparisons are
+    exact int64 arithmetic (products stay below N^2), and the result is
+    count/length of the winning integer pair, rounded once."""
     if not 1 <= min_len <= L.window:
         raise ValueError(f"min_len must lie in [1, {L.window}]")
     counts = _prefix_counts(L)
-    best = 0.0
-    for length in range(min_len, min(2 * min_len, L.window + 1)):
-        window_counts = counts[length:] - counts[:-length]
-        best = max(best, float(np.max(window_counts)) / length)
-    return best
+    positions = np.arange(L.window + 1, dtype=np.int64)
+    num, den = 0, 1
+    while True:
+        # the gain of [s, e) is score[e] - score[s]; each end e >= min_len
+        # pairs with the lowest score at a start s <= e - min_len
+        score = den * counts - num * positions
+        lowest = np.minimum.accumulate(score[:-min_len])
+        gains = score[min_len:] - lowest
+        best = int(np.argmax(gains))
+        if gains[best] <= 0:
+            return num / den
+        start = int(np.argmin(score[:best + 1]))
+        stop = best + min_len
+        num, den = int(counts[stop] - counts[start]), stop - start
 
 
 def difference_set(L: WindowedSet) -> WindowedSet:

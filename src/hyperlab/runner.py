@@ -33,7 +33,7 @@ from .jsonio import read_json, write_json
 from .kalish import CircleFunction, apply_T, eigen_residual
 from .seeding import derive_seed
 
-__all__ = ["ProbeResult", "realize_measure", "run"]
+__all__ = ["ProbeResult", "fourier_rows", "realize_measure", "run"]
 
 REPORT_SCHEMA = "probe-report/1"
 SUMMARY_SCHEMA = "run-summary/1"
@@ -130,13 +130,27 @@ def _scaled_transport(scale: float):
     return transport
 
 
+def _band(mu: cm.CircleMeasure, n_max: int) -> list:
+    """fourier_band as Python complex numbers, so every derived cell and
+    JSON field keeps its float formatting."""
+    return cm.fourier_band(mu, n_max).tolist()
+
+
+def fourier_rows(mu: cm.CircleMeasure, band: int) -> list:
+    """(n, re, im, abs) of every coefficient for n = -band..band: the
+    table of the fourier probe and of `hyperlab measure fourier`."""
+    return [(n, c.real, c.imag, abs(c))
+            for n, c in zip(range(-band, band + 1), _band(mu, band))]
+
+
 def _run_convolve(ctx: _RunContext, p: dict) -> ProbeResult:
     mu, nu = ctx.measure(p["left"]), ctx.measure(p["right"])
     conv = cm.convolve(mu, nu)
+    band = p["band"]
     rows, worst = [], 0.0
-    for n in range(-p["band"], p["band"] + 1):
-        prod = cm.fourier_coefficient(mu, n) * cm.fourier_coefficient(nu, n)
-        got = cm.fourier_coefficient(conv, n)
+    for n, a, b, got in zip(range(-band, band + 1), _band(mu, band),
+                            _band(nu, band), _band(conv, band)):
+        prod = a * b
         err = abs(got - prod)
         worst = max(worst, err)
         rows.append((n, got.real, got.imag, prod.real, prod.imag, err))
@@ -154,10 +168,11 @@ def _run_convolve(ctx: _RunContext, p: dict) -> ProbeResult:
 def _run_exp(ctx: _RunContext, p: dict) -> ProbeResult:
     rho = ctx.measure(p["measure"])
     ex = cm.exp_measure(rho, tail_tol=p["tail_tol"])
+    band = p["band"]
     rows, worst = [], 0.0
-    for n in range(-p["band"], p["band"] + 1):
-        want = cmath.exp(cm.fourier_coefficient(rho, n))
-        got = cm.fourier_coefficient(ex, n)
+    for n, c, got in zip(range(-band, band + 1), _band(rho, band),
+                         _band(ex, band)):
+        want = cmath.exp(c)
         err = abs(got - want)
         worst = max(worst, err)
         rows.append((n, got.real, got.imag, want.real, want.imag, err))
@@ -174,11 +189,7 @@ def _run_exp(ctx: _RunContext, p: dict) -> ProbeResult:
 
 
 def _run_fourier(ctx: _RunContext, p: dict) -> ProbeResult:
-    rho = ctx.measure(p["measure"])
-    rows = []
-    for n in range(-p["band"], p["band"] + 1):
-        c = cm.fourier_coefficient(rho, n)
-        rows.append((n, c.real, c.imag, abs(c)))
+    rows = fourier_rows(ctx.measure(p["measure"]), p["band"])
     detail = {"band": p["band"],
               "coefficients": [[r[0], r[1], r[2]] for r in rows]}
     return ProbeResult(
@@ -203,8 +214,7 @@ def _run_measure_classify(ctx: _RunContext, p: dict) -> ProbeResult:
     band = p["band"]
     if rho.has_density:
         band = min(band, rho.bins // 8)
-    spectrum = [(n, abs(cm.fourier_coefficient(rho, n)))
-                for n in range(1, band + 1)]
+    spectrum = [(n, abs(c)) for n, c in enumerate(_band(rho, band)[band + 1:], 1)]
     return ProbeResult(
         probe="measure-classify", target=p["measure"], passed=True,
         grade="heuristic", detail=detail,
@@ -304,12 +314,12 @@ def _run_coeff(ctx: _RunContext, p: dict) -> ProbeResult:
         xstar = random_functional(derive_seed(p["seed"], f"functional:{k}"),
                                   p["grid"])
         smeas = gm.spectral_measure_of_functional(model, xstar)
-        for n in range(p["max_power"] + 1):
+        transform = _band(smeas, p["max_power"])[p["max_power"]:]
+        for n, sf in enumerate(transform):
             a = gm.matrix_coefficient_analytic(model, xstar, n)
             mc = gm.matrix_coefficient_mc(
                 model, xstar, n, count=p["samples"],
                 seed=derive_seed(p["seed"], f"mc:{k}:{n}"))
-            sf = cm.fourier_coefficient(smeas, n)
             ref = max(abs(a), abs(mc.value), abs(sf))
             budget = p["rel_tol"] * ref + 3.0 * mc.standard_error
             ok = (abs(mc.value - a) <= budget

@@ -6,13 +6,13 @@ the full production sizes.
 
 import numpy as np
 
-from hyperlab import CircleMeasure, fourier_coefficient
+from hyperlab import CircleMeasure, fourier_band
 from hyperlab.seeding import rng_for
 
 
 def coeff_row(mu: CircleMeasure, band: int) -> np.ndarray:
     """Fourier coefficients of mu for n = -band..band as one array."""
-    return np.array([fourier_coefficient(mu, n) for n in range(-band, band + 1)])
+    return fourier_band(mu, band)
 
 
 def brute_atomic_coefficient(atoms, n: int) -> complex:

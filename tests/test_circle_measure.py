@@ -22,6 +22,7 @@ from hyperlab import (
     convolution_power,
     convolve,
     dirichlet_probe,
+    fourier_band,
     fourier_coefficient,
     exp_measure,
     mild_mixing_probe,
@@ -36,6 +37,7 @@ from hyperlab import (
     total_mass,
     truncation_order,
 )
+from hyperlab.circle_measure import _family_bands
 from hyperlab.corpora import measure_pair, probability_measure
 
 TWO_PI = 2.0 * np.pi
@@ -192,6 +194,64 @@ def test_conjugate_symmetry():
         assert fourier_coefficient(mu, -n) == pytest.approx(
             np.conj(fourier_coefficient(mu, n))
         )
+
+
+def direct_band(bins, atoms, density, n_max):
+    """Midpoint-rule and atom sums order by order, independent of the FFT."""
+    width = TWO_PI / bins
+    centers = (np.arange(bins) + 0.5) * width
+    out = []
+    for n in range(-n_max, n_max + 1):
+        total = sum(m * np.exp(1j * n * a) for a, m in atoms)
+        if density is not None:
+            total += width * np.sum(density * np.exp(1j * n * centers))
+        out.append(total)
+    return np.array(out)
+
+
+def band_parts(kind, bins):
+    rng = np.random.default_rng(bins)
+    atoms = [(0.4, 0.3), (2.9, 0.15), (5.5, 0.05)] if kind != "density" else []
+    density = rng.random(bins) + 0.1 if kind != "atoms" else None
+    return atoms, density
+
+
+@pytest.mark.parametrize("bins", [8, 64, 8192])
+@pytest.mark.parametrize("kind", ["atoms", "density", "mixed"])
+def test_fourier_band_matches_direct_sum(kind, bins):
+    atoms, density = band_parts(kind, bins)
+    mu = CircleMeasure.from_parts(bins, atoms=atoms, density=density)
+    n_max = bins // 8
+    band = fourier_band(mu, n_max)
+    assert band.shape == (2 * n_max + 1,)
+    assert np.max(np.abs(band - direct_band(bins, atoms, density, n_max))) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["density", "mixed"])
+def test_fourier_band_trust_band_with_density(kind):
+    atoms, density = band_parts(kind, 64)
+    mu = CircleMeasure.from_parts(64, atoms=atoms, density=density)
+    fourier_band(mu, 8)
+    with pytest.raises(OutOfBandError):
+        fourier_band(mu, 9)
+
+
+def test_fourier_band_atoms_exact_beyond_bins():
+    atoms, _ = band_parts("atoms", 64)
+    mu = CircleMeasure.from_parts(64, atoms=atoms)
+    band = fourier_band(mu, 2 * 64 + 3)
+    assert np.max(np.abs(band - direct_band(64, atoms, None, 2 * 64 + 3))) <= 1e-12
+
+
+def test_family_bands_rows_match_single_bands():
+    bins = 256
+    family = [CircleMeasure.from_parts(bins, *band_parts(kind, bins))
+              for kind in ("atoms", "density", "mixed")]
+    family.append(CircleMeasure.uniform(bins=bins))
+    rows = _family_bands(family, bins // 8)
+    assert rows.shape == (len(family), 2 * (bins // 8) + 1)
+    for row, mu in zip(rows, family):
+        assert np.max(np.abs(row - fourier_band(mu, bins // 8))) <= 1e-15
 
 
 # -- mix / scale -------------------------------------------------------
@@ -402,6 +462,12 @@ def test_symmetrize_passes_symmetry_check(mu):
 def test_symmetry_defect_detects_asymmetry():
     mu = CircleMeasure.dirac(1.0, 1.0, bins=64)
     assert symmetry_defect(mu) > 0.5
+
+
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_symmetry_defect_rejects_empty_range(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        symmetry_defect(CircleMeasure.dirac(1.0), n_max)
 
 
 def test_split_upper_lower_rejects_asymmetric():

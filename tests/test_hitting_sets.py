@@ -1,8 +1,8 @@
 """Finite-window hitting sets: differences, gaps, densities.
 
 Every structural function is checked against a brute-force enumeration
-oracle on small windows; the density shortcut is checked against the
-full scan over all admissible interval lengths.
+oracle on small windows; the parametric density search is checked
+against the full scan over all admissible interval lengths.
 """
 
 import numpy as np
@@ -220,6 +220,42 @@ def test_ubd_shortcut_equals_full_scan(L, min_len):
     assert upper_banach_density(L, min_len) == pytest.approx(
         brute_ubd(L, min_len), abs=1e-12
     )
+
+
+def brute_ubd_every_min_len(L: WindowedSet) -> list:
+    # entry m - 1 is the all-lengths maximum for min_len = m: a suffix
+    # maximum over lengths of each length's densest window
+    counts = np.concatenate([[0], np.cumsum(L.indicator())])
+    per_length = [float(np.max(counts[length:] - counts[:-length])) / length
+                  for length in range(1, L.window + 1)]
+    return np.maximum.accumulate(per_length[::-1])[::-1].tolist()
+
+
+@pytest.mark.parametrize("L, min_len", [
+    (WindowedSet.empty(1), 1),
+    (WindowedSet.empty(50), 7),
+    (WindowedSet.full(1), 1),
+    (WindowedSet.full(50), 7),
+    (WindowedSet.full(50), 50),
+    (WindowedSet.from_iterable(50, [3, 17, 18, 40]), 1),
+    (WindowedSet.from_iterable(50, [3, 17, 18, 40]), 50),
+    (WindowedSet.from_iterable(50, [0]), 1),
+    (WindowedSet.from_iterable(50, [0]), 9),
+    (WindowedSet.from_iterable(50, [0]), 50),
+    (WindowedSet.from_iterable(50, [49]), 1),
+    (WindowedSet.from_iterable(50, [49]), 9),
+    (WindowedSet.from_iterable(50, [49]), 50),
+])
+def test_ubd_exact_edge_cases(L, min_len):
+    assert upper_banach_density(L, min_len) == brute_ubd(L, min_len)
+
+
+@settings(max_examples=40, deadline=None)
+@given(windowed_sets(max_window=200))
+def test_ubd_exact_for_every_min_len(L):
+    expected = brute_ubd_every_min_len(L)
+    got = [upper_banach_density(L, m) for m in range(1, L.window + 1)]
+    assert got == expected
 
 
 def test_ubd_window_full_set():
