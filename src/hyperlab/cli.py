@@ -34,7 +34,14 @@ from . import kalish as ka
 from .config import parse_config
 from .corpora import probability_measure, random_functional
 from .jsonio import read_json, stable_dumps
-from .runner import fourier_rows, run as run_experiment
+from .runner import (
+    coeff_rows,
+    fourier_rows,
+    measure_classification,
+    residual_rows,
+    run as run_experiment,
+    scaled_transport,
+)
 from .seeding import derive_seed
 
 __all__ = ["main"]
@@ -180,16 +187,10 @@ def _cmd_measure_fourier(args) -> int:
 
 def _cmd_measure_classify(args) -> int:
     rho = _load_measure(args.measure, args.bins, args.seed)
-    raj = cm.rajchman_probe(rho, n_max=args.band, epsilon=args.epsilon)
-    diri = cm.dirichlet_probe(rho, n_max=args.band, epsilon=args.epsilon)
-    mild = cm.mild_mixing_probe(rho, family_size=args.family_size,
-                                n_max=args.band, delta=args.delta,
-                                seed=args.seed)
-    doc = {"schema": "measure-classify/1", "rajchman": raj.to_dict(),
-           "dirichlet": diri.to_dict(), "mild_mixing": mild.to_dict()}
-    rows = [("rajchman", raj.passed, raj.tail_sup),
-            ("dirichlet", diri.passed, diri.best_value),
-            ("mild_mixing", mild.passed, mild.worst_limsup)]
+    reports, rows = measure_classification(rho, args.band, args.epsilon,
+                                           args.delta, args.family_size,
+                                           args.seed)
+    doc = {"schema": "measure-classify/1", **reports}
     _emit(args, doc, _csv_text(["probe", "passed", "statistic"], rows))
     return 0
 
@@ -207,14 +208,7 @@ def _cmd_kalish_apply(args) -> int:
 def _cmd_kalish_residual(args) -> int:
     angles = args.angle or [2.0 * np.pi / 3.0, float(np.pi), 2.0 * np.pi * 0.811]
     grids = args.grids or [1024, 2048, 4096]
-    rows = []
-    for lam in angles:
-        prev = None
-        for M in grids:
-            r = ka.eigen_residual(lam, M)
-            ratio = r / prev if prev is not None else float("nan")
-            rows.append((lam, M, r, ratio))
-            prev = r
+    rows = residual_rows(angles, grids)
     doc = {"schema": "residual-table/1",
            "rows": [[la, m, r] for la, m, r, _ in rows]}
     _emit(args, doc, _csv_text(["lambda", "grid", "residual", "ratio"], rows))
@@ -278,18 +272,8 @@ def _cmd_gauss_sample(args) -> int:
 
 def _cmd_gauss_invariance(args) -> int:
     model = _gauss_model(args)
-    if args.transport_scale == 1.0:
-        transport = None
-    else:
-        scale = args.transport_scale
-
-        def transport(X):
-            out = np.empty_like(X)
-            for j in range(X.shape[1]):
-                out[:, j] = ka.apply_T(
-                    ka.CircleFunction(X[:, j].copy(), X.shape[0])).values
-            return scale * out
-
+    transport = (None if args.transport_scale == 1.0
+                 else scaled_transport(args.transport_scale))
     rep = gm.invariance_check(model, transport, count=args.samples,
                               seed=args.seed,
                               statistical_tolerance=args.tolerance)
@@ -303,15 +287,10 @@ def _cmd_gauss_invariance(args) -> int:
 def _cmd_gauss_coeff(args) -> int:
     model = _gauss_model(args)
     xstar = random_functional(derive_seed(args.seed, "functional"), args.grid)
-    smeas = gm.spectral_measure_of_functional(model, xstar)
-    transform = cm.fourier_band(smeas, args.power).tolist()[args.power:]
-    rows = []
-    for n, sf in enumerate(transform):
-        a = gm.matrix_coefficient_analytic(model, xstar, n)
-        mc = gm.matrix_coefficient_mc(model, xstar, n, count=args.samples,
-                                      seed=derive_seed(args.seed, f"mc:{n}"))
-        rows.append((n, a.real, a.imag, mc.value.real, mc.value.imag,
-                     mc.standard_error, sf.real, sf.imag))
+    rows = [(n, a.real, a.imag, mc.value.real, mc.value.imag,
+             mc.standard_error, sf.real, sf.imag)
+            for n, a, mc, sf in coeff_rows(model, xstar, args.power,
+                                           args.samples, args.seed, "mc:")]
     doc = {"schema": "coefficient-table/1", "samples": args.samples,
            "rows": [list(r) for r in rows]}
     _emit(args, doc, _csv_text(["n", "analytic_re", "analytic_im", "mc_re",

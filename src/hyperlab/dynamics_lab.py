@@ -24,8 +24,8 @@ while an exact failure does overturn a heuristic claim.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,7 +45,8 @@ from .hitting_sets import (
     max_gap,
     upper_density,
 )
-from .kalish import CircleFunction, apply_T, chi, grid_angles, kalish_solve
+# apply_T is unused but kept bound: perfbench patches every binding
+from .kalish import apply_T, apply_T_array, chi, kalish_solve_array  # noqa: F401
 from .seeding import complex_standard_normal, rng_for
 
 TWO_PI = 2.0 * np.pi
@@ -183,16 +184,21 @@ def torus_system(angles: Sequence[float], name: str = "") -> SystemSpec:
                       angles=tuple(float(a) for a in angles), name=name)
 
 
-def state_norm(spec: SystemSpec, state: np.ndarray) -> float:
+def norms(spec: SystemSpec, X: np.ndarray) -> np.ndarray:
+    """Norms of the states along the last axis of X: the arc-length norm
+    for kalish (grid weight 2pi/M), the Euclidean norm otherwise."""
     if spec.kind == "kalish":
-        return float(np.sqrt((TWO_PI / spec.grid_size) * np.sum(np.abs(state) ** 2)))
-    return float(np.linalg.norm(state))
+        return np.sqrt((TWO_PI / spec.grid_size) * np.sum(np.abs(X) ** 2, axis=-1))
+    return np.linalg.norm(X, axis=-1)
+
+
+def state_norm(spec: SystemSpec, state: np.ndarray) -> float:
+    return float(norms(spec, state))
 
 
 def step(spec: SystemSpec, state: np.ndarray) -> np.ndarray:
     if spec.kind == "kalish":
-        return apply_T(CircleFunction(np.asarray(state, dtype=complex),
-                                      spec.grid_size)).values
+        return apply_T_array(state)
     if spec.kind == "scalar_multiple_shift":
         out = np.zeros_like(state)
         out[:-1] = spec.scalar * state[1:]
@@ -299,10 +305,7 @@ class Trajectory:
         return self.states[t]
 
     def norms(self) -> np.ndarray:
-        if self.spec.kind == "kalish":
-            scale = TWO_PI / self.spec.grid_size
-            return np.sqrt(scale * np.sum(np.abs(self.states) ** 2, axis=1))
-        return np.linalg.norm(self.states, axis=1)
+        return norms(self.spec, self.states)
 
 
 def orbit(spec: SystemSpec, x0: np.ndarray, n_steps: int,
@@ -342,12 +345,8 @@ class BallSpec:
 
 def hitting_times(traj: Trajectory, ball: BallSpec) -> WindowedSet:
     """Times t with ||x_t - center|| < radius; window = trajectory length."""
-    diffs = traj.states - np.asarray(ball.center, dtype=complex)[None, :]
-    if traj.spec.kind == "kalish":
-        scale = TWO_PI / traj.spec.grid_size
-        dist = np.sqrt(scale * np.sum(np.abs(diffs) ** 2, axis=1))
-    else:
-        dist = np.linalg.norm(diffs, axis=1)
+    dist = norms(traj.spec,
+                 traj.states - np.asarray(ball.center, dtype=complex)[None, :])
     hits = np.nonzero(dist < ball.radius)[0]
     return WindowedSet(window=traj.length, elements=hits.astype(np.int64))
 
@@ -473,9 +472,7 @@ def _pullback_step(spec: SystemSpec, state: np.ndarray) -> np.ndarray:
     """One right-inverse step: T(pullback(y)) = y exactly (up to
     truncation loss for shifts, which the caller monitors)."""
     if spec.kind == "kalish":
-        return kalish_solve(
-            CircleFunction(np.asarray(state, dtype=complex), spec.grid_size)
-        ).values
+        return kalish_solve_array(state)
     if spec.kind == "torus_rotation":
         return state * np.exp(-1j * np.asarray(spec.angles))
     out = np.zeros_like(state)
@@ -636,10 +633,7 @@ def periodic_return_probe(traj: Trajectory, max_period: int = 64,
     x0 = traj.states[0]
     scale = max(state_norm(traj.spec, x0), 1e-12)
     top = min(max_period, traj.length - 1)
-    dists = [
-        state_norm(traj.spec, traj.states[p] - x0) / scale
-        for p in range(1, top + 1)
-    ]
+    dists = norms(traj.spec, traj.states[1:top + 1] - x0) / scale
     best = int(np.argmin(dists)) + 1
     best_dist = float(dists[best - 1])
     return ProbeOutcome(
@@ -654,22 +648,23 @@ def periodic_return_probe(traj: Trajectory, max_period: int = 64,
 
 def _ball_family(traj: Trajectory, count: int, radius_quantile: float = 0.35):
     """Balls centered at spread orbit snapshots, radius from the pooled
-    distance quantile (so the family adapts to the orbit's scale)."""
+    distance quantile (so the family adapts to the orbit's scale).  An
+    orbit whose sampled states all coincide gives no radius: empty list."""
     idx = np.linspace(0, traj.length - 1, count).astype(int)
     centers = [traj.states[i] for i in idx]
     sample = traj.states[:: max(traj.length // 200, 1)]
-    dists = []
-    for c in centers:
-        diffs = sample - c[None, :]
-        if traj.spec.kind == "kalish":
-            scale = TWO_PI / traj.spec.grid_size
-            d = np.sqrt(scale * np.sum(np.abs(diffs) ** 2, axis=1))
-        else:
-            d = np.linalg.norm(diffs, axis=1)
-        dists.append(d[d > 0])
-    pooled = np.concatenate(dists)
+    dists = [norms(traj.spec, sample - c[None, :]) for c in centers]
+    pooled = np.concatenate([d[d > 0] for d in dists])
+    if pooled.size == 0:
+        return []
     radius = float(np.quantile(pooled, radius_quantile))
     return [BallSpec(center=c, radius=radius) for c in centers]
+
+
+def _static_orbit(probe: str, grade: str, traj: Trajectory, seed: int):
+    """Typed no-evidence for a ball column on an orbit that never moves."""
+    return ProbeOutcome(probe, "no-evidence", grade, traj.length, seed, {
+        "note": "orbit is constant: no nonzero distance to size a test ball"})
 
 
 def e_system_probe(spec: SystemSpec, traj: Trajectory, seed: int,
@@ -691,6 +686,8 @@ def e_system_probe(spec: SystemSpec, traj: Trajectory, seed: int,
             evidence=report.to_dict(),
         )
     balls = _ball_family(traj, count=6)
+    if not balls:
+        return _static_orbit("e_system", "statistical", traj, seed)
     half = traj.length // 2
     masses = []
     ok = True
@@ -719,6 +716,8 @@ def syndetic_gap_probe(spec: SystemSpec, traj: Trajectory, seed: int,
     numbers themselves are exact."""
     ref_time = traj.length // 10
     balls = _ball_family(traj, count=1)
+    if not balls:
+        return _static_orbit("syndetic", "exact", traj, seed)
     ball = BallSpec(center=traj.states[ref_time], radius=balls[0].radius)
     hits = hitting_times(traj, ball)
     gap = max_gap(hits)
@@ -766,6 +765,8 @@ def ufh_probe(spec: SystemSpec, traj: Trajectory, seed: int) -> ProbeOutcome:
     """Visit-density evidence: positive upper density of visits to the
     reference ball (upper-frequent), with the lower density reported."""
     balls = _ball_family(traj, count=1)
+    if not balls:
+        return _static_orbit("ufh", "heuristic", traj, seed)
     ball = BallSpec(center=traj.states[traj.length // 10], radius=balls[0].radius)
     hits = hitting_times(traj, ball)
     ud = upper_density(hits)

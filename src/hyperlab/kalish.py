@@ -17,8 +17,24 @@ function (degenerate arc).
 
 On the grid T is lower triangular with unimodular diagonal e^{i t_j},
 so its exact spectrum is the set of M-th roots of unity and T^M = I in
-exact arithmetic; solving and exact eigenvectors both come from O(M)
-forward substitution.
+exact arithmetic.
+
+Batches: apply_T_array and kalish_solve_array take values of shape (M,)
+or (M, k), one function per column, and work along axis 0, holding one
+(M, k) temporary besides the output.  apply_T and kalish_solve wrap them
+for a CircleFunction; callers holding arrays call the kernels directly.
+
+Solving: row k of T x = b reads e^{i t_k} x_k = b_k + i w S_{k-1}, with
+w = 2pi/M and S_k = sum_{j<=k} e^{i t_j} x_j, so S_k = q S_{k-1} + b_k
+for q = 1 + i w.  The solve takes the closed form S = q^k cumsum(b q^-k)
+(|q^{+-k}| <= e^{2pi^2/M}, so nothing grows), then x_k from row k: no
+loop over grid points.
+
+exact_eigenvector keeps its forward-substitution loop.  Its recurrence
+has a cumprod form too, but that rounds differently, and the battery's
+kalish start vector is built from these eigenvectors: its periods 16 and
+32 both return to round-off, so the last bits pick the chaotic probe's
+best period, and the cumprod form moved it from 16 to 32 on some seeds.
 """
 from __future__ import annotations
 
@@ -101,30 +117,6 @@ class CircleFunction:
         return cls.from_values(values)
 
 
-@dataclass(frozen=True)
-class ArcSpec:
-    """Counterclockwise arc from from_angle to to_angle, angles in [0, 2pi).
-    from_angle == to_angle is the empty arc."""
-
-    from_angle: float
-    to_angle: float
-
-    def __post_init__(self):
-        for a in (self.from_angle, self.to_angle):
-            if not (0.0 <= a < TWO_PI):
-                raise ValueError(f"arc endpoint {a!r} outside [0, 2pi)")
-
-    @property
-    def length(self) -> float:
-        return float(np.mod(self.to_angle - self.from_angle, TWO_PI))
-
-    def contains(self, angle: float) -> bool:
-        """Strict interior membership under counterclockwise orientation."""
-        span = np.mod(self.to_angle - self.from_angle, TWO_PI)
-        offset = np.mod(angle - self.from_angle, TWO_PI)
-        return bool(0.0 < offset < span)
-
-
 def _same_grid(f: CircleFunction, g: CircleFunction) -> None:
     if f.grid_size != g.grid_size:
         raise GridMismatchError(
@@ -142,33 +134,44 @@ def func_norm(f: CircleFunction) -> float:
     return float(np.sqrt((TWO_PI / f.grid_size) * np.sum(np.abs(f.values) ** 2)))
 
 
+def _phases(M: int, ndim: int = 1) -> np.ndarray:
+    """e^{i t_j}, shaped to broadcast along axis 0 of an ndim array."""
+    return np.exp(1j * grid_angles(M)).reshape((M,) + (1,) * (ndim - 1))
+
+
 def apply_M(f: CircleFunction) -> CircleFunction:
-    t = grid_angles(f.grid_size)
-    return CircleFunction(np.exp(1j * t) * f.values, f.grid_size)
+    return CircleFunction(_phases(f.grid_size) * f.values, f.grid_size)
 
 
-def _J_values(values: np.ndarray) -> np.ndarray:
-    M = values.size
-    t = grid_angles(M)
-    w = TWO_PI / M
-    increments = values * (1j * np.exp(1j * t)) * w
-    running = np.cumsum(increments)
-    out = np.empty_like(values)
-    out[0] = 0.0
-    out[1:] = running[:-1]
-    return out
+def _running_J(X: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Inclusive left-endpoint sums i w sum_{j<=k} e^{i t_j} x_j along
+    axis 0, accumulated in place in the one temporary."""
+    running = X * (1j * d)
+    running *= TWO_PI / X.shape[0]
+    return np.cumsum(running, axis=0, out=running)
 
 
 def apply_J(f: CircleFunction) -> CircleFunction:
     """Left-endpoint quadrature of the line integral from angle 0."""
-    return CircleFunction(_J_values(f.values), f.grid_size)
+    running = _running_J(f.values, _phases(f.grid_size))
+    out = np.zeros_like(running)
+    out[1:] = running[:-1]
+    return CircleFunction(out, f.grid_size)
+
+
+def apply_T_array(X: np.ndarray) -> np.ndarray:
+    """T applied along axis 0 of an (M,) or (M, k) array, one function
+    per column."""
+    X = np.asarray(X, dtype=complex)
+    d = _phases(X.shape[0], X.ndim)
+    running = _running_J(X, d)
+    out = d * X
+    out[1:] -= running[:-1]
+    return out
 
 
 def apply_T(f: CircleFunction) -> CircleFunction:
-    t = grid_angles(f.grid_size)
-    return CircleFunction(
-        np.exp(1j * t) * f.values - _J_values(f.values), f.grid_size
-    )
+    return CircleFunction(apply_T_array(f.values), f.grid_size)
 
 
 def chi(lam: float, M: int) -> CircleFunction:
@@ -204,30 +207,36 @@ def kalish_matrix(M: int) -> np.ndarray:
     roots of unity."""
     if M > MATRIX_SIZE_LIMIT:
         raise MatrixSizeError(f"M={M} exceeds dense bound {MATRIX_SIZE_LIMIT}")
-    t = grid_angles(M)
-    w = TWO_PI / M
-    col = 1j * np.exp(1j * t) * w
+    d = _phases(M)
+    col = 1j * d * (TWO_PI / M)
     mat = np.zeros((M, M), dtype=complex)
     rows = np.arange(M)
     mask = rows[:, None] > rows[None, :]
     mat[mask] = -np.broadcast_to(col[None, :], (M, M))[mask]
-    np.fill_diagonal(mat, np.exp(1j * t))
+    np.fill_diagonal(mat, d)
     return mat
 
 
-def kalish_solve(b: CircleFunction) -> CircleFunction:
-    """Solve T x = b by forward substitution in O(M): row k reads
-    e^{i t_k} x_k = b_k + i w sum_{j<k} e^{i t_j} x_j."""
-    M = b.grid_size
-    t = grid_angles(M)
+def kalish_solve_array(B: np.ndarray) -> np.ndarray:
+    """Solve T X = B along axis 0 of an (M,) or (M, k) array, in closed
+    form (see the module docstring)."""
+    B = np.asarray(B, dtype=complex)
+    M = B.shape[0]
     w = TWO_PI / M
-    d = np.exp(1j * t)
-    x = np.empty(M, dtype=complex)
-    S = 0.0 + 0.0j
-    for k in range(M):
-        x[k] = (b.values[k] + 1j * w * S) / d[k]
-        S += d[k] * x[k]
-    return CircleFunction(x, M)
+    log_q = 0.5 * np.log1p(w * w) + 1j * np.arctan(w)  # q^k = e^{k log q}
+    k = np.arange(M).reshape((M,) + (1,) * (B.ndim - 1))
+    S = B * np.exp(-k * log_q)
+    np.cumsum(S, axis=0, out=S)
+    S *= (1j * w) * np.exp(k * log_q)
+    out = B.copy()
+    out[1:] += S[:-1]
+    out /= _phases(M, B.ndim)
+    return out
+
+
+def kalish_solve(b: CircleFunction) -> CircleFunction:
+    """Solve T x = b in O(M) with no loop over grid points."""
+    return CircleFunction(kalish_solve_array(b.values), b.grid_size)
 
 
 def exact_eigenvector(k0: int, M: int) -> CircleFunction:
@@ -237,9 +246,8 @@ def exact_eigenvector(k0: int, M: int) -> CircleFunction:
     weighted sum; the residual is at round-off level by construction."""
     if not 0 <= k0 < M:
         raise ValueError(f"k0={k0} outside the grid range [0, {M})")
-    t = grid_angles(M)
     w = TWO_PI / M
-    d = np.exp(1j * t)
+    d = _phases(M)
     lam = d[k0]
     v = np.zeros(M, dtype=complex)
     v[k0] = 1.0

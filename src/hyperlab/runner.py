@@ -30,10 +30,12 @@ from . import hitting_sets as hs
 from .config import ExperimentConfig
 from .corpora import probability_measure, random_functional, scaffold_set
 from .jsonio import read_json, write_json
-from .kalish import CircleFunction, apply_T, eigen_residual
+from .kalish import CircleFunction, apply_T, apply_T_array, eigen_residual
 from .seeding import derive_seed
 
-__all__ = ["ProbeResult", "fourier_rows", "realize_measure", "run"]
+__all__ = ["ProbeResult", "coeff_rows", "fourier_rows", "measure_classification",
+           "realize_measure", "residual_rows", "run", "scaled_transport",
+           "t1_error"]
 
 REPORT_SCHEMA = "probe-report/1"
 SUMMARY_SCHEMA = "run-summary/1"
@@ -116,16 +118,14 @@ def _columns(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scaled_transport(scale: float):
+def scaled_transport(scale: float):
     """The true dynamics followed by a scalar stretch: non-unimodular for
     scale != 1, so the pushforward inflates the covariance by scale^2."""
 
     def transport(X: np.ndarray) -> np.ndarray:
-        M = X.shape[0]
-        out = np.empty_like(X)
-        for j in range(X.shape[1]):
-            out[:, j] = apply_T(CircleFunction(X[:, j].copy(), M)).values
-        return scale * out
+        out = apply_T_array(X)
+        out *= scale
+        return out
 
     return transport
 
@@ -199,18 +199,27 @@ def _run_fourier(ctx: _RunContext, p: dict) -> ProbeResult:
         plotdata=_columns(["n", "abs"], [(r[0], r[3]) for r in rows]))
 
 
-def _run_measure_classify(ctx: _RunContext, p: dict) -> ProbeResult:
-    rho = ctx.measure(p["measure"])
-    raj = cm.rajchman_probe(rho, n_max=p["band"], epsilon=p["epsilon"])
-    diri = cm.dirichlet_probe(rho, n_max=p["band"], epsilon=p["epsilon"])
-    mild = cm.mild_mixing_probe(rho, family_size=p["family_size"],
-                                n_max=p["band"], delta=p["delta"],
-                                seed=p["seed"])
-    detail = {"rajchman": raj.to_dict(), "dirichlet": diri.to_dict(),
-              "mild_mixing": mild.to_dict()}
+def measure_classification(rho: cm.CircleMeasure, band: int, epsilon: float,
+                           delta: float, family_size: int,
+                           seed: int) -> tuple:
+    """The rajchman, dirichlet and mild-mixing reports as one dict, and
+    their (probe, passed, statistic) rows."""
+    raj = cm.rajchman_probe(rho, n_max=band, epsilon=epsilon)
+    diri = cm.dirichlet_probe(rho, n_max=band, epsilon=epsilon)
+    mild = cm.mild_mixing_probe(rho, family_size=family_size, n_max=band,
+                                delta=delta, seed=seed)
+    reports = {"rajchman": raj.to_dict(), "dirichlet": diri.to_dict(),
+               "mild_mixing": mild.to_dict()}
     rows = [("rajchman", raj.passed, raj.tail_sup),
             ("dirichlet", diri.passed, diri.best_value),
             ("mild_mixing", mild.passed, mild.worst_limsup)]
+    return reports, rows
+
+
+def _run_measure_classify(ctx: _RunContext, p: dict) -> ProbeResult:
+    rho = ctx.measure(p["measure"])
+    detail, rows = measure_classification(
+        rho, p["band"], p["epsilon"], p["delta"], p["family_size"], p["seed"])
     band = p["band"]
     if rho.has_density:
         band = min(band, rho.bins // 8)
@@ -222,25 +231,29 @@ def _run_measure_classify(ctx: _RunContext, p: dict) -> ProbeResult:
         plotdata=_columns(["n", "abs_coefficient"], spectrum))
 
 
-def _run_residual(ctx: _RunContext, p: dict) -> ProbeResult:
-    rows, ratios_ok = [], True
-    for lam in p["angles"]:
+def residual_rows(angles, grids) -> list:
+    """(lambda, grid, eigen residual, ratio to the previous grid's or nan)
+    for every angle over the grid ladder."""
+    rows = []
+    for lam in angles:
         prev = None
-        for M in p["grids"]:
+        for M in grids:
             r = eigen_residual(lam, M)
-            ratio = r / prev if prev is not None else float("nan")
-            if prev is not None and ratio > p["ratio_bound"]:
-                ratios_ok = False
-            rows.append((lam, M, r, ratio))
+            rows.append((lam, M, r, r / prev if prev is not None else float("nan")))
             prev = r
-    t1_rows, t1_ok = [], True
-    for M in p["grids"]:
-        one = CircleFunction.constant(1.0, M)
-        err = float(np.max(np.abs(apply_T(one).values - 1.0)))
-        bound = p["t1_factor"] / M
-        if err > bound:
-            t1_ok = False
-        t1_rows.append((M, err, bound))
+    return rows
+
+
+def t1_error(M: int) -> float:
+    """max |T1 - 1| on the M-grid (T fixes the constant 1 to first order)."""
+    return float(np.max(np.abs(apply_T(CircleFunction.constant(1.0, M)).values - 1.0)))
+
+
+def _run_residual(ctx: _RunContext, p: dict) -> ProbeResult:
+    rows = residual_rows(p["angles"], p["grids"])
+    ratios_ok = not any(row[3] > p["ratio_bound"] for row in rows)
+    t1_rows = [(M, t1_error(M), p["t1_factor"] / M) for M in p["grids"]]
+    t1_ok = all(err <= bound for _, err, bound in t1_rows)
     detail = {"ratio_bound": p["ratio_bound"], "ratios_ok": ratios_ok,
               "t1_ok": t1_ok,
               "t1_errors": [[int(m), e, b] for m, e, b in t1_rows],
@@ -257,7 +270,7 @@ def _run_residual(ctx: _RunContext, p: dict) -> ProbeResult:
 def _run_invariance(ctx: _RunContext, p: dict) -> ProbeResult:
     model = ctx.model(p["measure"], p["nodes"], p["grid"])
     scale = p["transport_scale"]
-    transport = None if scale == 1.0 else _scaled_transport(scale)
+    transport = None if scale == 1.0 else scaled_transport(scale)
     rep = gm.invariance_check(model, transport, count=p["samples"],
                               seed=p["seed"],
                               statistical_tolerance=p["tolerance"])
@@ -307,19 +320,26 @@ def _run_symmetry(ctx: _RunContext, p: dict) -> ProbeResult:
                           [(r[0], math.hypot(r[1], r[2])) for r in rows]))
 
 
+def coeff_rows(model: gm.GaussModel, xstar: CircleFunction, max_power: int,
+               samples: int, seed: int, label: str) -> list:
+    """(n, analytic, Monte-Carlo estimate, spectral-measure transform) of
+    the matrix coefficient for n = 0..max_power; the estimate at power n
+    draws from derive_seed(seed, label + str(n))."""
+    smeas = gm.spectral_measure_of_functional(model, xstar)
+    return [(n, gm.matrix_coefficient_analytic(model, xstar, n),
+             gm.matrix_coefficient_mc(model, xstar, n, count=samples,
+                                      seed=derive_seed(seed, f"{label}{n}")),
+             sf) for n, sf in enumerate(_band(smeas, max_power)[max_power:])]
+
+
 def _run_coeff(ctx: _RunContext, p: dict) -> ProbeResult:
     model = ctx.model(p["measure"], p["nodes"], p["grid"])
     rows, all_ok = [], True
     for k in range(p["functionals"]):
         xstar = random_functional(derive_seed(p["seed"], f"functional:{k}"),
                                   p["grid"])
-        smeas = gm.spectral_measure_of_functional(model, xstar)
-        transform = _band(smeas, p["max_power"])[p["max_power"]:]
-        for n, sf in enumerate(transform):
-            a = gm.matrix_coefficient_analytic(model, xstar, n)
-            mc = gm.matrix_coefficient_mc(
-                model, xstar, n, count=p["samples"],
-                seed=derive_seed(p["seed"], f"mc:{k}:{n}"))
+        for n, a, mc, sf in coeff_rows(model, xstar, p["max_power"],
+                                       p["samples"], p["seed"], f"mc:{k}:"):
             ref = max(abs(a), abs(mc.value), abs(sf))
             budget = p["rel_tol"] * ref + 3.0 * mc.standard_error
             ok = (abs(mc.value - a) <= budget
@@ -371,12 +391,7 @@ def _run_orbit(ctx: _RunContext, p: dict) -> ProbeResult:
     x0 = lab.default_start(spec, p["seed"])
     traj = lab.orbit(spec, x0, p["steps"])
     norms = traj.norms()
-    diffs = traj.states - x0[None, :]
-    if spec.kind == "kalish":
-        w = 2.0 * math.pi / spec.grid_size
-        dist = np.sqrt(w * np.sum(np.abs(diffs) ** 2, axis=1))
-    else:
-        dist = np.linalg.norm(diffs, axis=1)
+    dist = lab.norms(spec, traj.states - x0[None, :])
     radius = float(np.quantile(dist[1:], 0.35)) if traj.length > 1 else 1.0
     radius = max(radius, 1e-12)
     hits = lab.hitting_times(traj, lab.BallSpec(center=x0, radius=radius))

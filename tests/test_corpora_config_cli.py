@@ -21,6 +21,7 @@ from hyperlab.corpora import (
     scaffold_set,
 )
 from hyperlab.jsonio import read_json
+from hyperlab.runner import measure_classification, residual_rows
 from hyperlab.runner import run as run_experiment
 
 
@@ -331,3 +332,39 @@ def test_cli_entrypoint_runs_as_module():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["band"] == 1
+
+
+def test_cli_kalish_residual_matches_runner_rows(capsys):
+    angles, grids = [1.0, 2.5], [64, 128, 256]
+    argv = ["kalish", "residual", "--grids", "64,128,256"]
+    for lam in angles:
+        argv += ["--angle", str(lam)]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema"] == "residual-table/1"
+    want = [[lam, M, r] for lam, M, r, _ in residual_rows(angles, grids)]
+    assert doc["rows"] == want
+    assert main(argv + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "lambda,grid,residual,ratio"
+    assert len(lines) == 1 + len(angles) * len(grids)
+    assert lines[1].endswith(",nan")
+
+
+def test_cli_measure_classify_matches_runner(tmp_path, capsys):
+    assert main(["measure", "classify", "probability:3", "--bins", "256",
+                 "--band", "16", "--seed", "5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    reports, _ = measure_classification(probability_measure(3, 256), band=16,
+                                        epsilon=0.1, delta=0.1,
+                                        family_size=16, seed=5)
+    assert doc.pop("schema") == "measure-classify/1"
+    assert doc == json.loads(json.dumps(reports))
+    cfg = {"schema": "experiment-config/1", "seed": 5, "bins": 256,
+           "measures": {"rho": {"kind": "probability", "seed": 3}},
+           "probes": [{"probe": "measure-classify", "measure": "rho",
+                       "band": 16, "seed": 5}]}
+    status, out = _run_config(tmp_path, cfg)
+    assert status == 0
+    report = read_json(out / "reports" / "measure-classify-rho-5.json")
+    assert report["detail"] == doc

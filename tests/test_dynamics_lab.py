@@ -34,6 +34,7 @@ from hyperlab import (
     torus_system,
     weighted_shift_system,
 )
+from hyperlab.dynamics_lab import norms, state_norm
 from hyperlab.jsonio import stable_dumps
 from hyperlab.seeding import rng_for
 
@@ -401,3 +402,36 @@ def test_classify_system_single_row():
     assert set(row.outcomes) == {
         "chaotic", "m_system", "e_system", "syndetic", "weak_mixing", "ufh"
     }
+
+
+# -- one state norm per kind --------------------------------------------
+
+@pytest.mark.parametrize("spec", [
+    kalish_system(64),
+    scalar_shift_system(2.0, 40),
+    weighted_shift_system([1.5] * 39),
+    torus_system((0.3, 1.1, 2.5)),
+])
+def test_norms_match_the_per_state_norm_row_by_row(spec):
+    rng = rng_for(21, "norms-rows")
+    X = rng.standard_normal((7, spec.state_dim)) + 1j * rng.standard_normal(
+        (7, spec.state_dim))
+    weight = TWO_PI / spec.grid_size if spec.kind == "kalish" else 1.0
+    got = norms(spec, X)
+    assert got.shape == (7,)
+    for row, value in zip(X, got):
+        # independent formula: sqrt(weight * sum |x_i|^2)
+        want = np.sqrt(weight * np.sum(row.real ** 2 + row.imag ** 2))
+        assert value == pytest.approx(want, rel=1e-14)
+        assert value == pytest.approx(state_norm(spec, row), rel=1e-15)
+
+
+def test_fixed_point_rotation_gives_typed_no_evidence():
+    row = classify_system(torus_system((0.0,)), window=100)
+    for column in ("e_system", "syndetic", "ufh"):
+        outcome = row.outcomes[column]
+        assert outcome.verdict == "no-evidence", column
+        assert "constant" in outcome.evidence["note"]
+    assert row.outcomes["chaotic"].verdict == "yes"  # a fixed point is periodic
+    assert row.flags == ()
+    stable_dumps(row.to_dict())

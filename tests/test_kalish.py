@@ -27,6 +27,7 @@ from hyperlab import (
     kalish_solve,
     nearest_grid_index,
 )
+from hyperlab.kalish import apply_T_array, kalish_solve_array
 from hyperlab.seeding import complex_standard_normal, rng_for
 
 TWO_PI = 2.0 * np.pi
@@ -287,3 +288,53 @@ def test_nearest_grid_index_wraps():
     assert nearest_grid_index(0.0, M) == 0
     assert nearest_grid_index(TWO_PI - 1e-9, M) == 0
     assert nearest_grid_index(grid_angles(M)[17] + 1e-9, M) == 17
+
+
+# -- batched kernels ---------------------------------------------------
+
+def _random_block(seed: int, M: int, k: int) -> np.ndarray:
+    rng = rng_for(seed, "kalish-test-block")
+    return complex_standard_normal(rng, (M, k))
+
+
+@pytest.mark.parametrize("M", [8, 1024])
+@pytest.mark.parametrize("k", [1, 5])
+def test_batched_apply_and_solve_match_per_column(M, k):
+    X = _random_block(10, M, k)
+    TX = apply_T_array(X)
+    SX = kalish_solve_array(X)
+    assert TX.shape == SX.shape == (M, k)
+    for j in range(k):
+        f = CircleFunction(X[:, j].copy(), M)
+        np.testing.assert_allclose(TX[:, j], apply_T(f).values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(SX[:, j], kalish_solve(f).values, rtol=0, atol=1e-12)
+
+
+def test_batched_kernels_leave_input_untouched():
+    X = _random_block(11, 64, 3)
+    before = X.copy()
+    apply_T_array(X)
+    kalish_solve_array(X)
+    assert np.array_equal(X, before)
+
+
+def test_closed_form_solve_matches_forward_substitution():
+    # oracle: row k of T x = b read as e^{i t_k} x_k = b_k + i w sum_{j<k} e^{i t_j} x_j
+    M = 2048
+    b = _random_function(12, M).values
+    w = TWO_PI / M
+    d = np.exp(1j * grid_angles(M))
+    x = np.empty(M, dtype=complex)
+    S = 0.0 + 0.0j
+    for k in range(M):
+        x[k] = (b[k] + 1j * w * S) / d[k]
+        S += d[k] * x[k]
+    got = kalish_solve_array(b)
+    assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_closed_form_solve_residual_at_large_grid():
+    M = 131072
+    b = _random_function(13, M).values
+    x = kalish_solve_array(b)
+    assert np.max(np.abs(apply_T_array(x) - b)) <= 1e-13 * np.max(np.abs(b))
