@@ -46,7 +46,8 @@ from .hitting_sets import (
     upper_density,
 )
 # apply_T is unused but kept bound: perfbench patches every binding
-from .kalish import apply_T, apply_T_array, chi, kalish_solve_array  # noqa: F401
+from .kalish import (  # noqa: F401
+    apply_T, apply_T_array, chi, grid_norms, kalish_solve_array)
 from .seeding import complex_standard_normal, rng_for
 
 TWO_PI = 2.0 * np.pi
@@ -188,7 +189,7 @@ def norms(spec: SystemSpec, X: np.ndarray) -> np.ndarray:
     """Norms of the states along the last axis of X: the arc-length norm
     for kalish (grid weight 2pi/M), the Euclidean norm otherwise."""
     if spec.kind == "kalish":
-        return np.sqrt((TWO_PI / spec.grid_size) * np.sum(np.abs(X) ** 2, axis=-1))
+        return grid_norms(X, axis=-1)
     return np.linalg.norm(X, axis=-1)
 
 
@@ -661,10 +662,11 @@ def _ball_family(traj: Trajectory, count: int, radius_quantile: float = 0.35):
     return [BallSpec(center=c, radius=radius) for c in centers]
 
 
-def _static_orbit(probe: str, grade: str, traj: Trajectory, seed: int):
-    """Typed no-evidence for a ball column on an orbit that never moves."""
-    return ProbeOutcome(probe, "no-evidence", grade, traj.length, seed, {
-        "note": "orbit is constant: no nonzero distance to size a test ball"})
+def _static_orbit(probe: str, grade: str, traj: Trajectory, seed: int,
+                  note: str = "orbit is constant: no nonzero distance to size "
+                              "a test ball"):
+    """Typed no-evidence for a ball column whose orbit gives no radius."""
+    return ProbeOutcome(probe, "no-evidence", grade, traj.length, seed, {"note": note})
 
 
 def e_system_probe(spec: SystemSpec, traj: Trajectory, seed: int,
@@ -742,6 +744,9 @@ def weak_mixing_probe(spec: SystemSpec, traj: Trajectory,
     must avoid a true neighborhood of 0)."""
     norms = traj.norms()
     scale = float(np.median(norms))
+    if scale == 0.0:
+        return _static_orbit("weak_mixing", "heuristic", traj, seed,
+                             "orbit is 0 for over half the window: U, V get no radius")
     if spec.is_linear:
         w0_radius = 2.5 * float(np.max(norms))
     else:

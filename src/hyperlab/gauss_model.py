@@ -2,15 +2,15 @@
 
 A spectral probability measure sigma on the circle is quantized into m
 nodes (lambda_j, w_j); each node carries an eigenvector-like function
-E_j for the Kalish operator.  The factor matrix A has columns
-sqrt(w_j) E_j, the covariance is R = A A*, and samples are x = A g with
-g a vector of independent standard symmetric complex Gaussians
-(E g = 0, E|g|^2 = 1, E g^2 = 0).
+E_j for the Kalish operator, stored as column j of one (M, m) matrix.
+The factor A has columns sqrt(w_j) E_j, the covariance is R = A A*, and
+samples are x = A g with g a vector of independent standard symmetric
+complex Gaussians (E g = 0, E|g|^2 = 1, E g^2 = 0).
 
 All covariance comparisons run through Gram matrices: for W with m-ish
 columns and Hermitian S, ||W S W*||_F^2 = tr(S P S P) with P = W* W, so
-nothing M x M is ever materialized.  Sampling draws only the m x S
-coefficient matrix for the same reason.
+nothing M x M is ever materialized; sigma_min(A) comes from the Gram too.
+Sampling draws only the m x S coefficients, and each check forms T A once.
 
 Two field constructions are provided.  indicator_field uses the arc
 indicators chi(lambda_j) verbatim (first-order eigen residual, decaying
@@ -22,7 +22,8 @@ snap moves each node by at most pi/M and is recorded on the field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Sequence, Union
+from functools import partial
+from typing import Callable, Union
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .kalish import (
     exact_eigenvector,
     func_norm,
     grid_angles,
+    grid_norms,
     inner_product,
     kalish_solve_array,
     nearest_grid_index,
@@ -120,11 +122,11 @@ def quantize(sigma: CircleMeasure, m: int) -> list:
 
 @dataclass(frozen=True)
 class EigenField:
-    """Quantized eigenvector field: nodes, vectors, and provenance."""
+    """Quantized field: nodes, their (M, m) eigenvector columns, provenance."""
 
     angles: np.ndarray
     weights: np.ndarray
-    vectors: Sequence[CircleFunction]
+    vectors: np.ndarray
     source_measure: CircleMeasure
     kind: str  # "indicator" or "corrected"
 
@@ -132,8 +134,10 @@ class EigenField:
         m = self.angles.size
         if m == 0:
             raise ValueError("field needs at least one node")
-        if self.weights.shape != (m,) or len(self.vectors) != m:
+        if self.weights.shape != (m,) or self.vectors.shape[1:] != (m,):
             raise ValueError("angles, weights and vectors must align")
+        if self.grid_size < 8:
+            raise ValueError(f"grid_size must be >= 8, got {self.grid_size}")
         if np.any(self.weights <= 0):
             raise ValueError("node weights must be positive")
         if np.any(np.diff(np.sort(self.angles)) <= 1e-12):
@@ -143,9 +147,6 @@ class EigenField:
             raise ValueError(
                 "node weights must sum to the source measure's total mass"
             )
-        sizes = {v.grid_size for v in self.vectors}
-        if len(sizes) != 1:
-            raise GridMismatchError("eigenvectors live on different grids")
 
     @property
     def node_count(self) -> int:
@@ -153,33 +154,22 @@ class EigenField:
 
     @property
     def grid_size(self) -> int:
-        return self.vectors[0].grid_size
+        return int(self.vectors.shape[0])
 
     def nodes(self) -> list:
         return list(zip(self.angles.tolist(), self.weights.tolist()))
 
     def residuals(self) -> np.ndarray:
         """Relative eigen residual of each vector at its node angle."""
-        V = np.column_stack([v.values for v in self.vectors])
-        R = apply_T_array(V)
-        scale = TWO_PI / self.grid_size
-        norms = np.sqrt(scale * np.sum(np.abs(V) ** 2, axis=0))
-        V *= np.exp(1j * self.angles)
-        R -= V
-        return np.sqrt(scale * np.sum(np.abs(R) ** 2, axis=0)) / norms
-
-
-def _node_arrays(nodes) -> tuple:
-    angles = np.asarray([a for a, _ in nodes], dtype=float)
-    weights = np.asarray([w for _, w in nodes], dtype=float)
-    return angles, weights
+        R = apply_T_array(self.vectors)
+        R -= self.vectors * np.exp(1j * self.angles)
+        return grid_norms(R) / grid_norms(self.vectors)
 
 
 def indicator_field(sigma: CircleMeasure, m: int, M: int) -> EigenField:
-    """Field whose vectors are the raw arc indicators chi(lambda_j)."""
-    nodes = quantize(sigma, m)
-    angles, weights = _node_arrays(nodes)
-    vectors = [chi(a, M) for a in angles]
+    """Field whose vectors are the raw arc indicators chi(lambda_j), chi(0) = 0."""
+    angles, weights = np.array(quantize(sigma, m), dtype=float).T
+    vectors = ((grid_angles(M)[:, None] > angles) & (angles > 0.0)).astype(complex)
     return EigenField(angles, weights, vectors, sigma, kind="indicator")
 
 
@@ -197,16 +187,15 @@ def corrected_field(sigma: CircleMeasure, m: int, M: int) -> EigenField:
     t = grid_angles(M)
     angles = np.asarray([t[k] for k in ks])
     weights = np.asarray([snapped[k] for k in ks])
-    vectors = []
-    for k in ks:
+    vectors = np.empty((M, len(ks)), dtype=complex)
+    for j, k in enumerate(ks):
         v = exact_eigenvector(k, M)
         ref = chi(t[k], M)
         if func_norm(ref) == 0.0:
             ref = CircleFunction.constant(1.0, M)
         overlap = inner_product(ref, v)
         phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
-        scaled = v.values * (func_norm(ref) / func_norm(v)) / phase
-        vectors.append(CircleFunction(scaled, M))
+        vectors[:, j] = v.values * (func_norm(ref) / func_norm(v)) / phase
     return EigenField(angles, weights, vectors, sigma, kind="corrected")
 
 
@@ -238,9 +227,7 @@ class GaussModel:
 
     def functional_coefficients(self, xstar: CircleFunction) -> np.ndarray:
         """Coordinates c with <x*, A g> = c . g; c_j = sqrt(w_j)<x*, E_j>."""
-        if xstar.grid_size != self.grid_size:
-            raise GridMismatchError("functional grid does not match the model")
-        return (TWO_PI / self.grid_size) * (self.factor.T @ np.conj(xstar.values))
+        return _grid_coefficients(self.factor, xstar)
 
     def functional_variance(self, xstar: CircleFunction) -> float:
         return float(np.sum(np.abs(self.functional_coefficients(xstar)) ** 2))
@@ -256,26 +243,29 @@ class GaussModel:
         }
 
 
+def _grid_coefficients(B: np.ndarray, xstar: CircleFunction) -> np.ndarray:
+    """Grid inner products (2pi/M) B^T conj(x*) of x* with B's columns."""
+    if xstar.grid_size != B.shape[0]:
+        raise GridMismatchError("functional grid does not match the model")
+    return (TWO_PI / B.shape[0]) * (B.T @ np.conj(xstar.values))
+
+
 def build_model(field: EigenField, residual_threshold: float = 0.05) -> GaussModel:
     """Assemble the factor and diagonal, checking field admissibility."""
-    residuals = field.residuals()
-    worst = float(np.max(residuals))
+    worst = float(np.max(field.residuals()))
     if worst > residual_threshold:
         raise FieldAdmissibilityError(
             f"worst eigen residual {worst:.3e} exceeds {residual_threshold}"
         )
-    columns = np.column_stack(
-        [np.sqrt(w) * v.values for w, v in zip(field.weights, field.vectors)]
-    )
-    diag = np.exp(1j * field.angles)
-    gram = columns.conj().T @ columns
-    sv = np.linalg.svd(columns, compute_uv=False)
+    factor = field.vectors * np.sqrt(field.weights)
+    gram = factor.conj().T @ factor
+    smallest = np.sqrt(max(np.linalg.eigvalsh(gram)[0], 0.0))  # lambda_min = sigma_min^2
     return GaussModel(
         field=field,
-        factor=columns,
-        diag=diag,
+        factor=factor,
+        diag=np.exp(1j * field.angles),
         gram=gram,
-        smallest_singular=float(sv[-1]),
+        smallest_singular=float(smallest),
     )
 
 
@@ -303,15 +293,19 @@ def _transport_matvec(transport: Transport, X: np.ndarray) -> np.ndarray:
     return np.asarray(transport) @ X
 
 
-def intertwine_residual(model: GaussModel, transport: Transport = None) -> float:
-    """||T A - A D||_F / ||A||_F: how far the field is from genuinely
-    diagonalizing the dynamics."""
+def _intertwine(model: GaussModel, TA: np.ndarray) -> float:
+    """||T A - A D||_F / ||A||_F from an already transported factor."""
     A = model.factor
-    TA = _transport_matvec(transport, A)
     if TA.shape != A.shape:
         raise GridMismatchError("transport output shape does not match the factor")
     num = np.linalg.norm(TA - A * model.diag[None, :])
     return float(num / np.linalg.norm(A))
+
+
+def intertwine_residual(model: GaussModel, transport: Transport = None) -> float:
+    """||T A - A D||_F / ||A||_F: how far the field is from genuinely
+    diagonalizing the dynamics."""
+    return _intertwine(model, _transport_matvec(transport, model.factor))
 
 
 def sample(model: GaussModel, count: int, seed: int) -> list:
@@ -420,9 +414,10 @@ def invariance_check(model: GaussModel, transport: Transport = None,
     covariance of {T x_s} must match R.  The distance is computed
     exactly in Gram form; the pass budget is the statistical tolerance
     plus the model's intertwining residual (the part of the distance the
-    discretization owes, not the sampler)."""
+    discretization owes, not the sampler); T A is formed once for both."""
     A = model.factor
     B = _transport_matvec(transport, A)
+    intertwine = _intertwine(model, B)
     rng = rng_for(seed, "invariance-check")
     G = complex_standard_normal(rng, (model.node_count, count))
     Ghat = (G @ G.conj().T) / count
@@ -436,7 +431,6 @@ def invariance_check(model: GaussModel, transport: Transport = None,
     dist_sq = float(np.trace(SP @ SP).real)
     r_norm = model.covariance_frobenius()
     cov_distance = float(np.sqrt(max(dist_sq, 0.0)) / r_norm)
-    intertwine = intertwine_residual(model, transport)
     budget = statistical_tolerance + intertwine
     return InvarianceReport(
         cov_distance=cov_distance,
@@ -460,26 +454,23 @@ def matrix_coefficient_analytic(model: GaussModel, xstar: CircleFunction,
 def _orbit_coefficients(model: GaussModel, xstar: CircleFunction, n: int,
                         transport: Transport) -> np.ndarray:
     """Coordinates of x* against the transported factor T^n A."""
-    A = model.factor
-    M = model.grid_size
-    start_norm = np.linalg.norm(A)
-    B = A
-    steps = abs(int(n))
-    for _ in range(steps):
-        if n >= 0:
-            B = _transport_matvec(transport, B)
-        else:
-            if transport is None:
-                B = kalish_solve_array(B)
-            elif callable(transport):
-                raise ValueError("negative powers need a matrix or the default grid operator")
-            else:
-                B = np.linalg.solve(np.asarray(transport), B)
+    if n >= 0:
+        one_step = partial(_transport_matvec, transport)
+    elif transport is None:
+        one_step = kalish_solve_array
+    elif callable(transport):
+        raise ValueError("negative powers need a matrix or the default grid operator")
+    else:
+        one_step = partial(np.linalg.solve, np.asarray(transport))
+    B = model.factor
+    start_norm = np.linalg.norm(B)
+    for _ in range(abs(int(n))):
+        B = one_step(B)
         if np.linalg.norm(B) > 1e3 * start_norm:
             raise NormDriftError(
                 f"orbit norm exceeded 1e3 x start while reaching power {n}"
             )
-    return (TWO_PI / M) * (B.T @ np.conj(xstar.values))
+    return _grid_coefficients(B, xstar)
 
 
 @dataclass(frozen=True)

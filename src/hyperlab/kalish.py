@@ -4,7 +4,8 @@ Functions live on the grid t_j = 2pi*j/M.  M multiplies pointwise by
 e^{i t_j}; J is the complex line integral along the counterclockwise arc
 from angle 0 to the evaluation point, discretized by the left-endpoint
 rule with line element i e^{i t} dt.  The grid inner product is the
-arc-length one, <f, g> = (2pi/M) sum conj(f_j) g_j.
+arc-length one, <f, g> = (2pi/M) sum conj(f_j) g_j; grid_norms is the
+one home of its norm, over whichever axis of an array holds the grid.
 
 Arc-indicator convention (calibrated, do not flip casually): chi(lam) is
 1 exactly at the grid nodes with t_j > lam, i.e. the open arc running
@@ -130,8 +131,13 @@ def inner_product(f: CircleFunction, g: CircleFunction) -> complex:
     return complex((TWO_PI / f.grid_size) * np.vdot(f.values, g.values))
 
 
+def grid_norms(X: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Arc-length norms sqrt((2pi/M) sum |x_j|^2) along the grid axis of X."""
+    return np.sqrt((TWO_PI / X.shape[axis]) * np.sum(np.abs(X) ** 2, axis=axis))
+
+
 def func_norm(f: CircleFunction) -> float:
-    return float(np.sqrt((TWO_PI / f.grid_size) * np.sum(np.abs(f.values) ** 2)))
+    return float(grid_norms(f.values))
 
 
 def _phases(M: int, ndim: int = 1) -> np.ndarray:
@@ -195,9 +201,7 @@ def eigen_residual(lam: float, M: int) -> float:
     if n == 0.0:
         raise DegenerateAngleError(f"arc ({lam!r}, 2pi) captures no grid node")
     r = apply_T(v).values - np.exp(1j * lam) * v.values
-    return float(
-        np.sqrt((TWO_PI / M) * np.sum(np.abs(r) ** 2)) / n
-    )
+    return float(grid_norms(r) / n)
 
 
 def kalish_matrix(M: int) -> np.ndarray:

@@ -368,3 +368,11 @@ def test_cli_measure_classify_matches_runner(tmp_path, capsys):
     assert status == 0
     report = read_json(out / "reports" / "measure-classify-rho-5.json")
     assert report["detail"] == doc
+
+
+def test_cli_lab_classify_window_2000_exits_with_a_verdict(capsys):
+    # window 2000 zeroes the scalar shift's orbit for most of the window;
+    # the battery must still report (0 clean, 1 flagged), never crash (2)
+    code = main(["lab", "classify", "--window", "2000", "--samples", "500"])
+    assert code in (0, 1)
+    assert "scalar-shift-2" in capsys.readouterr().out

@@ -35,6 +35,7 @@ from hyperlab import (
     weighted_shift_system,
 )
 from hyperlab.dynamics_lab import norms, state_norm
+from hyperlab.kalish import CircleFunction, func_norm, grid_norms
 from hyperlab.jsonio import stable_dumps
 from hyperlab.seeding import rng_for
 
@@ -424,6 +425,29 @@ def test_norms_match_the_per_state_norm_row_by_row(spec):
         want = np.sqrt(weight * np.sum(row.real ** 2 + row.imag ** 2))
         assert value == pytest.approx(want, rel=1e-14)
         assert value == pytest.approx(state_norm(spec, row), rel=1e-15)
+
+
+def test_kalish_norms_keep_the_row_reduction_bit_for_bit():
+    spec = kalish_system(1024)
+    rng = rng_for(22, "norms-bits")
+    X = rng.standard_normal((9, 1024)) + 1j * rng.standard_normal((9, 1024))
+    # the row formula dynamics_lab.norms reduced with before grid_norms
+    want = np.sqrt((TWO_PI / 1024) * np.sum(np.abs(X) ** 2, axis=-1))
+    assert np.array_equal(norms(spec, X), want)
+    cols = grid_norms(X.T)
+    for j, value in enumerate(cols):
+        assert value == pytest.approx(func_norm(CircleFunction(X[j], 1024)),
+                                      rel=1e-15)
+
+
+def test_window_2000_battery_gives_typed_no_evidence_not_a_crash():
+    rows = {spec.name: classify_system(spec, window=2000, mc_samples=500)
+            for spec in default_battery(2000)}
+    outcome = rows["scalar-shift-2"].outcomes["weak_mixing"]
+    assert outcome.verdict == "no-evidence"
+    assert "note" in outcome.evidence
+    for row in rows.values():
+        stable_dumps(row.to_dict())
 
 
 def test_fixed_point_rotation_gives_typed_no_evidence():

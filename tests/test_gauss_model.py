@@ -12,6 +12,7 @@ from hyperlab import (
     CircleFunction,
     CircleMeasure,
     DegenerateFunctionalError,
+    EigenField,
     FieldAdmissibilityError,
     NormDriftError,
     NotProbabilityError,
@@ -126,7 +127,7 @@ def test_corrected_field_norm_matched_to_indicator():
     sigma = CircleMeasure.uniform(bins=1024)
     M = 512
     cf = corrected_field(sigma, 8, M)
-    for a, v in zip(cf.angles, cf.vectors):
+    for a, v in zip(cf.angles, map(CircleFunction.from_values, cf.vectors.T)):
         from hyperlab.kalish import chi
 
         assert func_norm(v) == pytest.approx(func_norm(chi(float(a), M)), rel=1e-12)
@@ -146,7 +147,7 @@ def test_factor_columns_are_weighted_vectors():
     f = model.field
     for j in range(model.node_count):
         np.testing.assert_allclose(
-            model.factor[:, j], np.sqrt(f.weights[j]) * f.vectors[j].values,
+            model.factor[:, j], np.sqrt(f.weights[j]) * f.vectors[:, j],
             atol=1e-15,
         )
 
@@ -162,6 +163,23 @@ def test_kernel_witness_positive_singular_value():
     for m in (2, 4, 8):
         model = _uniform_model(M=256, m=m)
         assert model.smallest_singular > 0.0
+
+
+@pytest.mark.parametrize("kind", ["corrected", "indicator"])
+@pytest.mark.parametrize("m", [2, 4, 8, 32])
+def test_smallest_singular_from_gram_matches_svd(kind, m):
+    model = _uniform_model(M=1024, m=m, kind=kind)
+    sv = np.linalg.svd(model.factor, compute_uv=False)
+    assert model.smallest_singular == pytest.approx(sv[-1], rel=1e-10)
+
+
+def test_field_rejects_vectors_with_wrong_column_count():
+    field = corrected_field(CircleMeasure.uniform(bins=1024), 4, 64)
+    for cols in (3, 5):
+        with pytest.raises(ValueError):
+            EigenField(field.angles, field.weights,
+                       np.ones((64, cols), dtype=complex),
+                       field.source_measure, kind="corrected")
 
 
 def test_functional_coefficients_match_inner_products():
@@ -263,6 +281,20 @@ def test_invariance_check_fails_scaled_transport():
     report = invariance_check(model, transport=scaled, count=2000, seed=0)
     assert not report.passed
     assert report.cov_distance > report.budget
+
+
+def test_invariance_check_transports_the_factor_once():
+    model = _uniform_model(M=256, m=8)
+    calls = []
+
+    def counting(X):
+        calls.append(X.shape)
+        return kalish_matrix(256) @ X
+
+    report = invariance_check(model, transport=counting, count=500, seed=1)
+    assert calls == [(256, 8)]
+    assert report.intertwine == pytest.approx(
+        intertwine_residual(model, transport=kalish_matrix(256)), abs=1e-15)
 
 
 def test_invariance_matrix_transport_path():
