@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .jsonio import check_schema
+from .jsonio import check_schema, record_dict
 from .seeding import rng_for
 
 TWO_PI = 2.0 * np.pi
@@ -434,18 +434,11 @@ def split_upper_lower(sigma: CircleMeasure, sym_tol: float = 1e-9):
 class RajchmanReport:
     tail_sup: float
     passed: bool
-    window_lo: int
-    window_hi: int
+    window: tuple  # (lo, hi) scan window of orders
     epsilon: float
 
     def to_dict(self) -> dict:
-        return {
-            "probe": "rajchman",
-            "tail_sup": self.tail_sup,
-            "passed": self.passed,
-            "window": [self.window_lo, self.window_hi],
-            "epsilon": self.epsilon,
-        }
+        return record_dict(self, probe="rajchman")
 
 
 @dataclass(frozen=True)
@@ -453,19 +446,11 @@ class DirichletReport:
     best_n: int
     best_value: float
     passed: bool
-    window_lo: int
-    window_hi: int
+    window: tuple
     epsilon: float
 
     def to_dict(self) -> dict:
-        return {
-            "probe": "dirichlet",
-            "best_n": self.best_n,
-            "best_value": self.best_value,
-            "passed": self.passed,
-            "window": [self.window_lo, self.window_hi],
-            "epsilon": self.epsilon,
-        }
+        return record_dict(self, probe="dirichlet")
 
 
 @dataclass(frozen=True)
@@ -474,22 +459,12 @@ class MildMixingReport:
     passed: bool
     witness: str
     family_size: int
-    window_lo: int
-    window_hi: int
+    window: tuple
     delta: float
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "probe": "mild-mixing",
-            "worst_limsup": self.worst_limsup,
-            "passed": self.passed,
-            "witness": self.witness,
-            "family_size": self.family_size,
-            "window": [self.window_lo, self.window_hi],
-            "delta": self.delta,
-            "seed": self.seed,
-        }
+        return record_dict(self, probe="mild-mixing")
 
 
 def _coefficient_window(rho: CircleMeasure, n_max: int):
@@ -519,7 +494,7 @@ def rajchman_probe(rho: CircleMeasure, n_max: int = 64,
     lo, hi = _coefficient_window(rho, n_max)
     tail_sup = np.max(_modulus(fourier_band(rho, hi)[hi + lo:]))
     return RajchmanReport(tail_sup=float(tail_sup), passed=bool(tail_sup < epsilon),
-                          window_lo=lo, window_hi=hi, epsilon=epsilon)
+                          window=(lo, hi), epsilon=epsilon)
 
 
 def dirichlet_probe(rho: CircleMeasure, n_max: int = 64,
@@ -535,7 +510,7 @@ def dirichlet_probe(rho: CircleMeasure, n_max: int = 64,
     best_n = lo + np.flatnonzero(values >= best_value - 1e-12)[-1]
     return DirichletReport(best_n=int(best_n), best_value=float(best_value),
                            passed=bool(best_value > 1.0 - epsilon),
-                           window_lo=lo, window_hi=hi, epsilon=epsilon)
+                           window=(lo, hi), epsilon=epsilon)
 
 
 def _restrict_to_bins(rho: CircleMeasure, mask: np.ndarray) -> Optional[CircleMeasure]:
@@ -582,4 +557,4 @@ def mild_mixing_probe(rho: CircleMeasure, family_size: int = 16, n_max: int = 64
     return MildMixingReport(worst_limsup=float(worst),
                             passed=bool(worst < 1.0 - delta),
                             witness=witness, family_size=len(family),
-                            window_lo=lo, window_hi=hi, delta=delta, seed=seed)
+                            window=(lo, hi), delta=delta, seed=seed)

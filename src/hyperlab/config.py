@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics_lab import SystemSpec, default_battery
-from .jsonio import stable_dumps
+from .jsonio import record_dict, stable_dumps
 from .seeding import derive_seed
 
 __all__ = [
@@ -90,14 +90,6 @@ _NUM_FIELDS = {"mass", "angle", "tolerance", "tail_tol", "epsilon", "delta",
                "ratio_bound", "transport_scale", "rel_tol", "t1_factor"}
 _STR_FIELDS = {"left", "right", "measure", "system", "sampler", "path", "out"}
 
-# Allowed keys per system kind, mirroring SystemSpec serialization.
-_SYSTEM_FIELDS = {
-    "kalish": {"kind", "grid", "name"},
-    "scalar_multiple_shift": {"kind", "scalar", "dimension", "name"},
-    "weighted_shift": {"kind", "weights", "dimension", "name"},
-    "torus_rotation": {"kind", "angles", "name"},
-}
-
 
 class ConfigError(ValueError):
     """Schema violation in an experiment config, located by dotted path."""
@@ -121,16 +113,7 @@ class ExperimentConfig:
     probes: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "schema": CONFIG_SCHEMA,
-            "seed": self.seed,
-            "bins": self.bins,
-            "grid": self.grid,
-            "out": self.out,
-            "measures": self.measures,
-            "systems": list(self.systems),
-            "probes": list(self.probes),
-        }
+        return record_dict(self, schema=CONFIG_SCHEMA)
 
     def to_text(self) -> str:
         return stable_dumps(self.to_dict()) + "\n"
@@ -214,17 +197,15 @@ def _validate_system(index: int, raw) -> dict:
     path = f"systems[{index}]"
     if not isinstance(raw, dict):
         _fail(path, "expected an object")
-    kind = raw.get("kind")
-    if kind not in _SYSTEM_FIELDS:
-        _fail(path, f"unknown system kind {kind!r}")
-    for key in raw:
-        if key not in _SYSTEM_FIELDS[kind]:
-            _fail(path, f"unknown field {key!r}")
     try:
         spec = SystemSpec.from_dict(raw)
     except (KeyError, TypeError, ValueError) as exc:
         _fail(path, str(exc))
-    return spec.to_dict()
+    doc = spec.to_dict()
+    for key in raw:
+        if key not in doc and key != "name":
+            _fail(path, f"unknown field {key!r}")
+    return doc
 
 
 def _validate_probe(index: int, raw, context: dict) -> dict:

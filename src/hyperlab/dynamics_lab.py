@@ -45,9 +45,10 @@ from .hitting_sets import (
     max_gap,
     upper_density,
 )
+from .jsonio import record_dict
 # apply_T is unused but kept bound: perfbench patches every binding
 from .kalish import (  # noqa: F401
-    apply_T, apply_T_array, chi, grid_norms, kalish_solve_array)
+    apply_T, apply_T_array, grid_angles, grid_norms, kalish_solve_array)
 from .seeding import complex_standard_normal, rng_for
 
 TWO_PI = 2.0 * np.pi
@@ -146,7 +147,7 @@ class SystemSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SystemSpec":
-        kind = doc["kind"]
+        kind = doc.get("kind")
         name = doc.get("name", "")
         if kind == "kalish":
             return cls(kind=kind, grid_size=int(doc["grid"]), name=name)
@@ -359,15 +360,7 @@ class BirkhoffReport:
     cauchy_gaps: dict  # name -> |avg at last - avg at previous|
 
     def to_dict(self) -> dict:
-        return {
-            "check": "birkhoff",
-            "checkpoints": list(self.checkpoints),
-            "averages": {
-                k: [[v.real, v.imag] for v in vals]
-                for k, vals in self.averages.items()
-            },
-            "cauchy_gaps": dict(self.cauchy_gaps),
-        }
+        return record_dict(self, check="birkhoff")
 
 
 def birkhoff_probe(traj: Trajectory, test_functions: Sequence,
@@ -403,15 +396,7 @@ class ReturnSetReport:
     certified_max_gap: int
 
     def to_dict(self) -> dict:
-        return {
-            "check": "return-set-identity",
-            "passed": self.passed,
-            "visits": self.visits,
-            "pairs_checked": self.pairs_checked,
-            "replay_error": self.replay_error,
-            "certified": self.certified.to_dict(),
-            "certified_max_gap": self.certified_max_gap,
-        }
+        return record_dict(self, check="return-set-identity")
 
 
 def return_set_identity_check(traj: Trajectory, ball: BallSpec,
@@ -496,17 +481,7 @@ class ThreeOpenSetsReport:
     note: str
 
     def to_dict(self) -> dict:
-        return {
-            "check": "three-open-sets",
-            "compatible": self.compatible,
-            "forward_visits": self.forward_visits,
-            "thick_run": self.thick_run,
-            "backward_visits": self.backward_visits,
-            "backward_gap": self.backward_gap,
-            "witness": self.witness,
-            "window": self.window,
-            "note": self.note,
-        }
+        return record_dict(self, check="three-open-sets")
 
 
 def three_open_sets_probe(spec: SystemSpec, U: BallSpec, V: BallSpec,
@@ -564,14 +539,7 @@ class EigenSpanReport:
     note: str
 
     def to_dict(self) -> dict:
-        return {
-            "check": "eigen-span",
-            "rank": self.rank,
-            "family_size": self.family_size,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "note": self.note,
-        }
+        return record_dict(self, check="eigen-span")
 
 
 def eigen_span_probe(spec: SystemSpec, tolerance: float = 1e-8,
@@ -584,7 +552,7 @@ def eigen_span_probe(spec: SystemSpec, tolerance: float = 1e-8,
         M = spec.grid_size
         m = family_size or min(64, max(M // 16, 2))
         angles = TWO_PI * (np.arange(m) + 0.5) / m
-        mat = np.column_stack([chi(a, M).values for a in angles])
+        mat = (grid_angles(M)[:, None] > angles).astype(complex)
         sv = np.linalg.svd(mat, compute_uv=False)
         rank = int(np.sum(sv > tolerance * sv[0]))
         verdict = "yes" if rank == m else "no"
@@ -613,14 +581,7 @@ class ProbeOutcome:
     evidence: dict
 
     def to_dict(self) -> dict:
-        return {
-            "probe": self.probe,
-            "verdict": self.verdict,
-            "grade": self.grade,
-            "window": self.window,
-            "seed": self.seed,
-            "evidence": self.evidence,
-        }
+        return record_dict(self)
 
 
 def periodic_return_probe(traj: Trajectory, max_period: int = 64,
@@ -807,12 +768,7 @@ class ClassificationRow:
     flags: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "spec": self.spec.to_dict(),
-            "outcomes": {k: v.to_dict() for k, v in self.outcomes.items()},
-            "flags": list(self.flags),
-        }
+        return record_dict(self)
 
 
 @dataclass(frozen=True)
@@ -826,13 +782,7 @@ class ClassificationReport:
         return any(row.flags for row in self.rows)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "classification/1",
-            "seed": self.seed,
-            "window": self.window,
-            "rows": [row.to_dict() for row in self.rows],
-            "flagged": self.flagged,
-        }
+        return record_dict(self, schema="classification/1", flagged=self.flagged)
 
     def to_csv(self) -> str:
         header = ["system"] + PROBE_COLUMNS + ["flags"]

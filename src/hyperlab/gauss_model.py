@@ -27,10 +27,11 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .circle_measure import CircleMeasure, NotProbabilityError, total_mass
-from .jsonio import check_schema
+from .circle_measure import CircleMeasure, _require_probability, total_mass
+from .jsonio import check_schema, record_dict
 from .kalish import (
     CircleFunction,
+    DegenerateAngleError,
     GridMismatchError,
     apply_T,  # noqa: F401 - kept bound: perfbench patches every binding
     apply_T_array,
@@ -60,12 +61,6 @@ class DegenerateFunctionalError(ValueError):
 
 class NormDriftError(RuntimeError):
     """Orbit norm exploded; the discretization no longer tracks T^n."""
-
-
-def _require_probability(sigma: CircleMeasure) -> None:
-    mass = total_mass(sigma)
-    if abs(mass - 1.0) > 1e-9:
-        raise NotProbabilityError(f"total mass {mass!r} is not 1 within 1e-9")
 
 
 def quantize(sigma: CircleMeasure, m: int) -> list:
@@ -167,9 +162,17 @@ class EigenField:
 
 
 def indicator_field(sigma: CircleMeasure, m: int, M: int) -> EigenField:
-    """Field whose vectors are the raw arc indicators chi(lambda_j), chi(0) = 0."""
+    """Field whose vectors are the raw arc indicators chi(lambda_j).  A node
+    whose arc holds no grid node (angle 0, or past the last node) has no
+    indicator to be an eigenvector and raises DegenerateAngleError."""
     angles, weights = np.array(quantize(sigma, m), dtype=float).T
     vectors = ((grid_angles(M)[:, None] > angles) & (angles > 0.0)).astype(complex)
+    empty = np.flatnonzero(~vectors.any(axis=0))
+    if empty.size:
+        j = int(empty[0])
+        raise DegenerateAngleError(
+            f"node {j} at angle {float(angles[j])!r} has an arc holding no node "
+            f"of grid {M}")
     return EigenField(angles, weights, vectors, sigma, kind="indicator")
 
 
@@ -332,18 +335,7 @@ class SymmetryReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "check": "symmetry",
-            "second_moment": [self.second_moment.real, self.second_moment.imag],
-            "second_moment_threshold": self.second_moment_threshold,
-            "re_im_correlation": self.re_im_correlation,
-            "correlation_threshold": self.correlation_threshold,
-            "variance": self.variance,
-            "analytic_variance": self.analytic_variance,
-            "samples": self.samples,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
+        return record_dict(self, check="symmetry")
 
 
 def symmetry_check(model: GaussModel, xstar: CircleFunction, count: int,
@@ -396,15 +388,7 @@ class InvarianceReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "check": "invariance",
-            "cov_distance": self.cov_distance,
-            "intertwine": self.intertwine,
-            "budget": self.budget,
-            "samples": self.samples,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
+        return record_dict(self, check="invariance")
 
 
 def invariance_check(model: GaussModel, transport: Transport = None,
@@ -482,14 +466,7 @@ class CoefficientEstimate:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "check": "matrix-coefficient",
-            "value": [self.value.real, self.value.imag],
-            "standard_error": self.standard_error,
-            "power": self.power,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return record_dict(self, check="matrix-coefficient")
 
 
 def matrix_coefficient_mc(model: GaussModel, xstar: CircleFunction, n: int,

@@ -19,7 +19,7 @@ from math import ceil
 
 import numpy as np
 
-from .jsonio import check_schema
+from .jsonio import check_schema, record_dict
 
 
 class WindowMismatchError(ValueError):
@@ -208,13 +208,7 @@ class TransferReport:
         return self.passed
 
     def to_dict(self) -> dict:
-        return {
-            "check": "transfer-witness",
-            "passed": self.passed,
-            "checked": self.checked,
-            "overflowed": self.overflowed,
-            "first_violation": self.first_violation,
-        }
+        return record_dict(self, check="transfer-witness")
 
 
 def transfer_witness(NUV: WindowedSet, NWW: WindowedSet, n: int) -> TransferReport:

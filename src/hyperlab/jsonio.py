@@ -3,10 +3,12 @@
 Artifacts must be byte-identical across reruns with the same seed, so the
 encoder pins key order and separators and refuses non-finite floats.
 Schema tags look like "circle-measure/1"; readers accept any document
-whose major version matches and reject the rest.
+whose major version matches and reject the rest.  record_dict is the one
+JSON form of a report record: its tags, then every dataclass field by name.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -27,6 +29,30 @@ def _check_finite(obj: Any) -> None:
     elif isinstance(obj, (list, tuple)):
         for v in obj:
             _check_finite(v)
+
+
+def _plain(value: Any) -> Any:
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
+def record_dict(record: Any, **tags: Any) -> dict:
+    """The tags, then every dataclass field of record by name.  Complex
+    values become [re, im], tuples and lists are converted element by
+    element, dict values are converted, and a nested object with a
+    to_dict is written by its own to_dict (dataclasses.asdict would keep
+    complex numbers and flatten tagged records instead)."""
+    doc = dict(tags)
+    for f in dataclasses.fields(record):
+        doc[f.name] = _plain(getattr(record, f.name))
+    return doc
 
 
 def stable_dumps(doc: Any) -> str:

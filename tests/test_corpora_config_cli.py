@@ -119,6 +119,19 @@ def test_config_unknown_probe_field_dotted_path():
         parse_config(json.dumps(doc))
 
 
+@pytest.mark.parametrize("system, message", [
+    ({"kind": "torus_rotation", "angles": [0.9], "dimension": 3},
+     r"systems\[0\].*dimension"),
+    ({"kind": "spiral", "grid": 64}, r"systems\[0\]: unknown system kind 'spiral'"),
+    ({"grid": 64}, r"systems\[0\]: unknown system kind None"),
+    ({"kind": ["kalish"], "grid": 64}, r"systems\[0\]: unknown system kind \['kalish'\]"),
+])
+def test_config_bad_system_dotted_path(system, message):
+    doc = dict(MINIMAL, systems=[system])
+    with pytest.raises(ConfigError, match=message):
+        parse_config(json.dumps(doc))
+
+
 def test_config_unknown_measure_reference():
     doc = json.loads(json.dumps(MINIMAL))
     doc["probes"][0]["measure"] = "ghost"

@@ -34,7 +34,7 @@ from hyperlab import (
 )
 from hyperlab.corpora import random_functional
 from hyperlab.jsonio import SchemaError
-from hyperlab.kalish import func_norm, grid_angles, inner_product
+from hyperlab.kalish import DegenerateAngleError, func_norm, grid_angles, inner_product
 
 TWO_PI = 2.0 * np.pi
 
@@ -106,6 +106,15 @@ def test_indicator_field_residuals_are_first_order():
     res = field.residuals()
     assert np.all(res > 1e-6)
     assert np.all(res < 0.05)
+
+
+@pytest.mark.parametrize("atom", [0.0, 6.2])
+def test_indicator_field_rejects_node_with_empty_arc(atom):
+    # no grid node lies past angle 0 (chi(0) = 0) or past 2pi*63/64, so the
+    # indicator column would be zero and its residual 0/0
+    sigma = mix(CircleMeasure.dirac(atom, 0.3), CircleMeasure.uniform(0.7))
+    with pytest.raises(DegenerateAngleError, match=f"node [0-9]+ at angle {atom!r}"):
+        build_model(indicator_field(sigma, 5, 64))
 
 
 def test_corrected_field_residuals_are_round_off():

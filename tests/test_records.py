@@ -1,0 +1,160 @@
+"""Artifact keys of every report record.
+
+Each record's to_dict is its dataclass fields plus a tag, so renaming a
+field renames an artifact key.  These key sets pin the documents as they
+are written, so such a rename fails here instead of moving an artifact.
+"""
+
+import json
+
+import pytest
+
+from hyperlab import (
+    CircleMeasure,
+    birkhoff_probe,
+    build_model,
+    classification_run,
+    corrected_field,
+    dirichlet_probe,
+    eigen_span_probe,
+    invariance_check,
+    matrix_coefficient_mc,
+    mild_mixing_probe,
+    orbit,
+    periodic_return_probe,
+    rajchman_probe,
+    return_set_identity_check,
+    symmetry_check,
+    three_open_sets_probe,
+    torus_system,
+    transfer_witness,
+)
+from hyperlab.config import parse_config
+from hyperlab.corpora import random_functional
+from hyperlab.dynamics_lab import BallSpec, default_start
+from hyperlab.hitting_sets import WindowedSet
+from hyperlab.jsonio import stable_dumps
+
+
+def _uniform():
+    return CircleMeasure.uniform(bins=256)
+
+
+def _torus_orbit():
+    spec = torus_system((0.9, 2.1))
+    return spec, orbit(spec, default_start(spec, 3), 200)
+
+
+def _ball(traj):
+    return BallSpec(center=traj.states[10], radius=0.6)
+
+
+def _model():
+    return build_model(corrected_field(_uniform(), 4, 64))
+
+
+def _birkhoff():
+    _, traj = _torus_orbit()
+    return birkhoff_probe(traj, [("first", lambda x: x[0])], [50, 200])
+
+
+def _return_set():
+    _, traj = _torus_orbit()
+    return return_set_identity_check(traj, _ball(traj))
+
+
+def _three_open_sets():
+    spec, traj = _torus_orbit()
+    U = BallSpec(center=traj.states[0], radius=0.5)
+    return three_open_sets_probe(spec, U, _ball(traj), U, 150)
+
+
+def _classification():
+    return classification_run([torus_system((0.9,))], window=60)
+
+
+def _config():
+    return parse_config(json.dumps({
+        "schema": "experiment-config/1",
+        "systems": [{"kind": "torus_rotation", "angles": [0.9]}],
+        "probes": [{"probe": "orbit", "system": "torus-rotation-0.900"}],
+    }))
+
+
+def _window_set(step):
+    return WindowedSet.from_iterable(60, range(0, 60, step))
+
+
+RECORDS = {
+    "RajchmanReport": (
+        lambda: rajchman_probe(_uniform(), n_max=16),
+        {"probe", "tail_sup", "passed", "window", "epsilon"}),
+    "DirichletReport": (
+        lambda: dirichlet_probe(_uniform(), n_max=16),
+        {"probe", "best_n", "best_value", "passed", "window", "epsilon"}),
+    "MildMixingReport": (
+        lambda: mild_mixing_probe(_uniform(), family_size=2, n_max=16),
+        {"probe", "worst_limsup", "passed", "witness", "family_size",
+         "window", "delta", "seed"}),
+    "BirkhoffReport": (
+        _birkhoff, {"check", "checkpoints", "averages", "cauchy_gaps"}),
+    "ReturnSetReport": (
+        _return_set,
+        {"check", "passed", "visits", "pairs_checked", "replay_error",
+         "certified", "certified_max_gap"}),
+    "ThreeOpenSetsReport": (
+        _three_open_sets,
+        {"check", "compatible", "forward_visits", "thick_run",
+         "backward_visits", "backward_gap", "witness", "window", "note"}),
+    "EigenSpanReport": (
+        lambda: eigen_span_probe(torus_system((0.9,))),
+        {"check", "rank", "family_size", "tolerance", "verdict", "note"}),
+    "ProbeOutcome": (
+        lambda: periodic_return_probe(_torus_orbit()[1]),
+        {"probe", "verdict", "grade", "window", "seed", "evidence"}),
+    "ClassificationRow": (
+        lambda: _classification().rows[0],
+        {"system", "spec", "outcomes", "flags"}),
+    "ClassificationReport": (
+        _classification, {"schema", "seed", "window", "rows", "flagged"}),
+    "SymmetryReport": (
+        lambda: symmetry_check(_model(), random_functional(1, 64), 256, seed=1),
+        {"check", "second_moment", "second_moment_threshold",
+         "re_im_correlation", "correlation_threshold", "variance",
+         "analytic_variance", "samples", "seed", "passed"}),
+    "InvarianceReport": (
+        lambda: invariance_check(_model(), count=256, seed=1),
+        {"check", "cov_distance", "intertwine", "budget", "samples", "seed",
+         "passed"}),
+    "CoefficientEstimate": (
+        lambda: matrix_coefficient_mc(_model(), random_functional(1, 64), 2,
+                                      256, seed=1),
+        {"check", "value", "standard_error", "power", "samples", "seed"}),
+    "TransferReport": (
+        lambda: transfer_witness(_window_set(3), _window_set(6), 3),
+        {"check", "passed", "checked", "overflowed", "first_violation"}),
+    "ExperimentConfig": (
+        _config,
+        {"schema", "seed", "bins", "grid", "out", "measures", "systems",
+         "probes"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_keys_are_pinned(name):
+    make, keys = RECORDS[name]
+    record = make()
+    assert type(record).__name__ == name
+    doc = record.to_dict()
+    assert set(doc) == keys
+    assert json.loads(stable_dumps(doc)) == doc
+
+
+def test_record_values_keep_their_artifact_form():
+    row = _classification().to_dict()["rows"][0]
+    assert row["spec"] == {"kind": "torus_rotation", "angles": [0.9]}
+    assert row["outcomes"]["chaotic"]["probe"] == "chaotic"
+    assert _return_set().to_dict()["certified"]["schema"] == "windowed-set/1"
+    assert rajchman_probe(_uniform(), n_max=16).to_dict()["window"] == [8, 16]
+    est = matrix_coefficient_mc(_model(), random_functional(1, 64), 2, 256, seed=1)
+    assert est.to_dict()["value"] == [est.value.real, est.value.imag]

@@ -1,11 +1,19 @@
 """Seed derivation and JSON document conventions."""
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from hyperlab.jsonio import SchemaError, check_schema, read_json, stable_dumps, write_json
+from hyperlab.jsonio import (
+    SchemaError,
+    check_schema,
+    read_json,
+    record_dict,
+    stable_dumps,
+    write_json,
+)
 from hyperlab.seeding import complex_standard_normal, derive_seed, rng_for
 
 
@@ -82,3 +90,41 @@ def test_check_schema_accepts_minor_and_rejects_major():
         check_schema({}, "circle-measure")
     with pytest.raises(SchemaError):
         check_schema({"schema": "circle-measure/x"}, "circle-measure")
+
+
+@dataclass(frozen=True)
+class _Inner:
+    label: str
+
+    def to_dict(self) -> dict:
+        return {"schema": "inner/1", "name": self.label}
+
+
+@dataclass(frozen=True)
+class _Record:
+    value: complex
+    window: tuple
+    items: list
+    table: dict
+    inner: _Inner
+    count: int = 3
+
+
+def test_record_dict_converts_every_field_and_keeps_tags():
+    rec = _Record(value=1.5 - 2j, window=(4, 8), items=[1j, (2, 3)],
+                  table={"a": [0.5 + 0.25j], "b": _Inner("b")},
+                  inner=_Inner("x"))
+    doc = record_dict(rec, check="demo", flagged=True)
+    assert doc == {
+        "check": "demo",
+        "flagged": True,
+        "value": [1.5, -2.0],
+        "window": [4, 8],
+        "items": [[0.0, 1.0], [2, 3]],
+        "table": {"a": [[0.5, 0.25]], "b": {"schema": "inner/1", "name": "b"}},
+        "inner": {"schema": "inner/1", "name": "x"},
+        "count": 3,
+    }
+    assert list(doc)[:2] == ["check", "flagged"]
+    assert json.loads(stable_dumps(doc)) == doc
+
