@@ -586,8 +586,10 @@ class ProbeOutcome:
 
 def periodic_return_probe(traj: Trajectory, max_period: int = 64,
                           eps: float = 0.02, seed: int = 0) -> ProbeOutcome:
-    """Near-periodic-return heuristic for the chaotic column: smallest
-    relative return distance ||x_p - x_0|| / ||x_0|| over p <= max_period.
+    """Near-periodic-return heuristic for the chaotic column: yes when a
+    relative return ||x_p - x_0|| / ||x_0||, p <= max_period, is below
+    eps.  best_period is the first such p (else the argmin), so returns
+    at round-off, as at each multiple of a period, cannot trade places.
     For kalish the harness start lives in a rational-angle eigenvector
     span (the default model's nodes sit on dyadic grid angles), so a
     genuine short period exists and the probe is expected to find it;
@@ -596,7 +598,8 @@ def periodic_return_probe(traj: Trajectory, max_period: int = 64,
     scale = max(state_norm(traj.spec, x0), 1e-12)
     top = min(max_period, traj.length - 1)
     dists = norms(traj.spec, traj.states[1:top + 1] - x0) / scale
-    best = int(np.argmin(dists)) + 1
+    below = np.flatnonzero(dists < eps)
+    best = int(below[0] if below.size else np.argmin(dists)) + 1
     best_dist = float(dists[best - 1])
     return ProbeOutcome(
         probe="chaotic",
@@ -619,7 +622,8 @@ def _ball_family(traj: Trajectory, count: int, radius_quantile: float = 0.35):
     pooled = np.concatenate([d[d > 0] for d in dists])
     if pooled.size == 0:
         return []
-    radius = float(np.quantile(pooled, radius_quantile))
+    # shrunk below any cluster of distances a periodic orbit ties at round-off
+    radius = float(np.quantile(pooled, radius_quantile)) * (1.0 - 1e-9)
     return [BallSpec(center=c, radius=radius) for c in centers]
 
 
@@ -829,6 +833,8 @@ def classify_system(spec: SystemSpec, window: int = 1000, seed: int = 0,
                     gap_bound: int = 64) -> ClassificationRow:
     """Run all six probes over one shared trajectory and flag
     implication violations within the grade rules."""
+    if window < 1:
+        raise ValueError(f"classification window must be >= 1, got {window}")
     start = default_start(spec, seed)
     traj = orbit(spec, start, window)
     outcomes = {

@@ -15,9 +15,9 @@ Sampling draws only the m x S coefficients, and each check forms T A once.
 Two field constructions are provided.  indicator_field uses the arc
 indicators chi(lambda_j) verbatim (first-order eigen residual, decaying
 with the grid).  corrected_field snaps each node angle to the nearest
-grid angle and builds the exact discrete eigenvector by forward
-substitution, which drives the intertwining residual to round-off; the
-snap moves each node by at most pi/M and is recorded on the field.
+grid angle and builds its exact discrete eigenvectors in one closed-form
+batch, which drives the intertwining residual to round-off; the snap
+moves each node by at most pi/M and is recorded on the field.
 """
 from __future__ import annotations
 
@@ -35,12 +35,9 @@ from .kalish import (
     GridMismatchError,
     apply_T,  # noqa: F401 - kept bound: perfbench patches every binding
     apply_T_array,
-    chi,
-    exact_eigenvector,
-    func_norm,
+    exact_eigenvectors,
     grid_angles,
     grid_norms,
-    inner_product,
     kalish_solve_array,
     nearest_grid_index,
 )
@@ -177,28 +174,21 @@ def indicator_field(sigma: CircleMeasure, m: int, M: int) -> EigenField:
 
 
 def corrected_field(sigma: CircleMeasure, m: int, M: int) -> EigenField:
-    """Field with node angles snapped to the grid and exact discrete
-    eigenvectors, each rescaled to the matching arc indicator's norm and
-    phase-aligned with it, so magnitudes stay comparable to the
-    indicator field while the intertwining residual drops to round-off."""
-    nodes = quantize(sigma, m)
-    snapped = {}
-    for a, w in nodes:
-        k = nearest_grid_index(a, M)
-        snapped[k] = snapped.get(k, 0.0) + w
-    ks = sorted(snapped)
-    t = grid_angles(M)
-    angles = np.asarray([t[k] for k in ks])
-    weights = np.asarray([snapped[k] for k in ks])
-    vectors = np.empty((M, len(ks)), dtype=complex)
-    for j, k in enumerate(ks):
-        v = exact_eigenvector(k, M)
-        ref = chi(t[k], M)
-        if func_norm(ref) == 0.0:
-            ref = CircleFunction.constant(1.0, M)
-        overlap = inner_product(ref, v)
-        phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
-        vectors[:, j] = v.values * (func_norm(ref) / func_norm(v)) / phase
+    """Field with node angles snapped to the grid and one batch of exact
+    eigenvectors, each rescaled to its arc indicator's norm (the constant
+    1's for an arc holding no node) and phase-aligned with it, so
+    magnitudes match the indicator field at round-off residual."""
+    nodes, masses = np.array(quantize(sigma, m), dtype=float).T
+    ks, slot = np.unique(nearest_grid_index(nodes, M), return_inverse=True)
+    weights = np.bincount(slot, weights=masses)  # nodes sharing a k merge
+    angles = grid_angles(M)[ks]
+    vectors = exact_eigenvectors(ks, M)
+    ref = (grid_angles(M)[:, None] > angles) & (angles > 0.0)
+    ref[:, ~ref.any(axis=0)] = True
+    overlap = (TWO_PI / M) * np.sum(vectors, axis=0, where=ref)
+    size = np.abs(overlap)
+    phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)
+    vectors *= (grid_norms(ref.astype(float)) / grid_norms(vectors)) / phase
     return EigenField(angles, weights, vectors, sigma, kind="corrected")
 
 

@@ -31,11 +31,9 @@ for q = 1 + i w.  The solve takes the closed form S = q^k cumsum(b q^-k)
 (|q^{+-k}| <= e^{2pi^2/M}, so nothing grows), then x_k from row k: no
 loop over grid points.
 
-exact_eigenvector keeps its forward-substitution loop.  Its recurrence
-has a cumprod form too, but that rounds differently, and the battery's
-kalish start vector is built from these eigenvectors: its periods 16 and
-32 both return to round-off, so the last bits pick the chaotic probe's
-best period, and the cumprod form moved it from 16 to 32 on some seeds.
+Eigenvectors of d_k = e^{i t_k}: zero above row k, 1 at row k, and
+v_j = i w S_{j-1} / (d_j - d_k) below, so S_j = S_{j-1} + d_j v_j is
+S_j = d_k prod_{k<l<=j} (1 + i w d_l / (d_l - d_k)): one cumprod.
 """
 from __future__ import annotations
 
@@ -243,25 +241,35 @@ def kalish_solve(b: CircleFunction) -> CircleFunction:
     return CircleFunction(kalish_solve_array(b.values), b.grid_size)
 
 
-def exact_eigenvector(k0: int, M: int) -> CircleFunction:
-    """Eigenvector of the discrete T for the eigenvalue e^{i t_{k0}},
-    built by forward substitution.  Rows above k0 force zeros, row k0 is
-    free (set to 1), and each later row is determined by the running
-    weighted sum; the residual is at round-off level by construction."""
-    if not 0 <= k0 < M:
-        raise ValueError(f"k0={k0} outside the grid range [0, {M})")
+def exact_eigenvectors(ks, M: int) -> np.ndarray:
+    """(M, m) eigenvectors of the discrete T in closed form (module
+    docstring), column c for the eigenvalue e^{i t_k} with k = ks[c]."""
+    ks = np.asarray(ks, dtype=int)
+    if np.any((ks < 0) | (ks >= M)):
+        raise ValueError(f"node indices {ks.tolist()} outside the grid range [0, {M})")
     w = TWO_PI / M
-    d = _phases(M)
-    lam = d[k0]
-    v = np.zeros(M, dtype=complex)
-    v[k0] = 1.0
-    S = d[k0]
-    for j in range(k0 + 1, M):
-        v[j] = 1j * w * S / (d[j] - lam)
-        S += d[j] * v[j]
-    return CircleFunction(v, M)
+    d = _phases(M, 2)
+    lam = d[ks, 0]
+    upper = np.arange(M)[:, None] <= ks  # rows whose factor is 1
+    D = d - lam
+    D[upper] = 1.0  # before dividing: row k has d_k - d_k = 0
+    F = (1j * w) * d / D
+    F += 1.0
+    F[upper] = 1.0
+    np.cumprod(F, axis=0, out=F)  # S_j / d_k
+    np.divide(F[:-1], D[1:], out=D[1:])
+    D *= (1j * w) * lam
+    D[upper] = 0.0
+    D[ks, np.arange(ks.size)] = 1.0
+    return D
 
 
-def nearest_grid_index(lam: float, M: int) -> int:
-    """Index of the grid node closest to the angle lam, mod wraparound."""
-    return int(np.rint(np.mod(lam, TWO_PI) / (TWO_PI / M))) % M
+def exact_eigenvector(k0: int, M: int) -> CircleFunction:
+    """One column of exact_eigenvectors, for the eigenvalue e^{i t_{k0}}."""
+    return CircleFunction(exact_eigenvectors([k0], M)[:, 0], M)
+
+
+def nearest_grid_index(lam, M: int):
+    """Index of the grid node closest to the angle lam (or to each angle
+    of an array), mod wraparound."""
+    return np.rint(np.mod(lam, TWO_PI) / (TWO_PI / M)).astype(int) % M

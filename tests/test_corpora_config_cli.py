@@ -259,6 +259,34 @@ def test_runner_probe_exception_becomes_status_two(tmp_path):
     assert "OutOfBandError" in report["error"]
 
 
+@pytest.mark.parametrize("probes", [
+    [{"probe": "residual", "grids": [1024, 2048]}],
+    [{"probe": "ubd", "window": 2000, "count": 3, "delta": 0.3},
+     {"probe": "ubd", "window": 2000, "count": 3, "delta": 0.5}],
+    [{"probe": "classification", "window": 200, "samples": 2000}],
+], ids=["residual", "ubd", "classification"])
+def test_runner_config_exits_0_with_schema_tagged_reports(tmp_path, probes):
+    status, out = _run_config(
+        tmp_path, {"schema": "experiment-config/1", "seed": 0, "probes": probes})
+    assert status == 0
+    summary = read_json(out / "reports" / "summary-run-0.json")
+    assert summary["schema"] == "run-summary/1" and summary["status"] == 0
+    reports = [read_json(p) for p in sorted((out / "reports").glob("*.json"))
+               if p.name != "summary-run-0.json"]
+    assert len(reports) == len(summary["probes"]) == len(probes)
+    for report in reports:
+        assert report["schema"] == "probe-report/1"
+        assert report["probe"] == probes[0]["probe"]
+        assert report["passed"] is True and report["detail"]
+
+
+def test_config_window_0_rejected_with_dotted_path():
+    doc = {"schema": "experiment-config/1",
+           "probes": [{"probe": "classification", "window": 0}]}
+    with pytest.raises(ConfigError, match=r"probes\[0\]\.window: must be >= 1"):
+        parse_config(json.dumps(doc))
+
+
 # -- CLI ------------------------------------------------------------------------
 
 def test_cli_fourier_json(tmp_path, capsys):

@@ -459,3 +459,35 @@ def test_fixed_point_rotation_gives_typed_no_evidence():
     assert row.outcomes["chaotic"].verdict == "yes"  # a fixed point is periodic
     assert row.flags == ()
     stable_dumps(row.to_dict())
+
+
+def test_window_0_is_a_typed_error_naming_the_window():
+    with pytest.raises(ValueError, match="window must be >= 1, got 0"):
+        classify_system(torus_system((0.3,)), window=0)
+
+
+def _verdicts_and_integer_evidence(row):
+    return {column: (outcome.verdict,
+                     {k: v for k, v in outcome.evidence.items() if isinstance(v, int)})
+            for column, outcome in row.outcomes.items()} | {"flags": row.flags}
+
+
+def test_kalish_row_is_invariant_under_a_round_off_nudge_of_the_start(monkeypatch):
+    """The kalish start returns to round-off at every multiple of its
+    period 16, and its orbit ties distances at round-off: a start moved by
+    one part in 1e13 must leave every verdict and integer unchanged."""
+    import hyperlab.dynamics_lab as lab
+
+    spec = default_battery(1000)[2]
+    seeds = range(24)
+    plain = [_verdicts_and_integer_evidence(classify_system(spec, seed=s))
+             for s in seeds]
+    start = lab.default_start
+    monkeypatch.setattr(lab, "default_start",
+                        lambda spec, seed: start(spec, seed) * (1 + 1e-13))
+    nudged = [_verdicts_and_integer_evidence(classify_system(spec, seed=s))
+              for s in seeds]
+    moved = [(s, column) for s in seeds for column in plain[s]
+             if plain[s][column] != nudged[s][column]]
+    assert moved == []
+    assert {row["chaotic"][1]["best_period"] for row in plain} == {16}

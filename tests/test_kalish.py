@@ -27,7 +27,7 @@ from hyperlab import (
     kalish_solve,
     nearest_grid_index,
 )
-from hyperlab.kalish import apply_T_array, kalish_solve_array
+from hyperlab.kalish import apply_T_array, exact_eigenvectors, kalish_solve_array
 from hyperlab.seeding import complex_standard_normal, rng_for
 
 TWO_PI = 2.0 * np.pi
@@ -281,6 +281,36 @@ def test_exact_eigenvector_range_check():
         exact_eigenvector(64, 64)
     with pytest.raises(ValueError):
         exact_eigenvector(-1, 64)
+
+
+def _forward_substitution(k0, M):
+    """The eigen recurrence row by row: the oracle of the closed form."""
+    w = TWO_PI / M
+    d = np.exp(1j * grid_angles(M))
+    v = np.zeros(M, dtype=complex)
+    v[k0] = 1.0
+    S = d[k0]
+    for j in range(k0 + 1, M):
+        v[j] = 1j * w * S / (d[j] - d[k0])
+        S += d[j] * v[j]
+    return v
+
+
+@pytest.mark.parametrize("M,m", [(1024, 8), (4096, 32)])
+def test_exact_eigenvectors_batch_matches_forward_substitution(M, m):
+    ks = np.unique(np.concatenate([[0, 1, M - 1],
+                                   np.linspace(2, M - 2, m - 3).astype(int)]))
+    V = exact_eigenvectors(ks, M)
+    assert V.shape == (M, ks.size)
+    for c, k in enumerate(ks):
+        oracle = _forward_substitution(k, M)
+        assert np.max(np.abs(V[:, c] - oracle)) <= 1e-13 * np.max(np.abs(oracle)), k
+    np.testing.assert_array_equal(V[:, 1], exact_eigenvector(1, M).values)
+
+
+def test_exact_eigenvectors_range_check_names_the_grid():
+    with pytest.raises(ValueError, match=r"\[0, 64\)"):
+        exact_eigenvectors([3, 64], 64)
 
 
 def test_nearest_grid_index_wraps():
