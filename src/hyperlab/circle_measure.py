@@ -26,6 +26,7 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import e as E_CONST
 from typing import Optional
@@ -340,37 +341,32 @@ def _require_probability(rho: CircleMeasure) -> None:
         raise NotProbabilityError(f"total mass {mass!r} is not 1 within 1e-9")
 
 
+def _exp_terms(rho: CircleMeasure, tail_tol: float):
+    """rho^{*n} / n! for n = 1, 2, ..., truncated once the remaining
+    factorial tail drops below tail_tol."""
+    _require_probability(rho)
+    power = None
+    fact = 1.0
+    for n in range(1, truncation_order(tail_tol) + 1):
+        power = rho if power is None else convolve(power, rho)
+        fact *= n
+        yield scale(power, 1.0 / fact)
+
+
 def exp_measure(rho: CircleMeasure, tail_tol: float = 1e-12) -> CircleMeasure:
     """Exponential of a probability measure in the convolution algebra:
     the unit atom at 0 plus sum over n >= 1 of rho^{*n} / n!, truncated
     once the remaining factorial tail drops below tail_tol."""
-    _require_probability(rho)
-    order = truncation_order(tail_tol)
-    out = CircleMeasure.dirac(0.0, 1.0, bins=rho.bins)
-    power = None
-    fact = 1.0
-    for n in range(1, order + 1):
-        power = rho if power is None else convolve(power, rho)
-        fact *= n
-        out = mix(out, scale(power, 1.0 / fact))
-    return out
+    return functools.reduce(mix, _exp_terms(rho, tail_tol),
+                            CircleMeasure.dirac(0.0, 1.0, bins=rho.bins))
 
 
 def normalized_chaos(rho: CircleMeasure, tail_tol: float = 1e-12) -> CircleMeasure:
     """The exponential with its unit atom at 0 removed, renormalized by
     1/(e - 1) to a probability measure.  Only the seed term's atom is
     removed; mass that positive powers of rho place at angle 0 stays."""
-    _require_probability(rho)
-    order = truncation_order(tail_tol)
-    parts = None
-    power = None
-    fact = 1.0
-    for n in range(1, order + 1):
-        power = rho if power is None else convolve(power, rho)
-        fact *= n
-        term = scale(power, 1.0 / fact)
-        parts = term if parts is None else mix(parts, term)
-    return scale(parts, 1.0 / (E_CONST - 1.0))
+    return scale(functools.reduce(mix, _exp_terms(rho, tail_tol)),
+                 1.0 / (E_CONST - 1.0))
 
 
 def reflect(sigma: CircleMeasure) -> CircleMeasure:

@@ -198,18 +198,22 @@ def state_norm(spec: SystemSpec, state: np.ndarray) -> float:
     return float(norms(spec, state))
 
 
-def step(spec: SystemSpec, state: np.ndarray) -> np.ndarray:
+def step(spec: SystemSpec, state: np.ndarray, back: bool = False) -> np.ndarray:
+    """One step of T, or with back=True one step of its right inverse R,
+    T(R y) = y: the closed-form solve for kalish, the inverse rotation for
+    the torus, and the forward shift for shifts, which pushes the last
+    coordinate past the truncation (callers monitor that loss)."""
     if spec.kind == "kalish":
-        return apply_T_array(state)
-    if spec.kind == "scalar_multiple_shift":
-        out = np.zeros_like(state)
-        out[:-1] = spec.scalar * state[1:]
-        return out
-    if spec.kind == "weighted_shift":
-        out = np.zeros_like(state)
-        out[:-1] = np.asarray(spec.weights) * state[1:]
-        return out
-    return state * np.exp(1j * np.asarray(spec.angles))
+        return kalish_solve_array(state) if back else apply_T_array(state)
+    if spec.kind == "torus_rotation":
+        return state * np.exp((-1j if back else 1j) * np.asarray(spec.angles))
+    w = spec.scalar if spec.kind == "scalar_multiple_shift" else np.asarray(spec.weights)
+    out = np.zeros_like(state)
+    if back:
+        out[1:] = state[:-1] / w
+    else:
+        out[:-1] = w * state[1:]
+    return out
 
 
 def _shift_log_products(spec: SystemSpec) -> np.ndarray:
@@ -454,21 +458,6 @@ def return_set_identity_check(traj: Trajectory, ball: BallSpec,
     )
 
 
-def _pullback_step(spec: SystemSpec, state: np.ndarray) -> np.ndarray:
-    """One right-inverse step: T(pullback(y)) = y exactly (up to
-    truncation loss for shifts, which the caller monitors)."""
-    if spec.kind == "kalish":
-        return kalish_solve_array(state)
-    if spec.kind == "torus_rotation":
-        return state * np.exp(-1j * np.asarray(spec.angles))
-    out = np.zeros_like(state)
-    if spec.kind == "scalar_multiple_shift":
-        out[1:] = state[:-1] / spec.scalar
-    else:
-        out[1:] = state[:-1] / np.asarray(spec.weights)
-    return out
-
-
 @dataclass(frozen=True)
 class ThreeOpenSetsReport:
     compatible: bool
@@ -484,48 +473,45 @@ class ThreeOpenSetsReport:
         return record_dict(self, check="three-open-sets")
 
 
-def three_open_sets_probe(spec: SystemSpec, U: BallSpec, V: BallSpec,
-                          W0: BallSpec, n_steps: int,
-                          seed: int = 0) -> ThreeOpenSetsReport:
-    """Weak-mixing compatibility at window scale: collect transfer times
-    U -> W0 from a simulated orbit started inside U (thickness evidence)
-    and transfer times W0 -> V from exact pullbacks of V's center
-    (syndeticity evidence); compatible iff the two sets intersect.
+def three_open_sets_probe(traj: Trajectory, V: BallSpec,
+                          W0: BallSpec) -> ThreeOpenSetsReport:
+    """Weak-mixing compatibility at window scale, read off the given
+    trajectory (no orbit is simulated): its visits to W0 are transfer
+    times U -> W0 for U around its start (thickness evidence), and the
+    exact pullbacks of V's center that land in W0 give transfer times
+    W0 -> V (syndeticity evidence); compatible iff the two sets meet.
     An empty forward visit set is reported as no evidence, not invented."""
-    traj = orbit(spec, np.asarray(U.center, dtype=complex), n_steps)
+    spec = traj.spec
+    n_steps = traj.length - 1
     forward = hitting_times(traj, W0)
     # shift pullbacks push support deeper; past the dimension they lose
     # mass and stop being exact witnesses, so the scan stops there
     if spec.kind in ("scalar_multiple_shift", "weighted_shift"):
-        support = np.nonzero(np.abs(np.asarray(V.center)) > 0)[0]
-        deepest = int(support[-1]) if support.size else 0
-        exact_limit = max(spec.dimension - 1 - deepest, 0)
-    else:
-        exact_limit = n_steps
-    back_hits = []
-    y = np.asarray(V.center, dtype=complex)
-    for n in range(1, min(n_steps, exact_limit) + 1):
-        y = _pullback_step(spec, y)
-        if state_norm(spec, y - np.asarray(W0.center, dtype=complex)) < W0.radius:
-            back_hits.append(n)
-    backward = WindowedSet.from_iterable(n_steps + 1, back_hits)
-    common = sorted(set(forward.elements.tolist()) & set(back_hits))
+        deepest = int(np.max(np.flatnonzero(V.center), initial=0))
+        n_steps = min(n_steps, max(spec.dimension - 1 - deepest, 0))
+    pullbacks = np.empty((n_steps + 1, spec.state_dim), dtype=complex)
+    pullbacks[0] = V.center
+    for n in range(1, n_steps + 1):
+        pullbacks[n] = step(spec, pullbacks[n - 1], back=True)
+    back_hits = hitting_times(Trajectory(spec, pullbacks), W0).elements
+    backward = WindowedSet(window=traj.length, elements=back_hits[back_hits > 0])
+    common = np.intersect1d(forward.elements, backward.elements)
     if forward.size == 0:
         note = "orbit from U never entered W0; no transitive evidence at this window"
     elif backward.size == 0:
         note = "no exact pullback of V's center landed in W0"
-    elif not common:
+    elif not common.size:
         note = "transfer sets observed but disjoint at this window"
     else:
         note = "common transfer time witnessed"
     return ThreeOpenSetsReport(
-        compatible=bool(common),
+        compatible=bool(common.size),
         forward_visits=forward.size,
         thick_run=longest_interval(forward),
         backward_visits=backward.size,
         backward_gap=max_gap(backward),
-        witness=int(common[0]) if common else -1,
-        window=n_steps + 1,
+        witness=int(common[0]) if common.size else -1,
+        window=traj.length,
         note=note,
     )
 
@@ -676,17 +662,24 @@ def e_system_probe(spec: SystemSpec, traj: Trajectory, seed: int,
     )
 
 
-def syndetic_gap_probe(spec: SystemSpec, traj: Trajectory, seed: int,
-                       gap_bound: int = 64) -> ProbeOutcome:
-    """Exact window combinatorics: visit gaps of a coarse reference ball
-    along the orbit.  The verdict is about this window only, but the gap
-    numbers themselves are exact."""
-    ref_time = traj.length // 10
+def _reference_visits(traj: Trajectory):
+    """(ball, visits) of the reference ball the syndetic and ufh columns
+    share, at the state a tenth into the window; None if it gets no radius."""
     balls = _ball_family(traj, count=1)
     if not balls:
+        return None
+    ball = BallSpec(center=traj.states[traj.length // 10], radius=balls[0].radius)
+    return ball, hitting_times(traj, ball)
+
+
+def syndetic_gap_probe(traj: Trajectory, reference, seed: int,
+                       gap_bound: int = 64) -> ProbeOutcome:
+    """Exact window combinatorics: visit gaps of the reference ball
+    (_reference_visits) along the orbit.  The verdict is about this window
+    only, but the gap numbers themselves are exact."""
+    if reference is None:
         return _static_orbit("syndetic", "exact", traj, seed)
-    ball = BallSpec(center=traj.states[ref_time], radius=balls[0].radius)
-    hits = hitting_times(traj, ball)
+    ball, hits = reference
     gap = max_gap(hits)
     return ProbeOutcome(
         probe="syndetic",
@@ -700,13 +693,13 @@ def syndetic_gap_probe(spec: SystemSpec, traj: Trajectory, seed: int,
     )
 
 
-def weak_mixing_probe(spec: SystemSpec, traj: Trajectory,
-                      seed: int) -> ProbeOutcome:
-    """Three-open-sets compatibility with the harness ball policy:
-    U around the start, V around a mid-orbit state, W0 around 0 sized
-    generously for linear systems (their bounded recurrent orbits live
-    inside it) and below the torus for rotations (whose orbit closure
-    must avoid a true neighborhood of 0)."""
+def weak_mixing_probe(traj: Trajectory, seed: int) -> ProbeOutcome:
+    """Three-open-sets compatibility on the row's own trajectory: U is the
+    start's neighborhood, V a ball around a mid-orbit state, W0 a ball
+    around 0, generous for linear systems (their bounded recurrent orbits
+    live inside it) and below the torus for rotations (whose orbit
+    closure must avoid a true neighborhood of 0)."""
+    spec = traj.spec
     norms = traj.norms()
     scale = float(np.median(norms))
     if scale == 0.0:
@@ -716,11 +709,10 @@ def weak_mixing_probe(spec: SystemSpec, traj: Trajectory,
         w0_radius = 2.5 * float(np.max(norms))
     else:
         w0_radius = 0.5 * float(np.min(norms))
-    U = BallSpec(center=traj.states[0], radius=0.3 * scale)
     V = BallSpec(center=traj.states[traj.length // 2], radius=0.3 * scale)
     W0 = BallSpec(center=np.zeros(spec.state_dim, dtype=complex),
                   radius=w0_radius)
-    report = three_open_sets_probe(spec, U, V, W0, traj.length - 1, seed=seed)
+    report = three_open_sets_probe(traj, V, W0)
     return ProbeOutcome(
         probe="weak_mixing",
         verdict="yes" if report.compatible else "no",
@@ -731,14 +723,12 @@ def weak_mixing_probe(spec: SystemSpec, traj: Trajectory,
     )
 
 
-def ufh_probe(spec: SystemSpec, traj: Trajectory, seed: int) -> ProbeOutcome:
+def ufh_probe(traj: Trajectory, reference, seed: int) -> ProbeOutcome:
     """Visit-density evidence: positive upper density of visits to the
-    reference ball (upper-frequent), with the lower density reported."""
-    balls = _ball_family(traj, count=1)
-    if not balls:
+    reference ball (_reference_visits), with the lower density reported."""
+    if reference is None:
         return _static_orbit("ufh", "heuristic", traj, seed)
-    ball = BallSpec(center=traj.states[traj.length // 10], radius=balls[0].radius)
-    hits = hitting_times(traj, ball)
+    _, hits = reference
     ud = upper_density(hits)
     ld = lower_density(hits)
     return ProbeOutcome(
@@ -831,20 +821,20 @@ def implication_flags(outcomes: dict, linear: bool) -> list:
 def classify_system(spec: SystemSpec, window: int = 1000, seed: int = 0,
                     mc_samples: int = 10_000,
                     gap_bound: int = 64) -> ClassificationRow:
-    """Run all six probes over one shared trajectory and flag
-    implication violations within the grade rules."""
+    """Run all six probes over one shared trajectory, simulated once, and
+    flag implication violations within the grade rules."""
     if window < 1:
         raise ValueError(f"classification window must be >= 1, got {window}")
-    start = default_start(spec, seed)
-    traj = orbit(spec, start, window)
+    traj = orbit(spec, default_start(spec, seed), window)
+    reference = _reference_visits(traj)
     outcomes = {
         "chaotic": periodic_return_probe(traj, seed=seed),
         "m_system": m_system_probe(spec, seed=seed),
         "e_system": e_system_probe(spec, traj, seed=seed, mc_samples=mc_samples),
-        "syndetic": syndetic_gap_probe(spec, traj, seed=seed,
+        "syndetic": syndetic_gap_probe(traj, reference, seed=seed,
                                        gap_bound=gap_bound),
-        "weak_mixing": weak_mixing_probe(spec, traj, seed=seed),
-        "ufh": ufh_probe(spec, traj, seed=seed),
+        "weak_mixing": weak_mixing_probe(traj, seed=seed),
+        "ufh": ufh_probe(traj, reference, seed=seed),
     }
     flags = implication_flags(outcomes, spec.is_linear)
     return ClassificationRow(system=spec.label, spec=spec,

@@ -188,7 +188,7 @@ def corrected_field(sigma: CircleMeasure, m: int, M: int) -> EigenField:
     overlap = (TWO_PI / M) * np.sum(vectors, axis=0, where=ref)
     size = np.abs(overlap)
     phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)
-    vectors *= (grid_norms(ref.astype(float)) / grid_norms(vectors)) / phase
+    vectors *= (grid_norms(ref) / grid_norms(vectors)) / phase
     return EigenField(angles, weights, vectors, sigma, kind="corrected")
 
 

@@ -37,6 +37,7 @@ S_j = d_k prod_{k<l<=j} (1 + i w d_l / (d_l - d_k)): one cumprod.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,16 +132,22 @@ def inner_product(f: CircleFunction, g: CircleFunction) -> complex:
 
 def grid_norms(X: np.ndarray, axis: int = 0) -> np.ndarray:
     """Arc-length norms sqrt((2pi/M) sum |x_j|^2) along the grid axis of X."""
-    return np.sqrt((TWO_PI / X.shape[axis]) * np.sum(np.abs(X) ** 2, axis=axis))
+    return np.sqrt((TWO_PI / X.shape[axis]) * np.sum(np.abs(X) ** 2.0, axis=axis))
 
 
 def func_norm(f: CircleFunction) -> float:
     return float(grid_norms(f.values))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
 def _phases(M: int, ndim: int = 1) -> np.ndarray:
-    """e^{i t_j}, shaped to broadcast along axis 0 of an ndim array."""
-    return np.exp(1j * grid_angles(M)).reshape((M,) + (1,) * (ndim - 1))
+    """e^{i t_j} shaped for axis 0 of an ndim array; cached, read-only."""
+    return _read_only(np.exp(1j * grid_angles(M)).reshape((M,) + (1,) * (ndim - 1)))
 
 
 def apply_M(f: CircleFunction) -> CircleFunction:
@@ -223,17 +230,23 @@ def kalish_solve_array(B: np.ndarray) -> np.ndarray:
     """Solve T X = B along axis 0 of an (M,) or (M, k) array, in closed
     form (see the module docstring)."""
     B = np.asarray(B, dtype=complex)
-    M = B.shape[0]
-    w = TWO_PI / M
-    log_q = 0.5 * np.log1p(w * w) + 1j * np.arctan(w)  # q^k = e^{k log q}
-    k = np.arange(M).reshape((M,) + (1,) * (B.ndim - 1))
-    S = B * np.exp(-k * log_q)
+    q_down, q_up = _solve_powers(B.shape[0], B.ndim)
+    S = B * q_down
     np.cumsum(S, axis=0, out=S)
-    S *= (1j * w) * np.exp(k * log_q)
+    S *= q_up
     out = B.copy()
     out[1:] += S[:-1]
-    out /= _phases(M, B.ndim)
+    out /= _phases(B.shape[0], B.ndim)
     return out
+
+
+@functools.cache
+def _solve_powers(M: int, ndim: int = 1):
+    """(q^-k, i w q^k) of the closed-form solve, cached like _phases."""
+    w = TWO_PI / M
+    log_q = 0.5 * np.log1p(w * w) + 1j * np.arctan(w)  # q^k = e^{k log q}
+    k = np.arange(M).reshape((M,) + (1,) * (ndim - 1))
+    return _read_only(np.exp(-k * log_q)), _read_only((1j * w) * np.exp(k * log_q))
 
 
 def kalish_solve(b: CircleFunction) -> CircleFunction:

@@ -34,6 +34,7 @@ from hyperlab import (
     torus_system,
     weighted_shift_system,
 )
+from hyperlab import dynamics_lab
 from hyperlab.dynamics_lab import norms, state_norm
 from hyperlab.kalish import CircleFunction, func_norm, grid_norms
 from hyperlab.jsonio import stable_dumps
@@ -107,6 +108,38 @@ def test_step_torus_rotates_phases():
     spec = torus_system([np.pi / 2])
     out = step(spec, np.array([1.0 + 0.0j]))
     np.testing.assert_allclose(out, [1j], atol=1e-15)
+
+
+def _random_state(spec, label):
+    rng = rng_for(0, label)
+    return rng.standard_normal(spec.state_dim) + 1j * rng.standard_normal(
+        spec.state_dim)
+
+
+def test_back_step_is_a_right_inverse_for_kalish_and_torus():
+    kalish = kalish_system(256)
+    y = _random_state(kalish, "back-step-kalish")
+    z = step(kalish, step(kalish, y, back=True))
+    assert state_norm(kalish, z - y) <= 1e-12 * state_norm(kalish, y)
+    torus = torus_system([1.0, 2.5, 0.3])
+    y = np.exp(1j * np.array([0.4, 1.7, 5.9]))
+    # y e^{-ia} e^{ia} rounds twice, so equality holds to the last bit only
+    np.testing.assert_allclose(step(torus, step(torus, y, back=True)), y,
+                               rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("spec", [
+    scalar_shift_system(2.0, 12),
+    scalar_shift_system(3.0 + 1.0j, 12),
+    weighted_shift_system([0.5, 2.0, 1.5, 0.8, 1.2, 2.0, 0.6]),
+], ids=lambda s: s.label)
+def test_back_step_is_a_right_inverse_for_shifts_but_the_last_coordinate(spec):
+    y = _random_state(spec, "back-step-shift")
+    z = step(spec, step(spec, y, back=True))
+    np.testing.assert_allclose(z[:-1], y[:-1], rtol=1e-15, atol=0)
+    assert z[-1] == 0  # the truncation drops what the back step pushed out
+    if spec.scalar == 2.0:  # dividing and multiplying by 2 is exact
+        assert np.array_equal(z[:-1], y[:-1])
 
 
 def test_n_step_map_matches_iteration():
@@ -403,6 +436,24 @@ def test_classify_system_single_row():
     assert set(row.outcomes) == {
         "chaotic", "m_system", "e_system", "syndetic", "weak_mixing", "ufh"
     }
+
+
+def test_classify_system_simulates_one_orbit_per_row(monkeypatch):
+    calls = {"orbit": 0, "_ball_family": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(dynamics_lab, name), _name=name,
+                     **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(dynamics_lab, name, counting)
+    specs = [torus_system([0.9, 2.1]), scalar_shift_system(2.0, 188),
+             kalish_system(64)]
+    classification_run(specs, window=60, mc_samples=500)
+    # weak mixing reads the row's trajectory instead of simulating its own
+    assert calls["orbit"] == len(specs)
+    # e_system's family and the one reference ball of syndetic and ufh;
+    # the kalish e_system column reads the Gaussian model instead
+    assert calls["_ball_family"] == 2 + 2 + 1
 
 
 # -- one state norm per kind --------------------------------------------

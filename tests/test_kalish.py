@@ -27,7 +27,9 @@ from hyperlab import (
     kalish_solve,
     nearest_grid_index,
 )
-from hyperlab.kalish import apply_T_array, exact_eigenvectors, kalish_solve_array
+from hyperlab.kalish import (
+    _phases, _solve_powers, apply_T_array, exact_eigenvectors, grid_norms,
+    kalish_solve_array)
 from hyperlab.seeding import complex_standard_normal, rng_for
 
 TWO_PI = 2.0 * np.pi
@@ -368,3 +370,21 @@ def test_closed_form_solve_residual_at_large_grid():
     b = _random_function(13, M).values
     x = kalish_solve_array(b)
     assert np.max(np.abs(apply_T_array(x) - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def test_grid_constants_are_cached_and_read_only():
+    constants = [_phases(64), _phases(64, 2), *_solve_powers(64),
+                 *_solve_powers(64, 2)]
+    assert all(not a.flags.writeable for a in constants)
+    assert _phases(64, 2) is _phases(64, 2)
+    with pytest.raises(ValueError):
+        _phases(64)[0] = 0.0
+
+
+def test_grid_norms_of_a_large_boolean_matrix():
+    X = np.zeros((16384, 128), dtype=bool)
+    X[::2, 1] = True
+    expected = grid_norms(X.astype(float))
+    got = grid_norms(X)
+    assert np.array_equal(got, expected)
+    assert got[0] == 0.0 and got[1] == np.sqrt(np.pi)

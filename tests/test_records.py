@@ -64,9 +64,9 @@ def _return_set():
 
 
 def _three_open_sets():
-    spec, traj = _torus_orbit()
-    U = BallSpec(center=traj.states[0], radius=0.5)
-    return three_open_sets_probe(spec, U, _ball(traj), U, 150)
+    _, traj = _torus_orbit()
+    W0 = BallSpec(center=traj.states[0], radius=0.5)
+    return three_open_sets_probe(traj, _ball(traj), W0)
 
 
 def _classification():
