@@ -18,8 +18,6 @@ integer orbit log.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -33,14 +31,13 @@ from . import hitting_sets as hs
 from . import kalish as ka
 from .config import parse_config
 from .corpora import probability_measure, random_functional
-from .jsonio import read_json, stable_dumps
+from .jsonio import csv_text, read_json, stable_dumps
 from .runner import (
-    coeff_rows,
     fourier_rows,
+    invariance_report,
     measure_classification,
     residual_rows,
     run as run_experiment,
-    scaled_transport,
 )
 from .seeding import derive_seed
 
@@ -111,37 +108,29 @@ def _flatten(prefix: str, value, rows: list):
         rows.append((prefix, value))
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _doc_csv(doc: dict) -> str:
     rows: list = []
     _flatten("", doc, rows)
-    return _csv_text(["field", "value"], rows)
+    return csv_text(["field", "value"], rows)
 
 
 def _measure_csv(m: cm.CircleMeasure) -> str:
     rows = [("atom", float(a), float(mass)) for a, mass in m.atoms()]
     rows += [("density", float(c), float(v))
              for c, v in zip(m.bin_centers, m.density)]
-    return _csv_text(["kind", "angle", "value"], rows)
+    return csv_text(["kind", "angle", "value"], rows)
 
 
 def _function_csv(f: ka.CircleFunction) -> str:
     theta = ka.grid_angles(f.grid_size)
     rows = [(j, float(theta[j]), float(f.values[j].real),
              float(f.values[j].imag)) for j in range(f.grid_size)]
-    return _csv_text(["j", "theta", "re", "im"], rows)
+    return csv_text(["j", "theta", "re", "im"], rows)
 
 
-def _emit(args, doc, csv_text=None) -> None:
+def _emit(args, doc, table=None) -> None:
     if args.format == "csv":
-        text = csv_text if csv_text is not None else _doc_csv(doc)
+        text = table if table is not None else _doc_csv(doc)
     else:
         text = stable_dumps(doc) + "\n"
     if args.out:
@@ -181,7 +170,7 @@ def _cmd_measure_fourier(args) -> int:
                         args.band)
     doc = {"schema": "fourier-table/1", "band": args.band,
            "coefficients": [[n, re, im] for n, re, im, _ in rows]}
-    _emit(args, doc, _csv_text(["n", "re", "im", "abs"], rows))
+    _emit(args, doc, csv_text(["n", "re", "im", "abs"], rows))
     return 0
 
 
@@ -191,7 +180,7 @@ def _cmd_measure_classify(args) -> int:
                                            args.delta, args.family_size,
                                            args.seed)
     doc = {"schema": "measure-classify/1", **reports}
-    _emit(args, doc, _csv_text(["probe", "passed", "statistic"], rows))
+    _emit(args, doc, csv_text(["probe", "passed", "statistic"], rows))
     return 0
 
 
@@ -211,7 +200,7 @@ def _cmd_kalish_residual(args) -> int:
     rows = residual_rows(angles, grids)
     doc = {"schema": "residual-table/1",
            "rows": [[la, m, r] for la, m, r, _ in rows]}
-    _emit(args, doc, _csv_text(["lambda", "grid", "residual", "ratio"], rows))
+    _emit(args, doc, csv_text(["lambda", "grid", "residual", "ratio"], rows))
     return 0
 
 
@@ -262,7 +251,7 @@ def _cmd_gauss_sample(args) -> int:
             for j in range(f.grid_size):
                 rows.append((s, j, float(f.values[j].real),
                              float(f.values[j].imag)))
-        _emit(args, {}, _csv_text(["sample", "j", "re", "im"], rows))
+        _emit(args, {}, csv_text(["sample", "j", "re", "im"], rows))
     else:
         doc = {"schema": "gauss-samples/1", "count": args.count,
                "samples": [f.to_dict() for f in draws]}
@@ -271,15 +260,8 @@ def _cmd_gauss_sample(args) -> int:
 
 
 def _cmd_gauss_invariance(args) -> int:
-    model = _gauss_model(args)
-    transport = (None if args.transport_scale == 1.0
-                 else scaled_transport(args.transport_scale))
-    rep = gm.invariance_check(model, transport, count=args.samples,
-                              seed=args.seed,
-                              statistical_tolerance=args.tolerance)
-    doc = dict(rep.to_dict(), transport_scale=args.transport_scale)
-    if args.transport_scale != 1.0:
-        doc["control"] = "non-unimodular-transport"
+    rep, doc = invariance_report(_gauss_model(args), args.transport_scale,
+                                 args.samples, args.seed, args.tolerance)
     _emit(args, doc)
     return 0 if rep.passed else 1
 
@@ -289,13 +271,14 @@ def _cmd_gauss_coeff(args) -> int:
     xstar = random_functional(derive_seed(args.seed, "functional"), args.grid)
     rows = [(n, a.real, a.imag, mc.value.real, mc.value.imag,
              mc.standard_error, sf.real, sf.imag)
-            for n, a, mc, sf in coeff_rows(model, xstar, args.power,
-                                           args.samples, args.seed, "mc:")]
+            for n, a, mc, sf in gm.coefficient_rows(model, xstar, args.power,
+                                                    args.samples, args.seed,
+                                                    "mc:")]
     doc = {"schema": "coefficient-table/1", "samples": args.samples,
            "rows": [list(r) for r in rows]}
-    _emit(args, doc, _csv_text(["n", "analytic_re", "analytic_im", "mc_re",
-                                "mc_im", "mc_se", "spectral_re",
-                                "spectral_im"], rows))
+    _emit(args, doc, csv_text(["n", "analytic_re", "analytic_im", "mc_re",
+                               "mc_im", "mc_se", "spectral_re",
+                               "spectral_im"], rows))
     return 0
 
 
@@ -327,7 +310,7 @@ def _cmd_hits_diff(args) -> int:
     L = _load_set(args.set)
     D = hs.difference_set(L)
     _emit(args, D.to_dict(),
-          _csv_text(["element"], [(int(v),) for v in D.elements]))
+          csv_text(["element"], [(int(v),) for v in D.elements]))
     return 0
 
 
@@ -352,7 +335,7 @@ def _cmd_lab_orbit(args) -> int:
            "norm_max": float(norms.max()),
            "norms": [float(v) for v in norms]}
     rows = [(t, float(norms[t])) for t in range(traj.length)]
-    _emit(args, doc, _csv_text(["step", "norm"], rows))
+    _emit(args, doc, csv_text(["step", "norm"], rows))
     return 0
 
 

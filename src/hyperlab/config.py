@@ -230,8 +230,9 @@ def _validate_probe(index: int, raw, context: dict) -> dict:
         if not all(isinstance(a, (int, float)) and np.isfinite(a) and a > 0
                    for a in probe["angles"]):
             _fail(f"{path}.angles", "angles must be positive finite numbers")
-    if "window" in probe and probe["window"] < 1:
-        _fail(f"{path}.window", "must be >= 1")
+    for key in ("window", "samples", "functionals", "count"):
+        if key in probe and probe[key] < 1:
+            _fail(f"{path}.{key}", "must be >= 1")
     if kind == "symmetry" and probe["sampler"] not in ("symmetric", "real"):
         _fail(f"{path}.sampler", f"expected 'symmetric' or 'real', "
                                  f"got {probe['sampler']!r}")

@@ -45,7 +45,7 @@ from .hitting_sets import (
     max_gap,
     upper_density,
 )
-from .jsonio import record_dict
+from .jsonio import csv_text, record_dict
 # apply_T is unused but kept bound: perfbench patches every binding
 from .kalish import (  # noqa: F401
     apply_T, apply_T_array, grid_angles, grid_norms, kalish_solve_array)
@@ -779,14 +779,10 @@ class ClassificationReport:
         return record_dict(self, schema="classification/1", flagged=self.flagged)
 
     def to_csv(self) -> str:
-        header = ["system"] + PROBE_COLUMNS + ["flags"]
-        lines = [",".join(header)]
-        for row in self.rows:
-            cells = [row.system]
-            cells += [row.outcomes[c].verdict for c in PROBE_COLUMNS]
-            cells.append(";".join(row.flags) if row.flags else "none")
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return csv_text(["system"] + PROBE_COLUMNS + ["flags"], [
+            [row.system] + [row.outcomes[c].verdict for c in PROBE_COLUMNS]
+            + [";".join(row.flags) if row.flags else "none"]
+            for row in self.rows])
 
 
 def _implication_closure(linear: bool) -> list:

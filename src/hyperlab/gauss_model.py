@@ -11,6 +11,7 @@ All covariance comparisons run through Gram matrices: for W with m-ish
 columns and Hermitian S, ||W S W*||_F^2 = tr(S P S P) with P = W* W, so
 nothing M x M is ever materialized; sigma_min(A) comes from the Gram too.
 Sampling draws only the m x S coefficients, and each check forms T A once.
+The coefficient table for n = 0..N walks T^n A once, one power at a time.
 
 Two field constructions are provided.  indicator_field uses the arc
 indicators chi(lambda_j) verbatim (first-order eigen residual, decaying
@@ -27,7 +28,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .circle_measure import CircleMeasure, _require_probability, total_mass
+from .circle_measure import (CircleMeasure, _require_probability, fourier_band,
+                             total_mass)
 from .jsonio import check_schema, record_dict
 from .kalish import (
     CircleFunction,
@@ -41,7 +43,7 @@ from .kalish import (
     kalish_solve_array,
     nearest_grid_index,
 )
-from .seeding import complex_standard_normal, rng_for
+from .seeding import complex_standard_normal, derive_seed, rng_for
 
 TWO_PI = 2.0 * np.pi
 
@@ -301,10 +303,14 @@ def intertwine_residual(model: GaussModel, transport: Transport = None) -> float
     return _intertwine(model, _transport_matvec(transport, model.factor))
 
 
+def _require_count(count: int) -> None:
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+
+
 def sample(model: GaussModel, count: int, seed: int) -> list:
     """count independent draws x = A g as CircleFunctions."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _require_count(count)
     rng = rng_for(seed, "gauss-samples")
     G = complex_standard_normal(rng, (model.node_count, count))
     X = model.factor @ G
@@ -335,6 +341,7 @@ def symmetry_check(model: GaussModel, xstar: CircleFunction, count: int,
     both sit within 3 standard errors of zero.  sampler="real" swaps in
     a deliberately broken real-Gaussian coordinate draw (negative
     control; the pseudo-moment then picks up a nonzero mean)."""
+    _require_count(count)
     c = model.functional_coefficients(xstar)
     analytic_var = float(np.sum(np.abs(c) ** 2))
     if analytic_var <= 1e-24:
@@ -389,6 +396,7 @@ def invariance_check(model: GaussModel, transport: Transport = None,
     exactly in Gram form; the pass budget is the statistical tolerance
     plus the model's intertwining residual (the part of the distance the
     discretization owes, not the sampler); T A is formed once for both."""
+    _require_count(count)
     A = model.factor
     B = _transport_matvec(transport, A)
     intertwine = _intertwine(model, B)
@@ -426,8 +434,9 @@ def matrix_coefficient_analytic(model: GaussModel, xstar: CircleFunction,
 
 
 def _orbit_coefficients(model: GaussModel, xstar: CircleFunction, n: int,
-                        transport: Transport) -> np.ndarray:
-    """Coordinates of x* against the transported factor T^n A."""
+                        transport: Transport) -> list:
+    """Coordinates of x* against T^k A for k = 0..|n| (T^-k for n < 0),
+    one array per k, from one walk that keeps only the current power."""
     if n >= 0:
         one_step = partial(_transport_matvec, transport)
     elif transport is None:
@@ -438,13 +447,15 @@ def _orbit_coefficients(model: GaussModel, xstar: CircleFunction, n: int,
         one_step = partial(np.linalg.solve, np.asarray(transport))
     B = model.factor
     start_norm = np.linalg.norm(B)
-    for _ in range(abs(int(n))):
+    rows = [_grid_coefficients(B, xstar)]
+    for k in range(1, abs(int(n)) + 1):
         B = one_step(B)
         if np.linalg.norm(B) > 1e3 * start_norm:
             raise NormDriftError(
-                f"orbit norm exceeded 1e3 x start while reaching power {n}"
+                f"orbit norm exceeded 1e3 x start at step {k} towards power {n}"
             )
-    return _grid_coefficients(B, xstar)
+        rows.append(_grid_coefficients(B, xstar))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -459,23 +470,41 @@ class CoefficientEstimate:
         return record_dict(self, check="matrix-coefficient")
 
 
+def _coefficient_estimate(c0: np.ndarray, cn: np.ndarray, n: int,
+                          count: int, seed: int) -> CoefficientEstimate:
+    """(1/S) sum_s (cn . g_s) conj(c0 . g_s) over S = count draws g_s."""
+    _require_count(count)
+    rng = rng_for(seed, "matrix-coefficient-mc")
+    G = complex_standard_normal(rng, (c0.size, count))
+    prods = (cn @ G) * np.conj(c0 @ G)
+    value = complex(np.mean(prods))
+    se = float(np.sqrt(np.mean(np.abs(prods - value) ** 2) / count))
+    return CoefficientEstimate(value=value, standard_error=se, power=int(n),
+                               samples=count, seed=seed)
+
+
 def matrix_coefficient_mc(model: GaussModel, xstar: CircleFunction, n: int,
                           count: int, seed: int,
                           transport: Transport = None) -> CoefficientEstimate:
     """Monte-Carlo Koopman coefficient (1/S) sum_s <x*, T^n x_s>
     conj(<x*, x_s>), evaluated in coefficient space against the
     transported factor so no grid-sized sample batch is ever formed."""
-    c0 = model.functional_coefficients(xstar)
-    cn = _orbit_coefficients(model, xstar, n, transport)
-    rng = rng_for(seed, "matrix-coefficient-mc")
-    G = complex_standard_normal(rng, (model.node_count, count))
-    zeta0 = c0 @ G
-    zetan = cn @ G
-    prods = zetan * np.conj(zeta0)
-    value = complex(np.mean(prods))
-    se = float(np.sqrt(np.mean(np.abs(prods - value) ** 2) / count))
-    return CoefficientEstimate(value=value, standard_error=se, power=int(n),
-                               samples=count, seed=seed)
+    coeffs = _orbit_coefficients(model, xstar, n, transport)
+    return _coefficient_estimate(coeffs[0], coeffs[-1], n, count, seed)
+
+
+def coefficient_rows(model: GaussModel, xstar: CircleFunction, max_power: int,
+                     samples: int, seed: int, label: str) -> list:
+    """(n, analytic, Monte-Carlo estimate, spectral-measure transform) of
+    the matrix coefficient for n = 0..max_power, from one walk of T^n A;
+    the estimate at power n draws from derive_seed(seed, label + str(n))."""
+    smeas = spectral_measure_of_functional(model, xstar)
+    band = fourier_band(smeas, max_power).tolist()[max_power:]
+    coeffs = _orbit_coefficients(model, xstar, max_power, None)
+    return [(n, matrix_coefficient_analytic(model, xstar, n),
+             _coefficient_estimate(coeffs[0], cn, n, samples,
+                                   derive_seed(seed, f"{label}{n}")),
+             sf) for n, (cn, sf) in enumerate(zip(coeffs, band))]
 
 
 def spectral_measure_of_functional(model: GaussModel,

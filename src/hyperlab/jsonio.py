@@ -5,10 +5,13 @@ encoder pins key order and separators and refuses non-finite floats.
 Schema tags look like "circle-measure/1"; readers accept any document
 whose major version matches and reject the rest.  record_dict is the one
 JSON form of a report record: its tags, then every dataclass field by name.
+csv_text is the one CSV form of a table.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -59,6 +62,14 @@ def stable_dumps(doc: Any) -> str:
     """Canonical JSON text: sorted keys, tight separators, repr floats."""
     _check_finite(doc)
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def csv_text(header, rows) -> str:
+    """A header line, then one line per row; cells holding a delimiter,
+    quote or newline are quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
 
 
 def write_json(path: str, doc: Any) -> None:

@@ -29,13 +29,13 @@ from . import gauss_model as gm
 from . import hitting_sets as hs
 from .config import ExperimentConfig
 from .corpora import probability_measure, random_functional, scaffold_set
-from .jsonio import read_json, write_json
+from .jsonio import csv_text, read_json, write_json
 from .kalish import CircleFunction, apply_T, apply_T_array, eigen_residual
 from .seeding import derive_seed
 
-__all__ = ["ProbeResult", "coeff_rows", "fourier_rows", "measure_classification",
-           "realize_measure", "residual_rows", "run", "scaled_transport",
-           "t1_error"]
+__all__ = ["ProbeResult", "fourier_rows", "invariance_report",
+           "measure_classification", "realize_measure", "residual_rows", "run",
+           "scaled_transport", "t1_error"]
 
 REPORT_SCHEMA = "probe-report/1"
 SUMMARY_SCHEMA = "run-summary/1"
@@ -98,23 +98,11 @@ class _RunContext:
         return self._models[key]
 
 
-def _csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _columns(header, rows) -> str:
     lines = ["# " + " ".join(header)]
     for row in rows:
-        lines.append(" ".join(_cell(v) for v in row))
+        lines.append(" ".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -160,8 +148,8 @@ def _run_convolve(ctx: _RunContext, p: dict) -> ProbeResult:
     return ProbeResult(
         probe="convolve", target=f"{p['left']}x{p['right']}",
         passed=worst <= p["tolerance"], grade="exact", detail=detail,
-        table=_csv(["n", "conv_re", "conv_im", "product_re", "product_im",
-                    "abs_error"], rows),
+        table=csv_text(["n", "conv_re", "conv_im", "product_re", "product_im",
+                        "abs_error"], rows),
         plotdata=_columns(["n", "abs_error"], [(r[0], r[5]) for r in rows]))
 
 
@@ -183,8 +171,8 @@ def _run_exp(ctx: _RunContext, p: dict) -> ProbeResult:
     return ProbeResult(
         probe="exp", target=p["measure"],
         passed=worst <= p["tolerance"], grade="exact", detail=detail,
-        table=_csv(["n", "exp_re", "exp_im", "want_re", "want_im",
-                    "abs_error"], rows),
+        table=csv_text(["n", "exp_re", "exp_im", "want_re", "want_im",
+                        "abs_error"], rows),
         plotdata=_columns(["n", "abs_error"], [(r[0], r[5]) for r in rows]))
 
 
@@ -195,7 +183,7 @@ def _run_fourier(ctx: _RunContext, p: dict) -> ProbeResult:
     return ProbeResult(
         probe="fourier", target=p["measure"], passed=True, grade="exact",
         detail=detail,
-        table=_csv(["n", "re", "im", "abs"], rows),
+        table=csv_text(["n", "re", "im", "abs"], rows),
         plotdata=_columns(["n", "abs"], [(r[0], r[3]) for r in rows]))
 
 
@@ -227,7 +215,7 @@ def _run_measure_classify(ctx: _RunContext, p: dict) -> ProbeResult:
     return ProbeResult(
         probe="measure-classify", target=p["measure"], passed=True,
         grade="heuristic", detail=detail,
-        table=_csv(["probe", "passed", "statistic"], rows),
+        table=csv_text(["probe", "passed", "statistic"], rows),
         plotdata=_columns(["n", "abs_coefficient"], spectrum))
 
 
@@ -262,23 +250,32 @@ def _run_residual(ctx: _RunContext, p: dict) -> ProbeResult:
     return ProbeResult(
         probe="residual", target="kalish", passed=ratios_ok and t1_ok,
         grade="exact", detail=detail,
-        table=_csv(["lambda", "grid", "residual", "ratio"], rows),
+        table=csv_text(["lambda", "grid", "residual", "ratio"], rows),
         plotdata=_columns(["lambda", "grid", "residual"],
                           [(la, m, r) for la, m, r, _ in rows]))
 
 
+def invariance_report(model: gm.GaussModel, scale: float, samples: int,
+                      seed: int, tolerance: float) -> tuple:
+    """The invariance check under the true dynamics (scale 1) or the
+    non-unimodular control scaled_transport(scale), and its JSON form
+    with the scale and, for the control, its label."""
+    control = "" if scale == 1.0 else "non-unimodular-transport"
+    rep = gm.invariance_check(model, scaled_transport(scale) if control else None,
+                              count=samples, seed=seed,
+                              statistical_tolerance=tolerance)
+    doc = dict(rep.to_dict(), transport_scale=scale)
+    if control:
+        doc["control"] = control
+    return rep, doc
+
+
 def _run_invariance(ctx: _RunContext, p: dict) -> ProbeResult:
     model = ctx.model(p["measure"], p["nodes"], p["grid"])
-    scale = p["transport_scale"]
-    transport = None if scale == 1.0 else scaled_transport(scale)
-    rep = gm.invariance_check(model, transport, count=p["samples"],
-                              seed=p["seed"],
-                              statistical_tolerance=p["tolerance"])
-    control = "" if scale == 1.0 else "non-unimodular-transport"
-    detail = dict(rep.to_dict(), transport_scale=scale, nodes=p["nodes"],
-                  grid=p["grid"], measure=p["measure"])
-    if control:
-        detail["control"] = control
+    rep, doc = invariance_report(model, p["transport_scale"], p["samples"],
+                                 p["seed"], p["tolerance"])
+    control = doc.get("control", "")
+    detail = dict(doc, nodes=p["nodes"], grid=p["grid"], measure=p["measure"])
     rows = [("cov_distance", rep.cov_distance), ("budget", rep.budget),
             ("intertwine", rep.intertwine), ("samples", rep.samples)]
     nodes = [(float(a), float(w)) for a, w in
@@ -287,7 +284,7 @@ def _run_invariance(ctx: _RunContext, p: dict) -> ProbeResult:
         probe="invariance", target=p["measure"], passed=rep.passed,
         grade="exact" if control else "statistical", detail=detail,
         control=control,
-        table=_csv(["metric", "value"], rows),
+        table=csv_text(["metric", "value"], rows),
         plotdata=_columns(["angle", "weight"], nodes))
 
 
@@ -314,22 +311,10 @@ def _run_symmetry(ctx: _RunContext, p: dict) -> ProbeResult:
         probe="symmetry", target=p["measure"], passed=passed,
         grade="exact" if control else "statistical", detail=detail,
         control=control,
-        table=_csv(["functional", "pseudo_moment_re", "pseudo_moment_im",
-                    "threshold", "re_im_correlation", "passed"], rows),
+        table=csv_text(["functional", "pseudo_moment_re", "pseudo_moment_im",
+                        "threshold", "re_im_correlation", "passed"], rows),
         plotdata=_columns(["functional", "abs_pseudo_moment"],
                           [(r[0], math.hypot(r[1], r[2])) for r in rows]))
-
-
-def coeff_rows(model: gm.GaussModel, xstar: CircleFunction, max_power: int,
-               samples: int, seed: int, label: str) -> list:
-    """(n, analytic, Monte-Carlo estimate, spectral-measure transform) of
-    the matrix coefficient for n = 0..max_power; the estimate at power n
-    draws from derive_seed(seed, label + str(n))."""
-    smeas = gm.spectral_measure_of_functional(model, xstar)
-    return [(n, gm.matrix_coefficient_analytic(model, xstar, n),
-             gm.matrix_coefficient_mc(model, xstar, n, count=samples,
-                                      seed=derive_seed(seed, f"{label}{n}")),
-             sf) for n, sf in enumerate(_band(smeas, max_power)[max_power:])]
 
 
 def _run_coeff(ctx: _RunContext, p: dict) -> ProbeResult:
@@ -338,8 +323,9 @@ def _run_coeff(ctx: _RunContext, p: dict) -> ProbeResult:
     for k in range(p["functionals"]):
         xstar = random_functional(derive_seed(p["seed"], f"functional:{k}"),
                                   p["grid"])
-        for n, a, mc, sf in coeff_rows(model, xstar, p["max_power"],
-                                       p["samples"], p["seed"], f"mc:{k}:"):
+        for n, a, mc, sf in gm.coefficient_rows(model, xstar, p["max_power"],
+                                                p["samples"], p["seed"],
+                                                f"mc:{k}:"):
             ref = max(abs(a), abs(mc.value), abs(sf))
             budget = p["rel_tol"] * ref + 3.0 * mc.standard_error
             ok = (abs(mc.value - a) <= budget
@@ -357,9 +343,9 @@ def _run_coeff(ctx: _RunContext, p: dict) -> ProbeResult:
     return ProbeResult(
         probe="coeff", target=p["measure"], passed=all_ok,
         grade="statistical", detail=detail,
-        table=_csv(["functional", "n", "analytic_re", "analytic_im",
-                    "mc_re", "mc_im", "mc_se", "spectral_re", "spectral_im",
-                    "ok"], rows),
+        table=csv_text(["functional", "n", "analytic_re", "analytic_im",
+                        "mc_re", "mc_im", "mc_se", "spectral_re", "spectral_im",
+                        "ok"], rows),
         plotdata=_columns(["n", "abs_analytic", "abs_mc"], plot))
 
 
@@ -380,8 +366,8 @@ def _run_ubd(ctx: _RunContext, p: dict) -> ProbeResult:
     return ProbeResult(
         probe="ubd", target=f"delta-{p['delta']}", passed=all_ok,
         grade="exact", detail=detail,
-        table=_csv(["set", "size", "banach_density", "diff_max_gap", "ok"],
-                   rows),
+        table=csv_text(["set", "size", "banach_density", "diff_max_gap", "ok"],
+                       rows),
         plotdata=_columns(["set", "diff_max_gap"],
                           [(r[0], r[3]) for r in rows]))
 
@@ -404,7 +390,7 @@ def _run_orbit(ctx: _RunContext, p: dict) -> ProbeResult:
     return ProbeResult(
         probe="orbit", target=spec.label, passed=True, grade="exact",
         detail=detail,
-        table=_csv(["step", "norm", "distance_to_start"], rows),
+        table=csv_text(["step", "norm", "distance_to_start"], rows),
         plotdata=_columns(["step", "norm", "distance_to_start"], rows))
 
 

@@ -1,6 +1,7 @@
 """Seeded corpora, experiment configs, the runner, and the CLI surface."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -287,6 +288,18 @@ def test_config_window_0_rejected_with_dotted_path():
         parse_config(json.dumps(doc))
 
 
+@pytest.mark.parametrize("probe, key", [
+    ("invariance", "samples"), ("symmetry", "samples"),
+    ("classification", "samples"), ("coeff", "samples"),
+    ("symmetry", "functionals"), ("coeff", "functionals"), ("ubd", "count"),
+])
+def test_config_zero_size_probe_rejected_with_dotted_path(probe, key):
+    doc = {"schema": "experiment-config/1",
+           "probes": [{"probe": probe, key: 0}]}
+    with pytest.raises(ConfigError, match=rf"probes\[0\]\.{key}: must be >= 1"):
+        parse_config(json.dumps(doc))
+
+
 # -- CLI ------------------------------------------------------------------------
 
 def test_cli_fourier_json(tmp_path, capsys):
@@ -336,6 +349,12 @@ def test_cli_gauss_invariance_control_exit(capsys):
     assert doc["control"] == "non-unimodular-transport"
 
 
+def test_cli_gauss_invariance_zero_samples_is_typed_error(capsys):
+    code = main(["gauss", "invariance", "--grid", "256", "--samples", "0"])
+    assert code == 2
+    assert "ValueError: count must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_cli_hits_pipeline(tmp_path, capsys):
     set_file = tmp_path / "set.txt"
     set_file.write_text("0 3 6 9\n")
@@ -366,10 +385,15 @@ def test_cli_run_subcommand(tmp_path):
 
 
 def test_cli_entrypoint_runs_as_module():
+    # the child does not see pytest's pythonpath setting, so hand it src/
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "hyperlab.cli", "measure", "fourier",
          "uniform", "--band", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["band"] == 1

@@ -5,6 +5,9 @@ n_step_map is the closed-form oracle that step iteration must match,
 and the battery run must keep its frozen verdict pattern.
 """
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -414,6 +417,13 @@ def test_battery_csv_shape(battery_report):
     assert lines[0] == "system,chaotic,m_system,e_system,syndetic,weak_mixing,ufh,flags"
     assert len(lines) == 4
     assert all(line.endswith(",none") for line in lines[1:])
+
+
+def test_battery_csv_quotes_a_system_name_with_a_comma():
+    report = classification_run([torus_system((1.0,), name="a,b")], window=50)
+    rows = list(csv.reader(io.StringIO(report.to_csv())))
+    assert [len(r) for r in rows] == [8, 8]
+    assert rows[1][0] == "a,b"
 
 
 def test_battery_to_dict_schema(battery_report):

@@ -18,6 +18,7 @@ from hyperlab import (
     NotProbabilityError,
     build_model,
     corrected_field,
+    fourier_band,
     fourier_coefficient,
     indicator_field,
     intertwine_residual,
@@ -32,9 +33,19 @@ from hyperlab import (
     spectral_measure_of_functional,
     symmetry_check,
 )
+from hyperlab import gauss_model
 from hyperlab.corpora import random_functional
+from hyperlab.gauss_model import coefficient_rows
 from hyperlab.jsonio import SchemaError
-from hyperlab.kalish import DegenerateAngleError, func_norm, grid_angles, inner_product
+from hyperlab.kalish import (
+    DegenerateAngleError,
+    apply_T_array,
+    func_norm,
+    grid_angles,
+    inner_product,
+    kalish_solve_array,
+)
+from hyperlab.seeding import complex_standard_normal, derive_seed, rng_for
 
 TWO_PI = 2.0 * np.pi
 
@@ -382,6 +393,69 @@ def test_negative_power_with_callable_transport_rejected():
         matrix_coefficient_mc(
             model, xstar, -1, count=16, seed=0, transport=lambda X: X
         )
+
+
+def test_coefficient_rows_walk_the_factor_once(monkeypatch):
+    # one apply of T per power; a matrix_coefficient_mc call per power
+    # would rebuild T^n A each time, 0 + 1 + ... + 6 = 21 applies
+    model = _uniform_model(M=256, m=8)
+    xstar = random_functional(seed=3, grid_size=256)
+    calls = []
+
+    def counting(X):
+        calls.append(X.shape)
+        return apply_T_array(X)
+
+    monkeypatch.setattr(gauss_model, "apply_T_array", counting)
+    rows = coefficient_rows(model, xstar, 6, samples=200, seed=5, label="mc:")
+    assert len(rows) == 7
+    assert calls == [(256, 8)] * 6
+
+
+def test_coefficient_rows_equal_the_per_power_values():
+    model = _uniform_model(M=256, m=8)
+    xstar = random_functional(seed=3, grid_size=256)
+    seed, label, top = 11, "mc:0:", 6
+    rows = coefficient_rows(model, xstar, top, samples=500, seed=seed,
+                            label=label)
+    band = fourier_band(spectral_measure_of_functional(model, xstar), top)
+    assert [r[0] for r in rows] == list(range(top + 1))
+    for n, analytic, mc, spectral in rows:
+        assert analytic == matrix_coefficient_analytic(model, xstar, n)
+        assert mc == matrix_coefficient_mc(model, xstar, n, 500,
+                                           derive_seed(seed, f"{label}{n}"))
+        assert spectral == band[top + n]
+
+
+def test_mc_negative_power_walks_three_solves():
+    model = _uniform_model(M=256, m=8)
+    xstar = random_functional(seed=8, grid_size=256)
+    B = model.factor
+    for _ in range(3):
+        B = kalish_solve_array(B)
+    c0 = model.functional_coefficients(xstar)
+    cn = (TWO_PI / 256) * (B.T @ np.conj(xstar.values))
+    G = complex_standard_normal(rng_for(4, "matrix-coefficient-mc"), (8, 300))
+    prods = (cn @ G) * np.conj(c0 @ G)
+    value = complex(np.mean(prods))
+    est = matrix_coefficient_mc(model, xstar, -3, count=300, seed=4)
+    assert est.power == -3
+    assert est.value == value
+    assert est.standard_error == float(
+        np.sqrt(np.mean(np.abs(prods - value) ** 2) / 300))
+
+
+@pytest.mark.parametrize("check", [
+    lambda model, xstar: invariance_check(model, count=0, seed=0),
+    lambda model, xstar: symmetry_check(model, xstar, 0, seed=0),
+    lambda model, xstar: matrix_coefficient_mc(model, xstar, 2, count=0, seed=0),
+    lambda model, xstar: coefficient_rows(model, xstar, 2, 0, 0, "mc:"),
+], ids=["invariance", "symmetry", "matrix-coefficient", "coefficient-table"])
+def test_zero_sample_count_is_a_typed_error(check):
+    model = _uniform_model(M=128, m=4)
+    xstar = random_functional(seed=6, grid_size=128)
+    with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+        check(model, xstar)
 
 
 # -- manifest ---------------------------------------------------------------
