@@ -205,6 +205,8 @@ def _cmd_kalish_residual(args) -> int:
 
 
 def _cmd_kalish_matrix_check(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"count must be >= 1, got {args.count}")
     M = args.grid
     T = ka.kalish_matrix(M)
     worst_apply = 0.0

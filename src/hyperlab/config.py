@@ -224,15 +224,17 @@ def _validate_probe(index: int, raw, context: dict) -> dict:
             vals = probe[key]
             if not isinstance(vals, list) or not vals:
                 _fail(f"{path}.{key}", "expected a nonempty list")
-        if not all(isinstance(g, int) and not isinstance(g, bool) and g >= 2
+        if not all(isinstance(g, int) and not isinstance(g, bool) and g >= 8
                    for g in probe["grids"]):
-            _fail(f"{path}.grids", "grid sizes must be integers >= 2")
+            _fail(f"{path}.grids", "grid sizes must be integers >= 8")
         if not all(isinstance(a, (int, float)) and np.isfinite(a) and a > 0
                    for a in probe["angles"]):
             _fail(f"{path}.angles", "angles must be positive finite numbers")
     for key in ("window", "samples", "functionals", "count"):
         if key in probe and probe[key] < 1:
             _fail(f"{path}.{key}", "must be >= 1")
+    if kind == "symmetry" and probe["samples"] < 2:
+        _fail(f"{path}.samples", "must be >= 2")  # the Re/Im correlation needs 2
     if kind == "symmetry" and probe["sampler"] not in ("symmetric", "real"):
         _fail(f"{path}.sampler", f"expected 'symmetric' or 'real', "
                                  f"got {probe['sampler']!r}")

@@ -121,7 +121,7 @@ def random_windowed_set(seed: int, window: int) -> WindowedSet:
     mask = rng.random(window) < prob
     if not mask.any():
         mask[int(rng.integers(window))] = True
-    return WindowedSet.from_iterable(window, np.flatnonzero(mask))
+    return WindowedSet.from_mask(mask)
 
 
 def scaffold_set(seed: int, window: int, delta: float) -> WindowedSet:
@@ -136,7 +136,7 @@ def scaffold_set(seed: int, window: int, delta: float) -> WindowedSet:
     rng = rng_for(seed, "scaffold-set")
     step = max(1, int(np.floor(1.0 / delta)))
     offset = int(rng.integers(step))
-    scaffold = np.arange(offset, window, step)
     noise_rate = rng.uniform(0.0, 0.15)
-    noise = np.flatnonzero(rng.random(window) < noise_rate)
-    return WindowedSet.from_iterable(window, np.union1d(scaffold, noise))
+    mask = rng.random(window) < noise_rate
+    mask[offset::step] = True
+    return WindowedSet.from_mask(mask)

@@ -1,4 +1,5 @@
 """Orbit simulation, visit-time extraction, and the classification harness.
+Orbits and kalish replays take gauss_model.walk, the one drift-guarded walk.
 
 The operator zoo holds four kinds of system:
 
@@ -25,6 +26,7 @@ while an exact failure does overturn a heuristic claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,6 +38,7 @@ from .gauss_model import (
     build_model,
     corrected_field,
     invariance_check,
+    walk,
 )
 from .hitting_sets import (
     WindowedSet,
@@ -48,7 +51,7 @@ from .hitting_sets import (
 from .jsonio import csv_text, record_dict
 # apply_T is unused but kept bound: perfbench patches every binding
 from .kalish import (  # noqa: F401
-    apply_T, apply_T_array, grid_angles, grid_norms, kalish_solve_array)
+    apply_T, apply_T_array, arc_indicators, grid_norms, kalish_solve_array)
 from .seeding import complex_standard_normal, rng_for
 
 TWO_PI = 2.0 * np.pi
@@ -250,7 +253,7 @@ def _scaled_slide(state: np.ndarray, n: int, logW: np.ndarray) -> np.ndarray:
 
 
 def n_step_map(spec: SystemSpec, state: np.ndarray, n: int) -> np.ndarray:
-    """T^n by closed form where one exists, otherwise by iteration.
+    """T^n by closed form where one exists, otherwise by the guarded walk.
     Used for independent witness re-verification."""
     if n < 0:
         raise ValueError("n_step_map takes n >= 0")
@@ -259,9 +262,8 @@ def n_step_map(spec: SystemSpec, state: np.ndarray, n: int) -> np.ndarray:
     if spec.kind in ("scalar_multiple_shift", "weighted_shift"):
         return _scaled_slide(np.asarray(state, dtype=complex), n,
                              _shift_log_products(spec))
-    out = state
-    for _ in range(n):
-        out = step(spec, out)
+    for out in walk(partial(step, spec), state, n, partial(state_norm, spec)):
+        pass  # keeps only the last state alive
     return out
 
 
@@ -316,23 +318,16 @@ class Trajectory:
 
 def orbit(spec: SystemSpec, x0: np.ndarray, n_steps: int,
           drift_factor: float = 1e3) -> Trajectory:
-    """[x0, Tx0, ..., T^n x0] with the norm-drift guard active."""
+    """[x0, Tx0, ..., T^n x0] from the guarded walk."""
     x0 = np.asarray(x0, dtype=complex)
     if x0.shape != (spec.state_dim,):
         raise ValueError(
             f"start has shape {x0.shape}, spec wants ({spec.state_dim},)"
         )
-    guard = drift_factor * max(state_norm(spec, x0), 1e-12)
+    walker = walk(partial(step, spec), x0, n_steps, partial(state_norm, spec),
+                  drift_factor)
     states = np.empty((n_steps + 1, spec.state_dim), dtype=complex)
-    states[0] = x0
-    x = x0
-    for t in range(1, n_steps + 1):
-        x = step(spec, x)
-        if state_norm(spec, x) > guard:
-            raise NormDriftError(
-                f"norm drift guard tripped at step {t}: "
-                f"{state_norm(spec, x):.3e} > {guard:.3e}"
-            )
+    for t, x in enumerate(walker):
         states[t] = x
     return Trajectory(spec=spec, states=states)
 
@@ -353,8 +348,7 @@ def hitting_times(traj: Trajectory, ball: BallSpec) -> WindowedSet:
     """Times t with ||x_t - center|| < radius; window = trajectory length."""
     dist = norms(traj.spec,
                  traj.states - np.asarray(ball.center, dtype=complex)[None, :])
-    hits = np.nonzero(dist < ball.radius)[0]
-    return WindowedSet(window=traj.length, elements=hits.astype(np.int64))
+    return WindowedSet.from_mask(dist < ball.radius)
 
 
 @dataclass(frozen=True)
@@ -489,6 +483,7 @@ def three_open_sets_probe(traj: Trajectory, V: BallSpec,
     if spec.kind in ("scalar_multiple_shift", "weighted_shift"):
         deepest = int(np.max(np.flatnonzero(V.center), initial=0))
         n_steps = min(n_steps, max(spec.dimension - 1 - deepest, 0))
+    # not walk(): these steps run unguarded; a guard norm per step slows the battery
     pullbacks = np.empty((n_steps + 1, spec.state_dim), dtype=complex)
     pullbacks[0] = V.center
     for n in range(1, n_steps + 1):
@@ -538,7 +533,7 @@ def eigen_span_probe(spec: SystemSpec, tolerance: float = 1e-8,
         M = spec.grid_size
         m = family_size or min(64, max(M // 16, 2))
         angles = TWO_PI * (np.arange(m) + 0.5) / m
-        mat = (grid_angles(M)[:, None] > angles).astype(complex)
+        mat = arc_indicators(angles, M).astype(complex)
         sv = np.linalg.svd(mat, compute_uv=False)
         rank = int(np.sum(sv > tolerance * sv[0]))
         verdict = "yes" if rank == m else "no"
@@ -597,7 +592,12 @@ def periodic_return_probe(traj: Trajectory, max_period: int = 64,
     )
 
 
-def _ball_family(traj: Trajectory, count: int, radius_quantile: float = 0.35):
+def ball_radius(distances: np.ndarray) -> float:
+    """The 0.35 distance quantile, shrunk below round-off ties of a periodic orbit."""
+    return float(np.quantile(distances, 0.35)) * (1.0 - 1e-9)
+
+
+def _ball_family(traj: Trajectory, count: int):
     """Balls centered at spread orbit snapshots, radius from the pooled
     distance quantile (so the family adapts to the orbit's scale).  An
     orbit whose sampled states all coincide gives no radius: empty list."""
@@ -608,8 +608,7 @@ def _ball_family(traj: Trajectory, count: int, radius_quantile: float = 0.35):
     pooled = np.concatenate([d[d > 0] for d in dists])
     if pooled.size == 0:
         return []
-    # shrunk below any cluster of distances a periodic orbit ties at round-off
-    radius = float(np.quantile(pooled, radius_quantile)) * (1.0 - 1e-9)
+    radius = ball_radius(pooled)
     return [BallSpec(center=c, radius=radius) for c in centers]
 
 

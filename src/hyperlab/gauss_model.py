@@ -11,7 +11,9 @@ All covariance comparisons run through Gram matrices: for W with m-ish
 columns and Hermitian S, ||W S W*||_F^2 = tr(S P S P) with P = W* W, so
 nothing M x M is ever materialized; sigma_min(A) comes from the Gram too.
 Sampling draws only the m x S coefficients, and each check forms T A once.
-The coefficient table for n = 0..N walks T^n A once, one power at a time.
+A transport is None (the grid T) or a callable on (M, k) arrays.  walk is
+the one drift-guarded walk through powers of a map: the coefficient table
+walks T^n A once for n = 0..N, and dynamics_lab walks its orbits with it.
 
 Two field constructions are provided.  indicator_field uses the arc
 indicators chi(lambda_j) verbatim (first-order eigen residual, decaying
@@ -23,8 +25,7 @@ moves each node by at most pi/M and is recorded on the field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import partial
-from typing import Callable, Union
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .kalish import (
     GridMismatchError,
     apply_T,  # noqa: F401 - kept bound: perfbench patches every binding
     apply_T_array,
+    arc_indicators,
     exact_eigenvectors,
     grid_angles,
     grid_norms,
@@ -47,7 +49,7 @@ from .seeding import complex_standard_normal, derive_seed, rng_for
 
 TWO_PI = 2.0 * np.pi
 
-Transport = Union[np.ndarray, Callable[[np.ndarray], np.ndarray], None]
+Transport = Optional[Callable[[np.ndarray], np.ndarray]]
 
 
 class FieldAdmissibilityError(ValueError):
@@ -60,6 +62,26 @@ class DegenerateFunctionalError(ValueError):
 
 class NormDriftError(RuntimeError):
     """Orbit norm exploded; the discretization no longer tracks T^n."""
+
+
+def walk(one_step: Callable, x0, n: int, norm: Callable, drift_factor=1e3) -> Iterator:
+    """Yield x0 and then each of n steps, holding only the current state;
+    raise NormDriftError at the first norm above drift_factor x
+    max(norm(x0), 1e-12).  n is checked at the call, not at the first step."""
+    if n < 0:
+        raise ValueError(f"a walk takes n >= 0 steps, got {n}")
+    return _walk(one_step, x0, n, norm, drift_factor * max(norm(x0), 1e-12))
+
+
+def _walk(one_step, x, n, norm, guard):
+    yield x
+    for t in range(1, n + 1):
+        x = one_step(x)
+        size = norm(x)
+        if size > guard:
+            raise NormDriftError(f"norm drift guard tripped at step {t} of {n}: "
+                                 f"{size:.3e} > {guard:.3e}")
+        yield x
 
 
 def quantize(sigma: CircleMeasure, m: int) -> list:
@@ -165,7 +187,7 @@ def indicator_field(sigma: CircleMeasure, m: int, M: int) -> EigenField:
     whose arc holds no grid node (angle 0, or past the last node) has no
     indicator to be an eigenvector and raises DegenerateAngleError."""
     angles, weights = np.array(quantize(sigma, m), dtype=float).T
-    vectors = ((grid_angles(M)[:, None] > angles) & (angles > 0.0)).astype(complex)
+    vectors = arc_indicators(angles, M).astype(complex)
     empty = np.flatnonzero(~vectors.any(axis=0))
     if empty.size:
         j = int(empty[0])
@@ -185,7 +207,7 @@ def corrected_field(sigma: CircleMeasure, m: int, M: int) -> EigenField:
     weights = np.bincount(slot, weights=masses)  # nodes sharing a k merge
     angles = grid_angles(M)[ks]
     vectors = exact_eigenvectors(ks, M)
-    ref = (grid_angles(M)[:, None] > angles) & (angles > 0.0)
+    ref = arc_indicators(angles, M)
     ref[:, ~ref.any(axis=0)] = True
     overlap = (TWO_PI / M) * np.sum(vectors, axis=0, where=ref)
     size = np.abs(overlap)
@@ -279,28 +301,20 @@ def model_from_manifest(doc: dict, residual_threshold: float = 0.05) -> GaussMod
     return build_model(field, residual_threshold)
 
 
-def _transport_matvec(transport: Transport, X: np.ndarray) -> np.ndarray:
-    """Apply the forward dynamics to the columns of X."""
-    if transport is None:
-        return apply_T_array(X)
-    if callable(transport):
-        return transport(X)
-    return np.asarray(transport) @ X
-
-
-def _intertwine(model: GaussModel, TA: np.ndarray) -> float:
-    """||T A - A D||_F / ||A||_F from an already transported factor."""
+def _transported(model: GaussModel, transport: Transport) -> tuple:
+    """(T A, ||T A - A D||_F / ||A||_F) under the transport, None the grid T."""
     A = model.factor
+    TA = (apply_T_array if transport is None else transport)(A)
     if TA.shape != A.shape:
         raise GridMismatchError("transport output shape does not match the factor")
     num = np.linalg.norm(TA - A * model.diag[None, :])
-    return float(num / np.linalg.norm(A))
+    return TA, float(num / np.linalg.norm(A))
 
 
 def intertwine_residual(model: GaussModel, transport: Transport = None) -> float:
     """||T A - A D||_F / ||A||_F: how far the field is from genuinely
     diagonalizing the dynamics."""
-    return _intertwine(model, _transport_matvec(transport, model.factor))
+    return _transported(model, transport)[1]
 
 
 def _require_count(count: int) -> None:
@@ -340,8 +354,11 @@ def symmetry_check(model: GaussModel, xstar: CircleFunction, count: int,
     Gaussian: the pseudo-moment E[zeta^2] and the Re/Im correlation must
     both sit within 3 standard errors of zero.  sampler="real" swaps in
     a deliberately broken real-Gaussian coordinate draw (negative
-    control; the pseudo-moment then picks up a nonzero mean)."""
+    control; the pseudo-moment then picks up a nonzero mean).  The Re/Im
+    correlation needs at least 2 draws."""
     _require_count(count)
+    if count < 2:
+        raise ValueError(f"symmetry check needs count >= 2 draws, got {count}")
     c = model.functional_coefficients(xstar)
     analytic_var = float(np.sum(np.abs(c) ** 2))
     if analytic_var <= 1e-24:
@@ -398,8 +415,7 @@ def invariance_check(model: GaussModel, transport: Transport = None,
     discretization owes, not the sampler); T A is formed once for both."""
     _require_count(count)
     A = model.factor
-    B = _transport_matvec(transport, A)
-    intertwine = _intertwine(model, B)
+    B, intertwine = _transported(model, transport)
     rng = rng_for(seed, "invariance-check")
     G = complex_standard_normal(rng, (model.node_count, count))
     Ghat = (G @ G.conj().T) / count
@@ -437,25 +453,12 @@ def _orbit_coefficients(model: GaussModel, xstar: CircleFunction, n: int,
                         transport: Transport) -> list:
     """Coordinates of x* against T^k A for k = 0..|n| (T^-k for n < 0),
     one array per k, from one walk that keeps only the current power."""
-    if n >= 0:
-        one_step = partial(_transport_matvec, transport)
-    elif transport is None:
-        one_step = kalish_solve_array
-    elif callable(transport):
-        raise ValueError("negative powers need a matrix or the default grid operator")
-    else:
-        one_step = partial(np.linalg.solve, np.asarray(transport))
-    B = model.factor
-    start_norm = np.linalg.norm(B)
-    rows = [_grid_coefficients(B, xstar)]
-    for k in range(1, abs(int(n)) + 1):
-        B = one_step(B)
-        if np.linalg.norm(B) > 1e3 * start_norm:
-            raise NormDriftError(
-                f"orbit norm exceeded 1e3 x start at step {k} towards power {n}"
-            )
-        rows.append(_grid_coefficients(B, xstar))
-    return rows
+    if transport is None:
+        transport = apply_T_array if n >= 0 else kalish_solve_array
+    elif n < 0:
+        raise ValueError("negative powers need the default grid operator")
+    return [_grid_coefficients(B, xstar)
+            for B in walk(transport, model.factor, abs(int(n)), np.linalg.norm)]
 
 
 @dataclass(frozen=True)

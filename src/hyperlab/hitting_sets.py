@@ -47,8 +47,12 @@ class WindowedSet:
 
     @classmethod
     def from_iterable(cls, window: int, items) -> "WindowedSet":
-        arr = np.unique(np.asarray(sorted(items), dtype=np.int64))
-        return cls(window=window, elements=arr)
+        return cls(window=window, elements=np.unique(np.fromiter(items, np.int64)))
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray) -> "WindowedSet":
+        """The True positions of a boolean mask; the window is its length."""
+        return cls(window=mask.size, elements=np.flatnonzero(mask).astype(np.int64))
 
     @classmethod
     def full(cls, window: int) -> "WindowedSet":
@@ -170,8 +174,7 @@ def difference_set(L: WindowedSet) -> WindowedSet:
     n = 2 * L.window
     spectrum = np.fft.rfft(x, n)
     corr = np.fft.irfft(spectrum * np.conj(spectrum), n)[: L.window]
-    diffs = np.nonzero(corr > 0.5)[0]
-    return WindowedSet(window=L.window, elements=diffs.astype(np.int64))
+    return WindowedSet.from_mask(corr > 0.5)
 
 
 def max_gap(S: WindowedSet) -> int:

@@ -7,14 +7,14 @@ rule with line element i e^{i t} dt.  The grid inner product is the
 arc-length one, <f, g> = (2pi/M) sum conj(f_j) g_j; grid_norms is the
 one home of its norm, over whichever axis of an array holds the grid.
 
-Arc-indicator convention (calibrated, do not flip casually): chi(lam) is
-1 exactly at the grid nodes with t_j > lam, i.e. the open arc running
-counterclockwise from lam back to angle 0.  Sampling the indicator at
-the nodes themselves (rather than asking whether a node's bin center is
-inside the arc) is what makes the eigen residual decay first order under
-grid doubling; the bin-center variant stalls near ratio 1 and fails the
-calibration, so the node convention wins.  chi(0) is pinned to the zero
-function (degenerate arc).
+Arc-indicator convention (calibrated, do not flip casually; its one home
+is arc_indicators, and chi(lam) is its one column): 1 exactly at the grid
+nodes with t_j > lam, i.e. the open arc running counterclockwise from lam
+back to angle 0.  Sampling the indicator at the nodes themselves (rather
+than asking whether a node's bin center is inside the arc) is what makes
+the eigen residual decay first order under grid doubling; the bin-center
+variant stalls near ratio 1 and fails the calibration, so the node
+convention wins.  chi(0) is pinned to the zero function (degenerate arc).
 
 On the grid T is lower triangular with unimodular diagonal e^{i t_j},
 so its exact spectrum is the set of M-th roots of unity and T^M = I in
@@ -185,15 +185,17 @@ def apply_T(f: CircleFunction) -> CircleFunction:
     return CircleFunction(apply_T_array(f.values), f.grid_size)
 
 
+def arc_indicators(angles, M: int) -> np.ndarray:
+    """(M, m) boolean matrix, column j the arc from angles[j] counterclockwise
+    to angle 0 at the nodes: True exactly where t_j > angles[j] > 0."""
+    return (grid_angles(M)[:, None] > angles) & (np.asarray(angles) > 0.0)
+
+
 def chi(lam: float, M: int) -> CircleFunction:
-    """Indicator of the arc from lam counterclockwise to angle 0, sampled
-    at the nodes (1 exactly where t_j > lam).  chi(0) is the zero function."""
+    """The one-column arc_indicators(lam) as a function; chi(0) is zero."""
     if not (0.0 <= lam < TWO_PI):
         raise ValueError(f"lam={lam!r} outside [0, 2pi)")
-    if lam == 0.0:
-        return CircleFunction.constant(0.0, M)
-    t = grid_angles(M)
-    return CircleFunction((t > lam).astype(complex), M)
+    return CircleFunction(arc_indicators([lam], M)[:, 0].astype(complex), M)
 
 
 def eigen_residual(lam: float, M: int) -> float:

@@ -378,7 +378,7 @@ def _run_orbit(ctx: _RunContext, p: dict) -> ProbeResult:
     traj = lab.orbit(spec, x0, p["steps"])
     norms = traj.norms()
     dist = lab.norms(spec, traj.states - x0[None, :])
-    radius = float(np.quantile(dist[1:], 0.35)) if traj.length > 1 else 1.0
+    radius = lab.ball_radius(dist[1:]) if traj.length > 1 else 1.0
     radius = max(radius, 1e-12)
     hits = lab.hitting_times(traj, lab.BallSpec(center=x0, radius=radius))
     gap = hs.max_gap(hs.difference_set(hits)) if hits.size else None

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperlab import CircleMeasure, total_mass, upper_banach_density
+from hyperlab import dynamics_lab
 from hyperlab.cli import main
 from hyperlab.config import ConfigError, ExperimentConfig, parse_config
 from hyperlab.corpora import (
@@ -281,6 +282,41 @@ def test_runner_config_exits_0_with_schema_tagged_reports(tmp_path, probes):
         assert report["passed"] is True and report["detail"]
 
 
+def test_orbit_probe_hit_count_survives_a_round_off_nudge(tmp_path, monkeypatch):
+    # the kalish orbit's start distances tie with the quantile radius at
+    # round-off; the shrunk radius keeps every hit count under a nudge
+    def hit_counts(name):
+        counts = []
+        for seed in range(12):
+            doc = {"schema": "experiment-config/1", "seed": seed,
+                   "systems": [{"kind": "kalish", "grid": 1024}],
+                   "probes": [{"probe": "orbit", "system": "kalish-1024"}]}
+            _, out = _run_config(tmp_path, doc, f"{name}-{seed}")
+            report = read_json(out / "reports" / f"orbit-kalish-1024-{seed}.json")
+            counts.append(report["detail"]["hit_count"])
+        return counts
+
+    plain = hit_counts("plain")
+    start = dynamics_lab.default_start
+    monkeypatch.setattr(dynamics_lab, "default_start",
+                        lambda spec, seed: start(spec, seed) * (1.0 + 1e-13))
+    assert hit_counts("nudged") == plain
+
+
+def test_config_symmetry_needs_two_samples():
+    doc = {"schema": "experiment-config/1",
+           "probes": [{"probe": "symmetry", "samples": 1}]}
+    with pytest.raises(ConfigError, match=r"probes\[0\]\.samples: must be >= 2"):
+        parse_config(json.dumps(doc))
+
+
+def test_config_residual_grids_below_8_rejected_with_dotted_path():
+    doc = {"schema": "experiment-config/1",
+           "probes": [{"probe": "residual", "grids": [4, 8]}]}
+    with pytest.raises(ConfigError, match=r"probes\[0\]\.grids: .*>= 8"):
+        parse_config(json.dumps(doc))
+
+
 def test_config_window_0_rejected_with_dotted_path():
     doc = {"schema": "experiment-config/1",
            "probes": [{"probe": "classification", "window": 0}]}
@@ -338,6 +374,16 @@ def test_cli_kalish_matrix_check(capsys):
     assert doc["passed"] is True
     assert doc["max_apply_difference"] <= 1e-12
     assert doc["max_solve_error"] <= 1e-6
+
+
+def test_cli_kalish_matrix_check_zero_count_is_typed_error(capsys):
+    assert main(["kalish", "matrix-check", "--grid", "64", "--count", "0"]) == 2
+    assert "ValueError: count must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_cli_lab_orbit_negative_steps_is_typed_error(capsys):
+    assert main(["lab", "orbit", "torus:0.9", "--steps", "-1"]) == 2
+    assert "ValueError: a walk takes n >= 0 steps, got -1" in capsys.readouterr().err
 
 
 def test_cli_gauss_invariance_control_exit(capsys):

@@ -164,6 +164,16 @@ def test_n_step_map_matches_iteration():
         np.testing.assert_allclose(closed, iterated, atol=1e-9, rtol=1e-9)
 
 
+def test_n_step_map_kalish_replays_the_step_loop_exactly():
+    spec = kalish_system(128)
+    x = _random_state(spec, "kalish-replay")
+    for n in (0, 1, 7, 40):
+        looped = x
+        for _ in range(n):
+            looped = step(spec, looped)
+        assert np.array_equal(n_step_map(spec, x, n), looped), n
+
+
 def test_n_step_map_rejects_negative():
     with pytest.raises(ValueError):
         n_step_map(torus_system([1.0]), np.ones(1, dtype=complex), -1)
@@ -193,6 +203,11 @@ def test_orbit_norms_constant_for_rotation():
 def test_orbit_rejects_wrong_shape():
     with pytest.raises(ValueError):
         orbit(torus_system([1.0]), np.ones(2, dtype=complex), 5)
+
+
+def test_orbit_rejects_negative_steps():
+    with pytest.raises(ValueError, match="n >= 0 steps, got -1"):
+        orbit(torus_system([1.0]), np.ones(1, dtype=complex), -1)
 
 
 def test_orbit_norm_drift_guard_names_step():

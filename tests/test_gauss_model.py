@@ -35,7 +35,8 @@ from hyperlab import (
 )
 from hyperlab import gauss_model
 from hyperlab.corpora import random_functional
-from hyperlab.gauss_model import coefficient_rows
+from hyperlab.dynamics_lab import orbit, weighted_shift_system
+from hyperlab.gauss_model import coefficient_rows, walk
 from hyperlab.jsonio import SchemaError
 from hyperlab.kalish import (
     DegenerateAngleError,
@@ -220,7 +221,7 @@ def test_intertwine_residual_matrix_path_agrees():
     M = 256
     model = _uniform_model(M=M, m=8)
     grid_op = intertwine_residual(model)
-    matrix_op = intertwine_residual(model, transport=kalish_matrix(M))
+    matrix_op = intertwine_residual(model, transport=kalish_matrix(M).__matmul__)
     assert abs(grid_op - matrix_op) <= 1e-12
 
 
@@ -314,14 +315,16 @@ def test_invariance_check_transports_the_factor_once():
     report = invariance_check(model, transport=counting, count=500, seed=1)
     assert calls == [(256, 8)]
     assert report.intertwine == pytest.approx(
-        intertwine_residual(model, transport=kalish_matrix(256)), abs=1e-15)
+        intertwine_residual(model, transport=kalish_matrix(256).__matmul__),
+        abs=1e-15)
 
 
 def test_invariance_matrix_transport_path():
     M = 256
     model = _uniform_model(M=M, m=8)
     by_grid = invariance_check(model, count=1000, seed=5)
-    by_matrix = invariance_check(model, transport=kalish_matrix(M), count=1000, seed=5)
+    by_matrix = invariance_check(model, transport=kalish_matrix(M).__matmul__,
+                                 count=1000, seed=5)
     assert by_grid.passed and by_matrix.passed
     assert by_grid.cov_distance == pytest.approx(by_matrix.cov_distance, abs=1e-10)
 
@@ -383,7 +386,45 @@ def test_norm_drift_guard_fires():
     xstar = random_functional(seed=6, grid_size=128)
     inflate = 5.0 * np.eye(128, dtype=complex)
     with pytest.raises(NormDriftError):
-        matrix_coefficient_mc(model, xstar, 8, count=16, seed=0, transport=inflate)
+        matrix_coefficient_mc(model, xstar, 8, count=16, seed=0,
+                              transport=inflate.__matmul__)
+
+
+def test_walk_yields_start_then_each_step_and_checks_n_at_the_call():
+    states = list(walk(lambda x: 2.0 * x, np.ones(3), 4, np.linalg.norm))
+    assert [s[0] for s in states] == [1.0, 2.0, 4.0, 8.0, 16.0]
+    with pytest.raises(ValueError, match="n >= 0 steps, got -2"):
+        walk(lambda x: x, np.ones(3), -2, np.linalg.norm)
+
+
+def test_one_drift_guard_message_for_orbits_and_coefficients():
+    # 5^5 is the first power past 1e3 x the start's norm on both walks
+    shape = r"^norm drift guard tripped at step 5 of 8: \S+ > \S+$"
+    x0 = np.zeros(9, dtype=complex)
+    x0[-1] = 1.0
+    with pytest.raises(NormDriftError, match=shape) as from_orbit:
+        orbit(weighted_shift_system([5.0] * 8), x0, 8)
+    assert str(from_orbit.value).endswith(": 3.125e+03 > 1.000e+03")
+    model = _uniform_model(M=128, m=4)
+    xstar = random_functional(seed=6, grid_size=128)
+    with pytest.raises(NormDriftError, match=shape):
+        matrix_coefficient_mc(model, xstar, 8, count=16, seed=0,
+                              transport=lambda X: 5.0 * X)
+
+
+def test_dense_matrix_transport_is_rejected():
+    model = _uniform_model(M=64, m=4)
+    with pytest.raises(TypeError):
+        intertwine_residual(model, transport=kalish_matrix(64))
+    with pytest.raises(TypeError):
+        invariance_check(model, transport=kalish_matrix(64), count=10, seed=0)
+
+
+def test_symmetry_check_needs_two_draws():
+    model = _uniform_model(M=128, m=4)
+    xstar = random_functional(seed=6, grid_size=128)
+    with pytest.raises(ValueError, match="count >= 2 draws, got 1"):
+        symmetry_check(model, xstar, 1, seed=0)
 
 
 def test_negative_power_with_callable_transport_rejected():

@@ -79,6 +79,15 @@ def test_from_iterable_sorts_and_dedups():
     assert s.size == 3
 
 
+def test_from_mask_window_is_mask_length():
+    mask = np.zeros(12, dtype=bool)
+    mask[[0, 4, 11]] = True
+    s = WindowedSet.from_mask(mask)
+    assert s == WindowedSet.from_iterable(12, [11, 0, 4])
+    assert s.elements.dtype == np.int64
+    assert WindowedSet.from_mask(np.zeros(5, dtype=bool)) == WindowedSet.empty(5)
+
+
 def test_membership_and_window_bounds():
     s = WindowedSet.from_iterable(10, [0, 9])
     assert 0 in s and 9 in s and 4 not in s

@@ -28,8 +28,8 @@ from hyperlab import (
     nearest_grid_index,
 )
 from hyperlab.kalish import (
-    _phases, _solve_powers, apply_T_array, exact_eigenvectors, grid_norms,
-    kalish_solve_array)
+    _phases, _solve_powers, apply_T_array, arc_indicators, exact_eigenvectors,
+    grid_norms, kalish_solve_array)
 from hyperlab.seeding import complex_standard_normal, rng_for
 
 TWO_PI = 2.0 * np.pi
@@ -173,6 +173,16 @@ def test_chi_norm_squared_approximates_arc_length():
     for M in (512, 1024):
         v = chi(np.pi, M)
         assert abs(func_norm(v) ** 2 - np.pi) <= TWO_PI / M + 1e-12
+
+
+def test_arc_indicator_columns_are_chi():
+    M = 64
+    angles = [0.0, grid_angles(M)[5], 1.0, np.pi, grid_angles(M)[-1], 6.2]
+    mat = arc_indicators(angles, M)
+    assert mat.shape == (M, len(angles)) and mat.dtype == bool
+    for j, lam in enumerate(angles):
+        np.testing.assert_array_equal(mat[:, j].astype(complex), chi(lam, M).values)
+    assert not mat[:, 0].any() and not mat[:, 4].any()  # angle 0, last node
 
 
 def test_chi_rejects_out_of_range():
