@@ -393,11 +393,12 @@ def symmetry_defect(sigma: CircleMeasure, n_max: int = 8) -> float:
     return float(np.max(np.abs(fourier_band(sigma, top)[top + 1:].imag)))
 
 
-def split_upper_lower(sigma: CircleMeasure, sym_tol: float = 1e-9):
+def split_upper_lower(sigma: CircleMeasure):
     """Doubled restrictions of a symmetric measure to the upper half
     (0, pi) and lower half (pi, 2pi) of the circle.  Atoms sitting at 0
     or pi split half and half, so each part keeps the full boundary mass
     after doubling, and averaging the parts returns the input."""
+    sym_tol = 1e-9
     if symmetry_defect(sigma) > sym_tol:
         raise AsymmetricMeasureError(
             f"measure is not reflection-symmetric within {sym_tol}"

@@ -29,7 +29,7 @@ from . import dynamics_lab as lab
 from . import gauss_model as gm
 from . import hitting_sets as hs
 from . import kalish as ka
-from .config import parse_config
+from .config import PROBE_FIELDS, TOP_DEFAULTS, parse_config
 from .corpora import probability_measure, random_functional
 from .jsonio import csv_text, read_json, stable_dumps
 from .runner import (
@@ -43,8 +43,7 @@ from .seeding import derive_seed
 
 __all__ = ["main"]
 
-_GLOBAL_DEFAULTS = {"seed": 0, "bins": 1024, "grid": 1024,
-                    "out": None, "format": "json"}
+_GLOBAL_DEFAULTS = {**TOP_DEFAULTS, "out": None, "format": "json"}
 
 
 # -- input loaders ------------------------------------------------------
@@ -195,9 +194,8 @@ def _cmd_kalish_apply(args) -> int:
 
 
 def _cmd_kalish_residual(args) -> int:
-    angles = args.angle or [2.0 * np.pi / 3.0, float(np.pi), 2.0 * np.pi * 0.811]
-    grids = args.grids or [1024, 2048, 4096]
-    rows = residual_rows(angles, grids)
+    fields = PROBE_FIELDS["residual"]
+    rows = residual_rows(args.angle or fields["angles"], args.grids or fields["grids"])
     doc = {"schema": "residual-table/1",
            "rows": [[la, m, r] for la, m, r, _ in rows]}
     _emit(args, doc, csv_text(["lambda", "grid", "residual", "ratio"], rows))
@@ -386,6 +384,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
+    def twin(p, flag, probe, key="", **kwargs):  # type and default from the config
+        default = PROBE_FIELDS[probe][key or flag[2:].replace("-", "_")]
+        p.add_argument(flag, type=type(default), default=default, **kwargs)
+
     measure = top.add_parser("measure", parents=[shared]).add_subparsers(
         dest="subcommand", required=True)
     p = sub(measure, "conv", _cmd_measure_conv)
@@ -396,18 +398,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("power", type=int)
     p = sub(measure, "exp", _cmd_measure_exp)
     p.add_argument("measure")
-    p.add_argument("--tail-tol", type=float, default=1e-12)
+    twin(p, "--tail-tol", "exp")
     p.add_argument("--normalized", action="store_true",
                    help="emit the chaos part, rescaled to a probability")
     p = sub(measure, "fourier", _cmd_measure_fourier)
     p.add_argument("measure")
-    p.add_argument("--band", type=int, default=8)
+    twin(p, "--band", "fourier")
     p = sub(measure, "classify", _cmd_measure_classify)
     p.add_argument("measure")
-    p.add_argument("--band", type=int, default=64)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--family-size", type=int, default=16)
+    for flag in ("--band", "--epsilon", "--delta", "--family-size"):
+        twin(p, flag, "measure-classify")
 
     kal = top.add_parser("kalish", parents=[shared]).add_subparsers(
         dest="subcommand", required=True)
@@ -430,17 +430,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub(gauss, name, handler)
         p.add_argument("--measure", default="uniform",
                        help="spectral measure sigma (token or path)")
-        p.add_argument("--nodes", type=int, default=8)
+        twin(p, "--nodes", "invariance")  # one node default for all Gauss probes
         if name == "sample":
             p.add_argument("--count", type=int, default=8)
         if name == "invariance":
-            p.add_argument("--samples", type=int, default=10_000)
-            p.add_argument("--tolerance", type=float, default=0.05)
-            p.add_argument("--transport-scale", type=float, default=1.0,
-                           help="!= 1 runs the non-unimodular negative control")
+            twin(p, "--samples", name)
+            twin(p, "--tolerance", name)
+            twin(p, "--transport-scale", name,
+                 help="!= 1 runs the non-unimodular negative control")
         if name == "coeff":
-            p.add_argument("--samples", type=int, default=10_000)
-            p.add_argument("--power", type=int, default=8)
+            twin(p, "--samples", name)
+            twin(p, "--power", name, "max_power")
 
     hits = top.add_parser("hits", parents=[shared]).add_subparsers(
         dest="subcommand", required=True)
@@ -451,18 +451,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub(hits, name, handler)
         p.add_argument("set", help="windowed-set JSON or integer lines")
         if name in ("density", "ubd"):
-            p.add_argument("--min-len", type=int, default=16)
+            twin(p, "--min-len", "ubd")
 
     labp = top.add_parser("lab", parents=[shared]).add_subparsers(
         dest="subcommand", required=True)
     p = sub(labp, "orbit", _cmd_lab_orbit)
     p.add_argument("system")
-    p.add_argument("--steps", type=int, default=512)
+    twin(p, "--steps", "orbit")
     p = sub(labp, "classify", _cmd_lab_classify)
     p.add_argument("--systems", help="JSON file with a list of system specs")
-    p.add_argument("--window", type=int, default=1000)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--gap-bound", type=int, default=64)
+    for flag in ("--window", "--samples", "--gap-bound"):
+        twin(p, flag, "classification")
 
     p = sub(top, "run", _cmd_run, help="execute an experiment config")
     p.add_argument("config")

@@ -28,14 +28,17 @@ __all__ = [
     "parse_config",
     "config_from_dict",
     "CONFIG_SCHEMA",
+    "PROBE_FIELDS",
     "PROBE_KINDS",
     "MEASURE_KINDS",
+    "TOP_DEFAULTS",
 ]
 
 CONFIG_SCHEMA = "experiment-config/1"
 
 _TOP_FIELDS = ("schema", "seed", "bins", "grid", "out",
                "measures", "systems", "probes")
+TOP_DEFAULTS = {"seed": 0, "bins": 1024, "grid": 1024}
 
 # Sentinels resolved during expansion; they never appear in expanded configs.
 _REQUIRED = "<required>"
@@ -53,7 +56,8 @@ _MEASURE_FIELDS = {
     "inline": {"doc": _REQUIRED},
 }
 
-_PROBE_FIELDS = {
+# Every probe's fields and defaults, also those of the CLI flags that mirror them.
+PROBE_FIELDS = {
     "convolve": {"left": _REQUIRED, "right": _REQUIRED,
                  "band": 64, "tolerance": 5e-3},
     "exp": {"measure": _REQUIRED, "band": 64,
@@ -81,7 +85,7 @@ _PROBE_FIELDS = {
 }
 
 MEASURE_KINDS = tuple(sorted(_MEASURE_FIELDS))
-PROBE_KINDS = tuple(sorted(_PROBE_FIELDS))
+PROBE_KINDS = tuple(sorted(PROBE_FIELDS))
 
 _INT_FIELDS = {"seed", "bins", "grid", "band", "family_size", "samples",
                "functionals", "nodes", "window", "count", "min_len",
@@ -213,12 +217,12 @@ def _validate_probe(index: int, raw, context: dict) -> dict:
     if not isinstance(raw, dict):
         _fail(path, "expected an object")
     kind = raw.get("probe")
-    if kind not in _PROBE_FIELDS:
+    if kind not in PROBE_FIELDS:
         _fail(path, f"unknown probe kind {kind!r} "
                     f"(expected one of {', '.join(PROBE_KINDS)})")
     context = dict(context, seed_label=f"probe[{index}]:{kind}")
     probe = {"probe": kind}
-    probe.update(_expand_block(path, raw, _PROBE_FIELDS[kind], context))
+    probe.update(_expand_block(path, raw, PROBE_FIELDS[kind], context))
     if kind == "residual":
         for key in ("angles", "grids"):
             vals = probe[key]
@@ -256,8 +260,7 @@ def config_from_dict(doc) -> ExperimentConfig:
     if major != "1":
         raise ConfigError(f"config.schema: unsupported major version {major!r}")
 
-    top = {"seed": doc.get("seed", 0), "bins": doc.get("bins", 1024),
-           "grid": doc.get("grid", 1024)}
+    top = {key: doc.get(key, default) for key, default in TOP_DEFAULTS.items()}
     for key, value in top.items():
         _check_scalar("config", key, value)
     _check_bins("config.bins", top["bins"])

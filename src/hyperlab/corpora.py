@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-def _trig_density(rng: np.random.Generator, bins: int, degree: int = 4) -> np.ndarray:
+def _trig_density(rng: np.random.Generator, bins: int) -> np.ndarray:
     """Strictly positive smooth density: uniform plus a bounded trig polynomial.
 
     The perturbation is rescaled to relative amplitude 2/3, so the density
@@ -33,6 +33,7 @@ def _trig_density(rng: np.random.Generator, bins: int, degree: int = 4) -> np.nd
     |n| = degree. Low degree keeps the bin-average projection error of
     iterated convolutions far below the acceptance tolerances.
     """
+    degree = 4
     centers = (np.arange(bins) + 0.5) * (TWO_PI / bins)
     coef = rng.standard_normal(2 * degree)
     pert = np.zeros(bins)
@@ -98,13 +99,14 @@ def probability_measure(seed: int, bins: int) -> CircleMeasure:
     return CircleMeasure.from_parts(bins, atoms=zip(angles, masses), density=density)
 
 
-def random_functional(seed: int, grid_size: int, degree: int = 6) -> CircleFunction:
+def random_functional(seed: int, grid_size: int) -> CircleFunction:
     """Smooth random test functional: complex trig polynomial on the grid.
 
     Trig polynomials of modest degree have generic (almost surely nonzero)
     overlap with every near-indicator eigenvector, so the induced functional
     is nondegenerate on every model in the test suite.
     """
+    degree = 6
     rng = rng_for(seed, "functional")
     theta = grid_angles(grid_size)
     coef = complex_standard_normal(rng, 2 * degree + 1)

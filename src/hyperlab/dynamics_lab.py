@@ -134,16 +134,8 @@ class SystemSpec:
 
     def to_dict(self) -> dict:
         doc = {"kind": self.kind}
-        if self.kind == "kalish":
-            doc["grid"] = self.grid_size
-        elif self.kind == "scalar_multiple_shift":
-            doc["scalar"] = [self.scalar.real, self.scalar.imag]
-            doc["dimension"] = self.dimension
-        elif self.kind == "weighted_shift":
-            doc["weights"] = list(self.weights)
-            doc["dimension"] = self.dimension
-        else:
-            doc["angles"] = list(self.angles)
+        for key, attr, _, write in _KIND_FIELDS[self.kind]:
+            doc[key] = write(getattr(self, attr))
         if self.name:
             doc["name"] = self.name
         return doc
@@ -151,22 +143,31 @@ class SystemSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "SystemSpec":
         kind = doc.get("kind")
-        name = doc.get("name", "")
-        if kind == "kalish":
-            return cls(kind=kind, grid_size=int(doc["grid"]), name=name)
-        if kind == "scalar_multiple_shift":
-            s = doc["scalar"]
-            scalar = complex(s[0], s[1]) if isinstance(s, list) else complex(s)
-            return cls(kind=kind, scalar=scalar,
-                       dimension=int(doc["dimension"]), name=name)
-        if kind == "weighted_shift":
-            weights = tuple(float(w) for w in doc["weights"])
-            return cls(kind=kind, weights=weights,
-                       dimension=int(doc["dimension"]), name=name)
-        if kind == "torus_rotation":
-            return cls(kind=kind, angles=tuple(float(a) for a in doc["angles"]),
-                       name=name)
-        raise ValueError(f"unknown system kind {kind!r}")
+        if not isinstance(kind, str) or kind not in _KIND_FIELDS:
+            raise ValueError(f"unknown system kind {kind!r}")
+        return cls(kind=kind, name=doc.get("name", ""),
+                   **{attr: read(doc[key])
+                      for key, attr, read, _ in _KIND_FIELDS[kind]})
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+def _complex(value) -> complex:
+    return complex(value[0], value[1]) if isinstance(value, list) else complex(value)
+
+
+# Each kind's document form: (key, SystemSpec field, reader, writer) per field.
+_KIND_FIELDS = {
+    "kalish": [("grid", "grid_size", int, int)],
+    "scalar_multiple_shift": [("scalar", "scalar", _complex,
+                               lambda z: [z.real, z.imag]),
+                              ("dimension", "dimension", int, int)],
+    "weighted_shift": [("weights", "weights", _floats, list),
+                       ("dimension", "dimension", int, int)],
+    "torus_rotation": [("angles", "angles", _floats, list)],
+}
 
 
 def kalish_system(M: int, name: str = "") -> SystemSpec:
@@ -270,7 +271,8 @@ def n_step_map(spec: SystemSpec, state: np.ndarray, n: int) -> np.ndarray:
 def default_start(spec: SystemSpec, seed: int) -> np.ndarray:
     """Transitive-looking start vectors: a Gaussian sample for kalish,
     a randomized dense-support vector x_i = r_i / W_i for shifts (so the
-    orbit slides a fresh symbol window across the visible coordinates),
+    orbit slides a fresh symbol window across the visible coordinates;
+    x_i = 0 where |1 / W_i| > e^300, mirroring the 1e-280 underflow cut),
     and the all-ones point for torus rotations."""
     if spec.kind == "kalish":
         model = default_gauss_model(spec.grid_size)
@@ -281,8 +283,10 @@ def default_start(spec: SystemSpec, seed: int) -> np.ndarray:
         rng = rng_for(seed, f"start:{spec.label}")
         r = complex_standard_normal(rng, (spec.dimension,))
         logW = _shift_log_products(spec)
+        keep = logW.real >= -300.0  # beyond, x_i^2 in a norm nears overflow
+        x = np.zeros(spec.dimension, dtype=complex)
         with np.errstate(divide="ignore", under="ignore"):
-            x = r * np.exp(-logW)  # underflows to exact 0 deep in the tail
+            x[keep] = r[keep] * np.exp(-logW[keep])  # deep in a tail it underflows to 0
         x[np.abs(x) < 1e-280] = 0.0
         return x
     return np.ones(len(spec.angles), dtype=complex)
@@ -291,13 +295,12 @@ def default_start(spec: SystemSpec, seed: int) -> np.ndarray:
 _MODEL_CACHE: dict = {}
 
 
-def default_gauss_model(M: int, nodes: int = 8) -> GaussModel:
-    """Shared corrected-eigenvector model over the uniform measure."""
-    key = (M, nodes)
-    if key not in _MODEL_CACHE:
+def default_gauss_model(M: int) -> GaussModel:
+    """Shared 8-node corrected-eigenvector model over the uniform measure."""
+    if M not in _MODEL_CACHE:
         sigma = CircleMeasure.uniform(1.0, bins=min(M, 1024))
-        _MODEL_CACHE[key] = build_model(corrected_field(sigma, nodes, M))
-    return _MODEL_CACHE[key]
+        _MODEL_CACHE[M] = build_model(corrected_field(sigma, 8, M))
+    return _MODEL_CACHE[M]
 
 
 @dataclass(frozen=True)
@@ -399,15 +402,15 @@ class ReturnSetReport:
 
 def return_set_identity_check(traj: Trajectory, ball: BallSpec,
                               verify_ball: Optional[BallSpec] = None,
-                              max_witness_pairs: int = 512,
                               seed: int = 0) -> ReturnSetReport:
     """Certify difference_set(hitting_times) as transfer times of the
     ball into itself: for sampled visit pairs k > l, independently
     recompute T^{k-l} at the time-l state and confirm it lands back in
-    the ball (it must equal the recorded time-k state).  verify_ball
-    lets a test aim the membership check at a different ball, which is
-    the negative control."""
+    the ball (it must equal the recorded time-k state), for at most 512
+    pairs.  verify_ball lets a test aim the membership check at a
+    different ball, which is the negative control."""
     verify_ball = verify_ball or ball
+    max_witness_pairs = 512
     visits = hitting_times(traj, ball)
     if visits.size < 2:
         raise ValueError("return-set identity needs at least 2 visits")
@@ -523,15 +526,15 @@ class EigenSpanReport:
         return record_dict(self, check="eigen-span")
 
 
-def eigen_span_probe(spec: SystemSpec, tolerance: float = 1e-8,
-                     family_size: int = 0) -> EigenSpanReport:
+def eigen_span_probe(spec: SystemSpec) -> EigenSpanReport:
     """Numerical rank of a family of unimodular eigenvectors: arc
     indicators for kalish, coordinate characters for rotations.
     Truncated shifts are nilpotent and own no unimodular eigenvectors,
     so they earn "no-evidence"."""
+    tolerance = 1e-8  # relative to the largest singular value
     if spec.kind == "kalish":
         M = spec.grid_size
-        m = family_size or min(64, max(M // 16, 2))
+        m = min(64, max(M // 16, 2))
         angles = TWO_PI * (np.arange(m) + 0.5) / m
         mat = arc_indicators(angles, M).astype(complex)
         sv = np.linalg.svd(mat, compute_uv=False)
@@ -565,19 +568,19 @@ class ProbeOutcome:
         return record_dict(self)
 
 
-def periodic_return_probe(traj: Trajectory, max_period: int = 64,
-                          eps: float = 0.02, seed: int = 0) -> ProbeOutcome:
+def periodic_return_probe(traj: Trajectory, seed: int = 0) -> ProbeOutcome:
     """Near-periodic-return heuristic for the chaotic column: yes when a
-    relative return ||x_p - x_0|| / ||x_0||, p <= max_period, is below
-    eps.  best_period is the first such p (else the argmin), so returns
+    relative return ||x_p - x_0|| / ||x_0||, p <= 64, is below eps =
+    0.02.  best_period is the first such p (else the argmin), so returns
     at round-off, as at each multiple of a period, cannot trade places.
     For kalish the harness start lives in a rational-angle eigenvector
     span (the default model's nodes sit on dyadic grid angles), so a
     genuine short period exists and the probe is expected to find it;
     irrational rotations and nilpotent shifts produce no near-returns."""
+    eps = 0.02
     x0 = traj.states[0]
     scale = max(state_norm(traj.spec, x0), 1e-12)
-    top = min(max_period, traj.length - 1)
+    top = min(64, traj.length - 1)
     dists = norms(traj.spec, traj.states[1:top + 1] - x0) / scale
     below = np.flatnonzero(dists < eps)
     best = int(below[0] if below.size else np.argmin(dists)) + 1

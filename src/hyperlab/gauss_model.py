@@ -249,14 +249,14 @@ class GaussModel:
     def functional_variance(self, xstar: CircleFunction) -> float:
         return float(np.sum(np.abs(self.functional_coefficients(xstar)) ** 2))
 
-    def to_manifest(self, seed_policy: str = "sha256-labeled-streams") -> dict:
+    def to_manifest(self) -> dict:
         return {
             "schema": "gauss-model/1",
             "sigma": self.field.source_measure.to_dict(),
             "nodes": [[float(a), float(w)] for a, w in self.field.nodes()],
             "grid": self.grid_size,
             "field_kind": self.field.kind,
-            "seed_policy": seed_policy,
+            "seed_policy": "sha256-labeled-streams",
         }
 
 

@@ -95,6 +95,9 @@ class WindowedSet:
     @classmethod
     def from_dict(cls, doc: dict) -> "WindowedSet":
         check_schema(doc, "windowed-set")
+        for v in doc["elements"]:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"windowed-set element {v!r} is not an integer")
         return cls.from_iterable(int(doc["window"]), doc["elements"])
 
     @classmethod

@@ -131,49 +131,39 @@ def fourier_rows(mu: cm.CircleMeasure, band: int) -> list:
             for n, c in zip(range(-band, band + 1), _band(mu, band))]
 
 
+def _band_check(probe: str, target: str, got: cm.CircleMeasure, want: list,
+                p: dict, names: tuple, **detail) -> ProbeResult:
+    """The one check of the convolve and exp probes: got's Fourier band
+    against the oracle coefficients want, for n = -band..band."""
+    band = p["band"]
+    rows = [(n, g.real, g.imag, w.real, w.imag, abs(g - w))
+            for n, g, w in zip(range(-band, band + 1), _band(got, band), want)]
+    worst = max(0.0, *(r[5] for r in rows))
+    detail.update(max_error=worst, tolerance=p["tolerance"], band=band,
+                  result_mass=cm.total_mass(got))
+    return ProbeResult(
+        probe=probe, target=target, passed=worst <= p["tolerance"],
+        grade="exact", detail=detail,
+        table=csv_text(["n", *(f"{k}_{part}" for k in names for part in ("re", "im")),
+                        "abs_error"], rows),
+        plotdata=_columns(["n", "abs_error"], [(r[0], r[5]) for r in rows]))
+
+
 def _run_convolve(ctx: _RunContext, p: dict) -> ProbeResult:
     mu, nu = ctx.measure(p["left"]), ctx.measure(p["right"])
     conv = cm.convolve(mu, nu)
-    band = p["band"]
-    rows, worst = [], 0.0
-    for n, a, b, got in zip(range(-band, band + 1), _band(mu, band),
-                            _band(nu, band), _band(conv, band)):
-        prod = a * b
-        err = abs(got - prod)
-        worst = max(worst, err)
-        rows.append((n, got.real, got.imag, prod.real, prod.imag, err))
-    detail = {"max_error": worst, "tolerance": p["tolerance"], "band": p["band"],
-              "result_atoms": conv.atom_count,
-              "result_mass": cm.total_mass(conv)}
-    return ProbeResult(
-        probe="convolve", target=f"{p['left']}x{p['right']}",
-        passed=worst <= p["tolerance"], grade="exact", detail=detail,
-        table=csv_text(["n", "conv_re", "conv_im", "product_re", "product_im",
-                        "abs_error"], rows),
-        plotdata=_columns(["n", "abs_error"], [(r[0], r[5]) for r in rows]))
+    want = [a * b for a, b in zip(_band(mu, p["band"]), _band(nu, p["band"]))]
+    return _band_check("convolve", f"{p['left']}x{p['right']}", conv, want, p,
+                       ("conv", "product"), result_atoms=conv.atom_count)
 
 
 def _run_exp(ctx: _RunContext, p: dict) -> ProbeResult:
     rho = ctx.measure(p["measure"])
     ex = cm.exp_measure(rho, tail_tol=p["tail_tol"])
-    band = p["band"]
-    rows, worst = [], 0.0
-    for n, c, got in zip(range(-band, band + 1), _band(rho, band),
-                         _band(ex, band)):
-        want = cmath.exp(c)
-        err = abs(got - want)
-        worst = max(worst, err)
-        rows.append((n, got.real, got.imag, want.real, want.imag, err))
-    detail = {"max_error": worst, "tolerance": p["tolerance"],
-              "band": p["band"], "tail_tol": p["tail_tol"],
-              "order": cm.truncation_order(p["tail_tol"]),
-              "result_mass": cm.total_mass(ex)}
-    return ProbeResult(
-        probe="exp", target=p["measure"],
-        passed=worst <= p["tolerance"], grade="exact", detail=detail,
-        table=csv_text(["n", "exp_re", "exp_im", "want_re", "want_im",
-                        "abs_error"], rows),
-        plotdata=_columns(["n", "abs_error"], [(r[0], r[5]) for r in rows]))
+    want = [cmath.exp(c) for c in _band(rho, p["band"])]
+    return _band_check("exp", p["measure"], ex, want, p, ("exp", "want"),
+                       tail_tol=p["tail_tol"],
+                       order=cm.truncation_order(p["tail_tol"]))
 
 
 def _run_fourier(ctx: _RunContext, p: dict) -> ProbeResult:
@@ -209,8 +199,6 @@ def _run_measure_classify(ctx: _RunContext, p: dict) -> ProbeResult:
     detail, rows = measure_classification(
         rho, p["band"], p["epsilon"], p["delta"], p["family_size"], p["seed"])
     band = p["band"]
-    if rho.has_density:
-        band = min(band, rho.bins // 8)
     spectrum = [(n, abs(c)) for n, c in enumerate(_band(rho, band)[band + 1:], 1)]
     return ProbeResult(
         probe="measure-classify", target=p["measure"], passed=True,
@@ -380,7 +368,7 @@ def _run_orbit(ctx: _RunContext, p: dict) -> ProbeResult:
     dist = lab.norms(spec, traj.states - x0[None, :])
     radius = lab.ball_radius(dist[1:]) if traj.length > 1 else 1.0
     radius = max(radius, 1e-12)
-    hits = lab.hitting_times(traj, lab.BallSpec(center=x0, radius=radius))
+    hits = hs.WindowedSet.from_mask(dist < radius)
     gap = hs.max_gap(hs.difference_set(hits)) if hits.size else None
     detail = {"system": spec.label, "steps": p["steps"],
               "norm_min": float(norms.min()), "norm_max": float(norms.max()),

@@ -225,6 +225,19 @@ def test_default_start_shapes():
         assert np.all(np.isfinite(x0))
 
 
+@pytest.mark.parametrize("window", [1, 10, 1000])
+@pytest.mark.parametrize("spec", [scalar_shift_system(0.5, 1128),
+                                  weighted_shift_system([0.3] * 900)],
+                         ids=["half-shift", "weighted-0.3"])
+def test_contracting_shift_start_is_finite(spec, window):
+    # 1 / W_i overflows the float range here; the start drops those
+    # coordinates instead of sending inf/nan through the probes (the
+    # tier-1 filter turns any RuntimeWarning into a failure)
+    x0 = default_start(spec, 0)
+    assert np.all(np.isfinite(x0)) and np.isfinite(state_norm(spec, x0) ** 2)
+    classify_system(spec, window, 0)
+
+
 # -- hitting times and balls --------------------------------------------
 
 def test_ball_radius_must_be_positive():

@@ -110,6 +110,13 @@ def test_serialization_round_trip():
     assert s.to_dict()["schema"].startswith("windowed-set")
 
 
+@pytest.mark.parametrize("bad", [3.7, 3.0, True, "3", None])
+def test_from_dict_rejects_non_integral_elements(bad):
+    doc = {"schema": "windowed-set/1", "window": 10, "elements": [bad, 5]}
+    with pytest.raises(ValueError, match=f"element {bad!r} is not an integer"):
+        WindowedSet.from_dict(doc)
+
+
 def test_lines_round_trip():
     s = WindowedSet.from_iterable(12, [2, 7, 11])
     text = s.to_lines()
