@@ -10,6 +10,8 @@ complex Gaussians (E g = 0, E|g|^2 = 1, E g^2 = 0).
 All covariance comparisons run through Gram matrices: for W with m-ish
 columns and Hermitian S, ||W S W*||_F^2 = tr(S P S P) with P = W* W, so
 nothing M x M is ever materialized; sigma_min(A) comes from the Gram too.
+The invariance check forms its Gram of [T A, A] by blocks and reuses the
+cached A* A, holding T A and one conjugate copy, never the stacked pair.
 Sampling draws only the m x S coefficients, and each check forms T A once.
 A transport is None (the grid T) or a callable on (M, k) arrays.  walk is
 the one drift-guarded walk through powers of a map: the coefficient table
@@ -235,10 +237,6 @@ class GaussModel:
     def node_count(self) -> int:
         return int(self.factor.shape[1])
 
-    def covariance(self) -> np.ndarray:
-        """Dense R = A A*.  Only for small grids; checks use the Gram."""
-        return self.factor @ self.factor.conj().T
-
     def covariance_frobenius(self) -> float:
         return float(np.sqrt(np.trace(self.gram @ self.gram).real))
 
@@ -307,7 +305,8 @@ def _transported(model: GaussModel, transport: Transport) -> tuple:
     TA = (apply_T_array if transport is None else transport)(A)
     if TA.shape != A.shape:
         raise GridMismatchError("transport output shape does not match the factor")
-    num = np.linalg.norm(TA - A * model.diag[None, :])
+    R = A * model.diag[None, :]
+    num = np.linalg.norm(np.subtract(TA, R, out=R))
     return TA, float(num / np.linalg.norm(A))
 
 
@@ -412,16 +411,24 @@ def invariance_check(model: GaussModel, transport: Transport = None,
     covariance of {T x_s} must match R.  The distance is computed
     exactly in Gram form; the pass budget is the statistical tolerance
     plus the model's intertwining residual (the part of the distance the
-    discretization owes, not the sampler); T A is formed once for both."""
+    discretization owes, not the sampler); T A is formed once for both.
+    The Gram P = W* W of W = [T A, A] is formed by blocks, reusing the
+    model's cached Gram A* A, so W itself is never built."""
     _require_count(count)
     A = model.factor
     B, intertwine = _transported(model, transport)
     rng = rng_for(seed, "invariance-check")
     G = complex_standard_normal(rng, (model.node_count, count))
     Ghat = (G @ G.conj().T) / count
+    del G
     m = model.node_count
-    W = np.concatenate([B, A], axis=1)
-    P = W.conj().T @ W
+    P = np.empty((2 * m, 2 * m), dtype=complex)  # the Gram of W = [B, A]
+    Bc = B.conj()
+    P[:m, :m] = Bc.T @ B
+    P[:m, m:] = Bc.T @ A
+    del Bc, B
+    P[m:, :m] = P[:m, m:].conj().T
+    P[m:, m:] = model.gram
     S = np.zeros((2 * m, 2 * m), dtype=complex)
     S[:m, :m] = Ghat
     S[m:, m:] = -np.eye(m)

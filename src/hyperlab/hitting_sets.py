@@ -95,10 +95,11 @@ class WindowedSet:
     @classmethod
     def from_dict(cls, doc: dict) -> "WindowedSet":
         check_schema(doc, "windowed-set")
-        for v in doc["elements"]:
+        named = [("window", doc["window"])] + [("element", v) for v in doc["elements"]]
+        for what, v in named:
             if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"windowed-set element {v!r} is not an integer")
-        return cls.from_iterable(int(doc["window"]), doc["elements"])
+                raise ValueError(f"windowed-set {what} {v!r} is not an integer")
+        return cls.from_iterable(doc["window"], doc["elements"])
 
     @classmethod
     def from_lines(cls, text: str, window: int = None) -> "WindowedSet":

@@ -21,9 +21,17 @@ so its exact spectrum is the set of M-th roots of unity and T^M = I in
 exact arithmetic.
 
 Batches: apply_T_array and kalish_solve_array take values of shape (M,)
-or (M, k), one function per column, and work along axis 0, holding one
-(M, k) temporary besides the output.  apply_T and kalish_solve wrap them
-for a CircleFunction; callers holding arrays call the kernels directly.
+or (M, k), one function per column, and work along axis 0 in row blocks
+of at most _BLOCK_ELEMENTS (2**16) complex elements, so besides the
+output they hold one 1 MiB temporary, not an (M, k) one.  An array of at
+most 2**16 elements is one block.  The prefix sum carries from block to
+block: the previous block's last sum is added into the block's first row
+before its cumsum, which is the very addition a one-pass cumsum makes at
+that row, so the blocked result is bit-identical to the one-pass one.
+The first block takes no carry at all: 0.0 + -0.0 is +0.0, so a 0
+carry would flip the sign of exact-zero rows, such as the rows above an
+eigenvector's node.  apply_T and kalish_solve wrap the kernels for a
+CircleFunction; callers holding arrays call the kernels directly.
 
 Solving: row k of T x = b reads e^{i t_k} x_k = b_k + i w S_{k-1}, with
 w = 2pi/M and S_k = sum_{j<=k} e^{i t_j} x_j, so S_k = q S_{k-1} + b_k
@@ -38,6 +46,7 @@ S_j = d_k prod_{k<l<=j} (1 + i w d_l / (d_l - d_k)): one cumprod.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +55,7 @@ from .jsonio import check_schema
 
 TWO_PI = 2.0 * np.pi
 MATRIX_SIZE_LIMIT = 4096
+_BLOCK_ELEMENTS = 2**16  # complex elements per kernel temporary: 1 MiB
 
 
 class GridMismatchError(ValueError):
@@ -154,30 +164,49 @@ def apply_M(f: CircleFunction) -> CircleFunction:
     return CircleFunction(_phases(f.grid_size) * f.values, f.grid_size)
 
 
-def _running_J(X: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _running_J(X: np.ndarray, d: np.ndarray, w: float, before=None) -> np.ndarray:
     """Inclusive left-endpoint sums i w sum_{j<=k} e^{i t_j} x_j along
-    axis 0, accumulated in place in the one temporary."""
+    axis 0, accumulated in place in the one temporary; before, the sum
+    up to the row above X, is added into X's first row ahead of the
+    cumsum, the exact addition a one-pass cumsum makes there."""
     running = X * (1j * d)
-    running *= TWO_PI / X.shape[0]
-    return np.cumsum(running, axis=0, out=running)
+    running *= w
+    if before is not None:
+        running[:1] += before
+    return np.add.accumulate(running, axis=0, out=running)
 
 
 def apply_J(f: CircleFunction) -> CircleFunction:
     """Left-endpoint quadrature of the line integral from angle 0."""
-    running = _running_J(f.values, _phases(f.grid_size))
+    running = _running_J(f.values, _phases(f.grid_size), TWO_PI / f.grid_size)
     out = np.zeros_like(running)
     out[1:] = running[:-1]
     return CircleFunction(out, f.grid_size)
 
 
+def _block_rows(shape: tuple) -> int:
+    """Rows of one block: at most _BLOCK_ELEMENTS elements, at least one row."""
+    return max(1, _BLOCK_ELEMENTS // max(1, math.prod(shape[1:])))
+
+
 def apply_T_array(X: np.ndarray) -> np.ndarray:
     """T applied along axis 0 of an (M,) or (M, k) array, one function
-    per column."""
+    per column, in row blocks (see the module docstring)."""
     X = np.asarray(X, dtype=complex)
-    d = _phases(X.shape[0], X.ndim)
-    running = _running_J(X, d)
-    out = d * X
-    out[1:] -= running[:-1]
+    M = X.shape[0]
+    d = _phases(M, X.ndim)
+    w = TWO_PI / M
+    out = np.empty_like(X)
+    rows = _block_rows(X.shape)
+    before = None
+    for lo in range(0, M, rows):
+        x, dx, o = X[lo:lo + rows], d[lo:lo + rows], out[lo:lo + rows]
+        running = _running_J(x, dx, w, before)
+        np.multiply(dx, x, out=o)
+        o[1:] -= running[:-1]
+        if before is not None:
+            o[:1] -= before
+        before = running[-1:]
     return out
 
 
@@ -230,15 +259,26 @@ def kalish_matrix(M: int) -> np.ndarray:
 
 def kalish_solve_array(B: np.ndarray) -> np.ndarray:
     """Solve T X = B along axis 0 of an (M,) or (M, k) array, in closed
-    form (see the module docstring)."""
+    form and in row blocks (see the module docstring)."""
     B = np.asarray(B, dtype=complex)
-    q_down, q_up = _solve_powers(B.shape[0], B.ndim)
-    S = B * q_down
-    np.cumsum(S, axis=0, out=S)
-    S *= q_up
+    M = B.shape[0]
+    q_down, q_up = _solve_powers(M, B.ndim)
+    d = _phases(M, B.ndim)
     out = B.copy()
-    out[1:] += S[:-1]
-    out /= _phases(B.shape[0], B.ndim)
+    rows = _block_rows(B.shape)
+    before = None
+    for lo in range(0, M, rows):
+        hi = min(lo + rows, M)
+        S = B[lo:hi] * q_down[lo:hi]
+        o = out[lo:hi]
+        if before is not None:
+            S[:1] += before
+            o[:1] += before * q_up[lo - 1:lo]
+        np.add.accumulate(S, axis=0, out=S)
+        S[:-1] *= q_up[lo:hi - 1]
+        o[1:] += S[:-1]
+        o /= d[lo:hi]
+        before = S[-1:]
     return out
 
 

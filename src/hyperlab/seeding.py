@@ -28,8 +28,15 @@ def rng_for(root_seed: int, label: str) -> np.random.Generator:
 def complex_standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Symmetric complex Gaussian: mean 0, E|g|^2 = 1, E[g^2] = 0.
 
-    Real and imaginary parts are independent with variance 1/2 each.
+    Real and imaginary parts are independent with variance 1/2 each.  One
+    draw of 2 x shape normals gives all the real parts, then all the
+    imaginary parts, scaled in place by 1/sqrt(2): the same stream and the
+    same bits as (re + 1j*im) / sqrt(2) of two draws, since numpy rounds a
+    complex-by-real quotient like the product with 1.0/sqrt(2), while
+    holding one float buffer besides the complex output.
     """
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+    out = np.empty(shape, dtype=complex)
+    parts = rng.standard_normal((2,) + out.shape)
+    parts *= 1.0 / np.sqrt(2.0)
+    out.real, out.imag = parts
+    return out

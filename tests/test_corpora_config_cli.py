@@ -424,6 +424,15 @@ def test_cli_hits_non_integral_set_document_is_typed_error(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_cli_hits_non_integral_set_window_is_typed_error(tmp_path, capsys):
+    set_file = tmp_path / "set.json"
+    set_file.write_text(json.dumps(
+        {"schema": "windowed-set/1", "window": 10.7, "elements": [3, 5]}))
+    assert main(["hits", "gaps", str(set_file)]) == 2
+    assert ("ValueError: windowed-set window 10.7 is not an integer"
+            in capsys.readouterr().err)
+
+
 def test_cli_unknown_measure_token_is_error(capsys):
     code = main(["measure", "fourier", "no-such-thing"])
     assert code == 2

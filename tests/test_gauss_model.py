@@ -175,7 +175,8 @@ def test_factor_columns_are_weighted_vectors():
 
 def test_covariance_frobenius_matches_dense():
     model = _uniform_model(M=128, m=4)
-    dense = np.linalg.norm(model.covariance(), "fro")
+    A = model.factor
+    dense = np.linalg.norm(A @ A.conj().T, "fro")  # the M x M oracle R = A A*
     assert model.covariance_frobenius() == pytest.approx(dense, rel=1e-12)
 
 

@@ -117,6 +117,13 @@ def test_from_dict_rejects_non_integral_elements(bad):
         WindowedSet.from_dict(doc)
 
 
+@pytest.mark.parametrize("bad", [10.7, 10.0, True, "10", None])
+def test_from_dict_rejects_non_integral_window(bad):
+    doc = {"schema": "windowed-set/1", "window": bad, "elements": [3, 5]}
+    with pytest.raises(ValueError, match=f"window {bad!r} is not an integer"):
+        WindowedSet.from_dict(doc)
+
+
 def test_lines_round_trip():
     s = WindowedSet.from_iterable(12, [2, 7, 11])
     text = s.to_lines()

@@ -27,6 +27,7 @@ from hyperlab import (
     kalish_solve,
     nearest_grid_index,
 )
+from hyperlab import kalish
 from hyperlab.kalish import (
     _phases, _solve_powers, apply_T_array, arc_indicators, exact_eigenvectors,
     grid_norms, kalish_solve_array)
@@ -358,6 +359,27 @@ def test_batched_kernels_leave_input_untouched():
     apply_T_array(X)
     kalish_solve_array(X)
     assert np.array_equal(X, before)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("shape", [(256, 8), (256,)])
+def test_blocked_kernels_are_bitwise_the_one_block_pass(shape, monkeypatch):
+    X = complex_standard_normal(rng_for(14, "blocked-kernels"), shape)
+    if X.ndim == 2:
+        X[:100, 0] = 0.0
+        X[:60, 1] = complex(-0.0, -0.0)
+        X[:, 2] = exact_eigenvectors([200], 256)[:, 0]  # exact zeros above row 200
+    else:
+        X[:100] = complex(-0.0, -0.0)
+    one_block = apply_T_array(X), kalish_solve_array(X)
+    # 7 rows a block: 36 blocks and a 4-row remainder, each carrying the sum
+    monkeypatch.setattr(kalish, "_BLOCK_ELEMENTS", 7 * X[0].size)
+    blocked = apply_T_array(X), kalish_solve_array(X)
+    for a, b in zip(one_block, blocked):
+        assert np.array_equal(_bits(a), _bits(b))
 
 
 def test_closed_form_solve_matches_forward_substitution():

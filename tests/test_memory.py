@@ -1,0 +1,47 @@
+"""Peak traced memory of the Gauss pipeline at (M, m) = (16384, 128), in
+units of one factor (M x m complex, 32 MiB).  The blocked Kalish kernels
+hold one 1 MiB temporary besides their output, and the invariance check
+and the coefficient table hold about two factor-sized arrays at a time."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hyperlab.circle_measure import CircleMeasure
+from hyperlab.gauss_model import (build_model, coefficient_rows, corrected_field,
+                                  invariance_check)
+from hyperlab.kalish import CircleFunction, apply_T_array
+
+M, NODES = 16384, 128
+
+
+@pytest.fixture(scope="module")
+def model():
+    return build_model(corrected_field(CircleMeasure.uniform(bins=1024), NODES, M))
+
+
+def _peak_in_factors(model, call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / model.factor.nbytes
+
+
+def test_apply_T_array_holds_one_block_besides_its_output(model):
+    assert _peak_in_factors(model, lambda: apply_T_array(model.factor)) <= 1.25
+
+
+def test_invariance_check_holds_about_two_factors(model):
+    peak = _peak_in_factors(model, lambda: invariance_check(model, count=1000, seed=0))
+    assert peak <= 2.5
+
+
+def test_coefficient_rows_hold_about_two_factors(model):
+    xstar = CircleFunction(np.ones(M, dtype=complex), M)
+    peak = _peak_in_factors(
+        model, lambda: coefficient_rows(model, xstar, 4, 1000, 0, "memory"))
+    assert peak <= 2.5

@@ -46,6 +46,17 @@ def test_complex_standard_normal_moments():
     assert abs(np.mean(z)) < 0.02
 
 
+@pytest.mark.parametrize("shape", [7, (7,), (3, 5)])
+def test_complex_standard_normal_is_bitwise_two_draws(shape):
+    rng = rng_for(1, "complex-bits")
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    expected = (re + 1j * im) / np.sqrt(2.0)
+    got = complex_standard_normal(rng_for(1, "complex-bits"), shape)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def test_stable_dumps_sorted_and_newline_free_tail():
     text = stable_dumps({"b": 1, "a": [1, 2]})
     assert text.index('"a"') < text.index('"b"')
