@@ -328,7 +328,7 @@ def _cmd_hits_gaps(args) -> int:
 def _cmd_lab_orbit(args) -> int:
     spec = _load_system(args.system, args.grid)
     x0 = lab.default_start(spec, args.seed)
-    traj = lab.orbit(spec, x0, args.steps)
+    traj = lab.orbit_rows(spec, x0, args.steps)
     norms = traj.norms()
     doc = {"schema": "orbit-report/1", "system": spec.label,
            "steps": args.steps, "norm_min": float(norms.min()),

@@ -1,6 +1,22 @@
 """Orbit simulation, visit-time extraction, and the classification harness.
 Orbits and kalish replays take gauss_model.walk, the one drift-guarded walk.
 
+Streaming: the battery, the runner's orbit probe and `lab orbit` never hold
+an (N+1, dim) orbit.  orbit_rows makes two passes over it.  Pass 1 is the
+guarded walk; it keeps the guard's per-step norms (the orbit's norm row)
+and the few snapshot states the probes name.  Pass 2, made whenever a
+distance row is asked for, replays the orbit by the same step calls,
+unguarded, which gives the same states bit for bit (the log-space closed
+form of n_step_map does not, so it is not used), and feeds them in row
+blocks of at most kalish._BLOCK_ELEMENTS (2**16) complex elements through
+_distance_rows, the one distance kernel: it writes the O(N) distance row
+of every state to each center snapshot.  The probes read only those rows,
+the norm row and the snapshots, at the times _probe_times names, which
+probe_orbit streams.  The weak-mixing pullbacks stream through the same
+kernel; they stay off the guarded walk (a guard norm per step slowed the
+battery), and so does the replay.  hitting_times on a stored Trajectory
+takes the kernel too, its states being the blocks.
+
 The operator zoo holds four kinds of system:
 
 * kalish(M): the grid Kalish operator on complex functions over M nodes,
@@ -27,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +67,8 @@ from .hitting_sets import (
 from .jsonio import csv_text, record_dict
 # apply_T is unused but kept bound: perfbench patches every binding
 from .kalish import (  # noqa: F401
-    apply_T, apply_T_array, arc_indicators, grid_norms, kalish_solve_array)
+    _block_rows, apply_T, apply_T_array, arc_indicators, grid_norms,
+    kalish_solve_array)
 from .seeding import complex_standard_normal, rng_for
 
 TWO_PI = 2.0 * np.pi
@@ -319,20 +336,139 @@ class Trajectory:
         return norms(self.spec, self.states)
 
 
-def orbit(spec: SystemSpec, x0: np.ndarray, n_steps: int,
-          drift_factor: float = 1e3) -> Trajectory:
-    """[x0, Tx0, ..., T^n x0] from the guarded walk."""
+def _start(spec: SystemSpec, x0) -> np.ndarray:
     x0 = np.asarray(x0, dtype=complex)
     if x0.shape != (spec.state_dim,):
         raise ValueError(
             f"start has shape {x0.shape}, spec wants ({spec.state_dim},)"
         )
-    walker = walk(partial(step, spec), x0, n_steps, partial(state_norm, spec),
-                  drift_factor)
+    return x0
+
+
+def orbit(spec: SystemSpec, x0: np.ndarray, n_steps: int,
+          drift_factor: float = 1e3) -> Trajectory:
+    """[x0, Tx0, ..., T^n x0] from the guarded walk, stored."""
+    walker = walk(partial(step, spec), _start(spec, x0), n_steps,
+                  partial(state_norm, spec), drift_factor)
     states = np.empty((n_steps + 1, spec.state_dim), dtype=complex)
     for t, x in enumerate(walker):
         states[t] = x
     return Trajectory(spec=spec, states=states)
+
+
+@dataclass(frozen=True)
+class OrbitRows:
+    """What the probes read of one orbit of orbit_rows: its norm row, the
+    snapshot states, and the distance row to each center snapshot."""
+
+    spec: SystemSpec
+    norm_row: np.ndarray  # (length,)
+    snapshots: dict  # time -> state
+    rows: dict  # center time -> (length,) distances to its state
+
+    @property
+    def length(self) -> int:
+        return int(self.norm_row.size)
+
+    def state(self, t: int) -> np.ndarray:
+        return self.snapshots[t]
+
+    def norms(self) -> np.ndarray:
+        return self.norm_row
+
+    def distances(self, t: int) -> np.ndarray:
+        return self.rows[t]
+
+
+def orbit_rows(spec: SystemSpec, x0: np.ndarray, n_steps: int,
+               centers=(), keep=()) -> OrbitRows:
+    """The orbit [x0, ..., T^n x0] streamed in two passes (see the module
+    docstring): its norm row, its states at the times in centers and keep,
+    and the distance row of every state to the state at each center time."""
+    x0 = _start(spec, x0)
+    norm_row = []
+
+    def guard_norm(x):
+        norm_row.append(state_norm(spec, x))
+        return norm_row[-1]
+
+    wanted = set(centers) | set(keep)
+    snapshots = {t: x for t, x in enumerate(
+        walk(partial(step, spec), x0, n_steps, guard_norm)) if t in wanted}
+    centers = sorted(set(centers))
+    rows = {}
+    if centers:  # a norm row alone (lab orbit) takes no replay
+        blocks = _blocks(_steps(spec, x0, n_steps), n_steps + 1, spec.state_dim)
+        rows = dict(zip(centers, _distance_rows(
+            spec, blocks, [snapshots[t] for t in centers], n_steps + 1)))
+    return OrbitRows(spec, np.array(norm_row), snapshots, rows)
+
+
+def _steps(spec: SystemSpec, x: np.ndarray, n: int, back: bool = False):
+    """x and then n unguarded steps of T (of R with back=True), lazily."""
+    yield x
+    for _ in range(n):
+        x = step(spec, x, back)
+        yield x
+
+
+def _blocks(states, length: int, dim: int):
+    """The iterator's length states packed into row blocks of one reused
+    buffer of at most kalish._BLOCK_ELEMENTS elements: a block is valid
+    until the next one is drawn."""
+    buf = np.empty((min(_block_rows((length, dim)), length), dim), dtype=complex)
+    i = 0
+    for x in states:
+        buf[i] = x
+        i += 1
+        if i == len(buf):
+            yield buf
+            i = 0
+    if i:
+        yield buf[:i]
+
+
+def _distance_rows(spec: SystemSpec, blocks, centers, length: int) -> np.ndarray:
+    """The one distance kernel: (len(centers), length) distances
+    ||x_t - c|| from the states, given as consecutive row blocks, to each
+    center c, so every center meets a block while it is in cache.  Row by
+    row it is norms(spec, states - c) bit for bit."""
+    centers = [np.asarray(c, dtype=complex) for c in centers]
+    out = np.empty((len(centers), length))
+    lo = 0
+    for block in blocks:
+        hi = lo + len(block)
+        for row, c in zip(out, centers):
+            row[lo:hi] = norms(spec, block - c)
+        lo = hi
+    return out
+
+
+class _ProbeTimes(NamedTuple):
+    """The orbit times the probes of classify_system read, in one place,
+    so the streamed orbit holds every row and state a probe asks for.  The
+    start, time 0, is always a center: the chaotic column's returns and
+    the reference ball's radius read its row."""
+
+    family: list  # e_system's ball centers; none for kalish (Gauss model)
+    reference: int  # center of the syndetic and ufh reference ball
+    middle: int  # weak mixing's V center: a state, no row
+
+    @property
+    def centers(self) -> list:
+        return [0, *self.family, self.reference]
+
+
+def _probe_times(spec: SystemSpec, length: int) -> _ProbeTimes:
+    """The _ProbeTimes of a window of length states."""
+    family = [] if spec.kind == "kalish" else _spread_times(length, 6)
+    return _ProbeTimes(family=family, reference=length // 10, middle=length // 2)
+
+
+def probe_orbit(spec: SystemSpec, x0: np.ndarray, n_steps: int) -> OrbitRows:
+    """orbit_rows with every row and state the probes read (_probe_times)."""
+    times = _probe_times(spec, n_steps + 1)
+    return orbit_rows(spec, x0, n_steps, centers=times.centers, keep=[times.middle])
 
 
 @dataclass(frozen=True)
@@ -349,8 +485,9 @@ class BallSpec:
 
 def hitting_times(traj: Trajectory, ball: BallSpec) -> WindowedSet:
     """Times t with ||x_t - center|| < radius; window = trajectory length."""
-    dist = norms(traj.spec,
-                 traj.states - np.asarray(ball.center, dtype=complex)[None, :])
+    rows = _block_rows(traj.states.shape)
+    blocks = (traj.states[lo:lo + rows] for lo in range(0, traj.length, rows))
+    dist = _distance_rows(traj.spec, blocks, [ball.center], traj.length)[0]
     return WindowedSet.from_mask(dist < ball.radius)
 
 
@@ -470,29 +607,26 @@ class ThreeOpenSetsReport:
         return record_dict(self, check="three-open-sets")
 
 
-def three_open_sets_probe(traj: Trajectory, V: BallSpec,
+def three_open_sets_probe(spec: SystemSpec, forward: WindowedSet, V: BallSpec,
                           W0: BallSpec) -> ThreeOpenSetsReport:
-    """Weak-mixing compatibility at window scale, read off the given
-    trajectory (no orbit is simulated): its visits to W0 are transfer
-    times U -> W0 for U around its start (thickness evidence), and the
-    exact pullbacks of V's center that land in W0 give transfer times
-    W0 -> V (syndeticity evidence); compatible iff the two sets meet.
-    An empty forward visit set is reported as no evidence, not invented."""
-    spec = traj.spec
-    n_steps = traj.length - 1
-    forward = hitting_times(traj, W0)
+    """Weak-mixing compatibility at window scale, given an orbit's visits
+    to W0 (no orbit is simulated): they are transfer times U -> W0 for U
+    around its start (thickness evidence), and the exact pullbacks of V's
+    center that land in W0 give transfer times W0 -> V (syndeticity
+    evidence); compatible iff the two sets meet.  An empty forward visit
+    set is reported as no evidence, not invented."""
+    n_steps = forward.window - 1
     # shift pullbacks push support deeper; past the dimension they lose
     # mass and stop being exact witnesses, so the scan stops there
     if spec.kind in ("scalar_multiple_shift", "weighted_shift"):
         deepest = int(np.max(np.flatnonzero(V.center), initial=0))
         n_steps = min(n_steps, max(spec.dimension - 1 - deepest, 0))
     # not walk(): these steps run unguarded; a guard norm per step slows the battery
-    pullbacks = np.empty((n_steps + 1, spec.state_dim), dtype=complex)
-    pullbacks[0] = V.center
-    for n in range(1, n_steps + 1):
-        pullbacks[n] = step(spec, pullbacks[n - 1], back=True)
-    back_hits = hitting_times(Trajectory(spec, pullbacks), W0).elements
-    backward = WindowedSet(window=traj.length, elements=back_hits[back_hits > 0])
+    pullbacks = _steps(spec, np.asarray(V.center, dtype=complex), n_steps, back=True)
+    dist = _distance_rows(spec, _blocks(pullbacks, n_steps + 1, spec.state_dim),
+                          [W0.center], n_steps + 1)[0]
+    back_hits = WindowedSet.from_mask(dist < W0.radius).elements
+    backward = WindowedSet(window=forward.window, elements=back_hits[back_hits > 0])
     common = np.intersect1d(forward.elements, backward.elements)
     if forward.size == 0:
         note = "orbit from U never entered W0; no transitive evidence at this window"
@@ -509,7 +643,7 @@ def three_open_sets_probe(traj: Trajectory, V: BallSpec,
         backward_visits=backward.size,
         backward_gap=max_gap(backward),
         witness=int(common[0]) if common.size else -1,
-        window=traj.length,
+        window=forward.window,
         note=note,
     )
 
@@ -568,7 +702,7 @@ class ProbeOutcome:
         return record_dict(self)
 
 
-def periodic_return_probe(traj: Trajectory, seed: int = 0) -> ProbeOutcome:
+def periodic_return_probe(traj: OrbitRows, seed: int = 0) -> ProbeOutcome:
     """Near-periodic-return heuristic for the chaotic column: yes when a
     relative return ||x_p - x_0|| / ||x_0||, p <= 64, is below eps =
     0.02.  best_period is the first such p (else the argmin), so returns
@@ -578,10 +712,9 @@ def periodic_return_probe(traj: Trajectory, seed: int = 0) -> ProbeOutcome:
     genuine short period exists and the probe is expected to find it;
     irrational rotations and nilpotent shifts produce no near-returns."""
     eps = 0.02
-    x0 = traj.states[0]
-    scale = max(state_norm(traj.spec, x0), 1e-12)
+    scale = max(state_norm(traj.spec, traj.state(0)), 1e-12)
     top = min(64, traj.length - 1)
-    dists = norms(traj.spec, traj.states[1:top + 1] - x0) / scale
+    dists = traj.distances(0)[1:top + 1] / scale
     below = np.flatnonzero(dists < eps)
     best = int(below[0] if below.size else np.argmin(dists)) + 1
     best_dist = float(dists[best - 1])
@@ -600,29 +733,33 @@ def ball_radius(distances: np.ndarray) -> float:
     return float(np.quantile(distances, 0.35)) * (1.0 - 1e-9)
 
 
-def _ball_family(traj: Trajectory, count: int):
-    """Balls centered at spread orbit snapshots, radius from the pooled
-    distance quantile (so the family adapts to the orbit's scale).  An
-    orbit whose sampled states all coincide gives no radius: empty list."""
-    idx = np.linspace(0, traj.length - 1, count).astype(int)
-    centers = [traj.states[i] for i in idx]
-    sample = traj.states[:: max(traj.length // 200, 1)]
-    dists = [norms(traj.spec, sample - c[None, :]) for c in centers]
-    pooled = np.concatenate([d[d > 0] for d in dists])
+def _spread_times(length: int, count: int) -> list:
+    """count snapshot times spread over a window of length states."""
+    return np.linspace(0, length - 1, count).astype(int).tolist()
+
+
+def _ball_family(traj: OrbitRows, times: list):
+    """(rows, radius): the distance rows of balls centered at the orbit
+    snapshots at times, and their radius from the pooled quantile of every
+    max(length // 200, 1)-th distance (so the family adapts to the orbit's
+    scale).  An orbit whose sampled states all coincide gives no radius:
+    None."""
+    rows = [traj.distances(t) for t in times]
+    samples = [row[:: max(traj.length // 200, 1)] for row in rows]
+    pooled = np.concatenate([d[d > 0] for d in samples])
     if pooled.size == 0:
-        return []
-    radius = ball_radius(pooled)
-    return [BallSpec(center=c, radius=radius) for c in centers]
+        return None
+    return rows, ball_radius(pooled)
 
 
-def _static_orbit(probe: str, grade: str, traj: Trajectory, seed: int,
+def _static_orbit(probe: str, grade: str, traj: OrbitRows, seed: int,
                   note: str = "orbit is constant: no nonzero distance to size "
                               "a test ball"):
     """Typed no-evidence for a ball column whose orbit gives no radius."""
     return ProbeOutcome(probe, "no-evidence", grade, traj.length, seed, {"note": note})
 
 
-def e_system_probe(spec: SystemSpec, traj: Trajectory, seed: int,
+def e_system_probe(spec: SystemSpec, traj: OrbitRows, seed: int,
                    mc_samples: int = 10_000) -> ProbeOutcome:
     """Invariant-measure evidence.  For kalish the Gaussian model's
     invariance_check is the witness; for the others, the Birkhoff
@@ -640,14 +777,15 @@ def e_system_probe(spec: SystemSpec, traj: Trajectory, seed: int,
             seed=seed,
             evidence=report.to_dict(),
         )
-    balls = _ball_family(traj, count=6)
-    if not balls:
+    family = _ball_family(traj, _probe_times(spec, traj.length).family)
+    if family is None:
         return _static_orbit("e_system", "statistical", traj, seed)
+    rows, radius = family
     half = traj.length // 2
     masses = []
     ok = True
-    for ball in balls:
-        hits = hitting_times(traj, ball)
+    for row in rows:
+        hits = WindowedSet.from_mask(row < radius)
         first = int(np.sum(hits.elements < half))
         second = int(hits.size - first)
         masses.append([first / max(half, 1), second / max(traj.length - half, 1)])
@@ -659,29 +797,31 @@ def e_system_probe(spec: SystemSpec, traj: Trajectory, seed: int,
         grade="statistical",
         window=traj.length,
         seed=seed,
-        evidence={"ball_count": len(balls), "half_masses": masses,
-                  "radius": balls[0].radius},
+        evidence={"ball_count": len(rows), "half_masses": masses,
+                  "radius": radius},
     )
 
 
-def _reference_visits(traj: Trajectory):
-    """(ball, visits) of the reference ball the syndetic and ufh columns
-    share, at the state a tenth into the window; None if it gets no radius."""
-    balls = _ball_family(traj, count=1)
-    if not balls:
+def _reference_visits(traj: OrbitRows):
+    """(radius, visits) of the reference ball the syndetic and ufh columns
+    share, at the state a tenth into the window, sized by the start's row;
+    None if it gets no radius."""
+    family = _ball_family(traj, [0])
+    if family is None:
         return None
-    ball = BallSpec(center=traj.states[traj.length // 10], radius=balls[0].radius)
-    return ball, hitting_times(traj, ball)
+    radius = family[1]
+    reference = _probe_times(traj.spec, traj.length).reference
+    return radius, WindowedSet.from_mask(traj.distances(reference) < radius)
 
 
-def syndetic_gap_probe(traj: Trajectory, reference, seed: int,
+def syndetic_gap_probe(traj: OrbitRows, reference, seed: int,
                        gap_bound: int = 64) -> ProbeOutcome:
     """Exact window combinatorics: visit gaps of the reference ball
     (_reference_visits) along the orbit.  The verdict is about this window
     only, but the gap numbers themselves are exact."""
     if reference is None:
         return _static_orbit("syndetic", "exact", traj, seed)
-    ball, hits = reference
+    radius, hits = reference
     gap = max_gap(hits)
     return ProbeOutcome(
         probe="syndetic",
@@ -690,12 +830,12 @@ def syndetic_gap_probe(traj: Trajectory, reference, seed: int,
         window=traj.length,
         seed=seed,
         evidence={"max_gap": gap, "gap_bound": gap_bound,
-                  "visits": hits.size, "radius": ball.radius,
+                  "visits": hits.size, "radius": radius,
                   "upper_density": upper_density(hits)},
     )
 
 
-def weak_mixing_probe(traj: Trajectory, seed: int) -> ProbeOutcome:
+def weak_mixing_probe(traj: OrbitRows, seed: int) -> ProbeOutcome:
     """Three-open-sets compatibility on the row's own trajectory: U is the
     start's neighborhood, V a ball around a mid-orbit state, W0 a ball
     around 0, generous for linear systems (their bounded recurrent orbits
@@ -711,10 +851,13 @@ def weak_mixing_probe(traj: Trajectory, seed: int) -> ProbeOutcome:
         w0_radius = 2.5 * float(np.max(norms))
     else:
         w0_radius = 0.5 * float(np.min(norms))
-    V = BallSpec(center=traj.states[traj.length // 2], radius=0.3 * scale)
+    V = BallSpec(center=traj.state(_probe_times(spec, traj.length).middle),
+                 radius=0.3 * scale)
     W0 = BallSpec(center=np.zeros(spec.state_dim, dtype=complex),
                   radius=w0_radius)
-    report = three_open_sets_probe(traj, V, W0)
+    # a state's distance to W0's center 0 is its norm
+    report = three_open_sets_probe(
+        spec, WindowedSet.from_mask(norms < w0_radius), V, W0)
     return ProbeOutcome(
         probe="weak_mixing",
         verdict="yes" if report.compatible else "no",
@@ -725,7 +868,7 @@ def weak_mixing_probe(traj: Trajectory, seed: int) -> ProbeOutcome:
     )
 
 
-def ufh_probe(traj: Trajectory, reference, seed: int) -> ProbeOutcome:
+def ufh_probe(traj: OrbitRows, reference, seed: int) -> ProbeOutcome:
     """Visit-density evidence: positive upper density of visits to the
     reference ball (_reference_visits), with the lower density reported."""
     if reference is None:
@@ -819,11 +962,11 @@ def implication_flags(outcomes: dict, linear: bool) -> list:
 def classify_system(spec: SystemSpec, window: int = 1000, seed: int = 0,
                     mc_samples: int = 10_000,
                     gap_bound: int = 64) -> ClassificationRow:
-    """Run all six probes over one shared trajectory, simulated once, and
-    flag implication violations within the grade rules."""
+    """Run all six probes over one shared orbit, walked once and streamed
+    (probe_orbit), and flag implication violations within the grade rules."""
     if window < 1:
         raise ValueError(f"classification window must be >= 1, got {window}")
-    traj = orbit(spec, default_start(spec, seed), window)
+    traj = probe_orbit(spec, default_start(spec, seed), window)
     reference = _reference_visits(traj)
     outcomes = {
         "chaotic": periodic_return_probe(traj, seed=seed),

@@ -363,9 +363,8 @@ def _run_ubd(ctx: _RunContext, p: dict) -> ProbeResult:
 def _run_orbit(ctx: _RunContext, p: dict) -> ProbeResult:
     spec = ctx.system(p["system"])
     x0 = lab.default_start(spec, p["seed"])
-    traj = lab.orbit(spec, x0, p["steps"])
-    norms = traj.norms()
-    dist = lab.norms(spec, traj.states - x0[None, :])
+    traj = lab.orbit_rows(spec, x0, p["steps"], centers=[0])
+    norms, dist = traj.norms(), traj.distances(0)
     radius = lab.ball_radius(dist[1:]) if traj.length > 1 else 1.0
     radius = max(radius, 1e-12)
     hits = hs.WindowedSet.from_mask(dist < radius)

@@ -382,8 +382,11 @@ def test_cli_kalish_matrix_check_zero_count_is_typed_error(capsys):
 
 
 def test_cli_lab_orbit_negative_steps_is_typed_error(capsys):
-    assert main(["lab", "orbit", "torus:0.9", "--steps", "-1"]) == 2
-    assert "ValueError: a walk takes n >= 0 steps, got -1" in capsys.readouterr().err
+    # the walk checks n before the streamed orbit sizes anything by it
+    for system, steps in (("torus:0.9", -1), ("kalish:64", -2)):
+        assert main(["lab", "orbit", system, "--steps", str(steps)]) == 2
+        assert (f"ValueError: a walk takes n >= 0 steps, got {steps}"
+                in capsys.readouterr().err)
 
 
 def test_cli_gauss_invariance_control_exit(capsys):

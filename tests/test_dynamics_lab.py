@@ -38,7 +38,7 @@ from hyperlab import (
     weighted_shift_system,
 )
 from hyperlab import dynamics_lab
-from hyperlab.dynamics_lab import norms, state_norm
+from hyperlab.dynamics_lab import norms, orbit_rows, probe_orbit, state_norm
 from hyperlab.kalish import CircleFunction, func_norm, grid_norms
 from hyperlab.jsonio import stable_dumps
 from hyperlab.seeding import rng_for
@@ -324,21 +324,21 @@ def test_eigen_span_full_rank_for_kalish():
 
 
 def test_periodic_return_rational_vs_irrational():
-    rational = orbit(torus_system([TWO_PI / 8]), np.ones(1, dtype=complex), 100)
+    rational = probe_orbit(torus_system([TWO_PI / 8]), np.ones(1, dtype=complex), 100)
     found = periodic_return_probe(rational)
     assert found.verdict == "yes"
     assert found.evidence["best_period"] % 8 == 0
     assert found.evidence["best_return"] <= 1e-12
 
-    irrational = _irrational_traj(100)
-    missed = periodic_return_probe(irrational)
+    spec = torus_system([TWO_PI * (np.sqrt(2.0) - 1.0)])
+    missed = periodic_return_probe(probe_orbit(spec, np.ones(1, dtype=complex), 100))
     assert missed.verdict == "no"
 
 
 def test_e_system_probe_mixture_masses_positive_for_torus():
     spec = torus_system([TWO_PI * (np.sqrt(2.0) - 1.0),
                          TWO_PI * (np.sqrt(3.0) - 1.0)])
-    traj = orbit(spec, default_start(spec, 0), 400)
+    traj = probe_orbit(spec, default_start(spec, 0), 400)
     outcome = e_system_probe(spec, traj, seed=0, mc_samples=2000)
     assert outcome.verdict == "yes"
     masses = outcome.evidence["half_masses"]
@@ -477,7 +477,9 @@ def test_classify_system_single_row():
 
 
 def test_classify_system_simulates_one_orbit_per_row(monkeypatch):
-    calls = {"orbit": 0, "_ball_family": 0}
+    # walk is the one guarded walk: orbit_rows' replay and the pullbacks
+    # run unguarded, so each row's orbit is simulated by one walk
+    calls = {"walk": 0, "_ball_family": 0}
     for name in calls:
         def counting(*args, _real=getattr(dynamics_lab, name), _name=name,
                      **kwargs):
@@ -488,7 +490,7 @@ def test_classify_system_simulates_one_orbit_per_row(monkeypatch):
              kalish_system(64)]
     classification_run(specs, window=60, mc_samples=500)
     # weak mixing reads the row's trajectory instead of simulating its own
-    assert calls["orbit"] == len(specs)
+    assert calls["walk"] == len(specs)
     # e_system's family and the one reference ball of syndetic and ufh;
     # the kalish e_system column reads the Gaussian model instead
     assert calls["_ball_family"] == 2 + 2 + 1
@@ -527,6 +529,42 @@ def test_kalish_norms_keep_the_row_reduction_bit_for_bit():
     for j, value in enumerate(cols):
         assert value == pytest.approx(func_norm(CircleFunction(X[j], 1024)),
                                       rel=1e-15)
+
+
+# -- the streamed orbit ----------------------------------------------------
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("spec", [
+    kalish_system(64),
+    scalar_shift_system(2.0, 90),
+    scalar_shift_system(0.5, 30),  # zero from step 30 on: exact-zero rows
+    weighted_shift_system([1.5] * 59),
+    torus_system((0.3, 1.1, 2.5)),
+], ids=lambda spec: spec.label)
+def test_streamed_rows_are_bitwise_the_stored_orbit(spec, monkeypatch):
+    n, times = 50, [0, 7, 25, 50]
+    x0 = default_start(spec, 5)
+    stored = orbit(spec, x0, n)
+    one_pass = [norms(spec, stored.states - stored.states[t]) for t in times]
+    one_block = orbit_rows(spec, x0, n, centers=times)
+    # 7 states a block: 7 replayed blocks and a 2-state remainder
+    monkeypatch.setattr("hyperlab.kalish._BLOCK_ELEMENTS", 7 * spec.state_dim)
+    replayed = np.concatenate([block.copy() for block in dynamics_lab._blocks(
+        dynamics_lab._steps(spec, x0, n), n + 1, spec.state_dim)])
+    assert np.array_equal(_bits(replayed), _bits(stored.states))
+    blocked = orbit_rows(spec, x0, n, centers=times)
+    for streamed in (one_block, blocked):
+        assert np.array_equal(_bits(streamed.norms()), _bits(stored.norms()))
+        for t, want in zip(times, one_pass):
+            assert np.array_equal(_bits(streamed.distances(t)), _bits(want))
+    # hitting_times on the stored orbit, in 7-state blocks of its states
+    for t, want in zip(times, one_pass):
+        ball = BallSpec(center=stored.states[t], radius=float(np.median(want)) + 1e-300)
+        hits = hitting_times(stored, ball)
+        assert np.array_equal(hits.elements, np.flatnonzero(want < ball.radius))
 
 
 def test_window_2000_battery_gives_typed_no_evidence_not_a_crash():

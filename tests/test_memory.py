@@ -1,7 +1,9 @@
 """Peak traced memory of the Gauss pipeline at (M, m) = (16384, 128), in
 units of one factor (M x m complex, 32 MiB).  The blocked Kalish kernels
 hold one 1 MiB temporary besides their output, and the invariance check
-and the coefficient table hold about two factor-sized arrays at a time."""
+and the coefficient table hold about two factor-sized arrays at a time.
+A classification row streams its orbit (dynamics_lab.orbit_rows), so at
+window 4000 it holds a few MiB, not an (N+1, dim) orbit."""
 
 import tracemalloc
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from hyperlab.circle_measure import CircleMeasure
+from hyperlab.dynamics_lab import classify_system, default_battery
 from hyperlab.gauss_model import (build_model, coefficient_rows, corrected_field,
                                   invariance_check)
 from hyperlab.kalish import CircleFunction, apply_T_array
@@ -21,14 +24,17 @@ def model():
     return build_model(corrected_field(CircleMeasure.uniform(bins=1024), NODES, M))
 
 
-def _peak_in_factors(model, call) -> float:
+def _peak_bytes(call) -> int:
     tracemalloc.start()
     try:
         call()
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / model.factor.nbytes
+
+
+def _peak_in_factors(model, call) -> float:
+    return _peak_bytes(call) / model.factor.nbytes
 
 
 def test_apply_T_array_holds_one_block_besides_its_output(model):
@@ -45,3 +51,9 @@ def test_coefficient_rows_hold_about_two_factors(model):
     peak = _peak_in_factors(
         model, lambda: coefficient_rows(model, xstar, 4, 1000, 0, "memory"))
     assert peak <= 2.5
+
+
+@pytest.mark.parametrize("spec", default_battery(4000), ids=lambda spec: spec.name)
+def test_classification_row_at_window_4000_holds_at_most_8_mib(spec):
+    # a stored orbit alone would be 4001 x 4128 complex (264 MB) for the shift
+    assert _peak_bytes(lambda: classify_system(spec, window=4000)) <= 8 * 2**20

@@ -17,6 +17,7 @@ from hyperlab import (
     corrected_field,
     dirichlet_probe,
     eigen_span_probe,
+    hitting_times,
     invariance_check,
     matrix_coefficient_mc,
     mild_mixing_probe,
@@ -31,7 +32,7 @@ from hyperlab import (
 )
 from hyperlab.config import parse_config
 from hyperlab.corpora import random_functional
-from hyperlab.dynamics_lab import BallSpec, default_start
+from hyperlab.dynamics_lab import BallSpec, default_start, probe_orbit
 from hyperlab.hitting_sets import WindowedSet
 from hyperlab.jsonio import stable_dumps
 
@@ -43,6 +44,11 @@ def _uniform():
 def _torus_orbit():
     spec = torus_system((0.9, 2.1))
     return spec, orbit(spec, default_start(spec, 3), 200)
+
+
+def _torus_rows():
+    spec = torus_system((0.9, 2.1))
+    return probe_orbit(spec, default_start(spec, 3), 200)
 
 
 def _ball(traj):
@@ -66,7 +72,7 @@ def _return_set():
 def _three_open_sets():
     _, traj = _torus_orbit()
     W0 = BallSpec(center=traj.states[0], radius=0.5)
-    return three_open_sets_probe(traj, _ball(traj), W0)
+    return three_open_sets_probe(traj.spec, hitting_times(traj, W0), _ball(traj), W0)
 
 
 def _classification():
@@ -110,7 +116,7 @@ RECORDS = {
         lambda: eigen_span_probe(torus_system((0.9,))),
         {"check", "rank", "family_size", "tolerance", "verdict", "note"}),
     "ProbeOutcome": (
-        lambda: periodic_return_probe(_torus_orbit()[1]),
+        lambda: periodic_return_probe(_torus_rows()),
         {"probe", "verdict", "grade", "window", "seed", "evidence"}),
     "ClassificationRow": (
         lambda: _classification().rows[0],
