@@ -7,7 +7,6 @@ from .circle_measure import (
     BinMismatchError,
     OutOfBandError,
     NotProbabilityError,
-    AsymmetricMeasureError,
     convolve,
     convolution_power,
     exp_measure,
@@ -17,10 +16,6 @@ from .circle_measure import (
     total_mass,
     mix,
     scale,
-    reflect,
-    symmetrize,
-    symmetry_defect,
-    split_upper_lower,
     truncation_order,
     rajchman_probe,
     dirichlet_probe,
@@ -49,7 +44,6 @@ from .dynamics_lab import (
     default_start,
     orbit,
     hitting_times,
-    birkhoff_probe,
     return_set_identity_check,
     three_open_sets_probe,
     eigen_span_probe,
@@ -70,7 +64,6 @@ from .gauss_model import (
     indicator_field,
     corrected_field,
     build_model,
-    model_from_manifest,
     intertwine_residual,
     sample,
     symmetry_check,
@@ -81,7 +74,6 @@ from .gauss_model import (
 )
 from .hitting_sets import (
     WindowedSet,
-    WindowMismatchError,
     density_ladder,
     upper_density,
     lower_density,
@@ -89,7 +81,6 @@ from .hitting_sets import (
     difference_set,
     max_gap,
     longest_interval,
-    transfer_witness,
 )
 from .jsonio import SchemaError, read_json, stable_dumps, write_json
 from .kalish import (
@@ -98,16 +89,11 @@ from .kalish import (
     DegenerateAngleError,
     MatrixSizeError,
     grid_angles,
-    inner_product,
     func_norm,
-    apply_M,
-    apply_J,
     apply_T,
     chi,
     eigen_residual,
     kalish_matrix,
-    kalish_solve,
-    exact_eigenvector,
     nearest_grid_index,
 )
 from .runner import run

@@ -21,8 +21,6 @@ Conventions fixed here and relied on everywhere else:
   bins each product cell straddles; that alignment is exactly the bin
   average of the true convolution of the two step densities, keeps the
   result nonnegative and makes the Fourier error second order in n/bins.
-* reflect conjugates the angle variable (theta -> 2pi - theta); bin j
-  maps exactly onto bin B-1-j, so reflection is lossless on the grid.
 """
 from __future__ import annotations
 
@@ -50,10 +48,6 @@ class OutOfBandError(ValueError):
 
 class NotProbabilityError(ValueError):
     """Operation requires a probability measure (total mass 1 +- 1e-9)."""
-
-
-class AsymmetricMeasureError(ValueError):
-    """Operation requires a reflection-symmetric measure."""
 
 
 def _canonical_atoms(angles, masses):
@@ -154,7 +148,7 @@ class CircleMeasure:
         if not isinstance(other, CircleMeasure):
             return NotImplemented
         # atom angles within the merge tolerance name the same point of the
-        # discretized class, so equality must not split them (reflection
+        # discretized class, so equality must not split them (angle
         # round-trips drift by ulps); masses and densities stay bit-exact
         return (
             self.bins == other.bins
@@ -367,62 +361,6 @@ def normalized_chaos(rho: CircleMeasure, tail_tol: float = 1e-12) -> CircleMeasu
     removed; mass that positive powers of rho place at angle 0 stays."""
     return scale(functools.reduce(mix, _exp_terms(rho, tail_tol)),
                  1.0 / (E_CONST - 1.0))
-
-
-def reflect(sigma: CircleMeasure) -> CircleMeasure:
-    """Pushforward of theta -> 2pi - theta (complex conjugation of z).
-    Exact on the grid: bin j maps onto bin B-1-j."""
-    return CircleMeasure.from_parts(
-        sigma.bins,
-        atoms=[(np.mod(TWO_PI - a, TWO_PI), m) for a, m in sigma.atoms()],
-        density=sigma.density[::-1],
-    )
-
-
-def symmetrize(sigma: CircleMeasure) -> CircleMeasure:
-    """Average of the measure with its reflection."""
-    return scale(mix(sigma, reflect(sigma)), 0.5)
-
-
-def symmetry_defect(sigma: CircleMeasure, n_max: int = 8) -> float:
-    """Largest |imaginary part| of the Fourier coefficients up to n_max;
-    zero exactly for reflection-symmetric measures."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
-    top = min(n_max, sigma.bins // 8) if sigma.has_density else n_max
-    return float(np.max(np.abs(fourier_band(sigma, top)[top + 1:].imag)))
-
-
-def split_upper_lower(sigma: CircleMeasure):
-    """Doubled restrictions of a symmetric measure to the upper half
-    (0, pi) and lower half (pi, 2pi) of the circle.  Atoms sitting at 0
-    or pi split half and half, so each part keeps the full boundary mass
-    after doubling, and averaging the parts returns the input."""
-    sym_tol = 1e-9
-    if symmetry_defect(sigma) > sym_tol:
-        raise AsymmetricMeasureError(
-            f"measure is not reflection-symmetric within {sym_tol}"
-        )
-    bins = sigma.bins
-    half = bins // 2
-    up_atoms, low_atoms = [], []
-    for a, m in sigma.atoms():
-        at_zero = a <= ATOM_MERGE_TOL
-        at_pi = abs(a - np.pi) <= ATOM_MERGE_TOL
-        if at_zero or at_pi:
-            up_atoms.append((a, m))
-            low_atoms.append((a, m))
-        elif a < np.pi:
-            up_atoms.append((a, 2.0 * m))
-        else:
-            low_atoms.append((a, 2.0 * m))
-    up_density = np.zeros(bins)
-    low_density = np.zeros(bins)
-    up_density[:half] = 2.0 * sigma.density[:half]
-    low_density[half:] = 2.0 * sigma.density[half:]
-    upper = CircleMeasure.from_parts(bins, atoms=up_atoms, density=up_density)
-    lower = CircleMeasure.from_parts(bins, atoms=low_atoms, density=low_density)
-    return upper, lower
 
 
 # -- decay and rigidity probes ---------------------------------------

@@ -294,6 +294,9 @@ def config_from_dict(doc) -> ExperimentConfig:
         systems = [s.to_dict() for s in default_battery(battery[0]["window"])]
 
     labels = [SystemSpec.from_dict(s).label for s in systems]
+    for i, label in enumerate(labels):
+        if (first := labels.index(label)) < i:
+            _fail(f"systems[{i}]", f"label {label!r} already names systems[{first}]")
     for i, probe in enumerate(probes):
         for key in ("left", "right", "measure"):
             name = probe.get(key)

@@ -41,6 +41,7 @@ while an exact failure does overturn a heuristic claim.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional, Sequence
@@ -162,27 +163,42 @@ class SystemSpec:
         kind = doc.get("kind")
         if not isinstance(kind, str) or kind not in _KIND_FIELDS:
             raise ValueError(f"unknown system kind {kind!r}")
-        return cls(kind=kind, name=doc.get("name", ""),
-                   **{attr: read(doc[key])
-                      for key, attr, read, _ in _KIND_FIELDS[kind]})
+        fields = {}
+        for key, attr, read, _ in _KIND_FIELDS[kind]:
+            if key not in doc:
+                raise ValueError(f"{kind} system: missing required field {key!r}")
+            fields[attr] = read(key, doc[key])
+        return cls(kind=kind, name=doc.get("name", ""), **fields)
 
 
-def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+def _number(key: str, value, kind=(int, float)):
+    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+        what = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"system field {key!r} must be {what}, got {value!r}")
+    return value
 
 
-def _complex(value) -> complex:
-    return complex(value[0], value[1]) if isinstance(value, list) else complex(value)
+def _floats(key: str, values) -> tuple:
+    if not isinstance(values, list):
+        raise ValueError(f"system field {key!r} must be a list of numbers, got {values!r}")
+    return tuple(float(_number(key, v)) for v in values)
 
 
+def _complex(key: str, value) -> complex:
+    """A number, or the [re, im] pair that to_dict writes."""
+    pair = value if isinstance(value, list) and len(value) == 2 else (value, 0.0)
+    return complex(*(_number(key, v) for v in pair))
+
+
+_integer = partial(_number, kind=int)
 # Each kind's document form: (key, SystemSpec field, reader, writer) per field.
 _KIND_FIELDS = {
-    "kalish": [("grid", "grid_size", int, int)],
+    "kalish": [("grid", "grid_size", _integer, int)],
     "scalar_multiple_shift": [("scalar", "scalar", _complex,
                                lambda z: [z.real, z.imag]),
-                              ("dimension", "dimension", int, int)],
+                              ("dimension", "dimension", _integer, int)],
     "weighted_shift": [("weights", "weights", _floats, list),
-                       ("dimension", "dimension", int, int)],
+                       ("dimension", "dimension", _integer, int)],
     "torus_rotation": [("angles", "angles", _floats, list)],
 }
 
@@ -328,9 +344,6 @@ class Trajectory:
     @property
     def length(self) -> int:
         return int(self.states.shape[0])
-
-    def state(self, t: int) -> np.ndarray:
-        return self.states[t]
 
     def norms(self) -> np.ndarray:
         return norms(self.spec, self.states)
@@ -489,39 +502,6 @@ def hitting_times(traj: Trajectory, ball: BallSpec) -> WindowedSet:
     blocks = (traj.states[lo:lo + rows] for lo in range(0, traj.length, rows))
     dist = _distance_rows(traj.spec, blocks, [ball.center], traj.length)[0]
     return WindowedSet.from_mask(dist < ball.radius)
-
-
-@dataclass(frozen=True)
-class BirkhoffReport:
-    checkpoints: tuple
-    averages: dict  # name -> list of complex averages, one per checkpoint
-    cauchy_gaps: dict  # name -> |avg at last - avg at previous|
-
-    def to_dict(self) -> dict:
-        return record_dict(self, check="birkhoff")
-
-
-def birkhoff_probe(traj: Trajectory, test_functions: Sequence,
-                   checkpoints: Sequence[int]) -> BirkhoffReport:
-    """Empirical-measure averages (1/n) sum_{j<n} f(x_j) at each
-    checkpoint, with the Cauchy gap between the last two checkpoints as
-    the quasi-generic diagnostic.  test_functions: (name, state -> value)."""
-    checkpoints = tuple(sorted(set(int(n) for n in checkpoints)))
-    if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > traj.length:
-        raise ValueError("checkpoints must lie in [1, trajectory length]")
-    averages = {}
-    gaps = {}
-    for name, fn in test_functions:
-        values = np.asarray([fn(traj.states[t]) for t in range(traj.length)],
-                            dtype=complex)
-        cums = np.cumsum(values)
-        avgs = [complex(cums[n - 1] / n) for n in checkpoints]
-        averages[name] = avgs
-        gaps[name] = (
-            float(abs(avgs[-1] - avgs[-2])) if len(avgs) >= 2 else 0.0
-        )
-    return BirkhoffReport(checkpoints=checkpoints, averages=averages,
-                          cauchy_gaps=gaps)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .circle_measure import (CircleMeasure, _require_probability, fourier_band,
                              total_mass)
-from .jsonio import check_schema, record_dict
+from .jsonio import record_dict
 from .kalish import (
     CircleFunction,
     DegenerateAngleError,
@@ -174,9 +174,6 @@ class EigenField:
     def grid_size(self) -> int:
         return int(self.vectors.shape[0])
 
-    def nodes(self) -> list:
-        return list(zip(self.angles.tolist(), self.weights.tolist()))
-
     def residuals(self) -> np.ndarray:
         """Relative eigen residual of each vector at its node angle."""
         R = apply_T_array(self.vectors)
@@ -244,14 +241,11 @@ class GaussModel:
         """Coordinates c with <x*, A g> = c . g; c_j = sqrt(w_j)<x*, E_j>."""
         return _grid_coefficients(self.factor, xstar)
 
-    def functional_variance(self, xstar: CircleFunction) -> float:
-        return float(np.sum(np.abs(self.functional_coefficients(xstar)) ** 2))
-
     def to_manifest(self) -> dict:
         return {
             "schema": "gauss-model/1",
             "sigma": self.field.source_measure.to_dict(),
-            "nodes": [[float(a), float(w)] for a, w in self.field.nodes()],
+            "nodes": np.column_stack([self.field.angles, self.field.weights]).tolist(),
             "grid": self.grid_size,
             "field_kind": self.field.kind,
             "seed_policy": "sha256-labeled-streams",
@@ -282,21 +276,6 @@ def build_model(field: EigenField, residual_threshold: float = 0.05) -> GaussMod
         gram=gram,
         smallest_singular=float(smallest),
     )
-
-
-def model_from_manifest(doc: dict, residual_threshold: float = 0.05) -> GaussModel:
-    check_schema(doc, "gauss-model")
-    sigma = CircleMeasure.from_dict(doc["sigma"])
-    M = int(doc["grid"])
-    kind = doc.get("field_kind", "corrected")
-    m = len(doc["nodes"])
-    if kind == "corrected":
-        field = corrected_field(sigma, m, M)
-    elif kind == "indicator":
-        field = indicator_field(sigma, m, M)
-    else:
-        raise ValueError(f"unknown field kind {kind!r}")
-    return build_model(field, residual_threshold)
 
 
 def _transported(model: GaussModel, transport: Transport) -> tuple:

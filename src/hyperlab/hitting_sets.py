@@ -19,11 +19,7 @@ from math import ceil
 
 import numpy as np
 
-from .jsonio import check_schema, record_dict
-
-
-class WindowMismatchError(ValueError):
-    """Binary operation on sets with different windows."""
+from .jsonio import check_schema
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,37 +198,3 @@ def longest_interval(S: WindowedSet) -> int:
     run_starts = np.concatenate([[0], breaks + 1])
     run_ends = np.concatenate([breaks, [S.size - 1]])
     return int(np.max(run_ends - run_starts) + 1)
-
-
-@dataclass(frozen=True)
-class TransferReport:
-    passed: bool
-    checked: int
-    overflowed: int
-    first_violation: int = -1
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def to_dict(self) -> dict:
-        return record_dict(self, check="transfer-witness")
-
-
-def transfer_witness(NUV: WindowedSet, NWW: WindowedSet, n: int) -> TransferReport:
-    """Verify n + NWW is contained in NUV inside the shared window.
-    Shifted elements that leave the window are not evidence either way;
-    they are skipped and counted."""
-    if NUV.window != NWW.window:
-        raise WindowMismatchError(
-            f"windows differ: {NUV.window} vs {NWW.window}"
-        )
-    shifted = NWW.elements + int(n)
-    inside = shifted[(shifted >= 0) & (shifted < NUV.window)]
-    overflowed = int(NWW.size - inside.size)
-    member = np.isin(inside, NUV.elements)
-    if np.all(member):
-        return TransferReport(passed=True, checked=int(inside.size),
-                              overflowed=overflowed)
-    first = int(inside[np.argmin(member)])
-    return TransferReport(passed=False, checked=int(inside.size),
-                          overflowed=overflowed, first_violation=first)

@@ -30,8 +30,8 @@ before its cumsum, which is the very addition a one-pass cumsum makes at
 that row, so the blocked result is bit-identical to the one-pass one.
 The first block takes no carry at all: 0.0 + -0.0 is +0.0, so a 0
 carry would flip the sign of exact-zero rows, such as the rows above an
-eigenvector's node.  apply_T and kalish_solve wrap the kernels for a
-CircleFunction; callers holding arrays call the kernels directly.
+eigenvector's node.  apply_T wraps apply_T_array for a CircleFunction;
+callers holding arrays call the kernels directly.
 
 Solving: row k of T x = b reads e^{i t_k} x_k = b_k + i w S_{k-1}, with
 w = 2pi/M and S_k = sum_{j<=k} e^{i t_j} x_j, so S_k = q S_{k-1} + b_k
@@ -127,19 +127,6 @@ class CircleFunction:
         return cls.from_values(values)
 
 
-def _same_grid(f: CircleFunction, g: CircleFunction) -> None:
-    if f.grid_size != g.grid_size:
-        raise GridMismatchError(
-            f"grid sizes differ: {f.grid_size} vs {g.grid_size}"
-        )
-
-
-def inner_product(f: CircleFunction, g: CircleFunction) -> complex:
-    """Arc-length inner product, conjugate-linear in the first slot."""
-    _same_grid(f, g)
-    return complex((TWO_PI / f.grid_size) * np.vdot(f.values, g.values))
-
-
 def grid_norms(X: np.ndarray, axis: int = 0) -> np.ndarray:
     """Arc-length norms sqrt((2pi/M) sum |x_j|^2) along the grid axis of X."""
     return np.sqrt((TWO_PI / X.shape[axis]) * np.sum(np.abs(X) ** 2.0, axis=axis))
@@ -160,10 +147,6 @@ def _phases(M: int, ndim: int = 1) -> np.ndarray:
     return _read_only(np.exp(1j * grid_angles(M)).reshape((M,) + (1,) * (ndim - 1)))
 
 
-def apply_M(f: CircleFunction) -> CircleFunction:
-    return CircleFunction(_phases(f.grid_size) * f.values, f.grid_size)
-
-
 def _running_J(X: np.ndarray, d: np.ndarray, w: float, before=None) -> np.ndarray:
     """Inclusive left-endpoint sums i w sum_{j<=k} e^{i t_j} x_j along
     axis 0, accumulated in place in the one temporary; before, the sum
@@ -174,14 +157,6 @@ def _running_J(X: np.ndarray, d: np.ndarray, w: float, before=None) -> np.ndarra
     if before is not None:
         running[:1] += before
     return np.add.accumulate(running, axis=0, out=running)
-
-
-def apply_J(f: CircleFunction) -> CircleFunction:
-    """Left-endpoint quadrature of the line integral from angle 0."""
-    running = _running_J(f.values, _phases(f.grid_size), TWO_PI / f.grid_size)
-    out = np.zeros_like(running)
-    out[1:] = running[:-1]
-    return CircleFunction(out, f.grid_size)
 
 
 def _block_rows(shape: tuple) -> int:
@@ -291,11 +266,6 @@ def _solve_powers(M: int, ndim: int = 1):
     return _read_only(np.exp(-k * log_q)), _read_only((1j * w) * np.exp(k * log_q))
 
 
-def kalish_solve(b: CircleFunction) -> CircleFunction:
-    """Solve T x = b in O(M) with no loop over grid points."""
-    return CircleFunction(kalish_solve_array(b.values), b.grid_size)
-
-
 def exact_eigenvectors(ks, M: int) -> np.ndarray:
     """(M, m) eigenvectors of the discrete T in closed form (module
     docstring), column c for the eigenvalue e^{i t_k} with k = ks[c]."""
@@ -317,11 +287,6 @@ def exact_eigenvectors(ks, M: int) -> np.ndarray:
     D[upper] = 0.0
     D[ks, np.arange(ks.size)] = 1.0
     return D
-
-
-def exact_eigenvector(k0: int, M: int) -> CircleFunction:
-    """One column of exact_eigenvectors, for the eigenvalue e^{i t_{k0}}."""
-    return CircleFunction(exact_eigenvectors([k0], M)[:, 0], M)
 
 
 def nearest_grid_index(lam, M: int):

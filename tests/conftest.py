@@ -42,3 +42,24 @@ def measures_close(mu: CircleMeasure, nu: CircleMeasure, tol: float) -> bool:
         if abs(x - y) > 1e-9 or abs(mx - my) > tol:
             return False
     return True
+
+
+# -- the definition T = M - J, an oracle independent of hyperlab.kalish ------
+
+def apply_M(X) -> np.ndarray:
+    """The multiplier: row j of X, an (M,) or (M, k) array, times e^{i t_j}
+    with t_j = 2pi j/M."""
+    X = np.asarray(X, dtype=complex)
+    M = X.shape[0]
+    phases = np.exp(1j * (2.0 * np.pi * np.arange(M) / M))
+    return phases.reshape((M,) + (1,) * (X.ndim - 1)) * X
+
+
+def apply_J(X) -> np.ndarray:
+    """The quadrature: row k is i (2pi/M) sum_{j<k} e^{i t_j} x_j, the
+    left-endpoint rule for the line integral from angle 0, as one cumsum."""
+    M = np.shape(X)[0]
+    terms = (1j * 2.0 * np.pi / M) * apply_M(X)
+    out = np.zeros_like(terms)
+    out[1:] = np.cumsum(terms, axis=0)[:-1]
+    return out

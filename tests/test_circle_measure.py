@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from conftest import brute_atomic_coefficient, coeff_row, measures_close
 from hyperlab import (
-    AsymmetricMeasureError,
     BinMismatchError,
     CircleMeasure,
     NotProbabilityError,
@@ -29,11 +28,7 @@ from hyperlab import (
     mix,
     normalized_chaos,
     rajchman_probe,
-    reflect,
     scale,
-    split_upper_lower,
-    symmetrize,
-    symmetry_defect,
     total_mass,
     truncation_order,
 )
@@ -407,94 +402,6 @@ def test_normalized_chaos_of_dirac_at_zero_is_dirac():
     rho = CircleMeasure.dirac(0.0, 1.0, bins=64)
     out = normalized_chaos(rho)
     assert out.atoms() == [(0.0, pytest.approx(1.0, abs=1e-9))]
-
-
-# -- symmetry ----------------------------------------------------------
-
-def test_reflect_is_involution_on_atoms():
-    mu = CircleMeasure.from_parts(64, atoms=[(0.7, 0.2), (4.0, 0.8), (0.0, 0.1)])
-    twice = reflect(reflect(mu))
-    # equality holds at the class's atom identity; masses are untouched
-    assert twice == mu
-    np.testing.assert_array_equal(twice.atom_masses, mu.atom_masses)
-
-
-def test_reflect_dirac_quarter_turn():
-    mu = reflect(CircleMeasure.dirac(np.pi / 2, 1.0, bins=64))
-    assert mu.atoms()[0][0] == pytest.approx(3 * np.pi / 2, abs=1e-15)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(
-    st.floats(min_value=1e-6, max_value=TWO_PI - 1e-6,
-              allow_nan=False, allow_infinity=False), masses),
-    min_size=1, max_size=4))
-def test_reflect_involution_property_on_atoms(atom_list):
-    mu = CircleMeasure.from_parts(64, atoms=atom_list)
-    assert reflect(reflect(mu)) == mu
-
-
-@settings(max_examples=25, deadline=None)
-@given(grid_measures(bins=64))
-def test_reflect_involution_on_grids(mu):
-    twice = reflect(reflect(mu))
-    assert np.max(np.abs(twice.density - mu.density)) <= 1e-12
-
-
-def test_reflect_maps_bin_j_to_mirror_bin():
-    bins = 32
-    density = np.zeros(bins)
-    density[3] = 1.0
-    mu = CircleMeasure.from_parts(bins, density=density)
-    out = reflect(mu)
-    assert out.density[bins - 1 - 3] == pytest.approx(1.0)
-    assert np.sum(out.density) == pytest.approx(1.0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(mixed_measures(bins=64))
-def test_symmetrize_passes_symmetry_check(mu):
-    sym = symmetrize(mu)
-    assert symmetry_defect(sym) <= 1e-10
-    assert total_mass(sym) == pytest.approx(total_mass(mu), abs=1e-10)
-
-
-def test_symmetry_defect_detects_asymmetry():
-    mu = CircleMeasure.dirac(1.0, 1.0, bins=64)
-    assert symmetry_defect(mu) > 0.5
-
-
-@pytest.mark.parametrize("n_max", [0, -3])
-def test_symmetry_defect_rejects_empty_range(n_max):
-    with pytest.raises(ValueError, match="n_max"):
-        symmetry_defect(CircleMeasure.dirac(1.0), n_max)
-
-
-def test_split_upper_lower_rejects_asymmetric():
-    with pytest.raises(AsymmetricMeasureError):
-        split_upper_lower(CircleMeasure.dirac(1.0, 1.0, bins=64))
-
-
-def test_split_upper_lower_averages_back():
-    base = mix(
-        CircleMeasure.from_parts(64, atoms=[(1.0, 0.25), (0.0, 0.1), (np.pi, 0.2)]),
-        CircleMeasure.uniform(mass=0.5, bins=64),
-    )
-    sym = symmetrize(base)
-    upper, lower = split_upper_lower(sym)
-    back = scale(mix(upper, lower), 0.5)
-    assert measures_close(back, sym, 1e-12)
-    # boundary atoms at 0 and pi keep their full mass on both parts
-    up_at_zero = [m for a, m in upper.atoms() if a == 0.0]
-    low_at_zero = [m for a, m in lower.atoms() if a == 0.0]
-    assert up_at_zero == low_at_zero
-
-
-def test_split_upper_lower_doubles_interior_mass():
-    sym = symmetrize(CircleMeasure.dirac(1.0, 0.5, bins=64))
-    upper, lower = split_upper_lower(sym)
-    assert upper.atoms() == [(pytest.approx(1.0), pytest.approx(0.5))]
-    assert lower.atoms() == [(pytest.approx(TWO_PI - 1.0), pytest.approx(0.5))]
 
 
 # -- probes ------------------------------------------------------------

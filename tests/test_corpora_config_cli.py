@@ -127,10 +127,59 @@ def test_config_unknown_probe_field_dotted_path():
     ({"kind": "spiral", "grid": 64}, r"systems\[0\]: unknown system kind 'spiral'"),
     ({"grid": 64}, r"systems\[0\]: unknown system kind None"),
     ({"kind": ["kalish"], "grid": 64}, r"systems\[0\]: unknown system kind \['kalish'\]"),
+    # each field takes its JSON type, and a missing one is named
+    ({"kind": "kalish", "grid": 64.7},
+     r"systems\[0\]: system field 'grid' must be an integer, got 64\.7$"),
+    ({"kind": "kalish", "grid": "64"},
+     r"systems\[0\]: system field 'grid' must be an integer, got '64'$"),
+    ({"kind": "kalish", "grid": True},
+     r"systems\[0\]: system field 'grid' must be an integer, got True$"),
+    ({"kind": "kalish"}, r"systems\[0\]: kalish system: missing required field 'grid'$"),
+    ({"kind": "scalar_multiple_shift", "scalar": "2", "dimension": 8},
+     r"systems\[0\]: system field 'scalar' must be a finite number, got '2'$"),
+    ({"kind": "scalar_multiple_shift", "scalar": [2.0, None], "dimension": 8},
+     r"systems\[0\]: system field 'scalar' must be a finite number, got None$"),
+    ({"kind": "scalar_multiple_shift", "scalar": 2.0, "dimension": 8.0},
+     r"systems\[0\]: system field 'dimension' must be an integer, got 8\.0$"),
+    ({"kind": "scalar_multiple_shift", "scalar": 2.0},
+     r"systems\[0\]: scalar_multiple_shift system: missing required field 'dimension'$"),
+    ({"kind": "weighted_shift", "weights": [1.0, True], "dimension": 3},
+     r"systems\[0\]: system field 'weights' must be a finite number, got True$"),
+    ({"kind": "weighted_shift", "weights": 2.0, "dimension": 2},
+     r"systems\[0\]: system field 'weights' must be a list of numbers, got 2\.0$"),
+    ({"kind": "torus_rotation", "angles": ["0.9"]},
+     r"systems\[0\]: system field 'angles' must be a finite number, got '0\.9'$"),
 ])
 def test_config_bad_system_dotted_path(system, message):
     doc = dict(MINIMAL, systems=[system])
     with pytest.raises(ConfigError, match=message):
+        parse_config(json.dumps(doc))
+
+
+def test_config_system_numbers_read_as_written():
+    doc = dict(MINIMAL, systems=[
+        {"kind": "scalar_multiple_shift", "scalar": 2, "dimension": 8},
+        {"kind": "scalar_multiple_shift", "scalar": [3, 0], "dimension": 8},
+        {"kind": "weighted_shift", "weights": [1, 2.5], "dimension": 3}])
+    specs = [dynamics_lab.SystemSpec.from_dict(s)
+             for s in parse_config(json.dumps(doc)).systems]
+    assert specs == [dynamics_lab.scalar_shift_system(2.0, 8),
+                     dynamics_lab.scalar_shift_system(3.0, 8),
+                     dynamics_lab.weighted_shift_system([1.0, 2.5])]
+
+
+@pytest.mark.parametrize("systems, label", [
+    ([{"kind": "kalish", "grid": 64, "name": "a"},
+      {"kind": "kalish", "grid": 128, "name": "a"}], "a"),
+    ([{"kind": "kalish", "grid": 64, "name": "a"},
+      {"kind": "torus_rotation", "angles": [0.9], "name": "a"}], "a"),
+    ([{"kind": "kalish", "grid": 64}] * 2, "kalish-64"),
+])
+def test_config_rejects_a_second_system_with_the_same_label(systems, label):
+    # the orbit probe names its system by label, so a shared one is ambiguous
+    doc = dict(MINIMAL, systems=systems)
+    with pytest.raises(ConfigError,
+                       match=rf"^systems\[1\]: label '{label}' already names systems\[0\]$"):
         parse_config(json.dumps(doc))
 
 
@@ -387,6 +436,19 @@ def test_cli_lab_orbit_negative_steps_is_typed_error(capsys):
         assert main(["lab", "orbit", system, "--steps", str(steps)]) == 2
         assert (f"ValueError: a walk takes n >= 0 steps, got {steps}"
                 in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("system, message", [
+    ({"kind": "kalish"}, "ValueError: kalish system: missing required field 'grid'"),
+    ({"kind": "kalish", "grid": 64.7},
+     "ValueError: system field 'grid' must be an integer, got 64.7"),
+])
+def test_cli_lab_orbit_bad_system_document_is_typed_error(tmp_path, capsys, system,
+                                                           message):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(system))
+    assert main(["lab", "orbit", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_gauss_invariance_control_exit(capsys):

@@ -16,7 +16,6 @@ from hyperlab import (
     NormDriftError,
     ProbeOutcome,
     SystemSpec,
-    birkhoff_probe,
     classification_run,
     classify_system,
     default_battery,
@@ -191,7 +190,7 @@ def test_orbit_shape_and_start():
     spec = torus_system([1.0, 2.0])
     traj = orbit(spec, np.ones(2, dtype=complex), 50)
     assert traj.length == 51
-    np.testing.assert_array_equal(traj.state(0), np.ones(2))
+    np.testing.assert_array_equal(traj.states[0], np.ones(2))
 
 
 def test_orbit_norms_constant_for_rotation():
@@ -253,27 +252,6 @@ def test_hitting_times_rational_rotation():
     assert hits.window == traj.length
     assert list(hits.elements) == [0, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80]
     assert max_gap(hits) == 8
-
-
-# -- birkhoff ------------------------------------------------------------
-
-def test_birkhoff_constant_function_is_exact():
-    spec = torus_system([1.0])
-    traj = orbit(spec, np.ones(1, dtype=complex), 64)
-    report = birkhoff_probe(
-        traj, [("one", lambda x: 1.0)], checkpoints=[16, 32, 64]
-    )
-    for avg in report.averages["one"]:
-        assert avg == pytest.approx(1.0, abs=1e-12)
-    assert report.cauchy_gaps["one"] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_birkhoff_checkpoint_validation():
-    traj = orbit(torus_system([1.0]), np.ones(1, dtype=complex), 10)
-    with pytest.raises(ValueError):
-        birkhoff_probe(traj, [("one", lambda x: 1.0)], checkpoints=[0, 5])
-    with pytest.raises(ValueError):
-        birkhoff_probe(traj, [("one", lambda x: 1.0)], checkpoints=[99])
 
 
 # -- return-set identity ---------------------------------------------------

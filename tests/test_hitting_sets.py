@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 
 from hyperlab import (
     WindowedSet,
-    WindowMismatchError,
     density_ladder,
     difference_set,
     longest_interval,
     lower_density,
     max_gap,
-    transfer_witness,
     upper_banach_density,
     upper_density,
 )
@@ -302,42 +300,3 @@ def test_ubd_concentrated_block():
     assert upper_banach_density(L, 8) == 1.0
     assert upper_banach_density(L, 16) == pytest.approx(0.5)
     assert upper_density(L) < 0.3
-
-
-# -- transfer witness ----------------------------------------------------------
-
-def test_transfer_witness_pass_and_fail():
-    NWW = WindowedSet.from_iterable(20, [1, 4, 9])
-    NUV = WindowedSet.from_iterable(20, [3, 6, 11, 15])
-    ok = transfer_witness(NUV, NWW, 2)
-    assert ok.passed and bool(ok)
-    assert ok.checked == 3 and ok.overflowed == 0
-    bad = transfer_witness(NUV, NWW, 5)
-    assert not bad.passed
-    assert bad.first_violation in (6 + 3, 9 + 5, 14)  # first shifted miss
-
-
-def test_transfer_witness_counts_overflow():
-    NWW = WindowedSet.from_iterable(10, [1, 8])
-    NUV = WindowedSet.full(10)
-    report = transfer_witness(NUV, NWW, 3)
-    assert report.passed
-    assert report.checked == 1  # 8 + 3 leaves the window
-    assert report.overflowed == 1
-
-
-def test_transfer_witness_window_mismatch():
-    with pytest.raises(WindowMismatchError):
-        transfer_witness(WindowedSet.full(10), WindowedSet.full(12), 0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(windowed_sets(max_window=48, allow_empty=False),
-       st.integers(min_value=0, max_value=16))
-def test_transfer_witness_reflexive_shift_zero(L, n):
-    # L + 0 inside L always holds; a shift into the set's complement fails
-    assert transfer_witness(L, L, 0).passed
-    report = transfer_witness(L, L, n)
-    member = [x + n for x in L.elements if x + n < L.window]
-    expect = all(x in L for x in member)
-    assert report.passed == expect

@@ -1,8 +1,9 @@
 """Discretized multiplication-minus-integration operator on the circle.
 
-Oracles: geometric sums for the quadrature on constants, the continuum
-limit zeta - 1, first-order error halving, and dense linear algebra for
-the matrix path.
+Oracles: the definition T = M - J (apply_M and apply_J in conftest),
+geometric sums for the quadrature on constants, the continuum limit
+zeta - 1, first-order error halving, and dense linear algebra for the
+matrix path.
 """
 
 import numpy as np
@@ -10,21 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import apply_J, apply_M
 from hyperlab import (
     CircleFunction,
     DegenerateAngleError,
     MatrixSizeError,
-    apply_J,
-    apply_M,
     apply_T,
     chi,
     eigen_residual,
-    exact_eigenvector,
     func_norm,
     grid_angles,
-    inner_product,
     kalish_matrix,
-    kalish_solve,
     nearest_grid_index,
 )
 from hyperlab import kalish
@@ -39,6 +36,11 @@ TWO_PI = 2.0 * np.pi
 def _random_function(seed: int, M: int) -> CircleFunction:
     rng = rng_for(seed, "kalish-test-function")
     return CircleFunction.from_values(complex_standard_normal(rng, M))
+
+
+def _random_block(seed: int, M: int, k: int) -> np.ndarray:
+    rng = rng_for(seed, "kalish-test-block")
+    return complex_standard_normal(rng, (M, k))
 
 
 # -- grid and construction ---------------------------------------------
@@ -60,41 +62,40 @@ def test_constant_factory():
     assert np.all(f.values == 2.0 + 1.0j)
 
 
-# -- multiplication operator -------------------------------------------
+# -- multiplication operator (the conftest oracle) ----------------------
 
 def test_apply_M_is_pointwise_rotation():
     f = _random_function(1, 64)
-    out = apply_M(f)
+    out = apply_M(f.values)
     t = grid_angles(64)
-    np.testing.assert_allclose(out.values, np.exp(1j * t) * f.values, atol=1e-15)
+    np.testing.assert_allclose(out, np.exp(1j * t) * f.values, atol=1e-15)
 
 
 def test_apply_M_preserves_norm():
     f = _random_function(2, 128)
-    assert func_norm(apply_M(f)) == pytest.approx(func_norm(f), abs=1e-12)
+    assert grid_norms(apply_M(f.values)) == pytest.approx(func_norm(f), abs=1e-12)
 
 
-# -- quadrature operator -----------------------------------------------
+# -- quadrature operator (the conftest oracle) ---------------------------
 
 def test_apply_J_constant_matches_geometric_sum():
     # independent oracle: i w sum_{j<k} e^{i j w} in closed form
     M = 256
     w = TWO_PI / M
-    f = CircleFunction.constant(1.0, M)
-    out = apply_J(f)
+    out = apply_J(np.ones(M))
     k = np.arange(M)
     oracle = 1j * w * (np.exp(1j * k * w) - 1.0) / (np.exp(1j * w) - 1.0)
     oracle[0] = 0.0
-    np.testing.assert_allclose(out.values, oracle, atol=1e-12)
+    np.testing.assert_allclose(out, oracle, atol=1e-12)
 
 
 def test_apply_J_constant_converges_to_zeta_minus_one():
     # continuum limit of the line integral from 0: e^{i theta} - 1
     errors = []
     for M in (256, 512, 1024):
-        out = apply_J(CircleFunction.constant(1.0, M))
+        out = apply_J(np.ones(M))
         t = grid_angles(M)
-        errors.append(np.max(np.abs(out.values - (np.exp(1j * t) - 1.0))))
+        errors.append(np.max(np.abs(out - (np.exp(1j * t) - 1.0))))
     assert errors[0] <= 2.0 * TWO_PI / 256
     # first-order scheme: error halves when the grid doubles
     assert errors[1] / errors[0] == pytest.approx(0.5, abs=0.1)
@@ -103,7 +104,7 @@ def test_apply_J_constant_converges_to_zeta_minus_one():
 
 def test_apply_J_starts_at_zero():
     f = _random_function(3, 64)
-    assert apply_J(f).values[0] == 0.0
+    assert apply_J(f.values)[0] == 0.0
 
 
 # -- the operator itself -----------------------------------------------
@@ -119,8 +120,13 @@ def test_apply_T_fixes_constants_to_first_order():
 def test_apply_T_is_M_minus_J():
     f = _random_function(4, 128)
     direct = apply_T(f).values
-    split = apply_M(f).values - apply_J(f).values
+    split = apply_M(f.values) - apply_J(f.values)
     np.testing.assert_allclose(direct, split, atol=1e-15)
+    # over 2**16 elements: apply_T_array carries its prefix sum from row
+    # block to row block, while the oracle sums each column in one cumsum
+    X = _random_block(4, 16384, 8)
+    np.testing.assert_allclose(apply_T_array(X), apply_M(X) - apply_J(X),
+                               rtol=0, atol=1e-15)
 
 
 @settings(max_examples=20, deadline=None)
@@ -143,14 +149,6 @@ def test_operator_norm_bound(seedval):
     # contraction times the circumference
     f = _random_function(seedval, 128)
     assert func_norm(apply_T(f)) <= (1.0 + TWO_PI) * func_norm(f) + 1e-12
-
-
-def test_inner_product_conventions():
-    f = CircleFunction.constant(1.0, 64)
-    assert inner_product(f, f) == pytest.approx(TWO_PI)
-    g = CircleFunction.from_values(1j * np.ones(64))
-    # conjugate-linear in the first slot
-    assert inner_product(g, f) == pytest.approx(-1j * TWO_PI)
 
 
 # -- arc indicators ----------------------------------------------------
@@ -257,8 +255,8 @@ def test_solve_recovers_random_function():
     M = 512
     f = _random_function(8, M)
     b = apply_T(f)
-    x = kalish_solve(b)
-    assert np.max(np.abs(x.values - f.values)) <= 1e-6
+    x = kalish_solve_array(b.values)
+    assert np.max(np.abs(x - f.values)) <= 1e-6
 
 
 def test_solve_matches_dense_solver():
@@ -267,8 +265,8 @@ def test_solve_matches_dense_solver():
     b = _random_function(9, M)
     mat = kalish_matrix(M)
     oracle = np.linalg.solve(mat, b.values)
-    x = kalish_solve(b)
-    np.testing.assert_allclose(x.values, oracle, atol=1e-10)
+    x = kalish_solve_array(b.values)
+    np.testing.assert_allclose(x, oracle, atol=1e-10)
 
 
 # -- exact eigenvectors ------------------------------------------------
@@ -276,24 +274,24 @@ def test_solve_matches_dense_solver():
 def test_exact_eigenvector_residual_is_machine_level():
     M = 512
     for k0 in (1, 37, 200, 511):
-        v = exact_eigenvector(k0, M)
+        v = exact_eigenvectors([k0], M)[:, 0]
         lam = np.exp(1j * grid_angles(M)[k0])
-        r = apply_T(v).values - lam * v.values
-        rel = np.linalg.norm(r) / np.linalg.norm(v.values)
+        r = apply_T_array(v) - lam * v
+        rel = np.linalg.norm(r) / np.linalg.norm(v)
         assert rel <= 1e-12, k0
 
 
 def test_exact_eigenvector_leading_zeros():
-    v = exact_eigenvector(5, 64)
-    assert np.all(v.values[:5] == 0.0)
-    assert v.values[5] == 1.0
+    v = exact_eigenvectors([5], 64)[:, 0]
+    assert np.all(v[:5] == 0.0)
+    assert v[5] == 1.0
 
 
 def test_exact_eigenvector_range_check():
     with pytest.raises(ValueError):
-        exact_eigenvector(64, 64)
+        exact_eigenvectors([64], 64)
     with pytest.raises(ValueError):
-        exact_eigenvector(-1, 64)
+        exact_eigenvectors([-1], 64)
 
 
 def _forward_substitution(k0, M):
@@ -318,7 +316,6 @@ def test_exact_eigenvectors_batch_matches_forward_substitution(M, m):
     for c, k in enumerate(ks):
         oracle = _forward_substitution(k, M)
         assert np.max(np.abs(V[:, c] - oracle)) <= 1e-13 * np.max(np.abs(oracle)), k
-    np.testing.assert_array_equal(V[:, 1], exact_eigenvector(1, M).values)
 
 
 def test_exact_eigenvectors_range_check_names_the_grid():
@@ -335,11 +332,6 @@ def test_nearest_grid_index_wraps():
 
 # -- batched kernels ---------------------------------------------------
 
-def _random_block(seed: int, M: int, k: int) -> np.ndarray:
-    rng = rng_for(seed, "kalish-test-block")
-    return complex_standard_normal(rng, (M, k))
-
-
 @pytest.mark.parametrize("M", [8, 1024])
 @pytest.mark.parametrize("k", [1, 5])
 def test_batched_apply_and_solve_match_per_column(M, k):
@@ -350,7 +342,8 @@ def test_batched_apply_and_solve_match_per_column(M, k):
     for j in range(k):
         f = CircleFunction(X[:, j].copy(), M)
         np.testing.assert_allclose(TX[:, j], apply_T(f).values, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(SX[:, j], kalish_solve(f).values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(SX[:, j], kalish_solve_array(f.values),
+                                   rtol=0, atol=1e-12)
 
 
 def test_batched_kernels_leave_input_untouched():

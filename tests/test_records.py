@@ -11,7 +11,6 @@ import pytest
 
 from hyperlab import (
     CircleMeasure,
-    birkhoff_probe,
     build_model,
     classification_run,
     corrected_field,
@@ -28,12 +27,10 @@ from hyperlab import (
     symmetry_check,
     three_open_sets_probe,
     torus_system,
-    transfer_witness,
 )
 from hyperlab.config import parse_config
 from hyperlab.corpora import random_functional
 from hyperlab.dynamics_lab import BallSpec, default_start, probe_orbit
-from hyperlab.hitting_sets import WindowedSet
 from hyperlab.jsonio import stable_dumps
 
 
@@ -59,11 +56,6 @@ def _model():
     return build_model(corrected_field(_uniform(), 4, 64))
 
 
-def _birkhoff():
-    _, traj = _torus_orbit()
-    return birkhoff_probe(traj, [("first", lambda x: x[0])], [50, 200])
-
-
 def _return_set():
     _, traj = _torus_orbit()
     return return_set_identity_check(traj, _ball(traj))
@@ -87,10 +79,6 @@ def _config():
     }))
 
 
-def _window_set(step):
-    return WindowedSet.from_iterable(60, range(0, 60, step))
-
-
 RECORDS = {
     "RajchmanReport": (
         lambda: rajchman_probe(_uniform(), n_max=16),
@@ -102,8 +90,6 @@ RECORDS = {
         lambda: mild_mixing_probe(_uniform(), family_size=2, n_max=16),
         {"probe", "worst_limsup", "passed", "witness", "family_size",
          "window", "delta", "seed"}),
-    "BirkhoffReport": (
-        _birkhoff, {"check", "checkpoints", "averages", "cauchy_gaps"}),
     "ReturnSetReport": (
         _return_set,
         {"check", "passed", "visits", "pairs_checked", "replay_error",
@@ -136,9 +122,6 @@ RECORDS = {
         lambda: matrix_coefficient_mc(_model(), random_functional(1, 64), 2,
                                       256, seed=1),
         {"check", "value", "standard_error", "power", "samples", "seed"}),
-    "TransferReport": (
-        lambda: transfer_witness(_window_set(3), _window_set(6), 3),
-        {"check", "passed", "checked", "overflowed", "first_violation"}),
     "ExperimentConfig": (
         _config,
         {"schema", "seed", "bins", "grid", "out", "measures", "systems",
