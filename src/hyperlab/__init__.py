@@ -45,8 +45,6 @@ from .dynamics_lab import (
     orbit,
     hitting_times,
     return_set_identity_check,
-    three_open_sets_probe,
-    eigen_span_probe,
     periodic_return_probe,
     e_system_probe,
     implication_flags,

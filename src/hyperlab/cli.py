@@ -341,8 +341,7 @@ def _cmd_lab_orbit(args) -> int:
 
 def _cmd_lab_classify(args) -> int:
     if args.systems:
-        docs = read_json(args.systems)
-        systems = [lab.SystemSpec.from_dict(d) for d in docs]
+        systems = lab.parse_systems(read_json(args.systems))
     else:
         systems = lab.default_battery(args.window)
     report = lab.classification_run(systems, window=args.window,

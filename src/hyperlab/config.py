@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics_lab import SystemSpec, default_battery
+from .dynamics_lab import default_battery, parse_systems
 from .jsonio import record_dict, stable_dumps
 from .seeding import derive_seed
 
@@ -197,21 +197,6 @@ def _validate_measure(name: str, raw, context: dict) -> dict:
     return defn
 
 
-def _validate_system(index: int, raw) -> dict:
-    path = f"systems[{index}]"
-    if not isinstance(raw, dict):
-        _fail(path, "expected an object")
-    try:
-        spec = SystemSpec.from_dict(raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        _fail(path, str(exc))
-    doc = spec.to_dict()
-    for key in raw:
-        if key not in doc and key != "name":
-            _fail(path, f"unknown field {key!r}")
-    return doc
-
-
 def _validate_probe(index: int, raw, context: dict) -> dict:
     path = f"probes[{index}]"
     if not isinstance(raw, dict):
@@ -277,7 +262,10 @@ def config_from_dict(doc) -> ExperimentConfig:
     raw_systems = doc.get("systems", [])
     if not isinstance(raw_systems, list):
         raise ConfigError("config.systems: expected a list")
-    systems = [_validate_system(i, s) for i, s in enumerate(raw_systems)]
+    try:
+        specs = parse_systems(raw_systems)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     raw_probes = doc.get("probes", [])
     if not isinstance(raw_probes, list):
@@ -290,13 +278,10 @@ def config_from_dict(doc) -> ExperimentConfig:
         measures[_SIGMA_DEFAULT] = {"kind": "uniform", "mass": 1.0,
                                     "bins": top["bins"]}
     battery = [p for p in probes if p["probe"] == "classification"]
-    if battery and not systems:
-        systems = [s.to_dict() for s in default_battery(battery[0]["window"])]
+    if battery and not specs:
+        specs = default_battery(battery[0]["window"])
 
-    labels = [SystemSpec.from_dict(s).label for s in systems]
-    for i, label in enumerate(labels):
-        if (first := labels.index(label)) < i:
-            _fail(f"systems[{i}]", f"label {label!r} already names systems[{first}]")
+    labels = [s.label for s in specs]
     for i, probe in enumerate(probes):
         for key in ("left", "right", "measure"):
             name = probe.get(key)
@@ -307,7 +292,8 @@ def config_from_dict(doc) -> ExperimentConfig:
             _fail(f"probes[{i}].system", f"references undefined system {target!r}")
 
     return ExperimentConfig(seed=top["seed"], bins=top["bins"], grid=top["grid"],
-                            out=out, measures=measures, systems=tuple(systems),
+                            out=out, measures=measures,
+                            systems=tuple(s.to_dict() for s in specs),
                             probes=tuple(probes))
 
 

@@ -159,7 +159,11 @@ class SystemSpec:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "SystemSpec":
+    def from_dict(cls, doc) -> "SystemSpec":
+        """The one parser of a system document: an object holding kind,
+        its kind's fields and an optional string name, and nothing else."""
+        if not isinstance(doc, dict):
+            raise ValueError("expected an object")
         kind = doc.get("kind")
         if not isinstance(kind, str) or kind not in _KIND_FIELDS:
             raise ValueError(f"unknown system kind {kind!r}")
@@ -168,7 +172,15 @@ class SystemSpec:
             if key not in doc:
                 raise ValueError(f"{kind} system: missing required field {key!r}")
             fields[attr] = read(key, doc[key])
-        return cls(kind=kind, name=doc.get("name", ""), **fields)
+        name = doc.get("name", "")
+        if not isinstance(name, str):
+            raise ValueError(f"system field 'name' must be a string, got {name!r}")
+        spec = cls(kind=kind, name=name, **fields)
+        known = {"kind", "name", *(key for key, *_ in _KIND_FIELDS[kind])}
+        for key in doc:
+            if key not in known:
+                raise ValueError(f"unknown field {key!r}")
+        return spec
 
 
 def _number(key: str, value, kind=(int, float)):
@@ -201,6 +213,27 @@ _KIND_FIELDS = {
                        ("dimension", "dimension", _integer, int)],
     "torus_rotation": [("angles", "angles", _floats, list)],
 }
+
+
+def parse_systems(docs) -> list:
+    """The specs of a list of system documents, the one path of a config's
+    systems block, the runner's and `lab classify --systems`.  An error
+    names its document as systems[i]; a label names one system only, since
+    probes and report rows name systems by label."""
+    if not isinstance(docs, (list, tuple)):
+        raise ValueError(f"systems: expected a list, got {type(docs).__name__}")
+    specs, first = [], {}
+    for i, doc in enumerate(docs):
+        try:
+            spec = SystemSpec.from_dict(doc)
+        except ValueError as exc:
+            raise ValueError(f"systems[{i}]: {exc}") from exc
+        j = first.setdefault(spec.label, i)
+        if j < i:
+            raise ValueError(
+                f"systems[{i}]: label {spec.label!r} already names systems[{j}]")
+        specs.append(spec)
+    return specs
 
 
 def kalish_system(M: int, name: str = "") -> SystemSpec:
@@ -573,103 +606,6 @@ def return_set_identity_check(traj: Trajectory, ball: BallSpec,
 
 
 @dataclass(frozen=True)
-class ThreeOpenSetsReport:
-    compatible: bool
-    forward_visits: int
-    thick_run: int
-    backward_visits: int
-    backward_gap: int
-    witness: int  # smallest common transfer time, -1 if none
-    window: int
-    note: str
-
-    def to_dict(self) -> dict:
-        return record_dict(self, check="three-open-sets")
-
-
-def three_open_sets_probe(spec: SystemSpec, forward: WindowedSet, V: BallSpec,
-                          W0: BallSpec) -> ThreeOpenSetsReport:
-    """Weak-mixing compatibility at window scale, given an orbit's visits
-    to W0 (no orbit is simulated): they are transfer times U -> W0 for U
-    around its start (thickness evidence), and the exact pullbacks of V's
-    center that land in W0 give transfer times W0 -> V (syndeticity
-    evidence); compatible iff the two sets meet.  An empty forward visit
-    set is reported as no evidence, not invented."""
-    n_steps = forward.window - 1
-    # shift pullbacks push support deeper; past the dimension they lose
-    # mass and stop being exact witnesses, so the scan stops there
-    if spec.kind in ("scalar_multiple_shift", "weighted_shift"):
-        deepest = int(np.max(np.flatnonzero(V.center), initial=0))
-        n_steps = min(n_steps, max(spec.dimension - 1 - deepest, 0))
-    # not walk(): these steps run unguarded; a guard norm per step slows the battery
-    pullbacks = _steps(spec, np.asarray(V.center, dtype=complex), n_steps, back=True)
-    dist = _distance_rows(spec, _blocks(pullbacks, n_steps + 1, spec.state_dim),
-                          [W0.center], n_steps + 1)[0]
-    back_hits = WindowedSet.from_mask(dist < W0.radius).elements
-    backward = WindowedSet(window=forward.window, elements=back_hits[back_hits > 0])
-    common = np.intersect1d(forward.elements, backward.elements)
-    if forward.size == 0:
-        note = "orbit from U never entered W0; no transitive evidence at this window"
-    elif backward.size == 0:
-        note = "no exact pullback of V's center landed in W0"
-    elif not common.size:
-        note = "transfer sets observed but disjoint at this window"
-    else:
-        note = "common transfer time witnessed"
-    return ThreeOpenSetsReport(
-        compatible=bool(common.size),
-        forward_visits=forward.size,
-        thick_run=longest_interval(forward),
-        backward_visits=backward.size,
-        backward_gap=max_gap(backward),
-        witness=int(common[0]) if common.size else -1,
-        window=forward.window,
-        note=note,
-    )
-
-
-@dataclass(frozen=True)
-class EigenSpanReport:
-    rank: int
-    family_size: int
-    tolerance: float
-    verdict: str  # yes / no-evidence
-    note: str
-
-    def to_dict(self) -> dict:
-        return record_dict(self, check="eigen-span")
-
-
-def eigen_span_probe(spec: SystemSpec) -> EigenSpanReport:
-    """Numerical rank of a family of unimodular eigenvectors: arc
-    indicators for kalish, coordinate characters for rotations.
-    Truncated shifts are nilpotent and own no unimodular eigenvectors,
-    so they earn "no-evidence"."""
-    tolerance = 1e-8  # relative to the largest singular value
-    if spec.kind == "kalish":
-        M = spec.grid_size
-        m = min(64, max(M // 16, 2))
-        angles = TWO_PI * (np.arange(m) + 0.5) / m
-        mat = arc_indicators(angles, M).astype(complex)
-        sv = np.linalg.svd(mat, compute_uv=False)
-        rank = int(np.sum(sv > tolerance * sv[0]))
-        verdict = "yes" if rank == m else "no"
-        return EigenSpanReport(rank=rank, family_size=m, tolerance=tolerance,
-                               verdict=verdict,
-                               note="arc-indicator family at grid scale")
-    if spec.kind == "torus_rotation":
-        k = len(spec.angles)
-        rank = k  # coordinate characters are the standard basis
-        return EigenSpanReport(rank=rank, family_size=k, tolerance=tolerance,
-                               verdict="yes",
-                               note="coordinate characters span the state space")
-    return EigenSpanReport(rank=0, family_size=0, tolerance=tolerance,
-                           verdict="no-evidence",
-                           note="truncated shift is nilpotent: "
-                                "no unimodular eigenvectors")
-
-
-@dataclass(frozen=True)
 class ProbeOutcome:
     probe: str
     verdict: str  # yes / no / no-evidence
@@ -816,35 +752,61 @@ def syndetic_gap_probe(traj: OrbitRows, reference, seed: int,
 
 
 def weak_mixing_probe(traj: OrbitRows, seed: int) -> ProbeOutcome:
-    """Three-open-sets compatibility on the row's own trajectory: U is the
-    start's neighborhood, V a ball around a mid-orbit state, W0 a ball
-    around 0, generous for linear systems (their bounded recurrent orbits
-    live inside it) and below the torus for rotations (whose orbit
-    closure must avoid a true neighborhood of 0)."""
+    """Three-open-sets compatibility at window scale on the row's own
+    trajectory: U is the start's neighborhood, V a ball around a mid-orbit
+    state, W0 a ball around 0, generous for linear systems (their bounded
+    recurrent orbits live inside it) and below the torus for rotations
+    (whose orbit closure must avoid a true neighborhood of 0).  The orbit's
+    visits to W0 are transfer times U -> W0 (thickness evidence), and the
+    exact pullbacks of V's center that land in W0 give transfer times
+    W0 -> V (syndeticity evidence); compatible iff the two sets meet.  An
+    orbit that never enters W0 is reported as no evidence, not invented."""
     spec = traj.spec
     norms = traj.norms()
-    scale = float(np.median(norms))
-    if scale == 0.0:
+    if float(np.median(norms)) == 0.0:
         return _static_orbit("weak_mixing", "heuristic", traj, seed,
                              "orbit is 0 for over half the window: U, V get no radius")
     if spec.is_linear:
         w0_radius = 2.5 * float(np.max(norms))
     else:
         w0_radius = 0.5 * float(np.min(norms))
-    V = BallSpec(center=traj.state(_probe_times(spec, traj.length).middle),
-                 radius=0.3 * scale)
-    W0 = BallSpec(center=np.zeros(spec.state_dim, dtype=complex),
-                  radius=w0_radius)
     # a state's distance to W0's center 0 is its norm
-    report = three_open_sets_probe(
-        spec, WindowedSet.from_mask(norms < w0_radius), V, W0)
+    forward = WindowedSet.from_mask(norms < w0_radius)
+    v_center = traj.state(_probe_times(spec, traj.length).middle)
+    n_steps = traj.length - 1
+    # shift pullbacks push support deeper; past the dimension they lose
+    # mass and stop being exact witnesses, so the scan stops there
+    if spec.kind in ("scalar_multiple_shift", "weighted_shift"):
+        deepest = int(np.max(np.flatnonzero(v_center), initial=0))
+        n_steps = min(n_steps, max(spec.dimension - 1 - deepest, 0))
+    # not walk(): these steps run unguarded; a guard norm per step slows the battery
+    pullbacks = _steps(spec, v_center, n_steps, back=True)
+    dist = _distance_rows(spec, _blocks(pullbacks, n_steps + 1, spec.state_dim),
+                          [np.zeros(spec.state_dim, dtype=complex)], n_steps + 1)[0]
+    back_hits = WindowedSet.from_mask(dist < w0_radius).elements
+    backward = WindowedSet(window=forward.window, elements=back_hits[back_hits > 0])
+    common = np.intersect1d(forward.elements, backward.elements)
+    if forward.size == 0:
+        note = "orbit from U never entered W0; no transitive evidence at this window"
+    elif backward.size == 0:
+        note = "no exact pullback of V's center landed in W0"
+    elif not common.size:
+        note = "transfer sets observed but disjoint at this window"
+    else:
+        note = "common transfer time witnessed"
     return ProbeOutcome(
         probe="weak_mixing",
-        verdict="yes" if report.compatible else "no",
+        verdict="yes" if common.size else "no",
         grade="heuristic",
-        window=report.window,
+        window=traj.length,
         seed=seed,
-        evidence=report.to_dict() | {"w0_radius": w0_radius},
+        evidence={"check": "three-open-sets", "compatible": bool(common.size),
+                  "forward_visits": forward.size,
+                  "thick_run": longest_interval(forward),
+                  "backward_visits": backward.size,
+                  "backward_gap": max_gap(backward),
+                  "witness": int(common[0]) if common.size else -1,
+                  "window": traj.length, "note": note, "w0_radius": w0_radius},
     )
 
 
@@ -868,14 +830,34 @@ def ufh_probe(traj: OrbitRows, reference, seed: int) -> ProbeOutcome:
 
 
 def m_system_probe(spec: SystemSpec, seed: int) -> ProbeOutcome:
-    report = eigen_span_probe(spec)
+    """Numerical rank of a family of unimodular eigenvectors: arc
+    indicators for kalish, coordinate characters for rotations.
+    Truncated shifts are nilpotent and own no unimodular eigenvectors,
+    so they earn "no-evidence"."""
+    tolerance = 1e-8  # relative to the largest singular value
+    if spec.kind == "kalish":
+        size = min(64, max(spec.grid_size // 16, 2))
+        angles = TWO_PI * (np.arange(size) + 0.5) / size
+        family = arc_indicators(angles, spec.grid_size).astype(complex)
+        sv = np.linalg.svd(family, compute_uv=False)
+        rank = int(np.sum(sv > tolerance * sv[0]))
+        verdict = "yes" if rank == size else "no"
+        note = "arc-indicator family at grid scale"
+    elif spec.kind == "torus_rotation":
+        rank = size = len(spec.angles)  # coordinate characters are the standard basis
+        verdict, note = "yes", "coordinate characters span the state space"
+    else:
+        rank = size = 0
+        verdict = "no-evidence"
+        note = "truncated shift is nilpotent: no unimodular eigenvectors"
     return ProbeOutcome(
         probe="m_system",
-        verdict=report.verdict,
+        verdict=verdict,
         grade="heuristic",
-        window=report.family_size,
+        window=size,
         seed=seed,
-        evidence=report.to_dict(),
+        evidence={"check": "eigen-span", "rank": rank, "family_size": size,
+                  "tolerance": tolerance, "verdict": verdict, "note": note},
     )
 
 

@@ -74,21 +74,14 @@ def realize_measure(defn: dict) -> cm.CircleMeasure:
 @dataclass
 class _RunContext:
     config: ExperimentConfig
+    systems: dict  # label -> SystemSpec, in config order
     _measures: dict = field(default_factory=dict)
-    _systems: dict = field(default_factory=dict)
     _models: dict = field(default_factory=dict)
 
     def measure(self, name: str) -> cm.CircleMeasure:
         if name not in self._measures:
             self._measures[name] = realize_measure(self.config.measures[name])
         return self._measures[name]
-
-    def system(self, label: str) -> lab.SystemSpec:
-        if not self._systems:
-            for doc in self.config.systems:
-                spec = lab.SystemSpec.from_dict(doc)
-                self._systems[spec.label] = spec
-        return self._systems[label]
 
     def model(self, measure_name: str, nodes: int, grid: int) -> gm.GaussModel:
         key = (measure_name, nodes, grid)
@@ -361,7 +354,7 @@ def _run_ubd(ctx: _RunContext, p: dict) -> ProbeResult:
 
 
 def _run_orbit(ctx: _RunContext, p: dict) -> ProbeResult:
-    spec = ctx.system(p["system"])
+    spec = ctx.systems[p["system"]]
     x0 = lab.default_start(spec, p["seed"])
     traj = lab.orbit_rows(spec, x0, p["steps"], centers=[0])
     norms, dist = traj.norms(), traj.distances(0)
@@ -382,8 +375,7 @@ def _run_orbit(ctx: _RunContext, p: dict) -> ProbeResult:
 
 
 def _run_classification(ctx: _RunContext, p: dict) -> ProbeResult:
-    systems = [lab.SystemSpec.from_dict(doc) for doc in ctx.config.systems]
-    report = lab.classification_run(systems, window=p["window"],
+    report = lab.classification_run(list(ctx.systems.values()), window=p["window"],
                                     seed=ctx.config.seed,
                                     mc_samples=p["samples"],
                                     gap_bound=p["gap_bound"])
@@ -424,7 +416,7 @@ def run(config: ExperimentConfig, out_dir=None) -> int:
     for sub in ("reports", "tables", "plotdata"):
         (root / sub).mkdir(parents=True, exist_ok=True)
 
-    ctx = _RunContext(config)
+    ctx = _RunContext(config, {s.label: s for s in lab.parse_systems(config.systems)})
     results, had_error = [], False
     for probe in config.probes:
         executor = _EXECUTORS[probe["probe"]]

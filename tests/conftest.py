@@ -7,27 +7,11 @@ the full production sizes.
 import numpy as np
 
 from hyperlab import CircleMeasure, fourier_band
-from hyperlab.seeding import rng_for
 
 
 def coeff_row(mu: CircleMeasure, band: int) -> np.ndarray:
     """Fourier coefficients of mu for n = -band..band as one array."""
     return fourier_band(mu, band)
-
-
-def brute_atomic_coefficient(atoms, n: int) -> complex:
-    """Direct sum over atoms, written independently of CircleMeasure."""
-    total = 0.0 + 0.0j
-    for angle, mass in atoms:
-        total += mass * np.exp(1j * n * angle)
-    return total
-
-
-def random_density(seed: int, bins: int, label: str = "density") -> np.ndarray:
-    """Nonnegative density with a few bumps; not normalized."""
-    rng = rng_for(seed, label)
-    base = rng.random(bins) + 0.25
-    return base
 
 
 def measures_close(mu: CircleMeasure, nu: CircleMeasure, tol: float) -> bool:

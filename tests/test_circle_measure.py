@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_atomic_coefficient, coeff_row, measures_close
+from conftest import coeff_row, measures_close
 from hyperlab import (
     BinMismatchError,
     CircleMeasure,

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlab import CircleMeasure, total_mass, upper_banach_density
+from hyperlab import total_mass, upper_banach_density
 from hyperlab import dynamics_lab
 from hyperlab.cli import main
-from hyperlab.config import ConfigError, ExperimentConfig, parse_config
+from hyperlab.config import ConfigError, parse_config
 from hyperlab.corpora import (
     measure_pair,
     probability_measure,
@@ -149,10 +149,19 @@ def test_config_unknown_probe_field_dotted_path():
      r"systems\[0\]: system field 'weights' must be a list of numbers, got 2\.0$"),
     ({"kind": "torus_rotation", "angles": ["0.9"]},
      r"systems\[0\]: system field 'angles' must be a finite number, got '0\.9'$"),
+    ({"kind": "kalish", "grid": 64, "name": 5},
+     r"systems\[0\]: system field 'name' must be a string, got 5$"),
+    (3, r"systems\[0\]: expected an object$"),
 ])
 def test_config_bad_system_dotted_path(system, message):
     doc = dict(MINIMAL, systems=[system])
     with pytest.raises(ConfigError, match=message):
+        parse_config(json.dumps(doc))
+
+
+def test_config_systems_must_be_a_list():
+    doc = dict(MINIMAL, systems={"kind": "kalish", "grid": 64})
+    with pytest.raises(ConfigError, match=r"^config\.systems: expected a list$"):
         parse_config(json.dumps(doc))
 
 
@@ -442,6 +451,10 @@ def test_cli_lab_orbit_negative_steps_is_typed_error(capsys):
     ({"kind": "kalish"}, "ValueError: kalish system: missing required field 'grid'"),
     ({"kind": "kalish", "grid": 64.7},
      "ValueError: system field 'grid' must be an integer, got 64.7"),
+    # the one strict parser: no field is ignored, and a name is a string
+    ({"kind": "kalish", "grid": 64, "gird": 5}, "ValueError: unknown field 'gird'"),
+    ({"kind": "kalish", "grid": 64, "name": 5},
+     "ValueError: system field 'name' must be a string, got 5"),
 ])
 def test_cli_lab_orbit_bad_system_document_is_typed_error(tmp_path, capsys, system,
                                                            message):
@@ -449,6 +462,28 @@ def test_cli_lab_orbit_bad_system_document_is_typed_error(tmp_path, capsys, syst
     path.write_text(json.dumps(system))
     assert main(["lab", "orbit", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("docs, message", [
+    ([{"kind": "torus_rotation", "angles": [0.9], "name": "a"},
+      {"kind": "torus_rotation", "angles": [2.1], "name": "a"}],
+     "ValueError: systems[1]: label 'a' already names systems[0]"),
+    ([{"kind": "kalish", "grid": 64, "name": 5}],
+     "ValueError: systems[0]: system field 'name' must be a string, got 5"),
+    ([{"kind": "kalish", "grid": 64, "gird": 5}],
+     "ValueError: systems[0]: unknown field 'gird'"),
+    ([3], "ValueError: systems[0]: expected an object"),
+    ({"kind": "kalish", "grid": 64}, "ValueError: systems: expected a list, got dict"),
+])
+def test_cli_lab_classify_systems_file_gets_the_config_checks(tmp_path, capsys, docs,
+                                                              message):
+    # the same parse_systems as a config's systems block
+    path = tmp_path / "systems.json"
+    path.write_text(json.dumps(docs))
+    assert main(["lab", "classify", "--systems", str(path), "--window", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cli_gauss_invariance_control_exit(capsys):

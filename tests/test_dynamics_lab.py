@@ -21,7 +21,6 @@ from hyperlab import (
     default_battery,
     default_start,
     e_system_probe,
-    eigen_span_probe,
     hitting_times,
     implication_flags,
     kalish_system,
@@ -37,7 +36,8 @@ from hyperlab import (
     weighted_shift_system,
 )
 from hyperlab import dynamics_lab
-from hyperlab.dynamics_lab import norms, orbit_rows, probe_orbit, state_norm
+from hyperlab.dynamics_lab import (
+    m_system_probe, norms, orbit_rows, probe_orbit, state_norm)
 from hyperlab.kalish import CircleFunction, func_norm, grid_norms
 from hyperlab.jsonio import stable_dumps
 from hyperlab.seeding import rng_for
@@ -291,14 +291,14 @@ def test_return_set_identity_needs_two_visits():
 # -- spectral probes ----------------------------------------------------------
 
 def test_eigen_span_verdicts_by_kind():
-    assert eigen_span_probe(kalish_system(256)).verdict == "yes"
-    assert eigen_span_probe(torus_system([1.0, 2.0])).verdict == "yes"
-    assert eigen_span_probe(scalar_shift_system(2.0, 64)).verdict == "no-evidence"
+    assert m_system_probe(kalish_system(256), seed=0).verdict == "yes"
+    assert m_system_probe(torus_system([1.0, 2.0]), seed=0).verdict == "yes"
+    assert m_system_probe(scalar_shift_system(2.0, 64), seed=0).verdict == "no-evidence"
 
 
 def test_eigen_span_full_rank_for_kalish():
-    report = eigen_span_probe(kalish_system(256))
-    assert report.rank == report.family_size
+    evidence = m_system_probe(kalish_system(256), seed=0).evidence
+    assert evidence["rank"] == evidence["family_size"]
 
 
 def test_periodic_return_rational_vs_irrational():

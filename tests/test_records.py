@@ -3,6 +3,8 @@
 Each record's to_dict is its dataclass fields plus a tag, so renaming a
 field renames an artifact key.  These key sets pin the documents as they
 are written, so such a rename fails here instead of moving an artifact.
+The m_system and weak_mixing columns write their evidence as a plain
+dict, so its keys are pinned the same way.
 """
 
 import json
@@ -15,8 +17,6 @@ from hyperlab import (
     classification_run,
     corrected_field,
     dirichlet_probe,
-    eigen_span_probe,
-    hitting_times,
     invariance_check,
     matrix_coefficient_mc,
     mild_mixing_probe,
@@ -25,12 +25,12 @@ from hyperlab import (
     rajchman_probe,
     return_set_identity_check,
     symmetry_check,
-    three_open_sets_probe,
     torus_system,
 )
 from hyperlab.config import parse_config
 from hyperlab.corpora import random_functional
-from hyperlab.dynamics_lab import BallSpec, default_start, probe_orbit
+from hyperlab.dynamics_lab import (
+    BallSpec, default_start, m_system_probe, probe_orbit, weak_mixing_probe)
 from hyperlab.jsonio import stable_dumps
 
 
@@ -61,12 +61,6 @@ def _return_set():
     return return_set_identity_check(traj, _ball(traj))
 
 
-def _three_open_sets():
-    _, traj = _torus_orbit()
-    W0 = BallSpec(center=traj.states[0], radius=0.5)
-    return three_open_sets_probe(traj.spec, hitting_times(traj, W0), _ball(traj), W0)
-
-
 def _classification():
     return classification_run([torus_system((0.9,))], window=60)
 
@@ -94,13 +88,6 @@ RECORDS = {
         _return_set,
         {"check", "passed", "visits", "pairs_checked", "replay_error",
          "certified", "certified_max_gap"}),
-    "ThreeOpenSetsReport": (
-        _three_open_sets,
-        {"check", "compatible", "forward_visits", "thick_run",
-         "backward_visits", "backward_gap", "witness", "window", "note"}),
-    "EigenSpanReport": (
-        lambda: eigen_span_probe(torus_system((0.9,))),
-        {"check", "rank", "family_size", "tolerance", "verdict", "note"}),
     "ProbeOutcome": (
         lambda: periodic_return_probe(_torus_rows()),
         {"probe", "verdict", "grade", "window", "seed", "evidence"}),
@@ -137,6 +124,27 @@ def test_record_keys_are_pinned(name):
     doc = record.to_dict()
     assert set(doc) == keys
     assert json.loads(stable_dumps(doc)) == doc
+
+
+EVIDENCE = {
+    "m_system": (
+        lambda: m_system_probe(torus_system((0.9,)), seed=0),
+        {"check", "rank", "family_size", "tolerance", "verdict", "note"}),
+    "weak_mixing": (
+        lambda: weak_mixing_probe(_torus_rows(), seed=0),
+        {"check", "compatible", "forward_visits", "thick_run",
+         "backward_visits", "backward_gap", "witness", "window", "note",
+         "w0_radius"}),
+}
+
+
+@pytest.mark.parametrize("column", sorted(EVIDENCE))
+def test_column_evidence_keys_are_pinned(column):
+    make, keys = EVIDENCE[column]
+    outcome = make()
+    assert outcome.probe == column
+    assert set(outcome.evidence) == keys
+    assert json.loads(stable_dumps(outcome.to_dict())) == outcome.to_dict()
 
 
 def test_record_values_keep_their_artifact_form():

@@ -6,13 +6,17 @@ outside its own definition, or from tests/test_acceptance.py.  The
 package __init__ does not count: re-exporting a name does not use it.
 A reference is a name, an attribute or an imported name, read from the
 syntax tree, so the check needs no linter.
+
+The import rule: every name a module of src/hyperlab or tests/ imports
+is read in that module, also from the syntax tree.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hyperlab"
-ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+TESTS = Path(__file__).resolve().parent
+ACCEPTANCE = TESTS / "test_acceptance.py"
 
 # Public names no path reaches yet, each with the reason it stays.
 ALLOWED = {
@@ -67,3 +71,36 @@ def test_every_public_name_is_reached_or_allowed():
 def test_every_allowed_name_is_still_unreached():
     # a name that gains a caller leaves the allowlist
     assert set(ALLOWED) <= set(unreached())
+
+
+def unused_imports() -> list:
+    """file:line name of every imported name its module never reads.  An
+    import on a `# noqa` line (a binding kept on purpose), the re-exports
+    of an __init__.py and the names of __all__ are exempt."""
+    out = []
+    for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", "") == "__all__" for t in node.targets)):
+                read.update(elt.value for elt in node.value.elts)
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", "") == "__future__"
+                    or any("# noqa" in line
+                           for line in lines[node.lineno - 1:node.end_lineno])):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    out.append(f"{path.parent.name}/{path.name}:{node.lineno} {name}")
+    return out
+
+
+def test_every_import_is_read():
+    assert unused_imports() == []
