@@ -7,6 +7,15 @@ density|ubd|diff|gaps, lab orbit|classify, run <config>.  Global flags
 the subcommand.  Configs are the source of truth for experiments; the
 flags cover one-off exploration.
 
+A command with a runner twin (measure fourier|classify, kalish residual,
+gauss invariance|coeff, lab orbit|classify) is a one-probe run: its
+flags become a one-probe experiment config, it prints the runner's
+probe-report/1 document of that probe (byte for byte the
+reports/<stem>.json that `run` writes; --format csv prints the probe's
+table), and it exits with the runner's status: 0 when no exact-grade
+check failed, 1 when one did, 2 when the probe raised.  The other
+commands read their inputs and print one document.
+
 Measure arguments accept a path to a circle-measure JSON document or a
 token: "uniform", "dirac:ANGLE[:MASS]", "probability[:SEED]".  System
 arguments accept a path to a system JSON document or a token:
@@ -29,16 +38,9 @@ from . import dynamics_lab as lab
 from . import gauss_model as gm
 from . import hitting_sets as hs
 from . import kalish as ka
-from .config import PROBE_FIELDS, TOP_DEFAULTS, parse_config
-from .corpora import probability_measure, random_functional
+from .config import PROBE_FIELDS, TOP_DEFAULTS, config_from_dict, parse_config
 from .jsonio import csv_text, read_json, stable_dumps
-from .runner import (
-    fourier_rows,
-    invariance_report,
-    measure_classification,
-    residual_rows,
-    run as run_experiment,
-)
+from .runner import execute_probes, probe_report, realize_measure, run, run_status
 from .seeding import derive_seed
 
 __all__ = ["main"]
@@ -49,19 +51,39 @@ _GLOBAL_DEFAULTS = {**TOP_DEFAULTS, "out": None, "format": "json"}
 # -- input loaders ------------------------------------------------------
 
 
-def _load_measure(token: str, bins: int, seed: int) -> cm.CircleMeasure:
+def _measure_entry(token: str) -> dict:
+    """The config's measures entry of a measure token or path."""
+    parts = token.split(":")[1:]
     if token == "uniform":
-        return cm.CircleMeasure.uniform(1.0, bins=bins)
+        return {"kind": "uniform"}
     if token.startswith("dirac:"):
-        parts = token.split(":")[1:]
-        angle = float(parts[0])
-        mass = float(parts[1]) if len(parts) > 1 else 1.0
-        return cm.CircleMeasure.dirac(angle, mass, bins=bins)
+        entry = {"kind": "dirac", "angle": float(parts[0])}
+        if len(parts) > 1:
+            entry["mass"] = float(parts[1])
+        return entry
     if token == "probability" or token.startswith("probability:"):
-        parts = token.split(":")[1:]
-        use = int(parts[0]) if parts else seed
-        return probability_measure(use, bins)
-    return cm.CircleMeasure.from_dict(read_json(token))
+        return {"kind": "probability", **({"seed": int(parts[0])} if parts else {})}
+    return {"kind": "file", "path": token}
+
+
+def _load_measure(args, token: str) -> cm.CircleMeasure:
+    config = config_from_dict({"seed": args.seed, "bins": args.bins,
+                               "measures": {token: _measure_entry(token)}})
+    return realize_measure(config.measures[token])
+
+
+def _system_doc(token: str, grid: int):
+    """The config's systems entry of a system token or path."""
+    parts = token.split(":")[1:]
+    if token == "kalish" or token.startswith("kalish:"):
+        return {"kind": "kalish", "grid": int(parts[0]) if parts else grid}
+    if token == "scalar-shift" or token.startswith("scalar-shift:"):
+        return {"kind": "scalar_multiple_shift",
+                "scalar": float(parts[0]) if parts else 2.0,
+                "dimension": int(parts[1]) if len(parts) > 1 else 160}
+    if token.startswith("torus:"):
+        return {"kind": "torus_rotation", "angles": [float(a) for a in parts]}
+    return read_json(token)
 
 
 def _load_function(token: str, grid: int) -> ka.CircleFunction:
@@ -70,21 +92,6 @@ def _load_function(token: str, grid: int) -> ka.CircleFunction:
     if token.startswith("chi:"):
         return ka.chi(float(token.split(":")[1]), grid)
     return ka.CircleFunction.from_dict(read_json(token))
-
-
-def _load_system(token: str, grid: int) -> lab.SystemSpec:
-    if token == "kalish" or token.startswith("kalish:"):
-        parts = token.split(":")[1:]
-        return lab.kalish_system(int(parts[0]) if parts else grid)
-    if token == "scalar-shift" or token.startswith("scalar-shift:"):
-        parts = token.split(":")[1:]
-        scalar = float(parts[0]) if parts else 2.0
-        dim = int(parts[1]) if len(parts) > 1 else 160
-        return lab.scalar_shift_system(scalar, dim)
-    if token.startswith("torus:"):
-        angles = tuple(float(a) for a in token.split(":")[1:])
-        return lab.torus_system(angles)
-    return lab.SystemSpec.from_dict(read_json(token))
 
 
 def _load_set(path: str) -> hs.WindowedSet:
@@ -138,48 +145,61 @@ def _emit(args, doc, table=None) -> None:
         sys.stdout.write(text)
 
 
+# -- one-probe runs -----------------------------------------------------
+
+
+def _one_probe_config(args):
+    """The one-probe experiment config of a twin command: the global
+    flags as the top-level fields, the flags as the probe's fields, and
+    a measure or system token as a measures or systems entry."""
+    given = vars(args)
+    doc = {key: given[key] for key in TOP_DEFAULTS}
+    probe = {"probe": args.probe}
+    probe.update((key, given[key]) for key in PROBE_FIELDS[args.probe]
+                 if key in given and key not in TOP_DEFAULTS)
+    if "measure" in probe:
+        doc["measures"] = {probe["measure"]: _measure_entry(probe["measure"])}
+    if "system" in probe:  # the orbit probe names its system by label
+        doc["systems"] = [_system_doc(probe["system"], args.grid)]
+        probe["system"] = lab.parse_systems(doc["systems"])[0].label
+    if "systems" in given:
+        doc["systems"] = read_json(given["systems"])
+    doc["probes"] = [probe]
+    return config_from_dict(doc)
+
+
+def _cmd_probe(args) -> int:
+    config = _one_probe_config(args)
+    (result,) = execute_probes(config)
+    if result.error:
+        print(f"error: {result.error}", file=sys.stderr)
+    else:
+        _emit(args, probe_report(result, config.seed), result.table)
+    return run_status([result])
+
+
 # -- measure ------------------------------------------------------------
 
 
 def _cmd_measure_conv(args) -> int:
-    mu = _load_measure(args.left, args.bins, args.seed)
-    nu = _load_measure(args.right, args.bins, args.seed)
+    mu, nu = _load_measure(args, args.left), _load_measure(args, args.right)
     result = cm.convolve(mu, nu)
     _emit(args, result.to_dict(), _measure_csv(result))
     return 0
 
 
 def _cmd_measure_pow(args) -> int:
-    rho = _load_measure(args.measure, args.bins, args.seed)
+    rho = _load_measure(args, args.measure)
     result = cm.convolution_power(rho, args.power)
     _emit(args, result.to_dict(), _measure_csv(result))
     return 0
 
 
 def _cmd_measure_exp(args) -> int:
-    rho = _load_measure(args.measure, args.bins, args.seed)
+    rho = _load_measure(args, args.measure)
     result = (cm.normalized_chaos(rho, tail_tol=args.tail_tol)
               if args.normalized else cm.exp_measure(rho, tail_tol=args.tail_tol))
     _emit(args, result.to_dict(), _measure_csv(result))
-    return 0
-
-
-def _cmd_measure_fourier(args) -> int:
-    rows = fourier_rows(_load_measure(args.measure, args.bins, args.seed),
-                        args.band)
-    doc = {"schema": "fourier-table/1", "band": args.band,
-           "coefficients": [[n, re, im] for n, re, im, _ in rows]}
-    _emit(args, doc, csv_text(["n", "re", "im", "abs"], rows))
-    return 0
-
-
-def _cmd_measure_classify(args) -> int:
-    rho = _load_measure(args.measure, args.bins, args.seed)
-    reports, rows = measure_classification(rho, args.band, args.epsilon,
-                                           args.delta, args.family_size,
-                                           args.seed)
-    doc = {"schema": "measure-classify/1", **reports}
-    _emit(args, doc, csv_text(["probe", "passed", "statistic"], rows))
     return 0
 
 
@@ -190,15 +210,6 @@ def _cmd_kalish_apply(args) -> int:
     f = _load_function(args.function, args.grid)
     result = ka.apply_T(f)
     _emit(args, result.to_dict(), _function_csv(result))
-    return 0
-
-
-def _cmd_kalish_residual(args) -> int:
-    fields = PROBE_FIELDS["residual"]
-    rows = residual_rows(args.angle or fields["angles"], args.grids or fields["grids"])
-    doc = {"schema": "residual-table/1",
-           "rows": [[la, m, r] for la, m, r, _ in rows]}
-    _emit(args, doc, csv_text(["lambda", "grid", "residual", "ratio"], rows))
     return 0
 
 
@@ -231,7 +242,7 @@ def _cmd_kalish_matrix_check(args) -> int:
 
 
 def _gauss_model(args) -> gm.GaussModel:
-    sigma = _load_measure(args.measure, args.bins, args.seed)
+    sigma = _load_measure(args, args.measure)
     field = gm.corrected_field(sigma, args.nodes, args.grid)
     return gm.build_model(field)
 
@@ -256,29 +267,6 @@ def _cmd_gauss_sample(args) -> int:
         doc = {"schema": "gauss-samples/1", "count": args.count,
                "samples": [f.to_dict() for f in draws]}
         _emit(args, doc)
-    return 0
-
-
-def _cmd_gauss_invariance(args) -> int:
-    rep, doc = invariance_report(_gauss_model(args), args.transport_scale,
-                                 args.samples, args.seed, args.tolerance)
-    _emit(args, doc)
-    return 0 if rep.passed else 1
-
-
-def _cmd_gauss_coeff(args) -> int:
-    model = _gauss_model(args)
-    xstar = random_functional(derive_seed(args.seed, "functional"), args.grid)
-    rows = [(n, a.real, a.imag, mc.value.real, mc.value.imag,
-             mc.standard_error, sf.real, sf.imag)
-            for n, a, mc, sf in gm.coefficient_rows(model, xstar, args.power,
-                                                    args.samples, args.seed,
-                                                    "mc:")]
-    doc = {"schema": "coefficient-table/1", "samples": args.samples,
-           "rows": [list(r) for r in rows]}
-    _emit(args, doc, csv_text(["n", "analytic_re", "analytic_im", "mc_re",
-                               "mc_im", "mc_se", "spectral_re",
-                               "spectral_im"], rows))
     return 0
 
 
@@ -322,41 +310,12 @@ def _cmd_hits_gaps(args) -> int:
     return 0
 
 
-# -- lab ----------------------------------------------------------------
-
-
-def _cmd_lab_orbit(args) -> int:
-    spec = _load_system(args.system, args.grid)
-    x0 = lab.default_start(spec, args.seed)
-    traj = lab.orbit_rows(spec, x0, args.steps)
-    norms = traj.norms()
-    doc = {"schema": "orbit-report/1", "system": spec.label,
-           "steps": args.steps, "norm_min": float(norms.min()),
-           "norm_max": float(norms.max()),
-           "norms": [float(v) for v in norms]}
-    rows = [(t, float(norms[t])) for t in range(traj.length)]
-    _emit(args, doc, csv_text(["step", "norm"], rows))
-    return 0
-
-
-def _cmd_lab_classify(args) -> int:
-    if args.systems:
-        systems = lab.parse_systems(read_json(args.systems))
-    else:
-        systems = lab.default_battery(args.window)
-    report = lab.classification_run(systems, window=args.window,
-                                    seed=args.seed, mc_samples=args.samples,
-                                    gap_bound=args.gap_bound)
-    _emit(args, report.to_dict(), report.to_csv())
-    return 0 if not report.flagged else 1
-
-
 # -- run ----------------------------------------------------------------
 
 
 def _cmd_run(args) -> int:
     config = parse_config(Path(args.config).read_text())
-    return run_experiment(config, out_dir=args.out)
+    return run(config, out_dir=args.out)
 
 
 # -- parser -------------------------------------------------------------
@@ -378,14 +337,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hyperlab", parents=[shared])
     top = parser.add_subparsers(dest="command", required=True)
 
-    def sub(group, name, handler, **kwargs):
+    def sub(group, name, handler=None, probe=None, **kwargs):
+        """A command; one with a probe kind is that probe's one-probe run."""
         p = group.add_parser(name, parents=[shared], **kwargs)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler or _cmd_probe, probe=probe)
         return p
 
-    def twin(p, flag, probe, key="", **kwargs):  # type and default from the config
-        default = PROBE_FIELDS[probe][key or flag[2:].replace("-", "_")]
-        p.add_argument(flag, type=type(default), default=default, **kwargs)
+    def field(p, flag, probe, key="", **kwargs):
+        """A flag named after a probe field, typed by its config default.
+        A twin leaves it unset for the config to expand; a thin command
+        takes the default."""
+        key = key or flag[2:].replace("-", "_")
+        default = PROBE_FIELDS[probe][key]
+        p.add_argument(flag, dest=key, type=type(default), **kwargs,
+                       default=argparse.SUPPRESS if p.get_default("probe") else default)
 
     measure = top.add_parser("measure", parents=[shared]).add_subparsers(
         dest="subcommand", required=True)
@@ -397,26 +362,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("power", type=int)
     p = sub(measure, "exp", _cmd_measure_exp)
     p.add_argument("measure")
-    twin(p, "--tail-tol", "exp")
+    field(p, "--tail-tol", "exp")
     p.add_argument("--normalized", action="store_true",
                    help="emit the chaos part, rescaled to a probability")
-    p = sub(measure, "fourier", _cmd_measure_fourier)
+    p = sub(measure, "fourier", probe="fourier")
     p.add_argument("measure")
-    twin(p, "--band", "fourier")
-    p = sub(measure, "classify", _cmd_measure_classify)
+    field(p, "--band", "fourier")
+    p = sub(measure, "classify", probe="measure-classify")
     p.add_argument("measure")
     for flag in ("--band", "--epsilon", "--delta", "--family-size"):
-        twin(p, flag, "measure-classify")
+        field(p, flag, "measure-classify")
 
     kal = top.add_parser("kalish", parents=[shared]).add_subparsers(
         dest="subcommand", required=True)
     p = sub(kal, "apply", _cmd_kalish_apply)
     p.add_argument("function")
-    p = sub(kal, "residual", _cmd_kalish_residual)
-    p.add_argument("--angle", type=float, action="append",
-                   help="eigenvalue angle; repeatable")
+    p = sub(kal, "residual", probe="residual")
+    p.add_argument("--angle", dest="angles", type=float, action="append",
+                   default=argparse.SUPPRESS, help="eigenvalue angle; repeatable")
     p.add_argument("--grids", type=lambda s: [int(v) for v in s.split(",")],
-                   help="comma-separated grid sizes")
+                   default=argparse.SUPPRESS, help="comma-separated grid sizes")
     p = sub(kal, "matrix-check", _cmd_kalish_matrix_check)
     p.add_argument("--count", type=int, default=5)
 
@@ -424,22 +389,21 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True)
     for name, handler in (("build", _cmd_gauss_build),
                           ("sample", _cmd_gauss_sample),
-                          ("invariance", _cmd_gauss_invariance),
-                          ("coeff", _cmd_gauss_coeff)):
-        p = sub(gauss, name, handler)
-        p.add_argument("--measure", default="uniform",
-                       help="spectral measure sigma (token or path)")
-        twin(p, "--nodes", "invariance")  # one node default for all Gauss probes
+                          ("invariance", None), ("coeff", None)):
+        p = sub(gauss, name, handler, probe=None if handler else name)
+        p.add_argument("--measure", help="spectral measure sigma (token or path)",
+                       default=argparse.SUPPRESS if p.get_default("probe") else "uniform")
+        field(p, "--nodes", "invariance")  # one node default for all Gauss probes
         if name == "sample":
             p.add_argument("--count", type=int, default=8)
         if name == "invariance":
-            twin(p, "--samples", name)
-            twin(p, "--tolerance", name)
-            twin(p, "--transport-scale", name,
-                 help="!= 1 runs the non-unimodular negative control")
+            field(p, "--samples", name)
+            field(p, "--tolerance", name)
+            field(p, "--transport-scale", name,
+                  help="!= 1 runs the non-unimodular negative control")
         if name == "coeff":
-            twin(p, "--samples", name)
-            twin(p, "--power", name, "max_power")
+            field(p, "--samples", name)
+            field(p, "--power", name, "max_power")
 
     hits = top.add_parser("hits", parents=[shared]).add_subparsers(
         dest="subcommand", required=True)
@@ -450,17 +414,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub(hits, name, handler)
         p.add_argument("set", help="windowed-set JSON or integer lines")
         if name in ("density", "ubd"):
-            twin(p, "--min-len", "ubd")
+            field(p, "--min-len", "ubd")
 
     labp = top.add_parser("lab", parents=[shared]).add_subparsers(
         dest="subcommand", required=True)
-    p = sub(labp, "orbit", _cmd_lab_orbit)
+    p = sub(labp, "orbit", probe="orbit")
     p.add_argument("system")
-    twin(p, "--steps", "orbit")
-    p = sub(labp, "classify", _cmd_lab_classify)
-    p.add_argument("--systems", help="JSON file with a list of system specs")
+    field(p, "--steps", "orbit")
+    p = sub(labp, "classify", probe="classification")
+    p.add_argument("--systems", default=argparse.SUPPRESS,
+                   help="JSON file with a list of system specs")
     for flag in ("--window", "--samples", "--gap-bound"):
-        twin(p, flag, "classification")
+        field(p, flag, "classification")
 
     p = sub(top, "run", _cmd_run, help="execute an experiment config")
     p.add_argument("config")

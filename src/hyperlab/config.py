@@ -219,7 +219,7 @@ def _validate_probe(index: int, raw, context: dict) -> dict:
         if not all(isinstance(a, (int, float)) and np.isfinite(a) and a > 0
                    for a in probe["angles"]):
             _fail(f"{path}.angles", "angles must be positive finite numbers")
-    for key in ("window", "samples", "functionals", "count"):
+    for key in ("window", "samples", "functionals", "count", "family_size"):
         if key in probe and probe[key] < 1:
             _fail(f"{path}.{key}", "must be >= 1")
     if kind == "symmetry" and probe["samples"] < 2:
@@ -259,11 +259,8 @@ def config_from_dict(doc) -> ExperimentConfig:
     measures = {name: _validate_measure(name, defn, context)
                 for name, defn in raw_measures.items()}
 
-    raw_systems = doc.get("systems", [])
-    if not isinstance(raw_systems, list):
-        raise ConfigError("config.systems: expected a list")
     try:
-        specs = parse_systems(raw_systems)
+        specs = parse_systems(doc.get("systems", []))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -1,16 +1,15 @@
 """Orbit simulation, visit-time extraction, and the classification harness.
 Orbits and kalish replays take gauss_model.walk, the one drift-guarded walk.
 
-Streaming: the battery, the runner's orbit probe and `lab orbit` never hold
-an (N+1, dim) orbit.  orbit_rows makes two passes over it.  Pass 1 is the
+Streaming: the battery and the runner's orbit probe (also `lab orbit`) never
+hold an (N+1, dim) orbit.  orbit_rows makes two passes over it.  Pass 1 is the
 guarded walk; it keeps the guard's per-step norms (the orbit's norm row)
-and the few snapshot states the probes name.  Pass 2, made whenever a
-distance row is asked for, replays the orbit by the same step calls,
-unguarded, which gives the same states bit for bit (the log-space closed
-form of n_step_map does not, so it is not used), and feeds them in row
-blocks of at most kalish._BLOCK_ELEMENTS (2**16) complex elements through
-_distance_rows, the one distance kernel: it writes the O(N) distance row
-of every state to each center snapshot.  The probes read only those rows,
+and the few snapshot states the probes name.  Pass 2 replays the orbit by
+the same step calls, unguarded, which gives the same states bit for bit
+(the log-space closed form of n_step_map does not, so it is not used),
+and feeds them in row blocks of at most kalish._BLOCK_ELEMENTS (2**16)
+complex elements through _distance_rows, the one distance kernel: it
+writes the O(N) distance row of every state to each center snapshot.  The probes read only those rows,
 the norm row and the snapshots, at the times _probe_times names, which
 probe_orbit streams.  The weak-mixing pullbacks stream through the same
 kernel; they stay off the guarded walk (a guard norm per step slowed the
@@ -427,7 +426,7 @@ class OrbitRows:
 
 
 def orbit_rows(spec: SystemSpec, x0: np.ndarray, n_steps: int,
-               centers=(), keep=()) -> OrbitRows:
+               centers, keep=()) -> OrbitRows:
     """The orbit [x0, ..., T^n x0] streamed in two passes (see the module
     docstring): its norm row, its states at the times in centers and keep,
     and the distance row of every state to the state at each center time."""
@@ -442,11 +441,9 @@ def orbit_rows(spec: SystemSpec, x0: np.ndarray, n_steps: int,
     snapshots = {t: x for t, x in enumerate(
         walk(partial(step, spec), x0, n_steps, guard_norm)) if t in wanted}
     centers = sorted(set(centers))
-    rows = {}
-    if centers:  # a norm row alone (lab orbit) takes no replay
-        blocks = _blocks(_steps(spec, x0, n_steps), n_steps + 1, spec.state_dim)
-        rows = dict(zip(centers, _distance_rows(
-            spec, blocks, [snapshots[t] for t in centers], n_steps + 1)))
+    blocks = _blocks(_steps(spec, x0, n_steps), n_steps + 1, spec.state_dim)
+    rows = dict(zip(centers, _distance_rows(
+        spec, blocks, [snapshots[t] for t in centers], n_steps + 1)))
     return OrbitRows(spec, np.array(norm_row), snapshots, rows)
 
 

@@ -4,6 +4,9 @@ Layout under the output directory: reports/ (JSON, schema-tagged),
 tables/ (CSV), plotdata/ (whitespace-delimited columns), each file named
 <probe>-<target>-<seed>.  All artifact bytes are a pure function of the
 config; wall-clock metadata lives only in the run-meta.json sidecar.
+run is execute_probes, probe_report per result and run_status; the CLI's
+one-probe runs call the same three, so a twin command prints the bytes
+of reports/<stem>.json.
 
 Exit status: 0 when every exact-grade check passed, 1 when one failed,
 2 when a probe raised (partial failure; the report carries the error).
@@ -33,9 +36,8 @@ from .jsonio import csv_text, read_json, write_json
 from .kalish import CircleFunction, apply_T, apply_T_array, eigen_residual
 from .seeding import derive_seed
 
-__all__ = ["ProbeResult", "fourier_rows", "invariance_report",
-           "measure_classification", "realize_measure", "residual_rows", "run",
-           "scaled_transport", "t1_error"]
+__all__ = ["execute_probes", "probe_report", "realize_measure", "run",
+           "run_status"]
 
 REPORT_SCHEMA = "probe-report/1"
 SUMMARY_SCHEMA = "run-summary/1"
@@ -117,13 +119,6 @@ def _band(mu: cm.CircleMeasure, n_max: int) -> list:
     return cm.fourier_band(mu, n_max).tolist()
 
 
-def fourier_rows(mu: cm.CircleMeasure, band: int) -> list:
-    """(n, re, im, abs) of every coefficient for n = -band..band: the
-    table of the fourier probe and of `hyperlab measure fourier`."""
-    return [(n, c.real, c.imag, abs(c))
-            for n, c in zip(range(-band, band + 1), _band(mu, band))]
-
-
 def _band_check(probe: str, target: str, got: cm.CircleMeasure, want: list,
                 p: dict, names: tuple, **detail) -> ProbeResult:
     """The one check of the convolve and exp probes: got's Fourier band
@@ -160,9 +155,10 @@ def _run_exp(ctx: _RunContext, p: dict) -> ProbeResult:
 
 
 def _run_fourier(ctx: _RunContext, p: dict) -> ProbeResult:
-    rows = fourier_rows(ctx.measure(p["measure"]), p["band"])
-    detail = {"band": p["band"],
-              "coefficients": [[r[0], r[1], r[2]] for r in rows]}
+    band = p["band"]
+    rows = [(n, c.real, c.imag, abs(c)) for n, c in
+            zip(range(-band, band + 1), _band(ctx.measure(p["measure"]), band))]
+    detail = {"band": band, "coefficients": [[r[0], r[1], r[2]] for r in rows]}
     return ProbeResult(
         probe="fourier", target=p["measure"], passed=True, grade="exact",
         detail=detail,
@@ -170,28 +166,17 @@ def _run_fourier(ctx: _RunContext, p: dict) -> ProbeResult:
         plotdata=_columns(["n", "abs"], [(r[0], r[3]) for r in rows]))
 
 
-def measure_classification(rho: cm.CircleMeasure, band: int, epsilon: float,
-                           delta: float, family_size: int,
-                           seed: int) -> tuple:
-    """The rajchman, dirichlet and mild-mixing reports as one dict, and
-    their (probe, passed, statistic) rows."""
-    raj = cm.rajchman_probe(rho, n_max=band, epsilon=epsilon)
-    diri = cm.dirichlet_probe(rho, n_max=band, epsilon=epsilon)
-    mild = cm.mild_mixing_probe(rho, family_size=family_size, n_max=band,
-                                delta=delta, seed=seed)
-    reports = {"rajchman": raj.to_dict(), "dirichlet": diri.to_dict(),
-               "mild_mixing": mild.to_dict()}
+def _run_measure_classify(ctx: _RunContext, p: dict) -> ProbeResult:
+    rho, band = ctx.measure(p["measure"]), p["band"]
+    raj = cm.rajchman_probe(rho, n_max=band, epsilon=p["epsilon"])
+    diri = cm.dirichlet_probe(rho, n_max=band, epsilon=p["epsilon"])
+    mild = cm.mild_mixing_probe(rho, family_size=p["family_size"], n_max=band,
+                                delta=p["delta"], seed=p["seed"])
+    detail = {"rajchman": raj.to_dict(), "dirichlet": diri.to_dict(),
+              "mild_mixing": mild.to_dict()}
     rows = [("rajchman", raj.passed, raj.tail_sup),
             ("dirichlet", diri.passed, diri.best_value),
             ("mild_mixing", mild.passed, mild.worst_limsup)]
-    return reports, rows
-
-
-def _run_measure_classify(ctx: _RunContext, p: dict) -> ProbeResult:
-    rho = ctx.measure(p["measure"])
-    detail, rows = measure_classification(
-        rho, p["band"], p["epsilon"], p["delta"], p["family_size"], p["seed"])
-    band = p["band"]
     spectrum = [(n, abs(c)) for n, c in enumerate(_band(rho, band)[band + 1:], 1)]
     return ProbeResult(
         probe="measure-classify", target=p["measure"], passed=True,
@@ -200,26 +185,20 @@ def _run_measure_classify(ctx: _RunContext, p: dict) -> ProbeResult:
         plotdata=_columns(["n", "abs_coefficient"], spectrum))
 
 
-def residual_rows(angles, grids) -> list:
-    """(lambda, grid, eigen residual, ratio to the previous grid's or nan)
-    for every angle over the grid ladder."""
-    rows = []
-    for lam in angles:
-        prev = None
-        for M in grids:
-            r = eigen_residual(lam, M)
-            rows.append((lam, M, r, r / prev if prev is not None else float("nan")))
-            prev = r
-    return rows
-
-
 def t1_error(M: int) -> float:
     """max |T1 - 1| on the M-grid (T fixes the constant 1 to first order)."""
     return float(np.max(np.abs(apply_T(CircleFunction.constant(1.0, M)).values - 1.0)))
 
 
 def _run_residual(ctx: _RunContext, p: dict) -> ProbeResult:
-    rows = residual_rows(p["angles"], p["grids"])
+    # (lambda, grid, eigen residual, ratio to the previous grid's or nan)
+    rows = []
+    for lam in p["angles"]:
+        prev = None
+        for M in p["grids"]:
+            r = eigen_residual(lam, M)
+            rows.append((lam, M, r, r / prev if prev is not None else float("nan")))
+            prev = r
     ratios_ok = not any(row[3] > p["ratio_bound"] for row in rows)
     t1_rows = [(M, t1_error(M), p["t1_factor"] / M) for M in p["grids"]]
     t1_ok = all(err <= bound for _, err, bound in t1_rows)
@@ -236,27 +215,17 @@ def _run_residual(ctx: _RunContext, p: dict) -> ProbeResult:
                           [(la, m, r) for la, m, r, _ in rows]))
 
 
-def invariance_report(model: gm.GaussModel, scale: float, samples: int,
-                      seed: int, tolerance: float) -> tuple:
-    """The invariance check under the true dynamics (scale 1) or the
-    non-unimodular control scaled_transport(scale), and its JSON form
-    with the scale and, for the control, its label."""
+def _run_invariance(ctx: _RunContext, p: dict) -> ProbeResult:
+    # scale 1 runs the true dynamics, any other scale the control
+    model, scale = ctx.model(p["measure"], p["nodes"], p["grid"]), p["transport_scale"]
     control = "" if scale == 1.0 else "non-unimodular-transport"
     rep = gm.invariance_check(model, scaled_transport(scale) if control else None,
-                              count=samples, seed=seed,
-                              statistical_tolerance=tolerance)
-    doc = dict(rep.to_dict(), transport_scale=scale)
+                              count=p["samples"], seed=p["seed"],
+                              statistical_tolerance=p["tolerance"])
+    detail = dict(rep.to_dict(), transport_scale=scale, nodes=p["nodes"],
+                  grid=p["grid"], measure=p["measure"])
     if control:
-        doc["control"] = control
-    return rep, doc
-
-
-def _run_invariance(ctx: _RunContext, p: dict) -> ProbeResult:
-    model = ctx.model(p["measure"], p["nodes"], p["grid"])
-    rep, doc = invariance_report(model, p["transport_scale"], p["samples"],
-                                 p["seed"], p["tolerance"])
-    control = doc.get("control", "")
-    detail = dict(doc, nodes=p["nodes"], grid=p["grid"], measure=p["measure"])
+        detail["control"] = control
     rows = [("cov_distance", rep.cov_distance), ("budget", rep.budget),
             ("intertwine", rep.intertwine), ("samples", rep.samples)]
     nodes = [(float(a), float(w)) for a, w in
@@ -410,49 +379,65 @@ def _safe_name(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._+-]+", "-", text) or "x"
 
 
-def run(config: ExperimentConfig, out_dir=None) -> int:
-    """Execute every probe of the config and write the artifact tree."""
-    root = Path(out_dir if out_dir is not None else config.out)
-    for sub in ("reports", "tables", "plotdata"):
-        (root / sub).mkdir(parents=True, exist_ok=True)
-
+def execute_probes(config: ExperimentConfig) -> list:
+    """The ProbeResult of every probe of the config, in order.  A probe
+    that raises gives a failed exact-grade result carrying the error."""
     ctx = _RunContext(config, {s.label: s for s in lab.parse_systems(config.systems)})
-    results, had_error = [], False
+    results = []
     for probe in config.probes:
         executor = _EXECUTORS[probe["probe"]]
         try:
             results.append(executor(ctx, probe))
         except Exception as exc:  # noqa: BLE001 - per-probe diagnostics
-            had_error = True
             results.append(ProbeResult(
                 probe=probe["probe"],
                 target=str(probe.get("measure") or probe.get("system")
                            or probe.get("left") or "error"),
                 passed=False, grade="exact", detail={},
                 error=f"{type(exc).__name__}: {exc}"))
+    return results
 
+
+def probe_report(res: ProbeResult, seed: int) -> dict:
+    """The probe-report/1 document of one result."""
+    doc = {"schema": REPORT_SCHEMA, "probe": res.probe,
+           "target": res.target, "seed": seed,
+           "grade": res.grade, "passed": res.passed,
+           "detail": res.detail}
+    if res.control:
+        doc["control"] = res.control
+    if res.error:
+        doc["error"] = res.error
+    return doc
+
+
+def run_status(results: list) -> int:
+    """2 when a probe raised, else 1 when an exact-grade check failed, else 0."""
+    if any(r.error for r in results):
+        return 2
+    return 1 if any(r.grade == "exact" and not r.passed for r in results) else 0
+
+
+def run(config: ExperimentConfig, out_dir=None) -> int:
+    """Execute every probe of the config and write the artifact tree."""
+    root = Path(out_dir if out_dir is not None else config.out)
+    for sub in ("reports", "tables", "plotdata"):
+        (root / sub).mkdir(parents=True, exist_ok=True)
+
+    results = execute_probes(config)
     used = set()
     for res in results:
         stem = f"{res.probe}-{_safe_name(res.target)}-{config.seed}"
         if stem in used:
             stem = f"{stem}-{len(used)}"
         used.add(stem)
-        doc = {"schema": REPORT_SCHEMA, "probe": res.probe,
-               "target": res.target, "seed": config.seed,
-               "grade": res.grade, "passed": res.passed,
-               "detail": res.detail}
-        if res.control:
-            doc["control"] = res.control
-        if res.error:
-            doc["error"] = res.error
-        write_json(root / "reports" / f"{stem}.json", doc)
+        write_json(root / "reports" / f"{stem}.json", probe_report(res, config.seed))
         if res.table:
             (root / "tables" / f"{stem}.csv").write_text(res.table)
         if res.plotdata:
             (root / "plotdata" / f"{stem}.dat").write_text(res.plotdata)
 
-    exact_fail = any(r.grade == "exact" and not r.passed for r in results)
-    status = 2 if had_error else (1 if exact_fail else 0)
+    status = run_status(results)
     summary = {
         "schema": SUMMARY_SCHEMA, "seed": config.seed, "status": status,
         "probes": [{"probe": r.probe, "target": r.target, "grade": r.grade,

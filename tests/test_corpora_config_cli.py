@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hyperlab import total_mass, upper_banach_density
 from hyperlab import dynamics_lab
 from hyperlab.cli import main
-from hyperlab.config import ConfigError, parse_config
+from hyperlab.config import PROBE_FIELDS, ConfigError, parse_config
 from hyperlab.corpora import (
     measure_pair,
     probability_measure,
@@ -23,7 +23,6 @@ from hyperlab.corpora import (
     scaffold_set,
 )
 from hyperlab.jsonio import read_json
-from hyperlab.runner import measure_classification, residual_rows
 from hyperlab.runner import run as run_experiment
 
 
@@ -161,7 +160,7 @@ def test_config_bad_system_dotted_path(system, message):
 
 def test_config_systems_must_be_a_list():
     doc = dict(MINIMAL, systems={"kind": "kalish", "grid": 64})
-    with pytest.raises(ConfigError, match=r"^config\.systems: expected a list$"):
+    with pytest.raises(ConfigError, match=r"^systems: expected a list, got dict$"):
         parse_config(json.dumps(doc))
 
 
@@ -386,10 +385,14 @@ def test_config_window_0_rejected_with_dotted_path():
     ("invariance", "samples"), ("symmetry", "samples"),
     ("classification", "samples"), ("coeff", "samples"),
     ("symmetry", "functionals"), ("coeff", "functionals"), ("ubd", "count"),
+    ("measure-classify", "family_size"),
 ])
 def test_config_zero_size_probe_rejected_with_dotted_path(probe, key):
+    raw = {"probe": probe, key: 0}
+    if "measure" in PROBE_FIELDS[probe]:
+        raw["measure"] = "u"  # a measure with a density, so a family exists
     doc = {"schema": "experiment-config/1",
-           "probes": [{"probe": probe, key: 0}]}
+           "measures": {"u": {"kind": "uniform"}}, "probes": [raw]}
     with pytest.raises(ConfigError, match=rf"probes\[0\]\.{key}: must be >= 1"):
         parse_config(json.dumps(doc))
 
@@ -400,8 +403,8 @@ def test_cli_fourier_json(tmp_path, capsys):
     code = main(["measure", "fourier", "uniform", "--band", "2"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["band"] == 2
-    coeffs = {row[0]: (row[1], row[2]) for row in doc["coefficients"]}
+    assert doc["detail"]["band"] == 2
+    coeffs = {row[0]: (row[1], row[2]) for row in doc["detail"]["coefficients"]}
     assert sorted(coeffs) == [-2, -1, 0, 1, 2]
     assert coeffs[0][0] == pytest.approx(1.0)
     assert coeffs[0][1] == pytest.approx(0.0)
@@ -440,21 +443,23 @@ def test_cli_kalish_matrix_check_zero_count_is_typed_error(capsys):
 
 
 def test_cli_lab_orbit_negative_steps_is_typed_error(capsys):
-    # the walk checks n before the streamed orbit sizes anything by it
+    # the config rejects the step count before any orbit runs
     for system, steps in (("torus:0.9", -1), ("kalish:64", -2)):
         assert main(["lab", "orbit", system, "--steps", str(steps)]) == 2
-        assert (f"ValueError: a walk takes n >= 0 steps, got {steps}"
+        assert (f"ConfigError: probes[0].steps: must be nonnegative, got {steps}"
                 in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("system, message", [
-    ({"kind": "kalish"}, "ValueError: kalish system: missing required field 'grid'"),
+    ({"kind": "kalish"},
+     "ValueError: systems[0]: kalish system: missing required field 'grid'"),
     ({"kind": "kalish", "grid": 64.7},
-     "ValueError: system field 'grid' must be an integer, got 64.7"),
+     "ValueError: systems[0]: system field 'grid' must be an integer, got 64.7"),
     # the one strict parser: no field is ignored, and a name is a string
-    ({"kind": "kalish", "grid": 64, "gird": 5}, "ValueError: unknown field 'gird'"),
+    ({"kind": "kalish", "grid": 64, "gird": 5},
+     "ValueError: systems[0]: unknown field 'gird'"),
     ({"kind": "kalish", "grid": 64, "name": 5},
-     "ValueError: system field 'name' must be a string, got 5"),
+     "ValueError: systems[0]: system field 'name' must be a string, got 5"),
 ])
 def test_cli_lab_orbit_bad_system_document_is_typed_error(tmp_path, capsys, system,
                                                            message):
@@ -467,17 +472,17 @@ def test_cli_lab_orbit_bad_system_document_is_typed_error(tmp_path, capsys, syst
 @pytest.mark.parametrize("docs, message", [
     ([{"kind": "torus_rotation", "angles": [0.9], "name": "a"},
       {"kind": "torus_rotation", "angles": [2.1], "name": "a"}],
-     "ValueError: systems[1]: label 'a' already names systems[0]"),
+     "ConfigError: systems[1]: label 'a' already names systems[0]"),
     ([{"kind": "kalish", "grid": 64, "name": 5}],
-     "ValueError: systems[0]: system field 'name' must be a string, got 5"),
+     "ConfigError: systems[0]: system field 'name' must be a string, got 5"),
     ([{"kind": "kalish", "grid": 64, "gird": 5}],
-     "ValueError: systems[0]: unknown field 'gird'"),
-    ([3], "ValueError: systems[0]: expected an object"),
-    ({"kind": "kalish", "grid": 64}, "ValueError: systems: expected a list, got dict"),
+     "ConfigError: systems[0]: unknown field 'gird'"),
+    ([3], "ConfigError: systems[0]: expected an object"),
+    ({"kind": "kalish", "grid": 64}, "ConfigError: systems: expected a list, got dict"),
 ])
 def test_cli_lab_classify_systems_file_gets_the_config_checks(tmp_path, capsys, docs,
                                                               message):
-    # the same parse_systems as a config's systems block
+    # the file is the systems block of the one-probe config
     path = tmp_path / "systems.json"
     path.write_text(json.dumps(docs))
     assert main(["lab", "classify", "--systems", str(path), "--window", "50"]) == 2
@@ -498,7 +503,7 @@ def test_cli_gauss_invariance_control_exit(capsys):
 def test_cli_gauss_invariance_zero_samples_is_typed_error(capsys):
     code = main(["gauss", "invariance", "--grid", "256", "--samples", "0"])
     assert code == 2
-    assert "ValueError: count must be >= 1, got 0" in capsys.readouterr().err
+    assert "ConfigError: probes[0].samples: must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_hits_pipeline(tmp_path, capsys):
@@ -560,43 +565,61 @@ def test_cli_entrypoint_runs_as_module():
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["band"] == 1
+    assert json.loads(proc.stdout)["detail"]["band"] == 1
 
 
-def test_cli_kalish_residual_matches_runner_rows(capsys):
-    angles, grids = [1.0, 2.5], [64, 128, 256]
-    argv = ["kalish", "residual", "--grids", "64,128,256"]
-    for lam in angles:
-        argv += ["--angle", str(lam)]
-    assert main(argv) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == "residual-table/1"
-    want = [[lam, M, r] for lam, M, r, _ in residual_rows(angles, grids)]
-    assert doc["rows"] == want
-    assert main(argv + ["--format", "csv"]) == 0
-    lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0] == "lambda,grid,residual,ratio"
-    assert len(lines) == 1 + len(angles) * len(grids)
-    assert lines[1].endswith(",nan")
+# Each twin command with the equivalent one-probe config; a measure or
+# system token is the config's entry of that name, and the orbit probe
+# names its system by label.
+TWINS = {
+    "measure-fourier": (
+        ["measure", "fourier", "dirac:1.0:0.5", "--bins", "256", "--band", "8"],
+        {"bins": 256,
+         "measures": {"dirac:1.0:0.5": {"kind": "dirac", "angle": 1.0, "mass": 0.5}},
+         "probes": [{"probe": "fourier", "measure": "dirac:1.0:0.5", "band": 8}]}),
+    "measure-classify": (
+        ["measure", "classify", "probability", "--bins", "256", "--band", "16",
+         "--family-size", "4"],
+        {"bins": 256, "measures": {"probability": {"kind": "probability"}},
+         "probes": [{"probe": "measure-classify", "measure": "probability",
+                     "band": 16, "family_size": 4}]}),
+    "kalish-residual": (
+        ["kalish", "residual", "--angle", "1.0", "--angle", "2.5",
+         "--grids", "64,128,256"],
+        {"probes": [{"probe": "residual", "angles": [1.0, 2.5],
+                     "grids": [64, 128, 256]}]}),
+    "gauss-invariance": (
+        ["gauss", "invariance", "--grid", "256", "--samples", "500",
+         "--transport-scale", "1.25"],
+        {"grid": 256, "probes": [{"probe": "invariance", "samples": 500,
+                                  "transport_scale": 1.25}]}),
+    "gauss-coeff": (
+        ["gauss", "coeff", "--measure", "probability:3", "--grid", "256",
+         "--nodes", "4", "--samples", "500", "--power", "3"],
+        {"grid": 256, "measures": {"probability:3": {"kind": "probability", "seed": 3}},
+         "probes": [{"probe": "coeff", "measure": "probability:3", "nodes": 4,
+                     "samples": 500, "max_power": 3}]}),
+    "lab-orbit": (
+        ["lab", "orbit", "kalish:64", "--steps", "50"],
+        {"systems": [{"kind": "kalish", "grid": 64}],
+         "probes": [{"probe": "orbit", "system": "kalish-64", "steps": 50}]}),
+    "lab-classify": (
+        ["lab", "classify", "--window", "100", "--samples", "500"],
+        {"probes": [{"probe": "classification", "window": 100, "samples": 500}]}),
+}
 
 
-def test_cli_measure_classify_matches_runner(tmp_path, capsys):
-    assert main(["measure", "classify", "probability:3", "--bins", "256",
-                 "--band", "16", "--seed", "5"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    reports, _ = measure_classification(probability_measure(3, 256), band=16,
-                                        epsilon=0.1, delta=0.1,
-                                        family_size=16, seed=5)
-    assert doc.pop("schema") == "measure-classify/1"
-    assert doc == json.loads(json.dumps(reports))
-    cfg = {"schema": "experiment-config/1", "seed": 5, "bins": 256,
-           "measures": {"rho": {"kind": "probability", "seed": 3}},
-           "probes": [{"probe": "measure-classify", "measure": "rho",
-                       "band": 16, "seed": 5}]}
-    status, out = _run_config(tmp_path, cfg)
-    assert status == 0
-    report = read_json(out / "reports" / "measure-classify-rho-5.json")
-    assert report["detail"] == doc
+@pytest.mark.parametrize("argv, doc", TWINS.values(), ids=TWINS.keys())
+def test_cli_twin_prints_the_runner_report(tmp_path, capsys, argv, doc):
+    seed = 7
+    status, out = _run_config(tmp_path, dict(doc, schema="experiment-config/1",
+                                             seed=seed))
+    (report,) = (out / "reports").glob(f"{doc['probes'][0]['probe']}-*.json")
+    argv = [*argv, "--seed", str(seed)]
+    assert main(argv) == status
+    assert capsys.readouterr().out == report.read_text()
+    assert main([*argv, "--format", "csv"]) == status
+    assert capsys.readouterr().out == (out / "tables" / f"{report.stem}.csv").read_text()
 
 
 def test_cli_lab_classify_window_2000_exits_with_a_verdict(capsys):
