@@ -7,6 +7,8 @@ entropy from a shared stream.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .circle_measure import TWO_PI, CircleMeasure
@@ -106,14 +108,23 @@ def random_functional(seed: int, grid_size: int) -> CircleFunction:
     overlap with every near-indicator eigenvector, so the induced functional
     is nondegenerate on every model in the test suite.
     """
-    degree = 6
-    rng = rng_for(seed, "functional")
-    theta = grid_angles(grid_size)
-    coef = complex_standard_normal(rng, 2 * degree + 1)
+    phases = _functional_phases(grid_size)
+    coef = complex_standard_normal(rng_for(seed, "functional"), len(phases))
     values = np.zeros(grid_size, dtype=complex)
-    for idx, n in enumerate(range(-degree, degree + 1)):
-        values += coef[idx] * np.exp(1j * n * theta)
+    for c, row in zip(coef, phases):
+        values += c * row
     return CircleFunction.from_values(values)
+
+
+@functools.cache
+def _functional_phases(grid_size: int) -> np.ndarray:
+    """Rows e^{i n theta} for n = -6..6 on the grid; cached, read-only."""
+    theta = grid_angles(grid_size)
+    rows = np.empty((13, grid_size), dtype=complex)
+    for row, n in zip(rows, range(-6, 7)):
+        np.exp(1j * n * theta, out=row)
+    rows.flags.writeable = False
+    return rows
 
 
 def random_windowed_set(seed: int, window: int) -> WindowedSet:

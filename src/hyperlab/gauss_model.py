@@ -12,7 +12,13 @@ columns and Hermitian S, ||W S W*||_F^2 = tr(S P S P) with P = W* W, so
 nothing M x M is ever materialized; sigma_min(A) comes from the Gram too.
 The invariance check forms its Gram of [T A, A] by blocks and reuses the
 cached A* A, holding T A and one conjugate copy, never the stacked pair.
-Sampling draws only the m x S coefficients, and each check forms T A once.
+Sampling draws only the m x S coefficients, and each check forms T A once;
+the coefficient table and the runner's symmetry probe take their
+independent draws from seeding.complex_standard_normals, which fills
+them two at a time on two threads, while every reduction stays on the
+calling thread in draw order.  The coefficient table computes x*'s
+coordinates against A once and feeds them to its analytic rows, its
+spectral measure and its Monte-Carlo estimates.
 A transport is None (the grid T) or a callable on (M, k) arrays.  walk is
 the one drift-guarded walk through powers of a map: the coefficient table
 walks T^n A once for n = 0..N, and dynamics_lab walks its orbits with it.
@@ -47,7 +53,8 @@ from .kalish import (
     kalish_solve_array,
     nearest_grid_index,
 )
-from .seeding import complex_standard_normal, derive_seed, rng_for
+from .seeding import (complex_standard_normal, complex_standard_normals,
+                      derive_seed, rng_for)
 
 TWO_PI = 2.0 * np.pi
 
@@ -326,14 +333,27 @@ class SymmetryReport:
         return record_dict(self, check="symmetry")
 
 
+def _symmetry_rng(seed: int) -> np.random.Generator:
+    return rng_for(seed, "symmetry-check")
+
+
+def symmetry_draws(model: GaussModel, count: int, seeds) -> Iterator:
+    """The symmetric sampler's coordinate draw of symmetry_check(model, .,
+    count, seed) for each seed, in order, filled two at a time."""
+    return complex_standard_normals(map(_symmetry_rng, seeds),
+                                    (model.node_count, count))
+
+
 def symmetry_check(model: GaussModel, xstar: CircleFunction, count: int,
-                   seed: int, sampler: str = "symmetric") -> SymmetryReport:
+                   seed: int, sampler: str = "symmetric",
+                   draw: Optional[np.ndarray] = None) -> SymmetryReport:
     """Law-level check that zeta = <x*, x> is a centered symmetric complex
     Gaussian: the pseudo-moment E[zeta^2] and the Re/Im correlation must
     both sit within 3 standard errors of zero.  sampler="real" swaps in
     a deliberately broken real-Gaussian coordinate draw (negative
     control; the pseudo-moment then picks up a nonzero mean).  The Re/Im
-    correlation needs at least 2 draws."""
+    correlation needs at least 2 draws.  draw, the symmetric sampler
+    only, is this seed's draw from symmetry_draws, made ahead."""
     _require_count(count)
     if count < 2:
         raise ValueError(f"symmetry check needs count >= 2 draws, got {count}")
@@ -341,13 +361,18 @@ def symmetry_check(model: GaussModel, xstar: CircleFunction, count: int,
     analytic_var = float(np.sum(np.abs(c) ** 2))
     if analytic_var <= 1e-24:
         raise DegenerateFunctionalError("functional annihilates the model range")
-    rng = rng_for(seed, "symmetry-check")
-    if sampler == "symmetric":
-        G = complex_standard_normal(rng, (model.node_count, count))
-    elif sampler == "real":
-        G = rng.standard_normal((model.node_count, count)).astype(complex)
-    else:
+    shape = (model.node_count, count)
+    if sampler not in ("symmetric", "real"):
         raise ValueError(f"unknown sampler {sampler!r}")
+    if draw is not None:
+        if sampler != "symmetric" or draw.shape != shape:
+            raise ValueError(f"a prepared draw is a symmetric-sampler draw of "
+                             f"shape {shape}")
+        G = draw
+    elif sampler == "symmetric":
+        G = complex_standard_normal(_symmetry_rng(seed), shape)
+    else:
+        G = _symmetry_rng(seed).standard_normal(shape).astype(complex)
     zeta = c @ G
     sq = zeta**2
     second = complex(np.mean(sq))
@@ -430,21 +455,28 @@ def matrix_coefficient_analytic(model: GaussModel, xstar: CircleFunction,
                                 n: int) -> complex:
     """c(n) = sum_j w_j e^{i n lambda_j} |e_j|^2 with e_j = <x*, E_j>: the
     n-th Fourier coefficient of the functional's spectral measure."""
-    c = model.functional_coefficients(xstar)
+    return _analytic(model, model.functional_coefficients(xstar), n)
+
+
+def _analytic(model: GaussModel, c0: np.ndarray, n: int) -> complex:
+    """matrix_coefficient_analytic from x*'s coordinates c0 against A."""
     phases = np.exp(1j * n * model.field.angles)
-    return complex(np.sum(phases * np.abs(c) ** 2))
+    return complex(np.sum(phases * np.abs(c0) ** 2))
 
 
 def _orbit_coefficients(model: GaussModel, xstar: CircleFunction, n: int,
-                        transport: Transport) -> list:
+                        transport: Transport, c0=None) -> list:
     """Coordinates of x* against T^k A for k = 0..|n| (T^-k for n < 0),
-    one array per k, from one walk that keeps only the current power."""
+    one array per k, from one walk that keeps only the current power;
+    c0, when given, stands for the coordinates against A itself."""
     if transport is None:
         transport = apply_T_array if n >= 0 else kalish_solve_array
     elif n < 0:
         raise ValueError("negative powers need the default grid operator")
-    return [_grid_coefficients(B, xstar)
-            for B in walk(transport, model.factor, abs(int(n)), np.linalg.norm)]
+    powers = walk(transport, model.factor, abs(int(n)), np.linalg.norm)
+    A = next(powers)
+    return [_grid_coefficients(A, xstar) if c0 is None else c0] + [
+        _grid_coefficients(B, xstar) for B in powers]
 
 
 @dataclass(frozen=True)
@@ -459,12 +491,15 @@ class CoefficientEstimate:
         return record_dict(self, check="matrix-coefficient")
 
 
+def _mc_rng(seed: int) -> np.random.Generator:
+    return rng_for(seed, "matrix-coefficient-mc")
+
+
 def _coefficient_estimate(c0: np.ndarray, cn: np.ndarray, n: int,
-                          count: int, seed: int) -> CoefficientEstimate:
-    """(1/S) sum_s (cn . g_s) conj(c0 . g_s) over S = count draws g_s."""
-    _require_count(count)
-    rng = rng_for(seed, "matrix-coefficient-mc")
-    G = complex_standard_normal(rng, (c0.size, count))
+                          G: np.ndarray, seed: int) -> CoefficientEstimate:
+    """(1/S) sum_s (cn . g_s) conj(c0 . g_s) over the S columns g_s of
+    G, the draw from seed's stream."""
+    count = G.shape[1]
     prods = (cn @ G) * np.conj(c0 @ G)
     value = complex(np.mean(prods))
     se = float(np.sqrt(np.mean(np.abs(prods - value) ** 2) / count))
@@ -479,29 +514,39 @@ def matrix_coefficient_mc(model: GaussModel, xstar: CircleFunction, n: int,
     conj(<x*, x_s>), evaluated in coefficient space against the
     transported factor so no grid-sized sample batch is ever formed."""
     coeffs = _orbit_coefficients(model, xstar, n, transport)
-    return _coefficient_estimate(coeffs[0], coeffs[-1], n, count, seed)
+    _require_count(count)
+    G = complex_standard_normal(_mc_rng(seed), (model.node_count, count))
+    return _coefficient_estimate(coeffs[0], coeffs[-1], n, G, seed)
 
 
 def coefficient_rows(model: GaussModel, xstar: CircleFunction, max_power: int,
                      samples: int, seed: int, label: str) -> list:
     """(n, analytic, Monte-Carlo estimate, spectral-measure transform) of
     the matrix coefficient for n = 0..max_power, from one walk of T^n A;
-    the estimate at power n draws from derive_seed(seed, label + str(n))."""
-    smeas = spectral_measure_of_functional(model, xstar)
-    band = fourier_band(smeas, max_power).tolist()[max_power:]
-    coeffs = _orbit_coefficients(model, xstar, max_power, None)
-    return [(n, matrix_coefficient_analytic(model, xstar, n),
-             _coefficient_estimate(coeffs[0], cn, n, samples,
-                                   derive_seed(seed, f"{label}{n}")),
-             sf) for n, (cn, sf) in enumerate(zip(coeffs, band))]
+    the estimate at power n draws from derive_seed(seed, label + str(n)),
+    and the draws are filled two at a time."""
+    c0 = model.functional_coefficients(xstar)
+    band = fourier_band(_spectral_measure(model, c0), max_power).tolist()[max_power:]
+    coeffs = _orbit_coefficients(model, xstar, max_power, None, c0)
+    _require_count(samples)
+    seeds = [derive_seed(seed, f"{label}{n}") for n in range(max_power + 1)]
+    draws = complex_standard_normals(map(_mc_rng, seeds),
+                                     (model.node_count, samples))
+    return [(n, _analytic(model, c0, n),
+             _coefficient_estimate(c0, cn, n, next(draws), s), sf)
+            for n, (cn, sf, s) in enumerate(zip(coeffs, band, seeds))]
 
 
 def spectral_measure_of_functional(model: GaussModel,
                                    xstar: CircleFunction) -> CircleMeasure:
     """Atomic measure sum_j w_j |e_j|^2 delta_{lambda_j}; its Fourier
     coefficients reproduce matrix_coefficient_analytic exactly."""
-    c = model.functional_coefficients(xstar)
-    masses = np.abs(c) ** 2
+    return _spectral_measure(model, model.functional_coefficients(xstar))
+
+
+def _spectral_measure(model: GaussModel, c0: np.ndarray) -> CircleMeasure:
+    """spectral_measure_of_functional from x*'s coordinates c0 against A."""
+    masses = np.abs(c0) ** 2
     bins = model.field.source_measure.bins
     atoms = [(float(a), float(m)) for a, m in zip(model.field.angles, masses)]
     return CircleMeasure.from_parts(bins, atoms=atoms)

@@ -241,12 +241,15 @@ def _run_invariance(ctx: _RunContext, p: dict) -> ProbeResult:
 def _run_symmetry(ctx: _RunContext, p: dict) -> ProbeResult:
     model = ctx.model(p["measure"], p["nodes"], p["grid"])
     rows, reports = [], []
-    for k in range(p["functionals"]):
+    seeds = [derive_seed(p["seed"], f"draw:{k}") for k in range(p["functionals"])]
+    draws = (gm.symmetry_draws(model, p["samples"], seeds)
+             if p["sampler"] == "symmetric" else None)
+    for k, seed in enumerate(seeds):
         xstar = random_functional(derive_seed(p["seed"], f"functional:{k}"),
                                   p["grid"])
-        rep = gm.symmetry_check(model, xstar, p["samples"],
-                                seed=derive_seed(p["seed"], f"draw:{k}"),
-                                sampler=p["sampler"])
+        rep = gm.symmetry_check(model, xstar, p["samples"], seed=seed,
+                                sampler=p["sampler"],
+                                draw=None if draws is None else next(draws))
         reports.append(rep.to_dict())
         rows.append((k, rep.second_moment.real, rep.second_moment.imag,
                      rep.second_moment_threshold, rep.re_im_correlation,

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperlab import total_mass, upper_banach_density
-from hyperlab import dynamics_lab
+from hyperlab import corpora, dynamics_lab
 from hyperlab.cli import main
 from hyperlab.config import PROBE_FIELDS, ConfigError, parse_config
 from hyperlab.corpora import (
@@ -46,6 +46,23 @@ def test_corpora_deterministic():
     f = random_functional(seed=7, grid_size=128)
     g = random_functional(seed=7, grid_size=128)
     np.testing.assert_array_equal(f.values, g.values)
+
+
+@pytest.mark.parametrize("grid_size", [8, 64, 1024])
+def test_random_functional_is_bitwise_the_trig_polynomial(grid_size):
+    # the cached phase rows accumulate in the order of the direct sum
+    from hyperlab.kalish import grid_angles
+    from hyperlab.seeding import complex_standard_normal, rng_for
+
+    theta = grid_angles(grid_size)
+    for seed in range(4):
+        coef = complex_standard_normal(rng_for(seed, "functional"), 13)
+        want = np.zeros(grid_size, dtype=complex)
+        for idx, n in enumerate(range(-6, 7)):
+            want += coef[idx] * np.exp(1j * n * theta)
+        got = random_functional(seed, grid_size).values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert not corpora._functional_phases(grid_size).flags.writeable
 
 
 def test_probability_measure_is_probability():

@@ -37,7 +37,7 @@ from hyperlab import (
 from hyperlab import gauss_model
 from hyperlab.corpora import random_functional
 from hyperlab.dynamics_lab import orbit, weighted_shift_system
-from hyperlab.gauss_model import coefficient_rows, walk
+from hyperlab.gauss_model import coefficient_rows, symmetry_draws, walk
 from hyperlab.jsonio import stable_dumps
 from hyperlab.kalish import (
     DegenerateAngleError,
@@ -267,6 +267,25 @@ def test_symmetry_check_rejects_unknown_sampler():
     xstar = random_functional(seed=1, grid_size=256)
     with pytest.raises(ValueError):
         symmetry_check(model, xstar, count=64, seed=0, sampler="bogus")
+
+
+def test_symmetry_check_with_its_prepared_draw_is_the_same_report():
+    model = _uniform_model(M=128, m=4)
+    seeds = [20, 21, 22]
+    for seed, draw in zip(seeds, symmetry_draws(model, 300, seeds)):
+        xstar = random_functional(seed=seed, grid_size=128)
+        assert (symmetry_check(model, xstar, 300, seed=seed, draw=draw)
+                == symmetry_check(model, xstar, 300, seed=seed))
+
+
+@pytest.mark.parametrize("sampler, shape", [("symmetric", (4, 299)),
+                                            ("real", (4, 300))])
+def test_symmetry_check_rejects_a_draw_it_would_not_make(sampler, shape):
+    model = _uniform_model(M=128, m=4)
+    xstar = random_functional(seed=1, grid_size=128)
+    with pytest.raises(ValueError, match="symmetric-sampler draw of shape"):
+        symmetry_check(model, xstar, 300, seed=0, sampler=sampler,
+                       draw=np.zeros(shape, dtype=complex))
 
 
 def test_degenerate_functional_rejected():

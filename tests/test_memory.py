@@ -3,7 +3,8 @@ units of one factor (M x m complex, 32 MiB).  The blocked Kalish kernels
 hold one 1 MiB temporary besides their output, and the invariance check
 and the coefficient table hold about two factor-sized arrays at a time.
 A classification row streams its orbit (dynamics_lab.orbit_rows), so at
-window 4000 it holds a few MiB, not an (N+1, dim) orbit."""
+window 4000 it holds a few MiB, not an (N+1, dim) orbit.  A complex
+Gaussian draw holds its output and a 64 KiB scratch."""
 
 import tracemalloc
 
@@ -15,6 +16,7 @@ from hyperlab.dynamics_lab import classify_system, default_battery
 from hyperlab.gauss_model import (build_model, coefficient_rows, corrected_field,
                                   invariance_check)
 from hyperlab.kalish import CircleFunction, apply_T_array
+from hyperlab.seeding import complex_standard_normal, rng_for
 
 M, NODES = 16384, 128
 
@@ -51,6 +53,13 @@ def test_coefficient_rows_hold_about_two_factors(model):
     peak = _peak_in_factors(
         model, lambda: coefficient_rows(model, xstar, 4, 1000, 0, "memory"))
     assert peak <= 2.5
+
+
+def test_complex_standard_normal_holds_its_output_and_a_scratch():
+    shape = (128, 10_000)
+    output = np.empty(shape, dtype=complex).nbytes
+    peak = _peak_bytes(lambda: complex_standard_normal(rng_for(0, "memory"), shape))
+    assert peak <= 1.05 * output
 
 
 @pytest.mark.parametrize("spec", default_battery(4000), ids=lambda spec: spec.name)

@@ -14,7 +14,9 @@ from hyperlab.jsonio import (
     stable_dumps,
     write_json,
 )
-from hyperlab.seeding import complex_standard_normal, derive_seed, rng_for
+from hyperlab import seeding
+from hyperlab.seeding import (complex_standard_normal, complex_standard_normals,
+                              derive_seed, rng_for)
 
 
 def test_derive_seed_deterministic():
@@ -55,6 +57,38 @@ def test_complex_standard_normal_is_bitwise_two_draws(shape):
     got = complex_standard_normal(rng_for(1, "complex-bits"), shape)
     assert got.shape == expected.shape
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def _bits(z):
+    return np.asarray(z).reshape(-1).view(np.uint64)
+
+
+@pytest.mark.parametrize("shape", [7, 14, 13, (), (3, 5), (2, 7), 0])
+def test_complex_standard_normal_chunked_fill_is_bitwise_the_old_formula(
+        shape, monkeypatch):
+    # a 7-normal scratch: fills ending on a chunk boundary, a last partial
+    # chunk, a lone normal and an empty draw
+    monkeypatch.setattr(seeding, "_CHUNK", 7)
+    rng = rng_for(2, "complex-chunks")
+    parts = rng.standard_normal((2,) + np.empty(shape).shape)
+    parts *= 1.0 / np.sqrt(2.0)
+    expected = np.empty(np.empty(shape).shape, dtype=complex)
+    expected.real, expected.imag = parts
+    got = complex_standard_normal(rng_for(2, "complex-chunks"), shape)
+    assert got.shape == expected.shape
+    assert np.array_equal(_bits(got), _bits(expected))
+
+
+@pytest.mark.parametrize("shape", [13, (), (8, 3), (128, 4097)])
+@pytest.mark.parametrize("count", [0, 1, 2, 5])
+def test_complex_standard_normals_equal_one_draw_per_generator(count, shape):
+    labels = [f"pair:{k}" for k in range(count)]
+    got = list(complex_standard_normals((rng_for(3, s) for s in labels), shape))
+    assert len(got) == count
+    for label, z in zip(labels, got):
+        want = complex_standard_normal(rng_for(3, label), shape)
+        assert z.shape == want.shape
+        assert np.array_equal(_bits(z), _bits(want))
 
 
 def test_stable_dumps_sorted_and_newline_free_tail():

@@ -1,0 +1,111 @@
+"""The helper thread of seeding.complex_standard_normals fills draws and
+nothing else: every public hyperlab function of a run is called from the
+calling thread, the artifacts equal those of serial draws, and an error
+in the helper's fill reaches the caller."""
+
+import functools
+import inspect
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hyperlab import gauss_model, runner, seeding
+from hyperlab.config import config_from_dict
+from hyperlab.seeding import complex_standard_normal, complex_standard_normals, rng_for
+
+CONFIG = {
+    "schema": "experiment-config/1",
+    "seed": 5,
+    "grid": 64,
+    "probes": [
+        {"probe": "symmetry", "nodes": 4, "functionals": 3, "samples": 64},
+        {"probe": "symmetry", "nodes": 4, "functionals": 2, "samples": 64,
+         "sampler": "real"},
+        {"probe": "coeff", "nodes": 4, "functionals": 2, "max_power": 2,
+         "samples": 200},
+    ],
+}
+
+
+def _run(out: Path) -> dict:
+    assert runner.run(config_from_dict(CONFIG), out) in (0, 1)
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "run-meta.json"}
+
+
+def _record_threads(monkeypatch, calls: list) -> None:
+    """Wrap every public hyperlab function at every binding to record
+    (name, thread ident) per call."""
+    modules = [m for n, m in sorted(sys.modules.items())
+               if n == "hyperlab" or n.startswith("hyperlab.")]
+    wrappers = {}
+    for module in modules:
+        for name, fn in vars(module).items():
+            if (inspect.isfunction(fn) and not name.startswith("_")
+                    and fn.__module__.startswith("hyperlab")):
+                wrappers.setdefault(id(fn), (fn, _recording(fn, calls)))
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            hit = wrappers.get(id(value))
+            if hit is not None and hit[0] is value:
+                monkeypatch.setattr(module, name, hit[1])
+
+
+def _recording(fn, calls):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        calls.append((f"{fn.__module__}.{fn.__name__}", threading.get_ident()))
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_public_functions_run_on_the_calling_thread(tmp_path, monkeypatch):
+    calls, fills = [], []
+    fill = seeding._fill
+
+    def recorded_fill(*args):
+        fills.append(threading.get_ident())
+        fill(*args)
+
+    monkeypatch.setattr(seeding, "_fill", recorded_fill)
+    _record_threads(monkeypatch, calls)
+    _run(tmp_path)
+    me = threading.get_ident()
+    names = {name for name, _ in calls}
+    assert {"hyperlab.gauss_model.symmetry_check",
+            "hyperlab.gauss_model.coefficient_rows",
+            "hyperlab.seeding.complex_standard_normals"} <= names
+    assert [c for c in calls if c[1] != me] == []
+    # the helper filled one draw per pair: the symmetric sampler's 3 draws
+    # and each functional's 3 coefficient draws make a pair and a lone draw
+    assert sum(t != me for t in fills) == 3
+
+
+def test_artifacts_equal_those_of_serial_draws(tmp_path, monkeypatch):
+    paired = _run(tmp_path / "paired")
+
+    def serial(rngs, shape):
+        return (complex_standard_normal(rng, shape) for rng in rngs)
+
+    monkeypatch.setattr(gauss_model, "complex_standard_normals", serial)
+    assert _run(tmp_path / "serial") == paired
+
+
+def test_an_error_in_the_helper_fill_reaches_the_caller(monkeypatch):
+    fill, me = seeding._fill, threading.get_ident()
+
+    def failing_off_thread(*args):
+        if threading.get_ident() != me:
+            raise FloatingPointError("helper fill failed")
+        fill(*args)
+
+    monkeypatch.setattr(seeding, "_fill", failing_off_thread)
+    draws = complex_standard_normals([rng_for(0, "a"), rng_for(0, "b")], (4, 3))
+    with pytest.raises(FloatingPointError, match="helper fill failed"):
+        next(draws)
+    # a lone draw is filled on the calling thread
+    (lone,) = complex_standard_normals([rng_for(0, "a")], (4, 3))
+    assert np.array_equal(lone, complex_standard_normal(rng_for(0, "a"), (4, 3)))
