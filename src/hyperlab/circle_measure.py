@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .jsonio import check_schema, record_dict
+from .jsonio import _read_field, check_schema, record_dict
 from .seeding import rng_for
 
 TWO_PI = 2.0 * np.pi
@@ -178,8 +178,12 @@ class CircleMeasure:
     @classmethod
     def from_dict(cls, doc: dict) -> "CircleMeasure":
         check_schema(doc, "circle-measure")
-        return cls.from_parts(int(doc["bins"]), atoms=doc.get("atoms") or [],
-                              density=doc.get("density"))
+        read = functools.partial(_read_field, doc, "circle-measure")
+        atoms, density = doc.get("atoms"), doc.get("density")
+        return cls.from_parts(
+            read("bins", "integer"),
+            atoms=[] if atoms is None else read("atoms", "pairs"),
+            density=None if density is None else read("density", "numbers"))
 
 
 def _same_bins(mu: CircleMeasure, nu: CircleMeasure) -> None:

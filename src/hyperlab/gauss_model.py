@@ -5,11 +5,12 @@ nodes (lambda_j, w_j); each node carries an eigenvector-like function
 E_j for the Kalish operator, stored as column j of one (M, m) matrix.
 The factor A has columns sqrt(w_j) E_j, the covariance is R = A A*, and
 samples are x = A g with g a vector of independent standard symmetric
-complex Gaussians (E g = 0, E|g|^2 = 1, E g^2 = 0).
+complex Gaussians (E g = 0, E|g|^2 = 1, E g^2 = 0).  A built model holds
+A, D, the Gram A* A and the node data, not the field's unweighted E.
 
 All covariance comparisons run through Gram matrices: for W with m-ish
 columns and Hermitian S, ||W S W*||_F^2 = tr(S P S P) with P = W* W, so
-nothing M x M is ever materialized; sigma_min(A) comes from the Gram too.
+nothing M x M is ever materialized.
 The invariance check forms its Gram of [T A, A] by blocks and reuses the
 cached A* A, holding T A and one conjugate copy, never the stacked pair.
 Sampling draws only the m x S coefficients, and each check forms T A once;
@@ -73,13 +74,13 @@ class NormDriftError(RuntimeError):
     """Orbit norm exploded; the discretization no longer tracks T^n."""
 
 
-def walk(one_step: Callable, x0, n: int, norm: Callable, drift_factor=1e3) -> Iterator:
+def walk(one_step: Callable, x0, n: int, norm: Callable) -> Iterator:
     """Yield x0 and then each of n steps, holding only the current state;
-    raise NormDriftError at the first norm above drift_factor x
-    max(norm(x0), 1e-12).  n is checked at the call, not at the first step."""
+    raise NormDriftError at the first norm above 1e3 x max(norm(x0), 1e-12).
+    n is checked at the call, not at the first step."""
     if n < 0:
         raise ValueError(f"a walk takes n >= 0 steps, got {n}")
-    return _walk(one_step, x0, n, norm, drift_factor * max(norm(x0), 1e-12))
+    return _walk(one_step, x0, n, norm, 1e3 * max(norm(x0), 1e-12))
 
 
 def _walk(one_step, x, n, norm, guard):
@@ -174,10 +175,6 @@ class EigenField:
             )
 
     @property
-    def node_count(self) -> int:
-        return int(self.angles.size)
-
-    @property
     def grid_size(self) -> int:
         return int(self.vectors.shape[0])
 
@@ -225,13 +222,15 @@ def corrected_field(sigma: CircleMeasure, m: int, M: int) -> EigenField:
 @dataclass(frozen=True)
 class GaussModel:
     """Factor matrix A (grid x nodes, column j = sqrt(w_j) E_j), diagonal
-    D = e^{i lambda_j}, and cached Gram data for covariance checks."""
+    D = e^{i lambda_j}, the cached Gram A* A and the field's node data."""
 
-    field: EigenField
     factor: np.ndarray
     diag: np.ndarray
-    gram: np.ndarray = dataclass_field(repr=False, default=None)
-    smallest_singular: float = 0.0
+    gram: np.ndarray = dataclass_field(repr=False)
+    angles: np.ndarray
+    weights: np.ndarray
+    source_measure: CircleMeasure
+    kind: str  # the field's kind
 
     @property
     def grid_size(self) -> int:
@@ -251,10 +250,10 @@ class GaussModel:
     def to_manifest(self) -> dict:
         return {
             "schema": "gauss-model/1",
-            "sigma": self.field.source_measure.to_dict(),
-            "nodes": np.column_stack([self.field.angles, self.field.weights]).tolist(),
+            "sigma": self.source_measure.to_dict(),
+            "nodes": np.column_stack([self.angles, self.weights]).tolist(),
             "grid": self.grid_size,
-            "field_kind": self.field.kind,
+            "field_kind": self.kind,
             "seed_policy": "sha256-labeled-streams",
         }
 
@@ -266,22 +265,21 @@ def _grid_coefficients(B: np.ndarray, xstar: CircleFunction) -> np.ndarray:
     return (TWO_PI / B.shape[0]) * (B.T @ np.conj(xstar.values))
 
 
-def build_model(field: EigenField, residual_threshold: float = 0.05) -> GaussModel:
-    """Assemble the factor and diagonal, checking field admissibility."""
+def build_model(field: EigenField) -> GaussModel:
+    """Assemble the factor, diagonal and Gram of an admissible field: its
+    worst eigen residual is at most 0.05."""
     worst = float(np.max(field.residuals()))
-    if worst > residual_threshold:
-        raise FieldAdmissibilityError(
-            f"worst eigen residual {worst:.3e} exceeds {residual_threshold}"
-        )
+    if worst > 0.05:
+        raise FieldAdmissibilityError(f"worst eigen residual {worst:.3e} exceeds 0.05")
     factor = field.vectors * np.sqrt(field.weights)
-    gram = factor.conj().T @ factor
-    smallest = np.sqrt(max(np.linalg.eigvalsh(gram)[0], 0.0))  # lambda_min = sigma_min^2
     return GaussModel(
-        field=field,
         factor=factor,
         diag=np.exp(1j * field.angles),
-        gram=gram,
-        smallest_singular=float(smallest),
+        gram=factor.conj().T @ factor,
+        angles=field.angles,
+        weights=field.weights,
+        source_measure=field.source_measure,
+        kind=field.kind,
     )
 
 
@@ -460,7 +458,7 @@ def matrix_coefficient_analytic(model: GaussModel, xstar: CircleFunction,
 
 def _analytic(model: GaussModel, c0: np.ndarray, n: int) -> complex:
     """matrix_coefficient_analytic from x*'s coordinates c0 against A."""
-    phases = np.exp(1j * n * model.field.angles)
+    phases = np.exp(1j * n * model.angles)
     return complex(np.sum(phases * np.abs(c0) ** 2))
 
 
@@ -547,6 +545,6 @@ def spectral_measure_of_functional(model: GaussModel,
 def _spectral_measure(model: GaussModel, c0: np.ndarray) -> CircleMeasure:
     """spectral_measure_of_functional from x*'s coordinates c0 against A."""
     masses = np.abs(c0) ** 2
-    bins = model.field.source_measure.bins
-    atoms = [(float(a), float(m)) for a, m in zip(model.field.angles, masses)]
+    bins = model.source_measure.bins
+    atoms = [(float(a), float(m)) for a, m in zip(model.angles, masses)]
     return CircleMeasure.from_parts(bins, atoms=atoms)

@@ -19,7 +19,7 @@ from math import ceil
 
 import numpy as np
 
-from .jsonio import check_schema
+from .jsonio import _is_number, _read_field, check_schema
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,19 +91,19 @@ class WindowedSet:
     @classmethod
     def from_dict(cls, doc: dict) -> "WindowedSet":
         check_schema(doc, "windowed-set")
-        named = [("window", doc["window"])] + [("element", v) for v in doc["elements"]]
-        for what, v in named:
-            if isinstance(v, bool) or not isinstance(v, int):
+        window = _read_field(doc, "windowed-set", "window")
+        elements = _read_field(doc, "windowed-set", "elements", "list")
+        for what, v in [("window", window)] + [("element", v) for v in elements]:
+            if not _is_number(v, int):
                 raise ValueError(f"windowed-set {what} {v!r} is not an integer")
-        return cls.from_iterable(doc["window"], doc["elements"])
+        return cls.from_iterable(window, elements)
 
     @classmethod
-    def from_lines(cls, text: str, window: int = None) -> "WindowedSet":
-        """Parse a newline-delimited integer log (orbit visit indices)."""
+    def from_lines(cls, text: str) -> "WindowedSet":
+        """Parse a newline-delimited integer log (orbit visit indices) into
+        the smallest window holding it."""
         items = [int(line) for line in text.split() if line.strip()]
-        if window is None:
-            window = max(items) + 1 if items else 1
-        return cls.from_iterable(window, items)
+        return cls.from_iterable(max(items) + 1 if items else 1, items)
 
     def to_lines(self) -> str:
         return "".join(f"{int(v)}\n" for v in self.elements)

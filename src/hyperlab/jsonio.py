@@ -3,7 +3,9 @@
 Artifacts must be byte-identical across reruns with the same seed, so the
 encoder pins key order and separators and refuses non-finite floats.
 Schema tags look like "circle-measure/1"; readers accept any document
-whose major version matches and reject the rest.  record_dict is the one
+whose major version matches and reject the rest, and take each field
+through _read_field, which names a missing or ill-typed field, as
+SystemSpec.from_dict does for a system document.  record_dict is the one
 JSON form of a report record: its tags, then every dataclass field by name.
 csv_text is the one CSV form of a table.
 """
@@ -84,15 +86,46 @@ def read_json(path: str) -> Any:
         return json.load(fh)
 
 
-def check_schema(doc: dict, name: str, major: int = 1) -> None:
-    """Require doc["schema"] == f"{name}/{major}" up to minor suffixes."""
-    tag = doc.get("schema")
+def check_schema(doc: dict, name: str) -> None:
+    """Require doc["schema"] == f"{name}/1" up to minor suffixes."""
+    tag = doc.get("schema") if isinstance(doc, dict) else None
     if not isinstance(tag, str) or "/" not in tag:
-        raise SchemaError(f"missing or malformed schema tag, expected {name}/{major}")
+        raise SchemaError(f"missing or malformed schema tag, expected {name}/1")
     got_name, _, got_ver = tag.partition("/")
     try:
         got_major = int(got_ver.split(".")[0])
     except ValueError:
         raise SchemaError(f"malformed schema version in {tag!r}") from None
-    if got_name != name or got_major != major:
-        raise SchemaError(f"unsupported schema {tag!r}, expected {name}/{major}")
+    if got_name != name or got_major != 1:
+        raise SchemaError(f"unsupported schema {tag!r}, expected {name}/1")
+
+
+def _is_number(value, kind=(int, float)) -> bool:
+    """value is a JSON number of kind (a bool is not), and finite."""
+    return (not isinstance(value, bool) and isinstance(value, kind)
+            and (isinstance(value, int) or math.isfinite(value)))
+
+
+def _is_list(value, item) -> bool:
+    return isinstance(value, list) and all(map(item, value))
+
+
+_FORMS = {
+    "integer": ("an integer", lambda v: _is_number(v, int)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "numbers": ("a list of finite numbers", lambda v: _is_list(v, _is_number)),
+    "pairs": ("a list of [angle, mass] pairs of finite numbers",
+              lambda v: _is_list(v, lambda p: _is_list(p, _is_number) and len(p) == 2)),
+}
+
+
+def _read_field(doc: dict, schema: str, key: str, form: str = None):
+    """doc[key] of a schema document, in the JSON form named by form (any
+    when None); a ValueError names a missing or ill-formed field."""
+    if key not in doc:
+        raise ValueError(f"{schema} document: missing required field {key!r}")
+    value = doc[key]
+    if form is not None and not _FORMS[form][1](value):
+        raise ValueError(f"{schema} field {key!r} must be {_FORMS[form][0]}, "
+                         f"got {value!r}")
+    return value

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import check_schema
+from .jsonio import _read_field, check_schema
 
 TWO_PI = 2.0 * np.pi
 MATRIX_SIZE_LIMIT = 4096
@@ -119,12 +119,12 @@ class CircleFunction:
     @classmethod
     def from_dict(cls, doc: dict) -> "CircleFunction":
         check_schema(doc, "circle-function")
-        values = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(
-            doc["im"], dtype=float
-        )
-        if values.size != int(doc["grid"]):
+        grid = _read_field(doc, "circle-function", "grid", "integer")
+        re, im = (np.asarray(_read_field(doc, "circle-function", key, "numbers"),
+                             dtype=float) for key in ("re", "im"))
+        if not re.size == im.size == grid:
             raise ValueError("grid size does not match sample count")
-        return cls.from_values(values)
+        return cls.from_values(re + 1j * im)
 
 
 def grid_norms(X: np.ndarray, axis: int = 0) -> np.ndarray:

@@ -228,8 +228,7 @@ def _run_invariance(ctx: _RunContext, p: dict) -> ProbeResult:
         detail["control"] = control
     rows = [("cov_distance", rep.cov_distance), ("budget", rep.budget),
             ("intertwine", rep.intertwine), ("samples", rep.samples)]
-    nodes = [(float(a), float(w)) for a, w in
-             zip(model.field.angles, model.field.weights)]
+    nodes = [(float(a), float(w)) for a, w in zip(model.angles, model.weights)]
     return ProbeResult(
         probe="invariance", target=p["measure"], passed=rep.passed,
         grade="exact" if control else "statistical", detail=detail,

@@ -126,6 +126,28 @@ def test_serialization_round_trip():
     assert again.to_dict()["schema"].startswith("circle-measure/")
 
 
+_PAIRS = r"field 'atoms' must be a list of \[angle, mass\] pairs of finite numbers"
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"bins": 16.9}, "field 'bins' must be an integer, got 16.9"),
+    ({"bins": "16"}, "field 'bins' must be an integer, got '16'"),
+    ({"bins": None}, "field 'bins' must be an integer, got None"),
+    ({"bins": ...}, "missing required field 'bins'"),
+    ({"atoms": [[1.0]]}, _PAIRS),
+    ({"atoms": [[1.0, "x"]]}, _PAIRS),
+    ({"atoms": [1.0, 0.5]}, _PAIRS),
+    ({"atoms": [[1.0, True]]}, _PAIRS),
+    ({"density": [0.1] * 15 + ["x"]}, "field 'density' must be a list of finite numbers"),
+])
+def test_from_dict_names_a_missing_or_ill_typed_field(change, message):
+    doc = dict(CircleMeasure.uniform(bins=16).to_dict(), atoms=[[0.5, 0.3]])
+    doc.update(change)
+    doc = {k: v for k, v in doc.items() if v is not ...}  # ... drops the field
+    with pytest.raises(ValueError, match="circle-measure.*" + message):
+        CircleMeasure.from_dict(doc)
+
+
 # -- Fourier coefficients ---------------------------------------------
 
 def test_coefficient_of_dirac_is_exponential():

@@ -486,6 +486,31 @@ def test_cli_lab_orbit_bad_system_document_is_typed_error(tmp_path, capsys, syst
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, doc, message", [
+    (["measure", "fourier"],
+     {"schema": "circle-measure/1", "bins": 16, "atoms": [[1.0]]},
+     "ValueError: circle-measure field 'atoms' must be a list of [angle, mass] "
+     "pairs of finite numbers, got [[1.0]]"),
+    (["measure", "fourier"],
+     {"schema": "circle-measure/1", "bins": 16.9, "atoms": [[1.0, 1.0]]},
+     "ValueError: circle-measure field 'bins' must be an integer, got 16.9"),
+    (["hits", "gaps"], {"schema": "windowed-set/1", "window": 10},
+     "ValueError: windowed-set document: missing required field 'elements'"),
+    (["kalish", "apply"], {"schema": "circle-function/1", "grid": 8, "re": [1.0] * 8},
+     "ValueError: circle-function document: missing required field 'im'"),
+    (["kalish", "apply"],
+     {"schema": "circle-function/1", "grid": 8.7, "re": [1.0] * 8, "im": [0.0] * 8},
+     "ValueError: circle-function field 'grid' must be an integer, got 8.7"),
+])
+def test_cli_malformed_document_is_typed_error(tmp_path, capsys, argv, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("docs, message", [
     ([{"kind": "torus_rotation", "angles": [0.9], "name": "a"},
       {"kind": "torus_rotation", "angles": [2.1], "name": "a"}],

@@ -210,11 +210,12 @@ def test_orbit_rejects_negative_steps():
 
 
 def test_orbit_norm_drift_guard_names_step():
-    spec = weighted_shift_system([3.0] * 7)
+    # the norm grows 11-fold per step: 11**2 < 1e3 < 11**3
+    spec = weighted_shift_system([11.0] * 7)
     x0 = np.zeros(8, dtype=complex)
     x0[-1] = 1.0
-    with pytest.raises(NormDriftError, match="step 3"):
-        orbit(spec, x0, 7, drift_factor=10.0)
+    with pytest.raises(NormDriftError, match="step 3 of 7"):
+        orbit(spec, x0, 7)
 
 
 def test_default_start_shapes():

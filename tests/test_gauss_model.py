@@ -157,18 +157,18 @@ def test_corrected_field_norm_matched_to_indicator():
 # -- model assembly ------------------------------------------------------
 
 def test_build_model_rejects_sloppy_field():
-    sigma = CircleMeasure.uniform(bins=1024)
-    field = indicator_field(sigma, 8, 512)
-    with pytest.raises(FieldAdmissibilityError):
-        build_model(field, residual_threshold=1e-6)
+    # 4 indicator nodes on a 32-point grid: the worst residual is 0.127 > 0.05
+    field = indicator_field(CircleMeasure.uniform(bins=1024), 4, 32)
+    with pytest.raises(FieldAdmissibilityError, match="exceeds 0.05"):
+        build_model(field)
 
 
 def test_factor_columns_are_weighted_vectors():
-    model = _uniform_model(M=256, m=4)
-    f = model.field
+    f = corrected_field(CircleMeasure.uniform(bins=1024), 4, 256)
+    model = build_model(f)
     for j in range(model.node_count):
         np.testing.assert_allclose(
-            model.factor[:, j], np.sqrt(f.weights[j]) * f.vectors[:, j],
+            model.factor[:, j], np.sqrt(model.weights[j]) * f.vectors[:, j],
             atol=1e-15,
         )
 
@@ -184,15 +184,17 @@ def test_kernel_witness_positive_singular_value():
     # two or more distinct nodes never produce a rank-deficient factor
     for m in (2, 4, 8):
         model = _uniform_model(M=256, m=m)
-        assert model.smallest_singular > 0.0
+        assert np.linalg.svd(model.factor, compute_uv=False)[-1] > 0.0
 
 
 @pytest.mark.parametrize("kind", ["corrected", "indicator"])
 @pytest.mark.parametrize("m", [2, 4, 8, 32])
 def test_smallest_singular_from_gram_matches_svd(kind, m):
+    # the cached Gram is A* A: its least eigenvalue is sigma_min(A)^2
     model = _uniform_model(M=1024, m=m, kind=kind)
     sv = np.linalg.svd(model.factor, compute_uv=False)
-    assert model.smallest_singular == pytest.approx(sv[-1], rel=1e-10)
+    smallest = np.sqrt(np.linalg.eigvalsh(model.gram)[0])
+    assert smallest == pytest.approx(sv[-1], rel=1e-10)
 
 
 def test_field_rejects_vectors_with_wrong_column_count():
@@ -365,7 +367,7 @@ def test_analytic_coefficient_equals_spectral_measure_transform():
 
 def test_spectral_measure_supported_on_node_angles():
     model = _uniform_model(M=512, m=8)
-    node_angles = set(float(a) for a in model.field.angles)
+    node_angles = set(float(a) for a in model.angles)
     for k in range(4):
         xstar = random_functional(seed=40 + k, grid_size=512)
         rho = spectral_measure_of_functional(model, xstar)
@@ -531,8 +533,8 @@ def test_manifest_round_trip():
     assert doc["schema"] == "gauss-model/1"
     assert doc["seed_policy"] == "sha256-labeled-streams"
     assert (doc["grid"], doc["field_kind"]) == (model.grid_size, "corrected")
-    assert CircleMeasure.from_dict(doc["sigma"]) == model.field.source_measure
+    assert CircleMeasure.from_dict(doc["sigma"]) == model.source_measure
     angles, weights = np.array(doc["nodes"]).T
-    np.testing.assert_array_equal(angles, model.field.angles)
-    np.testing.assert_array_equal(weights, model.field.weights)
+    np.testing.assert_array_equal(angles, model.angles)
+    np.testing.assert_array_equal(weights, model.weights)
     assert np.sum(weights) == pytest.approx(1.0, abs=1e-12)

@@ -122,14 +122,23 @@ def test_from_dict_rejects_non_integral_window(bad):
         WindowedSet.from_dict(doc)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"window": 10}, "windowed-set document: missing required field 'elements'"),
+    ({"elements": [3, 5]}, "windowed-set document: missing required field 'window'"),
+    ({"window": 10, "elements": 5},
+     "windowed-set field 'elements' must be a list, got 5"),
+    ({"window": 10, "elements": None},
+     "windowed-set field 'elements' must be a list, got None"),
+])
+def test_from_dict_names_a_missing_or_ill_typed_field(doc, message):
+    with pytest.raises(ValueError, match=message):
+        WindowedSet.from_dict({"schema": "windowed-set/1", **doc})
+
+
 def test_lines_round_trip():
+    # the window read back is the smallest one holding the elements
     s = WindowedSet.from_iterable(12, [2, 7, 11])
-    text = s.to_lines()
-    again = WindowedSet.from_lines(text, window=12)
-    assert again == s
-    # without a window the smallest containing one is inferred
-    inferred = WindowedSet.from_lines(text)
-    assert inferred.window == 12
+    assert WindowedSet.from_lines(s.to_lines()) == s
 
 
 def test_indicator_shape():

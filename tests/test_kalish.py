@@ -56,6 +56,23 @@ def test_circle_function_round_trip():
     assert again == f
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"im": ...}, "missing required field 'im'"),
+    ({"re": ...}, "missing required field 're'"),
+    ({"grid": 8.7}, "field 'grid' must be an integer, got 8.7"),
+    ({"grid": "8"}, "field 'grid' must be an integer, got '8'"),
+    ({"re": [1.0] * 7 + [None]}, "field 're' must be a list of finite numbers"),
+    ({"im": 0.0}, "field 'im' must be a list of finite numbers, got 0.0"),
+    ({"im": [0.0] * 7}, "grid size does not match sample count"),
+])
+def test_circle_function_from_dict_names_a_missing_or_ill_typed_field(change, message):
+    doc = CircleFunction.constant(1.0, 8).to_dict()
+    doc.update(change)
+    doc = {k: v for k, v in doc.items() if v is not ...}  # ... drops the field
+    with pytest.raises(ValueError, match=message):
+        CircleFunction.from_dict(doc)
+
+
 def test_constant_factory():
     f = CircleFunction.constant(2.0 + 1.0j, 16)
     assert f.grid_size == 16

@@ -1,5 +1,6 @@
 """Peak traced memory of the Gauss pipeline at (M, m) = (16384, 128), in
-units of one factor (M x m complex, 32 MiB).  The blocked Kalish kernels
+units of one factor (M x m complex, 32 MiB).  A built model holds one
+factor, not the field it was built from.  The blocked Kalish kernels
 hold one 1 MiB temporary besides their output, and the invariance check
 and the coefficient table hold about two factor-sized arrays at a time.
 A classification row streams its orbit (dynamics_lab.orbit_rows), so at
@@ -37,6 +38,19 @@ def _peak_bytes(call) -> int:
 
 def _peak_in_factors(model, call) -> float:
     return _peak_bytes(call) / model.factor.nbytes
+
+
+def test_built_model_holds_one_factor():
+    # the model keeps A and the node data; the field's unweighted E goes
+    # with the field, which nothing holds once build_model returns
+    sigma = CircleMeasure.uniform(bins=1024)
+    tracemalloc.start()
+    try:
+        built = build_model(corrected_field(sigma, NODES, M))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * built.factor.nbytes
 
 
 def test_apply_T_array_holds_one_block_besides_its_output(model):

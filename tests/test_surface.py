@@ -9,6 +9,15 @@ syntax tree, so the check needs no linter.
 
 The import rule: every name a module of src/hyperlab or tests/ imports
 is read in that module, also from the syntax tree.
+
+The field rule: every field of a src/hyperlab dataclass is read as an
+attribute in src/hyperlab or tests/test_acceptance.py, unless the class's
+to_dict is record_dict, which writes every field by name.
+
+The parameter rule: every optional parameter of a public def or public
+method is passed somewhere in src/hyperlab or tests/test_acceptance.py, by
+keyword or by position past the required ones, at a call of the def's
+name or of a name bound to it; a knob only the tests set is a constant.
 """
 
 import ast
@@ -25,6 +34,21 @@ ALLOWED = {
     "gauss_model.indicator_field":
         "the raw arc-indicator field, the reference the corrected field is "
         "tested against",
+}
+
+
+# Optional parameters nothing passes yet, each with the reason it stays.
+ALLOWED_PARAMETERS = {
+    "gauss_model.intertwine_residual(transport)":
+        "the seam the tests use to hand in a transport with a known residual",
+    "gauss_model.matrix_coefficient_mc(transport)":
+        "the seam the tests use to check the estimate under a given transport",
+    "dynamics_lab.return_set_identity_check(verify_ball)":
+        "the seam the tests use to check the identity on a ball of their own",
+    "cli.main(argv)":
+        "the seam the tests use to run a command line in process",
+    "dynamics_lab.weighted_shift_system(name)":
+        "the weighted-shift rows of the known-answer linear zoo name their systems",
 }
 
 
@@ -104,3 +128,101 @@ def unused_imports() -> list:
 
 def test_every_import_is_read():
     assert unused_imports() == []
+
+
+def _program() -> dict:
+    """module stem -> syntax tree of every src/hyperlab module and of the
+    acceptance file, the places where the program reads and passes."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees[ACCEPTANCE.stem] = ast.parse(ACCEPTANCE.read_text())
+    return trees
+
+
+def _is_dataclass(node) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", "") == "dataclass"
+               for d in node.decorator_list)
+
+
+def _writes_every_field(node) -> bool:
+    """The class's to_dict is record_dict, which reads every field."""
+    return any(isinstance(item, ast.FunctionDef) and item.name == "to_dict"
+               and any(getattr(n, "id", "") == "record_dict" for n in ast.walk(item))
+               for item in node.body)
+
+
+def unread_fields() -> list:
+    """module.Class.field of every dataclass field nothing reads."""
+    trees = _program()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    return [f"{stem}.{node.name}.{item.target.id}"
+            for stem, tree in trees.items() if stem != ACCEPTANCE.stem
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+            and not _writes_every_field(node)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and item.target.id not in read]
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields() == []
+
+
+def _public_defs(tree):
+    """(qualified name, def, whether it binds self or cls) of every public
+    module-level def and every public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    static = any(getattr(d, "id", "") == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield f"{node.name}.{item.name}", item, not static
+
+
+def unpassed_parameters() -> list:
+    """module.def(parameter) of every optional parameter nothing passes."""
+    trees = _program()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    aliases = {}  # a name bound to a def, as in maker = random_atomic_measure
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        aliases.setdefault(node.value.id, []).append(target.id)
+    out = []
+    for stem, tree in trees.items():
+        if stem in ("__init__", ACCEPTANCE.stem):
+            continue
+        for qualified, fn, bound in _public_defs(tree):
+            args = fn.args
+            positional = [*args.posonlyargs, *args.args][int(bound):]
+            first = len(positional) - len(args.defaults)
+            optional = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+            optional += [(None, p.arg) for p, default in zip(args.kwonlyargs, args.kw_defaults)
+                         if default is not None]
+            sites = [call for name in (fn.name, *aliases.get(fn.name, ()))
+                     for call in calls.get(name, ())]
+            for i, arg in optional:
+                if not any(any(k.arg == arg for k in call.keywords)
+                           or (i is not None and len(call.args) > i) for call in sites):
+                    out.append(f"{stem}.{qualified}({arg})")
+    return out
+
+
+def test_every_optional_parameter_is_passed_or_allowed():
+    assert [p for p in unpassed_parameters() if p not in ALLOWED_PARAMETERS] == []
+
+
+def test_every_allowed_parameter_is_still_unpassed():
+    # a parameter that gains a caller leaves the allowlist
+    assert set(ALLOWED_PARAMETERS) <= set(unpassed_parameters())
