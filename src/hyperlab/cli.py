@@ -51,18 +51,28 @@ _GLOBAL_DEFAULTS = {**TOP_DEFAULTS, "out": None, "format": "json"}
 # -- input loaders ------------------------------------------------------
 
 
+def _parsed(part: str, number_type):
+    """A token part as a number_type number, or the part itself when it is
+    none, for the config or system reader to reject by field name."""
+    try:
+        return number_type(part)
+    except ValueError:
+        return part
+
+
 def _measure_entry(token: str) -> dict:
     """The config's measures entry of a measure token or path."""
     parts = token.split(":")[1:]
     if token == "uniform":
         return {"kind": "uniform"}
     if token.startswith("dirac:"):
-        entry = {"kind": "dirac", "angle": float(parts[0])}
+        entry = {"kind": "dirac", "angle": _parsed(parts[0], float)}
         if len(parts) > 1:
-            entry["mass"] = float(parts[1])
+            entry["mass"] = _parsed(parts[1], float)
         return entry
     if token == "probability" or token.startswith("probability:"):
-        return {"kind": "probability", **({"seed": int(parts[0])} if parts else {})}
+        return {"kind": "probability",
+                **({"seed": _parsed(parts[0], int)} if parts else {})}
     return {"kind": "file", "path": token}
 
 
@@ -76,13 +86,13 @@ def _system_doc(token: str, grid: int):
     """The config's systems entry of a system token or path."""
     parts = token.split(":")[1:]
     if token == "kalish" or token.startswith("kalish:"):
-        return {"kind": "kalish", "grid": int(parts[0]) if parts else grid}
+        return {"kind": "kalish", "grid": _parsed(parts[0], int) if parts else grid}
     if token == "scalar-shift" or token.startswith("scalar-shift:"):
         return {"kind": "scalar_multiple_shift",
-                "scalar": float(parts[0]) if parts else 2.0,
-                "dimension": int(parts[1]) if len(parts) > 1 else 160}
+                "scalar": _parsed(parts[0], float) if parts else 2.0,
+                "dimension": _parsed(parts[1], int) if len(parts) > 1 else 160}
     if token.startswith("torus:"):
-        return {"kind": "torus_rotation", "angles": [float(a) for a in parts]}
+        return {"kind": "torus_rotation", "angles": [_parsed(a, float) for a in parts]}
     return read_json(token)
 
 

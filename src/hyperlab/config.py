@@ -8,6 +8,11 @@ path (syntax errors by line and column), and expands every default to a
 literal value, derived seeds included, so a persisted config never
 contains a silent default.  The expanded form serializes canonically:
 parse -> serialize -> parse is the identity, byte for byte.
+
+Each field takes the JSON form of its default, checked through jsonio's
+one form table: an int default an integer >= 0, a float default a finite
+number (never a bool), a str default a nonempty string, a list default a
+nonempty list of its element's form; a _Slot default names its form.
 """
 
 from __future__ import annotations
@@ -15,11 +20,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from .dynamics_lab import default_battery, parse_systems
-from .jsonio import record_dict, stable_dumps
+from .jsonio import _FORMS, record_dict, stable_dumps
 from .seeding import derive_seed
 
 __all__ = [
@@ -29,8 +33,6 @@ __all__ = [
     "config_from_dict",
     "CONFIG_SCHEMA",
     "PROBE_FIELDS",
-    "PROBE_KINDS",
-    "MEASURE_KINDS",
     "TOP_DEFAULTS",
 ]
 
@@ -40,30 +42,38 @@ _TOP_FIELDS = ("schema", "seed", "bins", "grid", "out",
                "measures", "systems", "probes")
 TOP_DEFAULTS = {"seed": 0, "bins": 1024, "grid": 1024}
 
-# Sentinels resolved during expansion; they never appear in expanded configs.
-_REQUIRED = "<required>"
-_CONFIG_BINS = "<config-bins>"
-_CONFIG_GRID = "<config-grid>"
-_DERIVED_SEED = "<derived-seed>"
+
+class _Slot(NamedTuple):
+    """A default that is no value: its field's jsonio form, and how
+    expansion fills it from the context (None: the field is required)."""
+
+    form: str
+    fill: Callable = None
+
+
+_REQUIRED_STRING = _Slot("string")
+_CONFIG_BINS = _Slot("integer", lambda c: c["bins"])
+_CONFIG_GRID = _Slot("integer", lambda c: c["grid"])
+_DERIVED_SEED = _Slot("integer", lambda c: derive_seed(c["seed"], c["seed_label"]))
 _SIGMA_DEFAULT = "sigma-default"
 
 _MEASURE_FIELDS = {
     "uniform": {"mass": 1.0, "bins": _CONFIG_BINS},
-    "dirac": {"angle": _REQUIRED, "mass": 1.0, "bins": _CONFIG_BINS},
-    "atoms": {"atoms": _REQUIRED, "bins": _CONFIG_BINS},
+    "dirac": {"angle": _Slot("number"), "mass": 1.0, "bins": _CONFIG_BINS},
+    "atoms": {"atoms": _Slot("pairs"), "bins": _CONFIG_BINS},
     "probability": {"seed": _DERIVED_SEED, "bins": _CONFIG_BINS},
-    "file": {"path": _REQUIRED},
-    "inline": {"doc": _REQUIRED},
+    "file": {"path": _REQUIRED_STRING},
+    "inline": {"doc": _Slot("object")},
 }
 
 # Every probe's fields and defaults, also those of the CLI flags that mirror them.
 PROBE_FIELDS = {
-    "convolve": {"left": _REQUIRED, "right": _REQUIRED,
+    "convolve": {"left": _REQUIRED_STRING, "right": _REQUIRED_STRING,
                  "band": 64, "tolerance": 5e-3},
-    "exp": {"measure": _REQUIRED, "band": 64,
+    "exp": {"measure": _REQUIRED_STRING, "band": 64,
             "tail_tol": 1e-12, "tolerance": 1e-5},
-    "fourier": {"measure": _REQUIRED, "band": 8},
-    "measure-classify": {"measure": _REQUIRED, "band": 64, "epsilon": 0.1,
+    "fourier": {"measure": _REQUIRED_STRING, "band": 8},
+    "measure-classify": {"measure": _REQUIRED_STRING, "band": 64, "epsilon": 0.1,
                          "delta": 0.1, "family_size": 16,
                          "seed": _DERIVED_SEED},
     "residual": {"angles": [2.0 * math.pi / 3.0, math.pi, 2.0 * math.pi * 0.811],
@@ -80,19 +90,9 @@ PROBE_FIELDS = {
               "rel_tol": 0.05, "seed": _DERIVED_SEED},
     "ubd": {"window": 10_000, "delta": 0.3, "count": 25, "min_len": 16,
             "seed": _DERIVED_SEED},
-    "orbit": {"system": _REQUIRED, "steps": 512, "seed": _DERIVED_SEED},
+    "orbit": {"system": _REQUIRED_STRING, "steps": 512, "seed": _DERIVED_SEED},
     "classification": {"window": 1000, "samples": 10_000, "gap_bound": 64},
 }
-
-MEASURE_KINDS = tuple(sorted(_MEASURE_FIELDS))
-PROBE_KINDS = tuple(sorted(PROBE_FIELDS))
-
-_INT_FIELDS = {"seed", "bins", "grid", "band", "family_size", "samples",
-               "functionals", "nodes", "window", "count", "min_len",
-               "steps", "gap_bound", "max_power"}
-_NUM_FIELDS = {"mass", "angle", "tolerance", "tail_tol", "epsilon", "delta",
-               "ratio_bound", "transport_scale", "rel_tol", "t1_factor"}
-_STR_FIELDS = {"left", "right", "measure", "system", "sampler", "path", "out"}
 
 
 class ConfigError(ValueError):
@@ -127,20 +127,29 @@ def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
-def _check_scalar(path: str, key: str, value):
-    if key in _INT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, int):
-            _fail(f"{path}.{key}", f"expected an integer, got {value!r}")
-        if value < 0:
-            _fail(f"{path}.{key}", f"must be nonnegative, got {value}")
-    elif key in _NUM_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            _fail(f"{path}.{key}", f"expected a number, got {value!r}")
-        if not np.isfinite(value):
-            _fail(f"{path}.{key}", "must be finite")
-    elif key in _STR_FIELDS:
-        if not isinstance(value, str) or not value:
-            _fail(f"{path}.{key}", f"expected a nonempty string, got {value!r}")
+def _form(default) -> str:
+    """The jsonio form of a field with this default."""
+    if isinstance(default, _Slot):
+        return default.form
+    if isinstance(default, list):
+        return {int: "integers", float: "numbers"}[type(default[0])]
+    return {int: "integer", float: "number", str: "string"}[type(default)]
+
+
+def _checked(path: str, value, form: str):
+    """value in the jsonio form named form, an integer also >= 0 and a
+    list also nonempty; a list is copied, so no config shares one with
+    its input document."""
+    words, holds = _FORMS[form]
+    if not holds(value):
+        _fail(path, f"expected {words}, got {value!r}")
+    if form == "integer" and value < 0:
+        _fail(path, f"must be nonnegative, got {value}")
+    if isinstance(value, list):
+        if not value:
+            _fail(path, "expected a nonempty list")
+        value = [list(v) if isinstance(v, list) else v for v in value]
+    return value
 
 
 def _check_bins(path: str, bins: int):
@@ -148,77 +157,56 @@ def _check_bins(path: str, bins: int):
         _fail(path, f"bins must be a power of two >= 8, got {bins}")
 
 
-def _expand_block(path: str, raw: dict, fields: dict, context: dict) -> dict:
-    """Validate one keyed block against its field table and fill defaults."""
+def _expand_block(path: str, raw, tag: str, kinds: dict, context: dict,
+                  seed_label: Callable) -> dict:
+    """One measure or probe object: its kind, a string under tag, then
+    each field of its kind's table in its default's form, defaults filled."""
+    if not isinstance(raw, dict):
+        _fail(path, "expected an object")
+    if tag not in raw:
+        _fail(path, f"missing required field {tag!r}")
+    kind = _checked(f"{path}.{tag}", raw[tag], "string")
+    if kind not in kinds:
+        _fail(f"{path}.{tag}", f"unknown {tag} {kind!r} "
+                               f"(expected one of {', '.join(sorted(kinds))})")
+    fields = kinds[kind]
     for key in raw:
-        if key not in fields and key != "kind" and key != "probe":
+        if key not in fields and key != tag:
             _fail(path, f"unknown field {key!r}")
-    out = {}
+    context = dict(context, seed_label=seed_label(kind))
+    out = {tag: kind}
     for key, default in fields.items():
         if key in raw:
             value = raw[key]
-        elif default == _REQUIRED:
-            _fail(path, f"missing required field {key!r}")
-        elif default == _CONFIG_BINS:
-            value = context["bins"]
-        elif default == _CONFIG_GRID:
-            value = context["grid"]
-        elif default == _DERIVED_SEED:
-            value = derive_seed(context["seed"], context["seed_label"])
-        else:
+        elif not isinstance(default, _Slot):
             value = default
-        if isinstance(value, list):
-            value = [list(v) if isinstance(v, list) else v for v in value]
-        _check_scalar(path, key, value)
-        out[key] = value
+        elif default.fill is None:
+            _fail(path, f"missing required field {key!r}")
+        else:
+            value = default.fill(context)
+        out[key] = _checked(f"{path}.{key}", value, _form(default))
     return out
 
 
 def _validate_measure(name: str, raw, context: dict) -> dict:
     path = f"measures.{name}"
-    if not isinstance(raw, dict):
-        _fail(path, "expected an object")
-    kind = raw.get("kind")
-    if kind not in _MEASURE_FIELDS:
-        _fail(path, f"unknown measure kind {kind!r} "
-                    f"(expected one of {', '.join(MEASURE_KINDS)})")
-    context = dict(context, seed_label=f"measure:{name}")
-    defn = {"kind": kind}
-    defn.update(_expand_block(path, raw, _MEASURE_FIELDS[kind], context))
+    defn = _expand_block(path, raw, "kind", _MEASURE_FIELDS, context,
+                         lambda kind: f"measure:{name}")
     if "bins" in defn:
         _check_bins(f"{path}.bins", defn["bins"])
-    if kind == "atoms":
-        atoms = defn["atoms"]
-        if (not isinstance(atoms, list) or not atoms
-                or not all(isinstance(a, list) and len(a) == 2 for a in atoms)):
-            _fail(f"{path}.atoms", "expected a nonempty list of [angle, mass] pairs")
-    if kind == "inline" and not isinstance(defn["doc"], dict):
-        _fail(f"{path}.doc", "expected an inline circle-measure object")
     return defn
 
 
 def _validate_probe(index: int, raw, context: dict) -> dict:
     path = f"probes[{index}]"
-    if not isinstance(raw, dict):
-        _fail(path, "expected an object")
-    kind = raw.get("probe")
-    if kind not in PROBE_FIELDS:
-        _fail(path, f"unknown probe kind {kind!r} "
-                    f"(expected one of {', '.join(PROBE_KINDS)})")
-    context = dict(context, seed_label=f"probe[{index}]:{kind}")
-    probe = {"probe": kind}
-    probe.update(_expand_block(path, raw, PROBE_FIELDS[kind], context))
+    probe = _expand_block(path, raw, "probe", PROBE_FIELDS, context,
+                          lambda kind: f"probe[{index}]:{kind}")
+    kind = probe["probe"]
     if kind == "residual":
-        for key in ("angles", "grids"):
-            vals = probe[key]
-            if not isinstance(vals, list) or not vals:
-                _fail(f"{path}.{key}", "expected a nonempty list")
-        if not all(isinstance(g, int) and not isinstance(g, bool) and g >= 8
-                   for g in probe["grids"]):
-            _fail(f"{path}.grids", "grid sizes must be integers >= 8")
-        if not all(isinstance(a, (int, float)) and np.isfinite(a) and a > 0
-                   for a in probe["angles"]):
-            _fail(f"{path}.angles", "angles must be positive finite numbers")
+        if not all(g >= 8 for g in probe["grids"]):
+            _fail(f"{path}.grids", "grid sizes must be >= 8")
+        if not all(a > 0 for a in probe["angles"]):
+            _fail(f"{path}.angles", "angles must be positive")
     for key in ("window", "samples", "functionals", "count", "family_size"):
         if key in probe and probe[key] < 1:
             _fail(f"{path}.{key}", "must be >= 1")
@@ -245,12 +233,10 @@ def config_from_dict(doc) -> ExperimentConfig:
     if major != "1":
         raise ConfigError(f"config.schema: unsupported major version {major!r}")
 
-    top = {key: doc.get(key, default) for key, default in TOP_DEFAULTS.items()}
-    for key, value in top.items():
-        _check_scalar("config", key, value)
+    top = {key: _checked(f"config.{key}", doc.get(key, default), _form(default))
+           for key, default in TOP_DEFAULTS.items()}
     _check_bins("config.bins", top["bins"])
-    out = doc.get("out", "out")
-    _check_scalar("config", "out", out)
+    out = _checked("config.out", doc.get("out", "out"), "string")
 
     context = dict(top)
     raw_measures = doc.get("measures", {})

@@ -63,7 +63,7 @@ from .hitting_sets import (
     max_gap,
     upper_density,
 )
-from .jsonio import _is_number, csv_text, record_dict
+from .jsonio import _FORMS, csv_text, record_dict
 # apply_T is unused but kept bound: perfbench patches every binding
 from .kalish import (  # noqa: F401
     _block_rows, apply_T, apply_T_array, arc_indicators, grid_norms,
@@ -181,10 +181,10 @@ class SystemSpec:
         return spec
 
 
-def _number(key: str, value, kind=(int, float)):
-    if not _is_number(value, kind):
-        what = "an integer" if kind is int else "a finite number"
-        raise ValueError(f"system field {key!r} must be {what}, got {value!r}")
+def _number(key: str, value, form="number"):
+    words, holds = _FORMS[form]
+    if not holds(value):
+        raise ValueError(f"system field {key!r} must be {words}, got {value!r}")
     return value
 
 
@@ -200,7 +200,7 @@ def _complex(key: str, value) -> complex:
     return complex(*(_number(key, v) for v in pair))
 
 
-_integer = partial(_number, kind=int)
+_integer = partial(_number, form="integer")
 # Each kind's document form: (key, SystemSpec field, reader, writer) per field.
 _KIND_FIELDS = {
     "kalish": [("grid", "grid_size", _integer, int)],
@@ -413,15 +413,6 @@ class OrbitRows:
     def length(self) -> int:
         return int(self.norm_row.size)
 
-    def state(self, t: int) -> np.ndarray:
-        return self.snapshots[t]
-
-    def norms(self) -> np.ndarray:
-        return self.norm_row
-
-    def distances(self, t: int) -> np.ndarray:
-        return self.rows[t]
-
 
 def orbit_rows(spec: SystemSpec, x0: np.ndarray, n_steps: int,
                centers, keep=()) -> OrbitRows:
@@ -623,9 +614,9 @@ def periodic_return_probe(traj: OrbitRows, seed: int = 0) -> ProbeOutcome:
     genuine short period exists and the probe is expected to find it;
     irrational rotations and nilpotent shifts produce no near-returns."""
     eps = 0.02
-    scale = max(state_norm(traj.spec, traj.state(0)), 1e-12)
+    scale = max(state_norm(traj.spec, traj.snapshots[0]), 1e-12)
     top = min(64, traj.length - 1)
-    dists = traj.distances(0)[1:top + 1] / scale
+    dists = traj.rows[0][1:top + 1] / scale
     below = np.flatnonzero(dists < eps)
     best = int(below[0] if below.size else np.argmin(dists)) + 1
     best_dist = float(dists[best - 1])
@@ -655,7 +646,7 @@ def _ball_family(traj: OrbitRows, times: list):
     max(length // 200, 1)-th distance (so the family adapts to the orbit's
     scale).  An orbit whose sampled states all coincide gives no radius:
     None."""
-    rows = [traj.distances(t) for t in times]
+    rows = [traj.rows[t] for t in times]
     samples = [row[:: max(traj.length // 200, 1)] for row in rows]
     pooled = np.concatenate([d[d > 0] for d in samples])
     if pooled.size == 0:
@@ -722,7 +713,7 @@ def _reference_visits(traj: OrbitRows):
         return None
     radius = family[1]
     reference = _probe_times(traj.spec, traj.length).reference
-    return radius, WindowedSet.from_mask(traj.distances(reference) < radius)
+    return radius, WindowedSet.from_mask(traj.rows[reference] < radius)
 
 
 def syndetic_gap_probe(traj: OrbitRows, reference, seed: int,
@@ -757,7 +748,7 @@ def weak_mixing_probe(traj: OrbitRows, seed: int) -> ProbeOutcome:
     W0 -> V (syndeticity evidence); compatible iff the two sets meet.  An
     orbit that never enters W0 is reported as no evidence, not invented."""
     spec = traj.spec
-    norms = traj.norms()
+    norms = traj.norm_row
     if float(np.median(norms)) == 0.0:
         return _static_orbit("weak_mixing", "heuristic", traj, seed,
                              "orbit is 0 for over half the window: U, V get no radius")
@@ -767,7 +758,7 @@ def weak_mixing_probe(traj: OrbitRows, seed: int) -> ProbeOutcome:
         w0_radius = 0.5 * float(np.min(norms))
     # a state's distance to W0's center 0 is its norm
     forward = WindowedSet.from_mask(norms < w0_radius)
-    v_center = traj.state(_probe_times(spec, traj.length).middle)
+    v_center = traj.snapshots[_probe_times(spec, traj.length).middle]
     n_steps = traj.length - 1
     # shift pullbacks push support deeper; past the dimension they lose
     # mass and stop being exact witnesses, so the scan stops there

@@ -4,10 +4,12 @@ Artifacts must be byte-identical across reruns with the same seed, so the
 encoder pins key order and separators and refuses non-finite floats.
 Schema tags look like "circle-measure/1"; readers accept any document
 whose major version matches and reject the rest, and take each field
-through _read_field, which names a missing or ill-typed field, as
-SystemSpec.from_dict does for a system document.  record_dict is the one
-JSON form of a report record: its tags, then every dataclass field by name.
-csv_text is the one CSV form of a table.
+through _read_field, which names a missing or ill-typed field.  _FORMS is
+the one table of JSON field forms: these readers, SystemSpec.from_dict
+and the experiment config check every field through it (a bool is never
+a number).  record_dict is the one JSON form of a report record: its
+tags, then every dataclass field by name.  csv_text is the one CSV form
+of a table.
 """
 from __future__ import annotations
 
@@ -110,9 +112,14 @@ def _is_list(value, item) -> bool:
     return isinstance(value, list) and all(map(item, value))
 
 
+# form name -> (the words an error gives, the predicate)
 _FORMS = {
     "integer": ("an integer", lambda v: _is_number(v, int)),
+    "number": ("a finite number", _is_number),
+    "string": ("a nonempty string", lambda v: isinstance(v, str) and v != ""),
+    "object": ("an object", lambda v: isinstance(v, dict)),
     "list": ("a list", lambda v: isinstance(v, list)),
+    "integers": ("a list of integers", lambda v: _is_list(v, _FORMS["integer"][1])),
     "numbers": ("a list of finite numbers", lambda v: _is_list(v, _is_number)),
     "pairs": ("a list of [angle, mass] pairs of finite numbers",
               lambda v: _is_list(v, lambda p: _is_list(p, _is_number) and len(p) == 2)),

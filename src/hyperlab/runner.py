@@ -64,8 +64,7 @@ def realize_measure(defn: dict) -> cm.CircleMeasure:
     if kind == "dirac":
         return cm.CircleMeasure.dirac(defn["angle"], defn["mass"], bins=defn["bins"])
     if kind == "atoms":
-        pairs = [(float(a), float(m)) for a, m in defn["atoms"]]
-        return cm.CircleMeasure.from_parts(defn["bins"], atoms=pairs)
+        return cm.CircleMeasure.from_parts(defn["bins"], atoms=defn["atoms"])
     if kind == "probability":
         return probability_measure(defn["seed"], defn["bins"])
     if kind == "file":
@@ -328,7 +327,7 @@ def _run_orbit(ctx: _RunContext, p: dict) -> ProbeResult:
     spec = ctx.systems[p["system"]]
     x0 = lab.default_start(spec, p["seed"])
     traj = lab.orbit_rows(spec, x0, p["steps"], centers=[0])
-    norms, dist = traj.norms(), traj.distances(0)
+    norms, dist = traj.norm_row, traj.rows[0]
     radius = lab.ball_radius(dist[1:]) if traj.length > 1 else 1.0
     radius = max(radius, 1e-12)
     hits = hs.WindowedSet.from_mask(dist < radius)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,14 @@ from hypothesis import strategies as st
 
 from hyperlab import total_mass, upper_banach_density
 from hyperlab import corpora, dynamics_lab
-from hyperlab.cli import main
-from hyperlab.config import PROBE_FIELDS, ConfigError, parse_config
+from hyperlab.cli import _measure_entry, _system_doc, main
+from hyperlab.config import (
+    _MEASURE_FIELDS,
+    PROBE_FIELDS,
+    ConfigError,
+    config_from_dict,
+    parse_config,
+)
 from hyperlab.corpora import (
     measure_pair,
     probability_measure,
@@ -414,6 +421,54 @@ def test_config_zero_size_probe_rejected_with_dotted_path(probe, key):
         parse_config(json.dumps(doc))
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"probes": [{"probe": ["x"]}]}, "probes[0].probe: "),
+    ({"measures": {"a": {"kind": ["x"]}}}, "measures.a.kind: "),
+    # a bool is never a number
+    ({"probes": [{"probe": "residual", "angles": [True]}]}, "probes[0].angles: "),
+    ({"measures": {"a": {"kind": "atoms", "atoms": [[1.0, True]]}}}, "measures.a.atoms: "),
+    ({"measures": {"a": {"kind": "atoms", "atoms": [[1.0, "x"]]}}}, "measures.a.atoms: "),
+    # a probe's own tag is probe, so a kind field is an unknown one
+    ({"probes": [{"probe": "ubd", "kind": "x"}]}, "probes[0]: unknown field 'kind'"),
+])
+def test_config_ill_formed_field_is_a_config_error_naming_it(doc, message):
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        config_from_dict(doc)
+
+
+_REQUIRED_FIELDS = {"angle": 1.0, "atoms": [[1.0, 0.5]], "path": "m.json",
+                    "doc": {}, "left": "u", "right": "u", "measure": "u", "system": "s"}
+_TARGETS = ([("measures", kind, key) for kind, fields in _MEASURE_FIELDS.items()
+             for key in ("kind", *fields)]
+            + [("probes", kind, key) for kind, fields in PROBE_FIELDS.items()
+               for key in ("probe", *fields)])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(target=st.sampled_from(_TARGETS), value=_JSON_VALUES)
+def test_config_any_json_field_value_is_accepted_or_a_config_error(target, value):
+    block, kind, key = target
+    fields = (_MEASURE_FIELDS if block == "measures" else PROBE_FIELDS)[kind]
+    entry = {"kind" if block == "measures" else "probe": kind}
+    entry.update((k, _REQUIRED_FIELDS[k]) for k in fields if k in _REQUIRED_FIELDS)
+    entry[key] = value
+    doc = {"measures": {"u": {"kind": "uniform"}},
+           "systems": [{"kind": "torus_rotation", "angles": [0.9], "name": "s"}]}
+    if block == "measures":
+        doc["measures"]["a"] = entry
+    else:
+        doc["probes"] = [entry]
+    try:
+        config_from_dict(doc)
+    except ConfigError:
+        pass
+
+
 # -- CLI ------------------------------------------------------------------------
 
 def test_cli_fourier_json(tmp_path, capsys):
@@ -584,6 +639,35 @@ def test_cli_unknown_measure_token_is_error(capsys):
     code = main(["measure", "fourier", "no-such-thing"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["measure", "fourier", "dirac:abc"],
+     "ConfigError: measures.dirac:abc.angle: expected a finite number, got 'abc'"),
+    (["measure", "fourier", "probability:1.5"],
+     "ConfigError: measures.probability:1.5.seed: expected an integer, got '1.5'"),
+    (["lab", "orbit", "kalish:x"],
+     "ValueError: systems[0]: system field 'grid' must be an integer, got 'x'"),
+    (["lab", "orbit", "torus:"],
+     "ValueError: systems[0]: system field 'angles' must be a finite number, got ''"),
+])
+def test_cli_token_part_of_no_number_is_named_by_its_field(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_cli_token_numbers_keep_their_types():
+    # floats for angle, mass, scalar and angles; ints for seed, grid and dimension
+    assert json.dumps(_measure_entry("dirac:1:2")) == (
+        '{"kind": "dirac", "angle": 1.0, "mass": 2.0}')
+    assert json.dumps(_measure_entry("probability:3")) == '{"kind": "probability", "seed": 3}'
+    assert json.dumps(_system_doc("kalish:64", 1024)) == '{"kind": "kalish", "grid": 64}'
+    assert json.dumps(_system_doc("scalar-shift:2:8", 1024)) == (
+        '{"kind": "scalar_multiple_shift", "scalar": 2.0, "dimension": 8}')
+    assert json.dumps(_system_doc("torus:1:0.5", 1024)) == (
+        '{"kind": "torus_rotation", "angles": [1.0, 0.5]}')
 
 
 def test_cli_run_subcommand(tmp_path):
