@@ -406,15 +406,12 @@ class MildMixingReport:
         return record_dict(self, probe="mild-mixing")
 
 
-def _coefficient_window(rho: CircleMeasure, n_max: int):
+def _coefficient_window(n_max: int):
+    """The scan window [(n_max + 1) // 2, n_max]; the band the probes read
+    makes the density trust-band check."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    if rho.has_density and n_max > rho.bins // 8:
-        raise OutOfBandError(
-            f"n_max={n_max} exceeds the density trust band bins/8={rho.bins // 8}"
-        )
-    lo = (n_max + 1) // 2
-    return lo, n_max
+    return (n_max + 1) // 2, n_max
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -430,7 +427,7 @@ def rajchman_probe(rho: CircleMeasure, n_max: int = 64,
     of the scan window [1, n_max]; passes when the sup stays below
     epsilon.  A one-sided finite-window stand-in for rho_hat(n) -> 0."""
     _require_probability(rho)
-    lo, hi = _coefficient_window(rho, n_max)
+    lo, hi = _coefficient_window(n_max)
     tail_sup = np.max(_modulus(fourier_band(rho, hi)[hi + lo:]))
     return RajchmanReport(tail_sup=float(tail_sup), passed=bool(tail_sup < epsilon),
                           window=(lo, hi), epsilon=epsilon)
@@ -443,7 +440,7 @@ def dirichlet_probe(rho: CircleMeasure, n_max: int = 64,
     tie).  Passes when that value exceeds 1 - epsilon, evidence that the
     coefficients return to modulus one along a subsequence."""
     _require_probability(rho)
-    lo, hi = _coefficient_window(rho, n_max)
+    lo, hi = _coefficient_window(n_max)
     values = _modulus(fourier_band(rho, hi)[hi + lo:])
     best_value = np.max(values)
     best_n = lo + np.flatnonzero(values >= best_value - 1e-12)[-1]
@@ -477,7 +474,7 @@ def mild_mixing_probe(rho: CircleMeasure, family_size: int = 16, n_max: int = 64
     grid cells.  Passes when every member keeps its windowed sup of
     |theta_hat(n)| below 1 - delta."""
     _require_probability(rho)
-    lo, hi = _coefficient_window(rho, n_max)
+    lo, hi = _coefficient_window(n_max)
     family = []
     for a, m in rho.atoms():
         family.append((f"atom@{a:.6f}", CircleMeasure.dirac(a, 1.0, bins=rho.bins)))

@@ -39,7 +39,7 @@ from . import gauss_model as gm
 from . import hitting_sets as hs
 from . import kalish as ka
 from .config import PROBE_FIELDS, TOP_DEFAULTS, config_from_dict, parse_config
-from .jsonio import csv_text, read_json, stable_dumps
+from .jsonio import _read_field, csv_text, read_json, stable_dumps
 from .runner import execute_probes, probe_report, realize_measure, run, run_status
 from .seeding import derive_seed
 
@@ -100,7 +100,8 @@ def _load_function(token: str, grid: int) -> ka.CircleFunction:
     if token == "one":
         return ka.CircleFunction.constant(1.0, grid)
     if token.startswith("chi:"):
-        return ka.chi(float(token.split(":")[1]), grid)
+        angle = _parsed(token.split(":")[1], float)
+        return ka.chi(_read_field({"angle": angle}, token, "angle", "number"), grid)
     return ka.CircleFunction.from_dict(read_json(token))
 
 

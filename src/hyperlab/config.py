@@ -13,6 +13,8 @@ Each field takes the JSON form of its default, checked through jsonio's
 one form table: an int default an integer >= 0, a float default a finite
 number (never a bool), a str default a nonempty string, a list default a
 nonempty list of its element's form; a _Slot default names its form.
+Range rules come on top: a measure's masses are nonnegative and an inline
+doc reads as a circle-measure/1 document, both at parse time.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from .circle_measure import CircleMeasure
 from .dynamics_lab import default_battery, parse_systems
 from .jsonio import _FORMS, record_dict, stable_dumps
 from .seeding import derive_seed
@@ -194,6 +197,15 @@ def _validate_measure(name: str, raw, context: dict) -> dict:
                          lambda kind: f"measure:{name}")
     if "bins" in defn:
         _check_bins(f"{path}.bins", defn["bins"])
+    if defn.get("mass", 0.0) < 0:
+        _fail(f"{path}.mass", f"must be nonnegative, got {defn['mass']}")
+    if any(mass < 0 for _, mass in defn.get("atoms", ())):
+        _fail(f"{path}.atoms", "atom masses must be nonnegative")
+    if "doc" in defn:
+        try:
+            CircleMeasure.from_dict(defn["doc"])
+        except ValueError as exc:
+            _fail(f"{path}.doc", str(exc))
     return defn
 
 
@@ -210,6 +222,8 @@ def _validate_probe(index: int, raw, context: dict) -> dict:
     for key in ("window", "samples", "functionals", "count", "family_size"):
         if key in probe and probe[key] < 1:
             _fail(f"{path}.{key}", "must be >= 1")
+    if kind == "measure-classify" and probe["band"] < 2:
+        _fail(f"{path}.band", "must be >= 2")  # the probes' n_max >= 2 rule
     if kind == "symmetry" and probe["samples"] < 2:
         _fail(f"{path}.samples", "must be >= 2")  # the Re/Im correlation needs 2
     if kind == "symmetry" and probe["sampler"] not in ("symmetric", "real"):

@@ -13,16 +13,18 @@ columns and Hermitian S, ||W S W*||_F^2 = tr(S P S P) with P = W* W, so
 nothing M x M is ever materialized.
 The invariance check forms its Gram of [T A, A] by blocks and reuses the
 cached A* A, holding T A and one conjugate copy, never the stacked pair.
-Sampling draws only the m x S coefficients, and each check forms T A once;
-the coefficient table and the runner's symmetry probe take their
-independent draws from seeding.complex_standard_normals, which fills
-them two at a time on two threads, while every reduction stays on the
-calling thread in draw order.  The coefficient table computes x*'s
-coordinates against A once and feeds them to its analytic rows, its
-spectral measure and its Monte-Carlo estimates.
+Sampling draws only the m x S coefficients, and each check forms T A once.
+_draws is the one draw source of every Monte-Carlo routine here: it
+checks the count, keys each seed's stream by its label and yields the
+(m, S) draws from seeding.complex_standard_normals, which fills them two
+at a time on two threads, while every reduction stays on the calling
+thread in draw order.  The coefficient table computes x*'s coordinates
+against A once and feeds them to its analytic rows, its spectral measure
+and its Monte-Carlo estimates.
 A transport is None (the grid T) or a callable on (M, k) arrays.  walk is
 the one drift-guarded walk through powers of a map: the coefficient table
-walks T^n A once for n = 0..N, and dynamics_lab walks its orbits with it.
+walks T^n A forward once for n = 0..N, and dynamics_lab walks its orbits
+with it.
 
 Two field constructions are provided.  indicator_field uses the arc
 indicators chi(lambda_j) verbatim (first-order eigen residual, decaying
@@ -51,13 +53,12 @@ from .kalish import (
     exact_eigenvectors,
     grid_angles,
     grid_norms,
-    kalish_solve_array,
     nearest_grid_index,
 )
-from .seeding import (complex_standard_normal, complex_standard_normals,
-                      derive_seed, rng_for)
+from .seeding import complex_standard_normals, derive_seed, rng_for
 
 TWO_PI = 2.0 * np.pi
+_MC_STREAM = "matrix-coefficient-mc"
 
 Transport = Optional[Callable[[np.ndarray], np.ndarray]]
 
@@ -300,19 +301,25 @@ def intertwine_residual(model: GaussModel, transport: Transport = None) -> float
     return _transported(model, transport)[1]
 
 
-def _require_count(count: int) -> None:
+def _draws(model: GaussModel, label: str, seeds, count: int,
+           real: bool = False) -> Iterator:
+    """The (m, count) coordinate draw of stream label under each of seeds,
+    in order: symmetric complex Gaussians filled two at a time, or with
+    real the symmetry control's real Gaussians.  count is checked here,
+    at the call."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    shape = (model.node_count, count)
+    rngs = (rng_for(seed, label) for seed in seeds)
+    if real:
+        return (rng.standard_normal(shape).astype(complex) for rng in rngs)
+    return complex_standard_normals(rngs, shape)
 
 
 def sample(model: GaussModel, count: int, seed: int) -> list:
     """count independent draws x = A g as CircleFunctions."""
-    _require_count(count)
-    rng = rng_for(seed, "gauss-samples")
-    G = complex_standard_normal(rng, (model.node_count, count))
-    X = model.factor @ G
-    M = model.grid_size
-    return [CircleFunction(X[:, s].copy(), M) for s in range(count)]
+    X = model.factor @ next(_draws(model, "gauss-samples", [seed], count))
+    return [CircleFunction(X[:, s].copy(), model.grid_size) for s in range(count)]
 
 
 @dataclass(frozen=True)
@@ -331,66 +338,51 @@ class SymmetryReport:
         return record_dict(self, check="symmetry")
 
 
-def _symmetry_rng(seed: int) -> np.random.Generator:
-    return rng_for(seed, "symmetry-check")
-
-
-def symmetry_draws(model: GaussModel, count: int, seeds) -> Iterator:
-    """The symmetric sampler's coordinate draw of symmetry_check(model, .,
-    count, seed) for each seed, in order, filled two at a time."""
-    return complex_standard_normals(map(_symmetry_rng, seeds),
-                                    (model.node_count, count))
-
-
 def symmetry_check(model: GaussModel, xstar: CircleFunction, count: int,
-                   seed: int, sampler: str = "symmetric",
-                   draw: Optional[np.ndarray] = None) -> SymmetryReport:
+                   seed: int, sampler: str = "symmetric") -> SymmetryReport:
     """Law-level check that zeta = <x*, x> is a centered symmetric complex
     Gaussian: the pseudo-moment E[zeta^2] and the Re/Im correlation must
     both sit within 3 standard errors of zero.  sampler="real" swaps in
     a deliberately broken real-Gaussian coordinate draw (negative
     control; the pseudo-moment then picks up a nonzero mean).  The Re/Im
-    correlation needs at least 2 draws.  draw, the symmetric sampler
-    only, is this seed's draw from symmetry_draws, made ahead."""
-    _require_count(count)
+    correlation needs at least 2 draws."""
+    return next(symmetry_checks(model, [xstar], count, [seed], sampler))
+
+
+def symmetry_checks(model: GaussModel, xstars, count: int, seeds,
+                    sampler: str = "symmetric") -> Iterator:
+    """symmetry_check of each functional of xstars under the seed at its
+    place in the sequence seeds, in order; the symmetric sampler's draws
+    are filled two at a time, and none is held past its functional."""
+    draws = _draws(model, "symmetry-check", seeds, count, real=sampler == "real")
     if count < 2:
         raise ValueError(f"symmetry check needs count >= 2 draws, got {count}")
-    c = model.functional_coefficients(xstar)
-    analytic_var = float(np.sum(np.abs(c) ** 2))
-    if analytic_var <= 1e-24:
-        raise DegenerateFunctionalError("functional annihilates the model range")
-    shape = (model.node_count, count)
     if sampler not in ("symmetric", "real"):
         raise ValueError(f"unknown sampler {sampler!r}")
-    if draw is not None:
-        if sampler != "symmetric" or draw.shape != shape:
-            raise ValueError(f"a prepared draw is a symmetric-sampler draw of "
-                             f"shape {shape}")
-        G = draw
-    elif sampler == "symmetric":
-        G = complex_standard_normal(_symmetry_rng(seed), shape)
-    else:
-        G = _symmetry_rng(seed).standard_normal(shape).astype(complex)
-    zeta = c @ G
-    sq = zeta**2
-    second = complex(np.mean(sq))
-    se_second = float(np.sqrt(np.mean(np.abs(sq - second) ** 2) / count))
-    re, im = zeta.real, zeta.imag
-    corr = float(np.corrcoef(re, im)[0, 1])
-    corr_threshold = 3.0 / np.sqrt(count)
-    second_threshold = 3.0 * se_second
-    passed = abs(second) <= second_threshold and abs(corr) <= corr_threshold
-    return SymmetryReport(
-        second_moment=second,
-        second_moment_threshold=second_threshold,
-        re_im_correlation=corr,
-        correlation_threshold=corr_threshold,
-        variance=float(np.mean(np.abs(zeta) ** 2)),
-        analytic_variance=analytic_var,
-        samples=count,
-        seed=seed,
-        passed=bool(passed),
-    )
+    for xstar, seed in zip(xstars, seeds):
+        c = model.functional_coefficients(xstar)
+        analytic_var = float(np.sum(np.abs(c) ** 2))
+        if analytic_var <= 1e-24:
+            raise DegenerateFunctionalError("functional annihilates the model range")
+        zeta = c @ next(draws)
+        sq = zeta**2
+        second = complex(np.mean(sq))
+        se_second = float(np.sqrt(np.mean(np.abs(sq - second) ** 2) / count))
+        corr = float(np.corrcoef(zeta.real, zeta.imag)[0, 1])
+        corr_threshold = 3.0 / np.sqrt(count)
+        second_threshold = 3.0 * se_second
+        passed = abs(second) <= second_threshold and abs(corr) <= corr_threshold
+        yield SymmetryReport(
+            second_moment=second,
+            second_moment_threshold=second_threshold,
+            re_im_correlation=corr,
+            correlation_threshold=corr_threshold,
+            variance=float(np.mean(np.abs(zeta) ** 2)),
+            analytic_variance=analytic_var,
+            samples=count,
+            seed=seed,
+            passed=bool(passed),
+        )
 
 
 @dataclass(frozen=True)
@@ -416,13 +408,11 @@ def invariance_check(model: GaussModel, transport: Transport = None,
     discretization owes, not the sampler); T A is formed once for both.
     The Gram P = W* W of W = [T A, A] is formed by blocks, reusing the
     model's cached Gram A* A, so W itself is never built."""
-    _require_count(count)
-    A = model.factor
-    B, intertwine = _transported(model, transport)
-    rng = rng_for(seed, "invariance-check")
-    G = complex_standard_normal(rng, (model.node_count, count))
+    G = next(_draws(model, "invariance-check", [seed], count))
     Ghat = (G @ G.conj().T) / count
     del G
+    A = model.factor
+    B, intertwine = _transported(model, transport)
     m = model.node_count
     P = np.empty((2 * m, 2 * m), dtype=complex)  # the Gram of W = [B, A]
     Bc = B.conj()
@@ -462,19 +452,15 @@ def _analytic(model: GaussModel, c0: np.ndarray, n: int) -> complex:
     return complex(np.sum(phases * np.abs(c0) ** 2))
 
 
-def _orbit_coefficients(model: GaussModel, xstar: CircleFunction, n: int,
-                        transport: Transport, c0=None) -> list:
-    """Coordinates of x* against T^k A for k = 0..|n| (T^-k for n < 0),
-    one array per k, from one walk that keeps only the current power;
-    c0, when given, stands for the coordinates against A itself."""
-    if transport is None:
-        transport = apply_T_array if n >= 0 else kalish_solve_array
-    elif n < 0:
-        raise ValueError("negative powers need the default grid operator")
-    powers = walk(transport, model.factor, abs(int(n)), np.linalg.norm)
-    A = next(powers)
-    return [_grid_coefficients(A, xstar) if c0 is None else c0] + [
-        _grid_coefficients(B, xstar) for B in powers]
+def _orbit_coefficients(model: GaussModel, xstar: CircleFunction,
+                        c0: np.ndarray, n: int, transport: Transport) -> list:
+    """Coordinates of x* against T^k A for k = 0..n, starting from its
+    coordinates c0 against A, one array per k, from one forward walk that
+    keeps only the current power; a negative n is walk's ValueError."""
+    powers = walk(apply_T_array if transport is None else transport,
+                  model.factor, n, np.linalg.norm)
+    next(powers)
+    return [c0] + [_grid_coefficients(B, xstar) for B in powers]
 
 
 @dataclass(frozen=True)
@@ -487,10 +473,6 @@ class CoefficientEstimate:
 
     def to_dict(self) -> dict:
         return record_dict(self, check="matrix-coefficient")
-
-
-def _mc_rng(seed: int) -> np.random.Generator:
-    return rng_for(seed, "matrix-coefficient-mc")
 
 
 def _coefficient_estimate(c0: np.ndarray, cn: np.ndarray, n: int,
@@ -511,10 +493,10 @@ def matrix_coefficient_mc(model: GaussModel, xstar: CircleFunction, n: int,
     """Monte-Carlo Koopman coefficient (1/S) sum_s <x*, T^n x_s>
     conj(<x*, x_s>), evaluated in coefficient space against the
     transported factor so no grid-sized sample batch is ever formed."""
-    coeffs = _orbit_coefficients(model, xstar, n, transport)
-    _require_count(count)
-    G = complex_standard_normal(_mc_rng(seed), (model.node_count, count))
-    return _coefficient_estimate(coeffs[0], coeffs[-1], n, G, seed)
+    c0 = model.functional_coefficients(xstar)
+    cn = _orbit_coefficients(model, xstar, c0, n, transport)[-1]
+    G = next(_draws(model, _MC_STREAM, [seed], count))
+    return _coefficient_estimate(c0, cn, n, G, seed)
 
 
 def coefficient_rows(model: GaussModel, xstar: CircleFunction, max_power: int,
@@ -525,11 +507,9 @@ def coefficient_rows(model: GaussModel, xstar: CircleFunction, max_power: int,
     and the draws are filled two at a time."""
     c0 = model.functional_coefficients(xstar)
     band = fourier_band(_spectral_measure(model, c0), max_power).tolist()[max_power:]
-    coeffs = _orbit_coefficients(model, xstar, max_power, None, c0)
-    _require_count(samples)
+    coeffs = _orbit_coefficients(model, xstar, c0, max_power, None)
     seeds = [derive_seed(seed, f"{label}{n}") for n in range(max_power + 1)]
-    draws = complex_standard_normals(map(_mc_rng, seeds),
-                                     (model.node_count, samples))
+    draws = _draws(model, _MC_STREAM, seeds, samples)
     return [(n, _analytic(model, c0, n),
              _coefficient_estimate(c0, cn, n, next(draws), s), sf)
             for n, (cn, sf, s) in enumerate(zip(coeffs, band, seeds))]

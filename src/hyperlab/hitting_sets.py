@@ -105,9 +105,6 @@ class WindowedSet:
         items = [int(line) for line in text.split() if line.strip()]
         return cls.from_iterable(max(items) + 1 if items else 1, items)
 
-    def to_lines(self) -> str:
-        return "".join(f"{int(v)}\n" for v in self.elements)
-
 
 def _prefix_counts(L: WindowedSet) -> np.ndarray:
     """counts[n] = |L intersect [0, n)| for n = 0..N."""

@@ -14,7 +14,10 @@ scratches, fills the first, and one helper thread fills the second.
 numpy's generators and ufuncs release the GIL while they work, so the
 pair fills on two cores.  The helper runs only _fill, which allocates
 nothing large and calls no public function and no BLAS, so per-thread
-allocator arenas stay small and span recorders see one thread.
+allocator arenas stay small and span recorders see one thread.  Every
+Gauss Monte-Carlo draw goes through complex_standard_normals (the one
+draw source of gauss_model); a lone generator is filled on the calling
+thread, so a one-draw check starts no helper.
 """
 from __future__ import annotations
 

@@ -430,10 +430,31 @@ def test_config_zero_size_probe_rejected_with_dotted_path(probe, key):
     ({"measures": {"a": {"kind": "atoms", "atoms": [[1.0, "x"]]}}}, "measures.a.atoms: "),
     # a probe's own tag is probe, so a kind field is an unknown one
     ({"probes": [{"probe": "ubd", "kind": "x"}]}, "probes[0]: unknown field 'kind'"),
+    # a measure or band the probes cannot run on
+    ({"measures": {"a": {"kind": "uniform", "mass": -1.0}}},
+     "measures.a.mass: must be nonnegative, got -1.0"),
+    ({"measures": {"a": {"kind": "dirac", "angle": 1.0, "mass": -1.0}}},
+     "measures.a.mass: must be nonnegative, got -1.0"),
+    ({"measures": {"a": {"kind": "atoms", "atoms": [[1.0, 0.5], [2.0, -0.5]]}}},
+     "measures.a.atoms: atom masses must be nonnegative"),
+    ({"measures": {"a": {"kind": "inline", "doc": {"bins": 16}}}},
+     "measures.a.doc: missing or malformed schema tag, expected circle-measure/1"),
+    ({"measures": {"a": {"kind": "inline", "doc": {
+        "schema": "circle-measure/1", "bins": 16, "atoms": [[1.0, -1.0]]}}}},
+     "measures.a.doc: atom masses must be nonnegative"),
+    ({"measures": {"u": {"kind": "uniform"}},
+      "probes": [{"probe": "measure-classify", "measure": "u", "band": 1}]},
+     "probes[0].band: must be >= 2"),
 ])
 def test_config_ill_formed_field_is_a_config_error_naming_it(doc, message):
     with pytest.raises(ConfigError, match="^" + re.escape(message)):
         config_from_dict(doc)
+
+
+def test_config_inline_doc_that_reads_is_accepted():
+    doc = {"schema": "circle-measure/1", "bins": 16, "atoms": [[1.0, 0.0]]}
+    config = config_from_dict({"measures": {"a": {"kind": "inline", "doc": doc}}})
+    assert config.measures["a"]["doc"] == doc
 
 
 _REQUIRED_FIELDS = {"angle": 1.0, "atoms": [[1.0, 0.5]], "path": "m.json",
@@ -650,12 +671,19 @@ def test_cli_unknown_measure_token_is_error(capsys):
      "ValueError: systems[0]: system field 'grid' must be an integer, got 'x'"),
     (["lab", "orbit", "torus:"],
      "ValueError: systems[0]: system field 'angles' must be a finite number, got ''"),
+    (["kalish", "apply", "chi:x"],
+     "ValueError: chi:x field 'angle' must be a finite number, got 'x'"),
 ])
 def test_cli_token_part_of_no_number_is_named_by_its_field(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_cli_classify_band_below_2_is_named_by_its_field(capsys):
+    assert main(["measure", "classify", "dirac:1.0", "--band", "1"]) == 2
+    assert capsys.readouterr().err == "error: ConfigError: probes[0].band: must be >= 2\n"
 
 
 def test_cli_token_numbers_keep_their_types():

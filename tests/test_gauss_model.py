@@ -37,16 +37,15 @@ from hyperlab import (
 from hyperlab import gauss_model
 from hyperlab.corpora import random_functional
 from hyperlab.dynamics_lab import orbit, weighted_shift_system
-from hyperlab.gauss_model import coefficient_rows, symmetry_draws, walk
+from hyperlab.gauss_model import coefficient_rows, symmetry_checks, walk
 from hyperlab.jsonio import stable_dumps
 from hyperlab.kalish import (
     DegenerateAngleError,
     apply_T_array,
     func_norm,
     grid_angles,
-    kalish_solve_array,
 )
-from hyperlab.seeding import complex_standard_normal, derive_seed, rng_for
+from hyperlab.seeding import derive_seed
 
 TWO_PI = 2.0 * np.pi
 
@@ -271,23 +270,15 @@ def test_symmetry_check_rejects_unknown_sampler():
         symmetry_check(model, xstar, count=64, seed=0, sampler="bogus")
 
 
-def test_symmetry_check_with_its_prepared_draw_is_the_same_report():
+@pytest.mark.parametrize("sampler", ["symmetric", "real"])
+def test_symmetry_checks_equal_one_symmetry_check_per_functional(sampler):
+    # three functionals: one paired fill and one lone draw
     model = _uniform_model(M=128, m=4)
     seeds = [20, 21, 22]
-    for seed, draw in zip(seeds, symmetry_draws(model, 300, seeds)):
-        xstar = random_functional(seed=seed, grid_size=128)
-        assert (symmetry_check(model, xstar, 300, seed=seed, draw=draw)
-                == symmetry_check(model, xstar, 300, seed=seed))
-
-
-@pytest.mark.parametrize("sampler, shape", [("symmetric", (4, 299)),
-                                            ("real", (4, 300))])
-def test_symmetry_check_rejects_a_draw_it_would_not_make(sampler, shape):
-    model = _uniform_model(M=128, m=4)
-    xstar = random_functional(seed=1, grid_size=128)
-    with pytest.raises(ValueError, match="symmetric-sampler draw of shape"):
-        symmetry_check(model, xstar, 300, seed=0, sampler=sampler,
-                       draw=np.zeros(shape, dtype=complex))
+    xstars = [random_functional(seed=seed, grid_size=128) for seed in seeds]
+    assert list(symmetry_checks(model, xstars, 300, seeds, sampler)) == [
+        symmetry_check(model, xstar, 300, seed=seed, sampler=sampler)
+        for xstar, seed in zip(xstars, seeds)]
 
 
 def test_degenerate_functional_rejected():
@@ -386,7 +377,7 @@ def test_analytic_zero_power_is_variance():
 def test_mc_coefficient_brackets_analytic():
     model = _uniform_model(M=512, m=8)
     xstar = random_functional(seed=3, grid_size=512)
-    for n in (0, 1, 2, -1):
+    for n in (0, 1, 2):
         est = matrix_coefficient_mc(model, xstar, n, count=4000, seed=21)
         want = matrix_coefficient_analytic(model, xstar, n)
         slack = 3.0 * est.standard_error + 1e-9
@@ -449,13 +440,12 @@ def test_symmetry_check_needs_two_draws():
         symmetry_check(model, xstar, 1, seed=0)
 
 
-def test_negative_power_with_callable_transport_rejected():
+def test_negative_power_is_a_value_error():
+    # the coefficient walk goes forward only
     model = _uniform_model(M=128, m=4)
     xstar = random_functional(seed=6, grid_size=128)
-    with pytest.raises(ValueError):
-        matrix_coefficient_mc(
-            model, xstar, -1, count=16, seed=0, transport=lambda X: X
-        )
+    with pytest.raises(ValueError, match="n >= 0 steps, got -1"):
+        matrix_coefficient_mc(model, xstar, -1, count=16, seed=0)
 
 
 def test_coefficient_rows_walk_the_factor_once(monkeypatch):
@@ -488,24 +478,6 @@ def test_coefficient_rows_equal_the_per_power_values():
         assert mc == matrix_coefficient_mc(model, xstar, n, 500,
                                            derive_seed(seed, f"{label}{n}"))
         assert spectral == band[top + n]
-
-
-def test_mc_negative_power_walks_three_solves():
-    model = _uniform_model(M=256, m=8)
-    xstar = random_functional(seed=8, grid_size=256)
-    B = model.factor
-    for _ in range(3):
-        B = kalish_solve_array(B)
-    c0 = model.functional_coefficients(xstar)
-    cn = (TWO_PI / 256) * (B.T @ np.conj(xstar.values))
-    G = complex_standard_normal(rng_for(4, "matrix-coefficient-mc"), (8, 300))
-    prods = (cn @ G) * np.conj(c0 @ G)
-    value = complex(np.mean(prods))
-    est = matrix_coefficient_mc(model, xstar, -3, count=300, seed=4)
-    assert est.power == -3
-    assert est.value == value
-    assert est.standard_error == float(
-        np.sqrt(np.mean(np.abs(prods - value) ** 2) / 300))
 
 
 @pytest.mark.parametrize("check", [

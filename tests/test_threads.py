@@ -75,7 +75,7 @@ def test_public_functions_run_on_the_calling_thread(tmp_path, monkeypatch):
     _run(tmp_path)
     me = threading.get_ident()
     names = {name for name, _ in calls}
-    assert {"hyperlab.gauss_model.symmetry_check",
+    assert {"hyperlab.gauss_model.symmetry_checks",
             "hyperlab.gauss_model.coefficient_rows",
             "hyperlab.seeding.complex_standard_normals"} <= names
     assert [c for c in calls if c[1] != me] == []
