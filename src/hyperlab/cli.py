@@ -60,17 +60,27 @@ def _parsed(part: str, number_type):
         return part
 
 
+def _parts(token: str, form: str) -> list:
+    """The parts of token past its kind; more of them than form names is a
+    ValueError that names the token."""
+    parts = token.split(":")[1:]
+    if len(parts) > form.count(":"):
+        raise ValueError(f"token {token!r} has more parts than {form} takes")
+    return parts
+
+
 def _measure_entry(token: str) -> dict:
     """The config's measures entry of a measure token or path."""
-    parts = token.split(":")[1:]
     if token == "uniform":
         return {"kind": "uniform"}
     if token.startswith("dirac:"):
+        parts = _parts(token, "dirac:ANGLE[:MASS]")
         entry = {"kind": "dirac", "angle": _parsed(parts[0], float)}
         if len(parts) > 1:
             entry["mass"] = _parsed(parts[1], float)
         return entry
     if token == "probability" or token.startswith("probability:"):
+        parts = _parts(token, "probability[:SEED]")
         return {"kind": "probability",
                 **({"seed": _parsed(parts[0], int)} if parts else {})}
     return {"kind": "file", "path": token}
@@ -84,15 +94,17 @@ def _load_measure(args, token: str) -> cm.CircleMeasure:
 
 def _system_doc(token: str, grid: int):
     """The config's systems entry of a system token or path."""
-    parts = token.split(":")[1:]
     if token == "kalish" or token.startswith("kalish:"):
+        parts = _parts(token, "kalish[:M]")
         return {"kind": "kalish", "grid": _parsed(parts[0], int) if parts else grid}
     if token == "scalar-shift" or token.startswith("scalar-shift:"):
+        parts = _parts(token, "scalar-shift[:C[:DIM]]")
         return {"kind": "scalar_multiple_shift",
                 "scalar": _parsed(parts[0], float) if parts else 2.0,
                 "dimension": _parsed(parts[1], int) if len(parts) > 1 else 160}
     if token.startswith("torus:"):
-        return {"kind": "torus_rotation", "angles": [_parsed(a, float) for a in parts]}
+        return {"kind": "torus_rotation",
+                "angles": [_parsed(a, float) for a in token.split(":")[1:]]}
     return read_json(token)
 
 
@@ -100,7 +112,7 @@ def _load_function(token: str, grid: int) -> ka.CircleFunction:
     if token == "one":
         return ka.CircleFunction.constant(1.0, grid)
     if token.startswith("chi:"):
-        angle = _parsed(token.split(":")[1], float)
+        angle = _parsed(_parts(token, "chi:ANGLE")[0], float)
         return ka.chi(_read_field({"angle": angle}, token, "angle", "number"), grid)
     return ka.CircleFunction.from_dict(read_json(token))
 

@@ -229,6 +229,8 @@ def _validate_probe(index: int, raw, context: dict) -> dict:
     if kind == "symmetry" and probe["sampler"] not in ("symmetric", "real"):
         _fail(f"{path}.sampler", f"expected 'symmetric' or 'real', "
                                  f"got {probe['sampler']!r}")
+    if kind == "invariance" and probe["transport_scale"] <= 0.0:
+        _fail(f"{path}.transport_scale", f"must be > 0, got {probe['transport_scale']}")
     if kind == "ubd" and not 0.0 < probe["delta"] <= 1.0:
         _fail(f"{path}.delta", f"must lie in (0, 1], got {probe['delta']}")
     return probe

@@ -21,10 +21,14 @@ at a time on two threads, while every reduction stays on the calling
 thread in draw order.  The coefficient table computes x*'s coordinates
 against A once and feeds them to its analytic rows, its spectral measure
 and its Monte-Carlo estimates.
-A transport is None (the grid T) or a callable on (M, k) arrays.  walk is
-the one drift-guarded walk through powers of a map: the coefficient table
-walks T^n A forward once for n = 0..N, and dynamics_lab walks its orbits
-with it.
+A transport is None (the grid T) or a callable on (M, k) arrays; the
+invariance check and the intertwining residual take one.  walk is the one
+drift-guarded walk through powers of a map, and dynamics_lab walks its
+orbits with it.  x*'s coordinates against T^n A are (2pi/M) A^T y_n for
+the walk y_n = (T^T)^n conj(x*) of one M-vector (the kalish module
+docstring): every coefficient routine, the one-power ones included, takes
+them from that walk, one kalish.apply_T_transpose step and one
+matrix-vector product per power, and never transports the (M, m) factor.
 
 Two field constructions are provided.  indicator_field uses the arc
 indicators chi(lambda_j) verbatim (first-order eigen residual, decaying
@@ -49,6 +53,7 @@ from .kalish import (
     GridMismatchError,
     apply_T,  # noqa: F401 - kept bound: perfbench patches every binding
     apply_T_array,
+    apply_T_transpose,
     arc_indicators,
     exact_eigenvectors,
     grid_angles,
@@ -246,7 +251,7 @@ class GaussModel:
 
     def functional_coefficients(self, xstar: CircleFunction) -> np.ndarray:
         """Coordinates c with <x*, A g> = c . g; c_j = sqrt(w_j)<x*, E_j>."""
-        return _grid_coefficients(self.factor, xstar)
+        return next(_orbit_coefficients(self, xstar, 0))
 
     def to_manifest(self) -> dict:
         return {
@@ -257,13 +262,6 @@ class GaussModel:
             "field_kind": self.kind,
             "seed_policy": "sha256-labeled-streams",
         }
-
-
-def _grid_coefficients(B: np.ndarray, xstar: CircleFunction) -> np.ndarray:
-    """Grid inner products (2pi/M) B^T conj(x*) of x* with B's columns."""
-    if xstar.grid_size != B.shape[0]:
-        raise GridMismatchError("functional grid does not match the model")
-    return (TWO_PI / B.shape[0]) * (B.T @ np.conj(xstar.values))
 
 
 def build_model(field: EigenField) -> GaussModel:
@@ -453,14 +451,15 @@ def _analytic(model: GaussModel, c0: np.ndarray, n: int) -> complex:
 
 
 def _orbit_coefficients(model: GaussModel, xstar: CircleFunction,
-                        c0: np.ndarray, n: int, transport: Transport) -> list:
-    """Coordinates of x* against T^k A for k = 0..n, starting from its
-    coordinates c0 against A, one array per k, from one forward walk that
-    keeps only the current power; a negative n is walk's ValueError."""
-    powers = walk(apply_T_array if transport is None else transport,
-                  model.factor, n, np.linalg.norm)
-    next(powers)
-    return [c0] + [_grid_coefficients(B, xstar) for B in powers]
+                        n: int) -> Iterator:
+    """Coordinates (2pi/M) A^T y_k of x* against T^k A for k = 0..n, in
+    order, from the walk y_k = (T^T)^k conj(x*), which holds one M-vector;
+    the grid and n are checked at the call, a negative n by walk."""
+    if xstar.grid_size != model.grid_size:
+        raise GridMismatchError("functional grid does not match the model")
+    A, scale = model.factor, TWO_PI / model.grid_size
+    powers = walk(apply_T_transpose, np.conj(xstar.values), n, np.linalg.norm)
+    return (scale * (A.T @ y) for y in powers)
 
 
 @dataclass(frozen=True)
@@ -488,26 +487,25 @@ def _coefficient_estimate(c0: np.ndarray, cn: np.ndarray, n: int,
 
 
 def matrix_coefficient_mc(model: GaussModel, xstar: CircleFunction, n: int,
-                          count: int, seed: int,
-                          transport: Transport = None) -> CoefficientEstimate:
+                          count: int, seed: int) -> CoefficientEstimate:
     """Monte-Carlo Koopman coefficient (1/S) sum_s <x*, T^n x_s>
-    conj(<x*, x_s>), evaluated in coefficient space against the
-    transported factor so no grid-sized sample batch is ever formed."""
-    c0 = model.functional_coefficients(xstar)
-    cn = _orbit_coefficients(model, xstar, c0, n, transport)[-1]
+    conj(<x*, x_s>), evaluated in coefficient space, from x*'s coordinates
+    against A and T^n A, so no grid-sized sample batch is ever formed."""
+    coeffs = list(_orbit_coefficients(model, xstar, n))
     G = next(_draws(model, _MC_STREAM, [seed], count))
-    return _coefficient_estimate(c0, cn, n, G, seed)
+    return _coefficient_estimate(coeffs[0], coeffs[-1], n, G, seed)
 
 
 def coefficient_rows(model: GaussModel, xstar: CircleFunction, max_power: int,
                      samples: int, seed: int, label: str) -> list:
     """(n, analytic, Monte-Carlo estimate, spectral-measure transform) of
-    the matrix coefficient for n = 0..max_power, from one walk of T^n A;
-    the estimate at power n draws from derive_seed(seed, label + str(n)),
-    and the draws are filled two at a time."""
-    c0 = model.functional_coefficients(xstar)
+    the matrix coefficient for n = 0..max_power, from one walk of the
+    M-vector (T^T)^n conj(x*); the estimate at power n draws from
+    derive_seed(seed, label + str(n)), and the draws are filled two at a
+    time."""
+    coeffs = list(_orbit_coefficients(model, xstar, max_power))
+    c0 = coeffs[0]
     band = fourier_band(_spectral_measure(model, c0), max_power).tolist()[max_power:]
-    coeffs = _orbit_coefficients(model, xstar, c0, max_power, None)
     seeds = [derive_seed(seed, f"{label}{n}") for n in range(max_power + 1)]
     draws = _draws(model, _MC_STREAM, seeds, samples)
     return [(n, _analytic(model, c0, n),

@@ -33,6 +33,12 @@ carry would flip the sign of exact-zero rows, such as the rows above an
 eigenvector's node.  apply_T wraps apply_T_array for a CircleFunction;
 callers holding arrays call the kernels directly.
 
+Transpose: T^T is upper triangular, (T^T y)_j = d_j (y_j - i w sum_{k>j}
+y_k) with d_j = e^{i t_j}, so apply_T_transpose is one reversed cumsum
+over an (M,) vector.  Through (T^n A)^T y = A^T (T^T)^n y, n inner
+products of x* with the columns of T^k A (k = 1..n) cost n transposed
+steps of the one vector conj(x*), not n applies of T to the (M, m) A.
+
 Solving: row k of T x = b reads e^{i t_k} x_k = b_k + i w S_{k-1}, with
 w = 2pi/M and S_k = sum_{j<=k} e^{i t_j} x_j, so S_k = q S_{k-1} + b_k
 for q = 1 + i w.  The solve takes the closed form S = q^k cumsum(b q^-k)
@@ -182,6 +188,20 @@ def apply_T_array(X: np.ndarray) -> np.ndarray:
         if before is not None:
             o[:1] -= before
         before = running[-1:]
+    return out
+
+
+def apply_T_transpose(y: np.ndarray) -> np.ndarray:
+    """T^T applied to an (M,) vector: d_j (y_j - i w sum_{k>j} y_k), the
+    sum over k > j one reversed cumsum (see the module docstring)."""
+    y = np.asarray(y, dtype=complex)
+    M = y.shape[0]
+    out = np.empty_like(y)
+    after = np.cumsum(y[:0:-1])[::-1]  # sum_{k>j} y_k for j < M - 1
+    after *= 1j * (TWO_PI / M)
+    np.subtract(y[:-1], after, out=out[:-1])
+    out[-1] = y[-1]
+    out *= _phases(M)
     return out
 
 

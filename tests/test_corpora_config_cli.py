@@ -445,6 +445,11 @@ def test_config_zero_size_probe_rejected_with_dotted_path(probe, key):
     ({"measures": {"u": {"kind": "uniform"}},
       "probes": [{"probe": "measure-classify", "measure": "u", "band": 1}]},
      "probes[0].band: must be >= 2"),
+    # a transport that is no stretch at all, or a reflection, is no control
+    ({"probes": [{"probe": "invariance", "transport_scale": -1.25}]},
+     "probes[0].transport_scale: must be > 0, got -1.25"),
+    ({"probes": [{"probe": "invariance", "transport_scale": 0.0}]},
+     "probes[0].transport_scale: must be > 0, got 0.0"),
 ])
 def test_config_ill_formed_field_is_a_config_error_naming_it(doc, message):
     with pytest.raises(ConfigError, match="^" + re.escape(message)):
@@ -618,6 +623,17 @@ def test_cli_gauss_invariance_control_exit(capsys):
     assert doc["control"] == "non-unimodular-transport"
 
 
+@pytest.mark.parametrize("scale", ["-1.25", "0"])
+def test_cli_gauss_invariance_nonpositive_transport_scale_is_typed_error(capsys, scale):
+    code = main(["gauss", "invariance", "--grid", "256", "--samples", "100",
+                 "--transport-scale", scale])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: ConfigError: probes[0].transport_scale: "
+                            f"must be > 0, got {float(scale)}\n")
+
+
 def test_cli_gauss_invariance_zero_samples_is_typed_error(capsys):
     code = main(["gauss", "invariance", "--grid", "256", "--samples", "0"])
     assert code == 2
@@ -679,6 +695,21 @@ def test_cli_token_part_of_no_number_is_named_by_its_field(capsys, argv, message
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["measure", "fourier", "dirac:1.0:0.5:zzz"],
+     "token 'dirac:1.0:0.5:zzz' has more parts than dirac:ANGLE[:MASS] takes"),
+    (["lab", "orbit", "kalish:64:zzz"],
+     "token 'kalish:64:zzz' has more parts than kalish[:M] takes"),
+    (["kalish", "apply", "chi:1.0:junk"],
+     "token 'chi:1.0:junk' has more parts than chi:ANGLE takes"),
+], ids=["_measure_entry", "_system_doc", "_load_function"])
+def test_cli_token_part_nothing_reads_is_named_by_its_token(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: {message}\n"
 
 
 def test_cli_classify_band_below_2_is_named_by_its_field(capsys):

@@ -42,6 +42,7 @@ from hyperlab.jsonio import stable_dumps
 from hyperlab.kalish import (
     DegenerateAngleError,
     apply_T_array,
+    apply_T_transpose,
     func_norm,
     grid_angles,
 )
@@ -395,12 +396,10 @@ def test_mc_zero_power_exact_at_sample_level():
 
 
 def test_norm_drift_guard_fires():
-    model = _uniform_model(M=128, m=4)
     xstar = random_functional(seed=6, grid_size=128)
     inflate = 5.0 * np.eye(128, dtype=complex)
     with pytest.raises(NormDriftError):
-        matrix_coefficient_mc(model, xstar, 8, count=16, seed=0,
-                              transport=inflate.__matmul__)
+        list(walk(inflate.__matmul__, np.conj(xstar.values), 8, np.linalg.norm))
 
 
 def test_walk_yields_start_then_each_step_and_checks_n_at_the_call():
@@ -410,8 +409,9 @@ def test_walk_yields_start_then_each_step_and_checks_n_at_the_call():
         walk(lambda x: x, np.ones(3), -2, np.linalg.norm)
 
 
-def test_one_drift_guard_message_for_orbits_and_coefficients():
-    # 5^5 is the first power past 1e3 x the start's norm on both walks
+def test_one_drift_guard_message_for_orbits_and_coefficients(monkeypatch):
+    # 5^5 is the first power past 1e3 x the start's norm on both walks; the
+    # coefficient walk steps the one vector conj(x*) by apply_T_transpose
     shape = r"^norm drift guard tripped at step 5 of 8: \S+ > \S+$"
     x0 = np.zeros(9, dtype=complex)
     x0[-1] = 1.0
@@ -420,9 +420,9 @@ def test_one_drift_guard_message_for_orbits_and_coefficients():
     assert str(from_orbit.value).endswith(": 3.125e+03 > 1.000e+03")
     model = _uniform_model(M=128, m=4)
     xstar = random_functional(seed=6, grid_size=128)
+    monkeypatch.setattr(gauss_model, "apply_T_transpose", lambda y: 5.0 * y)
     with pytest.raises(NormDriftError, match=shape):
-        matrix_coefficient_mc(model, xstar, 8, count=16, seed=0,
-                              transport=lambda X: 5.0 * X)
+        matrix_coefficient_mc(model, xstar, 8, count=16, seed=0)
 
 
 def test_dense_matrix_transport_is_rejected():
@@ -448,21 +448,69 @@ def test_negative_power_is_a_value_error():
         matrix_coefficient_mc(model, xstar, -1, count=16, seed=0)
 
 
-def test_coefficient_rows_walk_the_factor_once(monkeypatch):
-    # one apply of T per power; a matrix_coefficient_mc call per power
-    # would rebuild T^n A each time, 0 + 1 + ... + 6 = 21 applies
+def test_coefficient_rows_step_one_vector_per_power(monkeypatch):
+    # one transposed step of an (M,) vector per power, and the factor is
+    # never transported: a matrix_coefficient_mc call per power would take
+    # 0 + 1 + ... + 6 = 21 steps
     model = _uniform_model(M=256, m=8)
     xstar = random_functional(seed=3, grid_size=256)
     calls = []
 
-    def counting(X):
-        calls.append(X.shape)
-        return apply_T_array(X)
+    def counting(y):
+        calls.append(y.shape)
+        return apply_T_transpose(y)
 
-    monkeypatch.setattr(gauss_model, "apply_T_array", counting)
+    def refused(X):
+        raise AssertionError("the coefficient table transported the factor")
+
+    monkeypatch.setattr(gauss_model, "apply_T_transpose", counting)
+    monkeypatch.setattr(gauss_model, "apply_T_array", refused)
     rows = coefficient_rows(model, xstar, 6, samples=200, seed=5, label="mc:")
     assert len(rows) == 7
-    assert calls == [(256, 8)] * 6
+    assert calls == [(256,)] * 6
+
+
+def _forward_coefficients(model, xstar, top: int) -> list:
+    """x*'s coordinates against T^n A for n = 0..top by the definition:
+    the factor stepped forward by apply_T_array, then the grid inner
+    product with each column."""
+    B, out = model.factor, []
+    for _ in range(top + 1):
+        out.append((TWO_PI / model.grid_size) * (np.conj(xstar.values) @ B))
+        B = apply_T_array(B)
+    return out
+
+
+def _max_relative(got, want) -> float:
+    return max(float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+               for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("M, m, top", [(256, 8, 64), (100, 8, 16)])
+def test_coefficient_rows_agree_with_the_forward_walk_of_the_factor(M, m, top):
+    # the estimate is (1/S) sum (c_n . g) conj(c_0 . g) on fixed draws, so
+    # c_n from the forward walk gives it again to the coefficients' round-off
+    model = _uniform_model(M=M, m=m)
+    xstar = random_functional(seed=7, grid_size=M)
+    rows = coefficient_rows(model, xstar, top, samples=64, seed=2, label="mc:")
+    forward = _forward_coefficients(model, xstar, top)
+    walked = list(gauss_model._orbit_coefficients(model, xstar, top))
+    assert _max_relative(walked, forward) <= 1e-12
+    c0 = forward[0]
+    for (n, _, mc, _), cn in zip(rows, forward):
+        G = next(gauss_model._draws(model, gauss_model._MC_STREAM,
+                                    [derive_seed(2, f"mc:{n}")], 64))
+        want = np.mean((cn @ G) * np.conj(c0 @ G))
+        assert abs(mc.value - want) <= 1e-12 * abs(want), n
+
+
+@pytest.mark.parametrize("M", [64, 100, 256])
+def test_coefficient_row_M_is_row_0(M):
+    # T^M = I on the grid: the walk comes back to x*'s coordinates against A
+    model = _uniform_model(M=M, m=8)
+    xstar = random_functional(seed=8, grid_size=M)
+    walked = list(gauss_model._orbit_coefficients(model, xstar, M))
+    assert _max_relative([walked[M]], [walked[0]]) <= 1e-11
 
 
 def test_coefficient_rows_equal_the_per_power_values():

@@ -26,8 +26,8 @@ from hyperlab import (
 )
 from hyperlab import kalish
 from hyperlab.kalish import (
-    _phases, _solve_powers, apply_T_array, arc_indicators, exact_eigenvectors,
-    grid_norms, kalish_solve_array)
+    _phases, _solve_powers, apply_T_array, apply_T_transpose, arc_indicators,
+    exact_eigenvectors, grid_norms, kalish_solve_array)
 from hyperlab.seeding import complex_standard_normal, rng_for
 
 TWO_PI = 2.0 * np.pi
@@ -266,6 +266,16 @@ def test_matrix_agrees_with_operator():
     f = _random_function(7, M)
     mat = kalish_matrix(M)
     np.testing.assert_allclose(mat @ f.values, apply_T(f).values, atol=1e-12)
+
+
+@pytest.mark.parametrize("M", [8, 64, 100, 1024])
+def test_transpose_agrees_with_the_transposed_matrix(M):
+    # oracle: the dense matrix, transposed by numpy
+    y = _random_function(12, M).values
+    want = kalish_matrix(M).T @ y
+    got = apply_T_transpose(y)
+    assert got.shape == (M,)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_solve_recovers_random_function():

@@ -45,8 +45,6 @@ ALLOWED = {
 ALLOWED_PARAMETERS = {
     "gauss_model.intertwine_residual(transport)":
         "the seam the tests use to hand in a transport with a known residual",
-    "gauss_model.matrix_coefficient_mc(transport)":
-        "the seam the tests use to check the estimate under a given transport",
     "dynamics_lab.return_set_identity_check(verify_ball)":
         "the seam the tests use to check the identity on a ball of their own",
     "cli.main(argv)":
