@@ -14,6 +14,15 @@ nothing M x M is ever materialized.
 The invariance check forms its Gram of [T A, A] by blocks and reuses the
 cached A* A, holding T A and one conjugate copy, never the stacked pair.
 Sampling draws only the m x S coefficients, and each check forms T A once.
+Every m x m Gram product (build_model's A* A, the check's (T A)* [T A, A]
+and G G* of its draw) goes through _gram: once its operand is a kernel
+block, its two row halves are formed at once, the second by _gram_rows
+on seeding's helper thread, each half conjugating its own columns into
+a scratch the calling thread allocated.  A half of at least 2 rows
+gives each output row the bits of the one-pass product, so the split
+moves no bit.  EigenField.residuals works one column group at a time
+from the group's first nonzero row (the kalish module docstring), so
+it holds no factor-sized array.
 _draws is the one draw source of every Monte-Carlo routine here: it
 checks the count, keys each seed's stream by its label and yields the
 (m, S) draws from seeding.complex_standard_normals, which fills them two
@@ -48,9 +57,12 @@ from .circle_measure import (CircleMeasure, _require_probability, fourier_band,
                              total_mass)
 from .jsonio import record_dict
 from .kalish import (
+    _BLOCK_ELEMENTS,
     CircleFunction,
     DegenerateAngleError,
     GridMismatchError,
+    _apply_T_rows,
+    _column_groups,
     apply_T,  # noqa: F401 - kept bound: perfbench patches every binding
     apply_T_array,
     apply_T_transpose,
@@ -60,7 +72,7 @@ from .kalish import (
     grid_norms,
     nearest_grid_index,
 )
-from .seeding import complex_standard_normals, derive_seed, rng_for
+from .seeding import _start_kernel, complex_standard_normals, derive_seed, rng_for
 
 TWO_PI = 2.0 * np.pi
 _MC_STREAM = "matrix-coefficient-mc"
@@ -174,6 +186,12 @@ class EigenField:
             raise ValueError("node weights must be positive")
         if np.any(np.diff(np.sort(self.angles)) <= 1e-12):
             raise ValueError("node angles must be distinct")
+        finite = np.isfinite(self.vectors).all(axis=0)
+        bad = np.flatnonzero(~finite | ~self.vectors.any(axis=0))
+        if bad.size:
+            j = int(bad[0])
+            what = "a non-finite entry" if not finite[j] else "only zeros"
+            raise ValueError(f"vectors column {j} holds {what}")
         total = float(np.sum(self.weights))
         if abs(total - total_mass(self.source_measure)) > 1e-9:
             raise ValueError(
@@ -185,10 +203,17 @@ class EigenField:
         return int(self.vectors.shape[0])
 
     def residuals(self) -> np.ndarray:
-        """Relative eigen residual of each vector at its node angle."""
-        R = apply_T_array(self.vectors)
-        R -= self.vectors * np.exp(1j * self.angles)
-        return grid_norms(R) / grid_norms(self.vectors)
+        """Relative eigen residual of each vector at its node angle, one
+        column group at a time, its T from the group's first nonzero row."""
+        out = np.empty(self.angles.size)
+        for cols, top in _column_groups(self.vectors):
+            V = self.vectors[:, cols]
+            R = np.empty(V[top:].shape, dtype=complex)
+            _apply_T_rows(V, R, top)
+            R -= V[top:] * np.exp(1j * self.angles[cols])
+            # both norms weigh by 2pi/(M - top), which cancels in the ratio
+            out[cols] = grid_norms(R) / grid_norms(V[top:])
+        return out
 
 
 def indicator_field(sigma: CircleMeasure, m: int, M: int) -> EigenField:
@@ -268,13 +293,13 @@ def build_model(field: EigenField) -> GaussModel:
     """Assemble the factor, diagonal and Gram of an admissible field: its
     worst eigen residual is at most 0.05."""
     worst = float(np.max(field.residuals()))
-    if worst > 0.05:
+    if not worst <= 0.05:
         raise FieldAdmissibilityError(f"worst eigen residual {worst:.3e} exceeds 0.05")
     factor = field.vectors * np.sqrt(field.weights)
     return GaussModel(
         factor=factor,
         diag=np.exp(1j * field.angles),
-        gram=factor.conj().T @ factor,
+        gram=_gram(factor, factor)[0],
         angles=field.angles,
         weights=field.weights,
         source_measure=field.source_measure,
@@ -291,6 +316,35 @@ def _transported(model: GaussModel, transport: Transport) -> tuple:
     R = A * model.diag[None, :]
     num = np.linalg.norm(np.subtract(TA, R, out=R))
     return TA, float(num / np.linalg.norm(A))
+
+
+def _gram(X: np.ndarray, *Ys) -> list:
+    """X* Y for each of Ys, from the (n, m) X.  Two row halves of the
+    output, the second on seeding's helper thread, when each half has at
+    least 2 rows (a one-row half takes numpy's vector path, whose bits
+    differ) and X is at least one kernel block.  Each half conjugates its
+    own columns of X into its columns of one scratch laid out like X,
+    allocated here."""
+    m = X.shape[1]
+    outs = [np.empty((m, Y.shape[1]), dtype=complex) for Y in Ys]
+    scratch = np.empty_like(X)
+    half = (m + 1) // 2
+    if m - half < 2 or X.size < _BLOCK_ELEMENTS:
+        _gram_rows(X, Ys, slice(0, m), scratch, outs)
+        return outs
+    join = _start_kernel(_gram_rows, X, Ys, slice(half, m), scratch, outs)
+    try:
+        _gram_rows(X, Ys, slice(0, half), scratch, outs)
+    finally:
+        join()
+    return outs
+
+
+def _gram_rows(X, Ys, rows, scratch, outs) -> None:
+    """Rows rows of each X* Y into outs, through scratch[:, rows]."""
+    part = np.conjugate(X[:, rows], out=scratch[:, rows])
+    for Y, out in zip(Ys, outs):
+        np.matmul(part.T, Y, out=out[rows])
 
 
 def intertwine_residual(model: GaussModel, transport: Transport = None) -> float:
@@ -406,17 +460,19 @@ def invariance_check(model: GaussModel, transport: Transport = None,
     discretization owes, not the sampler); T A is formed once for both.
     The Gram P = W* W of W = [T A, A] is formed by blocks, reusing the
     model's cached Gram A* A, so W itself is never built."""
-    G = next(_draws(model, "invariance-check", [seed], count))
-    Ghat = (G @ G.conj().T) / count
-    del G
+    draws = _draws(model, "invariance-check", [seed], count)
+    # T A and its Gram before the draw: drawing first left the freed draw
+    # and its scratch resident under T A in glibc's heap, 34 MB more peak
+    # RSS at (M, m, count) = (16384, 128, 10000)
     A = model.factor
     B, intertwine = _transported(model, transport)
     m = model.node_count
     P = np.empty((2 * m, 2 * m), dtype=complex)  # the Gram of W = [B, A]
-    Bc = B.conj()
-    P[:m, :m] = Bc.T @ B
-    P[:m, m:] = Bc.T @ A
-    del Bc, B
+    P[:m, :m], P[:m, m:] = _gram(B, B, A)
+    del B
+    G = next(draws)
+    Ghat = _gram(G.T, G.T)[0].conj() / count  # G G* = conj((G^T)* G^T)
+    del G
     P[m:, :m] = P[:m, m:].conj().T
     P[m:, m:] = model.gram
     S = np.zeros((2 * m, 2 * m), dtype=complex)

@@ -33,6 +33,17 @@ carry would flip the sign of exact-zero rows, such as the rows above an
 eigenvector's node.  apply_T wraps apply_T_array for a CircleFunction;
 callers holding arrays call the kernels directly.
 
+Zero prefixes: T is lower triangular, so a column that is zero above row
+k stays zero above row k under T.  Eigenvectors and arc indicators are
+such columns.  _apply_T_rows(X, out, top), the one row-block kernel of
+T, writes only rows top: and starts its blocks there with no carry;
+apply_T_array is its top-0 case.  The grouped kernels take the columns
+_GROUP_COLUMNS at a time, each group from its first nonzero row
+(_column_groups reads it off the data), so with nodes spread over the
+circle they touch about half of the M x m elements: exact_eigenvectors
+builds each group from its smallest node index, and gauss_model's
+EigenField.residuals applies _apply_T_rows group by group.
+
 Transpose: T^T is upper triangular, (T^T y)_j = d_j (y_j - i w sum_{k>j}
 y_k) with d_j = e^{i t_j}, so apply_T_transpose is one reversed cumsum
 over an (M,) vector.  Through (T^n A)^T y = A^T (T^T)^n y, n inner
@@ -62,6 +73,7 @@ from .jsonio import _read_field, check_schema
 TWO_PI = 2.0 * np.pi
 MATRIX_SIZE_LIMIT = 4096
 _BLOCK_ELEMENTS = 2**16  # complex elements per kernel temporary: 1 MiB
+_GROUP_COLUMNS = 16  # columns per group of the grouped kernels
 
 
 class GridMismatchError(ValueError):
@@ -174,21 +186,46 @@ def apply_T_array(X: np.ndarray) -> np.ndarray:
     """T applied along axis 0 of an (M,) or (M, k) array, one function
     per column, in row blocks (see the module docstring)."""
     X = np.asarray(X, dtype=complex)
+    out = np.empty_like(X)
+    _apply_T_rows(X, out, 0)
+    return out
+
+
+def _apply_T_rows(X: np.ndarray, out: np.ndarray, top: int) -> None:
+    """Rows top: of T X into out, which holds just those rows, for an X
+    that is zero above row top (so T X is too): row blocks from row top,
+    the first without a carry."""
     M = X.shape[0]
     d = _phases(M, X.ndim)
     w = TWO_PI / M
-    out = np.empty_like(X)
     rows = _block_rows(X.shape)
     before = None
-    for lo in range(0, M, rows):
-        x, dx, o = X[lo:lo + rows], d[lo:lo + rows], out[lo:lo + rows]
+    for lo in range(top, M, rows):
+        x, dx, o = X[lo:lo + rows], d[lo:lo + rows], out[lo - top:lo - top + rows]
         running = _running_J(x, dx, w, before)
         np.multiply(dx, x, out=o)
         o[1:] -= running[:-1]
         if before is not None:
             o[:1] -= before
         before = running[-1:]
-    return out
+
+
+def _column_groups(X: np.ndarray) -> list:
+    """(columns, top) for each run of _GROUP_COLUMNS columns of the
+    (M, m) X, top the first row where any of them is nonzero (0 for an
+    all-zero run); X is read in row blocks until every run has its top."""
+    runs = [slice(lo, lo + _GROUP_COLUMNS) for lo in range(0, X.shape[1], _GROUP_COLUMNS)]
+    tops = {}
+    rows = _block_rows(X.shape)
+    for lo in range(0, X.shape[0], rows):
+        block = X[lo:lo + rows]
+        seen = block.any(axis=0)
+        for g, cols in enumerate(runs):
+            if g not in tops and seen[cols].any():
+                tops[g] = lo + int(np.argmax(block[:, cols].any(axis=1)))
+        if len(tops) == len(runs):
+            break
+    return [(cols, tops.get(g, 0)) for g, cols in enumerate(runs)]
 
 
 def apply_T_transpose(y: np.ndarray) -> np.ndarray:
@@ -288,14 +325,27 @@ def _solve_powers(M: int, ndim: int = 1):
 
 def exact_eigenvectors(ks, M: int) -> np.ndarray:
     """(M, m) eigenvectors of the discrete T in closed form (module
-    docstring), column c for the eigenvalue e^{i t_k} with k = ks[c]."""
+    docstring), column c for the eigenvalue e^{i t_k} with k = ks[c],
+    built _GROUP_COLUMNS columns at a time from the group's smallest k."""
     ks = np.asarray(ks, dtype=int)
     if np.any((ks < 0) | (ks >= M)):
         raise ValueError(f"node indices {ks.tolist()} outside the grid range [0, {M})")
+    out = np.zeros((M, ks.size), dtype=complex)
+    for lo in range(0, ks.size, _GROUP_COLUMNS):
+        cols = slice(lo, lo + _GROUP_COLUMNS)
+        top = int(ks[cols].min())
+        out[top:, cols] = _eigen_rows(ks[cols], top, M)
+    out[ks, np.arange(ks.size)] = 1.0
+    return out
+
+
+def _eigen_rows(ks: np.ndarray, top: int, M: int) -> np.ndarray:
+    """Rows top: of exact_eigenvectors(ks, M) for ks >= top, except the
+    1 at each node's row."""
     w = TWO_PI / M
-    d = _phases(M, 2)
-    lam = d[ks, 0]
-    upper = np.arange(M)[:, None] <= ks  # rows whose factor is 1
+    d = _phases(M, 2)[top:]
+    lam = _phases(M)[ks]
+    upper = np.arange(top, M)[:, None] <= ks  # rows whose factor is 1
     D = d - lam
     D[upper] = 1.0  # before dividing: row k has d_k - d_k = 0
     F = (1j * w) * d / D
@@ -305,7 +355,6 @@ def exact_eigenvectors(ks, M: int) -> np.ndarray:
     np.divide(F[:-1], D[1:], out=D[1:])
     D *= (1j * w) * lam
     D[upper] = 0.0
-    D[ks, np.arange(ks.size)] = 1.0
     return D
 
 

@@ -11,13 +11,16 @@ imaginary parts of the output, so a draw holds its output and nothing
 else of its size.  complex_standard_normals fills independent streams
 two at a time: the calling thread allocates both outputs and their
 scratches, fills the first, and one helper thread fills the second.
-numpy's generators and ufuncs release the GIL while they work, so the
-pair fills on two cores.  The helper runs only _fill, which allocates
-nothing large and calls no public function and no BLAS, so per-thread
-allocator arenas stay small and span recorders see one thread.  Every
-Gauss Monte-Carlo draw goes through complex_standard_normals (the one
-draw source of gauss_model); a lone generator is filled on the calling
-thread, so a one-draw check starts no helper.
+numpy's generators, ufuncs and matrix products release the GIL while
+they work, so the pair fills on two cores.  _start_kernel is the one
+runner of the helper: it runs a private kernel (_fill here, the Gram row
+half gauss_model._gram_rows there) into buffers the calling thread
+allocated, so the helper allocates nothing large and calls no public
+function, per-thread allocator arenas stay small, and span recorders
+see one thread.  Every Gauss Monte-Carlo draw goes through
+complex_standard_normals (the one draw source of gauss_model); a lone
+generator is filled on the calling thread, so a one-draw check starts
+no helper.
 """
 from __future__ import annotations
 
@@ -73,7 +76,7 @@ def complex_standard_normals(rngs, shape):
             yield a
             return
         b = np.empty(shape, dtype=complex)
-        join = _start_fill(second, b, _scratch(b))
+        join = _start_kernel(_fill, second, b, _scratch(b))
         try:
             _fill(first, a, _scratch(a))
         finally:
@@ -102,18 +105,19 @@ def _fill(rng: np.random.Generator, out: np.ndarray, chunk: np.ndarray) -> None:
             np.multiply(piece, _SCALE, out=part[lo:lo + piece.size])
 
 
-def _start_fill(rng, out, chunk):
-    """Run _fill(rng, out, chunk) on a helper thread; the returned join
-    waits for it and re-raises whatever it raised."""
+def _start_kernel(kernel, *args):
+    """Run kernel(*args) on a helper thread; the returned join waits for
+    it and re-raises whatever it raised.  The kernel is private and
+    writes into buffers the calling thread allocated."""
     errors = []
 
     def run():
         try:
-            _fill(rng, out, chunk)
+            kernel(*args)
         except BaseException as exc:  # noqa: BLE001 - re-raised by join
             errors.append(exc)
 
-    thread = threading.Thread(target=run, name="complex-standard-normal-fill")
+    thread = threading.Thread(target=run, name="hyperlab-helper")
     thread.start()
 
     def join():

@@ -40,6 +40,7 @@ from hyperlab.dynamics_lab import orbit, weighted_shift_system
 from hyperlab.gauss_model import coefficient_rows, symmetry_checks, walk
 from hyperlab.jsonio import stable_dumps
 from hyperlab.kalish import (
+    _BLOCK_ELEMENTS,
     DegenerateAngleError,
     apply_T_array,
     apply_T_transpose,
@@ -135,6 +136,13 @@ def test_corrected_field_residuals_are_round_off():
     assert np.max(field.residuals()) <= 1e-12
 
 
+def test_residuals_of_real_vectors_equal_those_of_their_complex_copy():
+    field = indicator_field(CircleMeasure.uniform(bins=1024), 4, 64)
+    real = EigenField(field.angles, field.weights, field.vectors.real.copy(),
+                      field.source_measure, kind="indicator")
+    assert np.array_equal(real.residuals(), field.residuals())
+
+
 def test_corrected_field_snaps_to_grid():
     sigma = CircleMeasure.uniform(bins=1024)
     M = 512
@@ -204,6 +212,67 @@ def test_field_rejects_vectors_with_wrong_column_count():
             EigenField(field.angles, field.weights,
                        np.ones((64, cols), dtype=complex),
                        field.source_measure, kind="corrected")
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda V: V[:, 1].fill(0.0), "vectors column 1 holds only zeros"),
+    (lambda V: V.__setitem__((7, 2), np.nan), "vectors column 2 holds a non-finite entry"),
+    (lambda V: V.__setitem__((0, 3), complex(0.0, np.inf)),
+     "vectors column 3 holds a non-finite entry"),
+])
+def test_field_rejects_a_zero_or_non_finite_column(spoil, message):
+    # either used to pass the admissibility gate with a nan residual
+    field = corrected_field(CircleMeasure.uniform(bins=1024), 4, 64)
+    vectors = field.vectors.copy()
+    spoil(vectors)
+    with pytest.raises(ValueError, match=message):
+        EigenField(field.angles, field.weights, vectors, field.source_measure,
+                   kind="corrected")
+
+
+def test_build_model_rejects_a_nan_worst_residual():
+    # finite vectors so large that both norms overflow: every residual is
+    # inf / inf = nan, which no comparison with 0.05 lets through
+    field = corrected_field(CircleMeasure.uniform(bins=1024), 4, 64)
+    huge = EigenField(field.angles, field.weights, field.vectors * 1e200,
+                      field.source_measure, kind="corrected")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.all(np.isnan(huge.residuals()))
+        with pytest.raises(FieldAdmissibilityError, match="nan exceeds 0.05"):
+            build_model(huge)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 17, 127, 128])
+def test_gram_halves_are_bitwise_the_one_pass_products(m, monkeypatch):
+    # each operand is at least one kernel block, so only the row count
+    # decides the split: both halves need 2 rows, a one-row half's bits differ
+    n = -(-_BLOCK_ELEMENTS // m)
+    rng = np.random.default_rng(m)
+    A, B = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+            for _ in range(2))
+    G = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    helpers = []
+    start = gauss_model._start_kernel
+
+    def recorded(kernel, *args):
+        helpers.append(kernel.__name__)
+        return start(kernel, *args)
+
+    monkeypatch.setattr(gauss_model, "_start_kernel", recorded)
+    (AA,), (BB, BA), (GG,) = (gauss_model._gram(A, A), gauss_model._gram(B, B, A),
+                              gauss_model._gram(G.T, G.T))
+    assert helpers == (["_gram_rows"] * 3 if m >= 4 else [])
+    Bc = B.conj()
+    for got, one_pass in [(AA, A.conj().T @ A), (BB, Bc.T @ B), (BA, Bc.T @ A),
+                          (GG, G.conj() @ G.T)]:
+        assert np.array_equal(got, one_pass)
+
+
+def test_gram_below_one_block_stays_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(gauss_model, "_start_kernel", None)  # any helper call fails
+    X = np.ones((_BLOCK_ELEMENTS // 8 - 1, 8), dtype=complex)
+    (XX,) = gauss_model._gram(X, X)
+    assert np.array_equal(XX, X.conj().T @ X)
 
 
 def test_functional_coefficients_match_inner_products():

@@ -345,6 +345,37 @@ def test_exact_eigenvectors_batch_matches_forward_substitution(M, m):
         assert np.max(np.abs(V[:, c] - oracle)) <= 1e-13 * np.max(np.abs(oracle)), k
 
 
+def _one_pass_eigenvectors(ks, M):
+    """The closed form over the whole grid and every column at once: the
+    reference of the grouped build."""
+    w = TWO_PI / M
+    d = np.exp(1j * grid_angles(M))[:, None]
+    lam = d[ks, 0]
+    upper = np.arange(M)[:, None] <= ks
+    D = d - lam
+    D[upper] = 1.0
+    F = (1j * w) * d / D
+    F += 1.0
+    F[upper] = 1.0
+    np.cumprod(F, axis=0, out=F)
+    np.divide(F[:-1], D[1:], out=D[1:])
+    D *= (1j * w) * lam
+    D[upper] = 0.0
+    D[ks, np.arange(ks.size)] = 1.0
+    return D
+
+
+@pytest.mark.parametrize("m", [1, 5, 16, 17, 127, 128])
+def test_grouped_exact_eigenvectors_are_bitwise_the_one_pass_build(m):
+    M = 1024
+    ks = np.random.default_rng(m).permutation(np.arange(1, M - 1))[:m]
+    ks[0] = M - 1  # unsorted, with both ends of the grid
+    if m > 1:
+        ks[m // 2] = 0
+    got = exact_eigenvectors(ks, M)
+    assert np.array_equal(_bits(got), _bits(_one_pass_eigenvectors(ks, M)))
+
+
 def test_exact_eigenvectors_range_check_names_the_grid():
     with pytest.raises(ValueError, match=r"\[0, 64\)"):
         exact_eigenvectors([3, 64], 64)
@@ -400,6 +431,39 @@ def test_blocked_kernels_are_bitwise_the_one_block_pass(shape, monkeypatch):
     blocked = apply_T_array(X), kalish_solve_array(X)
     for a, b in zip(one_block, blocked):
         assert np.array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize("top", [0, 1, 100, 255])
+@pytest.mark.parametrize("block_rows", [7, 256])
+def test_row_offset_T_is_bitwise_the_one_pass_apply_on_the_nonzero_rows(
+        top, block_rows, monkeypatch):
+    M = 256
+    X = _random_block(15, M, 5)
+    X[:top] = 0.0
+    X[:top + 3, 1] = 0.0  # a column whose own first nonzero row is lower
+    d = np.exp(1j * grid_angles(M))[:, None]
+    running = X * (1j * d)
+    running *= TWO_PI / M
+    np.add.accumulate(running, axis=0, out=running)
+    one_pass = d * X
+    one_pass[1:] -= running[:-1]
+    monkeypatch.setattr(kalish, "_BLOCK_ELEMENTS", block_rows * 5)
+    out = np.empty_like(X[top:])
+    kalish._apply_T_rows(X, out, top)
+    assert np.array_equal(out, one_pass[top:])
+    assert np.array_equal(apply_T_array(X)[top:], out)
+
+
+def test_column_groups_start_at_each_group_s_first_nonzero_row(monkeypatch):
+    monkeypatch.setattr(kalish, "_GROUP_COLUMNS", 2)
+    M = 64
+    X = np.zeros((M, 7), dtype=complex)
+    for c, first in enumerate([40, 9, 63, 50, 0, 33]):
+        X[first:, c] = 1.0
+    X[20, 3] = -0.0  # a zero of either sign is a zero
+    groups = kalish._column_groups(X)
+    assert [(g.start, g.stop) for g, _ in groups] == [(0, 2), (2, 4), (4, 6), (6, 8)]
+    assert [top for _, top in groups] == [9, 50, 0, 0]  # the last run is all zero
 
 
 def test_closed_form_solve_matches_forward_substitution():

@@ -2,7 +2,11 @@
 units of one factor (M x m complex, 32 MiB).  A built model holds one
 factor, not the field it was built from.  The blocked Kalish kernels
 hold one 1 MiB temporary besides their output, and the invariance check
-holds about two factor-sized arrays at a time.  The coefficient table
+holds about two factor-sized arrays at a time.  exact_eigenvectors and
+EigenField.residuals work on groups of 16 columns from each group's
+first nonzero row: the batch holds its output and a group's two
+temporaries, and the residuals hold a few group-sized arrays, never a
+factor-sized one.  The coefficient table
 walks one grid vector, never the factor, so it holds its paired draws,
 an eighth of a factor at 1000 samples, and no factor-sized array.
 A classification row streams its orbit (dynamics_lab.orbit_rows), so at
@@ -18,15 +22,20 @@ from hyperlab.circle_measure import CircleMeasure
 from hyperlab.dynamics_lab import classify_system, default_battery
 from hyperlab.gauss_model import (build_model, coefficient_rows, corrected_field,
                                   invariance_check)
-from hyperlab.kalish import CircleFunction, apply_T_array
+from hyperlab.kalish import CircleFunction, apply_T_array, exact_eigenvectors
 from hyperlab.seeding import complex_standard_normal, rng_for
 
 M, NODES = 16384, 128
 
 
 @pytest.fixture(scope="module")
-def model():
-    return build_model(corrected_field(CircleMeasure.uniform(bins=1024), NODES, M))
+def field():
+    return corrected_field(CircleMeasure.uniform(bins=1024), NODES, M)
+
+
+@pytest.fixture(scope="module")
+def model(field):
+    return build_model(field)
 
 
 def _peak_bytes(call) -> int:
@@ -57,6 +66,17 @@ def test_built_model_holds_one_factor():
 
 def test_apply_T_array_holds_one_block_besides_its_output(model):
     assert _peak_in_factors(model, lambda: apply_T_array(model.factor)) <= 1.25
+
+
+def test_exact_eigenvectors_hold_their_output_and_one_column_group(model):
+    # 2.08 factors when every column was built in one pass
+    ks = np.arange(0, M, M // NODES)
+    assert _peak_in_factors(model, lambda: exact_eigenvectors(ks, M)) <= 1.3
+
+
+def test_residuals_hold_no_factor_sized_array(model, field):
+    # 2.00 factors when the residual was formed over the whole field at once
+    assert _peak_in_factors(model, field.residuals) <= 0.3
 
 
 def test_invariance_check_holds_about_two_factors(model):

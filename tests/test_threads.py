@@ -1,7 +1,9 @@
-"""The helper thread of seeding.complex_standard_normals fills draws and
-nothing else: every public hyperlab function of a run is called from the
-calling thread, the artifacts equal those of serial draws, and an error
-in the helper's fill reaches the caller."""
+"""The helper thread of seeding runs private kernels and nothing else:
+the second draw of a pair in complex_standard_normals and the second row
+half of gauss_model's Gram products.  Every public hyperlab function of
+a run is called from the calling thread, the artifacts equal those of
+serial draws and of a helper run inline, and an error in the helper's
+fill reaches the caller."""
 
 import functools
 import inspect
@@ -30,8 +32,18 @@ CONFIG = {
 }
 
 
-def _run(out: Path) -> dict:
-    assert runner.run(config_from_dict(CONFIG), out) in (0, 1)
+# factor, transported factor and draw are each at least one kernel block,
+# so every Gram product of the run is formed in two row halves
+SPLIT_CONFIG = {
+    "schema": "experiment-config/1",
+    "seed": 5,
+    "grid": 4096,
+    "probes": [{"probe": "invariance", "nodes": 16, "samples": 5000}],
+}
+
+
+def _run(out: Path, config: dict = CONFIG) -> dict:
+    assert runner.run(config_from_dict(config), out) in (0, 1)
     return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
             if p.is_file() and p.name != "run-meta.json"}
 
@@ -92,6 +104,36 @@ def test_artifacts_equal_those_of_serial_draws(tmp_path, monkeypatch):
 
     monkeypatch.setattr(gauss_model, "complex_standard_normals", serial)
     assert _run(tmp_path / "serial") == paired
+
+
+def test_gram_halves_keep_public_calls_on_the_calling_thread(tmp_path, monkeypatch):
+    calls, kernels = [], []
+    start = seeding._start_kernel
+
+    def recorded_start(kernel, *args):
+        kernels.append(kernel.__name__)
+        return start(kernel, *args)
+
+    monkeypatch.setattr(gauss_model, "_start_kernel", recorded_start)
+    _record_threads(monkeypatch, calls)
+    _run(tmp_path, SPLIT_CONFIG)
+    me = threading.get_ident()
+    assert "hyperlab.gauss_model.invariance_check" in {name for name, _ in calls}
+    assert [c for c in calls if c[1] != me] == []
+    # build_model's A* A, the check's (TA)* [TA, A] and its G G*
+    assert kernels == ["_gram_rows"] * 3
+
+
+def test_artifacts_equal_those_of_an_inline_helper(tmp_path, monkeypatch):
+    threaded = _run(tmp_path / "threaded", SPLIT_CONFIG)
+
+    def inline(kernel, *args):
+        kernel(*args)
+        return lambda: None
+
+    monkeypatch.setattr(seeding, "_start_kernel", inline)
+    monkeypatch.setattr(gauss_model, "_start_kernel", inline)
+    assert _run(tmp_path / "inline", SPLIT_CONFIG) == threaded
 
 
 def test_an_error_in_the_helper_fill_reaches_the_caller(monkeypatch):
