@@ -9,7 +9,13 @@ the same step calls, unguarded, which gives the same states bit for bit
 (the log-space closed form of n_step_map does not, so it is not used),
 and feeds them in row blocks of at most kalish._BLOCK_ELEMENTS (2**16)
 complex elements through _distance_rows, the one distance kernel: it
-writes the O(N) distance row of every state to each center snapshot.  The probes read only those rows,
+writes the O(N) distance row of every state to each center snapshot.
+It holds two block-sized scratch arrays per call, each block's
+difference from a center and its squared moduli, which _norms (the
+private form behind norms) fills in place: a fresh 1 MiB array per (block,
+center) pair is one glibc gives back to the system on free and faults
+in again on the next allocation, tens of thousands of page faults on a
+cold process's first battery pass.  The probes read only those rows,
 the norm row and the snapshots, at the times _probe_times names, which
 probe_orbit streams.  The weak-mixing pullbacks stream through the same
 kernel; they stay off the guarded walk (a guard norm per step slowed the
@@ -66,7 +72,7 @@ from .hitting_sets import (
 from .jsonio import _FORMS, csv_text, record_dict
 # apply_T is unused but kept bound: perfbench patches every binding
 from .kalish import (  # noqa: F401
-    _block_rows, apply_T, apply_T_array, arc_indicators, grid_norms,
+    _block_rows, _grid_norms, apply_T, apply_T_array, arc_indicators,
     kalish_solve_array)
 from .seeding import complex_standard_normal, rng_for
 
@@ -257,9 +263,18 @@ def torus_system(angles: Sequence[float], name: str = "") -> SystemSpec:
 def norms(spec: SystemSpec, X: np.ndarray) -> np.ndarray:
     """Norms of the states along the last axis of X: the arc-length norm
     for kalish (grid weight 2pi/M), the Euclidean norm otherwise."""
+    return _norms(spec, np.asarray(X))
+
+
+def _norms(spec: SystemSpec, X: np.ndarray, scratch=None) -> np.ndarray:
+    """norms(spec, X), the squared moduli formed in scratch, an array laid
+    out like X (its layout decides the order of the sums), or with none
+    in fresh arrays: |x|^2 as floats for kalish (kalish._grid_norms), and
+    otherwise conj(x) x as complex numbers, np.linalg.norm's own sum."""
     if spec.kind == "kalish":
-        return grid_norms(X, axis=-1)
-    return np.linalg.norm(X, axis=-1)
+        return _grid_norms(X, -1, scratch)
+    square = np.multiply(np.conjugate(X, out=scratch), X, out=scratch)
+    return np.sqrt(np.add.reduce(square.real, axis=-1))
 
 
 def state_norm(spec: SystemSpec, state: np.ndarray) -> float:
@@ -463,15 +478,23 @@ def _blocks(states, length: int, dim: int):
 def _distance_rows(spec: SystemSpec, blocks, centers, length: int) -> np.ndarray:
     """The one distance kernel: (len(centers), length) distances
     ||x_t - c|| from the states, given as consecutive row blocks, to each
-    center c, so every center meets a block while it is in cache.  Row by
-    row it is norms(spec, states - c) bit for bit."""
+    center c, so every center meets a block while it is in cache.  Every
+    x_t - c and its squared moduli go into one scratch pair sized from the
+    first block (no later block is longer), so a call allocates no
+    block-sized array per block.  Row by row it is norms(spec, states - c)
+    bit for bit."""
     centers = [np.asarray(c, dtype=complex) for c in centers]
     out = np.empty((len(centers), length))
+    diff = square = None
     lo = 0
     for block in blocks:
+        if diff is None:
+            diff = np.empty_like(block, dtype=complex)
+            square = np.empty_like(diff, dtype=float if spec.kind == "kalish" else complex)
         hi = lo + len(block)
+        d, s = diff[:len(block)], square[:len(block)]
         for row, c in zip(out, centers):
-            row[lo:hi] = norms(spec, block - c)
+            row[lo:hi] = _norms(spec, np.subtract(block, c, out=d), s)
         lo = hi
     return out
 

@@ -456,8 +456,10 @@ def invariance_check(model: GaussModel, transport: Transport = None,
     """Pushforward-invariance of the Gaussian law: the empirical
     covariance of {T x_s} must match R.  The distance is computed
     exactly in Gram form; the pass budget is the statistical tolerance
-    plus the model's intertwining residual (the part of the distance the
-    discretization owes, not the sampler); T A is formed once for both.
+    plus the intertwining residual of the model's grid T (the part of the
+    distance the discretization owes, not the sampler).  The report's
+    intertwine is the transport's own, which never widens the budget that
+    judges it; for the grid T (transport None) T A is formed once for both.
     The Gram P = W* W of W = [T A, A] is formed by blocks, reusing the
     model's cached Gram A* A, so W itself is never built."""
     draws = _draws(model, "invariance-check", [seed], count)
@@ -482,7 +484,8 @@ def invariance_check(model: GaussModel, transport: Transport = None,
     dist_sq = float(np.trace(SP @ SP).real)
     r_norm = model.covariance_frobenius()
     cov_distance = float(np.sqrt(max(dist_sq, 0.0)) / r_norm)
-    budget = statistical_tolerance + intertwine
+    grid_debt = intertwine if transport is None else intertwine_residual(model)
+    budget = statistical_tolerance + grid_debt
     return InvarianceReport(
         cov_distance=cov_distance,
         intertwine=intertwine,

@@ -5,7 +5,14 @@ e^{i t_j}; J is the complex line integral along the counterclockwise arc
 from angle 0 to the evaluation point, discretized by the left-endpoint
 rule with line element i e^{i t} dt.  The grid inner product is the
 arc-length one, <f, g> = (2pi/M) sum conj(f_j) g_j; grid_norms is the
-one home of its norm, over whichever axis of an array holds the grid.
+one home of its norm, along axis 0.  Its private form _grid_norms takes
+the grid axis and an optional float scratch for |f_j| and |f_j|^2, so a
+caller norming many blocks of states along their last axis
+(dynamics_lab's distance kernel) allocates that scratch once.  Without
+a scratch the two arrays are fresh, as they always were: the Gauss
+path's peak RSS depends on that heap layout (one shared array instead
+left 16 MB of glibc heap resident on gauss-g16384).  np.square gives
+the bits of ** 2.0 either way.
 
 Arc-indicator convention (calibrated, do not flip casually; its one home
 is arc_indicators, and chi(lam) is its one column): 1 exactly at the grid
@@ -145,9 +152,19 @@ class CircleFunction:
         return cls.from_values(re + 1j * im)
 
 
-def grid_norms(X: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Arc-length norms sqrt((2pi/M) sum |x_j|^2) along the grid axis of X."""
-    return np.sqrt((TWO_PI / X.shape[axis]) * np.sum(np.abs(X) ** 2.0, axis=axis))
+def grid_norms(X: np.ndarray) -> np.ndarray:
+    """Arc-length norms sqrt((2pi/M) sum |x_j|^2) along axis 0 of X, one
+    function per column."""
+    return _grid_norms(np.asarray(X), 0)
+
+
+def _grid_norms(X: np.ndarray, axis: int, scratch=None) -> np.ndarray:
+    """The arc-length norms along the grid axis of X.  |x_j| and its
+    square go into scratch, a float array laid out like X, or with none
+    into two fresh arrays (see the module docstring)."""
+    moduli = np.abs(X, out=scratch)
+    square = np.square(moduli, out=scratch, dtype=float)
+    return np.sqrt((TWO_PI / X.shape[axis]) * np.sum(square, axis=axis))
 
 
 def func_norm(f: CircleFunction) -> float:

@@ -37,7 +37,7 @@ from hyperlab import (
 )
 from hyperlab import dynamics_lab
 from hyperlab.dynamics_lab import (
-    m_system_probe, norms, orbit_rows, probe_orbit, state_norm)
+    m_system_probe, norms, orbit_rows, probe_orbit, state_norm, weak_mixing_probe)
 from hyperlab.kalish import CircleFunction, func_norm, grid_norms
 from hyperlab.jsonio import stable_dumps
 from hyperlab.seeding import rng_for
@@ -505,6 +505,7 @@ def test_kalish_norms_keep_the_row_reduction_bit_for_bit():
     want = np.sqrt((TWO_PI / 1024) * np.sum(np.abs(X) ** 2, axis=-1))
     assert np.array_equal(norms(spec, X), want)
     cols = grid_norms(X.T)
+    assert np.array_equal(cols, np.sqrt((TWO_PI / 1024) * np.sum(np.abs(X.T) ** 2, axis=0)))
     for j, value in enumerate(cols):
         assert value == pytest.approx(func_norm(CircleFunction(X[j], 1024)),
                                       rel=1e-15)
@@ -544,6 +545,69 @@ def test_streamed_rows_are_bitwise_the_stored_orbit(spec, monkeypatch):
         ball = BallSpec(center=stored.states[t], radius=float(np.median(want)) + 1e-300)
         hits = hitting_times(stored, ball)
         assert np.array_equal(hits.elements, np.flatnonzero(want < ball.radius))
+
+
+def _record_kernel(monkeypatch) -> list:
+    """Wrap _distance_rows to record (spec, block lengths, states, centers,
+    rows) of every call; blocks are copied, since _blocks reuses its buffer."""
+    calls = []
+    kernel = dynamics_lab._distance_rows
+
+    def recording(spec, blocks, centers, length):
+        seen = []
+
+        def copies():
+            for block in blocks:
+                seen.append(block.copy())
+                yield block
+
+        centers = [np.array(c, dtype=complex) for c in centers]
+        rows = kernel(spec, copies(), centers, length)
+        calls.append((spec, [len(b) for b in seen], np.concatenate(seen), centers, rows))
+        return rows
+
+    monkeypatch.setattr(dynamics_lab, "_distance_rows", recording)
+    return calls
+
+
+def _reference_norm(spec, x: np.ndarray):
+    """The per-state norm as written before the kernel took a scratch."""
+    if spec.kind == "kalish":
+        return np.sqrt((TWO_PI / x.shape[-1]) * np.sum(np.abs(x) ** 2.0, axis=-1))
+    return np.linalg.norm(x, axis=-1)
+
+
+@pytest.mark.parametrize("spec", [
+    kalish_system(8),
+    kalish_system(1024),
+    scalar_shift_system(2.0, 90),
+    weighted_shift_system([1.5] * 59),
+    torus_system((0.3, 1.1, 2.5)),
+], ids=lambda spec: spec.label)
+@pytest.mark.parametrize("block_states", [7, None], ids=["7-state-blocks", "kernel-blocks"])
+def test_distance_kernel_is_the_per_state_norm_bit_for_bit(spec, block_states,
+                                                           monkeypatch):
+    if block_states:
+        monkeypatch.setattr("hyperlab.kalish._BLOCK_ELEMENTS", block_states * spec.state_dim)
+    n = 100  # 101 states: the last block is short at either block size
+    x0 = default_start(spec, 3)
+    calls = _record_kernel(monkeypatch)
+    centers = [0, 3, 7, 12, 20, 33, 41, 100]
+    orbit_rows(spec, x0, n, centers=[0])  # pass 2, one center
+    orbit_rows(spec, x0, n, centers=centers)  # pass 2, eight centers
+    weak_mixing_probe(probe_orbit(spec, x0, n), seed=0)  # the pullbacks
+    stored = orbit(spec, x0, n)
+    hitting_times(stored, BallSpec(center=stored.states[7], radius=1.0))
+    probed = len(set(dynamics_lab._probe_times(spec, n + 1).centers))
+    assert [len(centers) for _, _, _, centers, _ in calls] == [1, 8, probed, 1, 1]
+    for _, sizes, states, centers, rows in calls:
+        assert sizes[-1] <= sizes[0] and max(sizes) == sizes[0]
+        if block_states or spec.state_dim == 1024:
+            assert len(sizes) > 1 and sizes[-1] < sizes[0]
+        for row, c in zip(rows, centers):
+            by_state = [norms(spec, x - c) for x in states]
+            assert np.array_equal(_bits(row), _bits(np.array(by_state)))
+            assert np.array_equal(_bits(row), _bits(_reference_norm(spec, states - c)))
 
 
 def test_window_2000_battery_gives_typed_no_evidence_not_a_crash():

@@ -47,6 +47,7 @@ from hyperlab.kalish import (
     func_norm,
     grid_angles,
 )
+from hyperlab.runner import scaled_transport
 from hyperlab.seeding import derive_seed
 
 TWO_PI = 2.0 * np.pi
@@ -411,6 +412,48 @@ def test_invariance_matrix_transport_path():
                                  count=1000, seed=5)
     assert by_grid.passed and by_matrix.passed
     assert by_grid.cov_distance == pytest.approx(by_matrix.cov_distance, abs=1e-10)
+
+
+def test_invariance_budget_comes_from_the_grid_T_not_the_transport(monkeypatch):
+    model = _uniform_model(M=256, m=8)
+    grid_T = []
+    monkeypatch.setattr(gauss_model, "apply_T_array",
+                        lambda X: grid_T.append(X.shape) or apply_T_array(X))
+    honest = invariance_check(model, count=500, seed=1)
+    # the grid T path forms T A once, for the distance and the budget both
+    assert grid_T == [(256, 8)]
+    scaled = invariance_check(model, transport=scaled_transport(1.25), count=500, seed=1)
+    # once more, for the budget's grid term (the transport calls runner's binding)
+    assert grid_T == [(256, 8)] * 2
+    # the report keeps the transport's own residual, the budget the grid T's
+    assert scaled.intertwine == pytest.approx(0.25, abs=1e-9)
+    assert scaled.budget == honest.budget == 0.05 + intertwine_residual(model)
+    assert not scaled.passed
+
+
+# The median covariance distance over seeds 0-19 at 10,000 draws lies within
+# this band of s^2 - 1, the distance a transport scaled by s owes.  The s = 1
+# median, 0.0106 on the 8-node uniform model at M = 1024, is the sampler's
+# own floor, and every other median of the curve lies within 0.002 of s^2 - 1.
+POWER_NOISE = 0.015
+
+
+def test_invariance_power_curve_over_transport_scales():
+    model = _uniform_model(M=1024, m=8)
+    fails = []
+    for s in (1.0, 1.005, 1.01, 1.02, 1.03, 1.05, 1.25):
+        transport = None if s == 1.0 else scaled_transport(s)
+        reports = [invariance_check(model, transport, count=10_000, seed=seed)
+                   for seed in range(20)]
+        median = float(np.median([r.cov_distance for r in reports]))
+        assert abs(median - (s * s - 1.0)) <= POWER_NOISE, (s, median)
+        fails.append(sum(not r.passed for r in reports))
+        if s == 1.0:
+            assert fails[-1] == 0
+        if s >= 1.05:
+            assert fails[-1] == 20, (s, fails)
+    # a larger departure never fails on fewer seeds
+    assert fails == sorted(fails)
 
 
 # -- matrix coefficients ---------------------------------------------------
