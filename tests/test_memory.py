@@ -17,8 +17,8 @@ The cold-start contract counts minor page faults, not bytes: the distance
 kernel (dynamics_lab._distance_rows) keeps its block temporaries in one
 scratch pair per call, so a fresh process's first classification row
 does not fault in a fresh 1 MiB array for every (block, center) pair.
-With a fresh array per pair the shift row took about 63,700 faults and
-the kalish row about 16,200; with the scratch, about 1,700 and 2,400."""
+With a fresh array per pair the shift row took about 63,550 faults and
+the kalish row about 16,360; with the scratch, about 1,800 and 2,500."""
 
 import os
 import subprocess
