@@ -2,15 +2,16 @@
 Orbits and kalish replays take gauss_model.walk, the one drift-guarded walk.
 
 Streaming: the battery and the runner's orbit probe (also `lab orbit`) never
-hold an (N+1, dim) orbit.  orbit_rows makes two passes over it.  Pass 1 is the
-guarded walk; it keeps the guard's per-step norms (the orbit's norm row)
-and the few snapshot states the probes name.  Pass 2 replays the orbit by
-the same step calls, unguarded, which gives the same states bit for bit
-(the log-space closed form of n_step_map does not, so it is not used),
-and feeds them in row blocks of at most kalish._BLOCK_ELEMENTS (2**16)
-complex elements through _distance_rows, the one distance kernel: it
-writes the O(N) distance row of every state to each center snapshot.
-It holds two block-sized scratch arrays per call, each block's
+hold an (N+1, dim) orbit.  orbit_rows walks it once.  The guarded walk
+(pass 1) keeps the guard's per-step norms (the orbit's norm row) and the
+few snapshot states the probes name, and from the block that holds the
+last center time on packs its states into row blocks of at most
+kalish._BLOCK_ELEMENTS (2**16) complex elements for _distance_rows, the
+one distance kernel, which writes the O(N) distance row of every state to
+each center snapshot.  Pass 2 replays only the states before that block,
+by the same step calls, unguarded, which gives the same states bit for
+bit (the log-space closed form of n_step_map does not, so it is not used).
+The kernel holds two block-sized scratch arrays per call, each block's
 difference from a center and its squared moduli, which _norms (the
 private form behind norms) fills in place: a fresh 1 MiB array per (block,
 center) pair is one glibc gives back to the system on free and faults
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, islice
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -72,8 +74,7 @@ from .hitting_sets import (
 from .jsonio import _FORMS, csv_text, record_dict
 # apply_T is unused but kept bound: perfbench patches every binding
 from .kalish import (  # noqa: F401
-    _block_rows, _grid_norms, apply_T, apply_T_array, arc_indicators,
-    kalish_solve_array)
+    _block_rows, _grid_norms, apply_T, apply_T_array, kalish_solve_array)
 from .seeding import complex_standard_normal, rng_for
 
 TWO_PI = 2.0 * np.pi
@@ -431,71 +432,80 @@ class OrbitRows:
 
 def orbit_rows(spec: SystemSpec, x0: np.ndarray, n_steps: int,
                centers, keep=()) -> OrbitRows:
-    """The orbit [x0, ..., T^n x0] streamed in two passes (see the module
+    """The orbit [x0, ..., T^n x0] walked once and streamed (see the module
     docstring): its norm row, its states at the times in centers and keep,
     and the distance row of every state to the state at each center time."""
     x0 = _start(spec, x0)
-    norm_row = []
+    centers = sorted(set(centers))
+    wanted = set(centers) | set(keep)
+    norm_row, snapshots = [], {}
 
-    def guard_norm(x):
+    def guard_norm(x):  # pass 1 sees each state here once, in order
+        if len(norm_row) in wanted:
+            snapshots[len(norm_row)] = x
         norm_row.append(state_norm(spec, x))
         return norm_row[-1]
 
-    wanted = set(centers) | set(keep)
-    snapshots = {t: x for t, x in enumerate(
-        walk(partial(step, spec), x0, n_steps, guard_norm)) if t in wanted}
-    centers = sorted(set(centers))
-    blocks = _blocks(_steps(spec, x0, n_steps), n_steps + 1, spec.state_dim)
-    rows = dict(zip(centers, _distance_rows(
-        spec, blocks, [snapshots[t] for t in centers], n_steps + 1)))
-    return OrbitRows(spec, np.array(norm_row), snapshots, rows)
+    walker = walk(partial(step, spec), x0, n_steps, guard_norm)
+    buf = _block_buffer(n_steps + 1, spec.state_dim)
+    # the first row of the last center's block: once that block is full,
+    # every center has been walked
+    split = max(centers, default=0) // len(buf) * len(buf)
+    tail = _blocks(islice(walker, split, None), buf, split)
+    first = next(tail)  # the walk is now past every center time
+    replay = _blocks(islice(_steps(spec, x0), split), buf)  # pass 2
+    found = _distance_rows(spec, chain([first], tail, replay),
+                           [snapshots[t] for t in centers], n_steps + 1)
+    return OrbitRows(spec, np.array(norm_row), snapshots, dict(zip(centers, found)))
 
 
-def _steps(spec: SystemSpec, x: np.ndarray, n: int, back: bool = False):
-    """x and then n unguarded steps of T (of R with back=True), lazily."""
-    yield x
-    for _ in range(n):
-        x = step(spec, x, back)
+def _steps(spec: SystemSpec, x: np.ndarray, back: bool = False):
+    """x and then its unguarded steps of T (of R with back=True), lazily
+    and without end: a caller takes as many states as it needs."""
+    while True:
         yield x
+        x = step(spec, x, back)
 
 
-def _blocks(states, length: int, dim: int):
-    """The iterator's length states packed into row blocks of one reused
-    buffer of at most kalish._BLOCK_ELEMENTS elements: a block is valid
-    until the next one is drawn."""
-    buf = np.empty((min(_block_rows((length, dim)), length), dim), dtype=complex)
+def _block_buffer(length: int, dim: int) -> np.ndarray:
+    """The one reused buffer of _blocks for length states of dim
+    coordinates: kalish._block_rows rows, at most length."""
+    return np.empty((min(_block_rows((length, dim)), length), dim), dtype=complex)
+
+
+def _blocks(states, buf: np.ndarray, lo: int = 0):
+    """(first row, block) pairs: the iterator's states packed into
+    consecutive row blocks of buf, the first one at row lo.  A block is
+    valid until the next one is drawn."""
     i = 0
     for x in states:
         buf[i] = x
         i += 1
         if i == len(buf):
-            yield buf
+            yield lo, buf
+            lo += i
             i = 0
     if i:
-        yield buf[:i]
+        yield lo, buf[:i]
 
 
 def _distance_rows(spec: SystemSpec, blocks, centers, length: int) -> np.ndarray:
     """The one distance kernel: (len(centers), length) distances
-    ||x_t - c|| from the states, given as consecutive row blocks, to each
-    center c, so every center meets a block while it is in cache.  Every
-    x_t - c and its squared moduli go into one scratch pair sized from the
-    first block (no later block is longer), so a call allocates no
-    block-sized array per block.  Row by row it is norms(spec, states - c)
-    bit for bit."""
+    ||x_t - c|| from the states, given as (first row, block) pairs of
+    consecutive rows in any order, to each center c, so every center meets
+    a block while it is in cache.  Every x_t - c and its squared moduli go
+    into one scratch pair shaped like _block_buffer, the rows every block
+    source cuts its blocks by, so a call allocates no block-sized array
+    per block.  Row by row it is norms(spec, states - c) bit for bit."""
     centers = [np.asarray(c, dtype=complex) for c in centers]
     out = np.empty((len(centers), length))
-    diff = square = None
-    lo = 0
-    for block in blocks:
-        if diff is None:
-            diff = np.empty_like(block, dtype=complex)
-            square = np.empty_like(diff, dtype=float if spec.kind == "kalish" else complex)
+    diff = _block_buffer(length, spec.state_dim)
+    square = np.empty_like(diff, dtype=float if spec.kind == "kalish" else complex)
+    for lo, block in blocks:
         hi = lo + len(block)
         d, s = diff[:len(block)], square[:len(block)]
         for row, c in zip(out, centers):
             row[lo:hi] = _norms(spec, np.subtract(block, c, out=d), s)
-        lo = hi
     return out
 
 
@@ -541,7 +551,7 @@ class BallSpec:
 def hitting_times(traj: Trajectory, ball: BallSpec) -> WindowedSet:
     """Times t with ||x_t - center|| < radius; window = trajectory length."""
     rows = _block_rows(traj.states.shape)
-    blocks = (traj.states[lo:lo + rows] for lo in range(0, traj.length, rows))
+    blocks = ((lo, traj.states[lo:lo + rows]) for lo in range(0, traj.length, rows))
     dist = _distance_rows(traj.spec, blocks, [ball.center], traj.length)[0]
     return WindowedSet.from_mask(dist < ball.radius)
 
@@ -789,9 +799,10 @@ def weak_mixing_probe(traj: OrbitRows, seed: int) -> ProbeOutcome:
         deepest = int(np.max(np.flatnonzero(v_center), initial=0))
         n_steps = min(n_steps, max(spec.dimension - 1 - deepest, 0))
     # not walk(): these steps run unguarded; a guard norm per step slows the battery
-    pullbacks = _steps(spec, v_center, n_steps, back=True)
-    dist = _distance_rows(spec, _blocks(pullbacks, n_steps + 1, spec.state_dim),
-                          [np.zeros(spec.state_dim, dtype=complex)], n_steps + 1)[0]
+    pullbacks = islice(_steps(spec, v_center, back=True), n_steps + 1)
+    blocks = _blocks(pullbacks, _block_buffer(n_steps + 1, spec.state_dim))
+    dist = _distance_rows(spec, blocks, [np.zeros(spec.state_dim, dtype=complex)],
+                          n_steps + 1)[0]
     back_hits = WindowedSet.from_mask(dist < w0_radius).elements
     backward = WindowedSet(window=forward.window, elements=back_hits[back_hits > 0])
     common = np.intersect1d(forward.elements, backward.elements)
@@ -839,19 +850,17 @@ def ufh_probe(traj: OrbitRows, reference, seed: int) -> ProbeOutcome:
 
 
 def m_system_probe(spec: SystemSpec, seed: int) -> ProbeOutcome:
-    """Numerical rank of a family of unimodular eigenvectors: arc
-    indicators for kalish, coordinate characters for rotations.
-    Truncated shifts are nilpotent and own no unimodular eigenvectors,
-    so they earn "no-evidence"."""
-    tolerance = 1e-8  # relative to the largest singular value
+    """Rank of a family of unimodular eigenvectors, full by construction:
+    arc indicators for kalish, coordinate characters for rotations.  The
+    kalish family's min(64, max(M // 16, 2)) arcs, from 2pi(k + 1/2)/size
+    to 0, are nested, at least M/size >= 4 grid nodes apart, and the last
+    is nonempty: a staircase (the tests hold its SVD as the oracle).
+    Truncated shifts are nilpotent and own no unimodular eigenvectors, so
+    they earn "no-evidence"."""
+    tolerance = 1e-8  # the SVD oracle's, relative to the largest singular value
     if spec.kind == "kalish":
-        size = min(64, max(spec.grid_size // 16, 2))
-        angles = TWO_PI * (np.arange(size) + 0.5) / size
-        family = arc_indicators(angles, spec.grid_size).astype(complex)
-        sv = np.linalg.svd(family, compute_uv=False)
-        rank = int(np.sum(sv > tolerance * sv[0]))
-        verdict = "yes" if rank == size else "no"
-        note = "arc-indicator family at grid scale"
+        rank = size = min(64, max(spec.grid_size // 16, 2))
+        verdict, note = "yes", "arc-indicator family at grid scale"
     elif spec.kind == "torus_rotation":
         rank = size = len(spec.angles)  # coordinate characters are the standard basis
         verdict, note = "yes", "coordinate characters span the state space"

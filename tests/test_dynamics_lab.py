@@ -7,6 +7,7 @@ and the battery run must keep its frozen verdict pattern.
 
 import csv
 import io
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from hyperlab import (
 from hyperlab import dynamics_lab
 from hyperlab.dynamics_lab import (
     m_system_probe, norms, orbit_rows, probe_orbit, state_norm, weak_mixing_probe)
-from hyperlab.kalish import CircleFunction, func_norm, grid_norms
+from hyperlab.kalish import CircleFunction, arc_indicators, func_norm, grid_norms
 from hyperlab.jsonio import stable_dumps
 from hyperlab.seeding import rng_for
 
@@ -302,6 +303,18 @@ def test_eigen_span_full_rank_for_kalish():
     assert evidence["rank"] == evidence["family_size"]
 
 
+@pytest.mark.parametrize("M", [8, 16, 32, 64, 100, 256, 1000, 1024, 4096])
+def test_kalish_eigen_span_rank_is_the_arc_family_svd_rank(M):
+    # the probe states the rank by construction; the SVD is the oracle
+    outcome = m_system_probe(kalish_system(M), seed=0)
+    size = min(64, max(M // 16, 2))
+    angles = TWO_PI * (np.arange(size) + 0.5) / size
+    sv = np.linalg.svd(arc_indicators(angles, M).astype(complex), compute_uv=False)
+    rank = int(np.sum(sv > outcome.evidence["tolerance"] * sv[0]))
+    assert rank == outcome.evidence["rank"] == outcome.evidence["family_size"] == size
+    assert outcome.verdict == "yes" and outcome.window == size
+
+
 def test_periodic_return_rational_vs_irrational():
     rational = probe_orbit(torus_system([TWO_PI / 8]), np.ones(1, dtype=complex), 100)
     found = periodic_return_probe(rational)
@@ -456,8 +469,9 @@ def test_classify_system_single_row():
 
 
 def test_classify_system_simulates_one_orbit_per_row(monkeypatch):
-    # walk is the one guarded walk: orbit_rows' replay and the pullbacks
-    # run unguarded, so each row's orbit is simulated by one walk
+    # walk is the one guarded walk: orbit_rows' replay of the states
+    # before the last center's block and the pullbacks run unguarded, so
+    # each row's orbit is walked once
     calls = {"walk": 0, "_ball_family": 0}
     for name in calls:
         def counting(*args, _real=getattr(dynamics_lab, name), _name=name,
@@ -532,8 +546,9 @@ def test_streamed_rows_are_bitwise_the_stored_orbit(spec, monkeypatch):
     one_block = orbit_rows(spec, x0, n, centers=times)
     # 7 states a block: 7 replayed blocks and a 2-state remainder
     monkeypatch.setattr("hyperlab.kalish._BLOCK_ELEMENTS", 7 * spec.state_dim)
-    replayed = np.concatenate([block.copy() for block in dynamics_lab._blocks(
-        dynamics_lab._steps(spec, x0, n), n + 1, spec.state_dim)])
+    replayed = np.concatenate([block.copy() for _, block in dynamics_lab._blocks(
+        islice(dynamics_lab._steps(spec, x0), n + 1),
+        dynamics_lab._block_buffer(n + 1, spec.state_dim))])
     assert np.array_equal(_bits(replayed), _bits(stored.states))
     blocked = orbit_rows(spec, x0, n, centers=times)
     for streamed in (one_block, blocked):
@@ -549,7 +564,9 @@ def test_streamed_rows_are_bitwise_the_stored_orbit(spec, monkeypatch):
 
 def _record_kernel(monkeypatch) -> list:
     """Wrap _distance_rows to record (spec, block lengths, states, centers,
-    rows) of every call; blocks are copied, since _blocks reuses its buffer."""
+    rows) of every call, the blocks in row order (orbit_rows hands over the
+    last center's block first); blocks are copied, since _blocks reuses its
+    buffer."""
     calls = []
     kernel = dynamics_lab._distance_rows
 
@@ -557,13 +574,15 @@ def _record_kernel(monkeypatch) -> list:
         seen = []
 
         def copies():
-            for block in blocks:
-                seen.append(block.copy())
-                yield block
+            for lo, block in blocks:
+                seen.append((lo, block.copy()))
+                yield lo, block
 
         centers = [np.array(c, dtype=complex) for c in centers]
         rows = kernel(spec, copies(), centers, length)
-        calls.append((spec, [len(b) for b in seen], np.concatenate(seen), centers, rows))
+        seen.sort(key=lambda pair: pair[0])
+        calls.append((spec, [len(b) for _, b in seen],
+                      np.concatenate([b for _, b in seen]), centers, rows))
         return rows
 
     monkeypatch.setattr(dynamics_lab, "_distance_rows", recording)
@@ -608,6 +627,117 @@ def test_distance_kernel_is_the_per_state_norm_bit_for_bit(spec, block_states,
             by_state = [norms(spec, x - c) for x in states]
             assert np.array_equal(_bits(row), _bits(np.array(by_state)))
             assert np.array_equal(_bits(row), _bits(_reference_norm(spec, states - c)))
+
+
+# -- one walk: pass 2 replays only the states before the last center's block
+
+def _stored_orbit_rows(spec, x0, n_steps, centers, keep=()):
+    """The oracle of orbit_rows: a stored orbit, each row in one pass."""
+    stored = orbit(spec, x0, n_steps)
+    return dynamics_lab.OrbitRows(
+        spec, stored.norms(), {t: stored.states[t] for t in {*centers, *keep}},
+        {t: norms(spec, stored.states - stored.states[t]) for t in centers})
+
+
+def _counting_steps(monkeypatch) -> list:
+    """Patch dynamics_lab.step to log the name of the spec of every call."""
+    calls, real = [], dynamics_lab.step
+
+    def counting(spec, state, back=False):
+        calls.append(spec.name)
+        return real(spec, state, back)
+
+    monkeypatch.setattr(dynamics_lab, "step", counting)
+    return calls
+
+
+# (window n, centers) as functions of the block rows b
+_BLOCK_EDGES = {
+    "last-center-on-a-first-row": lambda b: (3 * b + 2, [0, 1, 2 * b]),
+    "last-center-on-a-last-row": lambda b: (3 * b + 2, [0, 2 * b - 1]),
+    "last-center-in-the-short-last-block": lambda b: (3 * b + 2, [b, 3 * b + 1]),
+    "window-inside-one-block": lambda b: (b - 2, [0, b - 2]),
+    "one-state-window": lambda b: (0, [0]),
+    "no-centers": lambda b: (3 * b + 2, []),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(_BLOCK_EDGES))
+@pytest.mark.parametrize("spec, block_states", [
+    (kalish_system(64), 7),
+    (scalar_shift_system(2.0, 90), 7),
+    (scalar_shift_system(0.5, 30), 7),  # zero from step 30 on: exact-zero rows
+    (weighted_shift_system([1.5] * 59), 7),
+    (torus_system((0.3, 1.1, 2.5)), 7),
+    (kalish_system(1024), None),  # kernel blocks of 64 states
+    (scalar_shift_system(2.0, 1128), None),  # kernel blocks of 58 states
+], ids=lambda v: v.label if isinstance(v, SystemSpec) else f"{v or 'kernel'}-blocks")
+def test_one_walk_rows_are_bitwise_the_stored_orbit(spec, block_states, edge,
+                                                    monkeypatch):
+    if block_states:
+        monkeypatch.setattr("hyperlab.kalish._BLOCK_ELEMENTS", block_states * spec.state_dim)
+    b = block_states or dynamics_lab._block_rows((1, spec.state_dim))
+    n, centers = _BLOCK_EDGES[edge](b)
+    assert len(dynamics_lab._block_buffer(n + 1, spec.state_dim)) == min(b, n + 1)
+    x0 = default_start(spec, 4)
+    keep = [n // 2]
+    steps = _counting_steps(monkeypatch)
+    got = orbit_rows(spec, x0, n, centers=centers, keep=keep)
+    # pass 1 walks n steps; pass 2 replays the states before the last
+    # center's block, which start at split, so split - 1 steps
+    split = max(centers, default=0) // b * b
+    assert len(steps) == n + max(split - 1, 0)
+    want = _stored_orbit_rows(spec, x0, n, centers, keep)
+    assert np.array_equal(_bits(got.norm_row), _bits(want.norm_row))
+    assert sorted(got.snapshots) == sorted(want.snapshots)
+    for t, state in want.snapshots.items():
+        assert np.array_equal(_bits(got.snapshots[t]), _bits(state))
+    assert sorted(got.rows) == sorted(want.rows) == sorted(set(centers))
+    for t, row in want.rows.items():
+        assert np.array_equal(_bits(got.rows[t]), _bits(row))
+
+
+def test_battery_rows_replay_only_the_prefix_before_the_last_centers_block(
+        monkeypatch):
+    steps = _counting_steps(monkeypatch)
+    window = 1000
+    battery = default_battery(window)
+    for spec in battery:
+        probe_orbit(spec, default_start(spec, 0), window)
+    # torus: one block; shift: blocks of 58 states, the last center (1000)
+    # in the block from 986; kalish: blocks of 64, the last center (100)
+    # in the block from 64
+    assert {name: steps.count(name) for name in set(steps)} == {
+        "torus-rotation": window, "scalar-shift-2": window + 985,
+        "kalish-gaussian": window + 63}
+    for centers in ([0], []):  # the runner's orbit probe and lab orbit; none
+        steps.clear()
+        orbit_rows(battery[2], default_start(battery[2], 0), window, centers)
+        assert len(steps) == window
+
+
+@pytest.mark.parametrize("centers", [[0, 7], [0], []])
+@pytest.mark.parametrize("block_states", [2, None], ids=["2-state-blocks", "kernel-blocks"])
+def test_orbit_rows_norm_drift_guard_names_step(centers, block_states, monkeypatch):
+    if block_states:
+        monkeypatch.setattr("hyperlab.kalish._BLOCK_ELEMENTS", block_states * 8)
+    # the norm grows 11-fold per step: 11**2 < 1e3 < 11**3
+    spec = weighted_shift_system([11.0] * 7)
+    x0 = np.zeros(8, dtype=complex)
+    x0[-1] = 1.0
+    with pytest.raises(NormDriftError, match="step 3 of 7"):
+        orbit_rows(spec, x0, 7, centers=centers)
+
+
+@pytest.mark.parametrize("window", [1, 63, 64, 65, 1000])
+def test_classification_documents_are_the_stored_orbit_documents(window, monkeypatch):
+    battery = default_battery(window)
+    streamed = [stable_dumps(classification_run(battery, window, seed, mc_samples=500)
+                             .to_dict()) for seed in range(3)]
+    monkeypatch.setattr(dynamics_lab, "orbit_rows", _stored_orbit_rows)
+    stored = [stable_dumps(classification_run(battery, window, seed, mc_samples=500)
+                           .to_dict()) for seed in range(3)]
+    assert streamed == stored
 
 
 def test_window_2000_battery_gives_typed_no_evidence_not_a_crash():

@@ -1,0 +1,114 @@
+"""Print one sha256 per item that a byte-identity claim covers.
+
+Usage, from any directory:
+
+    python3 tools/capture_artifacts.py > capture.txt
+
+Captures the hyperlab source of the checkout this file sits in.  Each
+output line is ``<sha256>  <item>``, for:
+
+* the runner artifacts (every file under reports/, tables/ and plotdata/)
+  of the three perfbench workload configs at seeds 101 and 102;
+* the standard output of each `hyperlab` line of the README's CLI block,
+  the block tests/test_readme_cli.py reads, each run in a fresh process
+  (a dense BLAS product's bits can depend on what ran before it in the
+  same process);
+* the canonical JSON of classification_run(default_battery(w), w, s) for
+  w in {300, 1000} and s in 0..23.
+
+Run it on two checkouts, for example a parent commit and a change, and
+compare the two captures line by line (``diff``).  BLAS runs on one thread
+(its thread count moves some bytes, ROADMAP item 11).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import re
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1"}
+os.environ.update(THREAD_ENV)
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
+
+from hyperlab.config import config_from_dict  # noqa: E402
+from hyperlab.dynamics_lab import classification_run, default_battery  # noqa: E402
+from hyperlab.jsonio import stable_dumps  # noqa: E402
+from hyperlab.runner import run  # noqa: E402
+from workloads import WORKLOADS, config_doc  # noqa: E402
+
+ARTIFACT_DIRS = ("reports", "tables", "plotdata")
+WORKLOAD_SEEDS = (101, 102)
+BATTERY_WINDOWS = (300, 1000)
+BATTERY_SEEDS = range(24)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _artifact_digest(out_dir: Path) -> str:
+    """The sha256 of every artifact file's relative name, length and bytes."""
+    whole = hashlib.sha256()
+    for sub in ARTIFACT_DIRS:
+        for path in sorted((out_dir / sub).iterdir()):
+            data = path.read_bytes()
+            whole.update(f"{sub}/{path.name}".encode() + b"\0"
+                         + len(data).to_bytes(8, "big") + data)
+    return whole.hexdigest()
+
+
+def workload_items():
+    for workload in sorted(WORKLOADS):
+        for seed in WORKLOAD_SEEDS:
+            with tempfile.TemporaryDirectory() as tmp:
+                status = run(config_from_dict(config_doc(workload, seed)), Path(tmp))
+                yield (_artifact_digest(Path(tmp)),
+                       f"workload {workload} seed {seed} status {status}")
+
+
+def readme_cli_lines() -> list:
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("hyperlab ")]
+
+
+def cli_items():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    for line in readme_cli_lines():
+        argv = shlex.split(line, comments=True)[1:]
+        with tempfile.TemporaryDirectory() as tmp:
+            Path(tmp, "set.txt").write_text("0 3 6 9\n")  # the README's printf line
+            done = subprocess.run([sys.executable, "-m", "hyperlab.cli", *argv],
+                                  cwd=tmp, env=env, capture_output=True)
+        yield _sha(done.stdout), f"cli exit {done.returncode}: {line}"
+
+
+def battery_items():
+    for window in BATTERY_WINDOWS:
+        battery = default_battery(window)
+        for seed in BATTERY_SEEDS:
+            report = classification_run(battery, window, seed)
+            yield (_sha(stable_dumps(report.to_dict()).encode()),
+                   f"classification_run(default_battery({window}), {window}, {seed})")
+
+
+def main() -> int:
+    for items in (workload_items, cli_items, battery_items):
+        for digest, name in items():
+            print(f"{digest}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
