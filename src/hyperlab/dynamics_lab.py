@@ -12,30 +12,24 @@ each center snapshot.  Pass 2 replays only the states before that block,
 by the same step calls, unguarded, which gives the same states bit for
 bit (the log-space closed form of n_step_map does not, so it is not used).
 The kernel holds two block-sized scratch arrays per call, each block's
-difference from a center and its squared moduli, which _norms (the
-private form behind norms) fills in place: a fresh 1 MiB array per (block,
-center) pair is one glibc gives back to the system on free and faults
-in again on the next allocation, tens of thousands of page faults on a
-cold process's first battery pass.  The probes read only those rows,
+difference from a center and its squared moduli, which the kind class's
+norms (behind the public norms) fills in place: a fresh 1 MiB array per
+(block, center) pair is one glibc gives back to the system on free and
+faults in again on the next allocation, tens of thousands of page faults
+on a cold process's first battery pass.  The probes read only those rows,
 the norm row and the snapshots, at the times _probe_times names, which
 probe_orbit streams.  The weak-mixing pullbacks stream through the same
 kernel; they stay off the guarded walk (a guard norm per step slowed the
 battery), and so does the replay.  hitting_times on a stored Trajectory
 takes the kernel too, its states being the blocks.
 
-The operator zoo holds four kinds of system:
-
-* kalish(M): the grid Kalish operator on complex functions over M nodes,
-  with the arc-length norm.
-* scalar_multiple_shift(lam, d): lam times the backward shift on C^d
-  (truncation of the classical hypercyclic exemplar; nilpotent, so desk
-  runs keep d comfortably above the window length).
-* weighted_shift(weights): backward shift with positive weights w_1..w_{d-1},
-  (Tx)_i = w_{i+1} x_{i+1}.
-* torus_rotation(angles): coordinatewise rotation z_i -> e^{i alpha_i} z_i
-  on unimodular states.  Treated as a compact-group system, not a linear
-  one: it has no fixed point at 0 reachable from the torus, so the
-  linear-only implication edges stay inactive for it.
+The operator zoo: _KINDS maps each system kind to its document fields and
+to the builder of its class, _Kalish, _Shift (both shift kinds) or _Torus,
+whose docstring describes the kind.  A SystemSpec builds its class once,
+as spec.ops, and every rule that differs by kind (state norm, step and
+back step, closed-form n_step_map, default start, e_system witness,
+weak-mixing pullback depth, eigenvector family) reads it; no function
+branches on the kind.
 
 Verdicts carry an evidence grade: "exact" for combinatorial facts about
 the simulated window, "statistical" for Monte-Carlo checks with stated
@@ -97,7 +91,9 @@ PROBE_COLUMNS = ["chaotic", "m_system", "e_system", "syndetic", "weak_mixing", "
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """One zoo member; exactly the fields its kind needs are set."""
+    """One zoo member; exactly the fields its kind needs are set.  ops is
+    its kind's class (_KINDS), built once here, which checks the fields;
+    it is not a dataclass field, so ==, hash and record_dict skip it."""
 
     kind: str
     grid_size: int = 0
@@ -108,56 +104,30 @@ class SystemSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.kind == "kalish":
-            if self.grid_size < 8:
-                raise ValueError("kalish needs grid_size >= 8")
-        elif self.kind == "scalar_multiple_shift":
-            if self.dimension < 1:
-                raise ValueError("shift dimension must be >= 1")
-            if abs(self.scalar) <= 0:
-                raise ValueError("scalar must be nonzero")
-        elif self.kind == "weighted_shift":
-            if self.dimension < 1:
-                raise ValueError("shift dimension must be >= 1")
-            if len(self.weights) != max(self.dimension - 1, 0):
-                raise ValueError("need dimension-1 weights")
-            if any(w <= 0 for w in self.weights):
-                raise ValueError("weights must be positive")
-        elif self.kind == "torus_rotation":
-            if len(self.angles) < 1:
-                raise ValueError("torus needs at least one angle")
-            if any(not (0.0 <= a < TWO_PI) for a in self.angles):
-                raise ValueError("angles must lie in [0, 2pi)")
-        else:
-            raise ValueError(f"unknown system kind {self.kind!r}")
+        self.__dict__["ops"] = self._entry(self.kind)[1](self)
+
+    @staticmethod
+    def _entry(kind) -> tuple:
+        """(document fields, builder) of kind in _KINDS."""
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ValueError(f"unknown system kind {kind!r}")
+        return _KINDS[kind]
 
     @property
     def state_dim(self) -> int:
-        if self.kind == "kalish":
-            return self.grid_size
-        if self.kind == "torus_rotation":
-            return len(self.angles)
-        return self.dimension
+        return self.ops.dim
 
     @property
     def is_linear(self) -> bool:
-        return self.kind != "torus_rotation"
+        return self.ops.linear
 
     @property
     def label(self) -> str:
-        if self.name:
-            return self.name
-        if self.kind == "kalish":
-            return f"kalish-{self.grid_size}"
-        if self.kind == "scalar_multiple_shift":
-            return f"scalar-shift-{self.scalar.real:g}-d{self.dimension}"
-        if self.kind == "weighted_shift":
-            return f"weighted-shift-d{self.dimension}"
-        return "torus-rotation-" + "x".join(f"{a:.3f}" for a in self.angles)
+        return self.name or self.ops.label
 
     def to_dict(self) -> dict:
         doc = {"kind": self.kind}
-        for key, attr, _, write in _KIND_FIELDS[self.kind]:
+        for key, attr, _, write in self._entry(self.kind)[0]:
             doc[key] = write(getattr(self, attr))
         if self.name:
             doc["name"] = self.name
@@ -170,10 +140,8 @@ class SystemSpec:
         if not isinstance(doc, dict):
             raise ValueError("expected an object")
         kind = doc.get("kind")
-        if not isinstance(kind, str) or kind not in _KIND_FIELDS:
-            raise ValueError(f"unknown system kind {kind!r}")
-        fields = {}
-        for key, attr, read, _ in _KIND_FIELDS[kind]:
+        form, fields = cls._entry(kind)[0], {}
+        for key, attr, read, _ in form:
             if key not in doc:
                 raise ValueError(f"{kind} system: missing required field {key!r}")
             fields[attr] = read(key, doc[key])
@@ -181,11 +149,186 @@ class SystemSpec:
         if not isinstance(name, str):
             raise ValueError(f"system field 'name' must be a string, got {name!r}")
         spec = cls(kind=kind, name=name, **fields)
-        known = {"kind", "name", *(key for key, *_ in _KIND_FIELDS[kind])}
+        known = {"kind", "name", *(key for key, *_ in form)}
         for key in doc:
             if key not in known:
                 raise ValueError(f"unknown field {key!r}")
         return spec
+
+
+def _require(holds: bool, message: str) -> None:
+    if not holds:
+        raise ValueError(message)
+
+
+class _Kind:
+    """What every kind shares: a linear system of dim coordinates with the
+    Euclidean norm, whose e_system column reads the Birkhoff empirical
+    measure of `balls` balls spread over the window and whose weak-mixing
+    scan takes every pullback.  A kind class also names its default label,
+    its step, its start and its eigenvector family (size, note)."""
+
+    linear = True
+    square = complex  # the dtype of the squared moduli norms forms
+    balls = 6
+
+    def __init__(self, dim: int, label: str):
+        self.dim, self.label = dim, label
+
+    def norms(self, X: np.ndarray, scratch=None) -> np.ndarray:
+        """The norms along the last axis of X, the squared moduli formed in
+        scratch, an array laid out like X (its layout decides the order of
+        the sums), or with none in fresh arrays: conj(x) x as complex
+        numbers, np.linalg.norm's own sum."""
+        square = np.multiply(np.conjugate(X, out=scratch), X, out=scratch)
+        return np.sqrt(np.add.reduce(square.real, axis=-1))
+
+    def n_step_map(self, spec: SystemSpec, state: np.ndarray, n: int) -> np.ndarray:
+        """T^n by the guarded walk, for a kind with no closed form."""
+        for out in walk(partial(step, spec), state, n, partial(state_norm, spec)):
+            pass  # keeps only the last state alive
+        return out
+
+    def gauss_model(self) -> Optional[GaussModel]:
+        """The invariant Gaussian model that witnesses e_system, if any."""
+        return None
+
+    def pullbacks(self, center: np.ndarray, n: int) -> int:
+        """The last k <= n whose pullback R^k center the weak-mixing scan
+        takes."""
+        return n
+
+
+class _Kalish(_Kind):
+    """kalish(M): the grid Kalish operator on complex functions over M
+    nodes, with the arc-length norm (grid weight 2pi/M, the squared moduli
+    as floats: kalish._grid_norms).  Its back step is the closed-form
+    solve, its start a sample of the default Gaussian model, which is also
+    its e_system witness, and its eigenvector family is
+    min(64, max(M // 16, 2)) arc indicators."""
+
+    square = float
+    balls = 0
+
+    def __init__(self, grid: int):
+        _require(grid >= 8, "kalish needs grid_size >= 8")
+        super().__init__(grid, f"kalish-{grid}")
+        self.eigen = (min(64, max(grid // 16, 2)), "arc-indicator family at grid scale")
+
+    def norms(self, X, scratch=None):
+        return _grid_norms(X, -1, scratch)
+
+    def step(self, state, back):
+        return kalish_solve_array(state) if back else apply_T_array(state)
+
+    def gauss_model(self):
+        return default_gauss_model(self.dim)
+
+    def start(self, label: str, seed: int) -> np.ndarray:
+        model = self.gauss_model()
+        g = complex_standard_normal(rng_for(seed, f"start:{label}"), (model.node_count,))
+        return model.factor @ g
+
+
+class _Shift(_Kind):
+    """A backward shift with weights w_1..w_{d-1} on C^d, (Tx)_i = w_{i+1}
+    x_{i+1}, built from either shift document: scalar_multiple_shift(lam,
+    d) is lam times the backward shift (truncation of the classical
+    hypercyclic exemplar; nilpotent, so desk runs keep d comfortably above
+    the window length), and weighted_shift(weights) takes positive weights
+    w_1..w_{d-1}.  Its back step is the forward shift,
+    which pushes the last coordinate past the truncation (callers monitor
+    that loss).  logW holds log W_i for W_i = w_1 ... w_i (W_0 = 1), kept
+    in log form because W_i itself can overflow the float range long
+    before any state coordinate does.  Nilpotent, it owns no unimodular
+    eigenvectors."""
+
+    def __init__(self, weight, logW: np.ndarray, label: str):
+        super().__init__(len(logW), label)
+        self.weight, self.logW = weight, logW
+        self.eigen = (0, "truncated shift is nilpotent: no unimodular eigenvectors")
+
+    @classmethod
+    def scalar(cls, spec: SystemSpec) -> "_Shift":
+        z, d = spec.scalar, spec.dimension
+        _require(d >= 1, "shift dimension must be >= 1")
+        _require(abs(z) > 0, "scalar must be nonzero")
+        return cls(z, np.arange(d) * np.log(complex(z)), f"scalar-shift-{z.real:g}-d{d}")
+
+    @classmethod
+    def weighted(cls, spec: SystemSpec) -> "_Shift":
+        w, d = spec.weights, spec.dimension
+        _require(d >= 1, "shift dimension must be >= 1")
+        _require(len(w) == max(d - 1, 0), "need dimension-1 weights")
+        _require(not any(v <= 0 for v in w), "weights must be positive")
+        logs = np.concatenate([[0.0], np.log(np.asarray(w, dtype=float))])
+        return cls(np.asarray(w), np.cumsum(logs).astype(complex), f"weighted-shift-d{d}")
+
+    def step(self, state, back):
+        out = np.zeros_like(state)
+        if back:
+            out[1:] = state[:-1] / self.weight
+        else:
+            out[:-1] = self.weight * state[1:]
+        return out
+
+    def n_step_map(self, spec, state, n):
+        """out_i = state_{i+n} * W_{i+n} / W_i, fused in log space so the
+        weight ratio and the decaying coordinate never meet as inf * 0."""
+        state = np.asarray(state, dtype=complex)
+        out, src, logW = np.zeros_like(state), state[n:], self.logW
+        nz = src != 0  # none once n >= dim
+        if np.any(nz):
+            exponent = np.log(src[nz]) + logW[n:][nz] - logW[: self.dim - n][nz]
+            if np.any(exponent.real >= 700.0):  # the true value overflows anyway
+                raise NormDriftError("shift replay overflowed the float range")
+            out[: self.dim - n][nz] = np.exp(exponent)
+        return out
+
+    def start(self, label, seed):
+        """x_i = r_i / W_i for a Gaussian r, so the orbit slides a fresh
+        symbol window across the visible coordinates; x_i = 0 where
+        |1 / W_i| > e^300, mirroring the 1e-280 underflow cut."""
+        r = complex_standard_normal(rng_for(seed, f"start:{label}"), (self.dim,))
+        keep = self.logW.real >= -300.0  # beyond, x_i^2 in a norm nears overflow
+        x = np.zeros(self.dim, dtype=complex)
+        with np.errstate(divide="ignore", under="ignore"):
+            x[keep] = r[keep] * np.exp(-self.logW[keep])  # deep in a tail it underflows to 0
+        x[np.abs(x) < 1e-280] = 0.0
+        return x
+
+    def pullbacks(self, center, n):
+        """Pullbacks push support deeper; past the dimension they lose mass
+        and stop being exact witnesses, so the scan stops there."""
+        deepest = int(np.max(np.flatnonzero(center), initial=0))
+        return min(n, max(self.dim - 1 - deepest, 0))
+
+
+class _Torus(_Kind):
+    """torus_rotation(angles): coordinatewise rotation z_i -> e^{i alpha_i}
+    z_i on unimodular states, started at the all-ones point.  Treated as a
+    compact-group system, not a linear one: it has no fixed point at 0
+    reachable from the torus, so the linear-only implication edges stay
+    inactive for it.  Its coordinate characters are eigenvectors."""
+
+    linear = False
+
+    def __init__(self, angles: tuple):
+        _require(len(angles) >= 1, "torus needs at least one angle")
+        _require(all(0.0 <= a < TWO_PI for a in angles), "angles must lie in [0, 2pi)")
+        super().__init__(len(angles), "torus-rotation-" + "x".join(f"{a:.3f}" for a in angles))
+        self.angles = np.asarray(angles)
+        self.turns = (np.exp(1j * self.angles), np.exp(-1j * self.angles))
+        self.eigen = (len(angles), "coordinate characters span the state space")
+
+    def step(self, state, back):
+        return state * self.turns[back]
+
+    def n_step_map(self, spec, state, n):
+        return state * np.exp(1j * n * self.angles)
+
+    def start(self, label, seed):
+        return np.ones(self.dim, dtype=complex)
 
 
 def _number(key: str, value, form="number"):
@@ -208,15 +351,17 @@ def _complex(key: str, value) -> complex:
 
 
 _integer = partial(_number, form="integer")
-# Each kind's document form: (key, SystemSpec field, reader, writer) per field.
-_KIND_FIELDS = {
-    "kalish": [("grid", "grid_size", _integer, int)],
-    "scalar_multiple_shift": [("scalar", "scalar", _complex,
-                               lambda z: [z.real, z.imag]),
-                              ("dimension", "dimension", _integer, int)],
-    "weighted_shift": [("weights", "weights", _floats, list),
-                       ("dimension", "dimension", _integer, int)],
-    "torus_rotation": [("angles", "angles", _floats, list)],
+# Each kind: its document form, (key, SystemSpec field, reader, writer) per
+# field, and the builder of its class from a SystemSpec.
+_KINDS = {
+    "kalish": ([("grid", "grid_size", _integer, int)],
+               lambda spec: _Kalish(spec.grid_size)),
+    "scalar_multiple_shift": ([("scalar", "scalar", _complex, lambda z: [z.real, z.imag]),
+                               ("dimension", "dimension", _integer, int)], _Shift.scalar),
+    "weighted_shift": ([("weights", "weights", _floats, list),
+                        ("dimension", "dimension", _integer, int)], _Shift.weighted),
+    "torus_rotation": ([("angles", "angles", _floats, list)],
+                       lambda spec: _Torus(spec.angles)),
 }
 
 
@@ -264,18 +409,7 @@ def torus_system(angles: Sequence[float], name: str = "") -> SystemSpec:
 def norms(spec: SystemSpec, X: np.ndarray) -> np.ndarray:
     """Norms of the states along the last axis of X: the arc-length norm
     for kalish (grid weight 2pi/M), the Euclidean norm otherwise."""
-    return _norms(spec, np.asarray(X))
-
-
-def _norms(spec: SystemSpec, X: np.ndarray, scratch=None) -> np.ndarray:
-    """norms(spec, X), the squared moduli formed in scratch, an array laid
-    out like X (its layout decides the order of the sums), or with none
-    in fresh arrays: |x|^2 as floats for kalish (kalish._grid_norms), and
-    otherwise conj(x) x as complex numbers, np.linalg.norm's own sum."""
-    if spec.kind == "kalish":
-        return _grid_norms(X, -1, scratch)
-    square = np.multiply(np.conjugate(X, out=scratch), X, out=scratch)
-    return np.sqrt(np.add.reduce(square.real, axis=-1))
+    return spec.ops.norms(np.asarray(X))
 
 
 def state_norm(spec: SystemSpec, state: np.ndarray) -> float:
@@ -284,53 +418,8 @@ def state_norm(spec: SystemSpec, state: np.ndarray) -> float:
 
 def step(spec: SystemSpec, state: np.ndarray, back: bool = False) -> np.ndarray:
     """One step of T, or with back=True one step of its right inverse R,
-    T(R y) = y: the closed-form solve for kalish, the inverse rotation for
-    the torus, and the forward shift for shifts, which pushes the last
-    coordinate past the truncation (callers monitor that loss)."""
-    if spec.kind == "kalish":
-        return kalish_solve_array(state) if back else apply_T_array(state)
-    if spec.kind == "torus_rotation":
-        return state * np.exp((-1j if back else 1j) * np.asarray(spec.angles))
-    w = spec.scalar if spec.kind == "scalar_multiple_shift" else np.asarray(spec.weights)
-    out = np.zeros_like(state)
-    if back:
-        out[1:] = state[:-1] / w
-    else:
-        out[:-1] = w * state[1:]
-    return out
-
-
-def _shift_log_products(spec: SystemSpec) -> np.ndarray:
-    """log W_i for W_i = product of the first i weights (W_0 = 1).
-    Kept in log form because W_i itself can overflow the float range
-    long before any state coordinate does."""
-    d = spec.dimension
-    if spec.kind == "scalar_multiple_shift":
-        return np.arange(d) * np.log(complex(spec.scalar))
-    logs = np.concatenate([[0.0], np.log(np.asarray(spec.weights, dtype=float))])
-    return np.cumsum(logs).astype(complex)
-
-
-def _scaled_slide(state: np.ndarray, n: int, logW: np.ndarray) -> np.ndarray:
-    """out_i = state_{i+n} * W_{i+n} / W_i, fused in log space so the
-    weight ratio and the decaying coordinate never meet as inf * 0."""
-    d = state.size
-    out = np.zeros_like(state)
-    if n >= d:
-        return out
-    src = state[n:]
-    nz = src != 0
-    if np.any(nz):
-        with np.errstate(divide="ignore"):
-            exponent = np.log(src[nz]) + logW[n:][nz] - logW[: d - n][nz]
-        vals = np.zeros(int(np.sum(nz)), dtype=complex)
-        ok = exponent.real < 700.0  # beyond this the true value overflows anyway
-        vals[ok] = np.exp(exponent[ok])
-        if np.any(~ok):
-            raise NormDriftError("shift replay overflowed the float range")
-        dest = out[: d - n]
-        dest[nz] = vals
-    return out
+    T(R y) = y (the kind class's step)."""
+    return spec.ops.step(state, back)
 
 
 def n_step_map(spec: SystemSpec, state: np.ndarray, n: int) -> np.ndarray:
@@ -338,38 +427,12 @@ def n_step_map(spec: SystemSpec, state: np.ndarray, n: int) -> np.ndarray:
     Used for independent witness re-verification."""
     if n < 0:
         raise ValueError("n_step_map takes n >= 0")
-    if spec.kind == "torus_rotation":
-        return state * np.exp(1j * n * np.asarray(spec.angles))
-    if spec.kind in ("scalar_multiple_shift", "weighted_shift"):
-        return _scaled_slide(np.asarray(state, dtype=complex), n,
-                             _shift_log_products(spec))
-    for out in walk(partial(step, spec), state, n, partial(state_norm, spec)):
-        pass  # keeps only the last state alive
-    return out
+    return spec.ops.n_step_map(spec, state, n)
 
 
 def default_start(spec: SystemSpec, seed: int) -> np.ndarray:
-    """Transitive-looking start vectors: a Gaussian sample for kalish,
-    a randomized dense-support vector x_i = r_i / W_i for shifts (so the
-    orbit slides a fresh symbol window across the visible coordinates;
-    x_i = 0 where |1 / W_i| > e^300, mirroring the 1e-280 underflow cut),
-    and the all-ones point for torus rotations."""
-    if spec.kind == "kalish":
-        model = default_gauss_model(spec.grid_size)
-        rng = rng_for(seed, f"start:{spec.label}")
-        g = complex_standard_normal(rng, (model.node_count,))
-        return model.factor @ g
-    if spec.kind in ("scalar_multiple_shift", "weighted_shift"):
-        rng = rng_for(seed, f"start:{spec.label}")
-        r = complex_standard_normal(rng, (spec.dimension,))
-        logW = _shift_log_products(spec)
-        keep = logW.real >= -300.0  # beyond, x_i^2 in a norm nears overflow
-        x = np.zeros(spec.dimension, dtype=complex)
-        with np.errstate(divide="ignore", under="ignore"):
-            x[keep] = r[keep] * np.exp(-logW[keep])  # deep in a tail it underflows to 0
-        x[np.abs(x) < 1e-280] = 0.0
-        return x
-    return np.ones(len(spec.angles), dtype=complex)
+    """Transitive-looking start vectors (the kind class's start)."""
+    return spec.ops.start(spec.label, seed)
 
 
 _MODEL_CACHE: dict = {}
@@ -500,12 +563,12 @@ def _distance_rows(spec: SystemSpec, blocks, centers, length: int) -> np.ndarray
     centers = [np.asarray(c, dtype=complex) for c in centers]
     out = np.empty((len(centers), length))
     diff = _block_buffer(length, spec.state_dim)
-    square = np.empty_like(diff, dtype=float if spec.kind == "kalish" else complex)
+    square = np.empty_like(diff, dtype=spec.ops.square)
     for lo, block in blocks:
         hi = lo + len(block)
         d, s = diff[:len(block)], square[:len(block)]
         for row, c in zip(out, centers):
-            row[lo:hi] = _norms(spec, np.subtract(block, c, out=d), s)
+            row[lo:hi] = spec.ops.norms(np.subtract(block, c, out=d), s)
     return out
 
 
@@ -526,8 +589,8 @@ class _ProbeTimes(NamedTuple):
 
 def _probe_times(spec: SystemSpec, length: int) -> _ProbeTimes:
     """The _ProbeTimes of a window of length states."""
-    family = [] if spec.kind == "kalish" else _spread_times(length, 6)
-    return _ProbeTimes(family=family, reference=length // 10, middle=length // 2)
+    return _ProbeTimes(family=_spread_times(length, spec.ops.balls),
+                       reference=length // 10, middle=length // 2)
 
 
 def probe_orbit(spec: SystemSpec, x0: np.ndarray, n_steps: int) -> OrbitRows:
@@ -701,8 +764,8 @@ def e_system_probe(spec: SystemSpec, traj: OrbitRows, seed: int,
     empirical measure must give every test ball positive mass in both
     window halves (a passage in the first half only would be transient,
     not invariant-looking)."""
-    if spec.kind == "kalish":
-        model = default_gauss_model(spec.grid_size)
+    model = spec.ops.gauss_model()
+    if model is not None:
         report = invariance_check(model, None, count=mc_samples, seed=seed)
         return ProbeOutcome(
             probe="e_system",
@@ -792,12 +855,7 @@ def weak_mixing_probe(traj: OrbitRows, seed: int) -> ProbeOutcome:
     # a state's distance to W0's center 0 is its norm
     forward = WindowedSet.from_mask(norms < w0_radius)
     v_center = traj.snapshots[_probe_times(spec, traj.length).middle]
-    n_steps = traj.length - 1
-    # shift pullbacks push support deeper; past the dimension they lose
-    # mass and stop being exact witnesses, so the scan stops there
-    if spec.kind in ("scalar_multiple_shift", "weighted_shift"):
-        deepest = int(np.max(np.flatnonzero(v_center), initial=0))
-        n_steps = min(n_steps, max(spec.dimension - 1 - deepest, 0))
+    n_steps = spec.ops.pullbacks(v_center, traj.length - 1)
     # not walk(): these steps run unguarded; a guard norm per step slows the battery
     pullbacks = islice(_steps(spec, v_center, back=True), n_steps + 1)
     blocks = _blocks(pullbacks, _block_buffer(n_steps + 1, spec.state_dim))
@@ -858,16 +916,8 @@ def m_system_probe(spec: SystemSpec, seed: int) -> ProbeOutcome:
     Truncated shifts are nilpotent and own no unimodular eigenvectors, so
     they earn "no-evidence"."""
     tolerance = 1e-8  # the SVD oracle's, relative to the largest singular value
-    if spec.kind == "kalish":
-        rank = size = min(64, max(spec.grid_size // 16, 2))
-        verdict, note = "yes", "arc-indicator family at grid scale"
-    elif spec.kind == "torus_rotation":
-        rank = size = len(spec.angles)  # coordinate characters are the standard basis
-        verdict, note = "yes", "coordinate characters span the state space"
-    else:
-        rank = size = 0
-        verdict = "no-evidence"
-        note = "truncated shift is nilpotent: no unimodular eigenvectors"
+    rank = size = spec.ops.eigen[0]  # torus: the standard basis
+    verdict, note = "yes" if size else "no-evidence", spec.ops.eigen[1]
     return ProbeOutcome(
         probe="m_system",
         verdict=verdict,

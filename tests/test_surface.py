@@ -229,3 +229,36 @@ def test_every_optional_parameter_is_passed_or_allowed():
 def test_every_allowed_parameter_is_still_unpassed():
     # a parameter that gains a caller leaves the allowlist
     assert set(ALLOWED_PARAMETERS) <= set(unpassed_parameters())
+
+
+_KIND_NAMES = {"kalish", "scalar_multiple_shift", "weighted_shift", "torus_rotation"}
+
+
+def _reads_a_kind(node) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "kind")
+            or (isinstance(node, ast.Attribute) and node.attr == "kind")
+            or (isinstance(node, ast.Constant) and node.value in _KIND_NAMES))
+
+
+def kind_comparisons() -> list:
+    """line: source of every comparison in dynamics_lab.py that reads a
+    system kind or names one, except the membership test of SystemSpec's
+    lookup in the kind table _KINDS."""
+    tree = ast.parse((SRC / "dynamics_lab.py").read_text())
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        if not any(_reads_a_kind(o) for o in (node.left, *node.comparators)):
+            continue
+        lookup = (all(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+                  and getattr(node.comparators[-1], "id", "") == "_KINDS")
+        if not lookup:
+            out.append(f"{node.lineno}: {ast.unparse(node)}")
+    return out
+
+
+def test_only_the_kind_table_compares_a_system_kind():
+    # each kind's rules live in its class in dynamics_lab._KINDS; a
+    # function that branches on spec.kind would give a kind a second home
+    assert kind_comparisons() == []
