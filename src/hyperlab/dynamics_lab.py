@@ -193,9 +193,9 @@ class _Kind:
         """The invariant Gaussian model that witnesses e_system, if any."""
         return None
 
-    def pullbacks(self, center: np.ndarray, n: int) -> int:
+    def pullbacks(self, center: np.ndarray, n: int, radius: float) -> int:
         """The last k <= n whose pullback R^k center the weak-mixing scan
-        takes."""
+        takes, given the radius of W0, the ball around 0 it scans for."""
         return n
 
 
@@ -246,20 +246,25 @@ class _Shift(_Kind):
     def __init__(self, weight, logW: np.ndarray, label: str):
         super().__init__(len(logW), label)
         self.weight, self.logW = weight, logW
+        steps = np.diff(logW.real)  # log w_i
+        self.shrinks, self.grows = bool(np.all(steps <= 0)), bool(np.all(steps >= 0))
         self.eigen = (0, "truncated shift is nilpotent: no unimodular eigenvectors")
 
     @classmethod
     def scalar(cls, spec: SystemSpec) -> "_Shift":
         z, d = spec.scalar, spec.dimension
         _require(d >= 1, "shift dimension must be >= 1")
+        _require(np.isfinite(z), f"system field 'scalar' must be finite, got {z!r}")
         _require(abs(z) > 0, "scalar must be nonzero")
-        return cls(z, np.arange(d) * np.log(complex(z)), f"scalar-shift-{z.real:g}-d{d}")
+        label = f"scalar-shift-{z:g}-d{d}" if z.imag else f"scalar-shift-{z.real:g}-d{d}"
+        return cls(z, np.arange(d) * np.log(complex(z)), label)
 
     @classmethod
     def weighted(cls, spec: SystemSpec) -> "_Shift":
         w, d = spec.weights, spec.dimension
         _require(d >= 1, "shift dimension must be >= 1")
         _require(len(w) == max(d - 1, 0), "need dimension-1 weights")
+        _require(np.all(np.isfinite(w)), f"system field 'weights' must be finite, got {w!r}")
         _require(not any(v <= 0 for v in w), "weights must be positive")
         logs = np.concatenate([[0.0], np.log(np.asarray(w, dtype=float))])
         return cls(np.asarray(w), np.cumsum(logs).astype(complex), f"weighted-shift-d{d}")
@@ -288,20 +293,41 @@ class _Shift(_Kind):
     def start(self, label, seed):
         """x_i = r_i / W_i for a Gaussian r, so the orbit slides a fresh
         symbol window across the visible coordinates; x_i = 0 where
-        |1 / W_i| > e^300, mirroring the 1e-280 underflow cut."""
+        |1 / W_j| > e^300 for some j <= i, mirroring the 1e-280 underflow
+        cut."""
         r = complex_standard_normal(rng_for(seed, f"start:{label}"), (self.dim,))
-        keep = self.logW.real >= -300.0  # beyond, x_i^2 in a norm nears overflow
+        # beyond, x_i^2 in a norm nears overflow, at i or at the j < i
+        # the orbit carries it through, where it is r_i / W_j
+        keep = np.minimum.accumulate(self.logW.real) >= -300.0
         x = np.zeros(self.dim, dtype=complex)
         with np.errstate(divide="ignore", under="ignore"):
             x[keep] = r[keep] * np.exp(-self.logW[keep])  # deep in a tail it underflows to 0
         x[np.abs(x) < 1e-280] = 0.0
         return x
 
-    def pullbacks(self, center, n):
+    def pullbacks(self, center, n, radius):
         """Pullbacks push support deeper; past the dimension they lose mass
-        and stop being exact witnesses, so the scan stops there."""
-        deepest = int(np.max(np.flatnonzero(center), initial=0))
-        return min(n, max(self.dim - 1 - deepest, 0))
+        and stop being exact witnesses, so the scan stops there.  Unless
+        every weight is at least 1, a pullback's coordinates can grow, by
+        |(R^k c)_{i+k}| = |c_i| W_i / W_{i+k}, so the scan also stops before
+        the first pullback whose largest coordinate passes a limit: twice
+        the W0 radius when every weight is at most 1 (the pullback norm
+        then never falls, so no later pullback comes back into W0), and
+        otherwise the size past which its squared moduli could overflow,
+        far outside W0; later pullbacks, which could come back, go
+        unscanned.  So the scan's squares stay in the float range."""
+        support = np.flatnonzero(center)
+        n = min(n, max(self.dim - 1 - int(np.max(support, initial=0)), 0))
+        if self.grows or not support.size:
+            return n
+        logW = self.logW.real
+        base = np.log(np.abs(center[support])) + logW[support]
+        limit = (np.log(2.0 * radius) if self.shrinks
+                 else 0.5 * np.log(np.finfo(float).max / self.dim) - 1.0)
+        for k in range(n + 1):
+            if np.max(base - logW[support + k]) > limit:
+                return max(k - 1, 0)
+        return n
 
 
 class _Torus(_Kind):
@@ -441,7 +467,8 @@ _MODEL_CACHE: dict = {}
 def default_gauss_model(M: int) -> GaussModel:
     """Shared 8-node corrected-eigenvector model over the uniform measure."""
     if M not in _MODEL_CACHE:
-        sigma = CircleMeasure.uniform(1.0, bins=min(M, 1024))
+        # bins: a power of two, so any grid M >= 8 gets a model
+        sigma = CircleMeasure.uniform(1.0, bins=1 << (min(M, 1024).bit_length() - 1))
         _MODEL_CACHE[M] = build_model(corrected_field(sigma, 8, M))
     return _MODEL_CACHE[M]
 
@@ -855,7 +882,7 @@ def weak_mixing_probe(traj: OrbitRows, seed: int) -> ProbeOutcome:
     # a state's distance to W0's center 0 is its norm
     forward = WindowedSet.from_mask(norms < w0_radius)
     v_center = traj.snapshots[_probe_times(spec, traj.length).middle]
-    n_steps = spec.ops.pullbacks(v_center, traj.length - 1)
+    n_steps = spec.ops.pullbacks(v_center, traj.length - 1, w0_radius)
     # not walk(): these steps run unguarded; a guard norm per step slows the battery
     pullbacks = islice(_steps(spec, v_center, back=True), n_steps + 1)
     blocks = _blocks(pullbacks, _block_buffer(n_steps + 1, spec.state_dim))
