@@ -24,8 +24,8 @@ battery), and so does the replay.  hitting_times on a stored Trajectory
 takes the kernel too, its states being the blocks.
 
 The operator zoo: _KINDS maps each system kind to its document fields and
-to the builder of its class, _Kalish, _Shift (both shift kinds) or _Torus,
-whose docstring describes the kind.  A SystemSpec builds its class once,
+to the function that builds its class, _Kalish, _Shift (both shift kinds)
+or _Torus, whose docstring describes the kind.  A SystemSpec builds its class once,
 as spec.ops, and every rule that differs by kind (state norm, step and
 back step, closed-form n_step_map, default start, e_system witness,
 weak-mixing pullback depth, eigenvector family) reads it; no function
@@ -108,7 +108,7 @@ class SystemSpec:
 
     @staticmethod
     def _entry(kind) -> tuple:
-        """(document fields, builder) of kind in _KINDS."""
+        """(document fields, build function) of kind in _KINDS."""
         if not isinstance(kind, str) or kind not in _KINDS:
             raise ValueError(f"unknown system kind {kind!r}")
         return _KINDS[kind]
@@ -378,7 +378,7 @@ def _complex(key: str, value) -> complex:
 
 _integer = partial(_number, form="integer")
 # Each kind: its document form, (key, SystemSpec field, reader, writer) per
-# field, and the builder of its class from a SystemSpec.
+# field, and the function that builds its class from a SystemSpec.
 _KINDS = {
     "kalish": ([("grid", "grid_size", _integer, int)],
                lambda spec: _Kalish(spec.grid_size)),
