@@ -19,7 +19,7 @@ commands read their inputs and print one document.
 Measure arguments accept a path to a circle-measure JSON document or a
 token: "uniform", "dirac:ANGLE[:MASS]", "probability[:SEED]".  System
 arguments accept a path to a system JSON document or a token:
-"kalish[:M]", "scalar-shift[:C[:DIM]]", "torus[:A:B...]".  Set
+"kalish[:M]", "scalar-shift[:C[:DIM]]", "torus:A[:B...]".  Set
 arguments accept a windowed-set JSON document or a newline-delimited
 integer orbit log.
 """
@@ -102,7 +102,7 @@ def _system_doc(token: str, grid: int):
         return {"kind": "scalar_multiple_shift",
                 "scalar": _parsed(parts[0], float) if parts else 2.0,
                 "dimension": _parsed(parts[1], int) if len(parts) > 1 else 160}
-    if token.startswith("torus:"):
+    if token == "torus" or token.startswith("torus:"):
         return {"kind": "torus_rotation",
                 "angles": [_parsed(a, float) for a in token.split(":")[1:]]}
     return read_json(token)

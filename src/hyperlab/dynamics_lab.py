@@ -10,7 +10,8 @@ kalish._BLOCK_ELEMENTS (2**16) complex elements for _distance_rows, the
 one distance kernel, which writes the O(N) distance row of every state to
 each center snapshot.  Pass 2 replays only the states before that block,
 by the same step calls, unguarded, which gives the same states bit for
-bit (the log-space closed form of n_step_map does not, so it is not used).
+bit.  The shift's closed-form n_step_map, a slide, would too, but kalish
+has no closed form and the torus's is not bitwise, so the replay steps.
 The kernel holds two block-sized scratch arrays per call, each block's
 difference from a center and its squared moduli, which the kind class's
 norms (behind the public norms) fills in place: a fresh 1 MiB array per
@@ -51,7 +52,6 @@ import numpy as np
 from .circle_measure import CircleMeasure
 from .gauss_model import (
     GaussModel,
-    NormDriftError,
     build_model,
     corrected_field,
     invariance_check,
@@ -193,9 +193,9 @@ class _Kind:
         """The invariant Gaussian model that witnesses e_system, if any."""
         return None
 
-    def pullbacks(self, center: np.ndarray, n: int, radius: float) -> int:
+    def pullbacks(self, center: np.ndarray, n: int) -> int:
         """The last k <= n whose pullback R^k center the weak-mixing scan
-        takes, given the radius of W0, the ball around 0 it scans for."""
+        takes."""
         return n
 
 
@@ -236,18 +236,25 @@ class _Shift(_Kind):
     d) is lam times the backward shift (truncation of the classical
     hypercyclic exemplar; nilpotent, so desk runs keep d comfortably above
     the window length), and weighted_shift(weights) takes positive weights
-    w_1..w_{d-1}.  Its back step is the forward shift,
-    which pushes the last coordinate past the truncation (callers monitor
-    that loss).  logW holds log W_i for W_i = w_1 ... w_i (W_0 = 1), kept
-    in log form because W_i itself can overflow the float range long
-    before any state coordinate does.  Nilpotent, it owns no unimodular
-    eigenvectors."""
+    w_1..w_{d-1}.  Nilpotent, it owns no unimodular eigenvectors.
 
-    def __init__(self, weight, logW: np.ndarray, label: str):
+    A state is held in symbol coordinates y_i = W_i x_i, W_i = w_1 ... w_i
+    (W_0 = 1).  There T is the plain backward slide, its right inverse R
+    the plain forward slide, which pushes the last coordinate past the
+    truncation, and the weights live in the norm alone: ||x||^2 = sum_i
+    |y_i|^2 / |W_i|^2.  stop is the first i with W_i < e^-300 (else d): the
+    start, the Gaussian symbols r, is zero from there on, the norm reads
+    only the coordinates before it, and so no weight read exceeds e^600.
+    Of those weights, head keeps the ones up to the last nonzero in floating
+    point (538 of 1128 for 2B at d = 1128); past it every term is 0."""
+
+    square = float
+
+    def __init__(self, logW: np.ndarray, label: str):
         super().__init__(len(logW), label)
-        self.weight, self.logW = weight, logW
-        steps = np.diff(logW.real)  # log w_i
-        self.shrinks, self.grows = bool(np.all(steps <= 0)), bool(np.all(steps >= 0))
+        dips = np.flatnonzero(logW < -300.0)
+        self.stop = int(dips[0]) if dips.size else self.dim
+        self.head = np.trim_zeros(np.exp(-2.0 * logW[:self.stop]), "b")  # 1 / |W_i|^2
         self.eigen = (0, "truncated shift is nilpotent: no unimodular eigenvectors")
 
     @classmethod
@@ -257,7 +264,7 @@ class _Shift(_Kind):
         _require(np.isfinite(z), f"system field 'scalar' must be finite, got {z!r}")
         _require(abs(z) > 0, "scalar must be nonzero")
         label = f"scalar-shift-{z:g}-d{d}" if z.imag else f"scalar-shift-{z.real:g}-d{d}"
-        return cls(z, np.arange(d) * np.log(complex(z)), label)
+        return cls(np.arange(d) * np.log(abs(z)), label)
 
     @classmethod
     def weighted(cls, spec: SystemSpec) -> "_Shift":
@@ -267,67 +274,43 @@ class _Shift(_Kind):
         _require(np.all(np.isfinite(w)), f"system field 'weights' must be finite, got {w!r}")
         _require(not any(v <= 0 for v in w), "weights must be positive")
         logs = np.concatenate([[0.0], np.log(np.asarray(w, dtype=float))])
-        return cls(np.asarray(w), np.cumsum(logs).astype(complex), f"weighted-shift-d{d}")
+        return cls(np.cumsum(logs), f"weighted-shift-d{d}")
+
+    def norms(self, X, scratch=None):
+        """sqrt(sum_i |y_i|^2 / |W_i|^2) over the head, the squared moduli
+        formed as floats in scratch (as for kalish) or in a fresh array."""
+        n = len(self.head)
+        moduli = np.abs(X[..., :n], out=None if scratch is None else scratch[..., :n])
+        square = np.multiply(np.square(moduli, out=moduli), self.head, out=moduli)
+        return np.sqrt(np.add.reduce(square, axis=-1))
 
     def step(self, state, back):
         out = np.zeros_like(state)
         if back:
-            out[1:] = state[:-1] / self.weight
+            out[1:] = state[:-1]
         else:
-            out[:-1] = self.weight * state[1:]
+            out[:-1] = state[1:]
         return out
 
     def n_step_map(self, spec, state, n):
-        """out_i = state_{i+n} * W_{i+n} / W_i, fused in log space so the
-        weight ratio and the decaying coordinate never meet as inf * 0."""
-        state = np.asarray(state, dtype=complex)
-        out, src, logW = np.zeros_like(state), state[n:], self.logW
-        nz = src != 0  # none once n >= dim
-        if np.any(nz):
-            exponent = np.log(src[nz]) + logW[n:][nz] - logW[: self.dim - n][nz]
-            if np.any(exponent.real >= 700.0):  # the true value overflows anyway
-                raise NormDriftError("shift replay overflowed the float range")
-            out[: self.dim - n][nz] = np.exp(exponent)
+        """The slide by n, bitwise n steps."""
+        tail = np.asarray(state, dtype=complex)[n:]
+        out = np.zeros(self.dim, dtype=complex)
+        out[:len(tail)] = tail
         return out
 
     def start(self, label, seed):
-        """x_i = r_i / W_i for a Gaussian r, so the orbit slides a fresh
-        symbol window across the visible coordinates; x_i = 0 where
-        |1 / W_j| > e^300 for some j <= i, mirroring the 1e-280 underflow
-        cut."""
+        """The Gaussian symbols r, zero from stop on: the orbit slides a
+        fresh symbol window across the coordinates."""
         r = complex_standard_normal(rng_for(seed, f"start:{label}"), (self.dim,))
-        # beyond, x_i^2 in a norm nears overflow, at i or at the j < i
-        # the orbit carries it through, where it is r_i / W_j
-        keep = np.minimum.accumulate(self.logW.real) >= -300.0
-        x = np.zeros(self.dim, dtype=complex)
-        with np.errstate(divide="ignore", under="ignore"):
-            x[keep] = r[keep] * np.exp(-self.logW[keep])  # deep in a tail it underflows to 0
-        x[np.abs(x) < 1e-280] = 0.0
-        return x
+        r[self.stop:] = 0.0
+        return r
 
-    def pullbacks(self, center, n, radius):
-        """Pullbacks push support deeper; past the dimension they lose mass
-        and stop being exact witnesses, so the scan stops there.  Unless
-        every weight is at least 1, a pullback's coordinates can grow, by
-        |(R^k c)_{i+k}| = |c_i| W_i / W_{i+k}, so the scan also stops before
-        the first pullback whose largest coordinate passes a limit: twice
-        the W0 radius when every weight is at most 1 (the pullback norm
-        then never falls, so no later pullback comes back into W0), and
-        otherwise the size past which its squared moduli could overflow,
-        far outside W0; later pullbacks, which could come back, go
-        unscanned.  So the scan's squares stay in the float range."""
+    def pullbacks(self, center, n):
+        """Pullbacks push support deeper; past stop the norm no longer sees
+        it, so the scan stops before the support reaches stop."""
         support = np.flatnonzero(center)
-        n = min(n, max(self.dim - 1 - int(np.max(support, initial=0)), 0))
-        if self.grows or not support.size:
-            return n
-        logW = self.logW.real
-        base = np.log(np.abs(center[support])) + logW[support]
-        limit = (np.log(2.0 * radius) if self.shrinks
-                 else 0.5 * np.log(np.finfo(float).max / self.dim) - 1.0)
-        for k in range(n + 1):
-            if np.max(base - logW[support + k]) > limit:
-                return max(k - 1, 0)
-        return n
+        return min(n, max(self.stop - 1 - int(np.max(support, initial=0)), 0))
 
 
 class _Torus(_Kind):
@@ -434,7 +417,8 @@ def torus_system(angles: Sequence[float], name: str = "") -> SystemSpec:
 
 def norms(spec: SystemSpec, X: np.ndarray) -> np.ndarray:
     """Norms of the states along the last axis of X: the arc-length norm
-    for kalish (grid weight 2pi/M), the Euclidean norm otherwise."""
+    for kalish (grid weight 2pi/M), the norm of x for a shift's symbol
+    coordinates y (_Shift), the Euclidean norm for the torus."""
     return spec.ops.norms(np.asarray(X))
 
 
@@ -882,7 +866,7 @@ def weak_mixing_probe(traj: OrbitRows, seed: int) -> ProbeOutcome:
     # a state's distance to W0's center 0 is its norm
     forward = WindowedSet.from_mask(norms < w0_radius)
     v_center = traj.snapshots[_probe_times(spec, traj.length).middle]
-    n_steps = spec.ops.pullbacks(v_center, traj.length - 1, w0_radius)
+    n_steps = spec.ops.pullbacks(v_center, traj.length - 1)
     # not walk(): these steps run unguarded; a guard norm per step slows the battery
     pullbacks = islice(_steps(spec, v_center, back=True), n_steps + 1)
     blocks = _blocks(pullbacks, _block_buffer(n_steps + 1, spec.state_dim))

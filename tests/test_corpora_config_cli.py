@@ -697,6 +697,13 @@ def test_cli_token_part_of_no_number_is_named_by_its_field(capsys, argv, message
     assert captured.err == f"error: {message}\n"
 
 
+def test_cli_bare_torus_token_is_a_system_token_not_a_path(capsys):
+    assert main(["lab", "orbit", "torus", "--steps", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: systems[0]: torus needs at least one angle\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["measure", "fourier", "dirac:1.0:0.5:zzz"],
      "token 'dirac:1.0:0.5:zzz' has more parts than dirac:ANGLE[:MASS] takes"),

@@ -523,10 +523,11 @@ def test_walk_yields_start_then_each_step_and_checks_n_at_the_call():
 
 def test_one_drift_guard_message_for_orbits_and_coefficients(monkeypatch):
     # 5^5 is the first power past 1e3 x the start's norm on both walks; the
-    # coefficient walk steps the one vector conj(x*) by apply_T_transpose
+    # coefficient walk steps the one vector conj(x*) by apply_T_transpose.
+    # The shift start y = 5^8 e_8 is x = e_8, of norm 1.
     shape = r"^norm drift guard tripped at step 5 of 8: \S+ > \S+$"
     x0 = np.zeros(9, dtype=complex)
-    x0[-1] = 1.0
+    x0[-1] = 5.0 ** 8
     with pytest.raises(NormDriftError, match=shape) as from_orbit:
         orbit(weighted_shift_system([5.0] * 8), x0, 8)
     assert str(from_orbit.value).endswith(": 3.125e+03 > 1.000e+03")
