@@ -1,17 +1,21 @@
 """Orbit simulation, visit-time extraction, and the classification harness.
-Orbits and kalish replays take gauss_model.walk, the one drift-guarded walk.
+Stored orbits and kalish replays take gauss_model.walk, the one
+drift-guarded walk; the streamed orbit reads its guard off its norm row.
 
 Streaming: the battery and the runner's orbit probe (also `lab orbit`) never
-hold an (N+1, dim) orbit.  orbit_rows walks it once.  The guarded walk
-(pass 1) keeps the guard's per-step norms (the orbit's norm row) and the
-few snapshot states the probes name, and from the block that holds the
-last center time on packs its states into row blocks of at most
-kalish._BLOCK_ELEMENTS (2**16) complex elements for _distance_rows, the
-one distance kernel, which writes the O(N) distance row of every state to
-each center snapshot.  Pass 2 replays only the states before that block,
-by the same step calls, unguarded, which gives the same states bit for
-bit.  The shift's closed-form n_step_map, a slide, would too, but kalish
-has no closed form and the torus's is not bitwise, so the replay steps.
+hold an (N+1, dim) orbit.  orbit_rows walks it once, by unguarded step
+calls.  Pass 1 keeps the few snapshot states the probes name as they pass
+and, from the block that holds the last center time on, packs its states
+into row blocks of at most kalish._BLOCK_ELEMENTS (2**16) complex elements
+for _distance_rows, the one distance kernel, which writes the O(N)
+distance row of every state to each center snapshot and to the origin:
+the row to the origin is the orbit's norm row.  Pass 2 replays only the
+states before that block, by the same step calls, which gives the same
+states bit for bit.  The shift's closed-form n_step_map, a slide, would
+too, but kalish has no closed form and the torus's is not bitwise, so the
+replay steps.  Once the rows are done, walk's drift guard walks the time
+index with the norm read from the norm row, so a drift raises the one
+NormDriftError message, naming its first step.
 The kernel holds two block-sized scratch arrays per call, each block's
 difference from a center and its squared moduli, which the kind class's
 norms (behind the public norms) fills in place: a fresh 1 MiB array per
@@ -20,9 +24,8 @@ faults in again on the next allocation, tens of thousands of page faults
 on a cold process's first battery pass.  The probes read only those rows,
 the norm row and the snapshots, at the times _probe_times names, which
 probe_orbit streams.  The weak-mixing pullbacks stream through the same
-kernel; they stay off the guarded walk (a guard norm per step slowed the
-battery), and so does the replay.  hitting_times on a stored Trajectory
-takes the kernel too, its states being the blocks.
+kernel, their norm row again the row to the origin.  hitting_times on a
+stored Trajectory takes the kernel too, its states being the blocks.
 
 The operator zoo: _KINDS maps each system kind to its document fields and
 to the function that builds its class, _Kalish, _Shift (both shift kinds)
@@ -42,6 +45,7 @@ while an exact failure does overturn a heuristic claim.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
@@ -184,10 +188,10 @@ class _Kind:
         return np.sqrt(np.add.reduce(square.real, axis=-1))
 
     def n_step_map(self, spec: SystemSpec, state: np.ndarray, n: int) -> np.ndarray:
-        """T^n by the guarded walk, for a kind with no closed form."""
-        for out in walk(partial(step, spec), state, n, partial(state_norm, spec)):
-            pass  # keeps only the last state alive
-        return out
+        """T^n by the guarded walk, for a kind with no closed form; the
+        deque keeps only the last state alive."""
+        return deque(walk(partial(step, spec), state, n, partial(state_norm, spec)),
+                     maxlen=1)[0]
 
     def gauss_model(self) -> Optional[GaussModel]:
         """The invariant Gaussian model that witnesses e_system, if any."""
@@ -508,29 +512,36 @@ def orbit_rows(spec: SystemSpec, x0: np.ndarray, n_steps: int,
                centers, keep=()) -> OrbitRows:
     """The orbit [x0, ..., T^n x0] walked once and streamed (see the module
     docstring): its norm row, its states at the times in centers and keep,
-    and the distance row of every state to the state at each center time."""
+    and the distance row of every state to the state at each center time.
+    The norm row is the distance row to the origin; walk's drift guard
+    reads it once it is finished."""
     x0 = _start(spec, x0)
+    # walk checks n_steps now; the guard walks the time index, its norm
+    # read from the norm row, rows[0], once the kernel has written it
+    guard = walk(lambda t: t + 1, 0, n_steps, lambda t: rows[0, t])
     centers = sorted(set(centers))
-    wanted = set(centers) | set(keep)
-    norm_row, snapshots = [], {}
-
-    def guard_norm(x):  # pass 1 sees each state here once, in order
-        if len(norm_row) in wanted:
-            snapshots[len(norm_row)] = x
-        norm_row.append(state_norm(spec, x))
-        return norm_row[-1]
-
-    walker = walk(partial(step, spec), x0, n_steps, guard_norm)
+    wanted, snapshots = set(centers) | set(keep), {}
+    for t in sorted(wanted):
+        _require(0 <= t <= n_steps, f"orbit time {t} is outside [0, {n_steps}]")
+    # pass 1 keeps the states at the wanted times as they pass
+    walker = (snapshots.setdefault(t, x) if t in wanted else x
+              for t, x in enumerate(_steps(spec, x0)))
     buf = _block_buffer(n_steps + 1, spec.state_dim)
     # the first row of the last center's block: once that block is full,
     # every center has been walked
     split = max(centers, default=0) // len(buf) * len(buf)
-    tail = _blocks(islice(walker, split, None), buf, split)
+    tail = _blocks(islice(walker, split, n_steps + 1), buf, split)
     first = next(tail)  # the walk is now past every center time
     replay = _blocks(islice(_steps(spec, x0), split), buf)  # pass 2
-    found = _distance_rows(spec, chain([first], tail, replay),
-                           [snapshots[t] for t in centers], n_steps + 1)
-    return OrbitRows(spec, np.array(norm_row), snapshots, dict(zip(centers, found)))
+    rows = _distance_rows(spec, chain([first], tail, replay),
+                          [_origin(spec), *map(snapshots.get, centers)], n_steps + 1)
+    deque(guard, maxlen=0)  # walks the finished norm row
+    return OrbitRows(spec, rows[0], snapshots, dict(zip(centers, rows[1:])))
+
+
+def _origin(spec: SystemSpec) -> np.ndarray:
+    """The zero state: the distance row to it is the norm row."""
+    return np.zeros(spec.state_dim, dtype=complex)
 
 
 def _steps(spec: SystemSpec, x: np.ndarray, back: bool = False):
@@ -618,8 +629,7 @@ class BallSpec:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        _require(self.radius > 0, f"radius must be positive, got {self.radius!r}")
 
 
 def hitting_times(traj: Trajectory, ball: BallSpec) -> WindowedSet:
@@ -721,7 +731,7 @@ def periodic_return_probe(traj: OrbitRows, seed: int = 0) -> ProbeOutcome:
     genuine short period exists and the probe is expected to find it;
     irrational rotations and nilpotent shifts produce no near-returns."""
     eps = 0.02
-    scale = max(state_norm(traj.spec, traj.snapshots[0]), 1e-12)
+    scale = max(float(traj.norm_row[0]), 1e-12)
     top = min(64, traj.length - 1)
     dists = traj.rows[0][1:top + 1] / scale
     below = np.flatnonzero(dists < eps)
@@ -867,11 +877,10 @@ def weak_mixing_probe(traj: OrbitRows, seed: int) -> ProbeOutcome:
     forward = WindowedSet.from_mask(norms < w0_radius)
     v_center = traj.snapshots[_probe_times(spec, traj.length).middle]
     n_steps = spec.ops.pullbacks(v_center, traj.length - 1)
-    # not walk(): these steps run unguarded; a guard norm per step slows the battery
+    # unguarded, as the orbit's own steps; their norm row is the row to 0
     pullbacks = islice(_steps(spec, v_center, back=True), n_steps + 1)
     blocks = _blocks(pullbacks, _block_buffer(n_steps + 1, spec.state_dim))
-    dist = _distance_rows(spec, blocks, [np.zeros(spec.state_dim, dtype=complex)],
-                          n_steps + 1)[0]
+    dist = _distance_rows(spec, blocks, [_origin(spec)], n_steps + 1)[0]
     back_hits = WindowedSet.from_mask(dist < w0_radius).elements
     backward = WindowedSet(window=forward.window, elements=back_hits[back_hits > 0])
     common = np.intersect1d(forward.elements, backward.elements)

@@ -32,12 +32,14 @@ against A once and feeds them to its analytic rows, its spectral measure
 and its Monte-Carlo estimates.
 A transport is None (the grid T) or a callable on (M, k) arrays; the
 invariance check and the intertwining residual take one.  walk is the one
-drift-guarded walk through powers of a map, and dynamics_lab walks its
-orbits with it.  x*'s coordinates against T^n A are (2pi/M) A^T y_n for
-the walk y_n = (T^T)^n conj(x*) of one M-vector (the kalish module
-docstring): every coefficient routine, the one-power ones included, takes
-them from that walk, one kalish.apply_T_transpose step and one
-matrix-vector product per power, and never transports the (M, m) factor.
+drift-guarded walk through powers of a map: dynamics_lab walks its stored
+orbits with it, and its streamed orbit walks the time index through it
+against the finished norm row.  x*'s coordinates against T^n A are
+(2pi/M) A^T y_n for the walk y_n = (T^T)^n conj(x*) of one M-vector (the
+kalish module docstring): every coefficient routine, the one-power ones
+included, takes them from that walk, one kalish.apply_T_transpose step
+and one matrix-vector product per power, and never transports the (M, m)
+factor.
 
 Two field constructions are provided.  indicator_field uses the arc
 indicators chi(lambda_j) verbatim (first-order eigen residual, decaying
@@ -95,13 +97,15 @@ class NormDriftError(RuntimeError):
 def walk(one_step: Callable, x0, n: int, norm: Callable) -> Iterator:
     """Yield x0 and then each of n steps, holding only the current state;
     raise NormDriftError at the first norm above 1e3 x max(norm(x0), 1e-12).
-    n is checked at the call, not at the first step."""
+    n is checked at the call, norm first called when x0 is drawn, so it
+    may read values that exist only by then (dynamics_lab.orbit_rows)."""
     if n < 0:
         raise ValueError(f"a walk takes n >= 0 steps, got {n}")
-    return _walk(one_step, x0, n, norm, 1e3 * max(norm(x0), 1e-12))
+    return _walk(one_step, x0, n, norm)
 
 
-def _walk(one_step, x, n, norm, guard):
+def _walk(one_step, x, n, norm):
+    guard = 1e3 * max(norm(x), 1e-12)
     yield x
     for t in range(1, n + 1):
         x = one_step(x)

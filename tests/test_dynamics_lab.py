@@ -341,8 +341,9 @@ def test_contracting_shift_pullbacks_stay_finite_and_move_no_verdict(spec, windo
 # -- hitting times and balls --------------------------------------------
 
 def test_ball_radius_must_be_positive():
-    with pytest.raises(ValueError):
-        BallSpec(center=np.zeros(2), radius=0.0)
+    for radius in (0.0, float("nan")):  # a nan radius would hit nothing, silently
+        with pytest.raises(ValueError, match="radius must be positive"):
+            BallSpec(center=np.zeros(2), radius=radius)
 
 
 def test_hitting_times_rational_rotation():
@@ -730,7 +731,8 @@ def test_distance_kernel_is_the_per_state_norm_bit_for_bit(spec, block_states,
     stored = orbit(spec, x0, n)
     hitting_times(stored, BallSpec(center=stored.states[7], radius=1.0))
     probed = len(set(dynamics_lab._probe_times(spec, n + 1).centers))
-    assert [len(centers) for _, _, _, centers, _ in calls] == [1, 8, probed, 1, 1]
+    # orbit_rows adds the origin, whose row is the norm row, to its centers
+    assert [len(centers) for _, _, _, centers, _ in calls] == [2, 9, probed + 1, 1, 1]
     for _, sizes, states, centers, rows in calls:
         assert sizes[-1] <= sizes[0] and max(sizes) == sizes[0]
         if block_states or spec.state_dim == 1024:
@@ -839,6 +841,27 @@ def test_orbit_rows_norm_drift_guard_names_step(centers, block_states, monkeypat
     x0[-1] = 1.0
     with pytest.raises(NormDriftError, match="step 3 of 7"):
         orbit_rows(spec, x0, 7, centers=centers)
+
+
+def test_orbit_rows_rejects_times_outside_the_orbit():
+    spec = torus_system((0.3, 1.1))
+    x0 = default_start(spec, 0)
+    for centers, keep, t in [([15], [], 15), ([-1], [], -1), ([0], [12], 12)]:
+        with pytest.raises(ValueError, match=rf"^orbit time {t} is outside \[0, 10\]$"):
+            orbit_rows(spec, x0, 10, centers=centers, keep=keep)
+    with pytest.raises(ValueError, match="^a walk takes n >= 0 steps, got -1$"):
+        orbit_rows(spec, x0, -1, centers=[0])
+
+
+@pytest.mark.parametrize("row", range(3), ids=lambda i: default_battery(1000)[i].name)
+def test_classifying_a_battery_row_makes_no_state_norm_call(row, monkeypatch):
+    # every row of the streamed orbit, the norm row included, comes from
+    # the distance kernel; a per-step norm made 1,001 calls per row
+    calls = []
+    monkeypatch.setattr(dynamics_lab, "state_norm",
+                        lambda *args: calls.append(args) or state_norm(*args))
+    classify_system(default_battery(1000)[row], window=1000, mc_samples=500)
+    assert calls == []
 
 
 @pytest.mark.parametrize("window", [1, 63, 64, 65, 1000])

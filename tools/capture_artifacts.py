@@ -9,6 +9,9 @@ output line is ``<sha256>  <item>``, for:
 
 * the runner artifacts (every file under reports/, tables/ and plotdata/)
   of the three perfbench workload configs at seeds 101 and 102;
+* the runner artifacts of an `orbit` probe at the same seeds, for the
+  scalar shift 2B on C^640 and for kalish at grid 1024: their tables print
+  every step's norm and distance to the start as a repr float;
 * the standard output of each `hyperlab` line of the README's CLI block,
   the block tests/test_readme_cli.py reads, each run in a fresh process
   (a dense BLAS product's bits can depend on what ran before it in the
@@ -48,6 +51,9 @@ from workloads import WORKLOADS, config_doc  # noqa: E402
 
 ARTIFACT_DIRS = ("reports", "tables", "plotdata")
 WORKLOAD_SEEDS = (101, 102)
+ORBIT_SYSTEMS = ({"kind": "scalar_multiple_shift", "scalar": 2.0, "dimension": 640,
+                  "name": "scalar-shift-2"},
+                 {"kind": "kalish", "grid": 1024, "name": "kalish-1024"})
 BATTERY_WINDOWS = (300, 1000)
 BATTERY_SEEDS = range(24)
 
@@ -67,13 +73,24 @@ def _artifact_digest(out_dir: Path) -> str:
     return whole.hexdigest()
 
 
+def _run_items(docs):
+    """(digest, item) of the runner artifacts of each (config doc, name)."""
+    for doc, name in docs:
+        with tempfile.TemporaryDirectory() as tmp:
+            status = run(config_from_dict(doc), Path(tmp))
+            yield _artifact_digest(Path(tmp)), f"{name} status {status}"
+
+
 def workload_items():
-    for workload in sorted(WORKLOADS):
-        for seed in WORKLOAD_SEEDS:
-            with tempfile.TemporaryDirectory() as tmp:
-                status = run(config_from_dict(config_doc(workload, seed)), Path(tmp))
-                yield (_artifact_digest(Path(tmp)),
-                       f"workload {workload} seed {seed} status {status}")
+    return _run_items((config_doc(workload, seed), f"workload {workload} seed {seed}")
+                      for workload in sorted(WORKLOADS) for seed in WORKLOAD_SEEDS)
+
+
+def orbit_items():
+    return _run_items(({"seed": seed, "systems": [system],
+                        "probes": [{"probe": "orbit", "system": system["name"]}]},
+                       f"orbit probe {system['name']} seed {seed}")
+                      for system in ORBIT_SYSTEMS for seed in WORKLOAD_SEEDS)
 
 
 def readme_cli_lines() -> list:
@@ -104,7 +121,7 @@ def battery_items():
 
 
 def main() -> int:
-    for items in (workload_items, cli_items, battery_items):
+    for items in (workload_items, orbit_items, cli_items, battery_items):
         for digest, name in items():
             print(f"{digest}  {name}", flush=True)
     return 0
