@@ -3,29 +3,34 @@ Stored orbits and kalish replays take gauss_model.walk, the one
 drift-guarded walk; the streamed orbit reads its guard off its norm row.
 
 Streaming: the battery and the runner's orbit probe (also `lab orbit`) never
-hold an (N+1, dim) orbit.  orbit_rows walks it once, by unguarded step
-calls.  Pass 1 keeps the few snapshot states the probes name as they pass
-and, from the block that holds the last center time on, packs its states
-into row blocks of at most kalish._BLOCK_ELEMENTS (2**16) complex elements
-for _distance_rows, the one distance kernel, which writes the O(N)
-distance row of every state to each center snapshot and to the origin:
-the row to the origin is the orbit's norm row.  Pass 2 replays only the
-states before that block, by the same step calls, which gives the same
-states bit for bit.  The shift's closed-form n_step_map, a slide, would
-too, but kalish has no closed form and the torus's is not bitwise, so the
-replay steps.  Once the rows are done, walk's drift guard walks the time
-index with the norm read from the norm row, so a drift raises the one
+hold an (N+1, dim) orbit.  Its states reach _distance_rows, the one
+distance kernel, in row blocks of at most kalish._BLOCK_ELEMENTS (2**16)
+complex elements, and the kernel writes the O(N) distance row of every
+state to each center state and to the origin: the row to the origin is
+the orbit's norm row.  A shift's states need no walk: its class's view
+hook gives the columns its norm reads of x, Tx, ..., T^n x as a strided
+window over one zero-padded copy of the start's symbols (its pullbacks
+as the reversed window over (0^n, x)), bitwise the stepped states, and
+its snapshots come from its n_step_map, the same slide.  Kalish has no
+closed form and the torus's is not bitwise, so orbit_rows walks them once,
+by unguarded step calls.  Pass 1 keeps the few snapshot states the probes
+name as they pass and, from the block that holds the last center time
+on, feeds its blocks to the kernel; pass 2 replays only the states before
+that block, by the same step calls, which gives the same states bit for
+bit.  Once the rows are done, walk's drift guard walks the time index
+with the norm read from the norm row, so a drift raises the one
 NormDriftError message, naming its first step.
-The kernel holds two block-sized scratch arrays per call, each block's
-difference from a center and its squared moduli, which the kind class's
-norms (behind the public norms) fills in place: a fresh 1 MiB array per
-(block, center) pair is one glibc gives back to the system on free and
-faults in again on the next allocation, tens of thousands of page faults
-on a cold process's first battery pass.  The probes read only those rows,
-the norm row and the snapshots, at the times _probe_times names, which
-probe_orbit streams.  The weak-mixing pullbacks stream through the same
-kernel, their norm row again the row to the origin.  hitting_times on a
-stored Trajectory takes the kernel too, its states being the blocks.
+The kernel holds two block-sized scratch arrays per call, as wide as its
+blocks (a shift's head, not its dimension), each block's difference from
+a center and its squared moduli, which the kind class's norms (behind the
+public norms) fills in place: a fresh 1 MiB array per (block, center)
+pair is one glibc gives back to the system on free and faults in again
+on the next allocation, tens of thousands of page faults on a cold
+process's first battery pass.  The probes read only those rows, the norm
+row and the snapshots, at the times _probe_times names, which probe_orbit
+streams.  The weak-mixing pullbacks stream through the same kernel, their
+norm row again the row to the origin.  hitting_times on a stored
+Trajectory takes the kernel too, its states being the blocks.
 
 The operator zoo: _KINDS maps each system kind to its document fields and
 to the function that builds its class, _Kalish, _Shift (both shift kinds)
@@ -52,6 +57,7 @@ from itertools import chain, islice
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .circle_measure import CircleMeasure
 from .gauss_model import (
@@ -202,6 +208,13 @@ class _Kind:
         takes."""
         return n
 
+    def view(self, x: np.ndarray, n: int, back: bool = False) -> Optional[np.ndarray]:
+        """The columns the norm reads of x, Tx, ..., T^n x (of x, Rx, ...,
+        R^n x with back=True), bitwise the stepped states, as an (n + 1,
+        width) view; None for a kind with no bitwise closed form, whose
+        states are walked."""
+        return None
+
 
 class _Kalish(_Kind):
     """kalish(M): the grid Kalish operator on complex functions over M
@@ -250,7 +263,11 @@ class _Shift(_Kind):
     start, the Gaussian symbols r, is zero from there on, the norm reads
     only the coordinates before it, and so no weight read exceeds e^600.
     Of those weights, head keeps the ones up to the last nonzero in floating
-    point (538 of 1128 for 2B at d = 1128); past it every term is 0."""
+    point (538 of 1128 for 2B at d = 1128); past it every term is 0.
+
+    So no orbit is walked: T^t x is x[t:] and R^t x is (0^t, x), both
+    windows of one symbol sequence, and view gives their head columns as
+    a sliding window over one zero-padded copy of x, len(head) wide."""
 
     square = float
 
@@ -287,6 +304,17 @@ class _Shift(_Kind):
         moduli = np.abs(X[..., :n], out=None if scratch is None else scratch[..., :n])
         square = np.multiply(np.square(moduli, out=moduli), self.head, out=moduli)
         return np.sqrt(np.add.reduce(square, axis=-1))
+
+    def view(self, x, n, back=False):
+        """Row t the window padded[t:t + len(head)]: padded is x then
+        zeros, or with back 0^n then x's head, its windows reversed."""
+        width = len(self.head)
+        padded = np.zeros(n + width, dtype=complex)
+        if back:
+            padded[n:] = x[:width]
+            return sliding_window_view(padded, width)[::-1]
+        padded[:min(n + width, self.dim)] = x[:n + width]
+        return sliding_window_view(padded, width)
 
     def step(self, state, back):
         out = np.zeros_like(state)
@@ -510,20 +538,40 @@ class OrbitRows:
 
 def orbit_rows(spec: SystemSpec, x0: np.ndarray, n_steps: int,
                centers, keep=()) -> OrbitRows:
-    """The orbit [x0, ..., T^n x0] walked once and streamed (see the module
-    docstring): its norm row, its states at the times in centers and keep,
-    and the distance row of every state to the state at each center time.
-    The norm row is the distance row to the origin; walk's drift guard
-    reads it once it is finished."""
+    """The orbit [x0, ..., T^n x0] streamed (see the module docstring), from
+    the kind's view or walked once: its norm row, its states at the times
+    in centers and keep, and the distance row of every state to the state
+    at each center time.  The norm row is the distance row to the origin;
+    walk's drift guard reads it once it is finished."""
     x0 = _start(spec, x0)
     # walk checks n_steps now; the guard walks the time index, its norm
     # read from the norm row, rows[0], once the kernel has written it
     guard = walk(lambda t: t + 1, 0, n_steps, lambda t: rows[0, t])
     centers = sorted(set(centers))
-    wanted, snapshots = set(centers) | set(keep), {}
+    wanted = set(centers) | set(keep)
     for t in sorted(wanted):
         _require(0 <= t <= n_steps, f"orbit time {t} is outside [0, {n_steps}]")
-    # pass 1 keeps the states at the wanted times as they pass
+    view = spec.ops.view(x0, n_steps)
+    if view is None:
+        blocks, snapshots = _walked_blocks(spec, x0, n_steps, centers, wanted)
+        states, width = [snapshots[t] for t in centers], spec.state_dim
+    else:
+        snapshots = {t: n_step_map(spec, x0, t) for t in sorted(wanted)}
+        states, width = [view[t] for t in centers], view.shape[-1]
+        blocks = _row_blocks(view)
+    rows = _distance_rows(spec, blocks, [_origin(width), *states], n_steps + 1)
+    deque(guard, maxlen=0)  # walks the finished norm row
+    return OrbitRows(spec, rows[0], snapshots, dict(zip(centers, rows[1:])))
+
+
+def _walked_blocks(spec: SystemSpec, x0: np.ndarray, n_steps: int,
+                   centers: list, wanted: set):
+    """(blocks, snapshots) of the orbit walked by unguarded steps, for a
+    kind with no view: pass 1 keeps the states at the wanted times as they
+    pass and has walked past every center once this returns; its blocks
+    from the last center's block on come first, then pass 2's replay of
+    the states before that block."""
+    snapshots = {}
     walker = (snapshots.setdefault(t, x) if t in wanted else x
               for t, x in enumerate(_steps(spec, x0)))
     buf = _block_buffer(n_steps + 1, spec.state_dim)
@@ -533,15 +581,13 @@ def orbit_rows(spec: SystemSpec, x0: np.ndarray, n_steps: int,
     tail = _blocks(islice(walker, split, n_steps + 1), buf, split)
     first = next(tail)  # the walk is now past every center time
     replay = _blocks(islice(_steps(spec, x0), split), buf)  # pass 2
-    rows = _distance_rows(spec, chain([first], tail, replay),
-                          [_origin(spec), *map(snapshots.get, centers)], n_steps + 1)
-    deque(guard, maxlen=0)  # walks the finished norm row
-    return OrbitRows(spec, rows[0], snapshots, dict(zip(centers, rows[1:])))
+    return chain([first], tail, replay), snapshots
 
 
-def _origin(spec: SystemSpec) -> np.ndarray:
-    """The zero state: the distance row to it is the norm row."""
-    return np.zeros(spec.state_dim, dtype=complex)
+def _origin(width: int) -> np.ndarray:
+    """The zero state of width columns: the distance row to it is the norm
+    row."""
+    return np.zeros(width, dtype=complex)
 
 
 def _steps(spec: SystemSpec, x: np.ndarray, back: bool = False):
@@ -556,6 +602,14 @@ def _block_buffer(length: int, dim: int) -> np.ndarray:
     """The one reused buffer of _blocks for length states of dim
     coordinates: kalish._block_rows rows, at most length."""
     return np.empty((min(_block_rows((length, dim)), length), dim), dtype=complex)
+
+
+def _row_blocks(states: np.ndarray):
+    """(first row, block) pairs of kalish._block_rows consecutive rows of
+    an array of states, the rows _block_buffer sizes the kernel's scratch
+    by."""
+    rows = _block_rows(states.shape)
+    return ((lo, states[lo:lo + rows]) for lo in range(0, len(states), rows))
 
 
 def _blocks(states, buf: np.ndarray, lo: int = 0):
@@ -579,18 +633,24 @@ def _distance_rows(spec: SystemSpec, blocks, centers, length: int) -> np.ndarray
     ||x_t - c|| from the states, given as (first row, block) pairs of
     consecutive rows in any order, to each center c, so every center meets
     a block while it is in cache.  Every x_t - c and its squared moduli go
-    into one scratch pair shaped like _block_buffer, the rows every block
-    source cuts its blocks by, so a call allocates no block-sized array
-    per block.  Row by row it is norms(spec, states - c) bit for bit."""
+    into one scratch pair shaped like _block_buffer, as wide as the centers
+    and the blocks, the rows every block source cuts its blocks by, so a
+    call allocates no block-sized array per block.  Row by row it is
+    norms(spec, states - c) bit for bit."""
     centers = [np.asarray(c, dtype=complex) for c in centers]
     out = np.empty((len(centers), length))
-    diff = _block_buffer(length, spec.state_dim)
+    diff = _block_buffer(length, centers[0].shape[-1])
     square = np.empty_like(diff, dtype=spec.ops.square)
     for lo, block in blocks:
         hi = lo + len(block)
         d, s = diff[:len(block)], square[:len(block)]
+        # a block of overlapping windows (a kind's view) is copied into d
+        # first: numpy would buffer a subtraction from it, at twice the time
+        copy = not block.flags.c_contiguous
         for row, c in zip(out, centers):
-            row[lo:hi] = spec.ops.norms(np.subtract(block, c, out=d), s)
+            if copy:
+                np.copyto(d, block)
+            row[lo:hi] = spec.ops.norms(np.subtract(d if copy else block, c, out=d), s)
     return out
 
 
@@ -634,9 +694,8 @@ class BallSpec:
 
 def hitting_times(traj: Trajectory, ball: BallSpec) -> WindowedSet:
     """Times t with ||x_t - center|| < radius; window = trajectory length."""
-    rows = _block_rows(traj.states.shape)
-    blocks = ((lo, traj.states[lo:lo + rows]) for lo in range(0, traj.length, rows))
-    dist = _distance_rows(traj.spec, blocks, [ball.center], traj.length)[0]
+    dist = _distance_rows(traj.spec, _row_blocks(traj.states), [ball.center],
+                          traj.length)[0]
     return WindowedSet.from_mask(dist < ball.radius)
 
 
@@ -877,10 +936,15 @@ def weak_mixing_probe(traj: OrbitRows, seed: int) -> ProbeOutcome:
     forward = WindowedSet.from_mask(norms < w0_radius)
     v_center = traj.snapshots[_probe_times(spec, traj.length).middle]
     n_steps = spec.ops.pullbacks(v_center, traj.length - 1)
-    # unguarded, as the orbit's own steps; their norm row is the row to 0
-    pullbacks = islice(_steps(spec, v_center, back=True), n_steps + 1)
-    blocks = _blocks(pullbacks, _block_buffer(n_steps + 1, spec.state_dim))
-    dist = _distance_rows(spec, blocks, [_origin(spec)], n_steps + 1)[0]
+    view = spec.ops.view(v_center, n_steps, back=True)
+    if view is None:  # unguarded steps, as the orbit's own
+        pullbacks = islice(_steps(spec, v_center, back=True), n_steps + 1)
+        width = spec.state_dim
+        blocks = _blocks(pullbacks, _block_buffer(n_steps + 1, width))
+    else:
+        blocks, width = _row_blocks(view), view.shape[-1]
+    # their norm row is the row to 0
+    dist = _distance_rows(spec, blocks, [_origin(width)], n_steps + 1)[0]
     back_hits = WindowedSet.from_mask(dist < w0_radius).elements
     backward = WindowedSet(window=forward.window, elements=back_hits[back_hits > 0])
     common = np.intersect1d(forward.elements, backward.elements)

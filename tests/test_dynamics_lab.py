@@ -8,6 +8,7 @@ and the battery run must keep its frozen verdict pattern.
 import csv
 import io
 import warnings
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -43,6 +44,7 @@ from hyperlab import dynamics_lab
 from hyperlab.dynamics_lab import (
     m_system_probe, norms, orbit_rows, parse_systems, probe_orbit, state_norm,
     weak_mixing_probe)
+from hyperlab.gauss_model import walk
 from hyperlab.kalish import CircleFunction, arc_indicators, func_norm, grid_norms
 from hyperlab.jsonio import stable_dumps
 from hyperlab.seeding import rng_for
@@ -713,6 +715,7 @@ def _reference_norm(spec, x: np.ndarray):
     kalish_system(8),
     kalish_system(1024),
     scalar_shift_system(2.0, 90),
+    scalar_shift_system(2.0, 1128),  # head 538 of 1128
     weighted_shift_system([1.5] * 59),
     torus_system((0.3, 1.1, 2.5)),
 ], ids=lambda spec: spec.label)
@@ -733,7 +736,13 @@ def test_distance_kernel_is_the_per_state_norm_bit_for_bit(spec, block_states,
     probed = len(set(dynamics_lab._probe_times(spec, n + 1).centers))
     # orbit_rows adds the origin, whose row is the norm row, to its centers
     assert [len(centers) for _, _, _, centers, _ in calls] == [2, 9, probed + 1, 1, 1]
+    # a shift's orbit and pullbacks are the columns its norm reads, its
+    # head; the stored orbit of hitting_times is dim wide
+    width = len(spec.ops.head) if isinstance(spec.ops, dynamics_lab._Shift) else spec.state_dim
+    assert [states.shape[1] for _, _, states, _, _ in calls] == [width] * 4 + [spec.state_dim]
     for _, sizes, states, centers, rows in calls:
+        # blocks of kalish._block_rows rows of the states' width
+        assert sizes[0] == min(dynamics_lab._block_rows(states.shape), len(states))
         assert sizes[-1] <= sizes[0] and max(sizes) == sizes[0]
         if block_states or spec.state_dim == 1024:
             assert len(sizes) > 1 and sizes[-1] < sizes[0]
@@ -798,9 +807,11 @@ def test_one_walk_rows_are_bitwise_the_stored_orbit(spec, block_states, edge,
     steps = _counting_steps(monkeypatch)
     got = orbit_rows(spec, x0, n, centers=centers, keep=keep)
     # pass 1 walks n steps; pass 2 replays the states before the last
-    # center's block, which start at split, so split - 1 steps
+    # center's block, which start at split, so split - 1 steps; a shift's
+    # rows are windows of its view, with no step
     split = max(centers, default=0) // b * b
-    assert len(steps) == n + max(split - 1, 0)
+    walked = not isinstance(spec.ops, dynamics_lab._Shift)
+    assert len(steps) == walked * (n + max(split - 1, 0))
     want = _stored_orbit_rows(spec, x0, n, centers, keep)
     assert np.array_equal(_bits(got.norm_row), _bits(want.norm_row))
     assert sorted(got.snapshots) == sorted(want.snapshots)
@@ -818,16 +829,96 @@ def test_battery_rows_replay_only_the_prefix_before_the_last_centers_block(
     battery = default_battery(window)
     for spec in battery:
         probe_orbit(spec, default_start(spec, 0), window)
-    # torus: one block; shift: blocks of 58 states, the last center (1000)
-    # in the block from 986; kalish: blocks of 64, the last center (100)
-    # in the block from 64
+    # torus: one block; shift: no step, its rows are windows of its view;
+    # kalish: blocks of 64, the last center (100) in the block from 64
     assert {name: steps.count(name) for name in set(steps)} == {
-        "torus-rotation": window, "scalar-shift-2": window + 985,
-        "kalish-gaussian": window + 63}
+        "torus-rotation": window, "kalish-gaussian": window + 63}
     for centers in ([0], []):  # the runner's orbit probe and lab orbit; none
         steps.clear()
         orbit_rows(battery[2], default_start(battery[2], 0), window, centers)
         assert len(steps) == window
+
+
+# -- a shift's rows: windows of its one symbol sequence ------------------
+
+_VIEW_SHIFTS = [
+    scalar_shift_system(2.0, 90),
+    scalar_shift_system(2.0, 1128),  # head 538 of 1128
+    scalar_shift_system(0.5, 30),  # zero tail: 0 from step 30 on
+    weighted_shift_system([0.01] * 79),  # W_i < e^-300 from i = 66: stop 66 < d 80
+]
+
+
+def _view_block_rows(spec, block_states, monkeypatch) -> int:
+    """The kernel block rows of a shift's view, len(head) wide, with
+    block_states rows a block (None: the kernel's own)."""
+    width = len(spec.ops.head)
+    if block_states:
+        monkeypatch.setattr("hyperlab.kalish._BLOCK_ELEMENTS", block_states * width)
+    return dynamics_lab._block_rows((1, width))
+
+
+def _block_sizes(length: int, b: int) -> list:
+    return [min(b, length - lo) for lo in range(0, length, b)]
+
+
+@pytest.mark.parametrize("edge", sorted(_BLOCK_EDGES))
+@pytest.mark.parametrize("block_states", [7, None], ids=["7-state-blocks", "kernel-blocks"])
+@pytest.mark.parametrize("spec", _VIEW_SHIFTS, ids=lambda spec: spec.label)
+def test_shift_view_rows_are_bitwise_the_stepped_orbit(spec, block_states, edge,
+                                                       monkeypatch):
+    b = _view_block_rows(spec, block_states, monkeypatch)
+    n, centers = _BLOCK_EDGES[edge](b)
+    x0 = default_start(spec, 6)
+    stored = orbit(spec, x0, n)
+    calls, steps = _record_kernel(monkeypatch), _counting_steps(monkeypatch)
+    got = orbit_rows(spec, x0, n, centers=centers, keep=[n // 2])
+    assert steps == []
+    # one kernel call over the head columns of the stepped states, in
+    # blocks of b rows
+    (_, sizes, states, _, _), = calls
+    width = len(spec.ops.head)
+    assert sizes == _block_sizes(n + 1, b)
+    assert np.array_equal(_bits(states), _bits(stored.states[:, :width]))
+    assert np.array_equal(_bits(got.norm_row),
+                          _bits(np.array([norms(spec, x) for x in stored.states])))
+    assert sorted(got.rows) == sorted(set(centers))
+    for t, row in got.rows.items():
+        want = [norms(spec, x - stored.states[t]) for x in stored.states]
+        assert np.array_equal(_bits(row), _bits(np.array(want)))
+    assert sorted(got.snapshots) == sorted({*centers, n // 2})
+    for t, state in got.snapshots.items():
+        assert np.array_equal(_bits(state), _bits(stored.states[t]))
+
+
+# pullback rows as functions of the block rows b
+_PULLBACK_ROWS = {"one-row": lambda b: 1, "one-block": lambda b: b,
+                  "one-block-and-a-row": lambda b: b + 1, "two-blocks": lambda b: 2 * b,
+                  "a-short-last-block": lambda b: 3 * b + 2}
+
+
+@pytest.mark.parametrize("pulled", sorted(_PULLBACK_ROWS))
+@pytest.mark.parametrize("block_states", [7, None], ids=["7-state-blocks", "kernel-blocks"])
+@pytest.mark.parametrize("spec", _VIEW_SHIFTS, ids=lambda spec: spec.label)
+def test_shift_pullback_row_is_bitwise_the_stepped_pullbacks(spec, block_states, pulled,
+                                                             monkeypatch):
+    b = _view_block_rows(spec, block_states, monkeypatch)
+    # at window 2k, V's center is T^k x, whose support ends at stop - 1 - k,
+    # so the scan takes k pullbacks; k < stop keeps the orbit nonzero over
+    # half the window, which the probe needs to scan at all
+    k = min(_PULLBACK_ROWS[pulled](b) - 1, spec.ops.stop - 1)
+    traj = probe_orbit(spec, default_start(spec, 6), 2 * k)
+    v = traj.snapshots[dynamics_lab._probe_times(spec, 2 * k + 1).middle]
+    depth = spec.ops.pullbacks(v, 2 * k)
+    assert depth == k
+    stepped = np.array(list(islice(dynamics_lab._steps(spec, v, back=True), depth + 1)))
+    calls, steps = _record_kernel(monkeypatch), _counting_steps(monkeypatch)
+    weak_mixing_probe(traj, seed=0)
+    assert steps == []
+    (_, sizes, states, _, (row,)), = calls
+    assert sizes == _block_sizes(depth + 1, b)
+    assert np.array_equal(_bits(states), _bits(stepped[:, :len(spec.ops.head)]))
+    assert np.array_equal(_bits(row), _bits(np.array([norms(spec, x) for x in stepped])))
 
 
 @pytest.mark.parametrize("centers", [[0, 7], [0], []])
@@ -864,6 +955,14 @@ def test_classifying_a_battery_row_makes_no_state_norm_call(row, monkeypatch):
     assert calls == []
 
 
+def test_classifying_the_battery_shift_row_makes_no_step_call(monkeypatch):
+    # its orbit and its pullbacks are windows of one symbol sequence; the
+    # walk and replay made 2,485 calls (1,000 + 985 + 500 pullbacks)
+    steps = _counting_steps(monkeypatch)
+    classify_system(default_battery(1000)[1], window=1000, mc_samples=500)
+    assert steps == []
+
+
 @pytest.mark.parametrize("window", [1, 63, 64, 65, 1000])
 def test_classification_documents_are_the_stored_orbit_documents(window, monkeypatch):
     battery = default_battery(window)
@@ -873,6 +972,30 @@ def test_classification_documents_are_the_stored_orbit_documents(window, monkeyp
     stored = [stable_dumps(classification_run(battery, window, seed, mc_samples=500)
                            .to_dict()) for seed in range(3)]
     assert streamed == stored
+
+
+def _stepped_orbit_rows(spec, x0, n_steps, centers, keep=()):
+    """The oracle of orbit_rows for a window whose stored orbit is too large
+    to hold (4001 x 4128 complex, 264 MB, for the window-4000 shift row):
+    orbit's guarded walk, taken twice, and each state's norm and distances
+    one state at a time."""
+    def states():
+        return walk(partial(step, spec), np.asarray(x0, dtype=complex), n_steps,
+                    partial(state_norm, spec))
+    snapshots = {t: x for t, x in enumerate(states()) if t in {*centers, *keep}}
+    origin = np.zeros(spec.state_dim, dtype=complex)
+    rows = np.array([[state_norm(spec, x - c) for c in [origin] + [snapshots[t] for t in centers]]
+                     for x in states()]).T
+    return dynamics_lab.OrbitRows(spec, rows[0], snapshots, dict(zip(centers, rows[1:])))
+
+
+def test_window_4000_classification_documents_are_the_stepped_orbit_documents(
+        monkeypatch):
+    battery = default_battery(4000)
+    streamed = stable_dumps(classification_run(battery, 4000, 0, mc_samples=500).to_dict())
+    monkeypatch.setattr(dynamics_lab, "orbit_rows", _stepped_orbit_rows)
+    stepped = stable_dumps(classification_run(battery, 4000, 0, mc_samples=500).to_dict())
+    assert streamed == stepped
 
 
 def test_window_2000_battery_runs_without_a_crash():

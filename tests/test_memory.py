@@ -10,8 +10,11 @@ factor-sized one.  The coefficient table
 walks one grid vector, never the factor, so it holds its paired draws,
 an eighth of a factor at 1000 samples, and no factor-sized array.
 A classification row streams its orbit (dynamics_lab.orbit_rows), so at
-window 4000 it holds a few MiB, not an (N+1, dim) orbit.  A complex
-Gaussian draw holds its output and a 64 KiB scratch.
+window 4000 it holds a few MiB, not an (N+1, dim) orbit.  A shift's
+orbit is a window over its symbols, so the distance kernel's scratch is
+as wide as the head its norm reads, not the shift's dimension, and its
+streamed orbit holds bytes that grow at most linearly with the window.
+A complex Gaussian draw holds its output and a 64 KiB scratch.
 
 The cold-start contract counts minor page faults, not bytes: the distance
 kernel (dynamics_lab._distance_rows) keeps its block temporaries in one
@@ -30,7 +33,9 @@ import numpy as np
 import pytest
 
 from hyperlab.circle_measure import CircleMeasure
-from hyperlab.dynamics_lab import classify_system, default_battery
+from hyperlab import dynamics_lab
+from hyperlab.dynamics_lab import (classify_system, default_battery, default_start,
+                                   probe_orbit, scalar_shift_system, weak_mixing_probe)
 from hyperlab.gauss_model import (build_model, coefficient_rows, corrected_field,
                                   invariance_check)
 from hyperlab.kalish import CircleFunction, apply_T_array, exact_eigenvectors
@@ -113,6 +118,39 @@ def test_complex_standard_normal_holds_its_output_and_a_scratch():
 def test_classification_row_at_window_4000_holds_at_most_8_mib(spec):
     # a stored orbit alone would be 4001 x 4128 complex (264 MB) for the shift
     assert _peak_bytes(lambda: classify_system(spec, window=4000)) <= 8 * 2**20
+
+
+def test_a_shift_distance_kernel_holds_a_scratch_of_head_width(monkeypatch):
+    spec = scalar_shift_system(2.0, 1128)  # head 538 of 1128
+    n = 50  # 51 states, fewer than a block's rows: the scratch spans the window
+    held, kernel = [], dynamics_lab._distance_rows
+
+    def measured(spec, blocks, centers, length):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        rows = kernel(spec, blocks, centers, length)
+        held.append(tracemalloc.get_traced_memory()[1] - before - rows.nbytes)
+        return rows
+
+    monkeypatch.setattr(dynamics_lab, "_distance_rows", measured)
+    x0 = default_start(spec, 0)
+    tracemalloc.start()
+    try:
+        weak_mixing_probe(probe_orbit(spec, x0, n), seed=0)  # orbit and pullbacks
+    finally:
+        tracemalloc.stop()
+    block = np.empty((n + 1, len(spec.ops.head)), dtype=complex).nbytes
+    # a state_dim-wide scratch pair is 3.1 of these blocks (1.38 MB)
+    assert len(held) == 2 and max(held) <= 2 * block
+
+
+def test_a_shift_probe_orbit_grows_at_most_linearly_with_the_window():
+    peaks = {}
+    for window in (1000, 16_000):
+        spec = scalar_shift_system(2.0, window + 128)
+        x0 = default_start(spec, 0)
+        peaks[window] = _peak_bytes(lambda: probe_orbit(spec, x0, window))
+    assert peaks[16_000] <= 16 * peaks[1000]
 
 
 _COLD_ROW = """

@@ -10,8 +10,11 @@ output line is ``<sha256>  <item>``, for:
 * the runner artifacts (every file under reports/, tables/ and plotdata/)
   of the three perfbench workload configs at seeds 101 and 102;
 * the runner artifacts of an `orbit` probe at the same seeds, for the
-  scalar shift 2B on C^640 and for kalish at grid 1024: their tables print
-  every step's norm and distance to the start as a repr float;
+  scalar shift 2B on C^640, for kalish at grid 1024, for the weighted
+  shift with weights 1/4 on C^640, whose weight products dip below e^-300
+  from coordinate 217 on, and for 0.5B on C^64, whose orbit is 0 from
+  step 64 on: their tables print every step's norm and distance to the
+  start as a repr float;
 * the standard output of each `hyperlab` line of the README's CLI block,
   the block tests/test_readme_cli.py reads, each run in a fresh process
   (a dense BLAS product's bits can depend on what ran before it in the
@@ -53,7 +56,11 @@ ARTIFACT_DIRS = ("reports", "tables", "plotdata")
 WORKLOAD_SEEDS = (101, 102)
 ORBIT_SYSTEMS = ({"kind": "scalar_multiple_shift", "scalar": 2.0, "dimension": 640,
                   "name": "scalar-shift-2"},
-                 {"kind": "kalish", "grid": 1024, "name": "kalish-1024"})
+                 {"kind": "kalish", "grid": 1024, "name": "kalish-1024"},
+                 {"kind": "weighted_shift", "weights": [0.25] * 639, "dimension": 640,
+                  "name": "weighted-shift-dip"},
+                 {"kind": "scalar_multiple_shift", "scalar": 0.5, "dimension": 64,
+                  "name": "scalar-shift-0.5"})
 BATTERY_WINDOWS = (300, 1000)
 BATTERY_SEEDS = range(24)
 
