@@ -3,34 +3,36 @@ Stored orbits and kalish replays take gauss_model.walk, the one
 drift-guarded walk; the streamed orbit reads its guard off its norm row.
 
 Streaming: the battery and the runner's orbit probe (also `lab orbit`) never
-hold an (N+1, dim) orbit.  Its states reach _distance_rows, the one
-distance kernel, in row blocks of at most kalish._BLOCK_ELEMENTS (2**16)
-complex elements, and the kernel writes the O(N) distance row of every
-state to each center state and to the origin: the row to the origin is
-the orbit's norm row.  A shift's states need no walk: its class's view
-hook gives the columns its norm reads of x, Tx, ..., T^n x as a strided
-window over one zero-padded copy of the start's symbols (its pullbacks
-as the reversed window over (0^n, x)), bitwise the stepped states, and
-its snapshots come from its n_step_map, the same slide.  Kalish has no
-closed form and the torus's is not bitwise, so orbit_rows walks them once,
-by unguarded step calls.  Pass 1 keeps the few snapshot states the probes
-name as they pass and, from the block that holds the last center time
-on, feeds its blocks to the kernel; pass 2 replays only the states before
-that block, by the same step calls, which gives the same states bit for
-bit.  Once the rows are done, walk's drift guard walks the time index
-with the norm read from the norm row, so a drift raises the one
+hold an (N+1, dim) orbit.  _rows is its one row source: the orbit_rows of
+x, Tx, ..., T^n x and the weak-mixing pullbacks x, Rx, ..., R^n x both take
+it, and it alone chooses between a kind's view and the walk.  It hands the
+states to _distance_rows, the one distance kernel, in row blocks of at
+most kalish._BLOCK_ELEMENTS (2**16) complex elements, and the kernel writes
+the O(N) distance row of every state to the origin, which is the norm row,
+and to each center state.  A shift's states need no walk: its class's view
+gives the columns its norm reads as a strided window over one zero-padded
+copy of the start's symbols (the pullbacks as the reversed window over
+(0^n, x)), bitwise the stepped states.  Kalish has no closed form and the
+torus's is not bitwise, so _rows walks them once, by unguarded step
+calls.  Pass 1 keeps the center and keep states as they pass and, from
+the block that holds the last center time on, feeds its blocks to the
+kernel; pass 2 replays only the states before that block, by the same
+step calls, which gives the same states bit for bit.  Only the keep
+states are returned, the one state a probe reads, weak mixing's middle: a
+shift's from its n_step_map, the same slide, a walked kind's as the walk
+passed it.  Once the rows are done, walk's drift guard walks the time
+index with the norm read from the norm row, so a drift raises the one
 NormDriftError message, naming its first step.
 The kernel holds two block-sized scratch arrays per call, as wide as its
-blocks (a shift's head, not its dimension), each block's difference from
-a center and its squared moduli, which the kind class's norms (behind the
-public norms) fills in place: a fresh 1 MiB array per (block, center)
-pair is one glibc gives back to the system on free and faults in again
-on the next allocation, tens of thousands of page faults on a cold
-process's first battery pass.  The probes read only those rows, the norm
-row and the snapshots, at the times _probe_times names, which probe_orbit
-streams.  The weak-mixing pullbacks stream through the same kernel, their
-norm row again the row to the origin.  hitting_times on a stored
-Trajectory takes the kernel too, its states being the blocks.
+blocks (a shift's head, not its dimension): each block is copied into
+the first and the center subtracted there, and the kind class's norms
+(behind the public norms) forms the squared moduli in the second.  A
+fresh 1 MiB array per (block, center) pair is one glibc gives back to the
+system on free and faults in again on the next allocation, tens of
+thousands of page faults on a cold process's first battery pass.  The
+probes read only the rows and the keep state, at the times _probe_times
+names, which probe_orbit streams.  hitting_times on a stored Trajectory
+takes the kernel too, its states being the blocks.
 
 The operator zoo: _KINDS maps each system kind to its document fields and
 to the function that builds its class, _Kalish, _Shift (both shift kinds)
@@ -508,6 +510,9 @@ def _start(spec: SystemSpec, x0) -> np.ndarray:
         raise ValueError(
             f"start has shape {x0.shape}, spec wants ({spec.state_dim},)"
         )
+    bad = np.flatnonzero(~np.isfinite(x0))
+    if bad.size:
+        raise ValueError(f"start coordinate {bad[0]} is {x0[bad[0]]}, not finite")
     return x0
 
 
@@ -523,12 +528,13 @@ def orbit(spec: SystemSpec, x0: np.ndarray, n_steps: int) -> Trajectory:
 
 @dataclass(frozen=True)
 class OrbitRows:
-    """What the probes read of one orbit of orbit_rows: its norm row, the
-    snapshot states, and the distance row to each center snapshot."""
+    """What the probes read of one orbit of orbit_rows: its norm row, its
+    states at the keep times, and the distance row to the state at each
+    center time."""
 
     spec: SystemSpec
     norm_row: np.ndarray  # (length,)
-    snapshots: dict  # time -> state
+    snapshots: dict  # keep time -> state
     rows: dict  # center time -> (length,) distances to its state
 
     @property
@@ -538,56 +544,60 @@ class OrbitRows:
 
 def orbit_rows(spec: SystemSpec, x0: np.ndarray, n_steps: int,
                centers, keep=()) -> OrbitRows:
-    """The orbit [x0, ..., T^n x0] streamed (see the module docstring), from
-    the kind's view or walked once: its norm row, its states at the times
-    in centers and keep, and the distance row of every state to the state
-    at each center time.  The norm row is the distance row to the origin;
-    walk's drift guard reads it once it is finished."""
+    """The orbit [x0, ..., T^n x0] streamed (see the module docstring): its
+    norm row, its states at the keep times, and the distance row of every
+    state to the state at each center time.  walk's drift guard reads the
+    norm row once it is finished."""
     x0 = _start(spec, x0)
     # walk checks n_steps now; the guard walks the time index, its norm
     # read from the norm row, rows[0], once the kernel has written it
     guard = walk(lambda t: t + 1, 0, n_steps, lambda t: rows[0, t])
     centers = sorted(set(centers))
-    wanted = set(centers) | set(keep)
-    for t in sorted(wanted):
+    for t in sorted({*centers, *keep}):
         _require(0 <= t <= n_steps, f"orbit time {t} is outside [0, {n_steps}]")
-    view = spec.ops.view(x0, n_steps)
-    if view is None:
-        blocks, snapshots = _walked_blocks(spec, x0, n_steps, centers, wanted)
-        states, width = [snapshots[t] for t in centers], spec.state_dim
-    else:
-        snapshots = {t: n_step_map(spec, x0, t) for t in sorted(wanted)}
-        states, width = [view[t] for t in centers], view.shape[-1]
-        blocks = _row_blocks(view)
-    rows = _distance_rows(spec, blocks, [_origin(width), *states], n_steps + 1)
+    rows, snapshots = _rows(spec, x0, n_steps, centers, keep)
     deque(guard, maxlen=0)  # walks the finished norm row
     return OrbitRows(spec, rows[0], snapshots, dict(zip(centers, rows[1:])))
 
 
-def _walked_blocks(spec: SystemSpec, x0: np.ndarray, n_steps: int,
-                   centers: list, wanted: set):
-    """(blocks, snapshots) of the orbit walked by unguarded steps, for a
-    kind with no view: pass 1 keeps the states at the wanted times as they
-    pass and has walked past every center once this returns; its blocks
-    from the last center's block on come first, then pass 2's replay of
-    the states before that block."""
-    snapshots = {}
-    walker = (snapshots.setdefault(t, x) if t in wanted else x
-              for t, x in enumerate(_steps(spec, x0)))
-    buf = _block_buffer(n_steps + 1, spec.state_dim)
+def _rows(spec: SystemSpec, x: np.ndarray, n: int, centers: list, keep=(),
+          back: bool = False):
+    """(rows, snapshots): the distance rows of x, Tx, ..., T^n x (of x, Rx,
+    ..., R^n x with back=True) to the origin, the norm row, and to the
+    state at each center time, from the kind's view or walked once; and
+    the states T^t x at the keep times.  A walked kind's keep states are
+    read once the kernel has drained the walk, which passes them only
+    then."""
+    view = spec.ops.view(x, n, back)
+    if view is None:
+        blocks, states = _walked_blocks(spec, x, n, centers, {*centers, *keep}, back)
+        width = spec.state_dim
+    else:
+        blocks, states, width = _row_blocks(view), view, view.shape[-1]
+    origin = np.zeros(width, dtype=complex)
+    rows = _distance_rows(spec, blocks, [origin, *(states[t] for t in centers)], n + 1)
+    return rows, {t: n_step_map(spec, x, t) if view is not None else states[t]
+                  for t in keep}
+
+
+def _walked_blocks(spec: SystemSpec, x: np.ndarray, n: int, centers: list,
+                   wanted: set, back: bool = False):
+    """(blocks, states) of x and its n unguarded steps (of R with
+    back=True), for a kind with no view: pass 1 keeps the states at the
+    wanted times as they pass and has walked past every center once this
+    returns; its blocks from the last center's block on come first, then
+    pass 2's replay of the states before that block."""
+    states = {}
+    walker = (states.setdefault(t, y) if t in wanted else y
+              for t, y in enumerate(_steps(spec, x, back)))
+    buf = _block_buffer(n + 1, spec.state_dim)
     # the first row of the last center's block: once that block is full,
     # every center has been walked
     split = max(centers, default=0) // len(buf) * len(buf)
-    tail = _blocks(islice(walker, split, n_steps + 1), buf, split)
+    tail = _blocks(islice(walker, split, n + 1), buf, split)
     first = next(tail)  # the walk is now past every center time
-    replay = _blocks(islice(_steps(spec, x0), split), buf)  # pass 2
-    return chain([first], tail, replay), snapshots
-
-
-def _origin(width: int) -> np.ndarray:
-    """The zero state of width columns: the distance row to it is the norm
-    row."""
-    return np.zeros(width, dtype=complex)
+    replay = _blocks(islice(_steps(spec, x, back), split), buf)  # pass 2
+    return chain([first], tail, replay), states
 
 
 def _steps(spec: SystemSpec, x: np.ndarray, back: bool = False):
@@ -632,10 +642,13 @@ def _distance_rows(spec: SystemSpec, blocks, centers, length: int) -> np.ndarray
     """The one distance kernel: (len(centers), length) distances
     ||x_t - c|| from the states, given as (first row, block) pairs of
     consecutive rows in any order, to each center c, so every center meets
-    a block while it is in cache.  Every x_t - c and its squared moduli go
-    into one scratch pair shaped like _block_buffer, as wide as the centers
-    and the blocks, the rows every block source cuts its blocks by, so a
-    call allocates no block-sized array per block.  Row by row it is
+    a block while it is in cache.  One scratch pair shaped like
+    _block_buffer, as wide as the centers and the blocks, the rows every
+    block source cuts its blocks by, holds every x_t - c and its squared
+    moduli, so a call allocates no block-sized array per block.  Each block
+    is copied into the first and c subtracted in place, one path for a
+    walked block and a view's overlapping windows alike (numpy would buffer
+    a subtraction from the latter, at twice the time).  Row by row it is
     norms(spec, states - c) bit for bit."""
     centers = [np.asarray(c, dtype=complex) for c in centers]
     out = np.empty((len(centers), length))
@@ -644,13 +657,9 @@ def _distance_rows(spec: SystemSpec, blocks, centers, length: int) -> np.ndarray
     for lo, block in blocks:
         hi = lo + len(block)
         d, s = diff[:len(block)], square[:len(block)]
-        # a block of overlapping windows (a kind's view) is copied into d
-        # first: numpy would buffer a subtraction from it, at twice the time
-        copy = not block.flags.c_contiguous
         for row, c in zip(out, centers):
-            if copy:
-                np.copyto(d, block)
-            row[lo:hi] = spec.ops.norms(np.subtract(d if copy else block, c, out=d), s)
+            np.copyto(d, block)
+            row[lo:hi] = spec.ops.norms(np.subtract(d, c, out=d), s)
     return out
 
 
@@ -812,18 +821,20 @@ def ball_radius(distances: np.ndarray) -> float:
 
 
 def _spread_times(length: int, count: int) -> list:
-    """count snapshot times spread over a window of length states."""
+    """count center times spread over a window of length states."""
     return np.linspace(0, length - 1, count).astype(int).tolist()
 
 
 def _ball_family(traj: OrbitRows, times: list):
     """(rows, radius): the distance rows of balls centered at the orbit
-    snapshots at times, and their radius from the pooled quantile of every
-    max(length // 200, 1)-th distance (so the family adapts to the orbit's
-    scale).  An orbit whose sampled states all coincide gives no radius:
-    None."""
+    states at times, and their radius from the pooled quantile of every
+    (max(length // 200, 1) | 1)-th distance (so the family adapts to the
+    orbit's scale).  The stride is odd, coprime to a power-of-two period:
+    at window 8000 a stride of 40 sampled the kalish start's period-16
+    orbit only at x_0 and x_8, and its round-off returns set the radius.
+    An orbit whose sampled states all coincide gives no radius: None."""
     rows = [traj.rows[t] for t in times]
-    samples = [row[:: max(traj.length // 200, 1)] for row in rows]
+    samples = [row[:: max(traj.length // 200, 1) | 1] for row in rows]
     pooled = np.concatenate([d[d > 0] for d in samples])
     if pooled.size == 0:
         return None
@@ -935,17 +946,10 @@ def weak_mixing_probe(traj: OrbitRows, seed: int) -> ProbeOutcome:
     # a state's distance to W0's center 0 is its norm
     forward = WindowedSet.from_mask(norms < w0_radius)
     v_center = traj.snapshots[_probe_times(spec, traj.length).middle]
-    n_steps = spec.ops.pullbacks(v_center, traj.length - 1)
-    view = spec.ops.view(v_center, n_steps, back=True)
-    if view is None:  # unguarded steps, as the orbit's own
-        pullbacks = islice(_steps(spec, v_center, back=True), n_steps + 1)
-        width = spec.state_dim
-        blocks = _blocks(pullbacks, _block_buffer(n_steps + 1, width))
-    else:
-        blocks, width = _row_blocks(view), view.shape[-1]
-    # their norm row is the row to 0
-    dist = _distance_rows(spec, blocks, [_origin(width)], n_steps + 1)[0]
-    back_hits = WindowedSet.from_mask(dist < w0_radius).elements
+    depth = spec.ops.pullbacks(v_center, traj.length - 1)
+    # the pullbacks' norm row, their distance row to W0's center 0
+    back_hits = WindowedSet.from_mask(
+        _rows(spec, v_center, depth, [], back=True)[0][0] < w0_radius).elements
     backward = WindowedSet(window=forward.window, elements=back_hits[back_hits > 0])
     common = np.intersect1d(forward.elements, backward.elements)
     if forward.size == 0:

@@ -275,6 +275,21 @@ def test_orbit_rejects_negative_steps():
         orbit(torus_system([1.0]), np.ones(1, dtype=complex), -1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("walker", [lambda spec, x0: orbit(spec, x0, 5),
+                                    lambda spec, x0: orbit_rows(spec, x0, 5, [0])],
+                         ids=["orbit", "orbit_rows"])
+def test_a_non_finite_start_is_a_typed_error_naming_it(walker, bad):
+    # the drift guard reads a nan norm row as no drift, and an inf start
+    # made the step warn instead of failing
+    spec = torus_system((0.3, 1.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^start coordinate 0 is \({bad}\+0j\), "
+                                             "not finite$"):
+            walker(spec, [bad, 1.0])
+
+
 def test_orbit_norm_drift_guard_names_step():
     # the norm grows 11-fold per step: 11**2 < 1e3 < 11**3
     spec = weighted_shift_system([11.0] * 7)
@@ -758,7 +773,7 @@ def _stored_orbit_rows(spec, x0, n_steps, centers, keep=()):
     """The oracle of orbit_rows: a stored orbit, each row in one pass."""
     stored = orbit(spec, x0, n_steps)
     return dynamics_lab.OrbitRows(
-        spec, stored.norms(), {t: stored.states[t] for t in {*centers, *keep}},
+        spec, stored.norms(), {t: stored.states[t] for t in keep},
         {t: norms(spec, stored.states - stored.states[t]) for t in centers})
 
 
@@ -814,7 +829,7 @@ def test_one_walk_rows_are_bitwise_the_stored_orbit(spec, block_states, edge,
     assert len(steps) == walked * (n + max(split - 1, 0))
     want = _stored_orbit_rows(spec, x0, n, centers, keep)
     assert np.array_equal(_bits(got.norm_row), _bits(want.norm_row))
-    assert sorted(got.snapshots) == sorted(want.snapshots)
+    assert sorted(got.snapshots) == sorted(want.snapshots) == keep
     for t, state in want.snapshots.items():
         assert np.array_equal(_bits(got.snapshots[t]), _bits(state))
     assert sorted(got.rows) == sorted(want.rows) == sorted(set(centers))
@@ -886,7 +901,7 @@ def test_shift_view_rows_are_bitwise_the_stepped_orbit(spec, block_states, edge,
     for t, row in got.rows.items():
         want = [norms(spec, x - stored.states[t]) for x in stored.states]
         assert np.array_equal(_bits(row), _bits(np.array(want)))
-    assert sorted(got.snapshots) == sorted({*centers, n // 2})
+    assert sorted(got.snapshots) == [n // 2]
     for t, state in got.snapshots.items():
         assert np.array_equal(_bits(state), _bits(stored.states[t]))
 
@@ -982,11 +997,12 @@ def _stepped_orbit_rows(spec, x0, n_steps, centers, keep=()):
     def states():
         return walk(partial(step, spec), np.asarray(x0, dtype=complex), n_steps,
                     partial(state_norm, spec))
-    snapshots = {t: x for t, x in enumerate(states()) if t in {*centers, *keep}}
+    held = {t: x for t, x in enumerate(states()) if t in {*centers, *keep}}
     origin = np.zeros(spec.state_dim, dtype=complex)
-    rows = np.array([[state_norm(spec, x - c) for c in [origin] + [snapshots[t] for t in centers]]
+    rows = np.array([[state_norm(spec, x - c) for c in [origin] + [held[t] for t in centers]]
                      for x in states()]).T
-    return dynamics_lab.OrbitRows(spec, rows[0], snapshots, dict(zip(centers, rows[1:])))
+    return dynamics_lab.OrbitRows(spec, rows[0], {t: held[t] for t in keep},
+                                  dict(zip(centers, rows[1:])))
 
 
 def test_window_4000_classification_documents_are_the_stepped_orbit_documents(
@@ -1001,6 +1017,15 @@ def test_window_4000_classification_documents_are_the_stepped_orbit_documents(
 def test_window_2000_battery_runs_without_a_crash():
     for spec in default_battery(2000):
         stable_dumps(classify_system(spec, window=2000, mc_samples=500).to_dict())
+
+
+def test_window_8000_kalish_row_sizes_its_balls_off_round_off():
+    # the kalish start has period 16: a ball stride of 40 sampled only x_0
+    # and x_8 up to round-off and gave radius 1.7e-12, syndetic = no and 4
+    # flags
+    row = classify_system(default_battery(8000)[2], window=8000)
+    assert row.flags == ()
+    assert row.outcomes["syndetic"].evidence["radius"] > 1.0
 
 
 def test_a_nilpotent_shift_row_gives_typed_weak_mixing_no_evidence():

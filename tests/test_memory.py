@@ -9,8 +9,12 @@ temporaries, and the residuals hold a few group-sized arrays, never a
 factor-sized one.  The coefficient table
 walks one grid vector, never the factor, so it holds its paired draws,
 an eighth of a factor at 1000 samples, and no factor-sized array.
-A classification row streams its orbit (dynamics_lab.orbit_rows), so at
-window 4000 it holds a few MiB, not an (N+1, dim) orbit.  A shift's
+A classification row streams its orbit (dynamics_lab.orbit_rows, whose
+one row source is dynamics_lab._rows), so at window 4000 it holds a few
+MiB, not an (N+1, dim) orbit.  Beyond the rows and the keep state it
+returns, a streamed row holds at most three blocks of 2**16 complex
+elements (a block of the walk and the kernel's scratch pair) and one row
+of window + dim elements; it keeps no state per center.  A shift's
 orbit is a window over its symbols, so the distance kernel's scratch is
 as wide as the head its norm reads, not the shift's dimension, and its
 streamed orbit holds bytes that grow at most linearly with the window.
@@ -35,7 +39,8 @@ import pytest
 from hyperlab.circle_measure import CircleMeasure
 from hyperlab import dynamics_lab
 from hyperlab.dynamics_lab import (classify_system, default_battery, default_start,
-                                   probe_orbit, scalar_shift_system, weak_mixing_probe)
+                                   kalish_system, probe_orbit, scalar_shift_system,
+                                   torus_system, weak_mixing_probe)
 from hyperlab.gauss_model import (build_model, coefficient_rows, corrected_field,
                                   invariance_check)
 from hyperlab.kalish import CircleFunction, apply_T_array, exact_eigenvectors
@@ -151,6 +156,41 @@ def test_a_shift_probe_orbit_grows_at_most_linearly_with_the_window():
         x0 = default_start(spec, 0)
         peaks[window] = _peak_bytes(lambda: probe_orbit(spec, x0, window))
     assert peaks[16_000] <= 16 * peaks[1000]
+
+
+def test_a_shift_probe_orbit_holds_no_state_per_center():
+    # a 258 KB n_step_map slide per center would make this 3.86 MB; the
+    # probes read a center's row only, so only the keep state is held
+    spec = scalar_shift_system(2.0, 16_128)
+    x0 = default_start(spec, 0)
+    assert _peak_bytes(lambda: probe_orbit(spec, x0, 1000)) <= 2.5e6
+
+
+def _returned_bytes(traj) -> int:
+    """The bytes of the arrays an OrbitRows holds, each owner once."""
+    owners = [a if a.base is None else a.base
+              for a in (traj.norm_row, *traj.rows.values(), *traj.snapshots.values())]
+    return sum({id(a): a.nbytes for a in owners}.values())
+
+
+@pytest.mark.parametrize("window", [1000, 16_000])
+@pytest.mark.parametrize("make", [lambda w: torus_system((0.9, 2.1)),
+                                  lambda w: kalish_system(64),
+                                  lambda w: scalar_shift_system(2.0, w + 128)],
+                         ids=["torus", "kalish-64", "scalar-shift-2"])
+def test_a_streamed_row_holds_three_blocks_and_a_state_row_beyond_what_it_returns(
+        make, window):
+    # a block of the walk, the kernel's difference and squared moduli, at
+    # most 2**16 complex elements each, and one row of window + dim
+    spec = make(window)
+    x0 = default_start(spec, 0)
+    got = []
+
+    def streamed():
+        got.append(probe_orbit(spec, x0, window))
+
+    held = _peak_bytes(streamed) - _returned_bytes(got[0])
+    assert held <= 3 * 2**16 * 16 + 16 * (window + spec.state_dim)
 
 
 _COLD_ROW = """

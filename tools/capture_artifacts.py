@@ -20,7 +20,10 @@ output line is ``<sha256>  <item>``, for:
   (a dense BLAS product's bits can depend on what ran before it in the
   same process);
 * the canonical JSON of classification_run(default_battery(w), w, s) for
-  w in {300, 1000} and s in 0..23.
+  w in {300, 1000} and s in 0..23, then for w = 4000 and s in 0..3 and
+  for w = 8000 and s = 0: at these two windows the ball stride
+  max(L // 200, 1) | 1 of L = w + 1 states rounds an even L // 200 (20
+  and 40) up to an odd stride.
 
 Run it on two checkouts, for example a parent commit and a change, and
 compare the two captures line by line (``diff``).  BLAS runs on one thread
@@ -61,8 +64,7 @@ ORBIT_SYSTEMS = ({"kind": "scalar_multiple_shift", "scalar": 2.0, "dimension": 6
                   "name": "weighted-shift-dip"},
                  {"kind": "scalar_multiple_shift", "scalar": 0.5, "dimension": 64,
                   "name": "scalar-shift-0.5"})
-BATTERY_WINDOWS = (300, 1000)
-BATTERY_SEEDS = range(24)
+BATTERY_RUNS = ((300, range(24)), (1000, range(24)), (4000, range(4)), (8000, range(1)))
 
 
 def _sha(data: bytes) -> str:
@@ -119,9 +121,9 @@ def cli_items():
 
 
 def battery_items():
-    for window in BATTERY_WINDOWS:
+    for window, seeds in BATTERY_RUNS:
         battery = default_battery(window)
-        for seed in BATTERY_SEEDS:
+        for seed in seeds:
             report = classification_run(battery, window, seed)
             yield (_sha(stable_dumps(report.to_dict()).encode()),
                    f"classification_run(default_battery({window}), {window}, {seed})")
