@@ -1,44 +1,45 @@
 """Orbit simulation, visit-time extraction, and the classification harness.
-Stored orbits and kalish replays take gauss_model.walk, the one
-drift-guarded walk; the streamed orbit reads its guard off its norm row.
+Stored orbits and the walked n_step_map take gauss_model.walk, the one
+drift-guarded walk, and are the oracles of the streamed orbit, which reads
+its guard off its norm row.
 
 Streaming: the battery and the runner's orbit probe (also `lab orbit`) never
-hold an (N+1, dim) orbit.  _rows is its one row source: the orbit_rows of
-x, Tx, ..., T^n x and the weak-mixing pullbacks x, Rx, ..., R^n x both take
-it, and it alone chooses between a kind's view and the walk.  It hands the
-states to _distance_rows, the one distance kernel, in row blocks of at
-most kalish._BLOCK_ELEMENTS (2**16) complex elements, and the kernel writes
-the O(N) distance row of every state to the origin, which is the norm row,
-and to each center state.  A shift's states need no walk: its class's view
-gives the columns its norm reads as a strided window over one zero-padded
-copy of the start's symbols (the pullbacks as the reversed window over
-(0^n, x)), bitwise the stepped states.  Kalish has no closed form and the
-torus's is not bitwise, so _rows walks them once, by unguarded step
-calls.  Pass 1 keeps the center and keep states as they pass and, from
-the block that holds the last center time on, feeds its blocks to the
-kernel; pass 2 replays only the states before that block, by the same
-step calls, which gives the same states bit for bit.  Only the keep
-states are returned, the one state a probe reads, weak mixing's middle: a
-shift's from its n_step_map, the same slide, a walked kind's as the walk
-passed it.  Once the rows are done, walk's drift guard walks the time
-index with the norm read from the norm row, so a drift raises the one
-NormDriftError message, naming its first step.
+hold an (N+1, dim) orbit and take no step.  _rows is its one row source: the
+orbit_rows of x, Tx, ..., T^n x and the weak-mixing pullbacks x, Rx, ...,
+R^n x both take it.  Every kind class has one block hook, rows, which gives
+any rows lo..hi-1 of the orbit (or of the pullbacks) in closed form, in the
+coordinates its norm reads: a shift's head columns as slices of a sliding
+window over one zero-padded copy of its symbols, bitwise the stepped states;
+the torus's x e^{i t alpha}; kalish's m = 8 Gram coordinates (e^{i t lam} g)
+@ C of the default model's eigenvector field (_Kalish).  _rows cuts the
+orbit into row blocks of at most kalish._BLOCK_ELEMENTS (2**16) complex
+elements and hands them to _distance_rows, the one distance kernel, which
+writes the O(N) distance row of every state to the origin, which is the norm
+row, and to each center, a row the hook gives by a call of its own, bitwise
+its row in the block.  Only the keep states are returned, the one state a
+probe reads, weak mixing's middle: a shift's and the torus's from their
+closed-form n_step_map, kalish's as A (e^{i t lam} g).  Once the rows are
+done, walk's drift guard walks the time index with the norm read from the
+norm row, so a drift raises the one NormDriftError message, naming its
+first step.
 The kernel holds two block-sized scratch arrays per call, as wide as its
 blocks (a shift's head, not its dimension): each block is copied into
 the first and the center subtracted there, and the kind class's norms
 (behind the public norms) forms the squared moduli in the second.  A
 fresh 1 MiB array per (block, center) pair is one glibc gives back to the
 system on free and faults in again on the next allocation, tens of
-thousands of page faults on a cold process's first battery pass.  The
-probes read only the rows and the keep state, at the times _probe_times
-names, which probe_orbit streams.  hitting_times on a stored Trajectory
-takes the kernel too, its states being the blocks.
+thousands of page faults on a cold process's first battery pass.  A hook
+that forms its rows fills one reused buffer of the same size, so a
+streamed row holds three blocks at most.  The probes read only the rows
+and the keep state, at the times _probe_times names, which probe_orbit
+streams.  hitting_times on a stored Trajectory takes the kernel too, its
+states being the blocks.
 
 The operator zoo: _KINDS maps each system kind to its document fields and
 to the function that builds its class, _Kalish, _Shift (both shift kinds)
 or _Torus, whose docstring describes the kind.  A SystemSpec builds its class once,
-as spec.ops, and every rule that differs by kind (state norm, step and
-back step, closed-form n_step_map, default start, e_system witness,
+as spec.ops, and every rule that differs by kind (state norm, step,
+closed-form n_step_map, orbit rows, default start, e_system witness,
 weak-mixing pullback depth, eigenvector family) reads it; no function
 branches on the kind.
 
@@ -55,7 +56,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -80,7 +80,7 @@ from .hitting_sets import (
 from .jsonio import _FORMS, csv_text, record_dict
 # apply_T is unused but kept bound: perfbench patches every binding
 from .kalish import (  # noqa: F401
-    _block_rows, _grid_norms, apply_T, apply_T_array, kalish_solve_array)
+    _block_rows, _grid_norms, apply_T, apply_T_array)
 from .seeding import complex_standard_normal, rng_for
 
 TWO_PI = 2.0 * np.pi
@@ -178,7 +178,11 @@ class _Kind:
     Euclidean norm, whose e_system column reads the Birkhoff empirical
     measure of `balls` balls spread over the window and whose weak-mixing
     scan takes every pullback.  A kind class also names its default label,
-    its step, its start and its eigenvector family (size, note)."""
+    its step, its start and its eigenvector family (size, note), and has
+    one block hook, rows(x, n, back=False): (width, rows_of), where
+    rows_of(lo, hi) gives rows lo..hi-1 of x, Tx, ..., T^n x (of x, Rx,
+    ..., R^n x with back=True) in the width coordinates its norm reads, an
+    array valid until the next call."""
 
     linear = True
     square = complex  # the dtype of the squared moduli norms forms
@@ -201,6 +205,10 @@ class _Kind:
         return deque(walk(partial(step, spec), state, n, partial(state_norm, spec)),
                      maxlen=1)[0]
 
+    def state(self, spec: SystemSpec, x: np.ndarray, t: int) -> np.ndarray:
+        """T^t x, a keep state of _rows: the closed-form n_step_map."""
+        return self.n_step_map(spec, x, t)
+
     def gauss_model(self) -> Optional[GaussModel]:
         """The invariant Gaussian model that witnesses e_system, if any."""
         return None
@@ -210,21 +218,48 @@ class _Kind:
         takes."""
         return n
 
-    def view(self, x: np.ndarray, n: int, back: bool = False) -> Optional[np.ndarray]:
-        """The columns the norm reads of x, Tx, ..., T^n x (of x, Rx, ...,
-        R^n x with back=True), bitwise the stepped states, as an (n + 1,
-        width) view; None for a kind with no bitwise closed form, whose
-        states are walked."""
-        return None
+    @staticmethod
+    def _phase_rows(coords: np.ndarray, angles: np.ndarray, n: int, back: bool,
+                    C: Optional[np.ndarray] = None):
+        """The rows hook of a kind whose coordinates turn by e^{i angles}
+        per step of T (by e^{-i angles} per step of R): row t is (e^{+-i t
+        angles} coords) @ C.  The lower triangular C is applied in place,
+        column k of the row the sum of out[:, j] C[j, k] over j >= k in a
+        fixed order, with no BLAS, so a row's bits do not depend on the
+        block it is formed in: a center row is bitwise its row in the
+        block.  The rows fill one buffer, reused from call to call."""
+        turn = (-1j if back else 1j) * angles
+        buf = _row_buffer(n + 1, len(coords))
+
+        def rows_of(lo, hi):
+            out = np.multiply(np.arange(lo, hi)[:, None], turn, out=buf[:hi - lo])
+            np.exp(out, out=out)
+            out *= coords
+            if C is not None:
+                for k in range(len(coords)):
+                    col = out[:, k]
+                    col *= C[k, k]
+                    for j in range(k + 1, len(coords)):
+                        col += out[:, j] * C[j, k]
+            return out
+
+        return len(coords), rows_of
 
 
 class _Kalish(_Kind):
     """kalish(M): the grid Kalish operator on complex functions over M
     nodes, with the arc-length norm (grid weight 2pi/M, the squared moduli
-    as floats: kalish._grid_norms).  Its back step is the closed-form
-    solve, its start a sample of the default Gaussian model, which is also
-    its e_system witness, and its eigenvector family is
-    min(64, max(M // 16, 2)) arc indicators."""
+    as floats: kalish._grid_norms).  Its start is a sample A g of the
+    default Gaussian model, which is also its e_system witness, and its
+    eigenvector family is min(64, max(M // 16, 2)) arc indicators.
+
+    The model's factor A is an eigenvector field, T A = A D with D =
+    e^{i lam} (to round-off), so the orbit of x = A g is A (e^{i t lam} g)
+    and its pullbacks A (e^{-i t lam} g).  rows reads g off x by the
+    model's Gram solve, and a start off A's span is a ValueError naming
+    its residual.  With C = conj(cholesky((m/M) A* A)), the grid norm of
+    the m coordinates (e^{i t lam} g) @ C is the state's grid norm, so a
+    row is m wide, not M."""
 
     square = float
     balls = 0
@@ -237,8 +272,8 @@ class _Kalish(_Kind):
     def norms(self, X, scratch=None):
         return _grid_norms(X, -1, scratch)
 
-    def step(self, state, back):
-        return kalish_solve_array(state) if back else apply_T_array(state)
+    def step(self, state):
+        return apply_T_array(state)
 
     def gauss_model(self):
         return default_gauss_model(self.dim)
@@ -247,6 +282,26 @@ class _Kalish(_Kind):
         model = self.gauss_model()
         g = complex_standard_normal(rng_for(seed, f"start:{label}"), (model.node_count,))
         return model.factor @ g
+
+    def _coordinates(self, x: np.ndarray) -> np.ndarray:
+        """g with A g = x, from the Gram solve A* A g = A* x."""
+        model = self.gauss_model()
+        g = np.linalg.solve(model.gram, np.conjugate(np.conjugate(x) @ model.factor))
+        residual = float(self.norms(model.factor @ g - x))
+        _require(residual <= 1e-9 * float(self.norms(x)),
+                 f"kalish state is off the span of the model's {len(g)} eigenvectors: "
+                 f"residual {residual:.3e} exceeds 1e-9 x its norm")
+        return g
+
+    def rows(self, x, n, back=False):
+        model = self.gauss_model()
+        C = np.conjugate(np.linalg.cholesky((model.node_count / self.dim) * model.gram))
+        return self._phase_rows(self._coordinates(x), model.angles, n, back, C)
+
+    def state(self, spec, x, t):
+        """A (e^{i t lam} g), T^t x in the model's coordinates."""
+        model = self.gauss_model()
+        return model.factor @ (np.exp(1j * t * model.angles) * self._coordinates(x))
 
 
 class _Shift(_Kind):
@@ -268,8 +323,9 @@ class _Shift(_Kind):
     point (538 of 1128 for 2B at d = 1128); past it every term is 0.
 
     So no orbit is walked: T^t x is x[t:] and R^t x is (0^t, x), both
-    windows of one symbol sequence, and view gives their head columns as
-    a sliding window over one zero-padded copy of x, len(head) wide."""
+    windows of one symbol sequence, and rows gives their head columns as
+    slices of a sliding window over one zero-padded copy of x, len(head)
+    wide, bitwise the stepped states."""
 
     square = float
 
@@ -307,23 +363,22 @@ class _Shift(_Kind):
         square = np.multiply(np.square(moduli, out=moduli), self.head, out=moduli)
         return np.sqrt(np.add.reduce(square, axis=-1))
 
-    def view(self, x, n, back=False):
+    def rows(self, x, n, back=False):
         """Row t the window padded[t:t + len(head)]: padded is x then
         zeros, or with back 0^n then x's head, its windows reversed."""
         width = len(self.head)
         padded = np.zeros(n + width, dtype=complex)
         if back:
             padded[n:] = x[:width]
-            return sliding_window_view(padded, width)[::-1]
-        padded[:min(n + width, self.dim)] = x[:n + width]
-        return sliding_window_view(padded, width)
-
-    def step(self, state, back):
-        out = np.zeros_like(state)
-        if back:
-            out[1:] = state[:-1]
+            view = sliding_window_view(padded, width)[::-1]
         else:
-            out[:-1] = state[1:]
+            padded[:min(n + width, self.dim)] = x[:n + width]
+            view = sliding_window_view(padded, width)
+        return width, lambda lo, hi: view[lo:hi]
+
+    def step(self, state):
+        out = np.zeros_like(state)
+        out[:-1] = state[1:]
         return out
 
     def n_step_map(self, spec, state, n):
@@ -352,7 +407,9 @@ class _Torus(_Kind):
     z_i on unimodular states, started at the all-ones point.  Treated as a
     compact-group system, not a linear one: it has no fixed point at 0
     reachable from the torus, so the linear-only implication edges stay
-    inactive for it.  Its coordinate characters are eigenvectors."""
+    inactive for it.  Its coordinate characters are eigenvectors.  Its
+    orbit is diagonal already: row t of rows is x e^{i t alpha} (of the
+    pullbacks x e^{-i t alpha}), the n_step_map formula."""
 
     linear = False
 
@@ -361,14 +418,16 @@ class _Torus(_Kind):
         _require(all(0.0 <= a < TWO_PI for a in angles), "angles must lie in [0, 2pi)")
         super().__init__(len(angles), "torus-rotation-" + "x".join(f"{a:.3f}" for a in angles))
         self.angles = np.asarray(angles)
-        self.turns = (np.exp(1j * self.angles), np.exp(-1j * self.angles))
         self.eigen = (len(angles), "coordinate characters span the state space")
 
-    def step(self, state, back):
-        return state * self.turns[back]
+    def step(self, state):
+        return state * np.exp(1j * self.angles)
 
     def n_step_map(self, spec, state, n):
         return state * np.exp(1j * n * self.angles)
+
+    def rows(self, x, n, back=False):
+        return self._phase_rows(x, self.angles, n, back)
 
     def start(self, label, seed):
         return np.ones(self.dim, dtype=complex)
@@ -460,10 +519,9 @@ def state_norm(spec: SystemSpec, state: np.ndarray) -> float:
     return float(norms(spec, state))
 
 
-def step(spec: SystemSpec, state: np.ndarray, back: bool = False) -> np.ndarray:
-    """One step of T, or with back=True one step of its right inverse R,
-    T(R y) = y (the kind class's step)."""
-    return spec.ops.step(state, back)
+def step(spec: SystemSpec, state: np.ndarray) -> np.ndarray:
+    """One step of T (the kind class's step)."""
+    return spec.ops.step(state)
 
 
 def n_step_map(spec: SystemSpec, state: np.ndarray, n: int) -> np.ndarray:
@@ -504,21 +562,21 @@ class Trajectory:
         return norms(self.spec, self.states)
 
 
-def _start(spec: SystemSpec, x0) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=complex)
-    if x0.shape != (spec.state_dim,):
-        raise ValueError(
-            f"start has shape {x0.shape}, spec wants ({spec.state_dim},)"
-        )
-    bad = np.flatnonzero(~np.isfinite(x0))
+def _as_state(spec: SystemSpec, x, name: str = "start") -> np.ndarray:
+    """x as a state of spec, the one check of a start or a ball center:
+    its shape is (state_dim,) and every coordinate is finite."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (spec.state_dim,):
+        raise ValueError(f"{name} has shape {x.shape}, spec wants ({spec.state_dim},)")
+    bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
-        raise ValueError(f"start coordinate {bad[0]} is {x0[bad[0]]}, not finite")
-    return x0
+        raise ValueError(f"{name} coordinate {bad[0]} is {x[bad[0]]}, not finite")
+    return x
 
 
 def orbit(spec: SystemSpec, x0: np.ndarray, n_steps: int) -> Trajectory:
     """[x0, Tx0, ..., T^n x0] from the guarded walk, stored."""
-    walker = walk(partial(step, spec), _start(spec, x0), n_steps,
+    walker = walk(partial(step, spec), _as_state(spec, x0), n_steps,
                   partial(state_norm, spec))
     states = np.empty((n_steps + 1, spec.state_dim), dtype=complex)
     for t, x in enumerate(walker):
@@ -530,7 +588,7 @@ def orbit(spec: SystemSpec, x0: np.ndarray, n_steps: int) -> Trajectory:
 class OrbitRows:
     """What the probes read of one orbit of orbit_rows: its norm row, its
     states at the keep times, and the distance row to the state at each
-    center time."""
+    center time, every row from the kind's rows hook."""
 
     spec: SystemSpec
     norm_row: np.ndarray  # (length,)
@@ -548,13 +606,15 @@ def orbit_rows(spec: SystemSpec, x0: np.ndarray, n_steps: int,
     norm row, its states at the keep times, and the distance row of every
     state to the state at each center time.  walk's drift guard reads the
     norm row once it is finished."""
-    x0 = _start(spec, x0)
+    x0 = _as_state(spec, x0)
     # walk checks n_steps now; the guard walks the time index, its norm
     # read from the norm row, rows[0], once the kernel has written it
     guard = walk(lambda t: t + 1, 0, n_steps, lambda t: rows[0, t])
-    centers = sorted(set(centers))
-    for t in sorted({*centers, *keep}):
+    for t in [*centers, *keep]:
+        _require(isinstance(t, (int, np.integer)) and not isinstance(t, bool),
+                 f"orbit time {t} is not an integer")
         _require(0 <= t <= n_steps, f"orbit time {t} is outside [0, {n_steps}]")
+    centers = sorted(set(centers))
     rows, snapshots = _rows(spec, x0, n_steps, centers, keep)
     deque(guard, maxlen=0)  # walks the finished norm row
     return OrbitRows(spec, rows[0], snapshots, dict(zip(centers, rows[1:])))
@@ -564,78 +624,27 @@ def _rows(spec: SystemSpec, x: np.ndarray, n: int, centers: list, keep=(),
           back: bool = False):
     """(rows, snapshots): the distance rows of x, Tx, ..., T^n x (of x, Rx,
     ..., R^n x with back=True) to the origin, the norm row, and to the
-    state at each center time, from the kind's view or walked once; and
-    the states T^t x at the keep times.  A walked kind's keep states are
-    read once the kernel has drained the walk, which passes them only
-    then."""
-    view = spec.ops.view(x, n, back)
-    if view is None:
-        blocks, states = _walked_blocks(spec, x, n, centers, {*centers, *keep}, back)
-        width = spec.state_dim
-    else:
-        blocks, states, width = _row_blocks(view), view, view.shape[-1]
-    origin = np.zeros(width, dtype=complex)
-    rows = _distance_rows(spec, blocks, [origin, *(states[t] for t in centers)], n + 1)
-    return rows, {t: n_step_map(spec, x, t) if view is not None else states[t]
-                  for t in keep}
+    state at each center time; and the states T^t x at the keep times.
+    Every block and every center row comes from the kind's rows hook, a
+    center row by its own one-row call, bitwise its row in the block."""
+    width, rows_of = spec.ops.rows(x, n, back)
+    points = [np.zeros(width, dtype=complex), *(rows_of(t, t + 1)[0].copy() for t in centers)]
+    blocks = _row_blocks(rows_of, n + 1, _block_rows((n + 1, width)))
+    return (_distance_rows(spec, blocks, points, n + 1),
+            {t: spec.ops.state(spec, x, t) for t in keep})
 
 
-def _walked_blocks(spec: SystemSpec, x: np.ndarray, n: int, centers: list,
-                   wanted: set, back: bool = False):
-    """(blocks, states) of x and its n unguarded steps (of R with
-    back=True), for a kind with no view: pass 1 keeps the states at the
-    wanted times as they pass and has walked past every center once this
-    returns; its blocks from the last center's block on come first, then
-    pass 2's replay of the states before that block."""
-    states = {}
-    walker = (states.setdefault(t, y) if t in wanted else y
-              for t, y in enumerate(_steps(spec, x, back)))
-    buf = _block_buffer(n + 1, spec.state_dim)
-    # the first row of the last center's block: once that block is full,
-    # every center has been walked
-    split = max(centers, default=0) // len(buf) * len(buf)
-    tail = _blocks(islice(walker, split, n + 1), buf, split)
-    first = next(tail)  # the walk is now past every center time
-    replay = _blocks(islice(_steps(spec, x, back), split), buf)  # pass 2
-    return chain([first], tail, replay), states
+def _row_buffer(length: int, width: int) -> np.ndarray:
+    """A buffer of kalish._block_rows rows of width, at most length: the
+    block of a rows hook and each scratch array of the distance kernel."""
+    return np.empty((min(_block_rows((length, width)), length), width), dtype=complex)
 
 
-def _steps(spec: SystemSpec, x: np.ndarray, back: bool = False):
-    """x and then its unguarded steps of T (of R with back=True), lazily
-    and without end: a caller takes as many states as it needs."""
-    while True:
-        yield x
-        x = step(spec, x, back)
-
-
-def _block_buffer(length: int, dim: int) -> np.ndarray:
-    """The one reused buffer of _blocks for length states of dim
-    coordinates: kalish._block_rows rows, at most length."""
-    return np.empty((min(_block_rows((length, dim)), length), dim), dtype=complex)
-
-
-def _row_blocks(states: np.ndarray):
-    """(first row, block) pairs of kalish._block_rows consecutive rows of
-    an array of states, the rows _block_buffer sizes the kernel's scratch
-    by."""
-    rows = _block_rows(states.shape)
-    return ((lo, states[lo:lo + rows]) for lo in range(0, len(states), rows))
-
-
-def _blocks(states, buf: np.ndarray, lo: int = 0):
-    """(first row, block) pairs: the iterator's states packed into
-    consecutive row blocks of buf, the first one at row lo.  A block is
-    valid until the next one is drawn."""
-    i = 0
-    for x in states:
-        buf[i] = x
-        i += 1
-        if i == len(buf):
-            yield lo, buf
-            lo += i
-            i = 0
-    if i:
-        yield lo, buf[:i]
+def _row_blocks(rows_of, length: int, rows: int):
+    """(first row, block) pairs of the length rows that rows_of(lo, hi)
+    gives, rows of them a block: kalish._block_rows rows, the rows
+    _row_buffer sizes the kernel's scratch by."""
+    return ((lo, rows_of(lo, min(lo + rows, length))) for lo in range(0, length, rows))
 
 
 def _distance_rows(spec: SystemSpec, blocks, centers, length: int) -> np.ndarray:
@@ -643,16 +652,16 @@ def _distance_rows(spec: SystemSpec, blocks, centers, length: int) -> np.ndarray
     ||x_t - c|| from the states, given as (first row, block) pairs of
     consecutive rows in any order, to each center c, so every center meets
     a block while it is in cache.  One scratch pair shaped like
-    _block_buffer, as wide as the centers and the blocks, the rows every
+    _row_buffer, as wide as the centers and the blocks, the rows every
     block source cuts its blocks by, holds every x_t - c and its squared
     moduli, so a call allocates no block-sized array per block.  Each block
     is copied into the first and c subtracted in place, one path for a
-    walked block and a view's overlapping windows alike (numpy would buffer
+    filled block and a view's overlapping windows alike (numpy would buffer
     a subtraction from the latter, at twice the time).  Row by row it is
     norms(spec, states - c) bit for bit."""
     centers = [np.asarray(c, dtype=complex) for c in centers]
     out = np.empty((len(centers), length))
-    diff = _block_buffer(length, centers[0].shape[-1])
+    diff = _row_buffer(length, centers[0].shape[-1])
     square = np.empty_like(diff, dtype=spec.ops.square)
     for lo, block in blocks:
         hi = lo + len(block)
@@ -703,8 +712,10 @@ class BallSpec:
 
 def hitting_times(traj: Trajectory, ball: BallSpec) -> WindowedSet:
     """Times t with ||x_t - center|| < radius; window = trajectory length."""
-    dist = _distance_rows(traj.spec, _row_blocks(traj.states), [ball.center],
-                          traj.length)[0]
+    center = _as_state(traj.spec, ball.center, "ball center")
+    blocks = _row_blocks(lambda lo, hi: traj.states[lo:hi], traj.length,
+                         _block_rows(traj.states.shape))
+    dist = _distance_rows(traj.spec, blocks, [center], traj.length)[0]
     return WindowedSet.from_mask(dist < ball.radius)
 
 
@@ -731,6 +742,7 @@ def return_set_identity_check(traj: Trajectory, ball: BallSpec,
     pairs.  verify_ball lets a test aim the membership check at a
     different ball, which is the negative control."""
     verify_ball = verify_ball or ball
+    verify_center = _as_state(traj.spec, verify_ball.center, "ball center")
     max_witness_pairs = 512
     visits = hitting_times(traj, ball)
     if visits.size < 2:
@@ -760,9 +772,7 @@ def return_set_identity_check(traj: Trajectory, ball: BallSpec,
         replayed = n_step_map(spec, traj.states[l], k - l)
         err = state_norm(spec, replayed - traj.states[k]) / scale
         worst = max(worst, err)
-        in_ball = state_norm(
-            spec, replayed - np.asarray(verify_ball.center, dtype=complex)
-        ) < verify_ball.radius
+        in_ball = state_norm(spec, replayed - verify_center) < verify_ball.radius
         if err > 1e-9 or not in_ball:
             ok = False
     certified = difference_set(visits)
@@ -1080,8 +1090,9 @@ def implication_flags(outcomes: dict, linear: bool) -> list:
 def classify_system(spec: SystemSpec, window: int = 1000, seed: int = 0,
                     mc_samples: int = 10_000,
                     gap_bound: int = 64) -> ClassificationRow:
-    """Run all six probes over one shared orbit, walked once and streamed
-    (probe_orbit), and flag implication violations within the grade rules."""
+    """Run all six probes over one shared orbit, streamed from the kind's
+    rows hook (probe_orbit), and flag implication violations within the
+    grade rules."""
     if window < 1:
         raise ValueError(f"classification window must be >= 1, got {window}")
     traj = probe_orbit(spec, default_start(spec, seed), window)

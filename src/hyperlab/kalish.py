@@ -27,10 +27,10 @@ On the grid T is lower triangular with unimodular diagonal e^{i t_j},
 so its exact spectrum is the set of M-th roots of unity and T^M = I in
 exact arithmetic.
 
-Batches: apply_T_array and kalish_solve_array take values of shape (M,)
-or (M, k), one function per column, and work along axis 0 in row blocks
-of at most _BLOCK_ELEMENTS (2**16) complex elements, so besides the
-output they hold one 1 MiB temporary, not an (M, k) one.  An array of at
+Batches: apply_T_array takes values of shape (M,) or (M, k), one
+function per column, and works along axis 0 in row blocks of at most
+_BLOCK_ELEMENTS (2**16) complex elements, so besides the output it
+holds one 1 MiB temporary, not an (M, k) one.  An array of at
 most 2**16 elements is one block.  The prefix sum carries from block to
 block: the previous block's last sum is added into the block's first row
 before its cumsum, which is the very addition a one-pass cumsum makes at
@@ -56,12 +56,6 @@ y_k) with d_j = e^{i t_j}, so apply_T_transpose is one reversed cumsum
 over an (M,) vector.  Through (T^n A)^T y = A^T (T^T)^n y, n inner
 products of x* with the columns of T^k A (k = 1..n) cost n transposed
 steps of the one vector conj(x*), not n applies of T to the (M, m) A.
-
-Solving: row k of T x = b reads e^{i t_k} x_k = b_k + i w S_{k-1}, with
-w = 2pi/M and S_k = sum_{j<=k} e^{i t_j} x_j, so S_k = q S_{k-1} + b_k
-for q = 1 + i w.  The solve takes the closed form S = q^k cumsum(b q^-k)
-(|q^{+-k}| <= e^{2pi^2/M}, so nothing grows), then x_k from row k: no
-loop over grid points.
 
 Eigenvectors of d_k = e^{i t_k}: zero above row k, 1 at row k, and
 v_j = i w S_{j-1} / (d_j - d_k) below, so S_j = S_{j-1} + d_j v_j is
@@ -304,40 +298,6 @@ def kalish_matrix(M: int) -> np.ndarray:
     mat[mask] = -np.broadcast_to(col[None, :], (M, M))[mask]
     np.fill_diagonal(mat, d)
     return mat
-
-
-def kalish_solve_array(B: np.ndarray) -> np.ndarray:
-    """Solve T X = B along axis 0 of an (M,) or (M, k) array, in closed
-    form and in row blocks (see the module docstring)."""
-    B = np.asarray(B, dtype=complex)
-    M = B.shape[0]
-    q_down, q_up = _solve_powers(M, B.ndim)
-    d = _phases(M, B.ndim)
-    out = B.copy()
-    rows = _block_rows(B.shape)
-    before = None
-    for lo in range(0, M, rows):
-        hi = min(lo + rows, M)
-        S = B[lo:hi] * q_down[lo:hi]
-        o = out[lo:hi]
-        if before is not None:
-            S[:1] += before
-            o[:1] += before * q_up[lo - 1:lo]
-        np.add.accumulate(S, axis=0, out=S)
-        S[:-1] *= q_up[lo:hi - 1]
-        o[1:] += S[:-1]
-        o /= d[lo:hi]
-        before = S[-1:]
-    return out
-
-
-@functools.cache
-def _solve_powers(M: int, ndim: int = 1):
-    """(q^-k, i w q^k) of the closed-form solve, cached like _phases."""
-    w = TWO_PI / M
-    log_q = 0.5 * np.log1p(w * w) + 1j * np.arctan(w)  # q^k = e^{k log q}
-    k = np.arange(M).reshape((M,) + (1,) * (ndim - 1))
-    return _read_only(np.exp(-k * log_q)), _read_only((1j * w) * np.exp(k * log_q))
 
 
 def exact_eigenvectors(ks, M: int) -> np.ndarray:

@@ -9,7 +9,6 @@ import csv
 import io
 import warnings
 from functools import partial
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -45,7 +44,8 @@ from hyperlab.dynamics_lab import (
     m_system_probe, norms, orbit_rows, parse_systems, probe_orbit, state_norm,
     weak_mixing_probe)
 from hyperlab.gauss_model import walk
-from hyperlab.kalish import CircleFunction, arc_indicators, func_norm, grid_norms
+from hyperlab.kalish import (
+    CircleFunction, arc_indicators, func_norm, grid_norms, kalish_matrix)
 from hyperlab.jsonio import stable_dumps
 from hyperlab.seeding import rng_for
 
@@ -132,7 +132,6 @@ def test_step_scalar_shift_slides_and_the_norm_scales():
     spec = scalar_shift_system(2.0, 4)
     y = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
     np.testing.assert_array_equal(step(spec, y), [2.0, 3.0, 4.0, 0.0])
-    np.testing.assert_array_equal(step(spec, y, back=True), [0.0, 1.0, 2.0, 3.0])
     # W = (1, 2, 4, 8)
     assert state_norm(spec, y) == pytest.approx(np.sqrt(1 + 1 + 9 / 16 + 16 / 64), rel=1e-15)
 
@@ -178,30 +177,6 @@ def _random_state(spec, label):
     rng = rng_for(0, label)
     return rng.standard_normal(spec.state_dim) + 1j * rng.standard_normal(
         spec.state_dim)
-
-
-def test_back_step_is_a_right_inverse_for_kalish_and_torus():
-    kalish = kalish_system(256)
-    y = _random_state(kalish, "back-step-kalish")
-    z = step(kalish, step(kalish, y, back=True))
-    assert state_norm(kalish, z - y) <= 1e-12 * state_norm(kalish, y)
-    torus = torus_system([1.0, 2.5, 0.3])
-    y = np.exp(1j * np.array([0.4, 1.7, 5.9]))
-    # y e^{-ia} e^{ia} rounds twice, so equality holds to the last bit only
-    np.testing.assert_allclose(step(torus, step(torus, y, back=True)), y,
-                               rtol=1e-15, atol=0)
-
-
-@pytest.mark.parametrize("spec", [
-    scalar_shift_system(2.0, 12),
-    scalar_shift_system(3.0 + 1.0j, 12),
-    weighted_shift_system([0.5, 2.0, 1.5, 0.8, 1.2, 2.0, 0.6]),
-], ids=lambda s: s.label)
-def test_back_step_is_a_right_inverse_for_shifts_but_the_last_coordinate(spec):
-    y = _random_state(spec, "back-step-shift")
-    z = step(spec, step(spec, y, back=True))
-    assert np.array_equal(z[:-1], y[:-1])  # two slides: exact
-    assert z[-1] == 0  # the truncation drops what the back step pushed out
 
 
 def test_n_step_map_matches_iteration():
@@ -342,7 +317,7 @@ def test_contracting_shift_pullbacks_stay_finite_and_move_no_verdict(spec, windo
     traj = probe_orbit(spec, default_start(spec, 0), window)
     center = traj.snapshots[traj.length // 2]
     depth = spec.ops.pullbacks(center, window)
-    pulled = list(islice(dynamics_lab._steps(spec, center, back=True), depth + 2))
+    pulled = _forward_slides(center, depth + 1)
     assert np.flatnonzero(pulled[depth]).max() < spec.ops.stop
     assert depth == window or np.flatnonzero(pulled[depth + 1]).max() == spec.ops.stop
     with warnings.catch_warnings():
@@ -353,6 +328,15 @@ def test_contracting_shift_pullbacks_stay_finite_and_move_no_verdict(spec, windo
         "chaotic": "no", "m_system": "no-evidence", "e_system": "no",
         "syndetic": "yes", "weak_mixing": "yes", "ufh": "yes"}
     assert row.flags == ()
+
+
+def _forward_slides(y: np.ndarray, n: int) -> np.ndarray:
+    """y and its n forward slides, the right inverse R of a shift's T in
+    symbol coordinates, one slide at a time: the pullbacks' oracle."""
+    slides = [np.asarray(y, dtype=complex)]
+    for _ in range(n):
+        slides.append(np.concatenate([[0.0], slides[-1][:-1]]))
+    return np.array(slides)
 
 
 # -- hitting times and balls --------------------------------------------
@@ -586,9 +570,8 @@ def test_classify_system_single_row():
 
 
 def test_classify_system_simulates_one_orbit_per_row(monkeypatch):
-    # walk is the one guarded walk: orbit_rows' replay of the states
-    # before the last center's block and the pullbacks run unguarded, so
-    # each row's orbit is walked once
+    # walk is the one guarded walk: each row's orbit_rows walks the time
+    # index through it once, against the norm row its rows hook gave
     calls = {"walk": 0, "_ball_family": 0}
     for name in calls:
         def counting(*args, _real=getattr(dynamics_lab, name), _name=name,
@@ -657,6 +640,21 @@ def _bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def _closed_form(spec) -> bool:
+    """Whether spec's rows are closed forms that agree with the stepped
+    orbit to round-off (kalish and the torus), not bitwise (a shift)."""
+    return not isinstance(spec.ops, dynamics_lab._Shift)
+
+
+def _assert_row(spec, got: np.ndarray, want: np.ndarray, scale: float) -> None:
+    """got is want: bit for bit for a shift, within 1e-11 x scale, the
+    largest norm of the orbit, for a closed-form kind."""
+    if _closed_form(spec):
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-11 * scale
+    else:
+        assert np.array_equal(_bits(got), _bits(want))
+
+
 @pytest.mark.parametrize("spec", [
     kalish_system(64),
     scalar_shift_system(2.0, 90),
@@ -664,35 +662,41 @@ def _bits(a: np.ndarray) -> np.ndarray:
     weighted_shift_system([1.5] * 59),
     torus_system((0.3, 1.1, 2.5)),
 ], ids=lambda spec: spec.label)
-def test_streamed_rows_are_bitwise_the_stored_orbit(spec, monkeypatch):
+def test_streamed_rows_are_the_stored_orbit(spec, monkeypatch):
     n, times = 50, [0, 7, 25, 50]
     x0 = default_start(spec, 5)
     stored = orbit(spec, x0, n)
+    scale = float(np.max(stored.norms()))
     one_pass = [norms(spec, stored.states - stored.states[t]) for t in times]
     one_block = orbit_rows(spec, x0, n, centers=times)
-    # 7 states a block: 7 replayed blocks and a 2-state remainder
-    monkeypatch.setattr("hyperlab.kalish._BLOCK_ELEMENTS", 7 * spec.state_dim)
-    replayed = np.concatenate([block.copy() for _, block in dynamics_lab._blocks(
-        islice(dynamics_lab._steps(spec, x0), n + 1),
-        dynamics_lab._block_buffer(n + 1, spec.state_dim))])
-    assert np.array_equal(_bits(replayed), _bits(stored.states))
+    # 7 states a block: 7 blocks and a 2-state remainder
+    monkeypatch.setattr("hyperlab.kalish._BLOCK_ELEMENTS", 7 * _row_width(spec))
     blocked = orbit_rows(spec, x0, n, centers=times)
     for streamed in (one_block, blocked):
-        assert np.array_equal(_bits(streamed.norm_row), _bits(stored.norms()))
+        _assert_row(spec, streamed.norm_row, stored.norms(), scale)
         for t, want in zip(times, one_pass):
-            assert np.array_equal(_bits(streamed.rows[t]), _bits(want))
+            _assert_row(spec, streamed.rows[t], want, scale)
+    # the block size moves no bit of a row
+    for t in times:
+        assert np.array_equal(_bits(blocked.rows[t]), _bits(one_block.rows[t]))
     # hitting_times on the stored orbit, in 7-state blocks of its states
+    monkeypatch.setattr("hyperlab.kalish._BLOCK_ELEMENTS", 7 * spec.state_dim)
     for t, want in zip(times, one_pass):
         ball = BallSpec(center=stored.states[t], radius=float(np.median(want)) + 1e-300)
         hits = hitting_times(stored, ball)
         assert np.array_equal(hits.elements, np.flatnonzero(want < ball.radius))
 
 
+def _row_width(spec) -> int:
+    """The width of spec's orbit rows, the coordinates its norm reads: a
+    shift's head, kalish's node count, the torus's angle count."""
+    return spec.ops.rows(default_start(spec, 0), 0)[0]
+
+
 def _record_kernel(monkeypatch) -> list:
     """Wrap _distance_rows to record (spec, block lengths, states, centers,
-    rows) of every call, the blocks in row order (orbit_rows hands over the
-    last center's block first); blocks are copied, since _blocks reuses its
-    buffer."""
+    rows) of every call, the blocks in row order; blocks are copied, since
+    a rows hook reuses its buffer."""
     calls = []
     kernel = dynamics_lab._distance_rows
 
@@ -737,29 +741,30 @@ def _reference_norm(spec, x: np.ndarray):
 @pytest.mark.parametrize("block_states", [7, None], ids=["7-state-blocks", "kernel-blocks"])
 def test_distance_kernel_is_the_per_state_norm_bit_for_bit(spec, block_states,
                                                            monkeypatch):
+    width = _row_width(spec)
     if block_states:
-        monkeypatch.setattr("hyperlab.kalish._BLOCK_ELEMENTS", block_states * spec.state_dim)
-    n = 100  # 101 states: the last block is short at either block size
+        monkeypatch.setattr("hyperlab.kalish._BLOCK_ELEMENTS", block_states * width)
+    n = 100  # 101 states: the last block is short at 7-state blocks
     x0 = default_start(spec, 3)
     calls = _record_kernel(monkeypatch)
     centers = [0, 3, 7, 12, 20, 33, 41, 100]
-    orbit_rows(spec, x0, n, centers=[0])  # pass 2, one center
-    orbit_rows(spec, x0, n, centers=centers)  # pass 2, eight centers
+    orbit_rows(spec, x0, n, centers=[0])  # one center
+    orbit_rows(spec, x0, n, centers=centers)  # eight centers
     weak_mixing_probe(probe_orbit(spec, x0, n), seed=0)  # the pullbacks
     stored = orbit(spec, x0, n)
     hitting_times(stored, BallSpec(center=stored.states[7], radius=1.0))
     probed = len(set(dynamics_lab._probe_times(spec, n + 1).centers))
     # orbit_rows adds the origin, whose row is the norm row, to its centers
     assert [len(centers) for _, _, _, centers, _ in calls] == [2, 9, probed + 1, 1, 1]
-    # a shift's orbit and pullbacks are the columns its norm reads, its
-    # head; the stored orbit of hitting_times is dim wide
-    width = len(spec.ops.head) if isinstance(spec.ops, dynamics_lab._Shift) else spec.state_dim
+    # an orbit's rows and its pullbacks are the coordinates its norm
+    # reads, a shift's head or kalish's node count wide; the stored orbit
+    # of hitting_times is dim wide
     assert [states.shape[1] for _, _, states, _, _ in calls] == [width] * 4 + [spec.state_dim]
-    for _, sizes, states, centers, rows in calls:
+    for i, (_, sizes, states, centers, rows) in enumerate(calls):
         # blocks of kalish._block_rows rows of the states' width
-        assert sizes[0] == min(dynamics_lab._block_rows(states.shape), len(states))
-        assert sizes[-1] <= sizes[0] and max(sizes) == sizes[0]
-        if block_states or spec.state_dim == 1024:
+        b = min(dynamics_lab._block_rows(states.shape), len(states))
+        assert sizes == _block_sizes(len(states), b)
+        if block_states and i < 4:
             assert len(sizes) > 1 and sizes[-1] < sizes[0]
         for row, c in zip(rows, centers):
             by_state = [norms(spec, x - c) for x in states]
@@ -767,7 +772,7 @@ def test_distance_kernel_is_the_per_state_norm_bit_for_bit(spec, block_states,
             assert np.array_equal(_bits(row), _bits(_reference_norm(spec, states - c)))
 
 
-# -- one walk: pass 2 replays only the states before the last center's block
+# -- the rows at the block edges, against the stored orbit ---------------
 
 def _stored_orbit_rows(spec, x0, n_steps, centers, keep=()):
     """The oracle of orbit_rows: a stored orbit, each row in one pass."""
@@ -781,9 +786,9 @@ def _counting_steps(monkeypatch) -> list:
     """Patch dynamics_lab.step to log the name of the spec of every call."""
     calls, real = [], dynamics_lab.step
 
-    def counting(spec, state, back=False):
+    def counting(spec, state):
         calls.append(spec.name)
-        return real(spec, state, back)
+        return real(spec, state)
 
     monkeypatch.setattr(dynamics_lab, "step", counting)
     return calls
@@ -807,51 +812,44 @@ _BLOCK_EDGES = {
     (scalar_shift_system(0.5, 30), 7),  # zero from step 30 on: exact-zero rows
     (weighted_shift_system([1.5] * 59), 7),
     (torus_system((0.3, 1.1, 2.5)), 7),
-    (kalish_system(1024), None),  # kernel blocks of 64 states
-    (scalar_shift_system(2.0, 1128), None),  # kernel blocks of 58 states
+    # 64-state blocks: the kernel's own, 8192 states 8 wide, would make
+    # the stored oracle 24,579 states of 1024 coordinates
+    (kalish_system(1024), 64),
+    (scalar_shift_system(2.0, 1128), None),  # kernel blocks of 121 states
 ], ids=lambda v: v.label if isinstance(v, SystemSpec) else f"{v or 'kernel'}-blocks")
-def test_one_walk_rows_are_bitwise_the_stored_orbit(spec, block_states, edge,
-                                                    monkeypatch):
+def test_rows_at_the_block_edges_are_the_stored_orbit(spec, block_states, edge,
+                                                      monkeypatch):
+    width = _row_width(spec)
     if block_states:
-        monkeypatch.setattr("hyperlab.kalish._BLOCK_ELEMENTS", block_states * spec.state_dim)
-    b = block_states or dynamics_lab._block_rows((1, spec.state_dim))
+        monkeypatch.setattr("hyperlab.kalish._BLOCK_ELEMENTS", block_states * width)
+    b = dynamics_lab._block_rows((1, width))
     n, centers = _BLOCK_EDGES[edge](b)
-    assert len(dynamics_lab._block_buffer(n + 1, spec.state_dim)) == min(b, n + 1)
     x0 = default_start(spec, 4)
     keep = [n // 2]
     steps = _counting_steps(monkeypatch)
     got = orbit_rows(spec, x0, n, centers=centers, keep=keep)
-    # pass 1 walks n steps; pass 2 replays the states before the last
-    # center's block, which start at split, so split - 1 steps; a shift's
-    # rows are windows of its view, with no step
-    split = max(centers, default=0) // b * b
-    walked = not isinstance(spec.ops, dynamics_lab._Shift)
-    assert len(steps) == walked * (n + max(split - 1, 0))
+    # every row comes from the kind's rows hook, with no step
+    assert steps == []
     want = _stored_orbit_rows(spec, x0, n, centers, keep)
-    assert np.array_equal(_bits(got.norm_row), _bits(want.norm_row))
+    scale = float(np.max(want.norm_row))
+    _assert_row(spec, got.norm_row, want.norm_row, scale)
     assert sorted(got.snapshots) == sorted(want.snapshots) == keep
     for t, state in want.snapshots.items():
-        assert np.array_equal(_bits(got.snapshots[t]), _bits(state))
+        _assert_row(spec, got.snapshots[t], state, scale)
     assert sorted(got.rows) == sorted(want.rows) == sorted(set(centers))
     for t, row in want.rows.items():
-        assert np.array_equal(_bits(got.rows[t]), _bits(row))
+        _assert_row(spec, got.rows[t], row, scale)
+        assert got.rows[t][t] == 0.0
 
 
-def test_battery_rows_replay_only_the_prefix_before_the_last_centers_block(
-        monkeypatch):
+@pytest.mark.parametrize("row", range(3), ids=lambda i: default_battery(1000)[i].name)
+def test_classifying_a_battery_row_makes_no_step_call(row, monkeypatch):
+    # every orbit and pullback row is a closed form of the kind's rows
+    # hook; the walk and replay made 1,000 + 63 + 1,000 calls for the
+    # kalish row, 1,000 + 1,000 for the torus and 2,485 for the shift
     steps = _counting_steps(monkeypatch)
-    window = 1000
-    battery = default_battery(window)
-    for spec in battery:
-        probe_orbit(spec, default_start(spec, 0), window)
-    # torus: one block; shift: no step, its rows are windows of its view;
-    # kalish: blocks of 64, the last center (100) in the block from 64
-    assert {name: steps.count(name) for name in set(steps)} == {
-        "torus-rotation": window, "kalish-gaussian": window + 63}
-    for centers in ([0], []):  # the runner's orbit probe and lab orbit; none
-        steps.clear()
-        orbit_rows(battery[2], default_start(battery[2], 0), window, centers)
-        assert len(steps) == window
+    classify_system(default_battery(1000)[row], window=1000, mc_samples=500)
+    assert steps == []
 
 
 # -- a shift's rows: windows of its one symbol sequence ------------------
@@ -865,7 +863,7 @@ _VIEW_SHIFTS = [
 
 
 def _view_block_rows(spec, block_states, monkeypatch) -> int:
-    """The kernel block rows of a shift's view, len(head) wide, with
+    """The kernel block rows of a shift's rows, len(head) wide, with
     block_states rows a block (None: the kernel's own)."""
     width = len(spec.ops.head)
     if block_states:
@@ -926,7 +924,7 @@ def test_shift_pullback_row_is_bitwise_the_stepped_pullbacks(spec, block_states,
     v = traj.snapshots[dynamics_lab._probe_times(spec, 2 * k + 1).middle]
     depth = spec.ops.pullbacks(v, 2 * k)
     assert depth == k
-    stepped = np.array(list(islice(dynamics_lab._steps(spec, v, back=True), depth + 1)))
+    stepped = _forward_slides(v, depth)
     calls, steps = _record_kernel(monkeypatch), _counting_steps(monkeypatch)
     weak_mixing_probe(traj, seed=0)
     assert steps == []
@@ -959,6 +957,132 @@ def test_orbit_rows_rejects_times_outside_the_orbit():
         orbit_rows(spec, x0, -1, centers=[0])
 
 
+@pytest.mark.parametrize("centers, keep, t", [
+    ([1.5], [], "1.5"), ([True], [], "True"), ([0], [2.0], "2.0"),
+    ([np.float64(3.0)], [], "3.0"), ([0, False], [], "False")])
+@pytest.mark.parametrize("spec", [torus_system((0.3, 1.1)), scalar_shift_system(2.0, 20),
+                                  kalish_system(64)], ids=lambda spec: spec.label)
+def test_orbit_rows_rejects_a_time_that_is_not_an_integer(spec, centers, keep, t):
+    # in closed form a float time would give the state at a fractional time
+    x0 = default_start(spec, 0)
+    with pytest.raises(ValueError, match=rf"^orbit time {t} is not an integer$"):
+        orbit_rows(spec, x0, 10, centers=centers, keep=keep)
+    got = orbit_rows(spec, x0, 10, centers=[np.int64(3)], keep=[np.int32(2)])
+    assert got.rows[3][3] == 0.0 and sorted(got.snapshots) == [2]
+
+
+@pytest.mark.parametrize("center, message", [
+    (1.0, r"^ball center has shape \(\), spec wants \(2,\)$"),
+    ([1.0], r"^ball center has shape \(1,\), spec wants \(2,\)$"),
+    ([1.0, 1.0, 1.0], r"^ball center has shape \(3,\), spec wants \(2,\)$"),
+    ([np.nan, 1.0], r"^ball center coordinate 0 is \(nan\+0j\), not finite$"),
+], ids=["scalar", "one-coordinate", "three-coordinates", "nan"])
+def test_a_ball_center_is_checked_against_the_spec(center, message):
+    # a scalar center raised a bare IndexError, a wrong length numpy's
+    # broadcast error, and a nan center hit nothing, silently
+    traj = orbit(torus_system((0.3, 1.1)), np.ones(2, dtype=complex), 40)
+    bad = BallSpec(center=center, radius=0.5)
+    good = BallSpec(center=np.ones(2, dtype=complex), radius=0.5)
+    for check in (lambda: hitting_times(traj, bad),
+                  lambda: return_set_identity_check(traj, bad),
+                  lambda: return_set_identity_check(traj, good, verify_ball=bad)):
+        with pytest.raises(ValueError, match=message):
+            check()
+
+
+def test_a_kalish_start_off_the_model_span_is_a_typed_error():
+    # the closed-form rows read the start's coordinates on the model's
+    # eigenvector field; a start off it was walked silently
+    spec = kalish_system(64)
+    with pytest.raises(ValueError, match=r"^kalish state is off the span of the model's 8 "
+                                         r"eigenvectors: residual \S+ exceeds 1e-9 x its norm$"):
+        orbit_rows(spec, _random_state(spec, "off-span"), 10, centers=[0])
+    # a start 1e-12 off the span, relative to its norm, is on it
+    x0 = default_start(spec, 0)
+    nudge = _random_state(spec, "nudge")
+    orbit_rows(spec, x0 + 1e-12 * (norms(spec, x0) / norms(spec, nudge)) * nudge, 10,
+               centers=[0])
+
+
+def _kalish_back_step(b: np.ndarray) -> np.ndarray:
+    """R b = T^-1 b on the grid, from the rows of T x = b: with d_k =
+    e^{i t_k}, w = 2pi/M and S_k = sum_{j<=k} d_j x_j, row k reads d_k x_k
+    = b_k + i w S_{k-1}, so S_k = q S_{k-1} + b_k, q = 1 + i w, and S =
+    q^k cumsum(b q^-k)."""
+    M = b.size
+    w = TWO_PI / M
+    qk = (1.0 + 1j * w) ** np.arange(M)
+    S = qk * np.cumsum(b / qk)
+    x = b.astype(complex)
+    x[1:] += 1j * w * S[:-1]
+    return x / np.exp(1j * TWO_PI * np.arange(M) / M)
+
+
+def test_the_kalish_back_step_oracle_is_the_dense_solve():
+    spec = kalish_system(128)
+    b = _random_state(spec, "back-step-oracle")
+    want = np.linalg.solve(kalish_matrix(128), b)
+    assert np.max(np.abs(_kalish_back_step(b) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("window", [300, 1000, 4000])
+@pytest.mark.parametrize("row", [0, 2], ids=["torus-rotation", "kalish-gaussian"])
+def test_closed_form_rows_are_the_stepped_orbit(row, window):
+    # orbit, norm and pullback rows of the battery's kalish and torus rows
+    # against orbit's guarded walk (R stepped by the test's own inverse),
+    # within 1e-11 x the largest norm
+    spec = default_battery(window)[row]
+    x0 = default_start(spec, 0)
+    times = dynamics_lab._probe_times(spec, window + 1)
+    centers = sorted(set(times.centers))
+    got = orbit_rows(spec, x0, window, centers=centers, keep=[times.middle])
+    want = _stepped_orbit_rows(spec, x0, window, centers, [times.middle])
+    scale = float(np.max(want.norm_row))
+    _assert_row(spec, got.norm_row, want.norm_row, scale)
+    for t in centers:
+        _assert_row(spec, got.rows[t], want.rows[t], scale)
+    v = want.snapshots[times.middle]
+    _assert_row(spec, got.snapshots[times.middle], v, scale)
+    if spec.is_linear:
+        back_step = _kalish_back_step
+    else:
+        back_step = partial(np.multiply, np.exp(-1j * spec.ops.angles))
+    pulled = np.array([state_norm(spec, y) for y in
+                       walk(back_step, v, window, partial(state_norm, spec))])
+    _assert_row(spec, dynamics_lab._rows(spec, v, window, [], back=True)[0][0], pulled,
+                float(np.max(pulled)))
+
+
+@pytest.mark.parametrize("back", [False, True], ids=["orbit", "pullbacks"])
+@pytest.mark.parametrize("block_states", [1, 7, None],
+                         ids=["1-state-blocks", "7-state-blocks", "kernel-blocks"])
+@pytest.mark.parametrize("spec", [
+    kalish_system(8),
+    kalish_system(1024),
+    scalar_shift_system(2.0, 1128),  # head 538 of 1128
+    weighted_shift_system([1.5] * 59),
+    torus_system((0.3, 1.1, 2.5)),
+], ids=lambda spec: spec.label)
+def test_a_row_alone_is_bitwise_its_row_in_the_block(spec, block_states, back, monkeypatch):
+    # a center row is a one-row call of the rows hook; a BLAS product took
+    # another kernel for one row, and a center's row to itself read 2e-16
+    width = _row_width(spec)
+    if block_states:
+        monkeypatch.setattr("hyperlab.kalish._BLOCK_ELEMENTS", block_states * width)
+    n = 100
+    x0 = default_start(spec, 2)
+    _, rows_of = spec.ops.rows(x0, n, back)
+    b = dynamics_lab._block_rows((n + 1, width))
+    blocks = np.concatenate([rows_of(lo, min(lo + b, n + 1)).copy()
+                             for lo in range(0, n + 1, b)])
+    assert blocks.shape == (n + 1, width)
+    for t in range(n + 1):
+        assert np.array_equal(_bits(rows_of(t, t + 1)[0]), _bits(blocks[t])), t
+    centers = list(range(0, n + 1, 3))
+    rows = dynamics_lab._rows(spec, x0, n, centers, back=back)[0]
+    assert [row[t] for t, row in zip(centers, rows[1:])] == [0.0] * len(centers)
+
+
 @pytest.mark.parametrize("row", range(3), ids=lambda i: default_battery(1000)[i].name)
 def test_classifying_a_battery_row_makes_no_state_norm_call(row, monkeypatch):
     # every row of the streamed orbit, the norm row included, comes from
@@ -970,23 +1094,45 @@ def test_classifying_a_battery_row_makes_no_state_norm_call(row, monkeypatch):
     assert calls == []
 
 
-def test_classifying_the_battery_shift_row_makes_no_step_call(monkeypatch):
-    # its orbit and its pullbacks are windows of one symbol sequence; the
-    # walk and replay made 2,485 calls (1,000 + 985 + 500 pullbacks)
-    steps = _counting_steps(monkeypatch)
-    classify_system(default_battery(1000)[1], window=1000, mc_samples=500)
-    assert steps == []
+def _leaves(doc, path=()):
+    """(path, leaf) of every leaf of a JSON document."""
+    if isinstance(doc, dict):
+        for key in sorted(doc):
+            yield from _leaves(doc[key], (*path, key))
+    elif isinstance(doc, list):
+        for i, item in enumerate(doc):
+            yield from _leaves(item, (*path, i))
+    else:
+        yield path, doc
+
+
+def _assert_same_documents(got, want):
+    """Two classification reports agree: a shift row byte for byte; a
+    closed-form row (kalish, torus) in every verdict, flag and non-float
+    leaf, its floats within 1e-11."""
+    assert len(got.rows) == len(want.rows)
+    for a, b in zip(got.rows, want.rows):
+        if not _closed_form(a.spec):
+            assert stable_dumps(a.to_dict()) == stable_dumps(b.to_dict())
+            continue
+        pairs = list(zip(_leaves(a.to_dict()), _leaves(b.to_dict())))
+        assert [p for (p, _), _ in pairs] == [p for _, (p, _) in pairs]
+        for (path, x), (_, y) in pairs:
+            if isinstance(x, float) and isinstance(y, float):
+                assert x == pytest.approx(y, rel=1e-11, abs=1e-11), path
+            else:
+                assert x == y and type(x) is type(y), path
 
 
 @pytest.mark.parametrize("window", [1, 63, 64, 65, 1000])
 def test_classification_documents_are_the_stored_orbit_documents(window, monkeypatch):
     battery = default_battery(window)
-    streamed = [stable_dumps(classification_run(battery, window, seed, mc_samples=500)
-                             .to_dict()) for seed in range(3)]
+    streamed = [classification_run(battery, window, seed, mc_samples=500)
+                for seed in range(3)]
     monkeypatch.setattr(dynamics_lab, "orbit_rows", _stored_orbit_rows)
-    stored = [stable_dumps(classification_run(battery, window, seed, mc_samples=500)
-                           .to_dict()) for seed in range(3)]
-    assert streamed == stored
+    for seed in range(3):
+        _assert_same_documents(
+            streamed[seed], classification_run(battery, window, seed, mc_samples=500))
 
 
 def _stepped_orbit_rows(spec, x0, n_steps, centers, keep=()):
@@ -1008,10 +1154,9 @@ def _stepped_orbit_rows(spec, x0, n_steps, centers, keep=()):
 def test_window_4000_classification_documents_are_the_stepped_orbit_documents(
         monkeypatch):
     battery = default_battery(4000)
-    streamed = stable_dumps(classification_run(battery, 4000, 0, mc_samples=500).to_dict())
+    streamed = classification_run(battery, 4000, 0, mc_samples=500)
     monkeypatch.setattr(dynamics_lab, "orbit_rows", _stepped_orbit_rows)
-    stepped = stable_dumps(classification_run(battery, 4000, 0, mc_samples=500).to_dict())
-    assert streamed == stepped
+    _assert_same_documents(streamed, classification_run(battery, 4000, 0, mc_samples=500))
 
 
 def test_window_2000_battery_runs_without_a_crash():

@@ -26,8 +26,8 @@ from hyperlab import (
 )
 from hyperlab import kalish
 from hyperlab.kalish import (
-    _phases, _solve_powers, apply_T_array, apply_T_transpose, arc_indicators,
-    exact_eigenvectors, grid_norms, kalish_solve_array)
+    _phases, apply_T_array, apply_T_transpose, arc_indicators,
+    exact_eigenvectors, grid_norms)
 from hyperlab.seeding import complex_standard_normal, rng_for
 
 TWO_PI = 2.0 * np.pi
@@ -278,24 +278,6 @@ def test_transpose_agrees_with_the_transposed_matrix(M):
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def test_solve_recovers_random_function():
-    M = 512
-    f = _random_function(8, M)
-    b = apply_T(f)
-    x = kalish_solve_array(b.values)
-    assert np.max(np.abs(x - f.values)) <= 1e-6
-
-
-def test_solve_matches_dense_solver():
-    # oracle: numpy's general solver on the dense matrix
-    M = 128
-    b = _random_function(9, M)
-    mat = kalish_matrix(M)
-    oracle = np.linalg.solve(mat, b.values)
-    x = kalish_solve_array(b.values)
-    np.testing.assert_allclose(x, oracle, atol=1e-10)
-
-
 # -- exact eigenvectors ------------------------------------------------
 
 def test_exact_eigenvector_residual_is_machine_level():
@@ -392,23 +374,19 @@ def test_nearest_grid_index_wraps():
 
 @pytest.mark.parametrize("M", [8, 1024])
 @pytest.mark.parametrize("k", [1, 5])
-def test_batched_apply_and_solve_match_per_column(M, k):
+def test_batched_apply_matches_per_column(M, k):
     X = _random_block(10, M, k)
     TX = apply_T_array(X)
-    SX = kalish_solve_array(X)
-    assert TX.shape == SX.shape == (M, k)
+    assert TX.shape == (M, k)
     for j in range(k):
         f = CircleFunction(X[:, j].copy(), M)
         np.testing.assert_allclose(TX[:, j], apply_T(f).values, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(SX[:, j], kalish_solve_array(f.values),
-                                   rtol=0, atol=1e-12)
 
 
-def test_batched_kernels_leave_input_untouched():
+def test_batched_kernel_leaves_input_untouched():
     X = _random_block(11, 64, 3)
     before = X.copy()
     apply_T_array(X)
-    kalish_solve_array(X)
     assert np.array_equal(X, before)
 
 
@@ -417,7 +395,7 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("shape", [(256, 8), (256,)])
-def test_blocked_kernels_are_bitwise_the_one_block_pass(shape, monkeypatch):
+def test_blocked_kernel_is_bitwise_the_one_block_pass(shape, monkeypatch):
     X = complex_standard_normal(rng_for(14, "blocked-kernels"), shape)
     if X.ndim == 2:
         X[:100, 0] = 0.0
@@ -425,12 +403,10 @@ def test_blocked_kernels_are_bitwise_the_one_block_pass(shape, monkeypatch):
         X[:, 2] = exact_eigenvectors([200], 256)[:, 0]  # exact zeros above row 200
     else:
         X[:100] = complex(-0.0, -0.0)
-    one_block = apply_T_array(X), kalish_solve_array(X)
+    one_block = apply_T_array(X)
     # 7 rows a block: 36 blocks and a 4-row remainder, each carrying the sum
     monkeypatch.setattr(kalish, "_BLOCK_ELEMENTS", 7 * X[0].size)
-    blocked = apply_T_array(X), kalish_solve_array(X)
-    for a, b in zip(one_block, blocked):
-        assert np.array_equal(_bits(a), _bits(b))
+    assert np.array_equal(_bits(one_block), _bits(apply_T_array(X)))
 
 
 @pytest.mark.parametrize("top", [0, 1, 100, 255])
@@ -466,31 +442,8 @@ def test_column_groups_start_at_each_group_s_first_nonzero_row(monkeypatch):
     assert [top for _, top in groups] == [9, 50, 0, 0]  # the last run is all zero
 
 
-def test_closed_form_solve_matches_forward_substitution():
-    # oracle: row k of T x = b read as e^{i t_k} x_k = b_k + i w sum_{j<k} e^{i t_j} x_j
-    M = 2048
-    b = _random_function(12, M).values
-    w = TWO_PI / M
-    d = np.exp(1j * grid_angles(M))
-    x = np.empty(M, dtype=complex)
-    S = 0.0 + 0.0j
-    for k in range(M):
-        x[k] = (b[k] + 1j * w * S) / d[k]
-        S += d[k] * x[k]
-    got = kalish_solve_array(b)
-    assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
-
-
-def test_closed_form_solve_residual_at_large_grid():
-    M = 131072
-    b = _random_function(13, M).values
-    x = kalish_solve_array(b)
-    assert np.max(np.abs(apply_T_array(x) - b)) <= 1e-13 * np.max(np.abs(b))
-
-
 def test_grid_constants_are_cached_and_read_only():
-    constants = [_phases(64), _phases(64, 2), *_solve_powers(64),
-                 *_solve_powers(64, 2)]
+    constants = [_phases(64), _phases(64, 2)]
     assert all(not a.flags.writeable for a in constants)
     assert _phases(64, 2) is _phases(64, 2)
     with pytest.raises(ValueError):

@@ -13,8 +13,10 @@ A classification row streams its orbit (dynamics_lab.orbit_rows, whose
 one row source is dynamics_lab._rows), so at window 4000 it holds a few
 MiB, not an (N+1, dim) orbit.  Beyond the rows and the keep state it
 returns, a streamed row holds at most three blocks of 2**16 complex
-elements (a block of the walk and the kernel's scratch pair) and one row
-of window + dim elements; it keeps no state per center.  A shift's
+elements (the rows hook's block and the kernel's scratch pair) and one
+row of window + dim elements; it keeps no state per center.  A kalish
+row is 8 Gram coordinates wide, not M, so at M = 1024 its blocks are a
+window's rows and it holds well under 1 MB.  A shift's
 orbit is a window over its symbols, so the distance kernel's scratch is
 as wide as the head its norm reads, not the shift's dimension, and its
 streamed orbit holds bytes that grow at most linearly with the window.
@@ -191,6 +193,16 @@ def test_a_streamed_row_holds_three_blocks_and_a_state_row_beyond_what_it_return
 
     held = _peak_bytes(streamed) - _returned_bytes(got[0])
     assert held <= 3 * 2**16 * 16 + 16 * (window + spec.state_dim)
+
+
+def test_a_kalish_probe_orbit_holds_under_1_mb_beyond_what_it_returns():
+    # its rows are the model's 8 coordinates; walked grid states, 64 of
+    # 1024 coordinates a block, held 2.81 MB
+    spec = kalish_system(1024)
+    x0 = default_start(spec, 0)
+    got = []
+    held = _peak_bytes(lambda: got.append(probe_orbit(spec, x0, 1000))) - _returned_bytes(got[0])
+    assert held <= 1e6
 
 
 _COLD_ROW = """

@@ -23,7 +23,10 @@ output line is ``<sha256>  <item>``, for:
   w in {300, 1000} and s in 0..23, then for w = 4000 and s in 0..3 and
   for w = 8000 and s = 0: at these two windows the ball stride
   max(L // 200, 1) | 1 of L = w + 1 states rounds an even L // 200 (20
-  and 40) up to an odd stride.
+  and 40) up to an odd stride.  Last, for w = 16000 and s = 0: the
+  kalish and torus rows are closed forms in the time t (phases e^{i t
+  lambda}), whose round-off grows with t, so the longest window is where
+  a change to those rows or to their phases moves bytes first.
 
 Run it on two checkouts, for example a parent commit and a change, and
 compare the two captures line by line (``diff``).  BLAS runs on one thread
@@ -64,7 +67,8 @@ ORBIT_SYSTEMS = ({"kind": "scalar_multiple_shift", "scalar": 2.0, "dimension": 6
                   "name": "weighted-shift-dip"},
                  {"kind": "scalar_multiple_shift", "scalar": 0.5, "dimension": 64,
                   "name": "scalar-shift-0.5"})
-BATTERY_RUNS = ((300, range(24)), (1000, range(24)), (4000, range(4)), (8000, range(1)))
+BATTERY_RUNS = ((300, range(24)), (1000, range(24)), (4000, range(4)), (8000, range(1)),
+                (16000, range(1)))
 
 
 def _sha(data: bytes) -> str:
