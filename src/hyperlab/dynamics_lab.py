@@ -11,9 +11,9 @@ any rows lo..hi-1 of the orbit (or of the pullbacks) in closed form, in the
 coordinates its norm reads: a shift's head columns as slices of a sliding
 window over one zero-padded copy of its symbols, bitwise the stepped states;
 the torus's x e^{i t alpha}; kalish's m = 8 Gram coordinates (e^{i t lam} g)
-@ C of the default model's eigenvector field (_Kalish).  _rows cuts the
-orbit into row blocks of at most kalish._BLOCK_ELEMENTS (2**16) complex
-elements and hands them to _distance_rows, the one distance kernel, which
+@ C of the default model's eigenvector field (_Kalish).  _rows hands the
+hook to _distance_rows, the one distance kernel, which cuts the orbit into
+row blocks of at most kalish._BLOCK_ELEMENTS (2**16) complex elements and
 writes the O(N) distance row of every state to the origin, which is the norm
 row, and to each center, a row the hook gives by a call of its own, bitwise
 its row in the block.  Only the keep states are returned, the one state a
@@ -182,7 +182,9 @@ class _Kind:
     one block hook, rows(x, n, back=False): (width, rows_of), where
     rows_of(lo, hi) gives rows lo..hi-1 of x, Tx, ..., T^n x (of x, Rx,
     ..., R^n x with back=True) in the width coordinates its norm reads, an
-    array valid until the next call."""
+    array valid until the next call.  n_step_map(state, n) is T^n state
+    and state(x, t) the keep state T^t x, a closed form where the kind has
+    one; neither takes the spec, as the class holds all they read."""
 
     linear = True
     square = complex  # the dtype of the squared moduli norms forms
@@ -199,15 +201,14 @@ class _Kind:
         square = np.multiply(np.conjugate(X, out=scratch), X, out=scratch)
         return np.sqrt(np.add.reduce(square.real, axis=-1))
 
-    def n_step_map(self, spec: SystemSpec, state: np.ndarray, n: int) -> np.ndarray:
-        """T^n by the guarded walk, for a kind with no closed form; the
-        deque keeps only the last state alive."""
-        return deque(walk(partial(step, spec), state, n, partial(state_norm, spec)),
-                     maxlen=1)[0]
+    def n_step_map(self, state: np.ndarray, n: int) -> np.ndarray:
+        """T^n by the guarded walk of step, for a kind with no closed form;
+        the deque keeps only the last state alive."""
+        return deque(walk(self.step, state, n, lambda x: float(self.norms(x))), maxlen=1)[0]
 
-    def state(self, spec: SystemSpec, x: np.ndarray, t: int) -> np.ndarray:
+    def state(self, x: np.ndarray, t: int) -> np.ndarray:
         """T^t x, a keep state of _rows: the closed-form n_step_map."""
-        return self.n_step_map(spec, x, t)
+        return self.n_step_map(x, t)
 
     def gauss_model(self) -> Optional[GaussModel]:
         """The invariant Gaussian model that witnesses e_system, if any."""
@@ -298,7 +299,7 @@ class _Kalish(_Kind):
         C = np.conjugate(np.linalg.cholesky((model.node_count / self.dim) * model.gram))
         return self._phase_rows(self._coordinates(x), model.angles, n, back, C)
 
-    def state(self, spec, x, t):
+    def state(self, x, t):
         """A (e^{i t lam} g), T^t x in the model's coordinates."""
         model = self.gauss_model()
         return model.factor @ (np.exp(1j * t * model.angles) * self._coordinates(x))
@@ -381,7 +382,7 @@ class _Shift(_Kind):
         out[:-1] = state[1:]
         return out
 
-    def n_step_map(self, spec, state, n):
+    def n_step_map(self, state, n):
         """The slide by n, bitwise n steps."""
         tail = np.asarray(state, dtype=complex)[n:]
         out = np.zeros(self.dim, dtype=complex)
@@ -423,7 +424,7 @@ class _Torus(_Kind):
     def step(self, state):
         return state * np.exp(1j * self.angles)
 
-    def n_step_map(self, spec, state, n):
+    def n_step_map(self, state, n):
         return state * np.exp(1j * n * self.angles)
 
     def rows(self, x, n, back=False):
@@ -529,7 +530,7 @@ def n_step_map(spec: SystemSpec, state: np.ndarray, n: int) -> np.ndarray:
     Used for independent witness re-verification."""
     if n < 0:
         raise ValueError("n_step_map takes n >= 0")
-    return spec.ops.n_step_map(spec, state, n)
+    return spec.ops.n_step_map(np.asarray(state), n)
 
 
 def default_start(spec: SystemSpec, seed: int) -> np.ndarray:
@@ -629,9 +630,8 @@ def _rows(spec: SystemSpec, x: np.ndarray, n: int, centers: list, keep=(),
     center row by its own one-row call, bitwise its row in the block."""
     width, rows_of = spec.ops.rows(x, n, back)
     points = [np.zeros(width, dtype=complex), *(rows_of(t, t + 1)[0].copy() for t in centers)]
-    blocks = _row_blocks(rows_of, n + 1, _block_rows((n + 1, width)))
-    return (_distance_rows(spec, blocks, points, n + 1),
-            {t: spec.ops.state(spec, x, t) for t in keep})
+    return (_distance_rows(spec, rows_of, points, n + 1),
+            {t: spec.ops.state(x, t) for t in keep})
 
 
 def _row_buffer(length: int, width: int) -> np.ndarray:
@@ -640,32 +640,25 @@ def _row_buffer(length: int, width: int) -> np.ndarray:
     return np.empty((min(_block_rows((length, width)), length), width), dtype=complex)
 
 
-def _row_blocks(rows_of, length: int, rows: int):
-    """(first row, block) pairs of the length rows that rows_of(lo, hi)
-    gives, rows of them a block: kalish._block_rows rows, the rows
-    _row_buffer sizes the kernel's scratch by."""
-    return ((lo, rows_of(lo, min(lo + rows, length))) for lo in range(0, length, rows))
-
-
-def _distance_rows(spec: SystemSpec, blocks, centers, length: int) -> np.ndarray:
+def _distance_rows(spec: SystemSpec, rows_of, centers, length: int) -> np.ndarray:
     """The one distance kernel: (len(centers), length) distances
-    ||x_t - c|| from the states, given as (first row, block) pairs of
-    consecutive rows in any order, to each center c, so every center meets
-    a block while it is in cache.  One scratch pair shaped like
-    _row_buffer, as wide as the centers and the blocks, the rows every
-    block source cuts its blocks by, holds every x_t - c and its squared
-    moduli, so a call allocates no block-sized array per block.  Each block
-    is copied into the first and c subtracted in place, one path for a
-    filled block and a view's overlapping windows alike (numpy would buffer
-    a subtraction from the latter, at twice the time).  Row by row it is
+    ||x_t - c|| from the states x_0..x_{length-1}, which rows_of(lo, hi)
+    gives as rows lo..hi-1, to each center c.  It cuts the blocks itself,
+    each as many rows as its one scratch pair, shaped like _row_buffer and
+    as wide as the centers and the states, which holds every x_t - c and
+    its squared moduli, so a call allocates no block-sized array per block,
+    and every center meets a block while it is in cache.  Each block is
+    copied into the first and c subtracted in place, one path for a filled
+    block and a view's overlapping windows alike (numpy would buffer a
+    subtraction from the latter, at twice the time).  Row by row it is
     norms(spec, states - c) bit for bit."""
     centers = [np.asarray(c, dtype=complex) for c in centers]
     out = np.empty((len(centers), length))
     diff = _row_buffer(length, centers[0].shape[-1])
     square = np.empty_like(diff, dtype=spec.ops.square)
-    for lo, block in blocks:
-        hi = lo + len(block)
-        d, s = diff[:len(block)], square[:len(block)]
+    for lo in range(0, length, len(diff)):
+        hi = min(lo + len(diff), length)
+        block, d, s = rows_of(lo, hi), diff[:hi - lo], square[:hi - lo]
         for row, c in zip(out, centers):
             np.copyto(d, block)
             row[lo:hi] = spec.ops.norms(np.subtract(d, c, out=d), s)
@@ -713,9 +706,8 @@ class BallSpec:
 def hitting_times(traj: Trajectory, ball: BallSpec) -> WindowedSet:
     """Times t with ||x_t - center|| < radius; window = trajectory length."""
     center = _as_state(traj.spec, ball.center, "ball center")
-    blocks = _row_blocks(lambda lo, hi: traj.states[lo:hi], traj.length,
-                         _block_rows(traj.states.shape))
-    dist = _distance_rows(traj.spec, blocks, [center], traj.length)[0]
+    dist = _distance_rows(traj.spec, lambda lo, hi: traj.states[lo:hi], [center],
+                          traj.length)[0]
     return WindowedSet.from_mask(dist < ball.radius)
 
 
@@ -858,14 +850,13 @@ def _static_orbit(probe: str, grade: str, traj: OrbitRows, seed: int,
     return ProbeOutcome(probe, "no-evidence", grade, traj.length, seed, {"note": note})
 
 
-def e_system_probe(spec: SystemSpec, traj: OrbitRows, seed: int,
-                   mc_samples: int = 10_000) -> ProbeOutcome:
+def e_system_probe(traj: OrbitRows, seed: int, mc_samples: int = 10_000) -> ProbeOutcome:
     """Invariant-measure evidence.  For kalish the Gaussian model's
     invariance_check is the witness; for the others, the Birkhoff
     empirical measure must give every test ball positive mass in both
     window halves (a passage in the first half only would be transient,
     not invariant-looking)."""
-    model = spec.ops.gauss_model()
+    model = traj.spec.ops.gauss_model()
     if model is not None:
         report = invariance_check(model, None, count=mc_samples, seed=seed)
         return ProbeOutcome(
@@ -876,7 +867,7 @@ def e_system_probe(spec: SystemSpec, traj: OrbitRows, seed: int,
             seed=seed,
             evidence=report.to_dict(),
         )
-    family = _ball_family(traj, _probe_times(spec, traj.length).family)
+    family = _ball_family(traj, _probe_times(traj.spec, traj.length).family)
     if family is None:
         return _static_orbit("e_system", "statistical", traj, seed)
     rows, radius = family
@@ -1100,7 +1091,7 @@ def classify_system(spec: SystemSpec, window: int = 1000, seed: int = 0,
     outcomes = {
         "chaotic": periodic_return_probe(traj, seed=seed),
         "m_system": m_system_probe(spec, seed=seed),
-        "e_system": e_system_probe(spec, traj, seed=seed, mc_samples=mc_samples),
+        "e_system": e_system_probe(traj, seed=seed, mc_samples=mc_samples),
         "syndetic": syndetic_gap_probe(traj, reference, seed=seed,
                                        gap_bound=gap_bound),
         "weak_mixing": weak_mixing_probe(traj, seed=seed),

@@ -55,8 +55,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .circle_measure import (CircleMeasure, _require_probability, fourier_band,
-                             total_mass)
+from .circle_measure import (ATOM_MERGE_TOL, CircleMeasure, _canonical_atoms,
+                             _require_probability, fourier_band, total_mass)
 from .jsonio import record_dict
 from .kalish import (
     _BLOCK_ELEMENTS,
@@ -120,52 +120,42 @@ def quantize(sigma: CircleMeasure, m: int) -> list:
     """Nodes (angle, weight) for a probability measure: atoms verbatim,
     density split into equal-mass cells with each node at the cell's
     exact mass centroid (the density is piecewise constant, so centroid
-    integrals are closed-form per bin fragment)."""
+    integrals are closed-form per bin fragment).  The fragments of every
+    cell come from one vectorized pass over its bins, summed per cell in
+    bin order, and the nodes merge by the one atom rule, _canonical_atoms."""
     _require_probability(sigma)
     if m < 1:
         raise ValueError("node count must be >= 1")
-    atoms = sigma.atoms()
-    if m < len(atoms):
-        raise ValueError(
-            f"node count {m} is smaller than the atom count {len(atoms)}"
-        )
-    nodes = [(float(a), float(mass)) for a, mass in atoms]
-    dmass = sigma.density_mass
-    cells = m - len(atoms)
+    cells, dmass = m - sigma.atom_count, sigma.density_mass
+    centroids = cell_masses = np.empty(0)
+    if cells < 0:
+        raise ValueError(f"node count {m} is smaller than the atom count {sigma.atom_count}")
     if dmass > 1e-12:
         if cells == 0:
-            raise ValueError(
-                "no nodes left for the density part; increase the node count"
-            )
-        width = sigma.bin_width
-        bin_mass = sigma.density * width
-        cum = np.concatenate([[0.0], np.cumsum(bin_mass)])
-        cell_mass = dmass / cells
-        for i in range(cells):
-            lo = dmass * i / cells
-            hi = dmass * (i + 1) / cells
-            moment = 0.0
-            j = int(np.searchsorted(cum, lo, side="right") - 1)
-            j = min(max(j, 0), sigma.bins - 1)
-            while j < sigma.bins and cum[j] < hi:
-                if bin_mass[j] > 0.0:
-                    a = max(lo, cum[j])
-                    b = min(hi, cum[j + 1])
-                    if b > a:
-                        # angle is linear in mass inside a constant bin
-                        theta_a = j * width + (a - cum[j]) / sigma.density[j]
-                        theta_b = j * width + (b - cum[j]) / sigma.density[j]
-                        moment += 0.5 * (theta_a + theta_b) * (b - a)
-                j += 1
-            nodes.append((moment / cell_mass, cell_mass))
-    nodes.sort()
-    merged = []
-    for a, w in nodes:
-        if merged and a - merged[-1][0] <= 1e-12:
-            merged[-1] = (merged[-1][0], merged[-1][1] + w)
-        else:
-            merged.append((a, w))
-    return merged
+            raise ValueError("no nodes left for the density part; increase the node count")
+        width, density = sigma.bin_width, sigma.density
+        mass = density * width
+        cum = np.concatenate([[0.0], np.cumsum(mass)])
+        edges = dmass * np.arange(cells + 1) / cells
+        lo, hi = edges[:-1], edges[1:]
+        # cell i's bins: from the one holding lo while cum[j] < hi
+        first = np.clip(np.searchsorted(cum, lo, "right") - 1, 0, sigma.bins - 1)
+        count = np.clip(np.searchsorted(cum, hi, "left"), first, sigma.bins) - first
+        cell = np.repeat(np.arange(cells), count)
+        j = first[cell] + np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count)
+        a, b = np.maximum(lo[cell], cum[j]), np.minimum(hi[cell], cum[j + 1])
+        kept = (mass[j] > 0.0) & (b > a)
+        cell, j, a, b = cell[kept], j[kept], a[kept], b[kept]
+        # angle is linear in mass inside a constant bin
+        theta_a = j * width + (a - cum[j]) / density[j]
+        theta_b = j * width + (b - cum[j]) / density[j]
+        moment = np.bincount(cell, 0.5 * (theta_a + theta_b) * (b - a), cells)
+        cell_masses = np.full(cells, dmass / cells)
+        centroids = moment / cell_masses
+    angles, weights = _canonical_atoms(
+        np.concatenate([sigma.atom_angles, centroids]),
+        np.concatenate([sigma.atom_masses, cell_masses]))
+    return list(zip(angles.tolist(), weights.tolist()))
 
 
 @dataclass(frozen=True)
@@ -188,7 +178,7 @@ class EigenField:
             raise ValueError(f"grid_size must be >= 8, got {self.grid_size}")
         if np.any(self.weights <= 0):
             raise ValueError("node weights must be positive")
-        if np.any(np.diff(np.sort(self.angles)) <= 1e-12):
+        if np.any(np.diff(np.sort(self.angles)) <= ATOM_MERGE_TOL):
             raise ValueError("node angles must be distinct")
         finite = np.isfinite(self.vectors).all(axis=0)
         bad = np.flatnonzero(~finite | ~self.vectors.any(axis=0))

@@ -212,6 +212,7 @@ def test_n_step_map_replays_the_step_loop_bitwise(spec):
         for _ in range(n):
             looped = step(spec, looped)
         assert np.array_equal(_bits(n_step_map(spec, x, n)), _bits(looped)), n
+        assert np.array_equal(_bits(n_step_map(spec, list(x), n)), _bits(looped)), n
 
 
 def test_n_step_map_rejects_negative():
@@ -432,7 +433,7 @@ def test_e_system_probe_mixture_masses_positive_for_torus():
     spec = torus_system([TWO_PI * (np.sqrt(2.0) - 1.0),
                          TWO_PI * (np.sqrt(3.0) - 1.0)])
     traj = probe_orbit(spec, default_start(spec, 0), 400)
-    outcome = e_system_probe(spec, traj, seed=0, mc_samples=2000)
+    outcome = e_system_probe(traj, seed=0, mc_samples=2000)
     assert outcome.verdict == "yes"
     masses = outcome.evidence["half_masses"]
     assert len(masses) >= 2
@@ -695,24 +696,24 @@ def _row_width(spec) -> int:
 
 def _record_kernel(monkeypatch) -> list:
     """Wrap _distance_rows to record (spec, block lengths, states, centers,
-    rows) of every call, the blocks in row order; blocks are copied, since
-    a rows hook reuses its buffer."""
+    rows) of every call, the blocks in the order the kernel asks for them,
+    which must be row order; blocks are copied, since a rows hook reuses
+    its buffer."""
     calls = []
     kernel = dynamics_lab._distance_rows
 
-    def recording(spec, blocks, centers, length):
+    def recording(spec, rows_of, centers, length):
         seen = []
 
-        def copies():
-            for lo, block in blocks:
-                seen.append((lo, block.copy()))
-                yield lo, block
+        def copying(lo, hi):
+            assert lo == sum(len(b) for b in seen)
+            block = rows_of(lo, hi)
+            seen.append(block.copy())
+            return block
 
         centers = [np.array(c, dtype=complex) for c in centers]
-        rows = kernel(spec, copies(), centers, length)
-        seen.sort(key=lambda pair: pair[0])
-        calls.append((spec, [len(b) for _, b in seen],
-                      np.concatenate([b for _, b in seen]), centers, rows))
+        rows = kernel(spec, copying, centers, length)
+        calls.append((spec, [len(b) for b in seen], np.concatenate(seen), centers, rows))
         return rows
 
     monkeypatch.setattr(dynamics_lab, "_distance_rows", recording)

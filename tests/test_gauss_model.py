@@ -6,6 +6,8 @@ Carlo estimates against analytic values within standard-error bars.
 """
 
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -35,7 +37,8 @@ from hyperlab import (
     symmetry_check,
 )
 from hyperlab import gauss_model
-from hyperlab.corpora import random_functional
+from hyperlab.circle_measure import _require_probability
+from hyperlab.corpora import probability_measure, random_functional
 from hyperlab.dynamics_lab import orbit, weighted_shift_system
 from hyperlab.gauss_model import coefficient_rows, symmetry_checks, walk
 from hyperlab.jsonio import stable_dumps
@@ -46,6 +49,7 @@ from hyperlab.kalish import (
     apply_T_transpose,
     func_norm,
     grid_angles,
+    nearest_grid_index,
 )
 from hyperlab.runner import scaled_transport
 from hyperlab.seeding import derive_seed
@@ -110,6 +114,152 @@ def test_quantize_gates():
         quantize(sigma, 1)  # atom eats the only node, density left over
     with pytest.raises(ValueError):
         quantize(CircleMeasure.uniform(bins=64), 0)
+
+
+def _quantize_loop(sigma, m):
+    """The per-cell loop quantize replaced, kept as its bitwise oracle:
+    each cell walks its bins from the one holding its lower mass edge,
+    and the sorted nodes merge into the first node of a group while
+    within 1e-12 of it."""
+    _require_probability(sigma)
+    if m < 1:
+        raise ValueError("node count must be >= 1")
+    atoms = sigma.atoms()
+    if m < len(atoms):
+        raise ValueError(f"node count {m} is smaller than the atom count {len(atoms)}")
+    nodes = [(float(a), float(mass)) for a, mass in atoms]
+    dmass = sigma.density_mass
+    cells = m - len(atoms)
+    if dmass > 1e-12:
+        if cells == 0:
+            raise ValueError("no nodes left for the density part; increase the node count")
+        width = sigma.bin_width
+        bin_mass = sigma.density * width
+        cum = np.concatenate([[0.0], np.cumsum(bin_mass)])
+        cell_mass = dmass / cells
+        for i in range(cells):
+            lo = dmass * i / cells
+            hi = dmass * (i + 1) / cells
+            moment = 0.0
+            j = int(np.searchsorted(cum, lo, side="right") - 1)
+            j = min(max(j, 0), sigma.bins - 1)
+            while j < sigma.bins and cum[j] < hi:
+                if bin_mass[j] > 0.0:
+                    a = max(lo, cum[j])
+                    b = min(hi, cum[j + 1])
+                    if b > a:
+                        theta_a = j * width + (a - cum[j]) / sigma.density[j]
+                        theta_b = j * width + (b - cum[j]) / sigma.density[j]
+                        moment += 0.5 * (theta_a + theta_b) * (b - a)
+                j += 1
+            nodes.append((moment / cell_mass, cell_mass))
+    nodes.sort()
+    merged = []
+    for a, w in nodes:
+        if merged and a - merged[-1][0] <= 1e-12:
+            merged[-1] = (merged[-1][0], merged[-1][1] + w)
+        else:
+            merged.append((a, w))
+    return merged
+
+
+def _assert_quantize_is_the_loop(sigma, m) -> None:
+    """quantize(sigma, m) is the loop's nodes bit for bit, or raises the
+    loop's error with its message."""
+    try:
+        want = _quantize_loop(sigma, m)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            quantize(sigma, m)
+        return
+    got, want = (np.array(nodes, dtype=float).reshape(-1, 2) for nodes in
+                 (quantize(sigma, m), want))
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (sigma, m)
+
+
+_ORACLE_NODES = (1, 2, 7, 8, 100, 128, 1024, 2000)
+
+
+@pytest.mark.parametrize("bins, seeds", [(8, 48), (64, 48), (1024, 24), (8192, 4)])
+def test_quantize_is_the_loop_bit_for_bit_on_seeded_measures(bins, seeds):
+    # probability_measure mixes 1-3 atoms with a density, so m = 1 and 2
+    # reach the loop's errors as well as its nodes
+    for seed in range(seeds):
+        sigma = probability_measure(seed=seed, bins=bins)
+        for m in _ORACLE_NODES:
+            _assert_quantize_is_the_loop(sigma, m)
+
+
+def test_quantize_is_the_loop_bit_for_bit_with_empty_bins_and_atoms():
+    rng = np.random.default_rng(32)
+    calls = 0
+    for _ in range(60):
+        bins = int(rng.choice([8, 16, 64, 256, 1024]))
+        weights = rng.uniform(size=bins) * (rng.uniform(size=bins) < rng.uniform(0.1, 0.9))
+        weights[::int(rng.integers(2, 5))] = 0.0
+        weights[1] = 1.0  # at least one bin with mass
+        count = int(rng.integers(0, 4))
+        on_grid = rng.uniform() < 0.5  # atoms on bin edges or anywhere
+        angles = (TWO_PI / bins * rng.integers(0, bins, count) if on_grid
+                  else rng.uniform(0.0, TWO_PI, count))
+        masses = rng.uniform(0.05, 0.3, count)
+        density = weights * (1.0 - masses.sum()) / (weights.sum() * TWO_PI / bins)
+        sigma = CircleMeasure.from_parts(bins, atoms=zip(angles, masses), density=density)
+        assert np.any(sigma.density == 0.0)
+        for m in (count, count + 1, count + 3, count + 17, 64, 300):
+            _assert_quantize_is_the_loop(sigma, m)
+            calls += 1
+    assert calls == 360
+
+
+def test_quantize_keeps_the_loops_rounding_ties_through_the_snap():
+    # uniform sigma at m = M = 1024: 458 centroids sit exactly half way
+    # between two grid angles, where corrected_field's np.rint rounds half
+    # to even, so one ulp of a centroid decides which nodes merge
+    sigma, M = CircleMeasure.uniform(bins=1024), 1024
+    _assert_quantize_is_the_loop(sigma, M)
+    nodes, masses = np.array(_quantize_loop(sigma, M)).T
+    steps = nodes / (TWO_PI / M)
+    assert int(np.sum(steps - np.floor(steps) == 0.5)) == 458
+    ks, slot = np.unique(nearest_grid_index(nodes, M), return_inverse=True)
+    field = corrected_field(sigma, M, M)
+    assert field.angles.size == 732
+    assert np.array_equal(field.angles, grid_angles(M)[ks])
+    assert np.array_equal(field.weights, np.bincount(slot, weights=masses))
+
+
+def _line_events(call) -> int:
+    """The line events sys.settrace sees while call() runs, in every
+    Python frame it enters."""
+    events, before = 0, sys.gettrace()
+
+    def tracer(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(before)
+    return events
+
+
+@pytest.mark.parametrize("measure", [
+    lambda bins: CircleMeasure.uniform(bins=bins),
+    lambda bins: probability_measure(seed=0, bins=bins),
+], ids=["uniform", "mixed"])
+def test_quantize_runs_the_same_python_lines_at_every_size(measure):
+    # no Python loop over bins, cells or nodes: the loop ran 9,351 line
+    # events at (B, m) = (1024, 8) and 188,391 at (16384, 2048), uniform
+    events = []
+    for bins, m in [(1024, 8), (16384, 8), (16384, 2048)]:
+        sigma = measure(bins)
+        quantize(sigma, m)  # first calls run one-time setup lines
+        events.append(_line_events(lambda: quantize(sigma, m)))
+    assert events[0] == events[1] == events[2], events
 
 
 # -- fields --------------------------------------------------------------

@@ -132,10 +132,10 @@ def test_a_shift_distance_kernel_holds_a_scratch_of_head_width(monkeypatch):
     n = 50  # 51 states, fewer than a block's rows: the scratch spans the window
     held, kernel = [], dynamics_lab._distance_rows
 
-    def measured(spec, blocks, centers, length):
+    def measured(spec, rows_of, centers, length):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        rows = kernel(spec, blocks, centers, length)
+        rows = kernel(spec, rows_of, centers, length)
         held.append(tracemalloc.get_traced_memory()[1] - before - rows.nbytes)
         return rows
 

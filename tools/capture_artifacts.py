@@ -26,7 +26,15 @@ output line is ``<sha256>  <item>``, for:
   and 40) up to an odd stride.  Last, for w = 16000 and s = 0: the
   kalish and torus rows are closed forms in the time t (phases e^{i t
   lambda}), whose round-off grows with t, so the longest window is where
-  a change to those rows or to their phases moves bytes first.
+  a change to those rows or to their phases moves bytes first;
+* the float bits of quantize(sigma, m) and the canonical JSON of
+  build_model(corrected_field(sigma, m, M)).to_manifest(), for sigma =
+  probability_measure(s, B) with s in 0..3, B in {1024, 8192}, m in {8,
+  100, 1024} and M = 4096, then for uniform sigma with m = M = 1024.  The
+  first cover mixed measures, atoms beside a density; the last the
+  rounding ties, centroids exactly half way between two grid angles,
+  where the snap's round-half-to-even lets one ulp of a centroid decide
+  which nodes merge.
 
 Run it on two checkouts, for example a parent commit and a change, and
 compare the two captures line by line (``diff``).  BLAS runs on one thread
@@ -52,8 +60,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
+
+from hyperlab.circle_measure import CircleMeasure  # noqa: E402
 from hyperlab.config import config_from_dict  # noqa: E402
+from hyperlab.corpora import probability_measure  # noqa: E402
 from hyperlab.dynamics_lab import classification_run, default_battery  # noqa: E402
+from hyperlab.gauss_model import build_model, corrected_field, quantize  # noqa: E402
 from hyperlab.jsonio import stable_dumps  # noqa: E402
 from hyperlab.runner import run  # noqa: E402
 from workloads import WORKLOADS, config_doc  # noqa: E402
@@ -69,6 +82,10 @@ ORBIT_SYSTEMS = ({"kind": "scalar_multiple_shift", "scalar": 2.0, "dimension": 6
                   "name": "scalar-shift-0.5"})
 BATTERY_RUNS = ((300, range(24)), (1000, range(24)), (4000, range(4)), (8000, range(1)),
                 (16000, range(1)))
+# (sigma's label, sigma, node count m, grid M)
+GAUSS_RUNS = tuple((f"probability_measure({s}, {bins})", probability_measure(s, bins), m, 4096)
+                   for s in range(4) for bins in (1024, 8192) for m in (8, 100, 1024)) + (
+    ("uniform(1024)", CircleMeasure.uniform(bins=1024), 1024, 1024),)
 
 
 def _sha(data: bytes) -> str:
@@ -133,8 +150,17 @@ def battery_items():
                    f"classification_run(default_battery({window}), {window}, {seed})")
 
 
+def gauss_items():
+    for label, sigma, m, M in GAUSS_RUNS:
+        yield (_sha(np.array(quantize(sigma, m), dtype=float).tobytes()),
+               f"quantize({label}, {m})")
+        manifest = build_model(corrected_field(sigma, m, M)).to_manifest()
+        yield (_sha(stable_dumps(manifest).encode()),
+               f"build_model(corrected_field({label}, {m}, {M})).to_manifest()")
+
+
 def main() -> int:
-    for items in (workload_items, orbit_items, cli_items, battery_items):
+    for items in (workload_items, orbit_items, cli_items, battery_items, gauss_items):
         for digest, name in items():
             print(f"{digest}  {name}", flush=True)
     return 0
