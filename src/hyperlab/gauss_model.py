@@ -17,19 +17,28 @@ Sampling draws only the m x S coefficients, and each check forms T A once.
 Every m x m Gram product (build_model's A* A, the check's (T A)* [T A, A]
 and G G* of its draw) goes through _gram: once its operand is a kernel
 block, its two row halves are formed at once, the second by _gram_rows
-on seeding's helper thread, each half conjugating its own columns into
-a scratch the calling thread allocated.  A half of at least 2 rows
+on a helper thread (_start_kernel, the package's one thread), each half
+conjugating its own columns into a scratch the calling thread
+allocated.  The helper runs that private kernel only, so it allocates
+nothing large and calls no public function.  A half of at least 2 rows
 gives each output row the bits of the one-pass product, so the split
 moves no bit.  EigenField.residuals works one column group at a time
-from the group's first nonzero row (the kalish module docstring), so
-it holds no factor-sized array.
+from the group's first nonzero row, the first row where any of its
+columns is nonzero (the kalish module docstring), so it holds no
+factor-sized array.
 _draws is the one draw source of every Monte-Carlo routine here: it
-checks the count, keys each seed's stream by its label and yields the
-(m, S) draws from seeding.complex_standard_normals, which fills them two
-at a time on two threads, while every reduction stays on the calling
-thread in draw order.  The coefficient table computes x*'s coordinates
-against A once and feeds them to its analytic rows, its spectral measure
-and its Monte-Carlo estimates.
+checks the count (the last axis of the shape), keys each seed's stream
+by its label and yields one seeding.complex_standard_normal draw per
+seed, or the real control's real normals.  Each routine draws only
+what its estimator reads: sample and the invariance check the (m, S)
+coordinates, a coefficient estimate the pair (c0 . g, cn . g) and a
+symmetry check zeta = c . g.  A pair of linear functionals of g is a
+bivariate Gaussian, drawn from a (2, S) Z through the 2 x 2
+lower-triangular factor of its Gram (_pair), formed by elementwise
+products and sums, so these cells' bits depend on no BLAS kernel.  The
+coefficient table computes x*'s coordinates against A once and feeds
+them to its analytic rows, its spectral measure and its Monte-Carlo
+estimates.
 A transport is None (the grid T) or a callable on (M, k) arrays; the
 invariance check and the intertwining residual take one.  walk is the one
 drift-guarded walk through powers of a map: dynamics_lab walks its stored
@@ -50,6 +59,7 @@ moves each node by at most pi/M and is recorded on the field.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterator, Optional
 
@@ -60,11 +70,11 @@ from .circle_measure import (ATOM_MERGE_TOL, CircleMeasure, _canonical_atoms,
 from .jsonio import record_dict
 from .kalish import (
     _BLOCK_ELEMENTS,
+    _GROUP_COLUMNS,
     CircleFunction,
     DegenerateAngleError,
     GridMismatchError,
     _apply_T_rows,
-    _column_groups,
     apply_T,  # noqa: F401 - kept bound: perfbench patches every binding
     apply_T_array,
     apply_T_transpose,
@@ -74,7 +84,7 @@ from .kalish import (
     grid_norms,
     nearest_grid_index,
 )
-from .seeding import _start_kernel, complex_standard_normals, derive_seed, rng_for
+from .seeding import complex_standard_normal, derive_seed, rng_for
 
 TWO_PI = 2.0 * np.pi
 _MC_STREAM = "matrix-coefficient-mc"
@@ -198,10 +208,13 @@ class EigenField:
 
     def residuals(self) -> np.ndarray:
         """Relative eigen residual of each vector at its node angle, one
-        column group at a time, its T from the group's first nonzero row."""
+        column group at a time, its T from the group's first nonzero row
+        (no column is all zero, so the group has one)."""
         out = np.empty(self.angles.size)
-        for cols, top in _column_groups(self.vectors):
+        for lo in range(0, self.angles.size, _GROUP_COLUMNS):
+            cols = slice(lo, lo + _GROUP_COLUMNS)
             V = self.vectors[:, cols]
+            top = int(np.argmax(V.any(axis=1)))
             R = np.empty(V[top:].shape, dtype=complex)
             _apply_T_rows(V, R, top)
             R -= V[top:] * np.exp(1j * self.angles[cols])
@@ -314,7 +327,7 @@ def _transported(model: GaussModel, transport: Transport) -> tuple:
 
 def _gram(X: np.ndarray, *Ys) -> list:
     """X* Y for each of Ys, from the (n, m) X.  Two row halves of the
-    output, the second on seeding's helper thread, when each half has at
+    output, the second on the helper thread, when each half has at
     least 2 rows (a one-row half takes numpy's vector path, whose bits
     differ) and X is at least one kernel block.  Each half conjugates its
     own columns of X into its columns of one scratch laid out like X,
@@ -341,30 +354,67 @@ def _gram_rows(X, Ys, rows, scratch, outs) -> None:
         np.matmul(part.T, Y, out=out[rows])
 
 
+def _start_kernel(kernel, *args):
+    """Run kernel(*args) on a helper thread; the returned join waits for
+    it and re-raises whatever it raised.  The kernel is private and
+    writes into buffers the calling thread allocated."""
+    errors = []
+
+    def run():
+        try:
+            kernel(*args)
+        except BaseException as exc:  # noqa: BLE001 - re-raised by join
+            errors.append(exc)
+
+    thread = threading.Thread(target=run, name="hyperlab-helper")
+    thread.start()
+
+    def join():
+        thread.join()
+        if errors:
+            raise errors[0]
+
+    return join
+
+
 def intertwine_residual(model: GaussModel, transport: Transport = None) -> float:
     """||T A - A D||_F / ||A||_F: how far the field is from genuinely
     diagonalizing the dynamics."""
     return _transported(model, transport)[1]
 
 
-def _draws(model: GaussModel, label: str, seeds, count: int,
-           real: bool = False) -> Iterator:
-    """The (m, count) coordinate draw of stream label under each of seeds,
-    in order: symmetric complex Gaussians filled two at a time, or with
-    real the symmetry control's real Gaussians.  count is checked here,
-    at the call."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    shape = (model.node_count, count)
+def _draws(label: str, seeds, shape: tuple, real: bool = False) -> Iterator:
+    """The draw of the given shape from stream label under each of seeds,
+    in order: unit symmetric complex Gaussians, or with real the symmetry
+    control's real ones.  The count, shape[-1], is checked here, at the
+    call."""
+    if shape[-1] < 1:
+        raise ValueError(f"count must be >= 1, got {shape[-1]}")
     rngs = (rng_for(seed, label) for seed in seeds)
     if real:
-        return (rng.standard_normal(shape).astype(complex) for rng in rngs)
-    return complex_standard_normals(rngs, shape)
+        return (rng.standard_normal(shape) for rng in rngs)
+    return (complex_standard_normal(rng, shape) for rng in rngs)
+
+
+def _pair(a: np.ndarray, b: np.ndarray, Z: np.ndarray) -> tuple:
+    """(a . g, b . g) in law, for g of independent unit Gaussians (complex
+    or real, like Z), from the rows of the (2, S) draw Z through the
+    lower-triangular L = [[l00, 0], [l10, l11]] with L L* the pair's Gram:
+    l00 = ||a||, l10 = sum conj(a_j) b_j / l00 and l11 the norm of b's
+    part off a, which is sqrt(||b||^2 - |l10|^2) without the cancellation
+    that leaves sqrt(round-off) where b is parallel to a (n = 0 and n = M
+    of the coefficient table).  A zero a gives a zero first column.  Only
+    elementwise products and sums, no BLAS."""
+    norm_sq = np.sum(np.abs(a) ** 2)
+    along = np.sum(np.conj(a) * b) / norm_sq if norm_sq > 0 else 0.0
+    l00 = np.sqrt(norm_sq)
+    l11 = np.sqrt(np.sum(np.abs(b - along * a) ** 2))
+    return l00 * Z[0], (along * l00) * Z[0] + l11 * Z[1]
 
 
 def sample(model: GaussModel, count: int, seed: int) -> list:
     """count independent draws x = A g as CircleFunctions."""
-    X = model.factor @ next(_draws(model, "gauss-samples", [seed], count))
+    X = model.factor @ next(_draws("gauss-samples", [seed], (model.node_count, count)))
     return [CircleFunction(X[:, s].copy(), model.grid_size) for s in range(count)]
 
 
@@ -390,7 +440,10 @@ def symmetry_check(model: GaussModel, xstar: CircleFunction, count: int,
     Gaussian: the pseudo-moment E[zeta^2] and the Re/Im correlation must
     both sit within 3 standard errors of zero.  sampler="real" swaps in
     a deliberately broken real-Gaussian coordinate draw (negative
-    control; the pseudo-moment then picks up a nonzero mean).  The Re/Im
+    control; the pseudo-moment then picks up a nonzero mean).  The
+    symmetric sampler draws zeta = ||c|| z from one unit complex row, the
+    real control (Re zeta, Im zeta) = _pair(Re c, Im c) from two real
+    rows, the law of c . u for real coordinates u.  The Re/Im
     correlation needs at least 2 draws."""
     return next(symmetry_checks(model, [xstar], count, [seed], sampler))
 
@@ -398,9 +451,10 @@ def symmetry_check(model: GaussModel, xstar: CircleFunction, count: int,
 def symmetry_checks(model: GaussModel, xstars, count: int, seeds,
                     sampler: str = "symmetric") -> Iterator:
     """symmetry_check of each functional of xstars under the seed at its
-    place in the sequence seeds, in order; the symmetric sampler's draws
-    are filled two at a time, and none is held past its functional."""
-    draws = _draws(model, "symmetry-check", seeds, count, real=sampler == "real")
+    place in the sequence seeds, in order; no draw is held past its
+    functional."""
+    real = sampler == "real"
+    draws = _draws("symmetry-check", seeds, (2 if real else 1, count), real=real)
     if count < 2:
         raise ValueError(f"symmetry check needs count >= 2 draws, got {count}")
     if sampler not in ("symmetric", "real"):
@@ -410,7 +464,12 @@ def symmetry_checks(model: GaussModel, xstars, count: int, seeds,
         analytic_var = float(np.sum(np.abs(c) ** 2))
         if analytic_var <= 1e-24:
             raise DegenerateFunctionalError("functional annihilates the model range")
-        zeta = c @ next(draws)
+        Z = next(draws)
+        if real:
+            re, im = _pair(c.real, c.imag, Z)
+            zeta = re + 1j * im
+        else:
+            zeta = np.sqrt(analytic_var) * Z[0]
         sq = zeta**2
         second = complex(np.mean(sq))
         se_second = float(np.sqrt(np.mean(np.abs(sq - second) ** 2) / count))
@@ -456,7 +515,7 @@ def invariance_check(model: GaussModel, transport: Transport = None,
     judges it; for the grid T (transport None) T A is formed once for both.
     The Gram P = W* W of W = [T A, A] is formed by blocks, reusing the
     model's cached Gram A* A, so W itself is never built."""
-    draws = _draws(model, "invariance-check", [seed], count)
+    draws = _draws("invariance-check", [seed], (model.node_count, count))
     # T A and its Gram before the draw: drawing first left the freed draw
     # and its scratch resident under T A in glibc's heap, 34 MB more peak
     # RSS at (M, m, count) = (16384, 128, 10000)
@@ -528,11 +587,12 @@ class CoefficientEstimate:
 
 
 def _coefficient_estimate(c0: np.ndarray, cn: np.ndarray, n: int,
-                          G: np.ndarray, seed: int) -> CoefficientEstimate:
-    """(1/S) sum_s (cn . g_s) conj(c0 . g_s) over the S columns g_s of
-    G, the draw from seed's stream."""
-    count = G.shape[1]
-    prods = (cn @ G) * np.conj(c0 @ G)
+                          Z: np.ndarray, seed: int) -> CoefficientEstimate:
+    """(1/S) sum_s (cn . g_s) conj(c0 . g_s), the pair drawn by _pair
+    from the (2, S) draw Z of seed's stream."""
+    count = Z.shape[1]
+    y0, yn = _pair(c0, cn, Z)
+    prods = yn * np.conj(y0)
     value = complex(np.mean(prods))
     se = float(np.sqrt(np.mean(np.abs(prods - value) ** 2) / count))
     return CoefficientEstimate(value=value, standard_error=se, power=int(n),
@@ -545,8 +605,8 @@ def matrix_coefficient_mc(model: GaussModel, xstar: CircleFunction, n: int,
     conj(<x*, x_s>), evaluated in coefficient space, from x*'s coordinates
     against A and T^n A, so no grid-sized sample batch is ever formed."""
     coeffs = list(_orbit_coefficients(model, xstar, n))
-    G = next(_draws(model, _MC_STREAM, [seed], count))
-    return _coefficient_estimate(coeffs[0], coeffs[-1], n, G, seed)
+    Z = next(_draws(_MC_STREAM, [seed], (2, count)))
+    return _coefficient_estimate(coeffs[0], coeffs[-1], n, Z, seed)
 
 
 def coefficient_rows(model: GaussModel, xstar: CircleFunction, max_power: int,
@@ -554,13 +614,12 @@ def coefficient_rows(model: GaussModel, xstar: CircleFunction, max_power: int,
     """(n, analytic, Monte-Carlo estimate, spectral-measure transform) of
     the matrix coefficient for n = 0..max_power, from one walk of the
     M-vector (T^T)^n conj(x*); the estimate at power n draws from
-    derive_seed(seed, label + str(n)), and the draws are filled two at a
-    time."""
+    derive_seed(seed, label + str(n))."""
     coeffs = list(_orbit_coefficients(model, xstar, max_power))
     c0 = coeffs[0]
     band = fourier_band(_spectral_measure(model, c0), max_power).tolist()[max_power:]
     seeds = [derive_seed(seed, f"{label}{n}") for n in range(max_power + 1)]
-    draws = _draws(model, _MC_STREAM, seeds, samples)
+    draws = _draws(_MC_STREAM, seeds, (2, samples))
     return [(n, _analytic(model, c0, n),
              _coefficient_estimate(c0, cn, n, next(draws), s), sf)
             for n, (cn, sf, s) in enumerate(zip(coeffs, band, seeds))]

@@ -45,11 +45,12 @@ k stays zero above row k under T.  Eigenvectors and arc indicators are
 such columns.  _apply_T_rows(X, out, top), the one row-block kernel of
 T, writes only rows top: and starts its blocks there with no carry;
 apply_T_array is its top-0 case.  The grouped kernels take the columns
-_GROUP_COLUMNS at a time, each group from its first nonzero row
-(_column_groups reads it off the data), so with nodes spread over the
-circle they touch about half of the M x m elements: exact_eigenvectors
-builds each group from its smallest node index, and gauss_model's
-EigenField.residuals applies _apply_T_rows group by group.
+_GROUP_COLUMNS at a time, each group from its first nonzero row, so
+with nodes spread over the circle they touch about half of the M x m
+elements: exact_eigenvectors builds each group from its smallest node
+index, and gauss_model's EigenField.residuals applies _apply_T_rows
+group by group, each group's top the first row where any of its
+columns is nonzero.
 
 Transpose: T^T is upper triangular, (T^T y)_j = d_j (y_j - i w sum_{k>j}
 y_k) with d_j = e^{i t_j}, so apply_T_transpose is one reversed cumsum
@@ -219,24 +220,6 @@ def _apply_T_rows(X: np.ndarray, out: np.ndarray, top: int) -> None:
         if before is not None:
             o[:1] -= before
         before = running[-1:]
-
-
-def _column_groups(X: np.ndarray) -> list:
-    """(columns, top) for each run of _GROUP_COLUMNS columns of the
-    (M, m) X, top the first row where any of them is nonzero (0 for an
-    all-zero run); X is read in row blocks until every run has its top."""
-    runs = [slice(lo, lo + _GROUP_COLUMNS) for lo in range(0, X.shape[1], _GROUP_COLUMNS)]
-    tops = {}
-    rows = _block_rows(X.shape)
-    for lo in range(0, X.shape[0], rows):
-        block = X[lo:lo + rows]
-        seen = block.any(axis=0)
-        for g, cols in enumerate(runs):
-            if g not in tops and seen[cols].any():
-                tops[g] = lo + int(np.argmax(block[:, cols].any(axis=1)))
-        if len(tops) == len(runs):
-            break
-    return [(cols, tops.get(g, 0)) for g, cols in enumerate(runs)]
 
 
 def apply_T_transpose(y: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ Carlo estimates against analytic values within standard-error bars.
 import json
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,34 @@ def test_corrected_field_residuals_are_round_off():
     sigma = CircleMeasure.uniform(bins=1024)
     field = corrected_field(sigma, 8, 1024)
     assert np.max(field.residuals()) <= 1e-12
+
+
+def test_residual_groups_start_at_each_group_s_first_nonzero_row(monkeypatch):
+    # each group's T starts at the least first nonzero row of its columns,
+    # a zero of either sign counting as zero, and the residuals equal the
+    # full apply_T_array oracle's
+    monkeypatch.setattr(gauss_model, "_GROUP_COLUMNS", 2)
+    M = 64
+    rng = np.random.default_rng(3)
+    X = np.zeros((M, 6), dtype=complex)
+    for c, first in enumerate([40, 9, 63, 50, 0, 33]):
+        X[first:, c] = rng.standard_normal(M - first) + 1j * rng.standard_normal(M - first)
+    X[20, 3] = complex(-0.0, -0.0)
+    angles = TWO_PI * (np.arange(6) + 0.5) / 6
+    field = EigenField(angles, np.full(6, 1.0 / 6), X, CircleMeasure.uniform(bins=64),
+                       kind="corrected")
+    tops, rows = [], gauss_model._apply_T_rows
+
+    def recorded(V, out, top):
+        tops.append(top)
+        rows(V, out, top)
+
+    monkeypatch.setattr(gauss_model, "_apply_T_rows", recorded)
+    got = field.residuals()
+    assert tops == [9, 50, 0]
+    R = apply_T_array(X) - X * np.exp(1j * angles)
+    want = np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=0)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
 def test_residuals_of_real_vectors_equal_those_of_their_complex_copy():
@@ -751,8 +780,9 @@ def _max_relative(got, want) -> float:
 
 @pytest.mark.parametrize("M, m, top", [(256, 8, 64), (100, 8, 16)])
 def test_coefficient_rows_agree_with_the_forward_walk_of_the_factor(M, m, top):
-    # the estimate is (1/S) sum (c_n . g) conj(c_0 . g) on fixed draws, so
-    # c_n from the forward walk gives it again to the coefficients' round-off
+    # the estimate is (1/S) sum (c_n . g) conj(c_0 . g) on the pair drawn
+    # from a fixed (2, S) draw, so c_n from the forward walk gives it again
+    # to the coefficients' round-off
     model = _uniform_model(M=M, m=m)
     xstar = random_functional(seed=7, grid_size=M)
     rows = coefficient_rows(model, xstar, top, samples=64, seed=2, label="mc:")
@@ -761,10 +791,63 @@ def test_coefficient_rows_agree_with_the_forward_walk_of_the_factor(M, m, top):
     assert _max_relative(walked, forward) <= 1e-12
     c0 = forward[0]
     for (n, _, mc, _), cn in zip(rows, forward):
-        G = next(gauss_model._draws(model, gauss_model._MC_STREAM,
-                                    [derive_seed(2, f"mc:{n}")], 64))
-        want = np.mean((cn @ G) * np.conj(c0 @ G))
+        Z = next(gauss_model._draws(gauss_model._MC_STREAM,
+                                    [derive_seed(2, f"mc:{n}")], (2, 64)))
+        y0, yn = gauss_model._pair(c0, cn, Z)
+        want = np.mean(yn * np.conj(y0))
         assert abs(mc.value - want) <= 1e-12 * abs(want), n
+
+
+def _pair_cases() -> list:
+    """(a, b) pairs of coordinate vectors: coefficient pairs (c0, cn) of a
+    model, their parallel and zero cases, and the real control's
+    (Re c, Im c)."""
+    model = _uniform_model(M=256, m=8)
+    c = list(gauss_model._orbit_coefficients(model, random_functional(9, 256), 7))
+    cases = {"c0-c1": (c[0], c[1]), "c0-c7": (c[0], c[7]), "cn-is-c0": (c[0], c[0]),
+             "cn-is-c0-phase": (c[0], np.exp(2.5j) * c[0]),
+             "c0-zero": (np.zeros(8, dtype=complex), c[3]),
+             "re-im": (c[0].real, c[0].imag), "re-re": (c[0].real, c[0].real),
+             "re-zero": (np.zeros(8), c[0].imag)}
+    return [pytest.param(a, b, id=name) for name, (a, b) in cases.items()]
+
+
+@pytest.mark.parametrize("a, b", _pair_cases())
+def test_pair_factor_reproduces_the_gram(a, b):
+    # on the identity draw the pair is the rows of the lower-triangular
+    # factor L; L L* is the Gram of (a . g, b . g) for unit Gaussian g
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        L = np.array(gauss_model._pair(a, b, np.eye(2)))
+    assert np.all(np.isfinite(L)) and L[0, 1] == 0.0
+    assert L[0, 0] >= 0.0 and L[1, 1].real >= 0.0 and L[1, 1].imag == 0.0
+    gram = np.array([[np.vdot(a, a), np.vdot(b, a)], [np.vdot(a, b), np.vdot(b, b)]])
+    assert np.max(np.abs(L @ L.conj().T - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, "real"])
+def test_drawn_pair_has_the_gram_as_its_second_moments(n):
+    # a law check that reads only the draw: at S = 200,000 every sample
+    # second moment of the pair sits within 4 standard errors of the Gram
+    # of (a . g, b . g), and a complex pair's pseudo-moments of zero
+    S = 200_000
+    model = _uniform_model(M=256, m=8)
+    c = list(gauss_model._orbit_coefficients(model, random_functional(4, 256), 7))
+    if n == "real":
+        a, b = c[0].real, c[0].imag
+        Z = next(gauss_model._draws("law", [1], (2, S), real=True))
+    else:
+        a, b = c[0], c[n]
+        Z = next(gauss_model._draws("law", [1], (2, S)))
+    y = gauss_model._pair(a, b, Z)
+    coords = (a, b)
+    checks = [(y[i] * np.conj(y[k]), np.vdot(coords[k], coords[i]))
+              for i in range(2) for k in range(i + 1)]
+    if n != "real":
+        checks += [(y[i] * y[k], 0.0) for i in range(2) for k in range(i + 1)]
+    for prods, want in checks:
+        se = np.sqrt(np.mean(np.abs(prods - prods.mean()) ** 2) / S)
+        assert abs(prods.mean() - want) <= 4.0 * se, (n, want)
 
 
 @pytest.mark.parametrize("M", [64, 100, 256])

@@ -430,18 +430,6 @@ def test_row_offset_T_is_bitwise_the_one_pass_apply_on_the_nonzero_rows(
     assert np.array_equal(apply_T_array(X)[top:], out)
 
 
-def test_column_groups_start_at_each_group_s_first_nonzero_row(monkeypatch):
-    monkeypatch.setattr(kalish, "_GROUP_COLUMNS", 2)
-    M = 64
-    X = np.zeros((M, 7), dtype=complex)
-    for c, first in enumerate([40, 9, 63, 50, 0, 33]):
-        X[first:, c] = 1.0
-    X[20, 3] = -0.0  # a zero of either sign is a zero
-    groups = kalish._column_groups(X)
-    assert [(g.start, g.stop) for g, _ in groups] == [(0, 2), (2, 4), (4, 6), (6, 8)]
-    assert [top for _, top in groups] == [9, 50, 0, 0]  # the last run is all zero
-
-
 def test_grid_constants_are_cached_and_read_only():
     constants = [_phases(64), _phases(64, 2)]
     assert all(not a.flags.writeable for a in constants)

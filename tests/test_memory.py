@@ -7,8 +7,12 @@ EigenField.residuals work on groups of 16 columns from each group's
 first nonzero row: the batch holds its output and a group's two
 temporaries, and the residuals hold a few group-sized arrays, never a
 factor-sized one.  The coefficient table
-walks one grid vector, never the factor, so it holds its paired draws,
-an eighth of a factor at 1000 samples, and no factor-sized array.
+walks one grid vector, never the factor, and no factor-sized array.
+The coefficient and symmetry checks draw only the (2, S) or (1, S)
+projection their estimator reads, never the (m, S) coordinates, so at
+desk size (M, m) = (1024, 8) and (1024, 128) they hold about 1 MB and
+0.5 MB whatever m is; drawing the (m, S) coordinates, they held
+41.5 MB and 17.1 MB at m = 128.
 A classification row streams its orbit (dynamics_lab.orbit_rows, whose
 one row source is dynamics_lab._rows), so at window 4000 it holds a few
 MiB, not an (N+1, dim) orbit.  Beyond the rows and the keep state it
@@ -43,8 +47,9 @@ from hyperlab import dynamics_lab
 from hyperlab.dynamics_lab import (classify_system, default_battery, default_start,
                                    kalish_system, probe_orbit, scalar_shift_system,
                                    torus_system, weak_mixing_probe)
+from hyperlab.corpora import random_functional
 from hyperlab.gauss_model import (build_model, coefficient_rows, corrected_field,
-                                  invariance_check)
+                                  invariance_check, symmetry_checks)
 from hyperlab.kalish import CircleFunction, apply_T_array, exact_eigenvectors
 from hyperlab.seeding import complex_standard_normal, rng_for
 
@@ -112,6 +117,26 @@ def test_coefficient_rows_hold_no_factor_sized_array(model):
     peak = _peak_in_factors(
         model, lambda: coefficient_rows(model, xstar, 4, 1000, 0, "memory"))
     assert peak <= 0.25
+
+
+@pytest.fixture(scope="module", params=[8, 128], ids=lambda m: f"m{m}")
+def desk_model(request):
+    return build_model(corrected_field(CircleMeasure.uniform(bins=1024), request.param, 1024))
+
+
+def test_coefficient_rows_trace_at_most_1_5_mb_at_desk_size(desk_model):
+    # 16 powers at 10**4 samples: a (2, S) pair draw per power
+    xstar = random_functional(0, 1024)
+    peak = _peak_bytes(lambda: coefficient_rows(desk_model, xstar, 15, 10_000, 0, "memory"))
+    assert peak <= 1.5e6
+
+
+@pytest.mark.parametrize("sampler", ["symmetric", "real"])
+def test_symmetry_checks_trace_at_most_1_mb_at_desk_size(desk_model, sampler):
+    xstars = [random_functional(k, 1024) for k in range(4)]
+    peak = _peak_bytes(lambda: list(symmetry_checks(desk_model, xstars, 4096,
+                                                    range(4), sampler)))
+    assert peak <= 1e6
 
 
 def test_complex_standard_normal_holds_its_output_and_a_scratch():

@@ -15,8 +15,7 @@ from hyperlab.jsonio import (
     write_json,
 )
 from hyperlab import seeding
-from hyperlab.seeding import (complex_standard_normal, complex_standard_normals,
-                              derive_seed, rng_for)
+from hyperlab.seeding import complex_standard_normal, derive_seed, rng_for
 
 
 def test_derive_seed_deterministic():
@@ -77,18 +76,6 @@ def test_complex_standard_normal_chunked_fill_is_bitwise_the_old_formula(
     got = complex_standard_normal(rng_for(2, "complex-chunks"), shape)
     assert got.shape == expected.shape
     assert np.array_equal(_bits(got), _bits(expected))
-
-
-@pytest.mark.parametrize("shape", [13, (), (8, 3), (128, 4097)])
-@pytest.mark.parametrize("count", [0, 1, 2, 5])
-def test_complex_standard_normals_equal_one_draw_per_generator(count, shape):
-    labels = [f"pair:{k}" for k in range(count)]
-    got = list(complex_standard_normals((rng_for(3, s) for s in labels), shape))
-    assert len(got) == count
-    for label, z in zip(labels, got):
-        want = complex_standard_normal(rng_for(3, label), shape)
-        assert z.shape == want.shape
-        assert np.array_equal(_bits(z), _bits(want))
 
 
 def test_stable_dumps_sorted_and_newline_free_tail():

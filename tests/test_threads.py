@@ -1,9 +1,8 @@
-"""The helper thread of seeding runs private kernels and nothing else:
-the second draw of a pair in complex_standard_normals and the second row
-half of gauss_model's Gram products.  Every public hyperlab function of
-a run is called from the calling thread, the artifacts equal those of
-serial draws and of a helper run inline, and an error in the helper's
-fill reaches the caller."""
+"""The helper thread of gauss_model runs one private kernel and nothing
+else: the second row half of its Gram products.  Every public hyperlab
+function of a run is called from the calling thread, every draw is
+filled there, the artifacts equal those of a helper run inline, and an
+error in the helper's half reaches the caller of the Gram product."""
 
 import functools
 import inspect
@@ -16,7 +15,7 @@ import pytest
 
 from hyperlab import gauss_model, runner, seeding
 from hyperlab.config import config_from_dict
-from hyperlab.seeding import complex_standard_normal, complex_standard_normals, rng_for
+from hyperlab.kalish import _BLOCK_ELEMENTS
 
 CONFIG = {
     "schema": "experiment-config/1",
@@ -89,26 +88,18 @@ def test_public_functions_run_on_the_calling_thread(tmp_path, monkeypatch):
     names = {name for name, _ in calls}
     assert {"hyperlab.gauss_model.symmetry_checks",
             "hyperlab.gauss_model.coefficient_rows",
-            "hyperlab.seeding.complex_standard_normals"} <= names
+            "hyperlab.seeding.complex_standard_normal"} <= names
     assert [c for c in calls if c[1] != me] == []
-    # the helper filled one draw per pair: the symmetric sampler's 3 draws
-    # and each functional's 3 coefficient draws make a pair and a lone draw
-    assert sum(t != me for t in fills) == 3
-
-
-def test_artifacts_equal_those_of_serial_draws(tmp_path, monkeypatch):
-    paired = _run(tmp_path / "paired")
-
-    def serial(rngs, shape):
-        return (complex_standard_normal(rng, shape) for rng in rngs)
-
-    monkeypatch.setattr(gauss_model, "complex_standard_normals", serial)
-    assert _run(tmp_path / "serial") == paired
+    # every draw is filled on the calling thread: the 7 random functionals,
+    # the symmetric sampler's 3 draws and each functional's 3 coefficient
+    # draws (the real control's draws are real normals, not fills)
+    assert len(fills) == 7 + 3 + 2 * 3
+    assert [t for t in fills if t != me] == []
 
 
 def test_gram_halves_keep_public_calls_on_the_calling_thread(tmp_path, monkeypatch):
     calls, kernels = [], []
-    start = seeding._start_kernel
+    start = gauss_model._start_kernel
 
     def recorded_start(kernel, *args):
         kernels.append(kernel.__name__)
@@ -131,23 +122,19 @@ def test_artifacts_equal_those_of_an_inline_helper(tmp_path, monkeypatch):
         kernel(*args)
         return lambda: None
 
-    monkeypatch.setattr(seeding, "_start_kernel", inline)
     monkeypatch.setattr(gauss_model, "_start_kernel", inline)
     assert _run(tmp_path / "inline", SPLIT_CONFIG) == threaded
 
 
-def test_an_error_in_the_helper_fill_reaches_the_caller(monkeypatch):
-    fill, me = seeding._fill, threading.get_ident()
+def test_an_error_in_the_helper_gram_half_reaches_the_caller(monkeypatch):
+    rows, me = gauss_model._gram_rows, threading.get_ident()
 
     def failing_off_thread(*args):
         if threading.get_ident() != me:
-            raise FloatingPointError("helper fill failed")
-        fill(*args)
+            raise FloatingPointError("helper half failed")
+        rows(*args)
 
-    monkeypatch.setattr(seeding, "_fill", failing_off_thread)
-    draws = complex_standard_normals([rng_for(0, "a"), rng_for(0, "b")], (4, 3))
-    with pytest.raises(FloatingPointError, match="helper fill failed"):
-        next(draws)
-    # a lone draw is filled on the calling thread
-    (lone,) = complex_standard_normals([rng_for(0, "a")], (4, 3))
-    assert np.array_equal(lone, complex_standard_normal(rng_for(0, "a"), (4, 3)))
+    monkeypatch.setattr(gauss_model, "_gram_rows", failing_off_thread)
+    X = np.ones((_BLOCK_ELEMENTS // 8, 8), dtype=complex)  # one block: two halves
+    with pytest.raises(FloatingPointError, match="helper half failed"):
+        gauss_model._gram(X, X)

@@ -15,6 +15,13 @@ output line is ``<sha256>  <item>``, for:
   from coordinate 217 on, and for 0.5B on C^64, whose orbit is 0 from
   step 64 on: their tables print every step's norm and distance to the
   start as a repr float;
+* the runner artifacts of a desk Gauss config (grid 1024, 8 nodes) at
+  the same seeds, for a `coeff` probe with 3 functionals and max_power
+  8, a `symmetry` probe with the symmetric sampler and one with the real
+  control ("sampler": "real").  Each of these estimators draws only the
+  projection of the coordinates it reads, so these lines pin the bytes
+  of those draws at the size of the acceptance criteria, and the real
+  control's lines are the only ones that cover the real sampler;
 * the standard output of each `hyperlab` line of the README's CLI block,
   the block tests/test_readme_cli.py reads, each run in a fresh process
   (a dense BLAS product's bits can depend on what ran before it in the
@@ -80,6 +87,9 @@ ORBIT_SYSTEMS = ({"kind": "scalar_multiple_shift", "scalar": 2.0, "dimension": 6
                   "name": "weighted-shift-dip"},
                  {"kind": "scalar_multiple_shift", "scalar": 0.5, "dimension": 64,
                   "name": "scalar-shift-0.5"})
+DESK_GAUSS_PROBES = ({"probe": "coeff", "nodes": 8, "functionals": 3, "max_power": 8},
+                     {"probe": "symmetry", "nodes": 8},
+                     {"probe": "symmetry", "nodes": 8, "sampler": "real"})
 BATTERY_RUNS = ((300, range(24)), (1000, range(24)), (4000, range(4)), (8000, range(1)),
                 (16000, range(1)))
 # (sigma's label, sigma, node count m, grid M)
@@ -123,6 +133,12 @@ def orbit_items():
                       for system in ORBIT_SYSTEMS for seed in WORKLOAD_SEEDS)
 
 
+def desk_gauss_items():
+    return _run_items(({"seed": seed, "grid": 1024, "probes": [probe]},
+                       f"desk gauss {stable_dumps(probe)} seed {seed}")
+                      for probe in DESK_GAUSS_PROBES for seed in WORKLOAD_SEEDS)
+
+
 def readme_cli_lines() -> list:
     text = (ROOT / "README.md").read_text()
     block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
@@ -160,7 +176,8 @@ def gauss_items():
 
 
 def main() -> int:
-    for items in (workload_items, orbit_items, cli_items, battery_items, gauss_items):
+    for items in (workload_items, orbit_items, desk_gauss_items, cli_items, battery_items,
+                  gauss_items):
         for digest, name in items():
             print(f"{digest}  {name}", flush=True)
     return 0
