@@ -15,30 +15,36 @@ The invariance check forms its Gram of [T A, A] by blocks and reuses the
 cached A* A, holding T A and one conjugate copy, never the stacked pair.
 Sampling draws only the m x S coefficients, and each check forms T A once.
 Every m x m Gram product (build_model's A* A, the check's (T A)* [T A, A]
-and G G* of its draw) goes through _gram: once its operand is a kernel
-block, its two row halves are formed at once, the second by _gram_rows
-on a helper thread (_start_kernel, the package's one thread), each half
-conjugating its own columns into a scratch the calling thread
-allocated.  The helper runs that private kernel only, so it allocates
+and L L* of its Bartlett draw) goes through _gram: once its operand is
+a kernel block, its two row halves are formed at once, the second by
+_gram_rows on a helper thread (_start_kernel, the package's one
+thread), each half conjugating its own columns into a scratch the
+calling thread allocated.  The helper runs that private kernel only, so it allocates
 nothing large and calls no public function.  A half of at least 2 rows
 gives each output row the bits of the one-pass product, so the split
 moves no bit.  EigenField.residuals works one column group at a time
 from the group's first nonzero row, the first row where any of its
-columns is nonzero (the kalish module docstring), so it holds no
-factor-sized array.
+columns is nonzero (the kalish module docstring), read in row blocks up
+to the first block holding one, so it holds no factor-sized array.
+corrected_field takes its norms one column group at a time too.
 _draws is the one draw source of every Monte-Carlo routine here: it
 checks the count (the last axis of the shape), keys each seed's stream
-by its label and yields one seeding.complex_standard_normal draw per
-seed, or the real control's real normals.  Each routine draws only
-what its estimator reads: sample and the invariance check the (m, S)
-coordinates, a coefficient estimate the pair (c0 . g, cn . g) and a
-symmetry check zeta = c . g.  A pair of linear functionals of g is a
-bivariate Gaussian, drawn from a (2, S) Z through the 2 x 2
-lower-triangular factor of its Gram (_pair), formed by elementwise
-products and sums, so these cells' bits depend on no BLAS kernel.  The
-coefficient table computes x*'s coordinates against A once and feeds
-them to its analytic rows, its spectral measure and its Monte-Carlo
-estimates.
+by its label and yields one draw per seed of its kind: unit complex
+normals (one seeding.complex_standard_normal call), the real control's
+real normals, or the Bartlett factor of an (m, S) draw.  Each routine
+draws only what its estimator reads: sample the (m, S) coordinates G,
+the invariance check the m x min(m, S) lower-trapezoidal Bartlett
+factor L with L L* of the law of G G* (Goodman 1963): its strictly
+lower entries, row by row, as one complex normal draw, then L_kk =
+sqrt(Gamma(S - k)) for k = 0..min(m, S) - 1, so m^2/2 normals and m
+gammas, not m S normals; a coefficient estimate the pair (c0 . g,
+cn . g) and a symmetry check zeta = c . g.  A pair of linear
+functionals of g is a bivariate Gaussian, drawn from a (2, S) Z through
+the 2 x 2 lower-triangular factor of its Gram (_pair), formed by
+elementwise products and sums, so these cells' bits depend on no BLAS
+kernel.  The coefficient table computes x*'s coordinates against A once
+and feeds them to its analytic rows, its spectral measure and its
+Monte-Carlo estimates.
 A transport is None (the grid T) or a callable on (M, k) arrays; the
 invariance check and the intertwining residual take one.  walk is the one
 drift-guarded walk through powers of a map: dynamics_lab walks its stored
@@ -75,6 +81,7 @@ from .kalish import (
     DegenerateAngleError,
     GridMismatchError,
     _apply_T_rows,
+    _block_rows,
     apply_T,  # noqa: F401 - kept bound: perfbench patches every binding
     apply_T_array,
     apply_T_transpose,
@@ -211,16 +218,27 @@ class EigenField:
         column group at a time, its T from the group's first nonzero row
         (no column is all zero, so the group has one)."""
         out = np.empty(self.angles.size)
+        rows = _block_rows(self.vectors.shape)  # one kernel block of the field
         for lo in range(0, self.angles.size, _GROUP_COLUMNS):
             cols = slice(lo, lo + _GROUP_COLUMNS)
             V = self.vectors[:, cols]
-            top = int(np.argmax(V.any(axis=1)))
+            top = _first_nonzero_row(V, rows)
             R = np.empty(V[top:].shape, dtype=complex)
             _apply_T_rows(V, R, top)
             R -= V[top:] * np.exp(1j * self.angles[cols])
             # both norms weigh by 2pi/(M - top), which cancels in the ratio
             out[cols] = grid_norms(R) / grid_norms(V[top:])
         return out
+
+
+def _first_nonzero_row(V: np.ndarray, rows: int) -> int:
+    """The first row where any column of V is nonzero (0 if none is),
+    read rows rows at a time up to the first block that holds one."""
+    for lo in range(0, V.shape[0], rows):
+        block = V[lo:lo + rows]
+        if block.any():
+            return lo + int(np.argmax(block.any(axis=1)))
+    return 0
 
 
 def indicator_field(sigma: CircleMeasure, m: int, M: int) -> EigenField:
@@ -253,7 +271,14 @@ def corrected_field(sigma: CircleMeasure, m: int, M: int) -> EigenField:
     overlap = (TWO_PI / M) * np.sum(vectors, axis=0, where=ref)
     size = np.abs(overlap)
     phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)
-    vectors *= (grid_norms(ref) / grid_norms(vectors)) / phase
+    norms = np.empty((2, ks.size))
+    for lo in range(0, ks.size, _GROUP_COLUMNS):
+        # numpy sums one column pairwise but several in sequence, as over
+        # the whole array, so a lone last column is normed beside the one
+        # before it: the norms keep the whole array's bits
+        cols = slice(min(lo, max(ks.size - 2, 0)), lo + _GROUP_COLUMNS)
+        norms[:, cols] = grid_norms(ref[:, cols]), grid_norms(vectors[:, cols])
+    vectors *= (norms[0] / norms[1]) / phase
     return EigenField(angles, weights, vectors, sigma, kind="corrected")
 
 
@@ -383,17 +408,36 @@ def intertwine_residual(model: GaussModel, transport: Transport = None) -> float
     return _transported(model, transport)[1]
 
 
-def _draws(label: str, seeds, shape: tuple, real: bool = False) -> Iterator:
+def _draws(label: str, seeds, shape: tuple, kind: str = "complex") -> Iterator:
     """The draw of the given shape from stream label under each of seeds,
-    in order: unit symmetric complex Gaussians, or with real the symmetry
-    control's real ones.  The count, shape[-1], is checked here, at the
-    call."""
+    in order, of its kind: "complex" unit symmetric complex Gaussians,
+    "real" the symmetry control's real ones, or "bartlett" the Bartlett
+    factor (_bartlett) of the (m, S) complex draw.  The count, shape[-1],
+    is checked here, at the call."""
     if shape[-1] < 1:
         raise ValueError(f"count must be >= 1, got {shape[-1]}")
     rngs = (rng_for(seed, label) for seed in seeds)
-    if real:
+    if kind == "real":
         return (rng.standard_normal(shape) for rng in rngs)
+    if kind == "bartlett":
+        return (_bartlett(rng, *shape) for rng in rngs)
     return (complex_standard_normal(rng, shape) for rng in rngs)
+
+
+def _bartlett(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
+    """The (m, r) lower-trapezoidal L, r = min(m, count), with L L* of the
+    law of G G* for the (m, count) unit complex draw G (the complex
+    Bartlett decomposition): the strictly lower entries, row by row, are
+    one unit complex draw, then L_kk = sqrt(Gamma(count - k)), the squared
+    norm of row k of G off the rows before it.  Rows k >= count hold no
+    diagonal: there G G* has rank count."""
+    r = min(m, count)
+    L = np.zeros((m, r), dtype=complex)
+    below = np.tri(m, r, -1, dtype=bool)
+    L[below] = complex_standard_normal(rng, (int(np.count_nonzero(below)),))
+    k = np.arange(r)
+    L[k, k] = np.sqrt(rng.standard_gamma(count - k))
+    return L
 
 
 def _pair(a: np.ndarray, b: np.ndarray, Z: np.ndarray) -> tuple:
@@ -454,7 +498,8 @@ def symmetry_checks(model: GaussModel, xstars, count: int, seeds,
     place in the sequence seeds, in order; no draw is held past its
     functional."""
     real = sampler == "real"
-    draws = _draws("symmetry-check", seeds, (2 if real else 1, count), real=real)
+    draws = _draws("symmetry-check", seeds, (2 if real else 1, count),
+                   "real" if real else "complex")
     if count < 2:
         raise ValueError(f"symmetry check needs count >= 2 draws, got {count}")
     if sampler not in ("symmetric", "real"):
@@ -514,20 +559,18 @@ def invariance_check(model: GaussModel, transport: Transport = None,
     intertwine is the transport's own, which never widens the budget that
     judges it; for the grid T (transport None) T A is formed once for both.
     The Gram P = W* W of W = [T A, A] is formed by blocks, reusing the
-    model's cached Gram A* A, so W itself is never built."""
-    draws = _draws("invariance-check", [seed], (model.node_count, count))
-    # T A and its Gram before the draw: drawing first left the freed draw
-    # and its scratch resident under T A in glibc's heap, 34 MB more peak
-    # RSS at (M, m, count) = (16384, 128, 10000)
+    model's cached Gram A* A, so W itself is never built.  The empirical
+    covariance G G*/S of the (m, S) coordinates G is L L*/S of their
+    m x min(m, S) Bartlett factor L, so G itself is never drawn."""
+    draws = _draws("invariance-check", [seed], (model.node_count, count), "bartlett")
     A = model.factor
     B, intertwine = _transported(model, transport)
     m = model.node_count
     P = np.empty((2 * m, 2 * m), dtype=complex)  # the Gram of W = [B, A]
     P[:m, :m], P[:m, m:] = _gram(B, B, A)
     del B
-    G = next(draws)
-    Ghat = _gram(G.T, G.T)[0].conj() / count  # G G* = conj((G^T)* G^T)
-    del G
+    L = next(draws)
+    Ghat = _gram(L.T, L.T)[0].conj() / count  # L L* = conj((L^T)* L^T)
     P[m:, :m] = P[:m, m:].conj().T
     P[m:, m:] = model.gram
     S = np.zeros((2 * m, 2 * m), dtype=complex)

@@ -784,15 +784,30 @@ def _stored_orbit_rows(spec, x0, n_steps, centers, keep=()):
 
 
 def _counting_steps(monkeypatch) -> list:
-    """Patch dynamics_lab.step to log the name of the spec of every call."""
-    calls, real = [], dynamics_lab.step
+    """Patch each kind class's step, which dynamics_lab.step and the
+    default n_step_map walk both call, to log the label of every call."""
+    calls = []
 
-    def counting(spec, state):
-        calls.append(spec.name)
-        return real(spec, state)
+    def counting(real):
+        def step(self, state):
+            calls.append(self.label)
+            return real(self, state)
+        return step
 
-    monkeypatch.setattr(dynamics_lab, "step", counting)
+    for kind in dynamics_lab._Kind.__subclasses__():
+        monkeypatch.setattr(kind, "step", counting(kind.step))
     return calls
+
+
+def test_the_step_counter_sees_the_module_step_and_a_kind_s_own_walk(monkeypatch):
+    # the kalish n_step_map walks the class's step, not dynamics_lab.step
+    spec = kalish_system(64)
+    x0 = default_start(spec, 0)
+    steps = _counting_steps(monkeypatch)
+    n_step_map(spec, x0, 20)
+    assert steps == [spec.ops.label] * 20
+    step(spec, x0)
+    assert len(steps) == 21
 
 
 # (window n, centers) as functions of the block rows b

@@ -48,8 +48,11 @@ from hyperlab.kalish import (
     DegenerateAngleError,
     apply_T_array,
     apply_T_transpose,
+    arc_indicators,
+    exact_eigenvectors,
     func_norm,
     grid_angles,
+    grid_norms,
     nearest_grid_index,
 )
 from hyperlab.runner import scaled_transport
@@ -316,6 +319,32 @@ def test_residual_groups_start_at_each_group_s_first_nonzero_row(monkeypatch):
     assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
+@pytest.mark.parametrize("block_rows", [1, 3, 4, 10, 64])
+def test_residual_group_tops_do_not_depend_on_the_row_blocks_read(block_rows, monkeypatch):
+    # the tops are read in row blocks up to the first block holding a
+    # nonzero entry; rows 9 and 50 open, close or sit inside a block
+    M, starts = 64, [40, 9, 63, 50, 0, 33]
+    rng = np.random.default_rng(5)
+    X = np.zeros((M, 6), dtype=complex)
+    for c, first in enumerate(starts):
+        X[first:, c] = rng.standard_normal(M - first) + 1j * rng.standard_normal(M - first)
+    X[20, 3] = complex(-0.0, 0.0)
+    field = EigenField(TWO_PI * (np.arange(6) + 0.5) / 6, np.full(6, 1.0 / 6), X,
+                       CircleMeasure.uniform(bins=64), kind="corrected")
+    monkeypatch.setattr(gauss_model, "_GROUP_COLUMNS", 2)
+    one_block = field.residuals()
+    tops, rows = [], gauss_model._apply_T_rows
+
+    def recorded(V, out, top):
+        tops.append(top)
+        rows(V, out, top)
+
+    monkeypatch.setattr(gauss_model, "_apply_T_rows", recorded)
+    monkeypatch.setattr("hyperlab.kalish._BLOCK_ELEMENTS", 6 * block_rows)
+    assert np.array_equal(field.residuals(), one_block)
+    assert tops == [9, 50, 0]
+
+
 def test_residuals_of_real_vectors_equal_those_of_their_complex_copy():
     field = indicator_field(CircleMeasure.uniform(bins=1024), 4, 64)
     real = EigenField(field.angles, field.weights, field.vectors.real.copy(),
@@ -340,6 +369,35 @@ def test_corrected_field_norm_matched_to_indicator():
         from hyperlab.kalish import chi
 
         assert func_norm(v) == pytest.approx(func_norm(chi(float(a), M)), rel=1e-12)
+
+
+def _arc_measure() -> CircleMeasure:
+    """Uniform density on the arc [0, 2pi/16): its nodes crowd near angle 0,
+    so every eigenvector column is nonzero on most grid rows."""
+    density = np.zeros(1024)
+    density[:64] = 16.0 / TWO_PI
+    return CircleMeasure.from_parts(1024, density=density)
+
+
+@pytest.mark.parametrize("arc, m", [
+    pytest.param(arc, m, id=f"{'arc' if arc else 'uniform'}-{m}")
+    for arc, m in [(False, 1), (False, 2), (False, 16), (False, 17), (False, 100),
+                   (True, 33), (True, 65)]])
+def test_corrected_field_scale_has_the_bits_of_whole_field_norms(arc, m):
+    # the norms are taken a column group at a time, a lone last column
+    # beside the one before it (numpy sums one column pairwise), with the
+    # bits of norms over the whole field; on the arc measure's 65 nodes a
+    # lone column normed alone moves bits
+    M = 1024
+    sigma = _arc_measure() if arc else CircleMeasure.uniform(bins=1024)
+    field = corrected_field(sigma, m, M)
+    vectors = exact_eigenvectors(nearest_grid_index(field.angles, M), M)
+    ref = arc_indicators(field.angles, M)
+    ref[:, ~ref.any(axis=0)] = True
+    overlap = np.sum(vectors, axis=0, where=ref) * (TWO_PI / M)
+    phase = overlap / np.abs(overlap)
+    want = vectors * ((grid_norms(ref) / grid_norms(vectors)) / phase)
+    assert np.array_equal(field.vectors, want)
 
 
 # -- model assembly ------------------------------------------------------
@@ -610,6 +668,62 @@ def test_invariance_budget_comes_from_the_grid_T_not_the_transport(monkeypatch):
     assert not scaled.passed
 
 
+def _bartlett_ghat(m: int, S: int, seed: int) -> np.ndarray:
+    """The invariance check's G G*/S, as L L*/S of its Bartlett draw."""
+    L = next(gauss_model._draws("invariance-check", [seed], (m, S), "bartlett"))
+    return L @ L.conj().T / S
+
+
+@pytest.mark.parametrize("m, S", [(4, 16), (4, 4), (4, 2), (4, 1)],
+                         ids=["S>m", "S=m", "S<m", "S=1"])
+def test_bartlett_draw_has_the_wishart_moments_of_the_sample_matrix(m, S):
+    # G G*/S of an (m, S) unit complex G: E Ghat = I, E|Ghat_ij|^2 = 1/S off
+    # the diagonal and Var Ghat_ii = 1/S; over 4000 seeds each sample
+    # moment sits within 4 standard errors
+    R = 4000
+    ghats = np.array([_bartlett_ghat(m, S, seed) for seed in range(R)])
+    off = ~np.eye(m, dtype=bool)
+    checks = [(ghats - np.eye(m), 0.0),
+              (np.abs(ghats[:, off]) ** 2, 1.0 / S),
+              ((np.diagonal(ghats, axis1=1, axis2=2).real - 1.0) ** 2, 1.0 / S)]
+    for values, want in checks:
+        se = np.sqrt(np.mean(np.abs(values - values.mean(axis=0)) ** 2, axis=0) / R)
+        assert np.all(np.abs(values.mean(axis=0) - want) <= 4.0 * se), (m, S, want)
+
+
+@pytest.mark.parametrize("m, S", [(6, 10), (6, 6), (6, 3), (6, 1), (1, 1), (1, 5)])
+def test_bartlett_draw_has_rank_min_m_s_and_its_seed_s_bits(m, S):
+    L = next(gauss_model._draws("invariance-check", [3], (m, S), "bartlett"))
+    r = min(m, S)
+    assert L.shape == (m, r)
+    assert np.all(np.triu(L, 1) == 0) and np.all(np.diagonal(L).real > 0)
+    assert np.all(np.diagonal(L).imag == 0)
+    assert np.linalg.matrix_rank(_bartlett_ghat(m, S, 3)) == r
+    assert np.array_equal(_bartlett_ghat(m, S, 3), _bartlett_ghat(m, S, 3))
+    assert not np.array_equal(_bartlett_ghat(m, S, 3), _bartlett_ghat(m, S, 4))
+
+
+def test_bartlett_draw_checks_its_count_at_the_call():
+    with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+        gauss_model._draws("invariance-check", [0], (4, 0), "bartlett")
+
+
+@pytest.mark.parametrize("S", [1, 3, 500])
+def test_invariance_distance_is_the_dense_distance_of_the_bartlett_draw(S):
+    # ||T A Ghat (T A)* - A A*||_F / ||A A*||_F with Ghat = L L*/S of the
+    # check's own draw, formed as dense M x M matrices
+    M, seed = 64, 7
+    model = _uniform_model(M=M, m=4)
+    report = invariance_check(model, count=S, seed=seed)
+    A = model.factor
+    TA = kalish_matrix(M) @ A
+    R = A @ A.conj().T
+    dense = TA @ _bartlett_ghat(4, S, seed) @ TA.conj().T - R
+    want = np.linalg.norm(dense) / np.linalg.norm(R)
+    assert report.cov_distance == pytest.approx(want, rel=1e-9)
+    assert invariance_check(model, count=S, seed=seed) == report
+
+
 # The median covariance distance over seeds 0-19 at 10,000 draws lies within
 # this band of s^2 - 1, the distance a transport scaled by s owes.  The s = 1
 # median, 0.0106 on the 8-node uniform model at M = 1024, is the sampler's
@@ -835,7 +949,7 @@ def test_drawn_pair_has_the_gram_as_its_second_moments(n):
     c = list(gauss_model._orbit_coefficients(model, random_functional(4, 256), 7))
     if n == "real":
         a, b = c[0].real, c[0].imag
-        Z = next(gauss_model._draws("law", [1], (2, S), real=True))
+        Z = next(gauss_model._draws("law", [1], (2, S), "real"))
     else:
         a, b = c[0], c[n]
         Z = next(gauss_model._draws("law", [1], (2, S)))

@@ -2,17 +2,22 @@
 units of one factor (M x m complex, 32 MiB).  A built model holds one
 factor, not the field it was built from.  The blocked Kalish kernels
 hold one 1 MiB temporary besides their output, and the invariance check
-holds about two factor-sized arrays at a time.  exact_eigenvectors and
-EigenField.residuals work on groups of 16 columns from each group's
-first nonzero row: the batch holds its output and a group's two
-temporaries, and the residuals hold a few group-sized arrays, never a
-factor-sized one.  The coefficient table
-walks one grid vector, never the factor, and no factor-sized array.
+holds about two factor-sized arrays at a time.  corrected_field takes
+its norms one column group at a time, so it holds its output and a few
+group-sized arrays: 1.28 factors, where whole-field norms held 2.08.
+exact_eigenvectors and EigenField.residuals work on groups of 16
+columns from each group's first nonzero row: the batch holds its output
+and a group's two temporaries, and the residuals hold a few group-sized
+arrays, never a factor-sized one.  The coefficient table walks one grid
+vector, never the factor, and no factor-sized array.
 The coefficient and symmetry checks draw only the (2, S) or (1, S)
 projection their estimator reads, never the (m, S) coordinates, so at
 desk size (M, m) = (1024, 8) and (1024, 128) they hold about 1 MB and
 0.5 MB whatever m is; drawing the (m, S) coordinates, they held
-41.5 MB and 17.1 MB at m = 128.
+41.5 MB and 17.1 MB at m = 128.  The invariance check draws the m x m
+Bartlett factor of G G*, not G, so at 10**4 samples it holds about
+1 MB at m = 8 and 6 MB at m = 128, where the (m, S) draw held 3.3 and
+42 MB.
 A classification row streams its orbit (dynamics_lab.orbit_rows, whose
 one row source is dynamics_lab._rows), so at window 4000 it holds a few
 MiB, not an (N+1, dim) orbit.  Beyond the rows and the keep state it
@@ -129,6 +134,20 @@ def test_coefficient_rows_trace_at_most_1_5_mb_at_desk_size(desk_model):
     xstar = random_functional(0, 1024)
     peak = _peak_bytes(lambda: coefficient_rows(desk_model, xstar, 15, 10_000, 0, "memory"))
     assert peak <= 1.5e6
+
+
+def test_invariance_check_traces_at_most_1_5_or_8_mb_at_desk_size(desk_model):
+    # at 10**4 samples: the m x m Bartlett factor, not the (m, S) draw
+    bound = {8: 1.5e6, 128: 8e6}[desk_model.node_count]
+    peak = _peak_bytes(lambda: invariance_check(desk_model, count=10_000, seed=0))
+    assert peak <= bound
+
+
+def test_corrected_field_holds_its_output_and_a_few_column_groups():
+    # 2.08 factors when the norms were taken over the whole field at once
+    sigma = CircleMeasure.uniform(bins=1024)
+    factor = np.empty((M, NODES), dtype=complex).nbytes
+    assert _peak_bytes(lambda: corrected_field(sigma, NODES, M)) / factor <= 1.35
 
 
 @pytest.mark.parametrize("sampler", ["symmetric", "real"])

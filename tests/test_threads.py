@@ -31,8 +31,9 @@ CONFIG = {
 }
 
 
-# factor, transported factor and draw are each at least one kernel block,
-# so every Gram product of the run is formed in two row halves
+# factor and transported factor are each at least one kernel block, so
+# their Gram products are formed in two row halves; the 16 x 16 Bartlett
+# factor of the draw is below one block, so its Gram is formed in one pass
 SPLIT_CONFIG = {
     "schema": "experiment-config/1",
     "seed": 5,
@@ -111,8 +112,9 @@ def test_gram_halves_keep_public_calls_on_the_calling_thread(tmp_path, monkeypat
     me = threading.get_ident()
     assert "hyperlab.gauss_model.invariance_check" in {name for name, _ in calls}
     assert [c for c in calls if c[1] != me] == []
-    # build_model's A* A, the check's (TA)* [TA, A] and its G G*
-    assert kernels == ["_gram_rows"] * 3
+    # build_model's A* A and the check's (TA)* [TA, A]; its L L* is below
+    # one kernel block
+    assert kernels == ["_gram_rows"] * 2
 
 
 def test_artifacts_equal_those_of_an_inline_helper(tmp_path, monkeypatch):

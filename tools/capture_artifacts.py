@@ -21,7 +21,10 @@ output line is ``<sha256>  <item>``, for:
   control ("sampler": "real").  Each of these estimators draws only the
   projection of the coordinates it reads, so these lines pin the bytes
   of those draws at the size of the acceptance criteria, and the real
-  control's lines are the only ones that cover the real sampler;
+  control's lines are the only ones that cover the real sampler.  Then
+  three `invariance` probes: the honest check at 10**4 samples, the
+  "transport_scale" 1.25 control, and a rank-deficient check at 16 nodes
+  with 8 samples, where the Bartlett factor of the draw has 8 columns;
 * the standard output of each `hyperlab` line of the README's CLI block,
   the block tests/test_readme_cli.py reads, each run in a fresh process
   (a dense BLAS product's bits can depend on what ran before it in the
@@ -89,7 +92,11 @@ ORBIT_SYSTEMS = ({"kind": "scalar_multiple_shift", "scalar": 2.0, "dimension": 6
                   "name": "scalar-shift-0.5"})
 DESK_GAUSS_PROBES = ({"probe": "coeff", "nodes": 8, "functionals": 3, "max_power": 8},
                      {"probe": "symmetry", "nodes": 8},
-                     {"probe": "symmetry", "nodes": 8, "sampler": "real"})
+                     {"probe": "symmetry", "nodes": 8, "sampler": "real"},
+                     {"probe": "invariance", "nodes": 8, "samples": 10_000},
+                     {"probe": "invariance", "nodes": 8, "samples": 10_000,
+                      "transport_scale": 1.25},
+                     {"probe": "invariance", "nodes": 16, "samples": 8})
 BATTERY_RUNS = ((300, range(24)), (1000, range(24)), (4000, range(4)), (8000, range(1)),
                 (16000, range(1)))
 # (sigma's label, sigma, node count m, grid M)
