@@ -17,15 +17,16 @@ Sampling draws only the m x S coefficients, and each check forms T A once.
 Every m x m Gram product (build_model's A* A, the check's (T A)* [T A, A]
 and L L* of its Bartlett draw) goes through _gram: once its operand is
 a kernel block, its two row halves are formed at once, the second by
-_gram_rows on a helper thread (_start_kernel, the package's one
-thread), each half conjugating its own columns into a scratch the
-calling thread allocated.  The helper runs that private kernel only, so it allocates
-nothing large and calls no public function.  A half of at least 2 rows
-gives each output row the bits of the one-pass product, so the split
-moves no bit.  EigenField.residuals works one column group at a time
-from the group's first nonzero row, the first row where any of its
-columns is nonzero (the kalish module docstring), read in row blocks up
-to the first block holding one, so it holds no factor-sized array.
+_gram_rows on the one worker of a concurrent.futures pool (the
+package's one helper thread), each half conjugating its own columns
+into a scratch the calling thread allocated.  The helper runs that
+private kernel only, so it allocates nothing large and calls no public
+function.  A half of at least 2 rows gives each output row the bits of
+the one-pass product, so the split moves no bit.  EigenField.residuals
+works one column group at a time from the group's first nonzero row,
+the first row where any of its columns is nonzero (the kalish module
+docstring), read in row blocks up to the first block holding one, so it
+holds no factor-sized array.
 corrected_field takes its norms one column group at a time too.
 _draws is the one draw source of every Monte-Carlo routine here: it
 checks the count (the last axis of the shape), keys each seed's stream
@@ -65,7 +66,6 @@ moves each node by at most pi/M and is recorded on the field.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterator, Optional
 
@@ -352,11 +352,13 @@ def _transported(model: GaussModel, transport: Transport) -> tuple:
 
 def _gram(X: np.ndarray, *Ys) -> list:
     """X* Y for each of Ys, from the (n, m) X.  Two row halves of the
-    output, the second on the helper thread, when each half has at
+    output, the second on a one-worker thread pool, when each half has at
     least 2 rows (a one-row half takes numpy's vector path, whose bits
-    differ) and X is at least one kernel block.  Each half conjugates its
-    own columns of X into its columns of one scratch laid out like X,
-    allocated here."""
+    differ) and X is at least one kernel block.  The helper's result()
+    re-raises its error, and leaving the pool waits for it, so the caller
+    sees an error of either half and no thread outlives the call.  Each
+    half conjugates its own columns of X into its columns of one scratch
+    laid out like X, allocated here."""
     m = X.shape[1]
     outs = [np.empty((m, Y.shape[1]), dtype=complex) for Y in Ys]
     scratch = np.empty_like(X)
@@ -364,11 +366,12 @@ def _gram(X: np.ndarray, *Ys) -> list:
     if m - half < 2 or X.size < _BLOCK_ELEMENTS:
         _gram_rows(X, Ys, slice(0, m), scratch, outs)
         return outs
-    join = _start_kernel(_gram_rows, X, Ys, slice(half, m), scratch, outs)
-    try:
+    # imported here, not at the top: it pulls in logging, a few ms per import
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(1, "hyperlab-helper") as pool:
+        helper = pool.submit(_gram_rows, X, Ys, slice(half, m), scratch, outs)
         _gram_rows(X, Ys, slice(0, half), scratch, outs)
-    finally:
-        join()
+        helper.result()
     return outs
 
 
@@ -377,29 +380,6 @@ def _gram_rows(X, Ys, rows, scratch, outs) -> None:
     part = np.conjugate(X[:, rows], out=scratch[:, rows])
     for Y, out in zip(Ys, outs):
         np.matmul(part.T, Y, out=out[rows])
-
-
-def _start_kernel(kernel, *args):
-    """Run kernel(*args) on a helper thread; the returned join waits for
-    it and re-raises whatever it raised.  The kernel is private and
-    writes into buffers the calling thread allocated."""
-    errors = []
-
-    def run():
-        try:
-            kernel(*args)
-        except BaseException as exc:  # noqa: BLE001 - re-raised by join
-            errors.append(exc)
-
-    thread = threading.Thread(target=run, name="hyperlab-helper")
-    thread.start()
-
-    def join():
-        thread.join()
-        if errors:
-            raise errors[0]
-
-    return join
 
 
 def intertwine_residual(model: GaussModel, transport: Transport = None) -> float:

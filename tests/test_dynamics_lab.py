@@ -429,6 +429,20 @@ def test_periodic_return_rational_vs_irrational():
     assert missed.verdict == "no"
 
 
+@pytest.mark.parametrize("spec", [
+    torus_system((0.3, 1.1)), scalar_shift_system(2.0, 20), kalish_system(64),
+], ids=lambda spec: spec.label)
+def test_periodic_return_on_a_one_state_orbit_is_no_evidence(spec):
+    # x_0 alone has no return time p >= 1: a typed answer, not numpy's
+    # argmin of an empty sequence
+    traj = orbit_rows(spec, default_start(spec, 0), 0, centers=[0])
+    outcome = periodic_return_probe(traj, seed=3)
+    assert (outcome.probe, outcome.verdict, outcome.grade) == (
+        "chaotic", "no-evidence", "heuristic")
+    assert (outcome.window, outcome.seed) == (1, 3)
+    assert outcome.evidence == {"note": "orbit has one state: no return time to test"}
+
+
 def test_e_system_probe_mixture_masses_positive_for_torus():
     spec = torus_system([TWO_PI * (np.sqrt(2.0) - 1.0),
                          TWO_PI * (np.sqrt(3.0) - 1.0)])

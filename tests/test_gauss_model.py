@@ -8,6 +8,7 @@ Carlo estimates against analytic values within standard-error bars.
 import json
 import re
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -489,17 +490,10 @@ def test_gram_halves_are_bitwise_the_one_pass_products(m, monkeypatch):
     A, B = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
             for _ in range(2))
     G = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-    helpers = []
-    start = gauss_model._start_kernel
-
-    def recorded(kernel, *args):
-        helpers.append(kernel.__name__)
-        return start(kernel, *args)
-
-    monkeypatch.setattr(gauss_model, "_start_kernel", recorded)
+    off_thread = _record_helper_rows(monkeypatch)
     (AA,), (BB, BA), (GG,) = (gauss_model._gram(A, A), gauss_model._gram(B, B, A),
                               gauss_model._gram(G.T, G.T))
-    assert helpers == (["_gram_rows"] * 3 if m >= 4 else [])
+    assert len(off_thread) == (3 if m >= 4 else 0)
     Bc = B.conj()
     for got, one_pass in [(AA, A.conj().T @ A), (BB, Bc.T @ B), (BA, Bc.T @ A),
                           (GG, G.conj() @ G.T)]:
@@ -507,10 +501,42 @@ def test_gram_halves_are_bitwise_the_one_pass_products(m, monkeypatch):
 
 
 def test_gram_below_one_block_stays_on_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(gauss_model, "_start_kernel", None)  # any helper call fails
+    off_thread = _record_helper_rows(monkeypatch)
     X = np.ones((_BLOCK_ELEMENTS // 8 - 1, 8), dtype=complex)
     (XX,) = gauss_model._gram(X, X)
+    assert off_thread == []
     assert np.array_equal(XX, X.conj().T @ X)
+
+
+def test_an_error_in_the_calling_gram_half_reaches_the_caller(monkeypatch):
+    rows, me = gauss_model._gram_rows, threading.get_ident()
+
+    def failing_on_thread(*args):
+        if threading.get_ident() == me:
+            raise FloatingPointError("calling half failed")
+        rows(*args)
+
+    monkeypatch.setattr(gauss_model, "_gram_rows", failing_on_thread)
+    X = np.ones((_BLOCK_ELEMENTS // 8, 8), dtype=complex)  # one block: two halves
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="calling half failed"):
+        gauss_model._gram(X, X)
+    # the helper was waited for: no thread outlives the failed call
+    assert threading.active_count() == before
+
+
+def _record_helper_rows(monkeypatch) -> list:
+    """Wrap _gram_rows to record the row slice of each call made off the
+    calling thread, the helper's halves; returns that list."""
+    rows, me, off_thread = gauss_model._gram_rows, threading.get_ident(), []
+
+    def recorded(X, Ys, part, scratch, outs):
+        if threading.get_ident() != me:
+            off_thread.append(part)
+        rows(X, Ys, part, scratch, outs)
+
+    monkeypatch.setattr(gauss_model, "_gram_rows", recorded)
+    return off_thread
 
 
 def test_functional_coefficients_match_inner_products():

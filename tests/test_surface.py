@@ -19,6 +19,10 @@ The parameter rule: every optional parameter of a public def or public
 method is passed somewhere in src/hyperlab or tests/test_acceptance.py, by
 keyword or by position past the required ones, at a call of the def's
 name or of a name bound to it; a knob only the tests set is a constant.
+
+The thread rule: no module of src/hyperlab imports threading, so a thread
+comes only from a concurrent.futures pool, whose result() re-raises the
+worker's error and whose exit waits for it.
 """
 
 import ast
@@ -262,3 +266,25 @@ def test_only_the_kind_table_compares_a_system_kind():
     # each kind's rules live in its class in dynamics_lab._KINDS; a
     # function that branches on spec.kind would give a kind a second home
     assert kind_comparisons() == []
+
+
+def threading_imports() -> list:
+    """file:line of every import of threading in a src/hyperlab module."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "threading" for name in names):
+                out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_no_module_imports_threading():
+    # a hand-rolled thread runner would be a second home of the helper
+    # thread that gauss_model._gram takes from concurrent.futures
+    assert threading_imports() == []

@@ -1,9 +1,12 @@
-"""The helper thread of gauss_model runs one private kernel and nothing
+"""The helper thread of gauss_model, the one worker of a
+concurrent.futures pool in _gram, runs one private kernel and nothing
 else: the second row half of its Gram products.  Every public hyperlab
 function of a run is called from the calling thread, every draw is
-filled there, the artifacts equal those of a helper run inline, and an
-error in the helper's half reaches the caller of the Gram product."""
+filled there, the artifacts equal those of a pool that runs its work
+inline, and an error in the helper's half reaches the caller of the
+Gram product."""
 
+import concurrent.futures
 import functools
 import inspect
 import sys
@@ -99,32 +102,46 @@ def test_public_functions_run_on_the_calling_thread(tmp_path, monkeypatch):
 
 
 def test_gram_halves_keep_public_calls_on_the_calling_thread(tmp_path, monkeypatch):
-    calls, kernels = [], []
-    start = gauss_model._start_kernel
+    calls, helper_rows = [], []
+    rows, me = gauss_model._gram_rows, threading.get_ident()
 
-    def recorded_start(kernel, *args):
-        kernels.append(kernel.__name__)
-        return start(kernel, *args)
+    def recorded_rows(*args):
+        if threading.get_ident() != me:
+            helper_rows.append(args[2])
+        rows(*args)
 
-    monkeypatch.setattr(gauss_model, "_start_kernel", recorded_start)
+    monkeypatch.setattr(gauss_model, "_gram_rows", recorded_rows)
     _record_threads(monkeypatch, calls)
     _run(tmp_path, SPLIT_CONFIG)
-    me = threading.get_ident()
     assert "hyperlab.gauss_model.invariance_check" in {name for name, _ in calls}
     assert [c for c in calls if c[1] != me] == []
     # build_model's A* A and the check's (TA)* [TA, A]; its L L* is below
     # one kernel block
-    assert kernels == ["_gram_rows"] * 2
+    assert len(helper_rows) == 2
+
+
+class _InlinePool:
+    """A stand-in for ThreadPoolExecutor whose submit runs the call at
+    once, on the calling thread."""
+
+    def __init__(self, *args):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = concurrent.futures.Future()
+        done.set_result(fn(*args))
+        return done
 
 
 def test_artifacts_equal_those_of_an_inline_helper(tmp_path, monkeypatch):
     threaded = _run(tmp_path / "threaded", SPLIT_CONFIG)
-
-    def inline(kernel, *args):
-        kernel(*args)
-        return lambda: None
-
-    monkeypatch.setattr(gauss_model, "_start_kernel", inline)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlinePool)
     assert _run(tmp_path / "inline", SPLIT_CONFIG) == threaded
 
 
