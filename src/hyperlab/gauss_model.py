@@ -12,21 +12,23 @@ All covariance comparisons run through Gram matrices: for W with m-ish
 columns and Hermitian S, ||W S W*||_F^2 = tr(S P S P) with P = W* W, so
 nothing M x M is ever materialized.
 The invariance check forms its Gram of [T A, A] by blocks and reuses the
-cached A* A, holding T A and one conjugate copy, never the stacked pair.
+cached A* A, holding T A, never the stacked pair; its intertwining
+residual is summed one row block at a time.  So build_model and the
+check each peak at two factor-sized arrays (the field's vectors and the
+factor, or the factor and T A).
 Sampling draws only the m x S coefficients, and each check forms T A once.
 Every m x m Gram product (build_model's A* A, the check's (T A)* [T A, A]
-and L L* of its Bartlett draw) goes through _gram: once its operand is
-a kernel block, its two row halves are formed at once, the second by
-_gram_rows on the one worker of a concurrent.futures pool (the
-package's one helper thread), each half conjugating its own columns
-into a scratch the calling thread allocated.  The helper runs that
-private kernel only, so it allocates nothing large and calls no public
-function.  A half of at least 2 rows gives each output row the bits of
-the one-pass product, so the split moves no bit.  EigenField.residuals
-works one column group at a time from the group's first nonzero row,
-the first row where any of its columns is nonzero (the kalish module
-docstring), read in row blocks up to the first block holding one, so it
-holds no factor-sized array.
+and L L* of its Bartlett draw) goes through _gram, on the calling
+thread: it multiplies the float views of its operands (real and
+imaginary parts in alternate columns, no conjugate copy), one BLAS
+dsyrk for a self product and one dgemm for a cross product, so a self
+Gram is exactly Hermitian.  BLAS brings its own threads; the package
+starts none.  The check's exact_distance, ||B B* - A A*||_F / ||A A*||_F
+for B = T A, comes from these Grams with no draw.
+EigenField.residuals works one column group at a time from the group's
+first nonzero row, the first row where any of its columns is nonzero
+(the kalish module docstring), read in row blocks up to the first block
+holding one, so it holds no factor-sized array.
 corrected_field takes its norms one column group at a time too.
 _draws is the one draw source of every Monte-Carlo routine here: it
 checks the count (the last axis of the shape), keys each seed's stream
@@ -75,7 +77,6 @@ from .circle_measure import (ATOM_MERGE_TOL, CircleMeasure, _canonical_atoms,
                              _require_probability, fourier_band, total_mass)
 from .jsonio import record_dict
 from .kalish import (
-    _BLOCK_ELEMENTS,
     _GROUP_COLUMNS,
     CircleFunction,
     DegenerateAngleError,
@@ -340,46 +341,34 @@ def build_model(field: EigenField) -> GaussModel:
 
 
 def _transported(model: GaussModel, transport: Transport) -> tuple:
-    """(T A, ||T A - A D||_F / ||A||_F) under the transport, None the grid T."""
+    """(T A, ||T A - A D||_F / ||A||_F) under the transport, None the grid
+    T; the residual's squares are summed one row block at a time, through
+    one block-sized scratch."""
     A = model.factor
     TA = (apply_T_array if transport is None else transport)(A)
     if TA.shape != A.shape:
         raise GridMismatchError("transport output shape does not match the factor")
-    R = A * model.diag[None, :]
-    num = np.linalg.norm(np.subtract(TA, R, out=R))
-    return TA, float(num / np.linalg.norm(A))
+    rows = _block_rows(A.shape)
+    scratch = np.empty((min(rows, A.shape[0]), A.shape[1]), dtype=complex)
+    num_sq = 0.0
+    for lo in range(0, A.shape[0], rows):
+        R = np.multiply(A[lo:lo + rows], -model.diag, out=scratch[:A.shape[0] - lo])
+        R += TA[lo:lo + rows]
+        num_sq += np.vdot(R, R).real
+    return TA, float(np.sqrt(num_sq) / np.linalg.norm(A))
 
 
 def _gram(X: np.ndarray, *Ys) -> list:
-    """X* Y for each of Ys, from the (n, m) X.  Two row halves of the
-    output, the second on a one-worker thread pool, when each half has at
-    least 2 rows (a one-row half takes numpy's vector path, whose bits
-    differ) and X is at least one kernel block.  The helper's result()
-    re-raises its error, and leaving the pool waits for it, so the caller
-    sees an error of either half and no thread outlives the call.  Each
-    half conjugates its own columns of X into its columns of one scratch
-    laid out like X, allocated here."""
-    m = X.shape[1]
-    outs = [np.empty((m, Y.shape[1]), dtype=complex) for Y in Ys]
-    scratch = np.empty_like(X)
-    half = (m + 1) // 2
-    if m - half < 2 or X.size < _BLOCK_ELEMENTS:
-        _gram_rows(X, Ys, slice(0, m), scratch, outs)
-        return outs
-    # imported here, not at the top: it pulls in logging, a few ms per import
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(1, "hyperlab-helper") as pool:
-        helper = pool.submit(_gram_rows, X, Ys, slice(half, m), scratch, outs)
-        _gram_rows(X, Ys, slice(0, half), scratch, outs)
-        helper.result()
-    return outs
-
-
-def _gram_rows(X, Ys, rows, scratch, outs) -> None:
-    """Rows rows of each X* Y into outs, through scratch[:, rows]."""
-    part = np.conjugate(X[:, rows], out=scratch[:, rows])
-    for Y, out in zip(Ys, outs):
-        np.matmul(part.T, Y, out=out[rows])
+    """X* Y for each of Ys, from the (n, m) X, through the float views of
+    the operands: n x 2m, real and imaginary parts in alternate columns.
+    The real product is one dgemm, and one dsyrk when Y is X, which numpy
+    makes exactly symmetric, so X* X is exactly Hermitian with a real
+    diagonal.  An operand that is not C-contiguous complex is copied."""
+    R = np.ascontiguousarray(X, dtype=complex).view(float)
+    Gs = (R.T @ (R if Y is X else np.ascontiguousarray(Y, dtype=complex).view(float))
+          for Y in Ys)
+    return [(G[0::2, 0::2] + G[1::2, 1::2]) + 1j * (G[0::2, 1::2] - G[1::2, 0::2])
+            for G in Gs]
 
 
 def intertwine_residual(model: GaussModel, transport: Transport = None) -> float:
@@ -518,6 +507,7 @@ def symmetry_checks(model: GaussModel, xstars, count: int, seeds,
 @dataclass(frozen=True)
 class InvarianceReport:
     cov_distance: float
+    exact_distance: float
     intertwine: float
     budget: float
     samples: int
@@ -541,7 +531,10 @@ def invariance_check(model: GaussModel, transport: Transport = None,
     The Gram P = W* W of W = [T A, A] is formed by blocks, reusing the
     model's cached Gram A* A, so W itself is never built.  The empirical
     covariance G G*/S of the (m, S) coordinates G is L L*/S of their
-    m x min(m, S) Bartlett factor L, so G itself is never drawn."""
+    m x min(m, S) Bartlett factor L, so G itself is never drawn.
+    exact_distance is ||B B* - A A*||_F / ||A A*||_F for B = T A, from the
+    same Grams and no draw, tr((B*B)^2) - 2 tr((B*A)(B*A)*) + tr((A*A)^2);
+    it is reported and judges nothing."""
     draws = _draws("invariance-check", [seed], (model.node_count, count), "bartlett")
     A = model.factor
     B, intertwine = _transported(model, transport)
@@ -550,7 +543,8 @@ def invariance_check(model: GaussModel, transport: Transport = None,
     P[:m, :m], P[:m, m:] = _gram(B, B, A)
     del B
     L = next(draws)
-    Ghat = _gram(L.T, L.T)[0].conj() / count  # L L* = conj((L^T)* L^T)
+    Lt = L.T  # r x m, not contiguous: _gram copies it once
+    Ghat = _gram(Lt, Lt)[0].conj() / count  # L L* = conj((L^T)* L^T)
     P[m:, :m] = P[:m, m:].conj().T
     P[m:, m:] = model.gram
     S = np.zeros((2 * m, 2 * m), dtype=complex)
@@ -560,10 +554,13 @@ def invariance_check(model: GaussModel, transport: Transport = None,
     dist_sq = float(np.trace(SP @ SP).real)
     r_norm = model.covariance_frobenius()
     cov_distance = float(np.sqrt(max(dist_sq, 0.0)) / r_norm)
+    # J = diag(I, -I): tr((J P)^2) = sum_ij j_i j_j |P_ij|^2, the B* A blocks negative
+    exact_sq = np.linalg.norm(P) ** 2 - 4 * np.linalg.norm(P[:m, m:]) ** 2
     grid_debt = intertwine if transport is None else intertwine_residual(model)
     budget = statistical_tolerance + grid_debt
     return InvarianceReport(
         cov_distance=cov_distance,
+        exact_distance=float(np.sqrt(max(exact_sq, 0.0)) / r_norm),
         intertwine=intertwine,
         budget=float(budget),
         samples=count,

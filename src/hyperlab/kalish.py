@@ -30,9 +30,10 @@ exact arithmetic.
 Batches: apply_T_array takes values of shape (M,) or (M, k), one
 function per column, and works along axis 0 in row blocks of at most
 _BLOCK_ELEMENTS (2**16) complex elements, so besides the output it
-holds one 1 MiB temporary, not an (M, k) one.  An array of at
-most 2**16 elements is one block.  The prefix sum carries from block to
-block: the previous block's last sum is added into the block's first row
+holds one 1 MiB scratch, which every block reuses, not an (M, k)
+temporary.  An array of at most 2**16 elements is one block.  The
+prefix sum carries from block to block: the previous block's last sum,
+copied out of the scratch, is added into the block's first row
 before its cumsum, which is the very addition a one-pass cumsum makes at
 that row, so the blocked result is bit-identical to the one-pass one.
 The first block takes no carry at all: 0.0 + -0.0 is +0.0, so a 0
@@ -177,12 +178,12 @@ def _phases(M: int, ndim: int = 1) -> np.ndarray:
     return _read_only(np.exp(1j * grid_angles(M)).reshape((M,) + (1,) * (ndim - 1)))
 
 
-def _running_J(X: np.ndarray, d: np.ndarray, w: float, before=None) -> np.ndarray:
+def _running_J(X: np.ndarray, d: np.ndarray, w: float, before, out) -> np.ndarray:
     """Inclusive left-endpoint sums i w sum_{j<=k} e^{i t_j} x_j along
-    axis 0, accumulated in place in the one temporary; before, the sum
+    axis 0, accumulated in place in out, shaped like X; before, the sum
     up to the row above X, is added into X's first row ahead of the
     cumsum, the exact addition a one-pass cumsum makes there."""
-    running = X * (1j * d)
+    running = np.multiply(X, 1j * d, out=out)
     running *= w
     if before is not None:
         running[:1] += before
@@ -211,15 +212,16 @@ def _apply_T_rows(X: np.ndarray, out: np.ndarray, top: int) -> None:
     d = _phases(M, X.ndim)
     w = TWO_PI / M
     rows = _block_rows(X.shape)
+    scratch = np.empty((min(rows, M - top),) + X.shape[1:], dtype=complex)
     before = None
     for lo in range(top, M, rows):
         x, dx, o = X[lo:lo + rows], d[lo:lo + rows], out[lo - top:lo - top + rows]
-        running = _running_J(x, dx, w, before)
+        running = _running_J(x, dx, w, before, scratch[:len(x)])
         np.multiply(dx, x, out=o)
         o[1:] -= running[:-1]
         if before is not None:
             o[:1] -= before
-        before = running[-1:]
+        before = running[-1:].copy()  # the scratch is the next block's
 
 
 def apply_T_transpose(y: np.ndarray) -> np.ndarray:

@@ -225,8 +225,8 @@ def _run_invariance(ctx: _RunContext, p: dict) -> ProbeResult:
                   grid=p["grid"], measure=p["measure"])
     if control:
         detail["control"] = control
-    rows = [("cov_distance", rep.cov_distance), ("budget", rep.budget),
-            ("intertwine", rep.intertwine), ("samples", rep.samples)]
+    rows = [(name, getattr(rep, name)) for name in
+            ("cov_distance", "exact_distance", "budget", "intertwine", "samples")]
     nodes = [(float(a), float(w)) for a, w in zip(model.angles, model.weights)]
     return ProbeResult(
         probe="invariance", target=p["measure"], passed=rep.passed,

@@ -8,7 +8,6 @@ Carlo estimates against analytic values within standard-error bars.
 import json
 import re
 import sys
-import threading
 import warnings
 
 import numpy as np
@@ -481,62 +480,56 @@ def test_build_model_rejects_a_nan_worst_residual():
             build_model(huge)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 17, 127, 128])
-def test_gram_halves_are_bitwise_the_one_pass_products(m, monkeypatch):
-    # each operand is at least one kernel block, so only the row count
-    # decides the split: both halves need 2 rows, a one-row half's bits differ
+GRAM_NODES = [1, 2, 3, 5, 8, 17, 127, 128]
+
+
+def _operands(m: int) -> tuple:
+    """A contiguous (n, m) X and Y, and the transposed (m x n) Bartlett-like
+    operand G.T, whose rows are not contiguous; n is one kernel block."""
     n = -(-_BLOCK_ELEMENTS // m)
     rng = np.random.default_rng(m)
-    A, B = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    X, Y = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
             for _ in range(2))
     G = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-    off_thread = _record_helper_rows(monkeypatch)
-    (AA,), (BB, BA), (GG,) = (gauss_model._gram(A, A), gauss_model._gram(B, B, A),
-                              gauss_model._gram(G.T, G.T))
-    assert len(off_thread) == (3 if m >= 4 else 0)
-    Bc = B.conj()
-    for got, one_pass in [(AA, A.conj().T @ A), (BB, Bc.T @ B), (BA, Bc.T @ A),
-                          (GG, G.conj() @ G.T)]:
-        assert np.array_equal(got, one_pass)
+    return X, Y, G.T
 
 
-def test_gram_below_one_block_stays_on_the_calling_thread(monkeypatch):
-    off_thread = _record_helper_rows(monkeypatch)
-    X = np.ones((_BLOCK_ELEMENTS // 8 - 1, 8), dtype=complex)
-    (XX,) = gauss_model._gram(X, X)
-    assert off_thread == []
-    assert np.array_equal(XX, X.conj().T @ X)
+@pytest.mark.parametrize("m", GRAM_NODES)
+def test_gram_is_the_conjugate_transpose_product(m):
+    X, Y, Gt = _operands(m)
+    (XX, XY), (GG,) = gauss_model._gram(X, X, Y), gauss_model._gram(Gt, Gt)
+    for got, want in [(XX, X.conj().T @ X), (XY, X.conj().T @ Y),
+                      (GG, Gt.conj().T @ Gt)]:
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_an_error_in_the_calling_gram_half_reaches_the_caller(monkeypatch):
-    rows, me = gauss_model._gram_rows, threading.get_ident()
-
-    def failing_on_thread(*args):
-        if threading.get_ident() == me:
-            raise FloatingPointError("calling half failed")
-        rows(*args)
-
-    monkeypatch.setattr(gauss_model, "_gram_rows", failing_on_thread)
-    X = np.ones((_BLOCK_ELEMENTS // 8, 8), dtype=complex)  # one block: two halves
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="calling half failed"):
-        gauss_model._gram(X, X)
-    # the helper was waited for: no thread outlives the failed call
-    assert threading.active_count() == before
+@pytest.mark.parametrize("m", GRAM_NODES)
+def test_self_gram_is_exactly_hermitian_with_a_real_diagonal(m):
+    X, _, Gt = _operands(m)
+    for G in (gauss_model._gram(X, X)[0], gauss_model._gram(Gt, Gt)[0]):
+        assert np.array_equal(G, G.conj().T)
+        assert np.all(np.diag(G).imag == 0.0)
 
 
-def _record_helper_rows(monkeypatch) -> list:
-    """Wrap _gram_rows to record the row slice of each call made off the
-    calling thread, the helper's halves; returns that list."""
-    rows, me, off_thread = gauss_model._gram_rows, threading.get_ident(), []
+def test_model_of_real_vectors_equals_that_of_their_complex_copy():
+    # the Gram multiplies a complex float view, so a real factor is
+    # converted first, never read as a float array of half the columns
+    field = indicator_field(CircleMeasure.uniform(bins=1024), 4, 1024)
+    real = EigenField(field.angles, field.weights, field.vectors.real.copy(),
+                      field.source_measure, kind="indicator")
+    assert np.array_equal(build_model(real).gram, build_model(field).gram)
 
-    def recorded(X, Ys, part, scratch, outs):
-        if threading.get_ident() != me:
-            off_thread.append(part)
-        rows(X, Ys, part, scratch, outs)
 
-    monkeypatch.setattr(gauss_model, "_gram_rows", recorded)
-    return off_thread
+@pytest.mark.parametrize("transport", [None, 1.25], ids=["grid", "scaled"])
+def test_blocked_intertwine_residual_is_the_one_pass_residual(transport):
+    # (4096, 32): four row blocks of 1024 rows
+    model = _uniform_model(M=4096, m=32, kind="indicator")
+    move = None if transport is None else scaled_transport(transport)
+    TA = apply_T_array(model.factor) if move is None else move(model.factor)
+    want = (np.linalg.norm(TA - model.factor * model.diag)
+            / np.linalg.norm(model.factor))
+    got = intertwine_residual(model, move)
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_functional_coefficients_match_inner_products():
@@ -692,6 +685,37 @@ def test_invariance_budget_comes_from_the_grid_T_not_the_transport(monkeypatch):
     assert scaled.intertwine == pytest.approx(0.25, abs=1e-9)
     assert scaled.budget == honest.budget == 0.05 + intertwine_residual(model)
     assert not scaled.passed
+
+
+@pytest.mark.parametrize("M, m", [(1024, 8), (4096, 32)])
+def test_exact_distance_is_s_squared_minus_one_under_a_stretch(M, m):
+    # B = s T A with T A = A D at round-off: B B* = s^2 A A*, so the exact
+    # distance is s^2 - 1, whatever the seed and the count; the sampled
+    # distance and the verdict still come from the draw
+    model = _uniform_model(M=M, m=m)
+    for s in [None, 1.01, 1.05, 1.25]:
+        move = None if s is None else scaled_transport(s)
+        reports = [invariance_check(model, move, count=count, seed=seed)
+                   for count, seed in [(10_000, 0), (50, 3), (1, 7)]]
+        exact = {r.exact_distance for r in reports}
+        assert len(exact) == 1
+        if s is None:
+            assert exact.pop() <= 1e-6
+        else:
+            assert abs(exact.pop() - (s * s - 1)) <= 1e-9
+        assert len({r.cov_distance for r in reports}) == 3
+
+
+def test_exact_distance_is_the_dense_distance():
+    M = 256
+    model = _uniform_model(M=M, m=8, kind="indicator")
+    move = kalish_matrix(M).__matmul__
+    A = model.factor
+    B = move(A)
+    R = A @ A.conj().T
+    want = np.linalg.norm(B @ B.conj().T - R) / np.linalg.norm(R)
+    got = invariance_check(model, move, count=100, seed=0).exact_distance
+    assert got == pytest.approx(want, rel=1e-9)
 
 
 def _bartlett_ghat(m: int, S: int, seed: int) -> np.ndarray:

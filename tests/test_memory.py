@@ -2,9 +2,15 @@
 units of one factor (M x m complex, 32 MiB).  A built model holds one
 factor, not the field it was built from.  The blocked Kalish kernels
 hold one 1 MiB temporary besides their output, and the invariance check
-holds about two factor-sized arrays at a time.  corrected_field takes
+holds at most two factor-sized arrays at a time.  corrected_field takes
 its norms one column group at a time, so it holds its output and a few
 group-sized arrays: 1.28 factors, where whole-field norms held 2.08.
+At (M, m) = (4096, 32), where a factor is 2 MiB and a kernel block
+1 MiB, build_model holds one factor and the Gram's m x m products beyond
+its field, and the invariance check T A, one block and m x m matrices
+beyond its model: the Grams multiply the operands' float views, with no
+conjugate copy, the intertwining residual is summed one row block at a
+time, and apply_T_array holds one block scratch besides its output.
 exact_eigenvectors and EigenField.residuals work on groups of 16
 columns from each group's first nonzero row: the batch holds its output
 and a group's two temporaries, and the residuals hold a few group-sized
@@ -115,6 +121,42 @@ def test_residuals_hold_no_factor_sized_array(model, field):
 def test_invariance_check_holds_about_two_factors(model):
     peak = _peak_in_factors(model, lambda: invariance_check(model, count=1000, seed=0))
     assert peak <= 2.5
+
+
+GRAM_M, GRAM_NODES = 4096, 32  # one factor 2 MiB, one kernel block 1 MiB
+
+
+def _beyond_one_factor_and_a_block(m: int) -> int:
+    """One (GRAM_M, m) factor, one 1 MiB kernel block and 16 m x m complex
+    matrices (the Grams, P = W* W and the distance's products)."""
+    return GRAM_M * m * 16 + 2**20 + 16 * m * m * 16
+
+
+@pytest.fixture(scope="module")
+def gram_field():
+    return corrected_field(CircleMeasure.uniform(bins=1024), GRAM_NODES, GRAM_M)
+
+
+def test_build_model_holds_one_factor_and_a_block_beyond_its_field(gram_field):
+    # the Gram reads the factor's float view: no conjugate copy of it,
+    # which made 2.54 factors here
+    peak = _peak_bytes(lambda: build_model(gram_field))
+    assert peak <= _beyond_one_factor_and_a_block(GRAM_NODES)
+
+
+def test_invariance_check_holds_T_A_and_a_block_beyond_its_model(gram_field):
+    # T A, one 1 MiB block of the transport or of the blocked residual,
+    # and m x m matrices: no conjugate copy, no factor-sized residual and
+    # one block temporary in apply_T_array, where 2.30 factors were held
+    model = build_model(gram_field)
+    peak = _peak_bytes(lambda: invariance_check(model, count=10_000, seed=0))
+    assert peak <= _beyond_one_factor_and_a_block(GRAM_NODES)
+
+
+def test_apply_T_array_holds_its_output_and_one_block():
+    X = np.ones((GRAM_M, GRAM_NODES), dtype=complex)
+    apply_T_array(X)  # the phases of the grid are cached on first use
+    assert _peak_bytes(lambda: apply_T_array(X)) <= X.nbytes + 2**20 + 2**18
 
 
 def test_coefficient_rows_hold_no_factor_sized_array(model):

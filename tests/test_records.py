@@ -103,8 +103,8 @@ RECORDS = {
          "analytic_variance", "samples", "seed", "passed"}),
     "InvarianceReport": (
         lambda: invariance_check(_model(), count=256, seed=1),
-        {"check", "cov_distance", "intertwine", "budget", "samples", "seed",
-         "passed"}),
+        {"check", "cov_distance", "exact_distance", "intertwine", "budget",
+         "samples", "seed", "passed"}),
     "CoefficientEstimate": (
         lambda: matrix_coefficient_mc(_model(), random_functional(1, 64), 2,
                                       256, seed=1),

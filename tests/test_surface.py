@@ -20,9 +20,9 @@ method is passed somewhere in src/hyperlab or tests/test_acceptance.py, by
 keyword or by position past the required ones, at a call of the def's
 name or of a name bound to it; a knob only the tests set is a constant.
 
-The thread rule: no module of src/hyperlab imports threading, so a thread
-comes only from a concurrent.futures pool, whose result() re-raises the
-worker's error and whose exit waits for it.
+The thread rule: no module of src/hyperlab imports threading or
+concurrent.futures, so the package starts no thread; parallel work
+belongs to BLAS, inside one product.
 """
 
 import ast
@@ -268,8 +268,12 @@ def test_only_the_kind_table_compares_a_system_kind():
     assert kind_comparisons() == []
 
 
+THREAD_MODULES = ("threading", "concurrent")
+
+
 def threading_imports() -> list:
-    """file:line of every import of threading in a src/hyperlab module."""
+    """file:line of every import of threading or concurrent.futures (any
+    concurrent module) in a src/hyperlab module."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -279,12 +283,12 @@ def threading_imports() -> list:
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "threading" for name in names):
+            if any(name.split(".")[0] in THREAD_MODULES for name in names):
                 out.append(f"{path.name}:{node.lineno}")
     return out
 
 
 def test_no_module_imports_threading():
-    # a hand-rolled thread runner would be a second home of the helper
-    # thread that gauss_model._gram takes from concurrent.futures
+    # the Gram products run on the calling thread; BLAS, not the package,
+    # spreads a product over cores
     assert threading_imports() == []

@@ -1,24 +1,17 @@
-"""The helper thread of gauss_model, the one worker of a
-concurrent.futures pool in _gram, runs one private kernel and nothing
-else: the second row half of its Gram products.  Every public hyperlab
-function of a run is called from the calling thread, every draw is
-filled there, the artifacts equal those of a pool that runs its work
-inline, and an error in the helper's half reaches the caller of the
-Gram product."""
+"""hyperlab starts no thread of its own (tests/test_surface.py bans the
+thread modules from src/hyperlab): every public hyperlab function of a
+run is called from the calling thread, and every draw is filled there.
+BLAS may run its own threads inside a product; no Python code runs on
+them."""
 
-import concurrent.futures
 import functools
 import inspect
 import sys
 import threading
 from pathlib import Path
 
-import numpy as np
-import pytest
-
-from hyperlab import gauss_model, runner, seeding
+from hyperlab import runner, seeding
 from hyperlab.config import config_from_dict
-from hyperlab.kalish import _BLOCK_ELEMENTS
 
 CONFIG = {
     "schema": "experiment-config/1",
@@ -34,21 +27,8 @@ CONFIG = {
 }
 
 
-# factor and transported factor are each at least one kernel block, so
-# their Gram products are formed in two row halves; the 16 x 16 Bartlett
-# factor of the draw is below one block, so its Gram is formed in one pass
-SPLIT_CONFIG = {
-    "schema": "experiment-config/1",
-    "seed": 5,
-    "grid": 4096,
-    "probes": [{"probe": "invariance", "nodes": 16, "samples": 5000}],
-}
-
-
-def _run(out: Path, config: dict = CONFIG) -> dict:
-    assert runner.run(config_from_dict(config), out) in (0, 1)
-    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
-            if p.is_file() and p.name != "run-meta.json"}
+def _run(out: Path) -> None:
+    assert runner.run(config_from_dict(CONFIG), out) in (0, 1)
 
 
 def _record_threads(monkeypatch, calls: list) -> None:
@@ -99,61 +79,3 @@ def test_public_functions_run_on_the_calling_thread(tmp_path, monkeypatch):
     # draws (the real control's draws are real normals, not fills)
     assert len(fills) == 7 + 3 + 2 * 3
     assert [t for t in fills if t != me] == []
-
-
-def test_gram_halves_keep_public_calls_on_the_calling_thread(tmp_path, monkeypatch):
-    calls, helper_rows = [], []
-    rows, me = gauss_model._gram_rows, threading.get_ident()
-
-    def recorded_rows(*args):
-        if threading.get_ident() != me:
-            helper_rows.append(args[2])
-        rows(*args)
-
-    monkeypatch.setattr(gauss_model, "_gram_rows", recorded_rows)
-    _record_threads(monkeypatch, calls)
-    _run(tmp_path, SPLIT_CONFIG)
-    assert "hyperlab.gauss_model.invariance_check" in {name for name, _ in calls}
-    assert [c for c in calls if c[1] != me] == []
-    # build_model's A* A and the check's (TA)* [TA, A]; its L L* is below
-    # one kernel block
-    assert len(helper_rows) == 2
-
-
-class _InlinePool:
-    """A stand-in for ThreadPoolExecutor whose submit runs the call at
-    once, on the calling thread."""
-
-    def __init__(self, *args):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        done = concurrent.futures.Future()
-        done.set_result(fn(*args))
-        return done
-
-
-def test_artifacts_equal_those_of_an_inline_helper(tmp_path, monkeypatch):
-    threaded = _run(tmp_path / "threaded", SPLIT_CONFIG)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlinePool)
-    assert _run(tmp_path / "inline", SPLIT_CONFIG) == threaded
-
-
-def test_an_error_in_the_helper_gram_half_reaches_the_caller(monkeypatch):
-    rows, me = gauss_model._gram_rows, threading.get_ident()
-
-    def failing_off_thread(*args):
-        if threading.get_ident() != me:
-            raise FloatingPointError("helper half failed")
-        rows(*args)
-
-    monkeypatch.setattr(gauss_model, "_gram_rows", failing_off_thread)
-    X = np.ones((_BLOCK_ELEMENTS // 8, 8), dtype=complex)  # one block: two halves
-    with pytest.raises(FloatingPointError, match="helper half failed"):
-        gauss_model._gram(X, X)
