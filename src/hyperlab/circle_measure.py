@@ -369,6 +369,11 @@ def normalized_chaos(rho: CircleMeasure, tail_tol: float = 1e-12) -> CircleMeasu
 
 # -- decay and rigidity probes ---------------------------------------
 
+# The probes' pass gates; each report prints the one it applied.
+_EPSILON = 0.1  # Rajchman and Dirichlet
+_DELTA = 0.1  # mild mixing
+
+
 @dataclass(frozen=True)
 class RajchmanReport:
     tail_sup: float
@@ -421,23 +426,21 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def rajchman_probe(rho: CircleMeasure, n_max: int = 64,
-                   epsilon: float = 0.1) -> RajchmanReport:
+def rajchman_probe(rho: CircleMeasure, n_max: int = 64) -> RajchmanReport:
     """Coefficient-decay proxy: sup of |rho_hat(n)| over the upper half
     of the scan window [1, n_max]; passes when the sup stays below
-    epsilon.  A one-sided finite-window stand-in for rho_hat(n) -> 0."""
+    _EPSILON.  A one-sided finite-window stand-in for rho_hat(n) -> 0."""
     _require_probability(rho)
     lo, hi = _coefficient_window(n_max)
     tail_sup = np.max(_modulus(fourier_band(rho, hi)[hi + lo:]))
-    return RajchmanReport(tail_sup=float(tail_sup), passed=bool(tail_sup < epsilon),
-                          window=(lo, hi), epsilon=epsilon)
+    return RajchmanReport(tail_sup=float(tail_sup), passed=bool(tail_sup < _EPSILON),
+                          window=(lo, hi), epsilon=_EPSILON)
 
 
-def dirichlet_probe(rho: CircleMeasure, n_max: int = 64,
-                    epsilon: float = 0.1) -> DirichletReport:
+def dirichlet_probe(rho: CircleMeasure, n_max: int = 64) -> DirichletReport:
     """Rigidity proxy: largest coefficient modulus attained over the upper
     half of the window, with its witnessing order (largest order wins a
-    tie).  Passes when that value exceeds 1 - epsilon, evidence that the
+    tie).  Passes when that value exceeds 1 - _EPSILON, evidence that the
     coefficients return to modulus one along a subsequence."""
     _require_probability(rho)
     lo, hi = _coefficient_window(n_max)
@@ -445,8 +448,8 @@ def dirichlet_probe(rho: CircleMeasure, n_max: int = 64,
     best_value = np.max(values)
     best_n = lo + np.flatnonzero(values >= best_value - 1e-12)[-1]
     return DirichletReport(best_n=int(best_n), best_value=float(best_value),
-                           passed=bool(best_value > 1.0 - epsilon),
-                           window=(lo, hi), epsilon=epsilon)
+                           passed=bool(best_value > 1.0 - _EPSILON),
+                           window=(lo, hi), epsilon=_EPSILON)
 
 
 def _restrict_to_bins(rho: CircleMeasure, mask: np.ndarray) -> Optional[CircleMeasure]:
@@ -466,13 +469,13 @@ def _restrict_to_bins(rho: CircleMeasure, mask: np.ndarray) -> Optional[CircleMe
 
 
 def mild_mixing_probe(rho: CircleMeasure, family_size: int = 16, n_max: int = 64,
-                      delta: float = 0.1, seed: int = 0) -> MildMixingReport:
+                      seed: int = 0) -> MildMixingReport:
     """Worst coefficient-return over a family of normalized restrictions
     of rho: one per atom (an atom's restriction is a point mass, whose
     coefficients sit on the unit circle at every order, so atoms force a
     failure) and family_size seeded restrictions to random unions of
     grid cells.  Passes when every member keeps its windowed sup of
-    |theta_hat(n)| below 1 - delta."""
+    |theta_hat(n)| below 1 - _DELTA."""
     _require_probability(rho)
     lo, hi = _coefficient_window(n_max)
     family = []
@@ -491,6 +494,6 @@ def mild_mixing_probe(rho: CircleMeasure, family_size: int = 16, n_max: int = 64
     best = int(np.argmax(sups))
     worst, witness = sups[best], family[best][0]
     return MildMixingReport(worst_limsup=float(worst),
-                            passed=bool(worst < 1.0 - delta),
+                            passed=bool(worst < 1.0 - _DELTA),
                             witness=witness, family_size=len(family),
-                            window=(lo, hi), delta=delta, seed=seed)
+                            window=(lo, hi), delta=_DELTA, seed=seed)

@@ -393,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     field(p, "--band", "fourier")
     p = sub(measure, "classify", probe="measure-classify")
     p.add_argument("measure")
-    for flag in ("--band", "--epsilon", "--delta", "--family-size"):
+    for flag in ("--band", "--family-size"):
         field(p, flag, "measure-classify")
 
     kal = top.add_parser("kalish", parents=[shared]).add_subparsers(
@@ -421,7 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--count", type=int, default=8)
         if name == "invariance":
             field(p, "--samples", name)
-            field(p, "--tolerance", name)
             field(p, "--transport-scale", name,
                   help="!= 1 runs the non-unimodular negative control")
         if name == "coeff":
@@ -447,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub(labp, "classify", probe="classification")
     p.add_argument("--systems", default=argparse.SUPPRESS,
                    help="JSON file with a list of system specs")
-    for flag in ("--window", "--samples", "--gap-bound"):
+    for flag in ("--window", "--samples"):
         field(p, flag, "classification")
 
     p = sub(top, "run", _cmd_run, help="execute an experiment config")

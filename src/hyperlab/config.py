@@ -13,8 +13,14 @@ Each field takes the JSON form of its default, checked through jsonio's
 one form table: an int default an integer >= 0, a float default a finite
 number (never a bool), a str default a nonempty string, a list default a
 nonempty list of its element's form; a _Slot default names its form.
-Range rules come on top: a measure's masses are nonnegative and an inline
-doc reads as a circle-measure/1 document, both at parse time.
+Range rules come on top, all at parse time: a measure's masses are
+nonnegative, an inline doc reads as a circle-measure/1 document, a Gauss
+probe's nodes are >= 1 and its grid >= 8, and residual angles lie in
+(0, 2pi).
+
+A field is a size, an input, a control or a seed, never a pass/fail
+threshold: each gate is a constant of the code that applies it, and the
+report prints the one it used.
 """
 
 from __future__ import annotations
@@ -69,32 +75,28 @@ _MEASURE_FIELDS = {
     "inline": {"doc": _Slot("object")},
 }
 
-# Every probe's fields and defaults, also those of the CLI flags that mirror them.
+# Every probe's fields and defaults, also those of the CLI flags that mirror
+# them; no field is a pass/fail gate, which only the code that applies it holds.
 PROBE_FIELDS = {
-    "convolve": {"left": _REQUIRED_STRING, "right": _REQUIRED_STRING,
-                 "band": 64, "tolerance": 5e-3},
-    "exp": {"measure": _REQUIRED_STRING, "band": 64,
-            "tail_tol": 1e-12, "tolerance": 1e-5},
+    "convolve": {"left": _REQUIRED_STRING, "right": _REQUIRED_STRING, "band": 64},
+    "exp": {"measure": _REQUIRED_STRING, "band": 64, "tail_tol": 1e-12},
     "fourier": {"measure": _REQUIRED_STRING, "band": 8},
-    "measure-classify": {"measure": _REQUIRED_STRING, "band": 64, "epsilon": 0.1,
-                         "delta": 0.1, "family_size": 16,
+    "measure-classify": {"measure": _REQUIRED_STRING, "band": 64, "family_size": 16,
                          "seed": _DERIVED_SEED},
     "residual": {"angles": [2.0 * math.pi / 3.0, math.pi, 2.0 * math.pi * 0.811],
-                 "grids": [1024, 2048, 4096],
-                 "ratio_bound": 0.75, "t1_factor": 50.0},
+                 "grids": [1024, 2048, 4096]},
     "invariance": {"measure": _SIGMA_DEFAULT, "nodes": 8, "grid": _CONFIG_GRID,
-                   "samples": 10_000, "tolerance": 0.05,
-                   "transport_scale": 1.0, "seed": _DERIVED_SEED},
+                   "samples": 10_000, "transport_scale": 1.0, "seed": _DERIVED_SEED},
     "symmetry": {"measure": _SIGMA_DEFAULT, "nodes": 8, "grid": _CONFIG_GRID,
                  "samples": 4096, "functionals": 10,
                  "sampler": "symmetric", "seed": _DERIVED_SEED},
     "coeff": {"measure": _SIGMA_DEFAULT, "nodes": 8, "grid": _CONFIG_GRID,
               "samples": 10_000, "functionals": 3, "max_power": 8,
-              "rel_tol": 0.05, "seed": _DERIVED_SEED},
+              "seed": _DERIVED_SEED},
     "ubd": {"window": 10_000, "delta": 0.3, "count": 25, "min_len": 16,
             "seed": _DERIVED_SEED},
     "orbit": {"system": _REQUIRED_STRING, "steps": 512, "seed": _DERIVED_SEED},
-    "classification": {"window": 1000, "samples": 10_000, "gap_bound": 64},
+    "classification": {"window": 1000, "samples": 10_000},
 }
 
 
@@ -217,11 +219,13 @@ def _validate_probe(index: int, raw, context: dict) -> dict:
     if kind == "residual":
         if not all(g >= 8 for g in probe["grids"]):
             _fail(f"{path}.grids", "grid sizes must be >= 8")
-        if not all(a > 0 for a in probe["angles"]):
-            _fail(f"{path}.angles", "angles must be positive")
-    for key in ("window", "samples", "functionals", "count", "family_size"):
+        if not all(0.0 < a < 2.0 * math.pi for a in probe["angles"]):
+            _fail(f"{path}.angles", "angles must lie in (0, 2pi)")
+    for key in ("window", "samples", "functionals", "count", "family_size", "nodes"):
         if key in probe and probe[key] < 1:
             _fail(f"{path}.{key}", "must be >= 1")
+    if "grid" in probe and probe["grid"] < 8:  # the Gauss probes' grid T
+        _fail(f"{path}.grid", f"must be >= 8, got {probe['grid']}")
     if kind == "measure-classify" and probe["band"] < 2:
         _fail(f"{path}.band", "must be >= 2")  # the probes' n_max >= 2 rule
     if kind == "symmetry" and probe["samples"] < 2:

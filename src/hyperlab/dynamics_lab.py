@@ -906,15 +906,15 @@ def _reference_visits(traj: OrbitRows):
     return radius, WindowedSet.from_mask(traj.rows[reference] < radius)
 
 
-def syndetic_gap_probe(traj: OrbitRows, reference, seed: int,
-                       gap_bound: int = 64) -> ProbeOutcome:
+def syndetic_gap_probe(traj: OrbitRows, reference, seed: int) -> ProbeOutcome:
     """Exact window combinatorics: visit gaps of the reference ball
-    (_reference_visits) along the orbit.  The verdict is about this window
-    only, but the gap numbers themselves are exact."""
+    (_reference_visits) along the orbit, syndetic when no gap exceeds 64.
+    The verdict is about this window only, but the gap numbers themselves
+    are exact."""
     if reference is None:
         return _static_orbit("syndetic", "exact", traj, seed)
     radius, hits = reference
-    gap = max_gap(hits)
+    gap, gap_bound = max_gap(hits), 64
     return ProbeOutcome(
         probe="syndetic",
         verdict="yes" if gap <= gap_bound else "no",
@@ -1081,8 +1081,7 @@ def implication_flags(outcomes: dict, linear: bool) -> list:
 
 
 def classify_system(spec: SystemSpec, window: int = 1000, seed: int = 0,
-                    mc_samples: int = 10_000,
-                    gap_bound: int = 64) -> ClassificationRow:
+                    mc_samples: int = 10_000) -> ClassificationRow:
     """Run all six probes over one shared orbit, streamed from the kind's
     rows hook (probe_orbit), and flag implication violations within the
     grade rules."""
@@ -1094,8 +1093,7 @@ def classify_system(spec: SystemSpec, window: int = 1000, seed: int = 0,
         "chaotic": periodic_return_probe(traj, seed=seed),
         "m_system": m_system_probe(spec, seed=seed),
         "e_system": e_system_probe(traj, seed=seed, mc_samples=mc_samples),
-        "syndetic": syndetic_gap_probe(traj, reference, seed=seed,
-                                       gap_bound=gap_bound),
+        "syndetic": syndetic_gap_probe(traj, reference, seed=seed),
         "weak_mixing": weak_mixing_probe(traj, seed=seed),
         "ufh": ufh_probe(traj, reference, seed=seed),
     }
@@ -1116,11 +1114,9 @@ def default_battery(window: int = 1000) -> list:
 
 
 def classification_run(systems: Sequence[SystemSpec], window: int = 1000,
-                       seed: int = 0, mc_samples: int = 10_000,
-                       gap_bound: int = 64) -> ClassificationReport:
+                       seed: int = 0, mc_samples: int = 10_000) -> ClassificationReport:
     rows = tuple(
-        classify_system(spec, window=window, seed=seed,
-                        mc_samples=mc_samples, gap_bound=gap_bound)
+        classify_system(spec, window=window, seed=seed, mc_samples=mc_samples)
         for spec in systems
     )
     return ClassificationReport(rows=rows, seed=seed, window=window)

@@ -519,13 +519,12 @@ class InvarianceReport:
 
 
 def invariance_check(model: GaussModel, transport: Transport = None,
-                     count: int = 10_000, seed: int = 0,
-                     statistical_tolerance: float = 0.05) -> InvarianceReport:
+                     count: int = 10_000, seed: int = 0) -> InvarianceReport:
     """Pushforward-invariance of the Gaussian law: the empirical
     covariance of {T x_s} must match R.  The distance is computed
     exactly in Gram form; the pass budget is the statistical tolerance
-    plus the intertwining residual of the model's grid T (the part of the
-    distance the discretization owes, not the sampler).  The report's
+    0.05 plus the intertwining residual of the model's grid T (the part of
+    the distance the discretization owes, not the sampler).  The report's
     intertwine is the transport's own, which never widens the budget that
     judges it; for the grid T (transport None) T A is formed once for both.
     The Gram P = W* W of W = [T A, A] is formed by blocks, reusing the
@@ -557,7 +556,7 @@ def invariance_check(model: GaussModel, transport: Transport = None,
     # J = diag(I, -I): tr((J P)^2) = sum_ij j_i j_j |P_ij|^2, the B* A blocks negative
     exact_sq = np.linalg.norm(P) ** 2 - 4 * np.linalg.norm(P[:m, m:]) ** 2
     grid_debt = intertwine if transport is None else intertwine_residual(model)
-    budget = statistical_tolerance + grid_debt
+    budget = 0.05 + grid_debt  # the statistical tolerance, then the grid's debt
     return InvarianceReport(
         cov_distance=cov_distance,
         exact_distance=float(np.sqrt(max(exact_sq, 0.0)) / r_norm),

@@ -2,8 +2,13 @@
 
 Layout under the output directory: reports/ (JSON, schema-tagged),
 tables/ (CSV), plotdata/ (whitespace-delimited columns), each file named
-<probe>-<target>-<seed>.  All artifact bytes are a pure function of the
-config; wall-clock metadata lives only in the run-meta.json sidecar.
+<probe>-<target>-<seed>; a stem already in use takes the first free
+suffix -k, k counting up from the number of stems written.  All artifact
+bytes are a pure function of the config; wall-clock metadata lives only
+in the run-meta.json sidecar.  Each executor's pass/fail gate is a
+constant of its own (of the library check it calls, for measure-classify,
+invariance and classification) and its report prints it; no config
+field sets one.
 run is execute_probes, probe_report per result and run_status; the CLI's
 one-probe runs call the same three, so a twin command prints the bytes
 of reports/<stem>.json.
@@ -119,17 +124,17 @@ def _band(mu: cm.CircleMeasure, n_max: int) -> list:
 
 
 def _band_check(probe: str, target: str, got: cm.CircleMeasure, want: list,
-                p: dict, names: tuple, **detail) -> ProbeResult:
+                band: int, tolerance: float, names: tuple, **detail) -> ProbeResult:
     """The one check of the convolve and exp probes: got's Fourier band
-    against the oracle coefficients want, for n = -band..band."""
-    band = p["band"]
+    against the oracle coefficients want, for n = -band..band, each within
+    the caller's tolerance."""
     rows = [(n, g.real, g.imag, w.real, w.imag, abs(g - w))
             for n, g, w in zip(range(-band, band + 1), _band(got, band), want)]
     worst = max(0.0, *(r[5] for r in rows))
-    detail.update(max_error=worst, tolerance=p["tolerance"], band=band,
+    detail.update(max_error=worst, tolerance=tolerance, band=band,
                   result_mass=cm.total_mass(got))
     return ProbeResult(
-        probe=probe, target=target, passed=worst <= p["tolerance"],
+        probe=probe, target=target, passed=worst <= tolerance,
         grade="exact", detail=detail,
         table=csv_text(["n", *(f"{k}_{part}" for k in names for part in ("re", "im")),
                         "abs_error"], rows),
@@ -140,16 +145,17 @@ def _run_convolve(ctx: _RunContext, p: dict) -> ProbeResult:
     mu, nu = ctx.measure(p["left"]), ctx.measure(p["right"])
     conv = cm.convolve(mu, nu)
     want = [a * b for a, b in zip(_band(mu, p["band"]), _band(nu, p["band"]))]
-    return _band_check("convolve", f"{p['left']}x{p['right']}", conv, want, p,
-                       ("conv", "product"), result_atoms=conv.atom_count)
+    return _band_check("convolve", f"{p['left']}x{p['right']}", conv, want,
+                       p["band"], 5e-3, ("conv", "product"),
+                       result_atoms=conv.atom_count)
 
 
 def _run_exp(ctx: _RunContext, p: dict) -> ProbeResult:
     rho = ctx.measure(p["measure"])
     ex = cm.exp_measure(rho, tail_tol=p["tail_tol"])
     want = [cmath.exp(c) for c in _band(rho, p["band"])]
-    return _band_check("exp", p["measure"], ex, want, p, ("exp", "want"),
-                       tail_tol=p["tail_tol"],
+    return _band_check("exp", p["measure"], ex, want, p["band"], 1e-5,
+                       ("exp", "want"), tail_tol=p["tail_tol"],
                        order=cm.truncation_order(p["tail_tol"]))
 
 
@@ -167,10 +173,10 @@ def _run_fourier(ctx: _RunContext, p: dict) -> ProbeResult:
 
 def _run_measure_classify(ctx: _RunContext, p: dict) -> ProbeResult:
     rho, band = ctx.measure(p["measure"]), p["band"]
-    raj = cm.rajchman_probe(rho, n_max=band, epsilon=p["epsilon"])
-    diri = cm.dirichlet_probe(rho, n_max=band, epsilon=p["epsilon"])
+    raj = cm.rajchman_probe(rho, n_max=band)
+    diri = cm.dirichlet_probe(rho, n_max=band)
     mild = cm.mild_mixing_probe(rho, family_size=p["family_size"], n_max=band,
-                                delta=p["delta"], seed=p["seed"])
+                                seed=p["seed"])
     detail = {"rajchman": raj.to_dict(), "dirichlet": diri.to_dict(),
               "mild_mixing": mild.to_dict()}
     rows = [("rajchman", raj.passed, raj.tail_sup),
@@ -198,10 +204,11 @@ def _run_residual(ctx: _RunContext, p: dict) -> ProbeResult:
             r = eigen_residual(lam, M)
             rows.append((lam, M, r, r / prev if prev is not None else float("nan")))
             prev = r
-    ratios_ok = not any(row[3] > p["ratio_bound"] for row in rows)
-    t1_rows = [(M, t1_error(M), p["t1_factor"] / M) for M in p["grids"]]
+    ratio_bound = 0.75  # each refinement must shrink the residual this much
+    ratios_ok = not any(row[3] > ratio_bound for row in rows)
+    t1_rows = [(M, t1_error(M), 50.0 / M) for M in p["grids"]]
     t1_ok = all(err <= bound for _, err, bound in t1_rows)
-    detail = {"ratio_bound": p["ratio_bound"], "ratios_ok": ratios_ok,
+    detail = {"ratio_bound": ratio_bound, "ratios_ok": ratios_ok,
               "t1_ok": t1_ok,
               "t1_errors": [[int(m), e, b] for m, e, b in t1_rows],
               "residuals": [[la, int(m), r]
@@ -219,8 +226,7 @@ def _run_invariance(ctx: _RunContext, p: dict) -> ProbeResult:
     model, scale = ctx.model(p["measure"], p["nodes"], p["grid"]), p["transport_scale"]
     control = "" if scale == 1.0 else "non-unimodular-transport"
     rep = gm.invariance_check(model, scaled_transport(scale) if control else None,
-                              count=p["samples"], seed=p["seed"],
-                              statistical_tolerance=p["tolerance"])
+                              count=p["samples"], seed=p["seed"])
     detail = dict(rep.to_dict(), transport_scale=scale, nodes=p["nodes"],
                   grid=p["grid"], measure=p["measure"])
     if control:
@@ -267,6 +273,7 @@ def _run_symmetry(ctx: _RunContext, p: dict) -> ProbeResult:
 
 def _run_coeff(ctx: _RunContext, p: dict) -> ProbeResult:
     model = ctx.model(p["measure"], p["nodes"], p["grid"])
+    rel_tol = 0.05  # the relative agreement every estimate pair must reach
     rows, all_ok = [], True
     for k in range(p["functionals"]):
         xstar = random_functional(derive_seed(p["seed"], f"functional:{k}"),
@@ -275,15 +282,15 @@ def _run_coeff(ctx: _RunContext, p: dict) -> ProbeResult:
                                                 p["samples"], p["seed"],
                                                 f"mc:{k}:"):
             ref = max(abs(a), abs(mc.value), abs(sf))
-            budget = p["rel_tol"] * ref + 3.0 * mc.standard_error
+            budget = rel_tol * ref + 3.0 * mc.standard_error
             ok = (abs(mc.value - a) <= budget
-                  and abs(sf - a) <= p["rel_tol"] * ref + 1e-12
+                  and abs(sf - a) <= rel_tol * ref + 1e-12
                   and abs(mc.value - sf) <= budget)
             all_ok = all_ok and ok
             rows.append((k, n, a.real, a.imag, mc.value.real, mc.value.imag,
                          mc.standard_error, sf.real, sf.imag, ok))
     detail = {"functionals": p["functionals"], "max_power": p["max_power"],
-              "samples": p["samples"], "rel_tol": p["rel_tol"],
+              "samples": p["samples"], "rel_tol": rel_tol,
               "measure": p["measure"], "agreements": len(rows),
               "all_ok": all_ok}
     plot = [(r[1], math.hypot(r[2], r[3]), math.hypot(r[4], r[5]))
@@ -344,8 +351,7 @@ def _run_orbit(ctx: _RunContext, p: dict) -> ProbeResult:
 def _run_classification(ctx: _RunContext, p: dict) -> ProbeResult:
     report = lab.classification_run(list(ctx.systems.values()), window=p["window"],
                                     seed=ctx.config.seed,
-                                    mc_samples=p["samples"],
-                                    gap_bound=p["gap_bound"])
+                                    mc_samples=p["samples"])
     verdict_num = {"yes": 1, "no": 0, "no-evidence": -1}
     plot_rows = []
     for i, row in enumerate(report.rows):
@@ -425,9 +431,10 @@ def run(config: ExperimentConfig, out_dir=None) -> int:
     results = execute_probes(config)
     used = set()
     for res in results:
-        stem = f"{res.probe}-{_safe_name(res.target)}-{config.seed}"
-        if stem in used:
-            stem = f"{stem}-{len(used)}"
+        stem = base = f"{res.probe}-{_safe_name(res.target)}-{config.seed}"
+        suffix = len(used)
+        while stem in used:  # a suffixed stem may be another probe's own
+            stem, suffix = f"{base}-{suffix}", suffix + 1
         used.add(stem)
         write_json(root / "reports" / f"{stem}.json", probe_report(res, config.seed))
         if res.table:

@@ -4,6 +4,9 @@ Small-bin measures keep hypothesis runs fast; the acceptance tests use
 the full production sizes.
 """
 
+import gc
+import sys
+
 import numpy as np
 
 from hyperlab import CircleMeasure, fourier_band
@@ -26,6 +29,29 @@ def measures_close(mu: CircleMeasure, nu: CircleMeasure, tol: float) -> bool:
         if abs(x - y) > 1e-9 or abs(mx - my) > tol:
             return False
     return True
+
+
+def line_events(call) -> int:
+    """The line events sys.settrace sees while call() runs, in every
+    Python frame it enters: a size-independent count means no Python
+    loop over the size.  The cyclic collector is off meanwhile, so no
+    finalizer of another test's garbage runs inside the count."""
+    events, before, collecting = 0, sys.gettrace(), gc.isenabled()
+
+    def tracer(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return tracer
+
+    gc.disable()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(before)
+        if collecting:
+            gc.enable()
+    return events
 
 
 # -- the definition T = M - J, an oracle independent of hyperlab.kalish ------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coeff_row, measures_close
+from conftest import coeff_row, line_events, measures_close
 from hyperlab import (
     BinMismatchError,
     CircleMeasure,
@@ -269,6 +269,34 @@ def test_family_bands_rows_match_single_bands():
     assert rows.shape == (len(family), 2 * (bins // 8) + 1)
     for row, mu in zip(rows, family):
         assert np.max(np.abs(row - fourier_band(mu, bins // 8))) <= 1e-15
+
+
+@pytest.mark.parametrize("measure, bins, ffts", [
+    (lambda bins: probability_measure(0, bins), 1024, 1),
+    (lambda bins: probability_measure(0, bins), 16384, 1),
+    (lambda bins: CircleMeasure.dirac(1.0, 1.0, bins=bins), 1024, 0),
+], ids=["mixed-1024", "mixed-16384", "dirac"])
+def test_fourier_band_costs_one_fft_per_band_with_a_density(monkeypatch, measure,
+                                                             bins, ffts):
+    # ROADMAP item 14's contract: one rfft per band, none for atoms alone
+    calls, rfft = [], np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+    fourier_band(measure(bins), bins // 8)
+    assert len(calls) == ffts
+
+
+@pytest.mark.parametrize("measure", [
+    lambda bins: CircleMeasure.uniform(bins=bins),
+    lambda bins: probability_measure(0, bins),
+], ids=["uniform", "mixed"])
+def test_fourier_band_runs_no_python_loop_over_the_bins(measure):
+    # 106 line events (uniform) and 111 (mixed) at both sizes
+    events = []
+    for bins in (1024, 16384):
+        mu = measure(bins)
+        fourier_band(mu, bins // 8)  # first calls run one-time setup lines
+        events.append(line_events(lambda: fourier_band(mu, bins // 8)))
+    assert events[1] <= events[0], events
 
 
 # -- mix / scale -------------------------------------------------------

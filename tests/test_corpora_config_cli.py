@@ -115,8 +115,9 @@ def test_minimal_config_expands_defaults():
     assert cfg.seed == 0
     assert cfg.bins == 1024
     probe = cfg.probes[0]
-    # every tolerance and window is explicit after validation
-    assert probe["tolerance"] == 1e-5
+    # every default is explicit after validation; the pass gate is no
+    # field but a constant of the runner, which the report prints
+    assert "tolerance" not in probe
     assert probe["tail_tol"] == 1e-12
     assert probe["band"] == 64
     assert cfg.measures["rho"]["bins"] == 1024
@@ -363,6 +364,50 @@ def test_runner_config_exits_0_with_schema_tagged_reports(tmp_path, probes):
         assert report["passed"] is True and report["detail"]
 
 
+def test_runner_gives_every_probe_its_own_artifacts(tmp_path):
+    # the third probe's suffixed stem fourier-rho-2-2 is the second
+    # probe's own stem, so it moves on to fourier-rho-2-3
+    doc = {"schema": "experiment-config/1", "seed": 2,
+           "measures": {"rho": {"kind": "uniform"},
+                        "rho-2": {"kind": "dirac", "angle": 1.0}},
+           "probes": [{"probe": "fourier", "measure": m} for m in ("rho", "rho-2", "rho")]}
+    _, out = _run_config(tmp_path, doc)
+    targets = {p.stem: read_json(p)["target"] for p in (out / "reports").glob("fourier-*")}
+    assert targets == {"fourier-rho-2": "rho", "fourier-rho-2-2": "rho-2",
+                       "fourier-rho-2-3": "rho"}
+    for sub in ("tables", "plotdata"):
+        assert sorted(p.stem for p in (out / sub).iterdir()) == sorted(targets), sub
+
+
+def test_every_report_prints_the_gate_it_applied(tmp_path):
+    doc = {"schema": "experiment-config/1", "seed": 0, "grid": 256,
+           "measures": {"u": {"kind": "uniform"}},
+           "systems": [{"kind": "torus_rotation", "angles": [0.9], "name": "t"}],
+           "probes": [
+               {"probe": "convolve", "left": "u", "right": "u"},
+               {"probe": "exp", "measure": "u"},
+               {"probe": "residual", "grids": [64, 128]},
+               {"probe": "coeff", "samples": 500, "functionals": 1, "max_power": 2},
+               {"probe": "measure-classify", "measure": "u"},
+               {"probe": "invariance", "samples": 500},
+               {"probe": "classification", "window": 100, "samples": 500}]}
+    _, out = _run_config(tmp_path, doc)
+    detail = {r["probe"]: r["detail"] for r in map(read_json, (out / "reports").glob("*"))
+              if r["schema"] == "probe-report/1"}
+    assert detail["convolve"]["tolerance"] == 5e-3
+    assert detail["exp"]["tolerance"] == 1e-5
+    assert detail["residual"]["ratio_bound"] == 0.75
+    assert [b for _, _, b in detail["residual"]["t1_errors"]] == [50 / 64, 50 / 128]
+    assert detail["coeff"]["rel_tol"] == 0.05
+    classify = detail["measure-classify"]
+    assert classify["rajchman"]["epsilon"] == classify["dirichlet"]["epsilon"] == 0.1
+    assert classify["mild_mixing"]["delta"] == 0.1
+    (row,) = detail["classification"]["rows"]
+    assert row["outcomes"]["syndetic"]["evidence"]["gap_bound"] == 64
+    invariance = detail["invariance"]  # the honest check: the grid T
+    assert invariance["budget"] == 0.05 + invariance["intertwine"]
+
+
 def test_orbit_probe_hit_count_survives_a_round_off_nudge(tmp_path, monkeypatch):
     # the kalish orbit's start distances tie with the quantile radius at
     # round-off; the shrunk radius keeps every hit count under a nudge
@@ -398,6 +443,23 @@ def test_config_residual_grids_below_8_rejected_with_dotted_path():
         parse_config(json.dumps(doc))
 
 
+@pytest.mark.parametrize("probe, key", [
+    ("convolve", "tolerance"), ("exp", "tolerance"),
+    ("measure-classify", "epsilon"), ("measure-classify", "delta"),
+    ("residual", "ratio_bound"), ("residual", "t1_factor"),
+    ("invariance", "tolerance"), ("coeff", "rel_tol"),
+    ("classification", "gap_bound"),
+])
+def test_config_pass_gate_is_no_field(probe, key):
+    # a gate a config could set could only loosen its check
+    raw = {"probe": probe, key: 1e9}
+    raw.update((k, "u") for k in ("left", "right", "measure") if k in PROBE_FIELDS[probe])
+    doc = {"measures": {"u": {"kind": "uniform"}}, "probes": [raw]}
+    with pytest.raises(ConfigError, match="^" + re.escape(
+            f"probes[0]: unknown field '{key}'")):
+        config_from_dict(doc)
+
+
 def test_config_window_0_rejected_with_dotted_path():
     doc = {"schema": "experiment-config/1",
            "probes": [{"probe": "classification", "window": 0}]}
@@ -410,6 +472,7 @@ def test_config_window_0_rejected_with_dotted_path():
     ("classification", "samples"), ("coeff", "samples"),
     ("symmetry", "functionals"), ("coeff", "functionals"), ("ubd", "count"),
     ("measure-classify", "family_size"),
+    ("invariance", "nodes"), ("symmetry", "nodes"), ("coeff", "nodes"),
 ])
 def test_config_zero_size_probe_rejected_with_dotted_path(probe, key):
     raw = {"probe": probe, key: 0}
@@ -450,6 +513,18 @@ def test_config_zero_size_probe_rejected_with_dotted_path(probe, key):
      "probes[0].transport_scale: must be > 0, got -1.25"),
     ({"probes": [{"probe": "invariance", "transport_scale": 0.0}]},
      "probes[0].transport_scale: must be > 0, got 0.0"),
+    # a grid T needs 8 points, also the one a Gauss probe inherits
+    ({"probes": [{"probe": "invariance", "grid": 4}]}, "probes[0].grid: must be >= 8, got 4"),
+    ({"probes": [{"probe": "symmetry", "grid": 4}]}, "probes[0].grid: must be >= 8, got 4"),
+    ({"probes": [{"probe": "coeff", "grid": 4}]}, "probes[0].grid: must be >= 8, got 4"),
+    ({"grid": 4, "probes": [{"probe": "invariance"}]}, "probes[0].grid: must be >= 8, got 4"),
+    # an eigen residual's angle lies on the circle [0, 2pi), and 0 gives no residual
+    ({"probes": [{"probe": "residual", "angles": [1.0, 7.0]}]},
+     "probes[0].angles: angles must lie in (0, 2pi)"),
+    ({"probes": [{"probe": "residual", "angles": [1.0, 2.0 * np.pi]}]},
+     "probes[0].angles: angles must lie in (0, 2pi)"),
+    ({"probes": [{"probe": "residual", "angles": [0.0]}]},
+     "probes[0].angles: angles must lie in (0, 2pi)"),
 ])
 def test_config_ill_formed_field_is_a_config_error_naming_it(doc, message):
     with pytest.raises(ConfigError, match="^" + re.escape(message)):
@@ -612,6 +687,19 @@ def test_cli_lab_classify_systems_file_gets_the_config_checks(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "classify", "uniform", "--epsilon", "1.0"],
+    ["measure", "classify", "uniform", "--delta", "1.0"],
+    ["gauss", "invariance", "--tolerance", "1e9"],
+    ["lab", "classify", "--gap-bound", "1000000"],
+])
+def test_cli_pass_gate_is_no_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_gauss_invariance_control_exit(capsys):

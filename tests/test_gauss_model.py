@@ -7,12 +7,12 @@ Carlo estimates against analytic values within standard-error bars.
 
 import json
 import re
-import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import line_events
 from hyperlab import (
     CircleFunction,
     CircleMeasure,
@@ -233,24 +233,6 @@ def test_quantize_keeps_the_loops_rounding_ties_through_the_snap():
     assert np.array_equal(field.weights, np.bincount(slot, weights=masses))
 
 
-def _line_events(call) -> int:
-    """The line events sys.settrace sees while call() runs, in every
-    Python frame it enters."""
-    events, before = 0, sys.gettrace()
-
-    def tracer(frame, event, arg):
-        nonlocal events
-        events += event == "line"
-        return tracer
-
-    sys.settrace(tracer)
-    try:
-        call()
-    finally:
-        sys.settrace(before)
-    return events
-
-
 @pytest.mark.parametrize("measure", [
     lambda bins: CircleMeasure.uniform(bins=bins),
     lambda bins: probability_measure(seed=0, bins=bins),
@@ -262,7 +244,7 @@ def test_quantize_runs_the_same_python_lines_at_every_size(measure):
     for bins, m in [(1024, 8), (16384, 8), (16384, 2048)]:
         sigma = measure(bins)
         quantize(sigma, m)  # first calls run one-time setup lines
-        events.append(_line_events(lambda: quantize(sigma, m)))
+        events.append(line_events(lambda: quantize(sigma, m)))
     assert events[0] == events[1] == events[2], events
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import line_events
 from hyperlab import (
     WindowedSet,
     density_ladder,
@@ -20,6 +21,7 @@ from hyperlab import (
     upper_banach_density,
     upper_density,
 )
+from hyperlab.corpora import scaffold_set
 
 
 @st.composite
@@ -309,3 +311,43 @@ def test_ubd_concentrated_block():
     assert upper_banach_density(L, 8) == 1.0
     assert upper_banach_density(L, 16) == pytest.approx(0.5)
     assert upper_density(L) < 0.3
+
+
+# -- cost contracts (ROADMAP item 14) ------------------------------------
+
+def _dinkelbach_rounds(monkeypatch, L, min_len) -> int:
+    """The rounds of upper_banach_density's parametric search: each round
+    takes one np.argmax of its gains, the certifying last round too."""
+    calls, argmax = [], np.argmax
+    monkeypatch.setattr(np, "argmax", lambda *a, **k: calls.append(1) or argmax(*a, **k))
+    upper_banach_density(L, min_len)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_ubd_rounds_stay_few_over_the_criterion_8_corpus(monkeypatch):
+    # measured at most 8 over delta 0.3 and 0.5, seeds 0-99, N = 10^4
+    rounds = [_dinkelbach_rounds(monkeypatch, scaffold_set(seed, 10_000, delta), 16)
+              for delta in (0.3, 0.5) for seed in range(100)]
+    assert max(rounds) <= 8
+
+
+@pytest.mark.parametrize("window, most", [(2000, 7), (10_000, 7), (200_000, 9)])
+def test_ubd_rounds_grow_slowly_with_the_window(monkeypatch, window, most):
+    rounds = [_dinkelbach_rounds(monkeypatch, scaffold_set(seed, window, 0.3), 16)
+              for seed in range(20)]
+    assert max(rounds) <= most
+
+
+def test_ubd_runs_no_python_loop_over_the_window(monkeypatch):
+    # 5 + 23 line events per round at both windows: no loop over N
+    per_round = {}
+    for window in (2000, 32_000):
+        per_round[window] = []
+        for seed in range(5):
+            L = scaffold_set(seed, window, 0.3)
+            upper_banach_density(L, 16)  # first calls run one-time setup lines
+            rounds = _dinkelbach_rounds(monkeypatch, L, 16)
+            events = line_events(lambda: upper_banach_density(L, 16))
+            per_round[window].append(events / rounds)
+    assert max(per_round[32_000]) <= max(per_round[2000]), per_round
