@@ -96,14 +96,8 @@ class CircleMeasure:
 
     @classmethod
     def from_parts(cls, bins: int, atoms=None, density=None) -> "CircleMeasure":
-        if atoms is None:
-            a, m = np.empty(0), np.empty(0)
-        else:
-            pairs = list(atoms)
-            if pairs:
-                a, m = _canonical_atoms([p[0] for p in pairs], [p[1] for p in pairs])
-            else:
-                a, m = np.empty(0), np.empty(0)
+        pairs = [] if atoms is None else list(atoms)
+        a, m = _canonical_atoms([p[0] for p in pairs], [p[1] for p in pairs])
         d = np.zeros(bins) if density is None else np.asarray(density, dtype=float).copy()
         return cls(bins, a, m, d)
 
@@ -280,11 +274,9 @@ def convolve(mu: CircleMeasure, nu: CircleMeasure) -> CircleMeasure:
     _same_bins(mu, nu)
     bins = mu.bins
     width = mu.bin_width
-    atoms = []
-    if mu.atom_count and nu.atom_count:
-        sums = np.mod(mu.atom_angles[:, None] + nu.atom_angles[None, :], TWO_PI).ravel()
-        prods = (mu.atom_masses[:, None] * nu.atom_masses[None, :]).ravel()
-        atoms = list(zip(sums.tolist(), prods.tolist()))
+    sums = np.mod(mu.atom_angles[:, None] + nu.atom_angles[None, :], TWO_PI).ravel()
+    prods = (mu.atom_masses[:, None] * nu.atom_masses[None, :]).ravel()
+    atoms = list(zip(sums.tolist(), prods.tolist()))
     density = np.zeros(bins)
     if mu.has_density and nu.has_density:
         raw = np.fft.ifft(np.fft.fft(mu.density) * np.fft.fft(nu.density)).real
@@ -455,11 +447,10 @@ def dirichlet_probe(rho: CircleMeasure, n_max: int = 64) -> DirichletReport:
 def _restrict_to_bins(rho: CircleMeasure, mask: np.ndarray) -> Optional[CircleMeasure]:
     """Restriction of rho to a union of grid cells, or None if negligible."""
     atoms = []
-    if rho.atom_count:
-        cells = np.minimum((rho.atom_angles / rho.bin_width).astype(int), rho.bins - 1)
-        for a, m, c in zip(rho.atom_angles, rho.atom_masses, cells):
-            if mask[c]:
-                atoms.append((a, m))
+    cells = np.minimum((rho.atom_angles / rho.bin_width).astype(int), rho.bins - 1)
+    for a, m, c in zip(rho.atom_angles, rho.atom_masses, cells):
+        if mask[c]:
+            atoms.append((a, m))
     density = np.where(mask, rho.density, 0.0)
     mass = sum(m for _, m in atoms) + rho.bin_width * density.sum()
     if mass <= 1e-12:

@@ -1,7 +1,7 @@
 """Orbit simulation, visit-time extraction, and the classification harness.
 Stored orbits and kalish's walked n_step_map take gauss_model.walk, the one
-drift-guarded walk, and are the oracles of the streamed orbit, which reads
-its guard off its norm row.
+drift-guarded walk, and are the oracles of the streamed orbit, which checks
+walk's guard on its norm row by gauss_model.drift_guard.
 
 Streaming: the battery and the runner's orbit probe (also `lab orbit`) never
 hold an (N+1, dim) orbit and take no step.  _rows is its one row source: the
@@ -19,9 +19,9 @@ row, and to each center, a row the hook gives by a call of its own, bitwise
 its row in the block.  Only the keep states are returned, the one state a
 probe reads, weak mixing's middle: a shift's and the torus's from their
 closed-form n_step_map, kalish's as A (e^{i t lam} g).  Once the rows are
-done, walk's drift guard walks the time index with the norm read from the
-norm row, so a drift raises the one NormDriftError message, naming its
-first step.
+done, gauss_model.drift_guard compares the whole norm row with walk's
+bound at once, so a drift raises the one NormDriftError message, naming
+its first step, and a row pays no Python step per state.
 The kernel holds two block-sized scratch arrays per call, as wide as its
 blocks (a shift's head, not its dimension): each block is copied into
 the first and the center subtracted there, and the kind class's norms
@@ -67,6 +67,7 @@ from .gauss_model import (
     GaussModel,
     build_model,
     corrected_field,
+    drift_guard,
     invariance_check,
     walk,
 )
@@ -604,19 +605,17 @@ def orbit_rows(spec: SystemSpec, x0: np.ndarray, n_steps: int,
                centers, keep=()) -> OrbitRows:
     """The orbit [x0, ..., T^n x0] streamed (see the module docstring): its
     norm row, its states at the keep times, and the distance row of every
-    state to the state at each center time.  walk's drift guard reads the
-    norm row once it is finished."""
+    state to the state at each center time.  drift_guard checks the norm
+    row once it is finished."""
     x0 = _as_state(spec, x0)
-    # walk checks n_steps now; the guard walks the time index, its norm
-    # read from the norm row, rows[0], once the kernel has written it
-    guard = walk(lambda t: t + 1, 0, n_steps, lambda t: rows[0, t])
+    _require(n_steps >= 0, f"a walk takes n >= 0 steps, got {n_steps}")
     for t in [*centers, *keep]:
         _require(isinstance(t, (int, np.integer)) and not isinstance(t, bool),
                  f"orbit time {t} is not an integer")
         _require(0 <= t <= n_steps, f"orbit time {t} is outside [0, {n_steps}]")
     centers = sorted(set(centers))
     rows, snapshots = _rows(spec, x0, n_steps, centers, keep)
-    deque(guard, maxlen=0)  # walks the finished norm row
+    drift_guard(rows[0])
     return OrbitRows(spec, rows[0], snapshots, dict(zip(centers, rows[1:])))
 
 

@@ -51,8 +51,9 @@ Monte-Carlo estimates.
 A transport is None (the grid T) or a callable on (M, k) arrays; the
 invariance check and the intertwining residual take one.  walk is the one
 drift-guarded walk through powers of a map: dynamics_lab walks its stored
-orbits with it, and its streamed orbit walks the time index through it
-against the finished norm row.  x*'s coordinates against T^n A are
+orbits with it.  drift_guard is walk's guard on a finished norm row, one
+vectorized comparison with walk's message; dynamics_lab's streamed orbit
+applies it to its norm row.  x*'s coordinates against T^n A are
 (2pi/M) A^T y_n for the walk y_n = (T^T)^n conj(x*) of one M-vector (the
 kalish module docstring): every coefficient routine, the one-power ones
 included, takes them from that walk, one kalish.apply_T_transpose step
@@ -115,8 +116,7 @@ class NormDriftError(RuntimeError):
 def walk(one_step: Callable, x0, n: int, norm: Callable) -> Iterator:
     """Yield x0 and then each of n steps, holding only the current state;
     raise NormDriftError at the first norm above 1e3 x max(norm(x0), 1e-12).
-    n is checked at the call, norm first called when x0 is drawn, so it
-    may read values that exist only by then (dynamics_lab.orbit_rows)."""
+    n is checked at the call."""
     if n < 0:
         raise ValueError(f"a walk takes n >= 0 steps, got {n}")
     return _walk(one_step, x0, n, norm)
@@ -129,9 +129,23 @@ def _walk(one_step, x, n, norm):
         x = one_step(x)
         size = norm(x)
         if size > guard:
-            raise NormDriftError(f"norm drift guard tripped at step {t} of {n}: "
-                                 f"{size:.3e} > {guard:.3e}")
+            raise _drift_error(t, n, size, guard)
         yield x
+
+
+def drift_guard(norm_row: np.ndarray) -> None:
+    """walk's guard on the finished norm row of x0, T x0, ..., T^n x0:
+    raise NormDriftError at the first index whose norm is above
+    1e3 x max(norm_row[0], 1e-12), in one vectorized comparison."""
+    guard = 1e3 * max(norm_row[0], 1e-12)
+    over = np.flatnonzero(norm_row > guard)
+    if over.size:
+        raise _drift_error(int(over[0]), norm_row.size - 1, norm_row[over[0]], guard)
+
+
+def _drift_error(t: int, n: int, size: float, guard: float) -> NormDriftError:
+    return NormDriftError(f"norm drift guard tripped at step {t} of {n}: "
+                          f"{size:.3e} > {guard:.3e}")
 
 
 def quantize(sigma: CircleMeasure, m: int) -> list:
@@ -285,11 +299,11 @@ def corrected_field(sigma: CircleMeasure, m: int, M: int) -> EigenField:
 
 @dataclass(frozen=True)
 class GaussModel:
-    """Factor matrix A (grid x nodes, column j = sqrt(w_j) E_j), diagonal
-    D = e^{i lambda_j}, the cached Gram A* A and the field's node data."""
+    """Factor matrix A (grid x nodes, column j = sqrt(w_j) E_j), the cached
+    Gram A* A and the field's node data: the node angles lambda_j give the
+    diagonal D = e^{i lambda_j}."""
 
     factor: np.ndarray
-    diag: np.ndarray
     gram: np.ndarray = dataclass_field(repr=False)
     angles: np.ndarray
     weights: np.ndarray
@@ -323,7 +337,7 @@ class GaussModel:
 
 
 def build_model(field: EigenField) -> GaussModel:
-    """Assemble the factor, diagonal and Gram of an admissible field: its
+    """Assemble the factor and Gram of an admissible field: its
     worst eigen residual is at most 0.05."""
     worst = float(np.max(field.residuals()))
     if not worst <= 0.05:
@@ -331,7 +345,6 @@ def build_model(field: EigenField) -> GaussModel:
     factor = field.vectors * np.sqrt(field.weights)
     return GaussModel(
         factor=factor,
-        diag=np.exp(1j * field.angles),
         gram=_gram(factor, factor)[0],
         angles=field.angles,
         weights=field.weights,
@@ -350,9 +363,10 @@ def _transported(model: GaussModel, transport: Transport) -> tuple:
         raise GridMismatchError("transport output shape does not match the factor")
     rows = _block_rows(A.shape)
     scratch = np.empty((min(rows, A.shape[0]), A.shape[1]), dtype=complex)
+    minus_diag = -np.exp(1j * model.angles)
     num_sq = 0.0
     for lo in range(0, A.shape[0], rows):
-        R = np.multiply(A[lo:lo + rows], -model.diag, out=scratch[:A.shape[0] - lo])
+        R = np.multiply(A[lo:lo + rows], minus_diag, out=scratch[:A.shape[0] - lo])
         R += TA[lo:lo + rows]
         num_sq += np.vdot(R, R).real
     return TA, float(np.sqrt(num_sq) / np.linalg.norm(A))
@@ -458,50 +472,40 @@ def symmetry_check(model: GaussModel, xstar: CircleFunction, count: int,
     real control (Re zeta, Im zeta) = _pair(Re c, Im c) from two real
     rows, the law of c . u for real coordinates u.  The Re/Im
     correlation needs at least 2 draws."""
-    return next(symmetry_checks(model, [xstar], count, [seed], sampler))
-
-
-def symmetry_checks(model: GaussModel, xstars, count: int, seeds,
-                    sampler: str = "symmetric") -> Iterator:
-    """symmetry_check of each functional of xstars under the seed at its
-    place in the sequence seeds, in order; no draw is held past its
-    functional."""
     real = sampler == "real"
-    draws = _draws("symmetry-check", seeds, (2 if real else 1, count),
-                   "real" if real else "complex")
+    Z = next(_draws("symmetry-check", [seed], (2 if real else 1, count),
+                    "real" if real else "complex"))
     if count < 2:
         raise ValueError(f"symmetry check needs count >= 2 draws, got {count}")
     if sampler not in ("symmetric", "real"):
         raise ValueError(f"unknown sampler {sampler!r}")
-    for xstar, seed in zip(xstars, seeds):
-        c = model.functional_coefficients(xstar)
-        analytic_var = float(np.sum(np.abs(c) ** 2))
-        if analytic_var <= 1e-24:
-            raise DegenerateFunctionalError("functional annihilates the model range")
-        Z = next(draws)
-        if real:
-            re, im = _pair(c.real, c.imag, Z)
-            zeta = re + 1j * im
-        else:
-            zeta = np.sqrt(analytic_var) * Z[0]
-        sq = zeta**2
-        second = complex(np.mean(sq))
-        se_second = float(np.sqrt(np.mean(np.abs(sq - second) ** 2) / count))
-        corr = float(np.corrcoef(zeta.real, zeta.imag)[0, 1])
-        corr_threshold = 3.0 / np.sqrt(count)
-        second_threshold = 3.0 * se_second
-        passed = abs(second) <= second_threshold and abs(corr) <= corr_threshold
-        yield SymmetryReport(
-            second_moment=second,
-            second_moment_threshold=second_threshold,
-            re_im_correlation=corr,
-            correlation_threshold=corr_threshold,
-            variance=float(np.mean(np.abs(zeta) ** 2)),
-            analytic_variance=analytic_var,
-            samples=count,
-            seed=seed,
-            passed=bool(passed),
-        )
+    c = model.functional_coefficients(xstar)
+    analytic_var = float(np.sum(np.abs(c) ** 2))
+    if analytic_var <= 1e-24:
+        raise DegenerateFunctionalError("functional annihilates the model range")
+    if real:
+        re, im = _pair(c.real, c.imag, Z)
+        zeta = re + 1j * im
+    else:
+        zeta = np.sqrt(analytic_var) * Z[0]
+    sq = zeta**2
+    second = complex(np.mean(sq))
+    se_second = float(np.sqrt(np.mean(np.abs(sq - second) ** 2) / count))
+    corr = float(np.corrcoef(zeta.real, zeta.imag)[0, 1])
+    corr_threshold = 3.0 / np.sqrt(count)
+    second_threshold = 3.0 * se_second
+    passed = abs(second) <= second_threshold and abs(corr) <= corr_threshold
+    return SymmetryReport(
+        second_moment=second,
+        second_moment_threshold=second_threshold,
+        re_im_correlation=corr,
+        correlation_threshold=corr_threshold,
+        variance=float(np.mean(np.abs(zeta) ** 2)),
+        analytic_variance=analytic_var,
+        samples=count,
+        seed=seed,
+        passed=bool(passed),
+    )
 
 
 @dataclass(frozen=True)

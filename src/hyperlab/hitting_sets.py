@@ -50,14 +50,6 @@ class WindowedSet:
         """The True positions of a boolean mask; the window is its length."""
         return cls(window=mask.size, elements=np.flatnonzero(mask).astype(np.int64))
 
-    @classmethod
-    def full(cls, window: int) -> "WindowedSet":
-        return cls(window=window, elements=np.arange(window, dtype=np.int64))
-
-    @classmethod
-    def empty(cls, window: int) -> "WindowedSet":
-        return cls(window=window, elements=np.empty(0, dtype=np.int64))
-
     @property
     def size(self) -> int:
         return int(self.elements.size)

@@ -245,12 +245,10 @@ def _run_invariance(ctx: _RunContext, p: dict) -> ProbeResult:
 def _run_symmetry(ctx: _RunContext, p: dict) -> ProbeResult:
     model = ctx.model(p["measure"], p["nodes"], p["grid"])
     rows, reports = [], []
-    ks = range(p["functionals"])
-    xstars = (random_functional(derive_seed(p["seed"], f"functional:{k}"), p["grid"])
-              for k in ks)
-    seeds = [derive_seed(p["seed"], f"draw:{k}") for k in ks]
-    for k, rep in enumerate(gm.symmetry_checks(model, xstars, p["samples"], seeds,
-                                               p["sampler"])):
+    for k in range(p["functionals"]):
+        xstar = random_functional(derive_seed(p["seed"], f"functional:{k}"), p["grid"])
+        rep = gm.symmetry_check(model, xstar, p["samples"],
+                                derive_seed(p["seed"], f"draw:{k}"), p["sampler"])
         reports.append(rep.to_dict())
         rows.append((k, rep.second_moment.real, rep.second_moment.imag,
                      rep.second_moment_threshold, rep.re_im_correlation,

@@ -96,6 +96,13 @@ def test_atom_near_two_pi_snaps_to_zero():
     assert mu.atoms() == [(0.0, 1.0)]
 
 
+@pytest.mark.parametrize("atoms", [None, [], zip([], [])], ids=["none", "list", "zip"])
+def test_no_atoms_give_empty_float_atom_arrays(atoms):
+    mu = CircleMeasure.from_parts(64, atoms=atoms)
+    for part in (mu.atom_angles, mu.atom_masses):
+        assert part.dtype == np.float64 and part.shape == (0,)
+
+
 def test_negative_mass_rejected():
     with pytest.raises(ValueError):
         CircleMeasure.from_parts(64, atoms=[(1.0, -0.5)])

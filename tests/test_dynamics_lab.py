@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import line_events
 from hyperlab import (
     BallSpec,
     NormDriftError,
@@ -585,9 +586,9 @@ def test_classify_system_single_row():
 
 
 def test_classify_system_simulates_one_orbit_per_row(monkeypatch):
-    # walk is the one guarded walk: each row's orbit_rows walks the time
-    # index through it once, against the norm row its rows hook gave
-    calls = {"walk": 0, "_ball_family": 0}
+    # each row streams its one orbit through orbit_rows, whose drift guard
+    # reads the norm row its rows hook gave
+    calls = {"orbit_rows": 0, "_ball_family": 0}
     for name in calls:
         def counting(*args, _real=getattr(dynamics_lab, name), _name=name,
                      **kwargs):
@@ -598,7 +599,7 @@ def test_classify_system_simulates_one_orbit_per_row(monkeypatch):
              kalish_system(64)]
     classification_run(specs, window=60, mc_samples=500)
     # weak mixing reads the row's trajectory instead of simulating its own
-    assert calls["walk"] == len(specs)
+    assert calls["orbit_rows"] == len(specs)
     # e_system's family and the one reference ball of syndetic and ufh;
     # the kalish e_system column reads the Gaussian model instead
     assert calls["_ball_family"] == 2 + 2 + 1
@@ -975,6 +976,18 @@ def test_orbit_rows_norm_drift_guard_names_step(centers, block_states, monkeypat
     x0[-1] = 1.0
     with pytest.raises(NormDriftError, match="step 3 of 7"):
         orbit_rows(spec, x0, 7, centers=centers)
+
+
+@pytest.mark.parametrize("spec", [torus_system([0.9, 2.1]), kalish_system(64)],
+                         ids=lambda spec: spec.label)
+def test_classify_system_runs_the_same_python_lines_at_every_window(spec):
+    # the drift guard compares the finished norm row at once: walking the
+    # time index ran 7,000 line events per 1,000 states
+    events = []
+    for window in (1000, 4000):
+        classify_system(spec, window, 0, mc_samples=200)  # first calls run setup lines
+        events.append(line_events(lambda: classify_system(spec, window, 0, mc_samples=200)))
+    assert events[0] == events[1], events
 
 
 def test_orbit_rows_rejects_times_outside_the_orbit():

@@ -39,9 +39,10 @@ from hyperlab import (
 )
 from hyperlab import gauss_model
 from hyperlab.circle_measure import _require_probability
+from hyperlab.config import config_from_dict
 from hyperlab.corpora import probability_measure, random_functional
 from hyperlab.dynamics_lab import orbit, weighted_shift_system
-from hyperlab.gauss_model import coefficient_rows, symmetry_checks, walk
+from hyperlab.gauss_model import coefficient_rows, walk
 from hyperlab.jsonio import stable_dumps
 from hyperlab.kalish import (
     _BLOCK_ELEMENTS,
@@ -55,7 +56,7 @@ from hyperlab.kalish import (
     grid_norms,
     nearest_grid_index,
 )
-from hyperlab.runner import scaled_transport
+from hyperlab.runner import execute_probes, scaled_transport
 from hyperlab.seeding import derive_seed
 
 TWO_PI = 2.0 * np.pi
@@ -508,7 +509,7 @@ def test_blocked_intertwine_residual_is_the_one_pass_residual(transport):
     model = _uniform_model(M=4096, m=32, kind="indicator")
     move = None if transport is None else scaled_transport(transport)
     TA = apply_T_array(model.factor) if move is None else move(model.factor)
-    want = (np.linalg.norm(TA - model.factor * model.diag)
+    want = (np.linalg.norm(TA - model.factor * np.exp(1j * model.angles))
             / np.linalg.norm(model.factor))
     got = intertwine_residual(model, move)
     assert abs(got - want) <= 1e-12 * want
@@ -580,14 +581,19 @@ def test_symmetry_check_rejects_unknown_sampler():
 
 
 @pytest.mark.parametrize("sampler", ["symmetric", "real"])
-def test_symmetry_checks_equal_one_symmetry_check_per_functional(sampler):
-    # three functionals: one paired fill and one lone draw
+def test_symmetry_probe_reports_one_symmetry_check_per_functional(sampler):
+    # functional k reads its functional and its draw from the probe seed
+    # under the labels functional:k and draw:k
+    config = config_from_dict({
+        "bins": 1024, "grid": 128, "measures": {"u": {"kind": "uniform"}},
+        "probes": [{"probe": "symmetry", "measure": "u", "nodes": 4, "functionals": 3,
+                    "samples": 300, "sampler": sampler, "seed": 20}]})
+    [result] = execute_probes(config)
     model = _uniform_model(M=128, m=4)
-    seeds = [20, 21, 22]
-    xstars = [random_functional(seed=seed, grid_size=128) for seed in seeds]
-    assert list(symmetry_checks(model, xstars, 300, seeds, sampler)) == [
-        symmetry_check(model, xstar, 300, seed=seed, sampler=sampler)
-        for xstar, seed in zip(xstars, seeds)]
+    assert result.detail["functionals"] == [
+        symmetry_check(model, random_functional(derive_seed(20, f"functional:{k}"), 128),
+                       300, derive_seed(20, f"draw:{k}"), sampler).to_dict()
+        for k in range(3)]
 
 
 def test_degenerate_functional_rejected():

@@ -24,6 +24,14 @@ from hyperlab import (
 from hyperlab.corpora import scaffold_set
 
 
+def _full(window):
+    return WindowedSet.from_mask(np.ones(window, dtype=bool))
+
+
+def _empty(window):
+    return WindowedSet.from_mask(np.zeros(window, dtype=bool))
+
+
 @st.composite
 def windowed_sets(draw, max_window=128, allow_empty=True):
     window = draw(st.integers(min_value=1, max_value=max_window))
@@ -85,7 +93,7 @@ def test_from_mask_window_is_mask_length():
     s = WindowedSet.from_mask(mask)
     assert s == WindowedSet.from_iterable(12, [11, 0, 4])
     assert s.elements.dtype == np.int64
-    assert WindowedSet.from_mask(np.zeros(5, dtype=bool)) == WindowedSet.empty(5)
+    assert WindowedSet.from_mask(np.zeros(5, dtype=bool)) == WindowedSet.from_iterable(5, [])
 
 
 def test_membership_and_window_bounds():
@@ -97,11 +105,6 @@ def test_membership_and_window_bounds():
         WindowedSet.from_iterable(10, [-1])
     with pytest.raises(ValueError):
         WindowedSet.from_iterable(0, [])
-
-
-def test_full_and_empty_factories():
-    assert WindowedSet.full(5).size == 5
-    assert WindowedSet.empty(5).size == 0
 
 
 def test_serialization_round_trip():
@@ -152,7 +155,7 @@ def test_indicator_shape():
 
 def test_difference_set_requires_nonempty():
     with pytest.raises(ValueError):
-        difference_set(WindowedSet.empty(8))
+        difference_set(_empty(8))
 
 
 @settings(max_examples=60, deadline=None)
@@ -201,11 +204,11 @@ def test_max_gap_covering_characterization(S):
 
 
 def test_max_gap_known_values():
-    assert max_gap(WindowedSet.empty(10)) == 10
+    assert max_gap(_empty(10)) == 10
     assert max_gap(WindowedSet.from_iterable(10, [0])) == 10  # trailing gap
     assert max_gap(WindowedSet.from_iterable(10, [9])) == 10  # leading gap
     assert max_gap(WindowedSet.from_iterable(10, [4])) == 6
-    assert max_gap(WindowedSet.full(10)) == 1
+    assert max_gap(_full(10)) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -215,9 +218,9 @@ def test_longest_interval_matches_brute_force(S):
 
 
 def test_longest_interval_known_values():
-    assert longest_interval(WindowedSet.empty(8)) == 0
+    assert longest_interval(_empty(8)) == 0
     assert longest_interval(WindowedSet.from_iterable(8, [1, 2, 3, 5])) == 3
-    assert longest_interval(WindowedSet.full(8)) == 8
+    assert longest_interval(_full(8)) == 8
 
 
 # -- densities -------------------------------------------------------------------
@@ -264,11 +267,11 @@ def brute_ubd_every_min_len(L: WindowedSet) -> list:
 
 
 @pytest.mark.parametrize("L, min_len", [
-    (WindowedSet.empty(1), 1),
-    (WindowedSet.empty(50), 7),
-    (WindowedSet.full(1), 1),
-    (WindowedSet.full(50), 7),
-    (WindowedSet.full(50), 50),
+    (_empty(1), 1),
+    (_empty(50), 7),
+    (_full(1), 1),
+    (_full(50), 7),
+    (_full(50), 50),
     (WindowedSet.from_iterable(50, [3, 17, 18, 40]), 1),
     (WindowedSet.from_iterable(50, [3, 17, 18, 40]), 50),
     (WindowedSet.from_iterable(50, [0]), 1),
@@ -291,14 +294,14 @@ def test_ubd_exact_for_every_min_len(L):
 
 
 def test_ubd_window_full_set():
-    L = WindowedSet.full(32)
+    L = _full(32)
     assert upper_banach_density(L, 4) == 1.0
     assert upper_density(L) == 1.0
     assert lower_density(L) == 1.0
 
 
 def test_ubd_min_len_validation():
-    L = WindowedSet.full(16)
+    L = _full(16)
     with pytest.raises(ValueError):
         upper_banach_density(L, 0)
     with pytest.raises(ValueError):

@@ -60,7 +60,7 @@ from hyperlab.dynamics_lab import (classify_system, default_battery, default_sta
                                    torus_system, weak_mixing_probe)
 from hyperlab.corpora import random_functional
 from hyperlab.gauss_model import (build_model, coefficient_rows, corrected_field,
-                                  invariance_check, symmetry_checks)
+                                  invariance_check, symmetry_check)
 from hyperlab.kalish import CircleFunction, apply_T_array, exact_eigenvectors
 from hyperlab.seeding import complex_standard_normal, rng_for
 
@@ -195,8 +195,8 @@ def test_corrected_field_holds_its_output_and_a_few_column_groups():
 @pytest.mark.parametrize("sampler", ["symmetric", "real"])
 def test_symmetry_checks_trace_at_most_1_mb_at_desk_size(desk_model, sampler):
     xstars = [random_functional(k, 1024) for k in range(4)]
-    peak = _peak_bytes(lambda: list(symmetry_checks(desk_model, xstars, 4096,
-                                                    range(4), sampler)))
+    peak = _peak_bytes(lambda: [symmetry_check(desk_model, xstar, 4096, k, sampler)
+                                for k, xstar in enumerate(xstars)])
     assert peak <= 1e6
 
 

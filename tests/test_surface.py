@@ -5,15 +5,19 @@ program or by an acceptance criterion.
 Reached means referenced from another src module, from its own module
 outside its own definition, or from tests/test_acceptance.py.  The
 package __init__ does not count: re-exporting a name does not use it.
-A reference is a name, an attribute or an imported name, read from the
-syntax tree, so the check needs no linter.
+A def or class is referenced by a name, an attribute or an imported name;
+a method only by an attribute x.name whose receiver x is not a module
+alias, so neither np.full nor a local named empty reaches a method full
+or empty.  References are read from the syntax tree, so the check needs
+no linter.
 
 The import rule: every name a module of src/hyperlab or tests/ imports
 is read in that module, also from the syntax tree.
 
 The field rule: every field of a src/hyperlab dataclass is read as an
-attribute in src/hyperlab or tests/test_acceptance.py, unless the class's
-to_dict is record_dict, which writes every field by name.
+attribute off a receiver that is not a module alias, in src/hyperlab or
+tests/test_acceptance.py, unless the class's to_dict is record_dict,
+which writes every field by name.
 
 The parameter rule: every optional parameter of a public def or public
 method is passed somewhere in src/hyperlab or tests/test_acceptance.py, by
@@ -31,6 +35,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "hyperlab"
 TESTS = Path(__file__).resolve().parent
 ACCEPTANCE = TESTS / "test_acceptance.py"
+MODULES = {path.stem for path in SRC.glob("*.py")}
 
 # Public names no path reaches yet, each with the reason it stays.
 ALLOWED = {
@@ -58,9 +63,23 @@ ALLOWED_PARAMETERS = {
 }
 
 
-def _references(tree, skip=None) -> set:
-    """Every name tree references, leaving out the subtree skip."""
-    names = set()
+def _module_aliases(tree) -> set:
+    """The names tree binds to a module: import x [as y], and
+    from p import m [as y] for a module m of src/hyperlab."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            aliases.update(a.asname or a.name for a in node.names if a.name in MODULES)
+    return aliases
+
+
+def _references(tree, skip=None) -> tuple:
+    """(every name tree references, every attribute it reads off a receiver
+    that is not a module alias), leaving out the subtree skip."""
+    modules = _module_aliases(tree)
+    names, attributes = set(), set()
     stack = [tree]
     while stack:
         node = stack.pop()
@@ -70,10 +89,12 @@ def _references(tree, skip=None) -> set:
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+            if getattr(node.value, "id", None) not in modules:
+                attributes.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
         stack.extend(ast.iter_child_nodes(node))
-    return names
+    return names, attributes
 
 
 def _public_members(tree):
@@ -91,20 +112,27 @@ def _public_members(tree):
                     yield f"{node.name}.{item.name}", item, not static
 
 
+def _unreached(modules: dict, acceptance) -> list:
+    """module.name of every public def, class or method of the syntax
+    trees modules (module stem -> tree) that nothing reaches."""
+    seen = {stem: _references(tree) for stem, tree in modules.items()}
+    outside = _references(acceptance)
+    out = []
+    for stem, tree in modules.items():
+        for qualified, node, _ in _public_members(tree):
+            kind = int("." in qualified)  # a method is reached by attributes only
+            refs = [outside, _references(tree, skip=node),
+                    *(s for other, s in seen.items() if other != stem)]
+            if not any(node.name in r[kind] for r in refs):
+                out.append(f"{stem}.{qualified}")
+    return out
+
+
 def unreached() -> list:
     """module.name of every public def, class or method nothing reaches."""
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
-    seen = {stem: _references(tree) for stem, tree in modules.items()}
-    acceptance = _references(ast.parse(ACCEPTANCE.read_text()))
-    out = []
-    for stem, tree in modules.items():
-        elsewhere = acceptance.union(*(s for other, s in seen.items() if other != stem))
-        for qualified, node, _ in _public_members(tree):
-            if (node.name not in elsewhere
-                    and node.name not in _references(tree, skip=node)):
-                out.append(f"{stem}.{qualified}")
-    return out
+    return _unreached(modules, ast.parse(ACCEPTANCE.read_text()))
 
 
 def test_every_public_name_is_reached_or_allowed():
@@ -114,6 +142,21 @@ def test_every_public_name_is_reached_or_allowed():
 def test_every_allowed_name_is_still_unreached():
     # a name that gains a caller leaves the allowlist
     assert set(ALLOWED) <= set(unreached())
+
+
+def test_a_method_is_reached_only_by_an_attribute_off_a_value():
+    # np.full and a local named empty share the methods' names, not a use
+    module = ast.parse(
+        "import numpy as np\n"
+        "class C:\n"
+        "    def full(self): ...\n"
+        "    def empty(self): ...\n"
+        "    def size(self): ...\n"
+        "def f(c):\n"
+        "    empty = np.full(3, 0)\n"
+        "    return c.size(), empty\n"
+        "f(C())\n")
+    assert _unreached({"m": module}, ast.parse("")) == ["m.C.full", "m.C.empty"]
 
 
 def unused_imports() -> list:
@@ -172,8 +215,7 @@ def _writes_every_field(node) -> bool:
 def unread_fields() -> list:
     """module.Class.field of every dataclass field nothing reads."""
     trees = _program()
-    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)}
+    read = set().union(*(_references(tree)[1] for tree in trees.values()))
     return [f"{stem}.{node.name}.{item.target.id}"
             for stem, tree in trees.items() if stem != ACCEPTANCE.stem
             for node in tree.body

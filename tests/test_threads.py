@@ -70,7 +70,7 @@ def test_public_functions_run_on_the_calling_thread(tmp_path, monkeypatch):
     _run(tmp_path)
     me = threading.get_ident()
     names = {name for name, _ in calls}
-    assert {"hyperlab.gauss_model.symmetry_checks",
+    assert {"hyperlab.gauss_model.symmetry_check",
             "hyperlab.gauss_model.coefficient_rows",
             "hyperlab.seeding.complex_standard_normal"} <= names
     assert [c for c in calls if c[1] != me] == []
