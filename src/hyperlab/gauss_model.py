@@ -11,27 +11,41 @@ A, D, the Gram A* A and the node data, not the field's unweighted E.
 All covariance comparisons run through Gram matrices: for W with m-ish
 columns and Hermitian S, ||W S W*||_F^2 = tr(S P S P) with P = W* W, so
 nothing M x M is ever materialized.
-The invariance check forms its Gram of [T A, A] by blocks and reuses the
-cached A* A, holding T A, never the stacked pair; its intertwining
-residual is summed one row block at a time.  So build_model and the
-check each peak at two factor-sized arrays (the field's vectors and the
-factor, or the factor and T A).
+The invariance check turns T A, in place and one row block at a time,
+into the residual E = T A - A D, and forms its Gram of [T A, A] from
+E* E, E* A and the cached A* A by m x m products, holding E, never T A
+beside it or the stacked pair.  So build_model and the check each peak
+at two factor-sized arrays (the field's vectors and the factor, or the
+factor and E).
 Sampling draws only the m x S coefficients, and each check forms T A once.
-Every m x m Gram product (build_model's A* A, the check's (T A)* [T A, A]
-and L L* of its Bartlett draw) goes through _gram, on the calling
-thread: it multiplies the float views of its operands (real and
-imaginary parts in alternate columns, no conjugate copy), one BLAS
-dsyrk for a self product and one dgemm for a cross product, so a self
-Gram is exactly Hermitian.  BLAS brings its own threads; the package
-starts none.  The check's exact_distance, ||B B* - A A*||_F / ||A A*||_F
-for B = T A, comes from these Grams with no draw.
+Every m x m Gram product (build_model's A* A, the check's E* [E, A] and
+L L* of its Bartlett draw) goes through _gram, on the calling thread: it
+multiplies the float views of its operands (real and imaginary parts in
+alternate columns, no conjugate copy).  It reads each operand's
+staircase off the operand: each column group's first nonzero row, the
+tops made nondecreasing, so the columns that may be nonzero in a row
+are a prefix.  It cuts the rows at the tops (_bands) and multiplies, in
+each band, only the prefixes that may be nonzero there, one BLAS dsyrk
+per band for a self product and one dgemm for a cross product, so a
+self Gram is exactly Hermitian.  A corrected factor with nodes spread
+over the circle is zero above its staircase in about half its entries,
+and its Grams cost about a third of the dense product as the groups
+grow; an operand with no zero prefix is one band, the dense product.
+BLAS brings its own threads; the package starts none.  The check's
+exact_distance, ||B B* - A A*||_F / ||A A*||_F for B = T A, comes from
+these Grams with no draw, as tr(Gram[A D, E] Gram[E, B]), whose terms
+are all of order ||E||^2, so it reads round-off, not the square root of
+round-off, under the grid T.
 EigenField.residuals works one column group at a time from the group's
 first nonzero row, the first row where any of its columns is nonzero
 (the kalish module docstring), read in row blocks up to the first block
-holding one, so it holds no factor-sized array.
-corrected_field takes its norms one column group at a time too.
+holding one, so it holds no factor-sized array; _gram reads its tops
+through the same scan.
+corrected_field takes its norms one column group at a time too, an arc
+indicator's as the root of (2pi/M) times its count of nodes.
 _draws is the one draw source of every Monte-Carlo routine here: it
-checks the count (the last axis of the shape), keys each seed's stream
+checks the count (the last axis of the shape: an integer, not a bool,
+and at least 1), keys each seed's stream
 by its label and yields one draw per seed of its kind: unit complex
 normals (one seeding.complex_standard_normal call), the real control's
 real normals, or the Bartlett factor of an (m, S) draw.  Each routine
@@ -76,7 +90,7 @@ import numpy as np
 
 from .circle_measure import (ATOM_MERGE_TOL, CircleMeasure, _canonical_atoms,
                              _require_probability, fourier_band, total_mass)
-from .jsonio import record_dict
+from .jsonio import _is_number, record_dict
 from .kalish import (
     _GROUP_COLUMNS,
     CircleFunction,
@@ -156,6 +170,7 @@ def quantize(sigma: CircleMeasure, m: int) -> list:
     cell come from one vectorized pass over its bins, summed per cell in
     bin order, and the nodes merge by the one atom rule, _canonical_atoms."""
     _require_probability(sigma)
+    _require_integer(m, "node count")
     if m < 1:
         raise ValueError("node count must be >= 1")
     cells, dmass = m - sigma.atom_count, sigma.density_mass
@@ -247,13 +262,14 @@ class EigenField:
 
 
 def _first_nonzero_row(V: np.ndarray, rows: int) -> int:
-    """The first row where any column of V is nonzero (0 if none is),
-    read rows rows at a time up to the first block that holds one."""
+    """The first row where any column of V is nonzero (the row count if
+    none is), read rows rows at a time up to the first block that holds
+    one."""
     for lo in range(0, V.shape[0], rows):
         block = V[lo:lo + rows]
         if block.any():
             return lo + int(np.argmax(block.any(axis=1)))
-    return 0
+    return V.shape[0]
 
 
 def indicator_field(sigma: CircleMeasure, m: int, M: int) -> EigenField:
@@ -292,7 +308,9 @@ def corrected_field(sigma: CircleMeasure, m: int, M: int) -> EigenField:
         # the whole array, so a lone last column is normed beside the one
         # before it: the norms keep the whole array's bits
         cols = slice(min(lo, max(ks.size - 2, 0)), lo + _GROUP_COLUMNS)
-        norms[:, cols] = grid_norms(ref[:, cols]), grid_norms(vectors[:, cols])
+        # an indicator's squared norm is (2pi/M) times its count of nodes
+        norms[0, cols] = np.sqrt((TWO_PI / M) * np.count_nonzero(ref[:, cols], axis=0))
+        norms[1, cols] = grid_norms(vectors[:, cols])
     vectors *= (norms[0] / norms[1]) / phase
     return EigenField(angles, weights, vectors, sigma, kind="corrected")
 
@@ -353,42 +371,88 @@ def build_model(field: EigenField) -> GaussModel:
     )
 
 
-def _transported(model: GaussModel, transport: Transport) -> tuple:
-    """(T A, ||T A - A D||_F / ||A||_F) under the transport, None the grid
-    T; the residual's squares are summed one row block at a time, through
-    one block-sized scratch."""
+def _residual_factor(model: GaussModel, transport: Transport) -> np.ndarray:
+    """E = T A - A D under the transport, None the grid T, formed in place
+    in the transport's output one row block at a time, through one
+    block-sized scratch; an output that may share memory with A is
+    copied first, so the model's factor is never written."""
     A = model.factor
-    TA = (apply_T_array if transport is None else transport)(A)
-    if TA.shape != A.shape:
+    E = (apply_T_array if transport is None else transport)(A)
+    if E.shape != A.shape:
         raise GridMismatchError("transport output shape does not match the factor")
+    if np.may_share_memory(E, A):
+        E = E.copy()
+    E = np.require(E, complex, ("C", "W"))
     rows = _block_rows(A.shape)
     scratch = np.empty((min(rows, A.shape[0]), A.shape[1]), dtype=complex)
-    minus_diag = -np.exp(1j * model.angles)
-    num_sq = 0.0
+    diag = np.exp(1j * model.angles)
     for lo in range(0, A.shape[0], rows):
-        R = np.multiply(A[lo:lo + rows], minus_diag, out=scratch[:A.shape[0] - lo])
-        R += TA[lo:lo + rows]
-        num_sq += np.vdot(R, R).real
-    return TA, float(np.sqrt(num_sq) / np.linalg.norm(A))
+        E[lo:lo + rows] -= np.multiply(A[lo:lo + rows], diag, out=scratch[:A.shape[0] - lo])
+    return E
+
+
+def _intertwine(EE: np.ndarray, model: GaussModel) -> float:
+    """||E||_F / ||A||_F from the traces of the Grams E* E and A* A."""
+    return float(np.sqrt(np.trace(EE).real / np.trace(model.gram).real))
+
+
+def _column_tops(X: np.ndarray) -> np.ndarray:
+    """Each column's top: the first nonzero row of its _GROUP_COLUMNS
+    group, lowered to the smallest top of the groups after it, so the
+    tops never decrease and the columns that may be nonzero in a row are
+    a prefix.  A group with no nonzero entry starts at the row count."""
+    rows = _block_rows(X.shape)
+    tops = np.array([_first_nonzero_row(X[:, lo:lo + _GROUP_COLUMNS], rows)
+                     for lo in range(0, X.shape[1], _GROUP_COLUMNS)], dtype=int)
+    tops = np.minimum.accumulate(tops[::-1])[::-1]
+    return np.repeat(tops, _GROUP_COLUMNS)[:X.shape[1]]
+
+
+def _bands(n: int, tops_x: np.ndarray, tops_y: np.ndarray) -> list:
+    """The band plan of X* Y for n rows and the column tops of X and Y:
+    (lo, hi, cx, cy) for each band of rows lo:hi between consecutive cuts
+    at the tops, where X's first cx and Y's first cy columns may be
+    nonzero; a band where either prefix is empty is left out."""
+    cuts = np.sort(np.concatenate(([0, n], tops_x, tops_y)))
+    lows, highs = cuts[:-1], cuts[1:]
+    widths = zip(np.searchsorted(tops_x, lows, "right"), np.searchsorted(tops_y, lows, "right"))
+    return [(int(lo), int(hi), int(cx), int(cy))
+            for lo, hi, (cx, cy) in zip(lows, highs, widths) if hi > lo and cx and cy]
 
 
 def _gram(X: np.ndarray, *Ys) -> list:
     """X* Y for each of Ys, from the (n, m) X, through the float views of
     the operands: n x 2m, real and imaginary parts in alternate columns.
-    The real product is one dgemm, and one dsyrk when Y is X, which numpy
-    makes exactly symmetric, so X* X is exactly Hermitian with a real
-    diagonal.  An operand that is not C-contiguous complex is copied."""
-    R = np.ascontiguousarray(X, dtype=complex).view(float)
-    Gs = (R.T @ (R if Y is X else np.ascontiguousarray(Y, dtype=complex).view(float))
-          for Y in Ys)
-    return [(G[0::2, 0::2] + G[1::2, 1::2]) + 1j * (G[0::2, 1::2] - G[1::2, 0::2])
-            for G in Gs]
+    The rows are cut into _bands at the operands' column tops, and each
+    band multiplies only the float-view column prefixes that may be
+    nonzero there, slices of the views accumulated into one 2m x 2m float
+    G: one dgemm per band, one dsyrk when Y is X, which numpy makes
+    exactly symmetric, as is their sum, so X* X is exactly Hermitian with
+    a real diagonal.  An operand with no zero prefix is one band, the
+    whole product.  An operand that is not C-contiguous complex is copied."""
+    R, tops_x = _float_view(X)
+    out = []
+    for Y in Ys:
+        S, tops_y = (R, tops_x) if Y is X else _float_view(Y)
+        G = np.zeros((R.shape[1], S.shape[1]))
+        for lo, hi, cx, cy in _bands(R.shape[0], tops_x, tops_y):
+            x = R[lo:hi, :2 * cx]
+            G[:2 * cx, :2 * cy] += x.T @ (x if S is R else S[lo:hi, :2 * cy])
+        out.append((G[0::2, 0::2] + G[1::2, 1::2]) + 1j * (G[0::2, 1::2] - G[1::2, 0::2]))
+    return out
+
+
+def _float_view(X: np.ndarray) -> tuple:
+    """The float view of X as a C-contiguous complex array, and its column tops."""
+    X = np.ascontiguousarray(X, dtype=complex)
+    return X.view(float), _column_tops(X)
 
 
 def intertwine_residual(model: GaussModel, transport: Transport = None) -> float:
     """||T A - A D||_F / ||A||_F: how far the field is from genuinely
     diagonalizing the dynamics."""
-    return _transported(model, transport)[1]
+    E = _residual_factor(model, transport)
+    return _intertwine(_gram(E, E)[0], model)
 
 
 def _draws(label: str, seeds, shape: tuple, kind: str = "complex") -> Iterator:
@@ -396,7 +460,8 @@ def _draws(label: str, seeds, shape: tuple, kind: str = "complex") -> Iterator:
     in order, of its kind: "complex" unit symmetric complex Gaussians,
     "real" the symmetry control's real ones, or "bartlett" the Bartlett
     factor (_bartlett) of the (m, S) complex draw.  The count, shape[-1],
-    is checked here, at the call."""
+    is checked here, at the call: an integer (not a bool) >= 1."""
+    _require_integer(shape[-1], "count")
     if shape[-1] < 1:
         raise ValueError(f"count must be >= 1, got {shape[-1]}")
     rngs = (rng_for(seed, label) for seed in seeds)
@@ -405,6 +470,12 @@ def _draws(label: str, seeds, shape: tuple, kind: str = "complex") -> Iterator:
     if kind == "bartlett":
         return (_bartlett(rng, *shape) for rng in rngs)
     return (complex_standard_normal(rng, shape) for rng in rngs)
+
+
+def _require_integer(value, what: str) -> None:
+    """Reject a value that is not an integer, a bool included."""
+    if not _is_number(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _bartlett(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
@@ -531,25 +602,37 @@ def invariance_check(model: GaussModel, transport: Transport = None,
     the distance the discretization owes, not the sampler).  The report's
     intertwine is the transport's own, which never widens the budget that
     judges it; for the grid T (transport None) T A is formed once for both.
-    The Gram P = W* W of W = [T A, A] is formed by blocks, reusing the
-    model's cached Gram A* A, so W itself is never built.  The empirical
-    covariance G G*/S of the (m, S) coordinates G is L L*/S of their
-    m x min(m, S) Bartlett factor L, so G itself is never drawn.
-    exact_distance is ||B B* - A A*||_F / ||A A*||_F for B = T A, from the
-    same Grams and no draw, tr((B*B)^2) - 2 tr((B*A)(B*A)*) + tr((A*A)^2);
-    it is reported and judges nothing."""
+    The check forms E = T A - A D in place of T A and takes E* E and E* A
+    through _gram; with B = T A = A D + E, the blocks of the Gram P of
+    W = [B, A] are m x m products: B* A = D* (A* A) + E* A and B* B =
+    D* (A* A) D + D* (A* E) + (E* A) D + E* E, with the model's cached
+    A* A, so neither B nor W is ever built.  The empirical covariance
+    G G*/S of the (m, S) coordinates G is L L*/S of their m x min(m, S)
+    Bartlett factor L, so G itself is never drawn.  exact_distance is
+    ||B B* - A A*||_F / ||A A*||_F, from the same Grams and no draw:
+    B B* - A A* = [A D, E] [E, B]*, so its square is tr(Gram[A D, E]
+    Gram[E, B]), whose every term is of order ||E||^2, with no
+    cancellation of order ||A||^4; it is reported and judges nothing.
+    intertwine is sqrt(tr(E* E)) / ||A||_F."""
     draws = _draws("invariance-check", [seed], (model.node_count, count), "bartlett")
-    A = model.factor
-    B, intertwine = _transported(model, transport)
-    m = model.node_count
+    E = _residual_factor(model, transport)
+    EE, EA = _gram(E, E, model.factor)
+    del E
+    intertwine = _intertwine(EE, model)
+    m, AA, d = model.node_count, model.gram, np.exp(1j * model.angles)
+    EAd = EA * d  # (E* A) D
+    DAD = d.conj()[:, None] * (AA * d)  # D* (A* A) D
     P = np.empty((2 * m, 2 * m), dtype=complex)  # the Gram of W = [B, A]
-    P[:m, :m], P[:m, m:] = _gram(B, B, A)
-    del B
+    P[:m, :m] = DAD + (EAd + EAd.conj().T) + EE
+    P[:m, m:] = d.conj()[:, None] * AA + EA
+    P[m:, :m] = P[:m, m:].conj().T
+    P[m:, m:] = AA
+    # tr(Gram[A D, E] Gram[E, B]) by blocks, with E* B = (E* A) D + E* E
+    exact_sq = (np.vdot(EE, DAD + P[:m, :m]) + 2 * np.sum(EAd * (EAd + EE).T)).real
+    del EE, EA, EAd, DAD
     L = next(draws)
     Lt = L.T  # r x m, not contiguous: _gram copies it once
     Ghat = _gram(Lt, Lt)[0].conj() / count  # L L* = conj((L^T)* L^T)
-    P[m:, :m] = P[:m, m:].conj().T
-    P[m:, m:] = model.gram
     S = np.zeros((2 * m, 2 * m), dtype=complex)
     S[:m, :m] = Ghat
     S[m:, m:] = -np.eye(m)
@@ -557,8 +640,6 @@ def invariance_check(model: GaussModel, transport: Transport = None,
     dist_sq = float(np.trace(SP @ SP).real)
     r_norm = model.covariance_frobenius()
     cov_distance = float(np.sqrt(max(dist_sq, 0.0)) / r_norm)
-    # J = diag(I, -I): tr((J P)^2) = sum_ij j_i j_j |P_ij|^2, the B* A blocks negative
-    exact_sq = np.linalg.norm(P) ** 2 - 4 * np.linalg.norm(P[:m, m:]) ** 2
     grid_debt = intertwine if transport is None else intertwine_residual(model)
     budget = 0.05 + grid_debt  # the statistical tolerance, then the grid's debt
     return InvarianceReport(

@@ -51,7 +51,11 @@ with nodes spread over the circle they touch about half of the M x m
 elements: exact_eigenvectors builds each group from its smallest node
 index, and gauss_model's EigenField.residuals applies _apply_T_rows
 group by group, each group's top the first row where any of its
-columns is nonzero.
+columns is nonzero.  gauss_model's Gram products read the same group
+tops off their operands (a factor, or its residual T A - A D, which
+keeps the prefix) and, with the tops made nondecreasing, multiply in
+each band of rows only the column prefix that may be nonzero there:
+about a third of the dense product once there are many groups.
 
 Transpose: T^T is upper triangular, (T^T y)_j = d_j (y_j - i w sum_{k>j}
 y_k) with d_j = e^{i t_j}, so apply_T_transpose is one reversed cumsum
@@ -289,7 +293,9 @@ def exact_eigenvectors(ks, M: int) -> np.ndarray:
     """(M, m) eigenvectors of the discrete T in closed form (module
     docstring), column c for the eigenvalue e^{i t_k} with k = ks[c],
     built _GROUP_COLUMNS columns at a time from the group's smallest k."""
-    ks = np.asarray(ks, dtype=int)
+    ks = np.asarray(ks)
+    if ks.ndim != 1 or not np.issubdtype(ks.dtype, np.integer):
+        raise ValueError(f"node indices {ks.tolist()} are not a 1-D array of integers")
     if np.any((ks < 0) | (ks >= M)):
         raise ValueError(f"node indices {ks.tolist()} outside the grid range [0, {M})")
     out = np.zeros((M, ks.size), dtype=complex)

@@ -486,6 +486,74 @@ def test_gram_is_the_conjugate_transpose_product(m):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _staircase_operands() -> dict:
+    """Operands with zero column prefixes: a corrected factor (its groups'
+    tops increasing), E = T A - A D of its grid T, the factor with its
+    columns reversed (the tops decreasing), an indicator factor with one
+    column group all zero, and a dense one."""
+    model = _uniform_model(M=4096, m=40)
+    A = model.factor
+    E = apply_T_array(A) - A * np.exp(1j * model.angles)
+    Z = _uniform_model(M=4096, m=40, kind="indicator").factor.copy()
+    Z[:, 16:32] = 0.0
+    rng = np.random.default_rng(40)
+    dense = rng.standard_normal(A.shape) + 1j * rng.standard_normal(A.shape)
+    return {"staircase": A, "residual": E, "unsorted": A[:, ::-1], "zero-group": Z,
+            "dense": dense}
+
+
+@pytest.mark.parametrize("x, y", [("staircase", "staircase"), ("residual", "residual"),
+                                  ("residual", "staircase"), ("staircase", "dense"),
+                                  ("dense", "staircase"), ("unsorted", "unsorted"),
+                                  ("unsorted", "staircase"), ("zero-group", "zero-group"),
+                                  ("zero-group", "staircase")])
+def test_banded_gram_is_the_conjugate_transpose_product(x, y):
+    ops = _staircase_operands()
+    X, Y = ops[x], ops[y]
+    got = gauss_model._gram(X, *([X] if x == y else [Y]))[0]
+    want = X.conj().T @ Y
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    if x == y:
+        assert np.array_equal(got, got.conj().T)
+        assert np.all(np.diag(got).imag == 0.0)
+
+
+def test_column_tops_are_the_group_tops_made_nondecreasing():
+    ops = _staircase_operands()
+    ks = nearest_grid_index(_uniform_model(M=4096, m=40).angles, 4096)
+    group_tops = [int(ks[lo:lo + 16].min()) for lo in range(0, 40, 16)]
+    assert group_tops[0] < group_tops[1] < group_tops[2]
+    assert gauss_model._column_tops(ops["staircase"]).tolist() == (
+        [group_tops[0]] * 16 + [group_tops[1]] * 16 + [group_tops[2]] * 8)
+    # reversed, the last group holds the first columns: its top is every top
+    assert set(gauss_model._column_tops(ops["unsorted"]).tolist()) == {group_tops[0]}
+    assert not gauss_model._column_tops(ops["dense"]).any()
+    # an all-zero group starts at the next group's top and lowers no other
+    zero_group = gauss_model._column_tops(ops["zero-group"])
+    assert 0 < zero_group[0] < zero_group[16] == zero_group[32]
+
+
+@pytest.mark.parametrize("m, bound", [(32, 0.62), (128, 0.45)])
+def test_grams_of_a_corrected_factor_multiply_a_fraction_of_the_dense_count(m, bound,
+                                                                            monkeypatch):
+    # nodes spread over the circle give g groups of 16 columns with evenly
+    # spaced tops, so a band plan multiplies about sum_{j<=g} j^2 / g^3 of
+    # the dense rows x columns^2: 0.61 at g = 2, 0.39 at g = 8, 1/3 as g grows
+    M = 4096
+    model = _uniform_model(M=M, m=m)
+    plans = []
+    bands = gauss_model._bands
+    monkeypatch.setattr(gauss_model, "_bands",
+                        lambda *args: plans.append(bands(*args)) or plans[-1])
+    gauss_model._gram(model.factor, model.factor)
+    invariance_check(model, count=10_000, seed=0)
+    # A* A, then the check's E* E and E* A, then L L* of its dense m x m draw
+    assert len(plans) == 4
+    for plan in plans[:3]:
+        assert sum((hi - lo) * cx * cy for lo, hi, cx, cy in plan) <= bound * M * m * m
+    assert plans[3] == [(0, m, m, m)]
+
+
 @pytest.mark.parametrize("m", GRAM_NODES)
 def test_self_gram_is_exactly_hermitian_with_a_real_diagonal(m):
     X, _, Gt = _operands(m)
@@ -513,6 +581,17 @@ def test_blocked_intertwine_residual_is_the_one_pass_residual(transport):
             / np.linalg.norm(model.factor))
     got = intertwine_residual(model, move)
     assert abs(got - want) <= 1e-12 * want
+
+
+def test_a_transport_returning_its_input_leaves_the_factor_unwritten():
+    # E = T A - A D is formed in place in the transport's output, which is
+    # copied first when it may share memory with the factor
+    model = _uniform_model(M=256, m=8)
+    factor = model.factor.copy()
+    got = intertwine_residual(model, lambda X: X)
+    assert np.array_equal(model.factor, factor)
+    want = np.linalg.norm(factor - factor * np.exp(1j * model.angles)) / np.linalg.norm(factor)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_functional_coefficients_match_inner_products():
@@ -692,6 +771,19 @@ def test_exact_distance_is_s_squared_minus_one_under_a_stretch(M, m):
         else:
             assert abs(exact.pop() - (s * s - 1)) <= 1e-9
         assert len({r.cov_distance for r in reports}) == 3
+
+
+@pytest.mark.parametrize("M, m", [(1024, 8), (4096, 32), (16384, 128)])
+def test_exact_distance_is_round_off_under_the_grid_T(M, m):
+    # B B* - A A* = [A D, E] [E, B]* with E = T A - A D at round-off: the
+    # squared form tr((B*B)^2) - 2 tr((B*A)(B*A)*) + tr((A*A)^2) cancelled
+    # to 1.8e-8 to 3.6e-8 here, or to a negative square clamped to 0.0,
+    # and so read s^2 - 1 = 2e-9 under s T for s = 1 + 1e-9 as 3.6e-8 or 0.0
+    model = _uniform_model(M=M, m=m)
+    assert invariance_check(model, count=100, seed=0).exact_distance <= 1e-12
+    s = 1 + 1e-9
+    exact = invariance_check(model, scaled_transport(s), count=100, seed=0).exact_distance
+    assert abs(exact - (s * s - 1)) <= 1e-5 * (s * s - 1)
 
 
 def test_exact_distance_is_the_dense_distance():
@@ -1037,6 +1129,32 @@ def test_zero_sample_count_is_a_typed_error(check):
     xstar = random_functional(seed=6, grid_size=128)
     with pytest.raises(ValueError, match="count must be >= 1, got 0"):
         check(model, xstar)
+
+
+@pytest.mark.parametrize("check, value", [
+    (lambda model, xstar: invariance_check(model, count=10.0, seed=0), "10.0"),
+    (lambda model, xstar: invariance_check(model, count=True, seed=0), "True"),
+    (lambda model, xstar: symmetry_check(model, xstar, 10.5, seed=0), "10.5"),
+    (lambda model, xstar: symmetry_check(model, xstar, True, seed=0), "True"),
+    (lambda model, xstar: matrix_coefficient_mc(model, xstar, 2, count=8.0, seed=0), "8.0"),
+    (lambda model, xstar: coefficient_rows(model, xstar, 2, 8.0, 0, "mc:"), "8.0"),
+    (lambda model, xstar: sample(model, 2.0, seed=0), "2.0"),
+], ids=["invariance", "invariance-bool", "symmetry", "symmetry-bool", "matrix-coefficient",
+        "coefficient-table", "sample"])
+def test_a_non_integer_sample_count_is_a_value_error_naming_it(check, value):
+    # a float count ran (invariance reported samples: 10.0) or failed
+    # inside numpy with a TypeError
+    model = _uniform_model(M=128, m=4)
+    xstar = random_functional(seed=6, grid_size=128)
+    with pytest.raises(ValueError, match=f"^count must be an integer, got {re.escape(value)}$"):
+        check(model, xstar)
+
+
+@pytest.mark.parametrize("m", [2.5, 4.0, True], ids=["fraction", "integral-float", "bool"])
+def test_quantize_rejects_a_non_integer_node_count(m):
+    # 2.5 raised an IndexError from the cell arithmetic
+    with pytest.raises(ValueError, match=f"^node count must be an integer, got {m!r}$"):
+        quantize(CircleMeasure.uniform(bins=64), m)
 
 
 # -- manifest ---------------------------------------------------------------

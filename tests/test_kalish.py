@@ -363,6 +363,14 @@ def test_exact_eigenvectors_range_check_names_the_grid():
         exact_eigenvectors([3, 64], 64)
 
 
+@pytest.mark.parametrize("ks", [[1.5], [2.0], [True], [[1, 2]]],
+                         ids=["fraction", "integral-float", "bool", "2-D"])
+def test_exact_eigenvectors_reject_indices_that_are_not_1_d_integers(ks):
+    # np.asarray(ks, dtype=int) built the column for k = 1 out of 1.5
+    with pytest.raises(ValueError, match="not a 1-D array of integers"):
+        exact_eigenvectors(ks, 16)
+
+
 def test_nearest_grid_index_wraps():
     M = 64
     assert nearest_grid_index(0.0, M) == 0

@@ -36,7 +36,11 @@ output line is ``<sha256>  <item>``, for:
   and 40) up to an odd stride.  Last, for w = 16000 and s = 0: the
   kalish and torus rows are closed forms in the time t (phases e^{i t
   lambda}), whose round-off grows with t, so the longest window is where
-  a change to those rows or to their phases moves bytes first;
+  a change to those rows or to their phases moves bytes first.  Each of
+  these lines is followed by one "floats masked" line: the sha256 of the
+  same canonical JSON with every float replaced by one token, so a change
+  that moves only round-off shows, line by line, that no verdict, flag,
+  grade, count or string moved;
 * the float bits of quantize(sigma, m) and the canonical JSON of
   build_model(corrected_field(sigma, m, M)).to_manifest(), for sigma =
   probability_measure(s, B) with s in 0..3, B in {1024, 8192}, m in {8,
@@ -54,6 +58,7 @@ compare the two captures line by line (``diff``).  BLAS runs on one thread
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import re
 import shlex
@@ -105,8 +110,27 @@ GAUSS_RUNS = tuple((f"probability_measure({s}, {bins})", probability_measure(s, 
     ("uniform(1024)", CircleMeasure.uniform(bins=1024), 1024, 1024),)
 
 
+FLOAT_TOKEN = "<float>"
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _mask_floats(value):
+    """value with every float, in any list or object, replaced by FLOAT_TOKEN."""
+    if isinstance(value, float):
+        return FLOAT_TOKEN
+    if isinstance(value, dict):
+        return {key: _mask_floats(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_mask_floats(item) for item in value]
+    return value
+
+
+def masked_sha(text: str) -> str:
+    """The sha256 of the canonical JSON text with every float masked."""
+    return _sha(stable_dumps(_mask_floats(json.loads(text))).encode())
 
 
 def _artifact_digest(out_dir: Path) -> str:
@@ -168,9 +192,10 @@ def battery_items():
     for window, seeds in BATTERY_RUNS:
         battery = default_battery(window)
         for seed in seeds:
-            report = classification_run(battery, window, seed)
-            yield (_sha(stable_dumps(report.to_dict()).encode()),
-                   f"classification_run(default_battery({window}), {window}, {seed})")
+            text = stable_dumps(classification_run(battery, window, seed).to_dict())
+            name = f"classification_run(default_battery({window}), {window}, {seed})"
+            yield _sha(text.encode()), name
+            yield masked_sha(text), f"{name} floats masked"
 
 
 def gauss_items():
