@@ -2,19 +2,22 @@
 
 Subcommands: measure conv|pow|exp|fourier|classify, kalish
 apply|residual|matrix-check, gauss build|sample|invariance|coeff, hits
-density|ubd|diff|gaps, lab orbit|classify, run <config>.  Global flags
+density|diff|gaps, lab orbit|classify, run <config>.  Global flags
 --seed, --bins, --grid, --out, --format json|csv work before or after
 the subcommand.  Configs are the source of truth for experiments; the
 flags cover one-off exploration.
 
-A command with a runner twin (measure fourier|classify, kalish residual,
-gauss invariance|coeff, lab orbit|classify) is a one-probe run: its
-flags become a one-probe experiment config, it prints the runner's
-probe-report/1 document of that probe (byte for byte the
-reports/<stem>.json that `run` writes; --format csv prints the probe's
-table), and it exits with the runner's status: 0 when no exact-grade
-check failed, 1 when one did, 2 when the probe raised.  The other
-commands read their inputs and print one document.
+A command with a runner twin (measure fourier|classify, kalish
+residual|matrix-check, gauss invariance|coeff, lab orbit|classify) is a
+one-probe run: its flags become a one-probe experiment config, it
+prints the runner's probe-report/1 document of that probe (byte for
+byte the reports/<stem>.json that `run` writes; --format csv prints the
+probe's table), and it exits with the runner's status: 0 when no
+exact-grade check failed, 1 when one did, 2 when the probe raised.
+Every other command reads its inputs, calls the library and prints the
+result through _emit: one document, or with --format csv its table (the
+document's field,value rows when it has none).  The CLI computes nothing
+of its own and imports no numpy.
 
 Measure arguments accept a path to a circle-measure JSON document or a
 token: "uniform", "dirac:ANGLE[:MASS]", "probability[:SEED]".  System
@@ -31,8 +34,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import circle_measure as cm
 from . import dynamics_lab as lab
 from . import gauss_model as gm
@@ -41,7 +42,6 @@ from . import kalish as ka
 from .config import PROBE_FIELDS, TOP_DEFAULTS, config_from_dict, parse_config
 from .jsonio import _read_field, csv_text, read_json, stable_dumps
 from .runner import execute_probes, probe_report, realize_measure, run, run_status
-from .seeding import derive_seed
 
 __all__ = ["main"]
 
@@ -236,31 +236,6 @@ def _cmd_kalish_apply(args) -> int:
     return 0
 
 
-def _cmd_kalish_matrix_check(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"count must be >= 1, got {args.count}")
-    M = args.grid
-    T = ka.kalish_matrix(M)
-    worst_apply = 0.0
-    worst_solve = 0.0
-    for k in range(args.count):
-        rng = np.random.default_rng(derive_seed(args.seed, f"matrix-check:{k}"))
-        v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        f = ka.CircleFunction(v.copy(), M)
-        via_matrix = T @ v
-        via_operator = ka.apply_T(f).values
-        worst_apply = max(worst_apply, float(np.max(np.abs(via_matrix - via_operator))))
-        recovered = np.linalg.solve(T, via_matrix)
-        err = float(np.max(np.abs(recovered - v)) / max(1.0, np.max(np.abs(v))))
-        worst_solve = max(worst_solve, err)
-    passed = worst_apply <= 1e-12 and worst_solve <= 1e-6
-    doc = {"schema": "matrix-check/1", "grid": M, "trials": args.count,
-           "max_apply_difference": worst_apply,
-           "max_solve_error": worst_solve, "passed": passed}
-    _emit(args, doc)
-    return 0 if passed else 1
-
-
 # -- gauss --------------------------------------------------------------
 
 
@@ -277,19 +252,12 @@ def _cmd_gauss_build(args) -> int:
 
 
 def _cmd_gauss_sample(args) -> int:
-    model = _gauss_model(args)
-    draws = gm.sample(model, args.count, args.seed)
-    if args.format == "csv":
-        rows = []
-        for s, f in enumerate(draws):
-            for j in range(f.grid_size):
-                rows.append((s, j, float(f.values[j].real),
-                             float(f.values[j].imag)))
-        _emit(args, {}, csv_text(["sample", "j", "re", "im"], rows))
-    else:
-        doc = {"schema": "gauss-samples/1", "count": args.count,
-               "samples": [f.to_dict() for f in draws]}
-        _emit(args, doc)
+    draws = gm.sample(_gauss_model(args), args.count, args.seed)
+    doc = {"schema": "gauss-samples/1", "count": args.count,
+           "samples": [f.to_dict() for f in draws]}
+    rows = [(s, j, float(v.real), float(v.imag))
+            for s, f in enumerate(draws) for j, v in enumerate(f.values)]
+    _emit(args, doc, csv_text(["sample", "j", "re", "im"], rows))
     return 0
 
 
@@ -304,15 +272,6 @@ def _cmd_hits_density(args) -> int:
            "upper_banach_density": hs.upper_banach_density(L, args.min_len),
            "min_len": args.min_len,
            "ladder": hs.density_ladder(L.window)}
-    _emit(args, doc)
-    return 0
-
-
-def _cmd_hits_ubd(args) -> int:
-    L = _load_set(args.set)
-    doc = {"schema": "density-report/1", "window": L.window,
-           "min_len": args.min_len,
-           "upper_banach_density": hs.upper_banach_density(L, args.min_len)}
     _emit(args, doc)
     return 0
 
@@ -405,8 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=argparse.SUPPRESS, help="eigenvalue angle; repeatable")
     p.add_argument("--grids", type=lambda s: [int(v) for v in s.split(",")],
                    default=argparse.SUPPRESS, help="comma-separated grid sizes")
-    p = sub(kal, "matrix-check", _cmd_kalish_matrix_check)
-    p.add_argument("--count", type=int, default=5)
+    sub(kal, "matrix-check", probe="matrix-check")
 
     gauss = top.add_parser("gauss", parents=[shared]).add_subparsers(
         dest="subcommand", required=True)
@@ -430,12 +388,11 @@ def _build_parser() -> argparse.ArgumentParser:
     hits = top.add_parser("hits", parents=[shared]).add_subparsers(
         dest="subcommand", required=True)
     for name, handler in (("density", _cmd_hits_density),
-                          ("ubd", _cmd_hits_ubd),
                           ("diff", _cmd_hits_diff),
                           ("gaps", _cmd_hits_gaps)):
         p = sub(hits, name, handler)
         p.add_argument("set", help="windowed-set JSON or integer lines")
-        if name in ("density", "ubd"):
+        if name == "density":
             field(p, "--min-len", "ubd")
 
     labp = top.add_parser("lab", parents=[shared]).add_subparsers(

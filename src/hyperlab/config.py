@@ -85,6 +85,7 @@ PROBE_FIELDS = {
                          "seed": _DERIVED_SEED},
     "residual": {"angles": [2.0 * math.pi / 3.0, math.pi, 2.0 * math.pi * 0.811],
                  "grids": [1024, 2048, 4096]},
+    "matrix-check": {},  # the config's grid and seed
     "invariance": {"measure": _SIGMA_DEFAULT, "nodes": 8, "grid": _CONFIG_GRID,
                    "samples": 10_000, "transport_scale": 1.0, "seed": _DERIVED_SEED},
     "symmetry": {"measure": _SIGMA_DEFAULT, "nodes": 8, "grid": _CONFIG_GRID,

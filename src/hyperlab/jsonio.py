@@ -1,7 +1,9 @@
 """Stable JSON serialization and schema tags.
 
 Artifacts must be byte-identical across reruns with the same seed, so the
-encoder pins key order and separators and refuses non-finite floats.
+encoder pins key order and separators, and json.dumps with allow_nan=False
+refuses a nan or inf anywhere in a document (numpy floats included) with a
+ValueError.
 Schema tags look like "circle-measure/1"; readers accept any document
 whose major version matches and reject the rest, and take each field
 through _read_field, which names a missing or ill-typed field.  _FORMS is
@@ -24,18 +26,6 @@ from typing import Any
 
 class SchemaError(ValueError):
     """Document carries a missing, malformed or unsupported schema tag."""
-
-
-def _check_finite(obj: Any) -> None:
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite float in artifact: {obj!r}")
-    elif isinstance(obj, dict):
-        for v in obj.values():
-            _check_finite(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            _check_finite(v)
 
 
 def _plain(value: Any) -> Any:
@@ -63,8 +53,8 @@ def record_dict(record: Any, **tags: Any) -> dict:
 
 
 def stable_dumps(doc: Any) -> str:
-    """Canonical JSON text: sorted keys, tight separators, repr floats."""
-    _check_finite(doc)
+    """Canonical JSON text: sorted keys, tight separators, repr floats;
+    a non-finite float is a ValueError."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 

@@ -2,7 +2,8 @@
 
 Layout under the output directory: reports/ (JSON, schema-tagged),
 tables/ (CSV), plotdata/ (whitespace-delimited columns), each file named
-<probe>-<target>-<seed>; a stem already in use takes the first free
+<probe>-<target>-<seed>, the target the one _target names whether the
+probe runs or raises; a stem already in use takes the first free
 suffix -k, k counting up from the number of stems written.  All artifact
 bytes are a pure function of the config; wall-clock metadata lives only
 in the run-meta.json sidecar.  Each executor's pass/fail gate is a
@@ -25,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -38,7 +39,8 @@ from . import hitting_sets as hs
 from .config import ExperimentConfig
 from .corpora import probability_measure, random_functional, scaffold_set
 from .jsonio import csv_text, read_json, write_json
-from .kalish import CircleFunction, apply_T, apply_T_array, eigen_residual
+from .kalish import (CircleFunction, apply_T, apply_T_array, eigen_residual,
+                     kalish_matrix)
 from .seeding import derive_seed
 
 __all__ = ["execute_probes", "probe_report", "realize_measure", "run",
@@ -51,8 +53,8 @@ META_SCHEMA = "run-meta/1"
 
 @dataclass(frozen=True)
 class ProbeResult:
-    probe: str
-    target: str
+    """One probe's outcome; execute_probes names its probe and _target."""
+
     passed: bool
     grade: str
     detail: dict
@@ -60,6 +62,8 @@ class ProbeResult:
     plotdata: str = ""
     control: str = ""
     error: str = ""
+    probe: str = ""
+    target: str = ""
 
 
 def realize_measure(defn: dict) -> cm.CircleMeasure:
@@ -123,8 +127,8 @@ def _band(mu: cm.CircleMeasure, n_max: int) -> list:
     return cm.fourier_band(mu, n_max).tolist()
 
 
-def _band_check(probe: str, target: str, got: cm.CircleMeasure, want: list,
-                band: int, tolerance: float, names: tuple, **detail) -> ProbeResult:
+def _band_check(got: cm.CircleMeasure, want: list, band: int, tolerance: float,
+                names: tuple, **detail) -> ProbeResult:
     """The one check of the convolve and exp probes: got's Fourier band
     against the oracle coefficients want, for n = -band..band, each within
     the caller's tolerance."""
@@ -134,8 +138,7 @@ def _band_check(probe: str, target: str, got: cm.CircleMeasure, want: list,
     detail.update(max_error=worst, tolerance=tolerance, band=band,
                   result_mass=cm.total_mass(got))
     return ProbeResult(
-        probe=probe, target=target, passed=worst <= tolerance,
-        grade="exact", detail=detail,
+        passed=worst <= tolerance, grade="exact", detail=detail,
         table=csv_text(["n", *(f"{k}_{part}" for k in names for part in ("re", "im")),
                         "abs_error"], rows),
         plotdata=_columns(["n", "abs_error"], [(r[0], r[5]) for r in rows]))
@@ -145,8 +148,7 @@ def _run_convolve(ctx: _RunContext, p: dict) -> ProbeResult:
     mu, nu = ctx.measure(p["left"]), ctx.measure(p["right"])
     conv = cm.convolve(mu, nu)
     want = [a * b for a, b in zip(_band(mu, p["band"]), _band(nu, p["band"]))]
-    return _band_check("convolve", f"{p['left']}x{p['right']}", conv, want,
-                       p["band"], 5e-3, ("conv", "product"),
+    return _band_check(conv, want, p["band"], 5e-3, ("conv", "product"),
                        result_atoms=conv.atom_count)
 
 
@@ -154,8 +156,8 @@ def _run_exp(ctx: _RunContext, p: dict) -> ProbeResult:
     rho = ctx.measure(p["measure"])
     ex = cm.exp_measure(rho, tail_tol=p["tail_tol"])
     want = [cmath.exp(c) for c in _band(rho, p["band"])]
-    return _band_check("exp", p["measure"], ex, want, p["band"], 1e-5,
-                       ("exp", "want"), tail_tol=p["tail_tol"],
+    return _band_check(ex, want, p["band"], 1e-5, ("exp", "want"),
+                       tail_tol=p["tail_tol"],
                        order=cm.truncation_order(p["tail_tol"]))
 
 
@@ -165,8 +167,7 @@ def _run_fourier(ctx: _RunContext, p: dict) -> ProbeResult:
             zip(range(-band, band + 1), _band(ctx.measure(p["measure"]), band))]
     detail = {"band": band, "coefficients": [[r[0], r[1], r[2]] for r in rows]}
     return ProbeResult(
-        probe="fourier", target=p["measure"], passed=True, grade="exact",
-        detail=detail,
+        passed=True, grade="exact", detail=detail,
         table=csv_text(["n", "re", "im", "abs"], rows),
         plotdata=_columns(["n", "abs"], [(r[0], r[3]) for r in rows]))
 
@@ -184,8 +185,7 @@ def _run_measure_classify(ctx: _RunContext, p: dict) -> ProbeResult:
             ("mild_mixing", mild.passed, mild.worst_limsup)]
     spectrum = [(n, abs(c)) for n, c in enumerate(_band(rho, band)[band + 1:], 1)]
     return ProbeResult(
-        probe="measure-classify", target=p["measure"], passed=True,
-        grade="heuristic", detail=detail,
+        passed=True, grade="heuristic", detail=detail,
         table=csv_text(["probe", "passed", "statistic"], rows),
         plotdata=_columns(["n", "abs_coefficient"], spectrum))
 
@@ -214,11 +214,35 @@ def _run_residual(ctx: _RunContext, p: dict) -> ProbeResult:
               "residuals": [[la, int(m), r]
                             for la, m, r, _ in rows]}
     return ProbeResult(
-        probe="residual", target="kalish", passed=ratios_ok and t1_ok,
-        grade="exact", detail=detail,
+        passed=ratios_ok and t1_ok, grade="exact", detail=detail,
         table=csv_text(["lambda", "grid", "residual", "ratio"], rows),
         plotdata=_columns(["lambda", "grid", "residual"],
                           [(la, m, r) for la, m, r, _ in rows]))
+
+
+def _run_matrix_check(ctx: _RunContext, p: dict) -> ProbeResult:
+    # apply_T against the dense matrix, then a dense solve back, per vector
+    M, apply_tolerance, solve_tolerance = ctx.config.grid, 1e-12, 1e-6
+    T = kalish_matrix(M)
+    rows = []
+    for k in range(5):
+        rng = np.random.default_rng(derive_seed(ctx.config.seed, f"matrix-check:{k}"))
+        v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+        via_matrix = T @ v
+        via_operator = apply_T(CircleFunction(v.copy(), M)).values
+        recovered = np.linalg.solve(T, via_matrix)
+        rows.append((k, float(np.max(np.abs(via_matrix - via_operator))),
+                     float(np.max(np.abs(recovered - v)) / max(1.0, np.max(np.abs(v))))))
+    worst_apply = max(r[1] for r in rows)
+    worst_solve = max(r[2] for r in rows)
+    detail = {"grid": M, "trials": len(rows), "max_apply_difference": worst_apply,
+              "max_solve_error": worst_solve, "apply_tolerance": apply_tolerance,
+              "solve_tolerance": solve_tolerance}
+    return ProbeResult(
+        passed=worst_apply <= apply_tolerance and worst_solve <= solve_tolerance,
+        grade="exact", detail=detail,
+        table=csv_text(["trial", "apply_difference", "solve_error"], rows),
+        plotdata=_columns(["trial", "apply_difference", "solve_error"], rows))
 
 
 def _run_invariance(ctx: _RunContext, p: dict) -> ProbeResult:
@@ -235,9 +259,8 @@ def _run_invariance(ctx: _RunContext, p: dict) -> ProbeResult:
             ("cov_distance", "exact_distance", "budget", "intertwine", "samples")]
     nodes = [(float(a), float(w)) for a, w in zip(model.angles, model.weights)]
     return ProbeResult(
-        probe="invariance", target=p["measure"], passed=rep.passed,
-        grade="exact" if control else "statistical", detail=detail,
-        control=control,
+        passed=rep.passed, grade="exact" if control else "statistical",
+        detail=detail, control=control,
         table=csv_text(["metric", "value"], rows),
         plotdata=_columns(["angle", "weight"], nodes))
 
@@ -260,9 +283,8 @@ def _run_symmetry(ctx: _RunContext, p: dict) -> ProbeResult:
     if control:
         detail["control"] = control
     return ProbeResult(
-        probe="symmetry", target=p["measure"], passed=passed,
-        grade="exact" if control else "statistical", detail=detail,
-        control=control,
+        passed=passed, grade="exact" if control else "statistical",
+        detail=detail, control=control,
         table=csv_text(["functional", "pseudo_moment_re", "pseudo_moment_im",
                         "threshold", "re_im_correlation", "passed"], rows),
         plotdata=_columns(["functional", "abs_pseudo_moment"],
@@ -294,8 +316,7 @@ def _run_coeff(ctx: _RunContext, p: dict) -> ProbeResult:
     plot = [(r[1], math.hypot(r[2], r[3]), math.hypot(r[4], r[5]))
             for r in rows if r[0] == 0]
     return ProbeResult(
-        probe="coeff", target=p["measure"], passed=all_ok,
-        grade="statistical", detail=detail,
+        passed=all_ok, grade="statistical", detail=detail,
         table=csv_text(["functional", "n", "analytic_re", "analytic_im",
                         "mc_re", "mc_im", "mc_se", "spectral_re", "spectral_im",
                         "ok"], rows),
@@ -317,8 +338,7 @@ def _run_ubd(ctx: _RunContext, p: dict) -> ProbeResult:
               "window": p["window"], "min_len": p["min_len"],
               "all_ok": all_ok}
     return ProbeResult(
-        probe="ubd", target=f"delta-{p['delta']}", passed=all_ok,
-        grade="exact", detail=detail,
+        passed=all_ok, grade="exact", detail=detail,
         table=csv_text(["set", "size", "banach_density", "diff_max_gap", "ok"],
                        rows),
         plotdata=_columns(["set", "diff_max_gap"],
@@ -340,8 +360,7 @@ def _run_orbit(ctx: _RunContext, p: dict) -> ProbeResult:
               "hit_diff_max_gap": gap}
     rows = [(t, float(norms[t]), float(dist[t])) for t in range(traj.length)]
     return ProbeResult(
-        probe="orbit", target=spec.label, passed=True, grade="exact",
-        detail=detail,
+        passed=True, grade="exact", detail=detail,
         table=csv_text(["step", "norm", "distance_to_start"], rows),
         plotdata=_columns(["step", "norm", "distance_to_start"], rows))
 
@@ -356,8 +375,7 @@ def _run_classification(ctx: _RunContext, p: dict) -> ProbeResult:
         plot_rows.append([i] + [verdict_num[row.outcomes[c].verdict]
                                 for c in lab.PROBE_COLUMNS])
     return ProbeResult(
-        probe="classification", target="battery", passed=not report.flagged,
-        grade="exact", detail=report.to_dict(),
+        passed=not report.flagged, grade="exact", detail=report.to_dict(),
         table=report.to_csv(),
         plotdata=_columns(["system"] + list(lab.PROBE_COLUMNS), plot_rows))
 
@@ -368,6 +386,7 @@ _EXECUTORS = {
     "fourier": _run_fourier,
     "measure-classify": _run_measure_classify,
     "residual": _run_residual,
+    "matrix-check": _run_matrix_check,
     "invariance": _run_invariance,
     "symmetry": _run_symmetry,
     "coeff": _run_coeff,
@@ -381,22 +400,31 @@ def _safe_name(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._+-]+", "-", text) or "x"
 
 
+def _target(p: dict) -> str:
+    """What a probe checks, named in its report and artifact stem whether
+    it runs or raises: its measure or system, else a fixed name."""
+    kind = p["probe"]
+    if kind == "convolve":
+        return f"{p['left']}x{p['right']}"
+    if kind == "ubd":
+        return f"delta-{p['delta']}"
+    if kind == "classification":
+        return "battery"
+    return p.get("measure") or p.get("system") or "kalish"
+
+
 def execute_probes(config: ExperimentConfig) -> list:
     """The ProbeResult of every probe of the config, in order.  A probe
     that raises gives a failed exact-grade result carrying the error."""
     ctx = _RunContext(config, {s.label: s for s in lab.parse_systems(config.systems)})
     results = []
     for probe in config.probes:
-        executor = _EXECUTORS[probe["probe"]]
         try:
-            results.append(executor(ctx, probe))
+            result = _EXECUTORS[probe["probe"]](ctx, probe)
         except Exception as exc:  # noqa: BLE001 - per-probe diagnostics
-            results.append(ProbeResult(
-                probe=probe["probe"],
-                target=str(probe.get("measure") or probe.get("system")
-                           or probe.get("left") or "error"),
-                passed=False, grade="exact", detail={},
-                error=f"{type(exc).__name__}: {exc}"))
+            result = ProbeResult(passed=False, grade="exact", detail={},
+                                 error=f"{type(exc).__name__}: {exc}")
+        results.append(replace(result, probe=probe["probe"], target=_target(probe)))
     return results
 
 

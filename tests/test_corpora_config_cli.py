@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperlab import total_mass, upper_banach_density
-from hyperlab import corpora, dynamics_lab
+from hyperlab import corpora, dynamics_lab, gauss_model
+from hyperlab.circle_measure import CircleMeasure
 from hyperlab.cli import _measure_entry, _system_doc, main
 from hyperlab.config import (
     _MEASURE_FIELDS,
@@ -343,6 +344,24 @@ def test_runner_probe_exception_becomes_status_two(tmp_path):
     assert "OutOfBandError" in report["error"]
 
 
+def test_runner_probe_that_raises_keeps_its_artifact_stem(tmp_path):
+    # measures of different bins do not convolve, and a min_len past the
+    # window has no Banach density; each report keeps the stem it has when
+    # its probe runs
+    doc = {"schema": "experiment-config/1", "seed": 3,
+           "measures": {"u": {"kind": "uniform", "bins": 256},
+                        "v": {"kind": "uniform", "bins": 512}},
+           "probes": [{"probe": "convolve", "left": "u", "right": "v"},
+                      {"probe": "ubd", "window": 100, "min_len": 200, "count": 1}]}
+    status, out = _run_config(tmp_path, doc)
+    assert status == 2
+    reports = {p.stem: read_json(p) for p in (out / "reports").glob("*")
+               if p.stem != "summary-run-3"}
+    assert {stem: r["target"] for stem, r in reports.items()} == {
+        "convolve-uxv-3": "uxv", "ubd-delta-0.3-3": "delta-0.3"}
+    assert all(r["error"] and r["passed"] is False for r in reports.values())
+
+
 @pytest.mark.parametrize("probes", [
     [{"probe": "residual", "grids": [1024, 2048]}],
     [{"probe": "ubd", "window": 2000, "count": 3, "delta": 0.3},
@@ -387,6 +406,7 @@ def test_every_report_prints_the_gate_it_applied(tmp_path):
                {"probe": "convolve", "left": "u", "right": "u"},
                {"probe": "exp", "measure": "u"},
                {"probe": "residual", "grids": [64, 128]},
+               {"probe": "matrix-check"},
                {"probe": "coeff", "samples": 500, "functionals": 1, "max_power": 2},
                {"probe": "measure-classify", "measure": "u"},
                {"probe": "invariance", "samples": 500},
@@ -398,6 +418,8 @@ def test_every_report_prints_the_gate_it_applied(tmp_path):
     assert detail["exp"]["tolerance"] == 1e-5
     assert detail["residual"]["ratio_bound"] == 0.75
     assert [b for _, _, b in detail["residual"]["t1_errors"]] == [50 / 64, 50 / 128]
+    assert detail["matrix-check"]["apply_tolerance"] == 1e-12
+    assert detail["matrix-check"]["solve_tolerance"] == 1e-6
     assert detail["coeff"]["rel_tol"] == 0.05
     classify = detail["measure-classify"]
     assert classify["rajchman"]["epsilon"] == classify["dirichlet"]["epsilon"] == 0.1
@@ -602,17 +624,37 @@ def test_cli_conv_csv(tmp_path):
 
 
 def test_cli_kalish_matrix_check(capsys):
-    code = main(["kalish", "matrix-check", "--grid", "128", "--count", "2"])
+    code = main(["kalish", "matrix-check", "--grid", "128"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
-    assert doc["max_apply_difference"] <= 1e-12
-    assert doc["max_solve_error"] <= 1e-6
+    assert doc["detail"]["trials"] == 5
+    assert doc["detail"]["max_apply_difference"] <= 1e-12
+    assert doc["detail"]["max_solve_error"] <= 1e-6
 
 
 def test_cli_kalish_matrix_check_zero_count_is_typed_error(capsys):
-    assert main(["kalish", "matrix-check", "--grid", "64", "--count", "0"]) == 2
-    assert "ValueError: count must be >= 1, got 0" in capsys.readouterr().err
+    # the trial count is a constant and hits density prints the Banach
+    # density, so neither --count nor hits ubd is left to parse
+    for argv, message in ((["kalish", "matrix-check", "--grid", "64", "--count", "0"],
+                           "unrecognized arguments"),
+                          (["hits", "ubd", "set.txt", "--min-len", "4"],
+                           "invalid choice: 'ubd'")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, message", [
+    (4, "ValueError: grid_size must be >= 8, got 4"),
+    (5000, "MatrixSizeError: M=5000 exceeds dense bound 4096"),
+])
+def test_cli_kalish_matrix_check_grid_out_of_range_exits_2(capsys, grid, message):
+    assert main(["kalish", "matrix-check", "--grid", str(grid)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cli_lab_orbit_negative_steps_is_typed_error(capsys):
@@ -728,6 +770,24 @@ def test_cli_gauss_invariance_zero_samples_is_typed_error(capsys):
     assert "ConfigError: probes[0].samples: must be >= 1" in capsys.readouterr().err
 
 
+def test_cli_gauss_sample_prints_the_library_draws(capsys):
+    model = gauss_model.build_model(gauss_model.corrected_field(
+        CircleMeasure.uniform(1.0, bins=1024), 8, 64))
+    draws = gauss_model.sample(model, 3, 5)
+    argv = ["gauss", "sample", "--grid", "64", "--count", "3", "--seed", "5"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "schema": "gauss-samples/1", "count": 3, "samples": [f.to_dict() for f in draws]}
+    assert main([*argv, "--format", "csv"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == "sample,j,re,im"
+    rows = [line.split(",") for line in lines]
+    assert [(int(s), int(j)) for s, j, _, _ in rows] == [(s, j) for s in range(3)
+                                                          for j in range(64)]
+    values = [complex(float(re), float(im)) for _, _, re, im in rows]
+    assert np.array_equal(values, np.concatenate([f.values for f in draws]))
+
+
 def test_cli_hits_pipeline(tmp_path, capsys):
     set_file = tmp_path / "set.txt"
     set_file.write_text("0 3 6 9\n")
@@ -737,9 +797,9 @@ def test_cli_hits_pipeline(tmp_path, capsys):
     assert main(["hits", "diff", str(set_file)]) == 0
     diff_doc = json.loads(capsys.readouterr().out)
     assert 0 in diff_doc["elements"]
-    assert main(["hits", "ubd", str(set_file), "--min-len", "4"]) == 0
-    ubd_doc = json.loads(capsys.readouterr().out)
-    assert 0.0 < ubd_doc["upper_banach_density"] <= 1.0
+    assert main(["hits", "density", str(set_file), "--min-len", "4"]) == 0
+    density_doc = json.loads(capsys.readouterr().out)
+    assert 0.0 < density_doc["upper_banach_density"] <= 1.0
 
 
 def test_cli_hits_non_integral_set_document_is_typed_error(tmp_path, capsys):
@@ -868,6 +928,9 @@ TWINS = {
          "--grids", "64,128,256"],
         {"probes": [{"probe": "residual", "angles": [1.0, 2.5],
                      "grids": [64, 128, 256]}]}),
+    "kalish-matrix-check": (
+        ["kalish", "matrix-check", "--grid", "128"],
+        {"grid": 128, "probes": [{"probe": "matrix-check"}]}),
     "gauss-invariance": (
         ["gauss", "invariance", "--grid", "256", "--samples", "500",
          "--transport-scale", "1.25"],

@@ -23,7 +23,7 @@ COMMANDS = [line for line in _cli_block() if line.startswith("hyperlab ")]
 
 
 def test_readme_cli_block_is_found():
-    assert len(COMMANDS) == 18
+    assert len(COMMANDS) == 17
     assert "printf '0 3 6 9\\n' > set.txt" in _cli_block()
 
 

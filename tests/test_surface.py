@@ -27,6 +27,9 @@ name or of a name bound to it; a knob only the tests set is a constant.
 The thread rule: no module of src/hyperlab imports threading or
 concurrent.futures, so the package starts no thread; parallel work
 belongs to BLAS, inside one product.
+
+The CLI rule: cli.py imports no numpy, so no command computes on its
+own; a command is a one-probe run of the runner or one library call.
 """
 
 import ast
@@ -313,24 +316,45 @@ def test_only_the_kind_table_compares_a_system_kind():
 THREAD_MODULES = ("threading", "concurrent")
 
 
+def _imports_of(tree, modules) -> list:
+    """The line of every import in tree of a top-level package in modules."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] in modules for name in names):
+            out.append(node.lineno)
+    return out
+
+
 def threading_imports() -> list:
     """file:line of every import of threading or concurrent.futures (any
     concurrent module) in a src/hyperlab module."""
-    out = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] in THREAD_MODULES for name in names):
-                out.append(f"{path.name}:{node.lineno}")
-    return out
+    return [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+            for line in _imports_of(ast.parse(path.read_text()), THREAD_MODULES)]
 
 
 def test_no_module_imports_threading():
     # the Gram products run on the calling thread; BLAS, not the package,
     # spreads a product over cores
     assert threading_imports() == []
+
+
+def test_cli_imports_no_numpy():
+    # a command that needs numpy computes on its own; its compute belongs
+    # in the runner or the library, where a config probe reaches it too
+    assert _imports_of(ast.parse((SRC / "cli.py").read_text()), {"numpy"}) == []
+
+
+def test_the_cli_rule_finds_every_form_of_a_numpy_import():
+    module = ast.parse(
+        "import json\n"
+        "import numpy as np\n"
+        "from numpy import linalg\n"
+        "def f():\n"
+        "    import numpy.random\n")
+    assert _imports_of(module, {"numpy"}) == [2, 3, 5]

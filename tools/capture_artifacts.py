@@ -25,6 +25,10 @@ output line is ``<sha256>  <item>``, for:
   three `invariance` probes: the honest check at 10**4 samples, the
   "transport_scale" 1.25 control, and a rank-deficient check at 16 nodes
   with 8 samples, where the Bartlett factor of the draw has 8 columns;
+* the runner artifacts of a `matrix-check` probe on the same desk config
+  and seeds: apply_T against the dense matrix of T and a dense solve back,
+  whose report, table and plotdata print each trial's difference as a
+  repr float;
 * the standard output of each `hyperlab` line of the README's CLI block,
   the block tests/test_readme_cli.py reads, each run in a fresh process
   (a dense BLAS product's bits can depend on what ran before it in the
@@ -50,6 +54,8 @@ output line is ``<sha256>  <item>``, for:
   where the snap's round-half-to-even lets one ulp of a centroid decide
   which nodes merge.
 
+That is 203 lines: 6 workload, 8 orbit, 14 desk (12 Gauss, 2
+matrix-check), 17 README CLI, 108 battery and 50 Gauss-model lines.
 Run it on two checkouts, for example a parent commit and a change, and
 compare the two captures line by line (``diff``).  BLAS runs on one thread
 (its thread count moves some bytes, ROADMAP item 11).
@@ -95,13 +101,15 @@ ORBIT_SYSTEMS = ({"kind": "scalar_multiple_shift", "scalar": 2.0, "dimension": 6
                   "name": "weighted-shift-dip"},
                  {"kind": "scalar_multiple_shift", "scalar": 0.5, "dimension": 64,
                   "name": "scalar-shift-0.5"})
-DESK_GAUSS_PROBES = ({"probe": "coeff", "nodes": 8, "functionals": 3, "max_power": 8},
-                     {"probe": "symmetry", "nodes": 8},
-                     {"probe": "symmetry", "nodes": 8, "sampler": "real"},
-                     {"probe": "invariance", "nodes": 8, "samples": 10_000},
-                     {"probe": "invariance", "nodes": 8, "samples": 10_000,
-                      "transport_scale": 1.25},
-                     {"probe": "invariance", "nodes": 16, "samples": 8})
+# family -> the probes run on the desk config (grid 1024) at each workload seed
+DESK_PROBES = {"gauss": ({"probe": "coeff", "nodes": 8, "functionals": 3, "max_power": 8},
+                         {"probe": "symmetry", "nodes": 8},
+                         {"probe": "symmetry", "nodes": 8, "sampler": "real"},
+                         {"probe": "invariance", "nodes": 8, "samples": 10_000},
+                         {"probe": "invariance", "nodes": 8, "samples": 10_000,
+                          "transport_scale": 1.25},
+                         {"probe": "invariance", "nodes": 16, "samples": 8}),
+               "kalish": ({"probe": "matrix-check"},)}
 BATTERY_RUNS = ((300, range(24)), (1000, range(24)), (4000, range(4)), (8000, range(1)),
                 (16000, range(1)))
 # (sigma's label, sigma, node count m, grid M)
@@ -164,10 +172,11 @@ def orbit_items():
                       for system in ORBIT_SYSTEMS for seed in WORKLOAD_SEEDS)
 
 
-def desk_gauss_items():
+def desk_items():
     return _run_items(({"seed": seed, "grid": 1024, "probes": [probe]},
-                       f"desk gauss {stable_dumps(probe)} seed {seed}")
-                      for probe in DESK_GAUSS_PROBES for seed in WORKLOAD_SEEDS)
+                       f"desk {family} {stable_dumps(probe)} seed {seed}")
+                      for family, probes in DESK_PROBES.items()
+                      for probe in probes for seed in WORKLOAD_SEEDS)
 
 
 def readme_cli_lines() -> list:
@@ -208,7 +217,7 @@ def gauss_items():
 
 
 def main() -> int:
-    for items in (workload_items, orbit_items, desk_gauss_items, cli_items, battery_items,
+    for items in (workload_items, orbit_items, desk_items, cli_items, battery_items,
                   gauss_items):
         for digest, name in items():
             print(f"{digest}  {name}", flush=True)
